@@ -60,8 +60,9 @@ fn ensemble_scratch(tag: u32) -> std::path::PathBuf {
 /// The exact work one replica does, minus the harness: a bare governed
 /// run of the fixture streaming canonical JSONL through a buffered
 /// writer — the cheapest correct single-run setup. The ensemble replica
-/// deliberately streams unbuffered (its durability invariant), so the
-/// margin charges it for that too.
+/// filters harness lines and group-commits its stream at checkpoint
+/// cadence (its durability invariant), so the margin charges it for
+/// that too.
 fn bare_replica_secs(cycles: u64, tag: u32) -> f64 {
     let dir = ensemble_scratch(tag);
     let factory = LssFactory::new(ENSEMBLE_SPEC, SchedKind::Compiled);

@@ -135,6 +135,60 @@ fn canonical_streams_are_byte_identical_across_all_schedulers() {
     }
 }
 
+/// Statistics that are *known* to follow how often a handler was
+/// invoked, not what the model did: `upl::decode` counts
+/// `hazard_stalls` inside `react`, so Sweep (which re-reacts every
+/// instance every pass) reads higher than the wake-driven schedulers.
+/// The counter stays where it is for now — the benchmark's `cmp8` and
+/// `core4` digests pin its `Compiled` value (see docs/KERNEL.md) — and
+/// nothing else may join this list without the same kind of reason.
+fn invocation_dependent(stat: &str) -> bool {
+    stat.ends_with(".decode.hazard_stalls")
+}
+
+#[test]
+fn cmp_statistics_are_scheduler_independent_except_the_allow_list() {
+    use liberty_systems::cmp::{cmp_simulator, CmpConfig};
+    let run = |sched: SchedKind| {
+        let (mut sim, cmp) = cmp_simulator(&CmpConfig::default(), sched).expect("cmp builds");
+        if sched == SchedKind::CompiledParallel {
+            sim.set_parallelism(3);
+        }
+        sim.run_until(100_000, |_| cmp.done()).expect("cmp runs");
+        assert!(cmp.done(), "{sched:?}: cores halt");
+        cmp.check_results()
+            .unwrap_or_else(|e| panic!("{sched:?}: {e}"));
+        (sim.now(), sim.report())
+    };
+    let (steps0, r0) = run(SchedKind::Dynamic);
+    let listed: Vec<&String> = r0
+        .counters
+        .keys()
+        .filter(|k| invocation_dependent(k))
+        .collect();
+    assert_eq!(listed.len(), 4, "one per core: {listed:?}");
+    for sched in ALL_SCHEDS {
+        let (steps, r) = run(sched);
+        assert_eq!(steps, steps0, "{sched:?}: steps to completion");
+        assert_eq!(
+            r.counters.keys().collect::<Vec<_>>(),
+            r0.counters.keys().collect::<Vec<_>>(),
+            "{sched:?}: counter names"
+        );
+        for (name, v) in &r.counters {
+            if !invocation_dependent(name) {
+                assert_eq!(*v, r0.counters[name], "{sched:?}: counter {name}");
+            }
+        }
+        assert_eq!(r.samples, r0.samples, "{sched:?}: samples");
+        assert_eq!(r.histograms, r0.histograms, "{sched:?}: histograms");
+        // Among the wake-driven schedulers even the listed counters agree.
+        if sched != SchedKind::Sweep {
+            assert_eq!(r, r0, "{sched:?}: full report");
+        }
+    }
+}
+
 #[test]
 fn parallel_bursts_match_serial_final_state() {
     // Without a probe the CompiledParallel scheduler takes the genuinely

@@ -40,7 +40,7 @@ use crate::kernel::{self, Kernel, Lane, PlanSummary, SpecState};
 use crate::module::{Dir, Module, PortId};
 use crate::netlist::{EdgeId, InstanceId, Netlist};
 use crate::pool::WorkerPool;
-use crate::probe::{Probe, ResolvedBy, TracerProbe};
+use crate::probe::{Interest, Probe, ResolvedBy};
 use crate::sched::RankQueue;
 use crate::signal::{Res, Wire, WireWrite, WriteOutcome};
 use crate::snapshot::Snapshot;
@@ -55,8 +55,6 @@ use crate::value::Value;
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-
-pub use crate::probe::Tracer;
 
 /// Which reaction-phase scheduler to use.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -216,6 +214,9 @@ pub struct Simulator {
     work: WorkState,
     metrics: EngineMetrics,
     probe: Option<Box<dyn Probe>>,
+    /// `probe`'s [`Probe::interest`], read once in `set_probe`: which
+    /// per-invocation events the probed paths produce at all.
+    interest: Interest,
     wake_buf: Vec<(EdgeId, Wire)>,
     /// Scratch per-instance activity flags for the commit phase; cleared
     /// proportionally to the transfer list, never swept.
@@ -309,6 +310,7 @@ impl Simulator {
             work,
             metrics: EngineMetrics::default(),
             probe: None,
+            interest: Interest::ALL,
             wake_buf: Vec::new(),
             active: vec![false; n],
             transfer_counts: vec![0; n_edges],
@@ -862,6 +864,18 @@ impl Simulator {
         let c = self.ckpt_mut();
         c.last = Some(Arc::clone(&snap));
         if let Some(dir) = c.dir.clone() {
+            // Group commit: everything the probe saw before this boundary
+            // reaches its writer before the checkpoint that covers it
+            // exists on disk, so a resume never finds a checkpoint ahead
+            // of the stream it would have to refill.
+            if let Some(p) = self.probe.as_deref_mut() {
+                p.sync().map_err(|e| {
+                    SimError::checkpoint(CheckpointError::Io {
+                        path: dir.clone(),
+                        msg: format!("probe sink behind the checkpoint: {e}"),
+                    })
+                })?;
+            }
             std::fs::create_dir_all(&dir).map_err(|e| {
                 SimError::checkpoint(CheckpointError::Io {
                     path: dir.clone(),
@@ -1054,12 +1068,6 @@ impl Simulator {
         &self.topo
     }
 
-    /// Attach a transfer tracer (compat path: the tracer is lifted into a
-    /// [`Probe`] observing only `transfer` events).
-    pub fn set_tracer(&mut self, t: Box<dyn Tracer>) {
-        self.set_probe(Box::new(TracerProbe::new(t)));
-    }
-
     /// Attach a probe observing the full kernel event stream. The probe's
     /// [`Probe::attach`] hook runs immediately (VCD sinks emit their
     /// header there); any previously attached probe is replaced.
@@ -1068,6 +1076,7 @@ impl Simulator {
         // path does not emit: fall back to the dynamic handlers.
         self.despecialize();
         p.attach(&self.topo);
+        self.interest = p.interest();
         self.probe = Some(p);
     }
 
@@ -1389,13 +1398,17 @@ impl Simulator {
             sched,
             metrics,
             probe,
+            interest,
             wake_buf,
             resil,
             ..
         } = self;
         let topo: &Topology = topo;
-        let mut probe: Option<&mut (dyn Probe + 'static)> =
-            if PROBED { probe.as_deref_mut() } else { None };
+        let interest = *interest;
+        let mut probe = match probe.as_deref_mut() {
+            Some(probe) if PROBED => Some(Tap { probe, interest }),
+            _ => None,
+        };
         let probe = &mut probe;
         let mut newly = std::mem::take(wake_buf);
         let result = (|| match sched {
@@ -1524,13 +1537,17 @@ impl Simulator {
             now,
             metrics,
             probe,
+            interest,
             wake_buf,
             resil,
             ..
         } = self;
         let topo: &Topology = topo;
-        let mut probe: Option<&mut (dyn Probe + 'static)> =
-            if PROBED { probe.as_deref_mut() } else { None };
+        let interest = *interest;
+        let mut probe = match probe.as_deref_mut() {
+            Some(probe) if PROBED => Some(Tap { probe, interest }),
+            _ => None,
+        };
         let probe = &mut probe;
         let mut newly = std::mem::take(wake_buf);
         if !PROBED && !RESIL {
@@ -1645,7 +1662,7 @@ impl Simulator {
         store.credit_fast_resolved(3 * lanes.len() as u64);
         metrics.reacts += plan.straight_count() as u64;
         debug_assert!(probe.is_none() && resil.is_none());
-        let mut dyn_probe: Option<&mut (dyn Probe + 'static)> = None;
+        let mut dyn_probe: Option<Tap<'_>> = None;
         let mut newly = std::mem::take(wake_buf);
         let result = (|| {
             for node in plan.nodes() {
@@ -1760,7 +1777,7 @@ impl Simulator {
             ..
         } = self;
         let topo: &Topology = topo;
-        let mut no_probe: Option<&mut (dyn Probe + 'static)> = None;
+        let mut no_probe: Option<Tap<'_>> = None;
         let mut no_resil: Option<Box<ResilState>> = None;
         let mut newly = std::mem::take(wake_buf);
         let result = (|| {
@@ -1862,7 +1879,7 @@ impl Simulator {
                 Wire::Ack
             };
             self.metrics.defaults += 1;
-            if let Some(p) = self.probe.as_deref_mut() {
+            if let Some(p) = self.probe.as_deref_mut().filter(|_| self.interest.resolves) {
                 emit_resolved(p, &self.store, self.now, e, wire, ResolvedBy::Default);
             }
             // Reader lists here have length ≤ 1 (data/enable wake the one
@@ -2009,12 +2026,14 @@ impl Simulator {
             now,
             metrics,
             probe,
+            interest,
             active,
             transfer_counts,
             resil,
             ..
         } = self;
         let topo: &Topology = topo;
+        let brackets = interest.handlers;
         if RESIL {
             store.finalize_transfers();
         }
@@ -2050,7 +2069,7 @@ impl Simulator {
                 }
                 metrics.commits += 1;
                 let inst = InstanceId(i as u32);
-                if let Some(p) = probe.as_deref_mut() {
+                if let Some(p) = probe.as_deref_mut().filter(|_| brackets) {
                     p.commit_enter(*now, inst);
                 }
                 let mut ctx = CommitCtx {
@@ -2095,7 +2114,7 @@ impl Simulator {
                         })));
                     }
                 }
-                if let Some(p) = probe.as_deref_mut() {
+                if let Some(p) = probe.as_deref_mut().filter(|_| brackets) {
                     p.commit_exit(*now, inst);
                 }
             }
@@ -2236,7 +2255,7 @@ fn drain_island<const PROBED: bool, const RESIL: bool>(
     members: &[u32],
     work: &mut WorkState,
     newly: &mut Vec<(EdgeId, Wire)>,
-    probe: &mut Option<&mut (dyn Probe + 'static)>,
+    probe: &mut Option<Tap<'_>>,
     resil: &mut Option<Box<ResilState>>,
 ) -> Result<(), SimError> {
     debug_assert!(work.fifo.is_empty());
@@ -2507,7 +2526,7 @@ fn react_one<const PROBED: bool, const RESIL: bool>(
     now: u64,
     i: usize,
     newly: &mut Vec<(EdgeId, Wire)>,
-    probe: &mut Option<&mut (dyn Probe + 'static)>,
+    probe: &mut Option<Tap<'_>>,
     resil: &mut Option<Box<ResilState>>,
 ) -> Result<(), SimError> {
     let inst = InstanceId(i as u32);
@@ -2538,8 +2557,8 @@ fn react_one<const PROBED: bool, const RESIL: bool>(
     } else {
         metrics.reacts += 1;
         if PROBED {
-            if let Some(p) = probe.as_deref_mut() {
-                p.react_enter(now, inst);
+            if let Some(t) = probe.as_mut().filter(|t| t.interest.handlers) {
+                t.probe.react_enter(now, inst);
             }
         }
         let r: Result<Result<(), SimError>, String> = if RESIL {
@@ -2584,11 +2603,15 @@ fn react_one<const PROBED: bool, const RESIL: bool>(
             Ok(modules[i].react(&mut ctx))
         };
         if PROBED {
-            if let Some(p) = probe.as_deref_mut() {
-                for &(e, wire) in newly.iter() {
-                    emit_resolved(p, store, now, e, wire, ResolvedBy::Module(inst));
+            if let Some(t) = probe.as_mut() {
+                if t.interest.resolves {
+                    for &(e, wire) in newly.iter() {
+                        emit_resolved(t.probe, store, now, e, wire, ResolvedBy::Module(inst));
+                    }
                 }
-                p.react_exit(now, inst);
+                if t.interest.handlers {
+                    t.probe.react_exit(now, inst);
+                }
             }
         }
         r
@@ -2621,6 +2644,14 @@ fn react_one<const PROBED: bool, const RESIL: bool>(
             }
         }
     }
+}
+
+/// The attached probe as the reaction loops see it: the sink plus the
+/// interest mask `set_probe` cached, so a loop asks a plain bool before
+/// it produces a per-invocation event.
+struct Tap<'a> {
+    probe: &'a mut (dyn Probe + 'static),
+    interest: Interest,
 }
 
 /// Report one newly resolved wire to a probe, reading its final value

@@ -103,7 +103,7 @@ pub mod vcd;
 pub mod prelude {
     pub use crate::compile::{CompiledPlan, PlanLevel, PlanNode};
     pub use crate::error::{CheckpointError, DivergenceInfo, OscillatingWire, PanicInfo, SimError};
-    pub use crate::exec::{CommitCtx, EngineMetrics, ReactCtx, SchedKind, Simulator, Tracer};
+    pub use crate::exec::{CommitCtx, EngineMetrics, ReactCtx, SchedKind, Simulator};
     pub use crate::fault::{
         FailurePolicy, FaultKind, FaultPlan, InstFaultKind, InstanceFault, SignalFault,
     };
@@ -112,7 +112,7 @@ pub mod prelude {
     pub use crate::netlist::{EdgeId, Endpoint, InstanceId, Netlist, NetlistBuilder};
     pub use crate::params::{ParamValue, Params};
     pub use crate::probe::{
-        CountingProbe, MultiProbe, Probe, ProbeCounts, ProbeCountsHandle, ResolvedBy, TracerProbe,
+        CountingProbe, Interest, MultiProbe, Probe, ProbeCounts, ProbeCountsHandle, ResolvedBy,
     };
     pub use crate::profile::{ProfileHandle, ProfileProbe, ProfileReport, Profiler};
     pub use crate::registry::{Instantiated, Registry, Template};

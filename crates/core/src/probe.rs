@@ -17,7 +17,10 @@
 //! * **transfer** fires once per completed three-way handshake.
 //!
 //! All methods default to no-ops, so a probe implements only what it
-//! needs. Ready-made sinks live in [`crate::trace`] (text + JSONL),
+//! needs, and [`Probe::interest`] tells the kernel which of the two
+//! per-invocation event families (handler brackets, wire resolutions) it
+//! consumes, so the reaction loop does not produce events nobody reads.
+//! Ready-made sinks live in [`crate::trace`] (text + JSONL),
 //! [`crate::vcd`] (GTKWave waveforms) and [`crate::profile`] (per-module
 //! hot-spot attribution).
 //!
@@ -43,6 +46,39 @@ pub enum ResolvedBy {
     Default,
 }
 
+/// Which of the per-handler-invocation event families a probe consumes.
+/// These are the events the reaction and commit loops produce once per
+/// handler call or per wire; everything else (step brackets, transfers,
+/// faults, recovery events) is per step or rarer and always delivered.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Interest {
+    /// `react_enter`/`react_exit` and `commit_enter`/`commit_exit`.
+    pub handlers: bool,
+    /// `signal_resolved`.
+    pub resolves: bool,
+}
+
+impl Interest {
+    /// Every event (the default).
+    pub const ALL: Interest = Interest {
+        handlers: true,
+        resolves: true,
+    };
+    /// Neither family: step-level events only.
+    pub const NONE: Interest = Interest {
+        handlers: false,
+        resolves: false,
+    };
+
+    /// What a fan-out of two probes consumes.
+    pub fn union(self, other: Interest) -> Interest {
+        Interest {
+            handlers: self.handlers || other.handlers,
+            resolves: self.resolves || other.resolves,
+        }
+    }
+}
+
 /// Observer of the kernel's full event stream. Every method is a no-op by
 /// default; implement only the events you need.
 ///
@@ -53,6 +89,24 @@ pub enum ResolvedBy {
 pub trait Probe: Send {
     /// Called once when the probe is installed on a simulator.
     fn attach(&mut self, topo: &Topology) {}
+
+    /// The per-invocation events this probe consumes. Read once, right
+    /// after [`Probe::attach`]; the kernel skips producing the families
+    /// that are off. A probe may still be *called* for a family it
+    /// declined (a [`MultiProbe`] sibling asked for it), so declining is
+    /// a cost hint, not a filter.
+    fn interest(&self) -> Interest {
+        Interest::ALL
+    }
+
+    /// Hand everything observed so far to the sink's writer and report
+    /// the first write error the sink has met. The kernel calls this
+    /// before a checkpoint file is written, so a buffering sink is never
+    /// behind a durable checkpoint; hosts call it before dropping a
+    /// probe whose output they rely on (`Drop` cannot report errors).
+    fn sync(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
 
     /// A time-step is starting.
     fn step_begin(&mut self, now: u64) {}
@@ -123,31 +177,6 @@ pub trait Probe: Send {
     fn run_cancelled(&mut self, now: u64) {}
 }
 
-/// Observer of completed transfers only — the original, narrow tracing
-/// interface. Kept for compatibility; internally every tracer is adapted
-/// into a [`Probe`] by [`TracerProbe`].
-pub trait Tracer: Send {
-    /// Called once per completed transfer at the end of each time-step.
-    fn transfer(&mut self, now: u64, src: &str, dst: &str, value: &Value);
-}
-
-/// Compat shim: lifts a [`Tracer`] into the [`Probe`] world (only the
-/// `transfer` event is forwarded).
-pub struct TracerProbe(Box<dyn Tracer>);
-
-impl TracerProbe {
-    /// Wrap a tracer.
-    pub fn new(t: Box<dyn Tracer>) -> Self {
-        TracerProbe(t)
-    }
-}
-
-impl Probe for TracerProbe {
-    fn transfer(&mut self, now: u64, _edge: EdgeId, src: &str, dst: &str, value: &Value) {
-        self.0.transfer(now, src, dst, value);
-    }
-}
-
 /// Fan-out probe: forwards every event to each attached probe in order,
 /// so `--trace --vcd --profile` can all observe one run.
 #[derive(Default)]
@@ -192,6 +221,22 @@ impl Probe for MultiProbe {
         for p in &mut self.probes {
             p.attach(topo);
         }
+    }
+    fn interest(&self) -> Interest {
+        self.probes
+            .iter()
+            .fold(Interest::NONE, |acc, p| acc.union(p.interest()))
+    }
+    fn sync(&mut self) -> std::io::Result<()> {
+        // Sync every sink even when one fails; report the first failure.
+        let mut first = Ok(());
+        for p in &mut self.probes {
+            let r = p.sync();
+            if first.is_ok() {
+                first = r;
+            }
+        }
+        first
     }
     fn step_begin(&mut self, now: u64) {
         for p in &mut self.probes {
@@ -392,23 +437,43 @@ impl Probe for CountingProbe {
     }
 }
 
-/// Escape a string for inclusion in a JSON string literal (quotes,
-/// backslashes and control characters). Shared by the JSONL sink and the
-/// front ends' `--metrics-out` writer.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+/// Append `s` to `out`, escaped for inclusion in a JSON string literal
+/// (quotes, backslashes and control characters). Every byte that needs
+/// escaping is ASCII, so multi-byte UTF-8 sequences pass through whole
+/// and clean runs are copied as slices.
+pub(crate) fn escape_into(out: &mut Vec<u8>, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let bytes = s.as_bytes();
+    let mut clean_from = 0;
+    for (i, &c) in bytes.iter().enumerate() {
+        let unicode: [u8; 6];
+        let escaped: &[u8] = match c {
+            b'"' => b"\\\"",
+            b'\\' => b"\\\\",
+            b'\n' => b"\\n",
+            b'\r' => b"\\r",
+            b'\t' => b"\\t",
+            0..=0x1f => {
+                let (hi, lo) = (HEX[usize::from(c >> 4)], HEX[usize::from(c & 0xf)]);
+                unicode = [b'\\', b'u', b'0', b'0', hi, lo];
+                &unicode
+            }
+            _ => continue,
+        };
+        out.extend_from_slice(&bytes[clean_from..i]);
+        out.extend_from_slice(escaped);
+        clean_from = i + 1;
     }
-    out
+    out.extend_from_slice(&bytes[clean_from..]);
+}
+
+/// Escape a string for inclusion in a JSON string literal. The allocating
+/// form of the JSONL sink's escaper, for front ends that build JSON with
+/// `format!` (`--metrics-out`, sweep reports).
+pub fn json_escape(s: &str) -> String {
+    let mut out = Vec::with_capacity(s.len());
+    escape_into(&mut out, s);
+    String::from_utf8(out).expect("escaping valid UTF-8 inserts ASCII only")
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@
 //! measured overhead.
 
 use crate::netlist::InstanceId;
-use crate::probe::Probe;
+use crate::probe::{Interest, Probe};
 use crate::topology::Topology;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -172,6 +172,13 @@ impl Probe for ProfileProbe {
                 ..InstProfile::default()
             })
             .collect();
+    }
+
+    fn interest(&self) -> Interest {
+        Interest {
+            handlers: true,
+            resolves: false,
+        }
     }
 
     fn react_enter(&mut self, _now: u64, inst: InstanceId) {

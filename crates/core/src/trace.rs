@@ -8,11 +8,12 @@
 //! attribution in [`crate::profile`].
 
 use crate::netlist::{EdgeId, InstanceId};
-use crate::probe::{json_escape, Probe, ResolvedBy, Tracer};
+use crate::probe::{escape_into, Interest, Probe, ResolvedBy};
 use crate::signal::Wire;
 use crate::topology::Topology;
 use crate::value::Value;
 use parking_lot_free::Mutex;
+use std::fmt::Write as _;
 use std::io::Write;
 use std::sync::Arc;
 
@@ -45,8 +46,12 @@ impl<W: Write + Send> TextTracer<W> {
     }
 }
 
-impl<W: Write + Send> Tracer for TextTracer<W> {
-    fn transfer(&mut self, now: u64, src: &str, dst: &str, value: &Value) {
+impl<W: Write + Send> Probe for TextTracer<W> {
+    fn interest(&self) -> Interest {
+        Interest::NONE
+    }
+
+    fn transfer(&mut self, now: u64, _edge: EdgeId, src: &str, dst: &str, value: &Value) {
         if self.limit > 0 && self.written >= self.limit {
             // Say so once instead of silently dropping the tail.
             if !self.truncated {
@@ -137,8 +142,12 @@ impl TraceHandle {
     }
 }
 
-impl Tracer for RecordingTracer {
-    fn transfer(&mut self, now: u64, src: &str, dst: &str, value: &Value) {
+impl Probe for RecordingTracer {
+    fn interest(&self) -> Interest {
+        Interest::NONE
+    }
+
+    fn transfer(&mut self, now: u64, _edge: EdgeId, src: &str, dst: &str, value: &Value) {
         self.events.lock().expect("trace lock").push(TraceEvent {
             now,
             src: src.to_owned(),
@@ -176,6 +185,12 @@ pub struct JsonlProbe<W: Write + Send> {
     out: W,
     handlers: bool,
     canonical: bool,
+    /// The one line under construction, reused for every event: an event
+    /// is encoded here whole and handed to `out` as a single `write_all`.
+    line: Line,
+    /// The first write or flush error; once set, nothing more is written
+    /// and [`Probe::sync`] keeps reporting it.
+    failed: Option<std::io::Error>,
 }
 
 impl<W: Write + Send> JsonlProbe<W> {
@@ -185,6 +200,8 @@ impl<W: Write + Send> JsonlProbe<W> {
             out,
             handlers: false,
             canonical: false,
+            line: Line::default(),
+            failed: None,
         }
     }
 
@@ -203,6 +220,79 @@ impl<W: Write + Send> JsonlProbe<W> {
         self.handlers = false;
         self
     }
+
+    /// Start the line of a `kind` event at step `now`.
+    fn event(&mut self, kind: &str, now: u64) -> &mut Line {
+        self.line.0.clear();
+        self.line
+            .raw("{\"t\":\"")
+            .raw(kind)
+            .raw("\",\"now\":")
+            .num(now)
+    }
+
+    /// Close the line under construction and hand it to the writer.
+    fn emit(&mut self) {
+        self.line.raw("}\n");
+        if self.failed.is_none() {
+            self.failed = self.out.write_all(&self.line.0).err();
+        }
+    }
+}
+
+/// JSON text under construction in a byte buffer. Nothing here allocates
+/// once the buffer has grown to the longest line.
+#[derive(Default)]
+struct Line(Vec<u8>);
+
+impl Line {
+    /// Literal JSON text (punctuation, keys, fixed vocabulary).
+    fn raw(&mut self, json: &str) -> &mut Line {
+        self.0.extend_from_slice(json.as_bytes());
+        self
+    }
+
+    /// An unsigned integer, in decimal.
+    fn num(&mut self, n: u64) -> &mut Line {
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        let mut rest = n;
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        self.0.extend_from_slice(&digits[at..]);
+        self
+    }
+
+    /// `s` as the inside of a JSON string literal.
+    fn escaped(&mut self, s: &str) -> &mut Line {
+        escape_into(&mut self.0, s);
+        self
+    }
+
+    /// The `Display` rendering of `v` as the inside of a JSON string
+    /// literal, escaped as it is formatted.
+    fn value(&mut self, v: &Value) -> &mut Line {
+        match v {
+            Value::Word(w) => self.num(*w),
+            other => {
+                write!(self, "{other}").expect("formatting into a buffer cannot fail");
+                self
+            }
+        }
+    }
+}
+
+impl std::fmt::Write for Line {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.escaped(s);
+        Ok(())
+    }
 }
 
 fn wire_name(w: Wire) -> &'static str {
@@ -215,44 +305,64 @@ fn wire_name(w: Wire) -> &'static str {
 
 impl<W: Write + Send> Probe for JsonlProbe<W> {
     fn attach(&mut self, topo: &Topology) {
-        let names: Vec<String> = topo
-            .instance_names()
-            .map(|n| format!("\"{}\"", json_escape(n)))
-            .collect();
-        let _ = writeln!(
-            self.out,
-            "{{\"t\":\"attach\",\"instances\":{},\"edges\":{},\"names\":[{}]}}",
-            topo.instance_count(),
-            topo.edge_count(),
-            names.join(",")
-        );
+        self.line.0.clear();
+        self.line
+            .raw("{\"t\":\"attach\",\"instances\":")
+            .num(topo.instance_count() as u64)
+            .raw(",\"edges\":")
+            .num(topo.edge_count() as u64)
+            .raw(",\"names\":[");
+        for (i, name) in topo.instance_names().enumerate() {
+            let open = if i == 0 { "\"" } else { ",\"" };
+            self.line.raw(open).escaped(name).raw("\"");
+        }
+        self.line.raw("]");
+        self.emit();
+    }
+
+    fn interest(&self) -> Interest {
+        Interest {
+            handlers: self.handlers,
+            resolves: !self.canonical,
+        }
+    }
+
+    fn sync(&mut self) -> std::io::Result<()> {
+        if self.failed.is_none() {
+            self.failed = self.out.flush().err();
+        }
+        match &self.failed {
+            // `io::Error` is not `Clone`; the kind and message are.
+            Some(e) => Err(std::io::Error::new(e.kind(), e.to_string())),
+            None => Ok(()),
+        }
     }
 
     fn step_begin(&mut self, now: u64) {
-        let _ = writeln!(self.out, "{{\"t\":\"step\",\"now\":{now}}}");
+        self.event("step", now);
+        self.emit();
     }
 
     fn step_end(&mut self, now: u64) {
-        let _ = writeln!(self.out, "{{\"t\":\"step_end\",\"now\":{now}}}");
+        self.event("step_end", now);
+        self.emit();
     }
 
     fn react_enter(&mut self, now: u64, inst: InstanceId) {
         if self.handlers {
-            let _ = writeln!(
-                self.out,
-                "{{\"t\":\"react\",\"now\":{now},\"inst\":{}}}",
-                inst.0
-            );
+            self.event("react", now)
+                .raw(",\"inst\":")
+                .num(u64::from(inst.0));
+            self.emit();
         }
     }
 
     fn commit_enter(&mut self, now: u64, inst: InstanceId) {
         if self.handlers {
-            let _ = writeln!(
-                self.out,
-                "{{\"t\":\"commit\",\"now\":{now},\"inst\":{}}}",
-                inst.0
-            );
+            self.event("commit", now)
+                .raw(",\"inst\":")
+                .num(u64::from(inst.0));
+            self.emit();
         }
     }
 
@@ -268,31 +378,38 @@ impl<W: Write + Send> Probe for JsonlProbe<W> {
         if self.canonical {
             return;
         }
-        let by_s = match by {
-            ResolvedBy::Module(i) => format!("{}", i.0),
-            ResolvedBy::Default => "\"default\"".to_owned(),
+        let line = self.event("resolve", now);
+        line.raw(",\"edge\":")
+            .num(u64::from(edge.0))
+            .raw(",\"wire\":\"")
+            .raw(wire_name(wire))
+            .raw(if yes {
+                "\",\"yes\":true"
+            } else {
+                "\",\"yes\":false"
+            });
+        if let Some(v) = value {
+            line.raw(",\"value\":\"").value(v).raw("\"");
+        }
+        match by {
+            ResolvedBy::Module(i) => line.raw(",\"by\":").num(u64::from(i.0)),
+            ResolvedBy::Default => line.raw(",\"by\":\"default\""),
         };
-        let val_s = match value {
-            Some(v) => format!(",\"value\":\"{}\"", json_escape(&v.to_string())),
-            None => String::new(),
-        };
-        let _ = writeln!(
-            self.out,
-            "{{\"t\":\"resolve\",\"now\":{now},\"edge\":{},\"wire\":\"{}\",\"yes\":{yes}{val_s},\"by\":{by_s}}}",
-            edge.0,
-            wire_name(wire),
-        );
+        self.emit();
     }
 
     fn transfer(&mut self, now: u64, edge: EdgeId, src: &str, dst: &str, value: &Value) {
-        let _ = writeln!(
-            self.out,
-            "{{\"t\":\"transfer\",\"now\":{now},\"edge\":{},\"src\":\"{}\",\"dst\":\"{}\",\"value\":\"{}\"}}",
-            edge.0,
-            json_escape(src),
-            json_escape(dst),
-            json_escape(&value.to_string()),
-        );
+        self.event("transfer", now)
+            .raw(",\"edge\":")
+            .num(u64::from(edge.0))
+            .raw(",\"src\":\"")
+            .escaped(src)
+            .raw("\",\"dst\":\"")
+            .escaped(dst)
+            .raw("\",\"value\":\"")
+            .value(value)
+            .raw("\"");
+        self.emit();
     }
 
     fn fault_injected(
@@ -302,51 +419,60 @@ impl<W: Write + Send> Probe for JsonlProbe<W> {
         wire: Wire,
         kind: crate::fault::FaultKind,
     ) {
-        let _ = writeln!(
-            self.out,
-            "{{\"t\":\"fault\",\"now\":{now},\"edge\":{},\"wire\":\"{}\",\"kind\":\"{}\"}}",
-            edge.0,
-            wire_name(wire),
-            kind.label(),
-        );
+        self.event("fault", now)
+            .raw(",\"edge\":")
+            .num(u64::from(edge.0))
+            .raw(",\"wire\":\"")
+            .raw(wire_name(wire))
+            .raw("\",\"kind\":\"")
+            .raw(kind.label())
+            .raw("\"");
+        self.emit();
     }
 
     fn instance_fault(&mut self, now: u64, inst: InstanceId, kind: &str) {
-        let _ = writeln!(
-            self.out,
-            "{{\"t\":\"inst_fault\",\"now\":{now},\"inst\":{},\"kind\":\"{}\"}}",
-            inst.0,
-            json_escape(kind),
-        );
+        self.event("inst_fault", now)
+            .raw(",\"inst\":")
+            .num(u64::from(inst.0))
+            .raw(",\"kind\":\"")
+            .escaped(kind)
+            .raw("\"");
+        self.emit();
     }
 
     fn quarantined(&mut self, now: u64, inst: InstanceId, reason: &str) {
-        let _ = writeln!(
-            self.out,
-            "{{\"t\":\"quarantine\",\"now\":{now},\"inst\":{},\"reason\":\"{}\"}}",
-            inst.0,
-            json_escape(reason),
-        );
+        self.event("quarantine", now)
+            .raw(",\"inst\":")
+            .num(u64::from(inst.0))
+            .raw(",\"reason\":\"")
+            .escaped(reason)
+            .raw("\"");
+        self.emit();
     }
 
     fn checkpointed(&mut self, now: u64) {
-        let _ = writeln!(self.out, "{{\"t\":\"checkpoint\",\"now\":{now}}}");
+        self.event("checkpoint", now);
+        self.emit();
     }
 
     fn restored(&mut self, now: u64) {
-        let _ = writeln!(self.out, "{{\"t\":\"restore\",\"now\":{now}}}");
+        self.event("restore", now);
+        self.emit();
     }
 
     fn rolled_back(&mut self, now: u64, to: u64, reason: &str) {
-        let _ = writeln!(
-            self.out,
-            "{{\"t\":\"rollback\",\"now\":{now},\"to\":{to},\"reason\":\"{}\"}}",
-            json_escape(reason),
-        );
+        self.event("rollback", now)
+            .raw(",\"to\":")
+            .num(to)
+            .raw(",\"reason\":\"")
+            .escaped(reason)
+            .raw("\"");
+        self.emit();
     }
 
     fn run_cancelled(&mut self, now: u64) {
-        let _ = writeln!(self.out, "{{\"t\":\"cancel\",\"now\":{now}}}");
+        self.event("cancel", now);
+        self.emit();
     }
 }
 
@@ -424,7 +550,7 @@ mod tests {
     fn text_tracer_formats_and_limits() {
         let mut sim = tiny_sim();
         let store = Shared::default();
-        sim.set_tracer(Box::new(TextTracer::new(store.clone(), 2)));
+        sim.set_probe(Box::new(TextTracer::new(store.clone(), 2)));
         sim.run(5).unwrap();
         let text = store.text();
         let lines: Vec<&str> = text.lines().collect();
@@ -439,7 +565,7 @@ mod tests {
     fn text_tracer_unbounded_has_no_marker() {
         let mut sim = tiny_sim();
         let store = Shared::default();
-        sim.set_tracer(Box::new(TextTracer::new(store.clone(), 0)));
+        sim.set_probe(Box::new(TextTracer::new(store.clone(), 0)));
         sim.run(4).unwrap();
         let text = store.text();
         assert_eq!(text.lines().count(), 4);
@@ -450,7 +576,7 @@ mod tests {
     fn recording_tracer_captures_events() {
         let mut sim = tiny_sim();
         let (tracer, handle) = RecordingTracer::new();
-        sim.set_tracer(Box::new(tracer));
+        sim.set_probe(Box::new(tracer));
         assert!(handle.is_empty());
         sim.run(3).unwrap();
         let ev = handle.events();
@@ -465,7 +591,7 @@ mod tests {
     fn trace_handle_take_drains_and_clear_discards() {
         let mut sim = tiny_sim();
         let (tracer, handle) = RecordingTracer::new();
-        sim.set_tracer(Box::new(tracer));
+        sim.set_probe(Box::new(tracer));
         sim.run(3).unwrap();
         let first = handle.take();
         assert_eq!(first.len(), 3);
@@ -509,5 +635,51 @@ mod tests {
         let text = store.text();
         assert!(text.contains("\"t\":\"react\""), "{text}");
         assert!(text.contains("\"t\":\"commit\""), "{text}");
+    }
+
+    /// Accepts `room` bytes, then fails every write (a disk that fills).
+    struct FailAfter {
+        room: usize,
+        taken: Shared,
+    }
+    impl Write for FailAfter {
+        fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
+            if b.len() > self.room {
+                return Err(std::io::Error::other("no space left"));
+            }
+            self.room -= b.len();
+            self.taken.write(b)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn jsonl_probe_latches_the_first_write_error() {
+        let taken = Shared::default();
+        let mut sim = tiny_sim();
+        sim.set_probe(Box::new(
+            JsonlProbe::new(FailAfter {
+                room: 200,
+                taken: taken.clone(),
+            })
+            .canonical(),
+        ));
+        sim.run(20).unwrap();
+        let mut probe = sim.take_probe().unwrap();
+        let err = probe.sync().expect_err("the stream was cut short");
+        assert!(err.to_string().contains("no space left"), "{err}");
+        assert!(probe.sync().is_err(), "the error stays latched");
+        // What did get through is whole lines, and nothing after the cut.
+        let text = taken.text();
+        assert!(text.ends_with("}\n") && text.len() <= 200, "{text}");
+        assert!(text.lines().count() < 1 + 20 * 3);
+
+        // A healthy sink syncs clean.
+        let mut sim = tiny_sim();
+        sim.set_probe(Box::new(JsonlProbe::new(Shared::default())));
+        sim.run(2).unwrap();
+        assert!(sim.take_probe().unwrap().sync().is_ok());
     }
 }

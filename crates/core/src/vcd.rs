@@ -29,7 +29,7 @@
 //! changes — acceptable for live monitoring, not for golden files.
 
 use crate::netlist::EdgeId;
-use crate::probe::{Probe, ResolvedBy};
+use crate::probe::{Interest, Probe, ResolvedBy};
 use crate::signal::Wire;
 use crate::topology::Topology;
 use crate::value::Value;
@@ -231,6 +231,13 @@ impl<W: Write + Send> Probe for VcdProbe<W> {
             Self::emit(out, WireVal::X, &ev.codes[2], false);
         }
         let _ = writeln!(out, "$end");
+    }
+
+    fn interest(&self) -> Interest {
+        Interest {
+            handlers: false,
+            resolves: true,
+        }
     }
 
     fn signal_resolved(

@@ -325,8 +325,8 @@ mod parking_lot_stub {
     pub use std::sync::Mutex;
 }
 
-impl Tracer for RecordingTracer {
-    fn transfer(&mut self, now: u64, src: &str, dst: &str, _v: &Value) {
+impl Probe for RecordingTracer {
+    fn transfer(&mut self, now: u64, _edge: EdgeId, src: &str, dst: &str, _v: &Value) {
         self.0
             .lock()
             .unwrap()
@@ -342,7 +342,7 @@ fn tracer_sees_transfers() {
     b.connect(c, "out", k, "in").unwrap();
     let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
     let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-    sim.set_tracer(Box::new(RecordingTracer(log.clone())));
+    sim.set_probe(Box::new(RecordingTracer(log.clone())));
     sim.run(3).unwrap();
     let log = log.lock().unwrap();
     assert_eq!(log.len(), 3);

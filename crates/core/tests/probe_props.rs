@@ -264,3 +264,408 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// The JSONL encoder against a `format!` reference, and the interest mask.
+// ---------------------------------------------------------------------
+
+/// Records every `write` call handed to it, so a test sees both the bytes
+/// and how they were cut.
+#[derive(Clone, Default)]
+struct Chunks(Arc<Mutex<Vec<Vec<u8>>>>);
+
+impl std::io::Write for Chunks {
+    fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().push(b.to_vec());
+        Ok(b.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+impl Chunks {
+    fn text(&self) -> String {
+        String::from_utf8(self.0.lock().unwrap().concat()).unwrap()
+    }
+}
+
+/// The escaping rule spelled out character by character, independent of
+/// the library's byte-level escaper.
+fn ref_escape(s: &str) -> String {
+    let mut out = String::new();
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// An opaque payload whose `Debug` text carries arbitrary characters.
+#[derive(Debug, PartialEq)]
+struct Pkt {
+    tag: String,
+    len: u32,
+}
+
+/// Names and payload text: quotes, backslashes, control characters,
+/// JSON punctuation and multi-byte characters among plain ones.
+fn text() -> impl Strategy<Value = String> {
+    let alphabet = vec![
+        'a', 'Z', '0', '.', '[', ']', ' ', '"', '\\', '/', '\n', '\r', '\t', '\u{0}', '\u{1}',
+        '\u{1f}', '\u{7f}', 'é', '→', '😀', '{', '}', ':', ',',
+    ];
+    prop::collection::vec(prop::sample::select(alphabet), 0..10)
+        .prop_map(|cs| cs.into_iter().collect())
+}
+
+fn scalar() -> BoxedStrategy<Value> {
+    prop_oneof![
+        Just(Value::Unit),
+        any::<bool>().prop_map(Value::Bool),
+        any::<u64>().prop_map(Value::Word),
+        any::<i64>().prop_map(Value::Int),
+        (-1.0e9f64..1.0e9).prop_map(Value::Float),
+        text().prop_map(|s| Value::from(s.as_str())),
+        (text(), any::<u32>()).prop_map(|(tag, len)| Value::wrap(Pkt { tag, len })),
+    ]
+    .boxed()
+}
+
+fn value() -> BoxedStrategy<Value> {
+    prop_oneof![
+        scalar(),
+        prop::collection::vec(scalar(), 0..4).prop_map(|vs| Value::Tuple(Arc::new(vs))),
+    ]
+    .boxed()
+}
+
+/// Everything one encoder case is fed.
+#[derive(Clone, Debug)]
+struct EventCase {
+    names: (String, String),
+    now: u64,
+    edge: u32,
+    inst: u32,
+    to: u64,
+    value: Value,
+    reason: String,
+}
+
+fn event_case() -> impl Strategy<Value = EventCase> {
+    (
+        (text(), text()),
+        (any::<u64>(), any::<u64>()),
+        (any::<u32>(), any::<u32>()),
+        value(),
+        text(),
+    )
+        .prop_map(
+            |(names, (now, to), (edge, inst), value, reason)| EventCase {
+                names,
+                now,
+                edge,
+                inst,
+                to,
+                value,
+                reason,
+            },
+        )
+}
+
+const WIRES: [(Wire, &str); 3] = [
+    (Wire::Data, "data"),
+    (Wire::Enable, "enable"),
+    (Wire::Ack, "ack"),
+];
+const FAULTS: [(FaultKind, &str); 3] = [
+    (FaultKind::Drop, "drop"),
+    (FaultKind::Stall, "stall"),
+    (FaultKind::Corrupt, "corrupt"),
+];
+
+/// Drive every event kind once (every wire, fault kind, polarity and
+/// attribution) and return the expected text, built with `format!`.
+fn drive_all_events(p: &mut dyn Probe, c: &EventCase) -> String {
+    let EventCase {
+        now,
+        edge,
+        inst,
+        to,
+        ..
+    } = *c;
+    // Instance names must be unique; the suffix keeps them so.
+    let (n0, n1) = (format!("{}0", c.names.0), format!("{}1", c.names.1));
+    let mut b = NetlistBuilder::new();
+    let s = b
+        .add(
+            n0.clone(),
+            ModuleSpec::new("collect").output("out", 0, u32::MAX),
+            Box::new(Collect),
+        )
+        .unwrap();
+    let k = b
+        .add(
+            n1.clone(),
+            ModuleSpec::new("collect").input("in", 0, u32::MAX),
+            Box::new(Collect),
+        )
+        .unwrap();
+    b.connect(s, "out", k, "in").unwrap();
+    let sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+    let shown = ref_escape(&c.value.to_string());
+    let mut want = String::new();
+
+    p.attach(sim.topology());
+    want += &format!(
+        "{{\"t\":\"attach\",\"instances\":2,\"edges\":1,\"names\":[\"{}\",\"{}\"]}}\n",
+        ref_escape(&n0),
+        ref_escape(&n1)
+    );
+    p.step_begin(now);
+    want += &format!("{{\"t\":\"step\",\"now\":{now}}}\n");
+    p.react_enter(now, InstanceId(inst));
+    want += &format!("{{\"t\":\"react\",\"now\":{now},\"inst\":{inst}}}\n");
+    p.react_exit(now, InstanceId(inst));
+    for (wire, wname) in WIRES {
+        for (yes, payload, by, by_text) in [
+            (
+                true,
+                Some(&c.value),
+                ResolvedBy::Module(InstanceId(inst)),
+                inst.to_string(),
+            ),
+            (false, None, ResolvedBy::Default, "\"default\"".to_owned()),
+        ] {
+            p.signal_resolved(now, EdgeId(edge), wire, yes, payload, by);
+            let val = payload.map_or(String::new(), |_| format!(",\"value\":\"{shown}\""));
+            want += &format!(
+                "{{\"t\":\"resolve\",\"now\":{now},\"edge\":{edge},\"wire\":\"{wname}\",\
+                 \"yes\":{yes}{val},\"by\":{by_text}}}\n"
+            );
+        }
+        for (kind, kname) in FAULTS {
+            p.fault_injected(now, EdgeId(edge), wire, kind);
+            want += &format!(
+                "{{\"t\":\"fault\",\"now\":{now},\"edge\":{edge},\"wire\":\"{wname}\",\
+                 \"kind\":\"{kname}\"}}\n"
+            );
+        }
+    }
+    p.commit_enter(now, InstanceId(inst));
+    want += &format!("{{\"t\":\"commit\",\"now\":{now},\"inst\":{inst}}}\n");
+    p.commit_exit(now, InstanceId(inst));
+    p.transfer(now, EdgeId(edge), &n0, &n1, &c.value);
+    want += &format!(
+        "{{\"t\":\"transfer\",\"now\":{now},\"edge\":{edge},\"src\":\"{}\",\"dst\":\"{}\",\
+         \"value\":\"{shown}\"}}\n",
+        ref_escape(&n0),
+        ref_escape(&n1)
+    );
+    p.instance_fault(now, InstanceId(inst), &c.reason);
+    want += &format!(
+        "{{\"t\":\"inst_fault\",\"now\":{now},\"inst\":{inst},\"kind\":\"{}\"}}\n",
+        ref_escape(&c.reason)
+    );
+    p.quarantined(now, InstanceId(inst), &c.reason);
+    want += &format!(
+        "{{\"t\":\"quarantine\",\"now\":{now},\"inst\":{inst},\"reason\":\"{}\"}}\n",
+        ref_escape(&c.reason)
+    );
+    p.step_end(now);
+    want += &format!("{{\"t\":\"step_end\",\"now\":{now}}}\n");
+    p.checkpointed(now);
+    want += &format!("{{\"t\":\"checkpoint\",\"now\":{now}}}\n");
+    p.restored(now);
+    want += &format!("{{\"t\":\"restore\",\"now\":{now}}}\n");
+    p.rolled_back(now, to, &c.reason);
+    want += &format!(
+        "{{\"t\":\"rollback\",\"now\":{now},\"to\":{to},\"reason\":\"{}\"}}\n",
+        ref_escape(&c.reason)
+    );
+    p.run_cancelled(now);
+    want += &format!("{{\"t\":\"cancel\",\"now\":{now}}}\n");
+    want
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The streaming encoder writes, for every event kind and arbitrary
+    /// names and payloads, exactly the bytes the `format!` rendering
+    /// gives — and hands each line to the writer in one piece.
+    #[test]
+    fn jsonl_encoder_matches_the_format_reference(c in event_case()) {
+        let out = Chunks::default();
+        let mut probe = JsonlProbe::new(out.clone()).with_handlers();
+        let want = drive_all_events(&mut probe, &c);
+        prop_assert_eq!(out.text(), want);
+        for chunk in out.0.lock().unwrap().iter() {
+            let newlines = chunk.iter().filter(|&&b| b == b'\n').count();
+            prop_assert!(newlines == 1 && chunk.ends_with(b"\n"), "not one whole line: {:?}", chunk);
+        }
+        // Every line is one JSON object with balanced string quoting.
+        for line in want.lines() {
+            prop_assert!(line.starts_with("{\"t\":\"") && line.ends_with('}'));
+            prop_assert!(!line.chars().any(|c| (c as u32) < 0x20), "raw control character");
+        }
+
+        // The canonical subset is the same text minus `resolve` and the
+        // handler brackets.
+        let out = Chunks::default();
+        let mut probe = JsonlProbe::new(out.clone()).canonical();
+        drive_all_events(&mut probe, &c);
+        let kept: String = want
+            .lines()
+            .filter(|l| !["resolve", "react", "commit"].iter().any(|k| l.starts_with(&format!("{{\"t\":\"{k}\""))))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        prop_assert_eq!(out.text(), kept);
+    }
+}
+
+/// Declines both per-invocation families and counts what it is called
+/// with regardless.
+#[derive(Clone, Default)]
+struct Declined(Arc<Mutex<(u64, u64)>>);
+
+impl Probe for Declined {
+    fn interest(&self) -> Interest {
+        Interest::NONE
+    }
+    fn step_begin(&mut self, _now: u64) {
+        self.0.lock().unwrap().0 += 1;
+    }
+    fn react_enter(&mut self, _: u64, _: InstanceId) {
+        self.0.lock().unwrap().1 += 1;
+    }
+    fn react_exit(&mut self, _: u64, _: InstanceId) {
+        self.0.lock().unwrap().1 += 1;
+    }
+    fn commit_enter(&mut self, _: u64, _: InstanceId) {
+        self.0.lock().unwrap().1 += 1;
+    }
+    fn commit_exit(&mut self, _: u64, _: InstanceId) {
+        self.0.lock().unwrap().1 += 1;
+    }
+    fn signal_resolved(
+        &mut self,
+        _: u64,
+        _: EdgeId,
+        _: Wire,
+        _: bool,
+        _: Option<&Value>,
+        _: ResolvedBy,
+    ) {
+        self.0.lock().unwrap().1 += 1;
+    }
+}
+
+const FIVE_SCHEDS: [SchedKind; 5] = [
+    SchedKind::Sweep,
+    SchedKind::Dynamic,
+    SchedKind::Static,
+    SchedKind::Compiled,
+    SchedKind::CompiledParallel,
+];
+
+/// The interest mask changes what the kernel produces, never what a
+/// listening probe sees: a canonical JSONL probe alone is spared every
+/// resolve and bracket and still writes the bytes it always wrote; next
+/// to a counting probe the same run counts every one of them.
+#[test]
+fn interest_mask_spares_only_probes_that_declined() {
+    const STEPS: u64 = 9;
+    let desc = NetDesc {
+        seed: 0x9e37_79b9,
+        layers: vec![vec![0, 1], vec![0, 1, 0], vec![1]],
+        wiring: vec![3, 5, 6, 7],
+    };
+    assert_eq!(
+        JsonlProbe::new(std::io::sink()).canonical().interest(),
+        Interest::NONE
+    );
+    assert!(JsonlProbe::new(std::io::sink()).interest().resolves);
+    let (profiler, _) = Profiler::new();
+    assert_eq!(
+        profiler.interest(),
+        Interest {
+            handlers: true,
+            resolves: false
+        }
+    );
+
+    for sched in FIVE_SCHEDS {
+        // The canonical stream as the old encoder defined it, from a
+        // probe that listens to everything.
+        let mut sim = build(&desc, sched);
+        let rec = Recorder(Arc::new(Mutex::new(Recorded::default())));
+        sim.set_probe(Box::new(rec.clone()));
+        sim.run(STEPS).unwrap();
+        let names: Vec<String> = sim
+            .topology()
+            .instance_names()
+            .map(|n| format!("\"{n}\""))
+            .collect();
+        let mut want = format!(
+            "{{\"t\":\"attach\",\"instances\":{},\"edges\":{},\"names\":[{}]}}\n",
+            sim.topology().instance_count(),
+            sim.topology().edge_count(),
+            names.join(",")
+        );
+        let transfers = std::mem::take(&mut rec.0.lock().unwrap().transfers);
+        for now in 0..STEPS {
+            want += &format!("{{\"t\":\"step\",\"now\":{now}}}\n");
+            for (_, edge, src, dst, v) in transfers.iter().filter(|t| t.0 == now) {
+                want += &format!(
+                    "{{\"t\":\"transfer\",\"now\":{now},\"edge\":{edge},\"src\":\"{src}\",\
+                     \"dst\":\"{dst}\",\"value\":\"{v}\"}}\n"
+                );
+            }
+            want += &format!("{{\"t\":\"step_end\",\"now\":{now}}}\n");
+        }
+
+        // Alone: nothing it declined is produced.
+        let mut sim = build(&desc, sched);
+        let declined = Declined::default();
+        sim.set_probe(Box::new(declined.clone()));
+        sim.run(STEPS).unwrap();
+        assert_eq!(*declined.0.lock().unwrap(), (STEPS, 0), "{sched:?}");
+
+        let mut sim = build(&desc, sched);
+        let alone = Chunks::default();
+        sim.set_probe(Box::new(JsonlProbe::new(alone.clone()).canonical()));
+        sim.run(STEPS).unwrap();
+        assert_eq!(alone.text(), want, "{sched:?}: canonical probe alone");
+
+        // Beside a probe that listens: the union is produced, the
+        // canonical probe still filters for itself.
+        let mut sim = build(&desc, sched);
+        let beside = Chunks::default();
+        let (counting, counts) = CountingProbe::new();
+        let mut multi = MultiProbe::new();
+        multi.push(Box::new(JsonlProbe::new(beside.clone()).canonical()));
+        multi.push(Box::new(counting));
+        assert_eq!(multi.interest(), Interest::ALL);
+        sim.set_probe(Box::new(multi));
+        sim.run(STEPS).unwrap();
+        let c = counts.get();
+        let edges = sim.topology().edge_count() as u64;
+        assert_eq!(c.resolutions, 3 * edges * STEPS, "{sched:?}");
+        assert_eq!(c.reacts, sim.metrics().reacts, "{sched:?}");
+        assert_eq!(c.commits, sim.metrics().commits, "{sched:?}");
+        assert!(c.reacts > 0 && c.commits > 0);
+        assert_eq!(
+            beside.text(),
+            want,
+            "{sched:?}: canonical probe in a fan-out"
+        );
+    }
+}

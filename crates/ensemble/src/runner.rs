@@ -18,8 +18,14 @@
 //! 2. on resume the stream is trimmed to events strictly before the
 //!    checkpoint's step (atomically: temp file + rename) and the
 //!    restored simulator re-emits the rest deterministically — sound
-//!    because streams are written line-at-a-time unbuffered, so a
-//!    durable checkpoint never gets ahead of the durable stream;
+//!    because the stream is **group-committed**: event lines collect in
+//!    one block of at most 64 KiB that is handed to the OS when it
+//!    fills, when the replica settles, and — through `Probe::sync`,
+//!    which the kernel calls before it writes a checkpoint file — at
+//!    every checkpoint. So every line with `now < N` has reached the OS
+//!    before `step-N.ckpt` exists under its real name: a `kill -9`
+//!    never leaves a durable checkpoint ahead of the durable stream,
+//!    and the cost is a `write` per checkpoint interval, not per event;
 //! 3. the aggregate CSV is regenerated from terminal manifest records
 //!    only — fields that depend on interruption history (wall-clock,
 //!    replay counts) never enter it.
@@ -32,12 +38,12 @@ use liberty_core::prelude::{
     CancelToken, FaultPlan, JsonlProbe, RunBudget, RunOutcome, RunReport, SimError, Simulator,
     Snapshot, Topology,
 };
-use liberty_core::snapshot::crc32;
+use liberty_core::snapshot::{crc32, crc32_extend};
 use std::collections::BTreeMap;
-use std::io::Write;
+use std::io::{BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -100,48 +106,105 @@ impl TopoCache {
 /// stream: they mark supervision activity (probe attachment, cuts,
 /// checkpoints, restores, replays) that an uninterrupted control run
 /// would lack.
-const HARNESS_PREFIXES: [&[u8]; 5] = [
-    b"{\"t\":\"attach\"",
-    b"{\"t\":\"cancel\"",
-    b"{\"t\":\"checkpoint\"",
-    b"{\"t\":\"restore\"",
-    b"{\"t\":\"rollback\"",
-];
+const HARNESS_KINDS: [&[u8]; 5] = [b"attach", b"cancel", b"checkpoint", b"restore", b"rollback"];
 
-/// Line-buffering writer that drops harness events on the way to the
-/// replica's stream file.
+/// True for a stream line (every one opens `{"t":"<kind>"`) of a harness
+/// kind.
+fn is_harness(line: &[u8]) -> bool {
+    let rest = line.strip_prefix(b"{\"t\":\"").unwrap_or_default();
+    let end = rest.iter().position(|&c| c == b'"').unwrap_or(rest.len());
+    HARNESS_KINDS.contains(&&rest[..end])
+}
+
+/// Most bytes of filtered stream held back before one `write` hands
+/// them to the OS.
+const BLOCK: usize = 64 * 1024;
+
+/// The replica-stream writer: drops harness events and group-commits the
+/// simulation events. Lines are received straight into `block`, a
+/// harness line is cut back out once it is whole, and what is left goes
+/// to `inner` when the block fills, on [`Write::flush`] (reached through
+/// `Probe::sync` at every checkpoint and when the replica settles) and
+/// on `Drop`.
 struct FilterWrite<W: Write> {
     inner: W,
-    buf: Vec<u8>,
+    /// Kept whole lines, then the line still being received.
+    block: Vec<u8>,
+    /// Where that line starts: `block[..open]` is ready for `inner`.
+    open: usize,
+    /// CRC32 of every byte handed to `inner`, continuing from the
+    /// stream's kept prefix; `replica_body` reads it once the writer is
+    /// gone.
+    crc: Arc<AtomicU32>,
 }
 
 impl<W: Write> FilterWrite<W> {
-    fn new(inner: W) -> Self {
+    fn new(inner: W, crc: Arc<AtomicU32>) -> Self {
         FilterWrite {
             inner,
-            buf: Vec::new(),
+            block: Vec::with_capacity(BLOCK),
+            open: 0,
+            crc,
         }
+    }
+
+    /// Hand the whole lines collected so far to `inner`. They leave the
+    /// block even on failure: the replica is lost either way, and a
+    /// retry must not append a second copy of whatever part got through.
+    fn commit(&mut self) -> std::io::Result<()> {
+        let whole = &self.block[..self.open];
+        let r = self.inner.write_all(whole);
+        if r.is_ok() {
+            let crc = crc32_extend(self.crc.load(Ordering::SeqCst), whole);
+            self.crc.store(crc, Ordering::SeqCst);
+        }
+        self.block.drain(..self.open);
+        self.open = 0;
+        r
     }
 }
 
 impl<W: Write> Write for FilterWrite<W> {
     fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-        self.buf.extend_from_slice(b);
-        while let Some(pos) = self.buf.iter().position(|&c| c == b'\n') {
-            {
-                let line = &self.buf[..=pos];
-                if !HARNESS_PREFIXES.iter().any(|p| line.starts_with(p)) {
-                    self.inner.write_all(line)?;
-                }
+        // The block stays within BLOCK (short of one write longer than
+        // that): what is whole leaves before what arrives would overflow.
+        if self.block.len() + b.len() > BLOCK {
+            self.commit()?;
+        }
+        let mut rest = b;
+        while !rest.is_empty() {
+            rest.read_until(b'\n', &mut self.block)?;
+            if self.block.last() != Some(&b'\n') {
+                break; // the line continues in the next write
             }
-            self.buf.drain(..=pos);
+            if is_harness(&self.block[self.open..]) {
+                self.block.truncate(self.open);
+            }
+            self.open = self.block.len();
         }
         Ok(b.len())
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
+        self.commit()?;
         self.inner.flush()
     }
+}
+
+impl<W: Write> Drop for FilterWrite<W> {
+    fn drop(&mut self) {
+        let _ = self.commit();
+    }
+}
+
+/// The probe a replica runs under: canonical JSONL through the filtering,
+/// group-committing writer into `file`. `crc` must hold the CRC32 of what
+/// `file` already contains.
+fn stream_probe(
+    file: std::fs::File,
+    crc: Arc<AtomicU32>,
+) -> JsonlProbe<FilterWrite<std::fs::File>> {
+    JsonlProbe::new(FilterWrite::new(file, crc)).canonical()
 }
 
 /// Extract the `"now":N` field every canonical simulation event
@@ -154,11 +217,12 @@ fn line_now(line: &[u8]) -> Option<u64> {
 }
 
 /// Trim a (possibly torn) stream file to the complete lines strictly
-/// before `upto` — the resume point — atomically.
-fn trim_stream(path: &Path, upto: u64) -> std::io::Result<()> {
+/// before `upto` — the resume point — atomically. Returns the CRC32 of
+/// what was kept.
+fn trim_stream(path: &Path, upto: u64) -> std::io::Result<u32> {
     let data = match std::fs::read(path) {
         Ok(d) => d,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(crc32(&[])),
         Err(e) => return Err(e),
     };
     let mut kept = Vec::with_capacity(data.len());
@@ -173,7 +237,8 @@ fn trim_stream(path: &Path, upto: u64) -> std::io::Result<()> {
     // Anything after the last newline is a torn append: dropped.
     let tmp = path.with_extension("jsonl.tmp");
     std::fs::write(&tmp, &kept)?;
-    std::fs::rename(&tmp, path)
+    std::fs::rename(&tmp, path)?;
+    Ok(crc32(&kept))
 }
 
 /// The newest decodable on-disk checkpoint in a replica's checkpoint
@@ -608,22 +673,21 @@ fn replica_body<F: ReplicaFactory>(
         }
     }
 
-    let file = if resumed_from > 0 {
-        trim_stream(&stream_path, resumed_from).map_err(|e| format!("trim stream: {e}"))?;
-        std::fs::OpenOptions::new()
+    let (file, kept_crc) = if resumed_from > 0 {
+        let kept_crc =
+            trim_stream(&stream_path, resumed_from).map_err(|e| format!("trim stream: {e}"))?;
+        let file = std::fs::OpenOptions::new()
             .append(true)
             .open(&stream_path)
-            .map_err(|e| format!("open stream: {e}"))?
+            .map_err(|e| format!("open stream: {e}"))?;
+        (file, kept_crc)
     } else {
-        std::fs::File::create(&stream_path).map_err(|e| format!("create stream: {e}"))?
+        let file =
+            std::fs::File::create(&stream_path).map_err(|e| format!("create stream: {e}"))?;
+        (file, crc32(&[]))
     };
-    // Deliberately unbuffered (FilterWrite already coalesces to whole
-    // lines): every event line reaches the OS before the kernel can
-    // persist any later checkpoint, so a `kill -9` never leaves a
-    // durable checkpoint ahead of the durable stream — the hole a
-    // resume could not refill.
-    let sink = FilterWrite::new(file);
-    sim.set_probe(Box::new(JsonlProbe::new(sink).canonical()));
+    let stream_crc = Arc::new(AtomicU32::new(kept_crc));
+    sim.set_probe(Box::new(stream_probe(file, stream_crc.clone())));
 
     sim.set_checkpoint_dir(&ckpt_dir);
     if config.checkpoint_every > 0 {
@@ -644,7 +708,16 @@ fn replica_body<F: ReplicaFactory>(
 
     let remaining = config.cycles.saturating_sub(sim.now());
     let report = sim.run_governed(remaining);
-    drop(sim.take_probe()); // flush the stream through the filter
+    // Commit the stream's tail and learn whether any of it was lost:
+    // dropping the probe would flush too, but could not say so.
+    if let Err(e) = sim.take_probe().map_or(Ok(()), |mut p| p.sync()) {
+        let failed = Record::Failed {
+            r: spec.index,
+            steps: sim.now(),
+            reason: format!("stream write: {e}"),
+        };
+        return Ok((failed, report));
+    }
 
     let rel_ckpt = report.last_checkpoint.as_ref().and_then(|p| {
         p.strip_prefix(dir)
@@ -654,14 +727,13 @@ fn replica_body<F: ReplicaFactory>(
     let record = match &report.outcome {
         RunOutcome::Completed | RunOutcome::Degraded => {
             let snap = sim.snapshot().map_err(|e| format!("final snapshot: {e}"))?;
-            let stream = std::fs::read(&stream_path).map_err(|e| format!("hash stream: {e}"))?;
             Record::Done {
                 r: spec.index,
                 outcome: report.outcome.label().to_owned(),
                 steps: sim.now(),
                 transfers: sim.transfer_counts().iter().sum(),
                 state_hash: snap.state_hash(),
-                stream_crc: crc32(&stream),
+                stream_crc: stream_crc.load(Ordering::SeqCst),
             }
         }
         RunOutcome::Cancelled => Record::Interrupted {
@@ -735,20 +807,188 @@ fn write_csv(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use liberty_core::prelude::{
+        CommitCtx, Module, ModuleSpec, MultiProbe, NetlistBuilder, PortId, Probe, ReactCtx,
+        SchedKind, Value,
+    };
+
+    /// Sends one word per step.
+    struct Ticker;
+    impl Module for Ticker {
+        fn react(&mut self, ctx: &mut ReactCtx<'_>) -> Result<(), SimError> {
+            ctx.send(PortId(0), 0, Value::Word(ctx.now()))
+        }
+        fn commit(&mut self, _: &mut CommitCtx<'_>) -> Result<(), SimError> {
+            Ok(())
+        }
+    }
+
+    /// Accepts every other word, so steps differ in their line count.
+    struct Eater;
+    impl Module for Eater {
+        fn react(&mut self, ctx: &mut ReactCtx<'_>) -> Result<(), SimError> {
+            ctx.set_ack(PortId(0), 0, ctx.now() % 2 == 0)
+        }
+        fn commit(&mut self, _: &mut CommitCtx<'_>) -> Result<(), SimError> {
+            Ok(())
+        }
+    }
+
+    fn ticker_sim(_: &ReplicaSpec) -> Result<Simulator, SimError> {
+        let mut b = NetlistBuilder::new();
+        let t = b.add(
+            "tick",
+            ModuleSpec::new("ticker").output("out", 1, 1),
+            Box::new(Ticker),
+        )?;
+        let e = b.add(
+            "eat",
+            ModuleSpec::new("eater").input("in", 1, 1),
+            Box::new(Eater),
+        )?;
+        b.connect(t, "out", e, "in")?;
+        Ok(Simulator::new(b.build()?, SchedKind::Compiled))
+    }
+
+    fn tdir(tag: &str) -> PathBuf {
+        let d = std::env::temp_dir().join(format!("lse-runner-{tag}-{}", std::process::id()));
+        std::fs::remove_dir_all(&d).ok();
+        std::fs::create_dir_all(&d).unwrap();
+        d
+    }
+
+    /// Sits beside the replica's stream probe and, at every checkpoint,
+    /// reads the stream back from disk.
+    struct StreamAudit {
+        stream: PathBuf,
+        ckpt_dir: PathBuf,
+        /// Lines the stream must hold by now: every simulation event seen.
+        lines: usize,
+        audits: Arc<AtomicUsize>,
+    }
+
+    impl Probe for StreamAudit {
+        fn step_begin(&mut self, _: u64) {
+            self.lines += 1;
+        }
+        fn step_end(&mut self, _: u64) {
+            self.lines += 1;
+        }
+        fn transfer(
+            &mut self,
+            _: u64,
+            _: liberty_core::prelude::EdgeId,
+            _: &str,
+            _: &str,
+            _: &Value,
+        ) {
+            self.lines += 1;
+        }
+        fn checkpointed(&mut self, now: u64) {
+            let ckpt = self.ckpt_dir.join(format!("step-{now:08}.ckpt"));
+            assert!(
+                ckpt.exists(),
+                "the checkpoint is on disk when it is announced"
+            );
+            let on_disk = std::fs::read(&self.stream).unwrap();
+            assert!(
+                on_disk.is_empty() || on_disk.ends_with(b"\n"),
+                "stream ends inside a line at checkpoint {now}"
+            );
+            let nows: Vec<u64> = on_disk
+                .split_inclusive(|&c| c == b'\n')
+                .map(|l| line_now(l).expect("every stream line parses"))
+                .collect();
+            assert_eq!(
+                nows.len(),
+                self.lines,
+                "checkpoint {now} exists before every earlier line reached the OS"
+            );
+            assert!(nows.iter().all(|&n| n < now) && nows.windows(2).all(|w| w[0] <= w[1]));
+            self.audits.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn every_earlier_line_is_on_disk_before_its_checkpoint_exists() {
+        let dir = tdir("audit");
+        let stream = dir.join("r0000.jsonl");
+        let ckpt_dir = dir.join("r0000.ckpt");
+        let spec = SweepConfig::new(0).replicas().remove(0);
+        let mut sim = ticker_sim(&spec).unwrap();
+        let crc = Arc::new(AtomicU32::new(0));
+        let audits = Arc::new(AtomicUsize::new(0));
+        let mut probes = MultiProbe::new();
+        probes.push(Box::new(stream_probe(
+            std::fs::File::create(&stream).unwrap(),
+            crc.clone(),
+        )));
+        probes.push(Box::new(StreamAudit {
+            stream: stream.clone(),
+            ckpt_dir: ckpt_dir.clone(),
+            lines: 0,
+            audits: audits.clone(),
+        }));
+        sim.set_probe(Box::new(probes));
+        sim.set_checkpoint_dir(&ckpt_dir);
+        sim.set_auto_checkpoint(7);
+        sim.run(50).unwrap();
+        assert_eq!(
+            audits.load(Ordering::SeqCst),
+            7,
+            "a checkpoint every 7 of 50 steps"
+        );
+        // Far less than one block was written, so only the checkpoints'
+        // syncs can have put those lines on disk; the tail follows when
+        // the probe goes.
+        let before = std::fs::metadata(&stream).unwrap().len();
+        drop(sim.take_probe());
+        let whole = std::fs::read(&stream).unwrap();
+        assert!(before < whole.len() as u64 && whole.len() < BLOCK);
+        assert_eq!(crc.load(Ordering::SeqCst), crc32(&whole));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A disk that fills: the replica must not settle as `done` over a
+    /// truncated stream.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_stream_write_failure_settles_the_replica_as_failed() {
+        for checkpoint_every in [0, 8] {
+            let dir = tdir(&format!("full-{checkpoint_every}"));
+            // Every write to /dev/full fails with ENOSPC.
+            std::os::unix::fs::symlink("/dev/full", dir.join("r0000.jsonl")).unwrap();
+            let mut cfg = SweepConfig::new(40);
+            cfg.checkpoint_every = checkpoint_every;
+            let report = run_sweep(&dir, &cfg, &CancelToken::new(), &ticker_sim).unwrap();
+            assert_eq!((report.done, report.failed), (0, 1), "{}", report.render());
+            match &report.replicas[0].record {
+                Record::Failed { reason, .. } => {
+                    assert!(reason.starts_with("stream write: "), "{reason}")
+                }
+                other => panic!("settled as {other:?}"),
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
 
     #[test]
     fn filter_drops_harness_lines_across_split_writes() {
         let mut out = Vec::new();
+        let crc = Arc::new(AtomicU32::new(0));
         {
-            let mut f = FilterWrite::new(&mut out);
+            let mut f = FilterWrite::new(&mut out, crc.clone());
             // Event lines arrive in arbitrary chunks.
             f.write_all(b"{\"t\":\"step\",\"now\":0}\n{\"t\":\"chec")
                 .unwrap();
             f.write_all(b"kpoint\",\"now\":0}\n{\"t\":\"transfer\",\"now\":1}\n")
                 .unwrap();
             f.write_all(b"{\"t\":\"restore\",\"now\":1}\n").unwrap();
+            // Nothing reaches the inner writer until the block commits.
+            assert!(f.inner.is_empty());
             f.flush().unwrap();
         }
+        assert_eq!(crc.load(Ordering::SeqCst), crc32(&out));
         assert_eq!(
             String::from_utf8(out).unwrap(),
             "{\"t\":\"step\",\"now\":0}\n{\"t\":\"transfer\",\"now\":1}\n"
@@ -766,11 +1006,13 @@ mod tests {
              {\"t\":\"step\",\"now\":2}\n{\"t\":\"step\",\"no",
         )
         .unwrap();
-        trim_stream(&path, 2).unwrap();
+        let kept_crc = trim_stream(&path, 2).unwrap();
+        let kept = std::fs::read(&path).unwrap();
         assert_eq!(
-            std::fs::read_to_string(&path).unwrap(),
-            "{\"t\":\"step\",\"now\":0}\n{\"t\":\"step\",\"now\":1}\n"
+            kept,
+            b"{\"t\":\"step\",\"now\":0}\n{\"t\":\"step\",\"now\":1}\n"
         );
+        assert_eq!(kept_crc, crc32(&kept));
         std::fs::remove_dir_all(&dir).ok();
     }
 

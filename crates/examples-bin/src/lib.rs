@@ -262,10 +262,10 @@ impl ObsOpts {
     pub fn install(&self, sim: &mut Simulator) -> Result<ObsSession, std::io::Error> {
         let mut multi = MultiProbe::new();
         if self.trace {
-            multi.push(Box::new(TracerProbe::new(Box::new(TextTracer::new(
+            multi.push(Box::new(TextTracer::new(
                 std::io::stdout(),
                 self.trace_limit,
-            )))));
+            )));
         }
         let mut sinks: Vec<(&'static str, SinkStats)> = Vec::new();
         if let Some(path) = &self.vcd {
