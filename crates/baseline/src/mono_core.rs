@@ -140,7 +140,7 @@ impl MonoCore {
             )));
         };
         // Scoreboard: stall if a source or the dest is busy.
-        let hazard = instr.sources().iter().any(|s| self.busy.contains(s))
+        let hazard = instr.sources().any(|s| self.busy.contains(&s))
             || instr.dest().is_some_and(|d| self.busy.contains(&d));
         if hazard {
             return Ok(());

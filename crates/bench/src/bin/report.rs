@@ -884,7 +884,8 @@ fn e11() -> String {
          this run and in `tests/equivalence.rs`). The structural simulator pays for kernel\n\
          generality with host speed — the trade the paper accepts for reuse and confidence.\n\
          These rows run the Static scheduler; schedule compilation (E18) trims the kernel's\n\
-         per-react share of that gap, but on module-dominated systems like these the\n\
+         per-react share of that gap (`Compiled` runs this core at 13.2 reacts a step, from\n\
+         16.6 before its islands settled), but on module-dominated systems like these the\n\
          handler bodies, not the scheduler, are where the structural tax lives.\n\n\
          **Processor side** (million retired instructions per host second):\n\n{}\n\
          **Network side** (4x4 mesh, uniform 0.1, {cycles} cycles): monolithic {:.1} ms,\n\
@@ -1432,10 +1433,14 @@ fn e18() -> String {
          (scatter: one port operation per handler) the plan wins ~1.6x; on shapes\n\
          whose handlers do two port operations (chain, fanout) the scheduler's share\n\
          of each react shrinks and the gain settles around 1.4x; on the island-heavy\n\
-         systems (mesh/CMP/core) the plan's straight prefix is small and the gain is\n\
-         a few percent. Under probes, faults, or a watchdog the compiled schedulers\n\
-         fall back to fully-bookkept execution and remain byte-identical to the\n\
-         dynamic ones (`crates/bench/tests/equivalence.rs`).\n\n\
+         systems (mesh/CMP/core) the plan's straight prefix is small and the gain\n\
+         comes from the island drivers instead: a member that has seen its final\n\
+         inputs is not invoked again when a neighbour's write re-wakes it\n\
+         (docs/KERNEL.md §8 — 423 → 278 reacts a step on the CMP), which the\n\
+         worklist schedulers do not do. Under probes the compiled schedulers keep\n\
+         that and add full bookkeeping; under faults or a watchdog they invoke on\n\
+         every wake again; either way they remain byte-identical to the dynamic\n\
+         ones (`crates/bench/tests/equivalence.rs`).\n\n\
          The scaling table pins the 8-core CMP and sweeps the parallel plan's\n\
          thread count. **Host caveat:** this report machine exposes {} core(s);\n\
          with one core the pool adds pure coordination overhead and\n\

@@ -42,7 +42,7 @@ use crate::netlist::{EdgeId, InstanceId, Netlist};
 use crate::pool::WorkerPool;
 use crate::probe::{Interest, Probe, ResolvedBy};
 use crate::sched::RankQueue;
-use crate::signal::{Res, Wire, WireWrite, WriteOutcome};
+use crate::signal::{flag, Res, Wire, WireWrite, WriteOutcome};
 use crate::snapshot::Snapshot;
 use crate::stats::{Stats, StatsReport};
 use crate::store::SignalStore;
@@ -52,6 +52,7 @@ use crate::supervisor::{
 };
 use crate::topology::{InstanceInfo, PortMeta, Topology};
 use crate::value::Value;
+use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -174,6 +175,10 @@ struct WorkState {
     fifo: VecDeque<u32>,
     queued: Vec<bool>,
     ranked: Option<RankQueue>,
+    /// Per instance: the store epoch of the step in which an island
+    /// driver settled it (see [`drain_island`]). Sized only when the
+    /// plan has islands.
+    settled: Vec<u64>,
 }
 
 /// A side effect recorded by one parallel partition during a level burst,
@@ -223,6 +228,8 @@ pub struct Simulator {
     active: Vec<bool>,
     /// Cumulative per-edge completed-transfer counts.
     transfer_counts: Vec<u64>,
+    /// Scratch for the probed commit's edge-id-sorted transfer report.
+    transfer_buf: Vec<EdgeId>,
     /// Fault-injection / watchdog / quarantine state; `None` (the
     /// default) keeps the hot path on the fault-free monomorphization.
     resil: Option<Box<ResilState>>,
@@ -276,14 +283,14 @@ impl Simulator {
         );
         let n = topo.instance_count();
         let n_edges = topo.edge_count();
-        let work = match sched {
+        let mut work = match sched {
             SchedKind::Sweep => WorkState::default(),
             // The compiled schedulers keep a FIFO too: islands iterate on
             // it, and the default phase's resume path reuses it.
             SchedKind::Dynamic | SchedKind::Compiled | SchedKind::CompiledParallel => WorkState {
                 fifo: VecDeque::with_capacity(n),
                 queued: vec![false; n],
-                ranked: None,
+                ..WorkState::default()
             },
             SchedKind::Static => WorkState {
                 ranked: Some(RankQueue::new(topo.ranks())),
@@ -294,6 +301,9 @@ impl Simulator {
             SchedKind::Compiled | SchedKind::CompiledParallel => Some(topo.plan().clone()),
             _ => None,
         };
+        if plan.as_ref().is_some_and(|p| p.island_count() > 0) {
+            work.settled = vec![0; n];
+        }
         // Handler specialization is a serial-compiled execution detail:
         // classify once at construction, against the same plan the
         // scheduler runs.
@@ -314,6 +324,7 @@ impl Simulator {
             wake_buf: Vec::new(),
             active: vec![false; n],
             transfer_counts: vec![0; n_edges],
+            transfer_buf: Vec::new(),
             resil: None,
             ckpt: None,
             sup: None,
@@ -830,9 +841,11 @@ impl Simulator {
         self.metrics = snap.metrics;
         self.transfer_counts.clone_from(&snap.transfer_counts);
         self.stats = crate::snapshot::stats_from_snapshot(snap);
-        // Fresh store: at a step boundary every slot is epoch-stale
-        // (semantically Unknown), which is exactly what a new store is.
-        self.store = SignalStore::new(n_edges);
+        // At a step boundary the store is semantically empty: one epoch
+        // bump makes every slot stale (`Unknown`), whatever step — failed
+        // or complete — wrote it. The epoch only ever grows, so a settle
+        // stamp from before the restore can never match a later step.
+        self.store.begin_step();
         self.active.iter_mut().for_each(|a| *a = false);
         if let Some(rs) = self.resil.as_deref_mut() {
             rs.quarantined.iter_mut().for_each(|q| *q = false);
@@ -1676,6 +1689,7 @@ impl Simulator {
                                     store,
                                     newly: None,
                                     now: *now,
+                                    saw_unknown: false,
                                 };
                                 k.react(&mut io)?;
                             }
@@ -1979,14 +1993,7 @@ impl Simulator {
                         }
                         metrics.commits += 1;
                         let inst = InstanceId(i as u32);
-                        let mut ctx = CommitCtx {
-                            inst,
-                            info: topo.instance(inst),
-                            store,
-                            stats,
-                            now: *now,
-                        };
-                        module.commit(&mut ctx)?;
+                        module.commit(&mut CommitCtx::new(topo, inst, store, stats, *now))?;
                     }
                 }
             }
@@ -2029,6 +2036,7 @@ impl Simulator {
             interest,
             active,
             transfer_counts,
+            transfer_buf,
             resil,
             ..
         } = self;
@@ -2072,13 +2080,7 @@ impl Simulator {
                 if let Some(p) = probe.as_deref_mut().filter(|_| brackets) {
                     p.commit_enter(*now, inst);
                 }
-                let mut ctx = CommitCtx {
-                    inst,
-                    info: topo.instance(inst),
-                    store,
-                    stats,
-                    now: *now,
-                };
+                let mut ctx = CommitCtx::new(topo, inst, store, stats, *now);
                 let r: Result<Result<(), SimError>, String> = if RESIL {
                     match catch_unwind(AssertUnwindSafe(|| module.commit(&mut ctx))) {
                         Ok(r) => Ok(r),
@@ -2122,9 +2124,10 @@ impl Simulator {
                 // Sort a copy by edge id so trace output is deterministic
                 // across schedulers (the set is; the resolution order is
                 // not).
-                let mut edges: Vec<EdgeId> = store.transfers().to_vec();
-                edges.sort_unstable_by_key(|e| e.0);
-                for e in edges {
+                transfer_buf.clear();
+                transfer_buf.extend_from_slice(store.transfers());
+                transfer_buf.sort_unstable_by_key(|e| e.0);
+                for &e in transfer_buf.iter() {
                     let em = topo.edge_meta(e);
                     let Some(v) = store.transferred(e) else {
                         return Err(SimError::internal(format!(
@@ -2242,6 +2245,20 @@ fn straight_id(n: &PlanNode) -> u32 {
 /// watchdog / oscillation diagnostics flow through `react_one` unchanged,
 /// so a cyclically inconsistent island fails with the same structured
 /// [`SimError::Divergence`] the dynamic schedulers produce.
+///
+/// **Settling.** `react` is a function of module state (which only
+/// `commit` changes) and of the wires it reads, and wires resolve
+/// monotonically. An invocation that read no `Unknown` wire has therefore
+/// seen its final inputs: invoked again this step it would repeat the
+/// same writes, all idempotent, and wake nobody. Such an instance is
+/// *settled* — stamped with the store epoch — and a later wake is dropped
+/// when it is popped instead of being run. Enqueueing is untouched, so
+/// queue order, wake order and every resolved wire are exactly those of
+/// the unelided drain. A statistic recorded in `react` makes the
+/// re-invocation observable, so it pins the instance (never settled).
+/// The stamp is scratch: it is compared against an epoch that only ever
+/// grows, so nothing needs clearing at step begin, on an error, or across
+/// a restore, and nothing is serialized.
 #[allow(clippy::too_many_arguments)]
 fn drain_island<const PROBED: bool, const RESIL: bool>(
     topo: &Topology,
@@ -2263,12 +2280,18 @@ fn drain_island<const PROBED: bool, const RESIL: bool>(
         work.queued[m as usize] = true;
         work.fifo.push_back(m);
     }
+    let epoch = store.epoch();
     while let Some(i) = work.fifo.pop_front() {
         work.queued[i as usize] = false;
+        if work.settled[i as usize] == epoch {
+            continue;
+        }
         newly.clear();
-        react_one::<PROBED, RESIL>(
+        if react_one::<PROBED, RESIL>(
             topo, modules, store, stats, metrics, now, i as usize, newly, probe, resil,
-        )?;
+        )? {
+            work.settled[i as usize] = epoch;
+        }
         for (e, wire) in newly.drain(..) {
             for &t in topo.readers(wire, e) {
                 if plan.island_of(t) == island && !work.queued[t as usize] {
@@ -2307,8 +2330,12 @@ fn drain_island_spec(
         work.queued[m as usize] = true;
         work.fifo.push_back(m);
     }
+    let epoch = store.epoch();
     while let Some(i) = work.fifo.pop_front() {
         work.queued[i as usize] = false;
+        if work.settled[i as usize] == epoch {
+            continue; // see `drain_island`: same rule, same invocations
+        }
         newly.clear();
         metrics.reacts += 1;
         let k = kernels[i as usize]
@@ -2319,8 +2346,12 @@ fn drain_island_spec(
             store: &mut *store,
             newly: Some(&mut *newly),
             now,
+            saw_unknown: false,
         };
         k.react(&mut io)?;
+        if !io.saw_unknown {
+            work.settled[i as usize] = epoch;
+        }
         for (e, wire) in newly.drain(..) {
             for &t in topo.readers(wire, e) {
                 if plan.island_of(t) == island && !work.queued[t as usize] {
@@ -2408,20 +2439,15 @@ fn run_level_parallel(
                     for node in ch.nodes {
                         let i = straight_id(node) as usize;
                         ch.buf.reacts += 1;
-                        let inst = InstanceId(i as u32);
-                        let mut ctx = ReactCtx {
-                            inst,
-                            info: topo.instance(inst),
-                            pmeta: topo.hot_ports(inst),
-                            eflat: topo.edges_flat(),
-                            sink: CtxSink::Buffered {
+                        let mut ctx = ReactCtx::new(
+                            topo,
+                            InstanceId(i as u32),
+                            CtxSink::Buffered {
                                 store: store_ro,
                                 buf: &mut *ch.buf,
                             },
                             now,
-                            faults: None,
-                            osc: None,
-                        };
+                        );
                         if let Err(e) = ch.mods[i - ch.base].react(&mut ctx) {
                             ch.err = Some(e);
                             return;
@@ -2480,10 +2506,6 @@ fn run_level_parallel(
     }
 }
 
-/// Invoke one instance's `react` handler with a context over the shared
-/// store (free function so callers can borrow disjoint simulator fields).
-/// Monomorphized on probe presence and resilience: with
-/// `PROBED = RESIL = false` neither the probe branches nor the fault /
 /// React one *straight* plan node on the probe-off, fault-off path: no
 /// wake bookkeeping (its readers are all later plan nodes), no newly
 /// list, no catch_unwind — the minimal cost of invoking a handler.
@@ -2498,24 +2520,29 @@ fn react_straight(
 ) -> Result<(), SimError> {
     // `metrics.reacts` is batch-incremented by the caller per straight
     // segment (the count is known from the plan), not here per react.
-    let inst = InstanceId(i as u32);
-    let mut ctx = ReactCtx {
-        inst,
-        info: topo.instance(inst),
-        pmeta: topo.hot_ports(inst),
-        eflat: topo.edges_flat(),
-        sink: CtxSink::Fast {
+    let mut ctx = ReactCtx::new(
+        topo,
+        InstanceId(i as u32),
+        CtxSink::Fast {
             store: &mut *store,
             stats: &mut *stats,
         },
         now,
-        faults: None,
-        osc: None,
-    };
+    );
     modules[i].react(&mut ctx)
 }
 
+/// Invoke one instance's `react` handler with a context over the shared
+/// store (free function so callers can borrow disjoint simulator fields).
+/// Monomorphized on probe presence and resilience: with
+/// `PROBED = RESIL = false` neither the probe branches nor the fault /
 /// watchdog / quarantine machinery exist in the generated code.
+///
+/// Returns whether the invocation *settled* the instance for the rest of
+/// the step — it read no `Unknown` wire and recorded no statistic, so
+/// running it again could only repeat its writes (see [`drain_island`],
+/// the one caller that acts on it). Never under `RESIL`: a tolerant write
+/// can re-resolve a wire the invocation has already read.
 #[allow(clippy::too_many_arguments)]
 fn react_one<const PROBED: bool, const RESIL: bool>(
     topo: &Topology,
@@ -2528,13 +2555,14 @@ fn react_one<const PROBED: bool, const RESIL: bool>(
     newly: &mut Vec<(EdgeId, Wire)>,
     probe: &mut Option<Tap<'_>>,
     resil: &mut Option<Box<ResilState>>,
-) -> Result<(), SimError> {
+) -> Result<bool, SimError> {
     let inst = InstanceId(i as u32);
     let mut forced_panic = false;
+    let mut settled = false;
     if RESIL {
         let rs = resil.as_deref_mut().expect("resilient react state");
         if rs.quarantined[i] {
-            return Ok(()); // isolated: its ports live on the defaults
+            return Ok(false); // isolated: its ports live on the defaults
         }
         rs.iters += 1;
         if let Some(max) = rs.max_iters {
@@ -2566,41 +2594,28 @@ fn react_one<const PROBED: bool, const RESIL: bool>(
             let seed = rs.plan.as_ref().map_or(0, |p| p.seed);
             let tolerant = rs.max_iters.is_some();
             let ResilState { active, osc, .. } = &mut *rs;
-            let faults = (!active.signals.is_empty()).then_some((&*active, seed));
-            let mut ctx = ReactCtx {
-                inst,
-                info: topo.instance(inst),
-                pmeta: topo.hot_ports(inst),
-                eflat: topo.edges_flat(),
-                sink: CtxSink::Direct {
-                    store: &mut *store,
-                    stats: &mut *stats,
-                    newly: &mut *newly,
-                },
-                now,
-                faults,
-                osc: if tolerant { Some(osc) } else { None },
+            let sink = CtxSink::Direct {
+                store: &mut *store,
+                stats: &mut *stats,
+                newly: &mut *newly,
             };
+            let mut ctx = ReactCtx::new(topo, inst, sink, now);
+            ctx.faults = (!active.signals.is_empty()).then_some((&*active, seed));
+            ctx.osc = tolerant.then_some(osc);
             match catch_unwind(AssertUnwindSafe(|| modules[i].react(&mut ctx))) {
                 Ok(r) => Ok(r),
                 Err(payload) => Err(panic_message(payload)),
             }
         } else {
-            let mut ctx = ReactCtx {
-                inst,
-                info: topo.instance(inst),
-                pmeta: topo.hot_ports(inst),
-                eflat: topo.edges_flat(),
-                sink: CtxSink::Direct {
-                    store: &mut *store,
-                    stats: &mut *stats,
-                    newly: &mut *newly,
-                },
-                now,
-                faults: None,
-                osc: None,
+            let sink = CtxSink::Direct {
+                store: &mut *store,
+                stats: &mut *stats,
+                newly: &mut *newly,
             };
-            Ok(modules[i].react(&mut ctx))
+            let mut ctx = ReactCtx::new(topo, inst, sink, now);
+            let r = modules[i].react(&mut ctx);
+            settled = !ctx.pinned.get();
+            Ok(r)
         };
         if PROBED {
             if let Some(t) = probe.as_mut() {
@@ -2617,14 +2632,14 @@ fn react_one<const PROBED: bool, const RESIL: bool>(
         r
     };
     match caught {
-        Ok(Ok(())) => Ok(()),
+        Ok(Ok(())) => Ok(settled),
         Ok(Err(e)) => {
             if RESIL {
                 let rs = resil.as_deref_mut().expect("resilient react state");
                 if rs.policy == FailurePolicy::Quarantine {
                     quarantine(rs, metrics, i, format!("react error: {e}"));
                     scrub_module_state(modules[i].as_mut());
-                    return Ok(());
+                    return Ok(false);
                 }
             }
             Err(e)
@@ -2634,7 +2649,7 @@ fn react_one<const PROBED: bool, const RESIL: bool>(
             if rs.policy == FailurePolicy::Quarantine {
                 quarantine(rs, metrics, i, format!("react panic: {msg}"));
                 scrub_module_state(modules[i].as_mut());
-                Ok(())
+                Ok(false)
             } else {
                 Err(SimError::Panic(Box::new(PanicInfo {
                     instance: topo.name(inst).to_owned(),
@@ -2719,9 +2734,40 @@ pub struct ReactCtx<'a> {
     /// Oscillation counters; `Some` switches writes to the tolerant mode
     /// (watchdog enabled).
     osc: Option<&'a mut BTreeMap<(u32, u8), u64>>,
+    /// Set when this invocation read an `Unknown` wire or recorded a
+    /// statistic: either makes a re-invocation observable, so the island
+    /// drivers may not settle the instance on it (see [`drain_island`]).
+    pinned: Cell<bool>,
 }
 
 impl<'a> ReactCtx<'a> {
+    /// Built in place at every call site: out of line the sink would be
+    /// written to the stack field by field and read back as a block (a
+    /// store-forwarding stall per handler invocation).
+    #[inline(always)]
+    fn new(topo: &'a Topology, inst: InstanceId, sink: CtxSink<'a>, now: u64) -> Self {
+        ReactCtx {
+            inst,
+            info: topo.instance(inst),
+            pmeta: topo.hot_ports(inst),
+            eflat: topo.edges_flat(),
+            sink,
+            now,
+            faults: None,
+            osc: None,
+            pinned: Cell::new(false),
+        }
+    }
+
+    /// Pass a wire read through, noting an `Unknown`.
+    #[inline]
+    fn seen<T>(&self, r: Res<T>) -> Res<T> {
+        if matches!(r, Res::Unknown) {
+            self.pinned.set(true);
+        }
+        r
+    }
+
     /// Current time-step.
     pub fn now(&self) -> u64 {
         self.now
@@ -2783,7 +2829,7 @@ impl<'a> ReactCtx<'a> {
     #[inline]
     pub fn data(&self, port: PortId, index: usize) -> Res<Value> {
         match self.edge(port, index) {
-            Some(e) => self.st().data(e),
+            Some(e) => self.seen(self.st().data(e)),
             None => Res::No,
         }
     }
@@ -2792,7 +2838,7 @@ impl<'a> ReactCtx<'a> {
     #[inline]
     pub fn enable(&self, port: PortId, index: usize) -> Res<()> {
         match self.edge(port, index) {
-            Some(e) => self.st().enable(e),
+            Some(e) => self.seen(self.st().enable(e)),
             None => Res::No,
         }
     }
@@ -2813,20 +2859,29 @@ impl<'a> ReactCtx<'a> {
             )));
         }
         Ok(match self.edge(port, index) {
-            Some(e) => self.st().ack(e),
+            Some(e) => self.seen(self.st().ack(e)),
             None => Res::Yes(()),
         })
     }
 
-    /// The single write choke point: every module wire drive funnels
-    /// through here as a [`WireWrite`] value, so an active fault can
-    /// transform (or swallow) it in flight before it reaches the store.
-    /// Kernel default-semantics writes do not pass through this path and
-    /// are never faulted.
-    fn write(&mut self, port: PortId, index: usize, w: WireWrite) -> Result<(), SimError> {
-        let Some(e) = self.edge(port, index) else {
-            return Ok(()); // unconnected: silently accepted (partial spec)
-        };
+    /// A store rejection, attributed to this instance.
+    #[cold]
+    fn contract(&self, err: SimError) -> SimError {
+        SimError::contract(format!(
+            "{} ({}): {err}",
+            self.info.name, self.info.spec.template
+        ))
+    }
+
+    /// The value-carrying write: a wire drive as a [`WireWrite`], for the
+    /// three paths that must see it as one — an active fault transforms
+    /// (or swallows) it in flight, the oscillation-tolerant mode counts
+    /// its flips, a burst partition can only record it — plus
+    /// [`ReactCtx::set_data`], which has a payload anyway. Every other
+    /// drive goes to the store's scalar entry points through
+    /// [`ReactCtx::drive`]. Kernel default-semantics writes do not pass
+    /// through here and are never faulted.
+    fn write(&mut self, e: EdgeId, w: WireWrite) -> Result<(), SimError> {
         let wire = w.wire();
         let w = match &self.faults {
             None => w,
@@ -2839,14 +2894,8 @@ impl<'a> ReactCtx<'a> {
             },
         };
         let tolerant = self.osc.is_some();
-        match &mut self.sink {
-            CtxSink::Fast { store, .. } => match store.write(e, w) {
-                Ok(_) => Ok(()),
-                Err(err) => Err(SimError::contract(format!(
-                    "{} ({}): {err}",
-                    self.info.name, self.info.spec.template
-                ))),
-            },
+        let result = match &mut self.sink {
+            CtxSink::Fast { store, .. } => store.write(e, w).map(|_| ()),
             CtxSink::Buffered { buf, .. } => {
                 // Deferred: applied — and contract-checked — at the level
                 // barrier, in plan order. No wake bookkeeping is needed:
@@ -2860,12 +2909,9 @@ impl<'a> ReactCtx<'a> {
                 } else {
                     store.write(e, w)
                 };
-                match result {
-                    Ok(WriteOutcome::NewlyResolved) => {
-                        newly.push((e, wire));
-                        Ok(())
-                    }
-                    Ok(WriteOutcome::Oscillated) => {
+                result.map(|outcome| match outcome {
+                    WriteOutcome::NewlyResolved => newly.push((e, wire)),
+                    WriteOutcome::Oscillated => {
                         if let Some(osc) = self.osc.as_deref_mut() {
                             *osc.entry((e.0, wire_idx(wire))).or_insert(0) += 1;
                         }
@@ -2873,73 +2919,82 @@ impl<'a> ReactCtx<'a> {
                         // value must propagate to readers (and the watchdog
                         // bounds the resulting iteration).
                         newly.push((e, wire));
-                        Ok(())
                     }
-                    Ok(WriteOutcome::Idempotent) => Ok(()),
-                    Err(err) => Err(SimError::contract(format!(
-                        "{} ({}): {err}",
-                        self.info.name, self.info.spec.template
-                    ))),
-                }
-            }
-        }
-    }
-
-    /// Fused data+enable drive backing [`ReactCtx::send`] /
-    /// [`ReactCtx::send_nothing`]: one edge lookup and one store slot
-    /// access instead of two full write round-trips. Falls back to the
-    /// per-wire path whenever a fault table or oscillation tolerance is
-    /// active — those must see (and may transform) each wire write
-    /// individually.
-    #[inline]
-    fn write_pair(
-        &mut self,
-        port: PortId,
-        index: usize,
-        data: Res<Value>,
-        enable: Res<()>,
-    ) -> Result<(), SimError> {
-        if self.faults.is_some() || self.osc.is_some() {
-            self.write(port, index, WireWrite::Data(data))?;
-            return self.write(port, index, WireWrite::Enable(enable));
-        }
-        let Some(e) = self.edge(port, index) else {
-            return Ok(()); // unconnected: silently accepted (partial spec)
-        };
-        let result = match &mut self.sink {
-            CtxSink::Fast { store, .. } => store.write_pair(e, data, enable).map(|_| ()),
-            CtxSink::Direct { store, newly, .. } => {
-                store.write_pair(e, data, enable).map(|(o1, o2)| {
-                    if o1 == WriteOutcome::NewlyResolved {
-                        newly.push((e, Wire::Data));
-                    }
-                    if o2 == WriteOutcome::NewlyResolved {
-                        newly.push((e, Wire::Enable));
-                    }
+                    WriteOutcome::Idempotent => {}
                 })
             }
+        };
+        result.map_err(|err| self.contract(err))
+    }
+
+    /// One handler-level drive of `N` wires of edge `e`: through the
+    /// store's scalar entry point (`scalar`, which reports one outcome
+    /// per wire of `wires` for the wake list) when nothing has to see the
+    /// drive as a value, otherwise as the [`WireWrite`]s `by_value` spells
+    /// it out into — fault table, tolerant mode, burst buffer. `payload`
+    /// is whatever the drive carries (a `Value`, a polarity, nothing); it
+    /// is moved into exactly one of the two.
+    #[inline(always)]
+    fn drive<P, const N: usize>(
+        &mut self,
+        e: EdgeId,
+        payload: P,
+        wires: [Wire; N],
+        scalar: impl FnOnce(&mut SignalStore, EdgeId, P) -> Result<[WriteOutcome; N], SimError>,
+        by_value: impl FnOnce(P) -> [WireWrite; N],
+    ) -> Result<(), SimError> {
+        if self.faults.is_some() || self.osc.is_some() {
+            return by_value(payload)
+                .into_iter()
+                .try_for_each(|w| self.write(e, w));
+        }
+        let inst = self.inst.0;
+        let (store, newly) = match &mut self.sink {
+            CtxSink::Fast { store, .. } => (store, None),
+            CtxSink::Direct { store, newly, .. } => (store, Some(newly)),
             CtxSink::Buffered { buf, .. } => {
+                // As in `write`: recorded now, applied at the barrier.
                 buf.ops
-                    .push(BufOp::Write(self.inst.0, e, WireWrite::Data(data)));
-                buf.ops
-                    .push(BufOp::Write(self.inst.0, e, WireWrite::Enable(enable)));
-                Ok(())
+                    .extend(by_value(payload).map(|w| BufOp::Write(inst, e, w)));
+                return Ok(());
             }
         };
-        result.map_err(|err| {
-            SimError::contract(format!(
-                "{} ({}): {err}",
-                self.info.name, self.info.spec.template
-            ))
-        })
+        match scalar(store, e, payload) {
+            Ok(outcomes) => {
+                if let Some(newly) = newly {
+                    for (wire, o) in wires.into_iter().zip(outcomes) {
+                        if o == WriteOutcome::NewlyResolved {
+                            newly.push((e, wire));
+                        }
+                    }
+                }
+                Ok(())
+            }
+            Err(err) => Err(self.contract(err)),
+        }
     }
 
     /// Send a value on an output connection: drives data `Yes` and enable
-    /// `Yes` together (the common case).
+    /// `Yes` together (the common case) — one edge lookup and one store
+    /// slot access.
     #[inline]
     pub fn send(&mut self, port: PortId, index: usize, v: Value) -> Result<(), SimError> {
         self.check_dir(port, Dir::Out)?;
-        self.write_pair(port, index, Res::Yes(v), Res::Yes(()))
+        let Some(e) = self.edge(port, index) else {
+            return Ok(()); // unconnected: silently accepted (partial spec)
+        };
+        self.drive(
+            e,
+            v,
+            [Wire::Data, Wire::Enable],
+            |store, e, v| store.send(e, Res::Yes(v)),
+            |v| {
+                [
+                    WireWrite::Data(Res::Yes(v)),
+                    WireWrite::Enable(Res::Yes(())),
+                ]
+            },
+        )
     }
 
     /// Explicitly send nothing on an output connection this time-step:
@@ -2948,21 +3003,53 @@ impl<'a> ReactCtx<'a> {
     #[inline]
     pub fn send_nothing(&mut self, port: PortId, index: usize) -> Result<(), SimError> {
         self.check_dir(port, Dir::Out)?;
-        self.write_pair(port, index, Res::No, Res::No)
+        let Some(e) = self.edge(port, index) else {
+            return Ok(());
+        };
+        self.drive(
+            e,
+            (),
+            [Wire::Data, Wire::Enable],
+            |store, e, ()| store.send(e, Res::No),
+            |()| [WireWrite::Data(Res::No), WireWrite::Enable(Res::No)],
+        )
     }
 
     /// Drive only the data wire (control-split protocols that decide enable
     /// separately).
     pub fn set_data(&mut self, port: PortId, index: usize, v: Res<Value>) -> Result<(), SimError> {
         self.check_dir(port, Dir::Out)?;
-        self.write(port, index, WireWrite::Data(v))
+        match self.edge(port, index) {
+            Some(e) => self.write(e, WireWrite::Data(v)),
+            None => Ok(()),
+        }
     }
 
     /// Drive only the enable wire.
     pub fn set_enable(&mut self, port: PortId, index: usize, en: bool) -> Result<(), SimError> {
         self.check_dir(port, Dir::Out)?;
-        let r = if en { Res::Yes(()) } else { Res::No };
-        self.write(port, index, WireWrite::Enable(r))
+        let Some(e) = self.edge(port, index) else {
+            return Ok(());
+        };
+        self.drive(
+            e,
+            en,
+            [Wire::Enable],
+            |store, e, en| store.write_enable(e, en).map(|o| [o]),
+            |en| [WireWrite::Enable(flag(en))],
+        )
+    }
+
+    /// Drive the ack wire of `e`, an input connection's edge.
+    #[inline(always)]
+    fn drive_ack(&mut self, e: EdgeId, accept: bool) -> Result<(), SimError> {
+        self.drive(
+            e,
+            accept,
+            [Wire::Ack],
+            |store, e, accept| store.write_ack(e, accept).map(|o| [o]),
+            |accept| [WireWrite::Ack(flag(accept))],
+        )
     }
 
     /// Drive the ack wire of an input connection: accept (`true`) or
@@ -2970,12 +3057,14 @@ impl<'a> ReactCtx<'a> {
     #[inline]
     pub fn set_ack(&mut self, port: PortId, index: usize, accept: bool) -> Result<(), SimError> {
         self.check_dir(port, Dir::In)?;
-        let r = if accept { Res::Yes(()) } else { Res::No };
-        self.write(port, index, WireWrite::Ack(r))
+        match self.edge(port, index) {
+            Some(e) => self.drive_ack(e, accept),
+            None => Ok(()),
+        }
     }
 
     /// Fused receive: drive the ack wire of an input connection *and*
-    /// read its data wire in one store access — the receiver-side twin
+    /// read its data wire with one edge lookup — the receiver-side twin
     /// of [`ReactCtx::send`]'s fused data+enable drive, and the idiom
     /// for the overwhelmingly common "accept whatever arrives, then look
     /// at it" receiver. Exactly equivalent to
@@ -2989,40 +3078,16 @@ impl<'a> ReactCtx<'a> {
         accept: bool,
     ) -> Result<Res<Value>, SimError> {
         self.check_dir(port, Dir::In)?;
-        let r = if accept { Res::Yes(()) } else { Res::No };
         let Some(e) = self.edge(port, index) else {
             return Ok(Res::No); // unconnected: partial-spec default
         };
-        // Faults and oscillation tolerance must see the individual ack
-        // write (to transform or count it), so take the per-wire path.
-        if self.faults.is_some() || self.osc.is_some() {
-            self.write(port, index, WireWrite::Ack(r))?;
-            return Ok(self.st().data(e));
-        }
-        let result = match &mut self.sink {
-            CtxSink::Fast { store, .. } => store.recv(e, r).map(|(_, d)| d),
-            CtxSink::Direct { store, newly, .. } => store.recv(e, r).map(|(o, d)| {
-                if o == WriteOutcome::NewlyResolved {
-                    newly.push((e, Wire::Ack));
-                }
-                d
-            }),
-            CtxSink::Buffered { store, buf } => {
-                buf.ops
-                    .push(BufOp::Write(self.inst.0, e, WireWrite::Ack(r)));
-                Ok(store.data(e))
-            }
-        };
-        result.map_err(|err| {
-            SimError::contract(format!(
-                "{} ({}): {err}",
-                self.info.name, self.info.spec.template
-            ))
-        })
+        self.drive_ack(e, accept)?;
+        Ok(self.seen(self.st().data(e)))
     }
 
     /// Add to one of this instance's counters.
     pub fn count(&mut self, name: &'static str, by: u64) {
+        self.pinned.set(true);
         match &mut self.sink {
             CtxSink::Direct { stats, .. } => stats.count(self.inst, name, by),
             CtxSink::Fast { stats, .. } => stats.count(self.inst, name, by),
@@ -3032,6 +3097,7 @@ impl<'a> ReactCtx<'a> {
 
     /// Record a sample on one of this instance's sampled stats.
     pub fn sample(&mut self, name: &'static str, v: f64) {
+        self.pinned.set(true);
         match &mut self.sink {
             CtxSink::Direct { stats, .. } => stats.sample(self.inst, name, v),
             CtxSink::Fast { stats, .. } => stats.sample(self.inst, name, v),
@@ -3042,6 +3108,7 @@ impl<'a> ReactCtx<'a> {
     /// Record a value into one of this instance's log2-bucket histograms
     /// (latency/occupancy distributions, not just min/mean/max).
     pub fn histo(&mut self, name: &'static str, v: u64) {
+        self.pinned.set(true);
         match &mut self.sink {
             CtxSink::Direct { stats, .. } => stats.histo(self.inst, name, v),
             CtxSink::Fast { stats, .. } => stats.histo(self.inst, name, v),
@@ -3055,6 +3122,9 @@ impl<'a> ReactCtx<'a> {
 pub struct CommitCtx<'a> {
     inst: InstanceId,
     info: &'a InstanceInfo,
+    /// The dense port view [`ReactCtx`] uses (see there).
+    pmeta: &'a [PortMeta],
+    eflat: &'a [EdgeId],
     store: &'a SignalStore,
     stats: &'a mut Stats,
     now: u64,
@@ -3076,13 +3146,33 @@ impl<'a> CommitCtx<'a> {
         &self.info.name
     }
 
-    /// Number of connections on a port.
-    pub fn width(&self, port: PortId) -> usize {
-        self.info.width(port)
+    fn new(
+        topo: &'a Topology,
+        inst: InstanceId,
+        store: &'a SignalStore,
+        stats: &'a mut Stats,
+        now: u64,
+    ) -> Self {
+        CommitCtx {
+            inst,
+            info: topo.instance(inst),
+            pmeta: topo.hot_ports(inst),
+            eflat: topo.edges_flat(),
+            store,
+            stats,
+            now,
+        }
     }
 
+    /// Number of connections on a port.
+    pub fn width(&self, port: PortId) -> usize {
+        self.pmeta[port.0 as usize].len as usize
+    }
+
+    #[inline]
     fn edge(&self, port: PortId, index: usize) -> Option<EdgeId> {
-        self.info.edge(port, index)
+        let m = &self.pmeta[port.0 as usize];
+        ((index as u32) < m.len).then(|| self.eflat[m.off as usize + index])
     }
 
     /// The value transferred in on an input connection this time-step
@@ -3518,6 +3608,169 @@ mod tests {
         }
         for r in &reports[1..] {
             assert_eq!(*r, reports[0]);
+        }
+    }
+
+    // ----- settle-aware islands ------------------------------------------
+
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// One member of the two-instance ring below, counting its `react`
+    /// invocations. `forward`: wait for the input before driving the
+    /// output (reads a wire); otherwise drive unconditionally (reads
+    /// nothing). `counts`: record a statistic in `react`.
+    struct RingMember {
+        forward: bool,
+        counts: bool,
+        calls: Arc<AtomicU64>,
+    }
+    impl Module for RingMember {
+        fn react(&mut self, ctx: &mut ReactCtx<'_>) -> Result<(), SimError> {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            if self.counts {
+                ctx.count("invoked", 1);
+            }
+            ctx.set_ack(PortId(0), 0, true)?;
+            if !self.forward {
+                return ctx.send(PortId(1), 0, Value::Word(7));
+            }
+            if let Res::Yes(v) = ctx.data(PortId(0), 0) {
+                ctx.send(PortId(1), 0, v)?;
+            }
+            Ok(())
+        }
+        fn commit(&mut self, _: &mut CommitCtx<'_>) -> Result<(), SimError> {
+            Ok(())
+        }
+    }
+
+    /// `first -> second -> first`, one island; `first` has the lower id,
+    /// so the island driver pops it first. Returns the per-member
+    /// invocation counters.
+    fn ring(
+        sched: SchedKind,
+        first: (bool, bool),
+        second: (bool, bool),
+    ) -> (Simulator, Arc<AtomicU64>, Arc<AtomicU64>) {
+        let spec = |t: &str| ModuleSpec::new(t).input("in", 1, 1).output("out", 1, 1);
+        let member = |(forward, counts): (bool, bool)| {
+            let calls = Arc::new(AtomicU64::new(0));
+            let m = RingMember {
+                forward,
+                counts,
+                calls: calls.clone(),
+            };
+            (Box::new(m), calls)
+        };
+        let (m1, c1) = member(first);
+        let (m2, c2) = member(second);
+        let mut b = NetlistBuilder::new();
+        let i1 = b.add("first", spec("ring1"), m1).unwrap();
+        let i2 = b.add("second", spec("ring2"), m2).unwrap();
+        b.connect(i1, "out", i2, "in").unwrap();
+        b.connect(i2, "out", i1, "in").unwrap();
+        let sim = Simulator::new(b.build().unwrap(), sched);
+        (sim, c1, c2)
+    }
+
+    const DRIVER: (bool, bool) = (false, false);
+    const FORWARDER: (bool, bool) = (true, false);
+
+    #[test]
+    fn member_that_read_only_resolved_wires_is_invoked_once() {
+        // Driver first: it reads nothing, the forwarder then reads a
+        // resolved input. The forwarder's send wakes the driver again;
+        // that wake is dropped.
+        let (mut sim, driver, forwarder) = ring(SchedKind::Compiled, DRIVER, FORWARDER);
+        assert_eq!(sim.compiled_plan().unwrap().island_count(), 1);
+        sim.run(5).unwrap();
+        assert_eq!(driver.load(Ordering::Relaxed), 5);
+        assert_eq!(forwarder.load(Ordering::Relaxed), 5);
+        assert_eq!(sim.metrics().reacts, 10);
+        assert_eq!(sim.transfer_counts(), &[5, 5]);
+        // The worklist schedulers do not elide: the driver's second wake
+        // runs (and changes nothing).
+        let (mut dynamic, driver, _) = ring(SchedKind::Dynamic, DRIVER, FORWARDER);
+        dynamic.run(5).unwrap();
+        assert_eq!(driver.load(Ordering::Relaxed), 10);
+        assert_eq!(dynamic.transfer_counts(), sim.transfer_counts());
+    }
+
+    #[test]
+    fn member_that_read_an_unknown_is_reinvoked_when_it_resolves() {
+        // Forwarder first: its input is still Unknown, so it must run
+        // again once the driver has sent — and only then settles.
+        let (mut sim, forwarder, driver) = ring(SchedKind::Compiled, FORWARDER, DRIVER);
+        sim.run(5).unwrap();
+        assert_eq!(forwarder.load(Ordering::Relaxed), 10);
+        assert_eq!(driver.load(Ordering::Relaxed), 5);
+        assert_eq!(sim.transfer_counts(), &[5, 5]);
+    }
+
+    #[test]
+    fn statistic_in_react_pins_every_invocation() {
+        // The same ring as the first test, but the driver counts in
+        // `react`: both of its wakes run — as under the worklist
+        // schedulers, which never elide — and the counter says so.
+        let (mut sim, driver, forwarder) = ring(SchedKind::Compiled, (false, true), FORWARDER);
+        sim.run(5).unwrap();
+        assert_eq!(driver.load(Ordering::Relaxed), 10);
+        assert_eq!(forwarder.load(Ordering::Relaxed), 5);
+        let first = sim.instance_by_name("first").unwrap();
+        assert_eq!(sim.stats().counter(first, "invoked"), 10);
+        let (mut dynamic, ..) = ring(SchedKind::Dynamic, (false, true), FORWARDER);
+        dynamic.run(5).unwrap();
+        assert_eq!(dynamic.stats().counter(first, "invoked"), 10);
+    }
+
+    #[test]
+    fn resilient_runs_never_elide() {
+        // A watchdog switches writes to the tolerant mode, where a wire
+        // an invocation has read can still change: every wake runs.
+        let (mut sim, driver, forwarder) = ring(SchedKind::Compiled, DRIVER, FORWARDER);
+        sim.set_watchdog(1000);
+        sim.run(5).unwrap();
+        assert_eq!(driver.load(Ordering::Relaxed), 10);
+        assert_eq!(forwarder.load(Ordering::Relaxed), 5);
+        assert_eq!(sim.metrics().reacts, 15);
+        // A failure policy alone (no plan, no watchdog) is resilient too.
+        let (mut sim, driver, _) = ring(SchedKind::Compiled, DRIVER, FORWARDER);
+        sim.set_failure_policy(FailurePolicy::Quarantine);
+        sim.run(5).unwrap();
+        assert_eq!(driver.load(Ordering::Relaxed), 10);
+    }
+
+    #[test]
+    fn probed_islands_settle_like_unprobed_ones() {
+        use crate::probe::CountingProbe;
+        let (mut sim, driver, forwarder) = ring(SchedKind::Compiled, DRIVER, FORWARDER);
+        let (probe, counts) = CountingProbe::new();
+        sim.set_probe(Box::new(probe));
+        sim.run(5).unwrap();
+        assert_eq!(driver.load(Ordering::Relaxed), 5);
+        assert_eq!(forwarder.load(Ordering::Relaxed), 5);
+        // Handler brackets count invocations made, like `metrics.reacts`.
+        assert_eq!(counts.get().reacts, sim.metrics().reacts);
+        assert_eq!(sim.metrics().reacts, 10);
+    }
+
+    #[test]
+    fn restore_leaves_no_settle_mark_behind() {
+        // Settle stamps are compared against the store epoch. A restore
+        // must not rewind that epoch onto a stamp left by an earlier step
+        // (a fresh store would restart it at the first step's value).
+        let (mut sim, driver, forwarder) = ring(SchedKind::Compiled, DRIVER, FORWARDER);
+        let start = sim.snapshot().unwrap();
+        sim.run(1).unwrap();
+        assert_eq!(driver.load(Ordering::Relaxed), 1);
+        for round in 1..=3u64 {
+            sim.restore(&start).unwrap();
+            sim.run(1).unwrap();
+            // Every member ran in the replayed step.
+            assert_eq!(driver.load(Ordering::Relaxed), 1 + round);
+            assert_eq!(forwarder.load(Ordering::Relaxed), 1 + round);
+            assert_eq!(sim.metrics().reacts, 2);
+            assert_eq!(sim.transfer_counts(), &[1, 1]);
         }
     }
 

@@ -41,7 +41,7 @@ use crate::compile::{CompiledPlan, PlanNode};
 use crate::error::SimError;
 use crate::module::{Dir, Module, PortId};
 use crate::netlist::{EdgeId, InstanceId};
-use crate::signal::{Res, Wire, WireWrite};
+use crate::signal::{flag, Res, Wire, WireWrite};
 use crate::snapshot::{StateReader, StateWriter};
 use crate::stats::{Stats, STAT_SLOT_UNRESOLVED};
 use crate::store::SignalStore;
@@ -346,13 +346,26 @@ pub(crate) struct Io<'a> {
     /// `None` on the straight-line path, where nothing is re-woken.
     pub(crate) newly: Option<&'a mut Vec<(EdgeId, Wire)>>,
     pub(crate) now: u64,
+    /// Set when a wire read returned unresolved: the island driver's
+    /// settle rule (`exec::drain_island`), the lane-side twin of
+    /// `ReactCtx`'s.
+    pub(crate) saw_unknown: bool,
 }
 
 impl Io<'_> {
+    /// Pass a wire-state read through, noting an unresolved one.
     #[inline]
-    fn in_data(&self, i: InLane) -> u8 {
+    fn seen(&mut self, state: u8) -> u8 {
+        if state == UNR {
+            self.saw_unknown = true;
+        }
+        state
+    }
+
+    #[inline]
+    fn in_data(&mut self, i: InLane) -> u8 {
         match i {
-            InLane::Fast(l) => self.lanes[l as usize].data,
+            InLane::Fast(l) => self.seen(self.lanes[l as usize].data),
             InLane::Unconnected => NO_S,
         }
     }
@@ -366,9 +379,9 @@ impl Io<'_> {
     }
 
     #[inline]
-    fn out_ack(&self, o: OutLane) -> u8 {
+    fn out_ack(&mut self, o: OutLane) -> u8 {
         match o {
-            OutLane::Fast(l) => self.lanes[l as usize].ack,
+            OutLane::Fast(l) => self.seen(self.lanes[l as usize].ack),
             // Classification demotes ack-readers with slow outputs, so the
             // `Slow` arm is unreachable; `Yes` is the unconnected default.
             OutLane::Slow(_) | OutLane::Unconnected => YES_S,
@@ -403,15 +416,20 @@ impl Io<'_> {
         }
     }
 
-    fn slow_pair(&mut self, e: EdgeId, data: Res<Value>, enable: Res<()>) -> Result<(), SimError> {
-        // Slow-edge readers are dynamic and never island-mates of a kernel,
-        // so these writes need no wake tracking.
+    /// The slow-edge arms, out of line: a kernel body inlines
+    /// `send` / `set_enable` for the lane arm, and a store write expanded
+    /// into them makes them too big to inline at all (a call per send on
+    /// an all-fast netlist). Slow-edge readers are dynamic and never
+    /// island-mates of a kernel, so these writes need no wake tracking.
+    #[inline(never)]
+    fn slow_send(&mut self, e: EdgeId, data: Res<Value>) -> Result<(), SimError> {
         self.store
-            .write_pair(e, data, enable)
+            .send(e, data)
             .map(|_| ())
             .map_err(|err| SimError::contract(format!("specialized kernel: {err}")))
     }
 
+    #[inline(never)]
     fn slow_one(&mut self, e: EdgeId, w: WireWrite) -> Result<(), SimError> {
         self.store
             .write(e, w)
@@ -426,7 +444,7 @@ impl Io<'_> {
                 self.put(l, Wire::Data, YES_S, Some(v))?;
                 self.put(l, Wire::Enable, YES_S, None)
             }
-            OutLane::Slow(e) => self.slow_pair(e, Res::Yes(v.to_value()), Res::Yes(())),
+            OutLane::Slow(e) => self.slow_send(e, Res::Yes(v.to_value())),
             OutLane::Unconnected => Ok(()),
         }
     }
@@ -438,7 +456,7 @@ impl Io<'_> {
                 self.put(l, Wire::Data, NO_S, None)?;
                 self.put(l, Wire::Enable, NO_S, None)
             }
-            OutLane::Slow(e) => self.slow_pair(e, Res::No, Res::No),
+            OutLane::Slow(e) => self.slow_send(e, Res::No),
             OutLane::Unconnected => Ok(()),
         }
     }
@@ -457,10 +475,7 @@ impl Io<'_> {
         let s = if en { YES_S } else { NO_S };
         match o {
             OutLane::Fast(l) => self.put(l, Wire::Enable, s, None),
-            OutLane::Slow(e) => self.slow_one(
-                e,
-                WireWrite::Enable(if en { Res::Yes(()) } else { Res::No }),
-            ),
+            OutLane::Slow(e) => self.slow_one(e, WireWrite::Enable(flag(en))),
             OutLane::Unconnected => Ok(()),
         }
     }
@@ -902,7 +917,9 @@ pub(crate) enum Kernel {
 
 impl Kernel {
     /// The reactive handler (monotone, stateless; see module docs).
-    #[inline]
+    /// The dispatch belongs in the plan walk's loop: one indirect jump to
+    /// the kernel's body, not a call to a dispatcher that calls it.
+    #[inline(always)]
     pub(crate) fn react(&self, io: &mut Io<'_>) -> Result<(), SimError> {
         match self {
             Kernel::Queue(k) => k.react(io),
@@ -1827,6 +1844,7 @@ mod tests {
             store: &mut store,
             newly: None,
             now: 0,
+            saw_unknown: false,
         };
         io.send(OutLane::Fast(0), KVal::Word(3)).unwrap();
         io.send(OutLane::Fast(0), KVal::Word(3)).unwrap();
@@ -1846,9 +1864,18 @@ mod tests {
             store: &mut store,
             newly: Some(&mut newly),
             now: 0,
+            saw_unknown: false,
         };
+        // Reading a resolved wire leaves the invocation settleable; an
+        // unresolved read does not.
+        assert_eq!(io.out_ack(OutLane::Fast(0)), UNR);
+        assert!(io.saw_unknown);
+        io.saw_unknown = false;
         io.send(OutLane::Fast(0), KVal::Word(1)).unwrap();
         io.set_ack(InLane::Fast(0), false).unwrap();
+        assert_eq!(io.in_data(InLane::Fast(0)), YES_S);
+        assert_eq!(io.out_ack(OutLane::Fast(0)), NO_S);
+        assert!(!io.saw_unknown);
         assert_eq!(
             newly,
             vec![
@@ -1868,6 +1895,7 @@ mod tests {
             store: &mut store,
             newly: None,
             now: 0,
+            saw_unknown: false,
         };
         assert_eq!(io.in_data(InLane::Unconnected), NO_S);
         assert_eq!(io.out_ack(OutLane::Unconnected), YES_S);

@@ -48,6 +48,16 @@ impl<T> Res<T> {
     }
 }
 
+/// The resolution of a payload-free wire (enable, ack) from a plain bool.
+#[inline]
+pub(crate) fn flag(yes: bool) -> Res<()> {
+    if yes {
+        Res::Yes(())
+    } else {
+        Res::No
+    }
+}
+
 /// Which of the three wires of a connection a write touched.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Wire {

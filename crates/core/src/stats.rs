@@ -11,6 +11,13 @@
 //! hash gets, and the cross-instance totals ([`Stats::counter_total`],
 //! [`Stats::sample_total`]) reduce one inner map instead of scanning the
 //! whole store.
+//!
+//! The name-first maps are the *cold* index — lookups, reports, dumps and
+//! the first record of each stat. The handler path
+//! ([`Stats::count`] / [`Stats::sample`] / [`Stats::histo`], once per
+//! `ctx.count` in every `react` and `commit`) resolves through a small
+//! per-instance table keyed by the name's address, so a steady-state
+//! record hashes nothing.
 
 use crate::netlist::InstanceId;
 use std::collections::BTreeMap;
@@ -163,6 +170,27 @@ impl Histogram {
 /// Sentinel for an unresolved cached stat slot (see [`Stats::count_cached`]).
 pub(crate) const STAT_SLOT_UNRESOLVED: u32 = u32::MAX;
 
+/// Which value vector a slot indexes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kind {
+    Counter,
+    Sample,
+    Histo,
+}
+
+/// One resolved stat of an instance's hot table. The name is keyed by
+/// address and length, not by text: two `&'static str`s with one address
+/// and one length are the same bytes, so a hit costs no hash and no
+/// string compare. Equal text at another address misses, resolves through
+/// the name-first maps to the same slot, and gets an entry of its own.
+#[derive(Clone, Copy, Debug)]
+struct HotEntry {
+    ptr: usize,
+    len: usize,
+    kind: Kind,
+    slot: u32,
+}
+
 /// Per-run statistics store, keyed by stat name, then instance.
 ///
 /// Stat names are `&'static str` so the hot increment path does no
@@ -183,12 +211,56 @@ pub struct Stats {
     counter_vals: Vec<u64>,
     sample_vals: Vec<Sample>,
     histo_vals: Vec<Histogram>,
+    /// The hot tables, by instance: every `(name address, kind)` the
+    /// instance has recorded, with the slot the cold index resolved it
+    /// to. An instance that records nothing has an empty (unallocated)
+    /// table. A pure cache of the maps above — never dumped, empty after
+    /// a restore.
+    hot: Vec<Vec<HotEntry>>,
 }
 
 impl Stats {
     /// Empty store.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Slot of a stat on the handler path: a scan of the instance's hot
+    /// table (a handful of entries), falling back to the cold index the
+    /// first time this name address is seen.
+    #[inline]
+    fn slot(&mut self, inst: InstanceId, name: &'static str, kind: Kind) -> u32 {
+        let (ptr, len) = (name.as_ptr() as usize, name.len());
+        if let Some(table) = self.hot.get(inst.0 as usize) {
+            for e in table {
+                if e.ptr == ptr && e.len == len && e.kind == kind {
+                    return e.slot;
+                }
+            }
+        }
+        self.slot_cold(inst, name, kind)
+    }
+
+    /// Resolve through the name-first maps (creating the stat on first
+    /// touch) and remember the answer in the instance's hot table.
+    #[cold]
+    fn slot_cold(&mut self, inst: InstanceId, name: &'static str, kind: Kind) -> u32 {
+        let slot = match kind {
+            Kind::Counter => self.counter_slot(inst, name),
+            Kind::Sample => self.sample_slot(inst, name),
+            Kind::Histo => self.histo_slot(inst, name),
+        };
+        let i = inst.0 as usize;
+        if self.hot.len() <= i {
+            self.hot.resize_with(i + 1, Vec::new);
+        }
+        self.hot[i].push(HotEntry {
+            ptr: name.as_ptr() as usize,
+            len: name.len(),
+            kind,
+            slot,
+        });
+        slot
     }
 
     /// Slot of a counter, creating a zeroed one on first touch.
@@ -241,20 +313,20 @@ impl Stats {
     /// Add `by` to a counter of an instance. Wrapping, so counters can be
     /// used as order-independent checksums of arbitrary word streams.
     pub fn count(&mut self, inst: InstanceId, name: &'static str, by: u64) {
-        let slot = self.counter_slot(inst, name);
+        let slot = self.slot(inst, name, Kind::Counter);
         let c = &mut self.counter_vals[slot as usize];
         *c = c.wrapping_add(by);
     }
 
     /// Record one sample of a quantity of an instance.
     pub fn sample(&mut self, inst: InstanceId, name: &'static str, v: f64) {
-        let slot = self.sample_slot(inst, name);
+        let slot = self.slot(inst, name, Kind::Sample);
         self.sample_vals[slot as usize].add(v);
     }
 
     /// Record one value into a log2-bucket histogram of an instance.
     pub fn histo(&mut self, inst: InstanceId, name: &'static str, v: u64) {
-        let slot = self.histo_slot(inst, name);
+        let slot = self.slot(inst, name, Kind::Histo);
         self.histo_vals[slot as usize].record(v);
     }
 
@@ -441,6 +513,7 @@ impl Stats {
             counter_vals,
             sample_vals,
             histo_vals,
+            hot: Vec::new(),
         }
     }
 
@@ -670,6 +743,59 @@ mod tests {
             s.histogram(InstanceId(0), "occ")
         );
         assert_eq!(r.dump(), d, "dump -> restore -> dump is a fixed point");
+    }
+
+    #[test]
+    fn equal_names_at_different_addresses_share_one_stat() {
+        // The hot table is keyed by address; the text decides the stat.
+        let a: &'static str = "hits";
+        let b: &'static str = Box::leak(String::from("hits").into_boxed_str());
+        assert_ne!(a.as_ptr(), b.as_ptr());
+        let mut s = Stats::new();
+        let i = InstanceId(4);
+        s.count(i, a, 1);
+        s.count(i, b, 2);
+        s.count(i, a, 4);
+        s.count(i, b, 8);
+        assert_eq!(s.counter(i, "hits"), 15);
+        assert_eq!(s.counter_total("hits"), 15);
+        assert_eq!(s.dump().counters, vec![("hits".to_owned(), vec![(4, 15)])]);
+        // One name, three kinds, one instance: three stats.
+        s.sample(i, a, 2.0);
+        s.histo(i, a, 3);
+        s.sample(i, b, 4.0);
+        assert_eq!(s.counter(i, "hits"), 15);
+        assert_eq!(s.get_sample(i, "hits").unwrap().n, 2);
+        assert_eq!(s.histogram(i, "hits").unwrap().count(), 1);
+        // Another instance's table is its own.
+        s.count(InstanceId(0), a, 100);
+        assert_eq!(s.counter(i, "hits"), 15);
+        assert_eq!(s.counter(InstanceId(0), "hits"), 100);
+    }
+
+    #[test]
+    fn records_after_a_restore_land_in_the_restored_stats() {
+        let mut s = Stats::new();
+        let i = InstanceId(2);
+        s.count(i, "retired", 5);
+        s.sample(i, "lat", 1.0);
+        s.histo(i, "occ", 7);
+        // The restored store's names are interned copies at other
+        // addresses and its hot tables are empty: the first record of
+        // each stat must find the restored slot, not open a second one.
+        let mut r = Stats::restore_from_dump(&s.dump());
+        r.count(i, "retired", 3);
+        r.count(i, "retired", 1);
+        r.sample(i, "lat", 3.0);
+        r.histo(i, "occ", 9);
+        assert_eq!(r.counter(i, "retired"), 9);
+        assert_eq!(r.counter_total("retired"), 9);
+        assert_eq!(r.get_sample(i, "lat").unwrap().n, 2);
+        assert_eq!(r.histogram(i, "occ").unwrap().count(), 2);
+        let d = r.dump();
+        assert_eq!(d.counters.len(), 1);
+        assert_eq!(d.samples.len(), 1);
+        assert_eq!(d.histograms.len(), 1);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 
 use crate::error::SimError;
 use crate::netlist::EdgeId;
-use crate::signal::{Res, SignalState, WireWrite, WriteOutcome};
+use crate::signal::{flag, Res, SignalState, WireWrite, WriteOutcome};
 use crate::value::Value;
 
 #[derive(Clone, Debug, Default)]
@@ -81,6 +81,13 @@ impl SignalStore {
         self.transfers.clear();
         self.resolved = 0;
         self.osc_dirty = false;
+    }
+
+    /// The current time-step serial. It only ever grows, so a value
+    /// remembered from one step never equals a later step's.
+    #[inline]
+    pub(crate) fn epoch(&self) -> u64 {
+        self.epoch
     }
 
     /// True once every wire of every edge resolved this step — the
@@ -152,13 +159,7 @@ impl SignalStore {
             self.slot_writes += 1;
         }
         let outcome = f(&mut slot.state)?;
-        if outcome == WriteOutcome::NewlyResolved {
-            self.slot_writes += 1;
-            self.resolved += 1;
-            if slot.state.transfers() {
-                self.transfers.push(e);
-            }
-        }
+        self.note(e, outcome);
         Ok(outcome)
     }
 
@@ -187,116 +188,105 @@ impl SignalStore {
             return Ok(WriteOutcome::NewlyResolved);
         }
         let outcome = slot.state.write(w)?;
-        if outcome == WriteOutcome::NewlyResolved {
-            self.slot_writes += 1;
-            self.resolved += 1;
-            if slot.state.transfers() {
-                self.transfers.push(e);
-            }
-        }
+        self.note(e, outcome);
         Ok(outcome)
     }
 
-    /// Apply the sender's data and enable wires in one slot access — the
-    /// fused form of `ctx.send` / `ctx.send_nothing`, the hottest write
-    /// in the kernel. On first touch (the overwhelmingly common case:
-    /// one sender resolving its output exactly once per step) this costs
-    /// a single stamp check and no monotonicity comparison; a fresh slot
+    /// `ctx.send` / `ctx.send_nothing`: drive the data wire and an enable
+    /// wire of the same polarity in one slot access — the hottest write
+    /// in the kernel. On first touch (the overwhelmingly common case: one
+    /// sender resolving its output exactly once per step) this costs a
+    /// single stamp check and no monotonicity comparison; a fresh slot
     /// falls back to two strict per-wire writes. The ack wire is
     /// necessarily `Unknown` on the first-touch path, so no transfer can
-    /// complete there and the transfer-list probe is skipped too.
-    #[inline]
-    pub fn write_pair(
-        &mut self,
-        e: EdgeId,
-        data: Res<Value>,
-        enable: Res<()>,
-    ) -> Result<(WriteOutcome, WriteOutcome), SimError> {
-        if matches!(data, Res::Unknown) || matches!(enable, Res::Unknown) {
-            return Err(SimError::contract(
-                "attempt to drive a sender wire back to Unknown".to_owned(),
-            ));
-        }
-        let SignalStore {
-            slots,
-            epoch,
-            transfers,
-            slot_writes,
-            resolved,
-            ..
-        } = self;
-        let slot = &mut slots[e.0 as usize];
-        if slot.stamp != *epoch {
-            slot.state.reset();
-            slot.stamp = *epoch;
+    /// complete there and the transfer-list probe is skipped too. Inlined
+    /// into its callers: in `ctx.send` / `ctx.send_nothing` the polarity
+    /// of `data` is a constant, so `send_nothing` has no value to build,
+    /// compare or drop.
+    #[inline(always)]
+    pub fn send(&mut self, e: EdgeId, data: Res<Value>) -> Result<[WriteOutcome; 2], SimError> {
+        let enable = match data {
+            Res::Yes(_) => Res::Yes(()),
+            Res::No => Res::No,
+            Res::Unknown => {
+                return Err(SimError::contract(
+                    "attempt to drive a sender wire back to Unknown".to_owned(),
+                ))
+            }
+        };
+        let slot = &mut self.slots[e.0 as usize];
+        if slot.stamp != self.epoch {
+            slot.stamp = self.epoch;
             slot.state.data = data;
             slot.state.enable = enable;
-            *slot_writes += 3;
-            *resolved += 2;
-            return Ok((WriteOutcome::NewlyResolved, WriteOutcome::NewlyResolved));
+            slot.state.ack = Res::Unknown;
+            self.slot_writes += 3;
+            self.resolved += 2;
+            return Ok([WriteOutcome::NewlyResolved; 2]);
         }
         let o1 = slot.state.write_data(data)?;
-        if o1 == WriteOutcome::NewlyResolved {
-            *slot_writes += 1;
-            *resolved += 1;
-            if slot.state.transfers() {
-                transfers.push(e);
-            }
-        }
-        let o2 = slot.state.write_enable(enable)?;
-        if o2 == WriteOutcome::NewlyResolved {
-            *slot_writes += 1;
-            *resolved += 1;
-            if slot.state.transfers() {
-                transfers.push(e);
-            }
-        }
-        Ok((o1, o2))
+        self.note(e, o1);
+        let o2 = self.slots[e.0 as usize].state.write_enable(enable)?;
+        self.note(e, o2);
+        Ok([o1, o2])
     }
 
-    /// Fused receiver operation: drive the ack wire and read the data
-    /// wire in one slot access — the store half of `ReactCtx::recv`.
-    /// Exactly equivalent to a strict ack write followed by a data read,
-    /// just without the second slot lookup.
+    /// Account one strict wire write: count a new resolution and record
+    /// the edge when it completed the handshake.
     #[inline]
-    pub fn recv(
-        &mut self,
-        e: EdgeId,
-        ack: Res<()>,
-    ) -> Result<(WriteOutcome, Res<Value>), SimError> {
-        if matches!(ack, Res::Unknown) {
-            return Err(SimError::contract(
-                "attempt to drive Ack back to Unknown".to_owned(),
-            ));
-        }
-        let SignalStore {
-            slots,
-            epoch,
-            transfers,
-            slot_writes,
-            resolved,
-            ..
-        } = self;
-        let slot = &mut slots[e.0 as usize];
-        if slot.stamp != *epoch {
-            slot.state.reset();
-            slot.stamp = *epoch;
-            slot.state.ack = ack;
-            *slot_writes += 2;
-            *resolved += 1;
-            // Data and enable are Unknown on a freshly reset slot: no
-            // transfer can have completed, and the data read is Unknown.
-            return Ok((WriteOutcome::NewlyResolved, Res::Unknown));
-        }
-        let o = slot.state.write_ack(ack)?;
-        if o == WriteOutcome::NewlyResolved {
-            *slot_writes += 1;
-            *resolved += 1;
-            if slot.state.transfers() {
-                transfers.push(e);
+    fn note(&mut self, e: EdgeId, outcome: WriteOutcome) {
+        if outcome == WriteOutcome::NewlyResolved {
+            self.slot_writes += 1;
+            self.resolved += 1;
+            if self.slots[e.0 as usize].state.transfers() {
+                self.transfers.push(e);
             }
         }
-        Ok((o, slot.state.data.clone()))
+    }
+
+    /// `ctx.set_enable`: drive the enable wire from a plain bool.
+    #[inline]
+    pub fn write_enable(&mut self, e: EdgeId, yes: bool) -> Result<WriteOutcome, SimError> {
+        self.write_flag::<false>(e, yes)
+    }
+
+    /// `ctx.set_ack`: drive the ack wire from a plain bool.
+    #[inline]
+    pub fn write_ack(&mut self, e: EdgeId, yes: bool) -> Result<WriteOutcome, SimError> {
+        self.write_flag::<true>(e, yes)
+    }
+
+    /// The scalar write of a payload-free wire (`ACK`: the ack wire,
+    /// otherwise enable): a strict monotonic write with the transfer-list
+    /// upkeep of [`SignalStore::write`], minus the [`WireWrite`] value.
+    /// On first touch the other two wires are `Unknown`: nothing to
+    /// compare against and no transfer to complete.
+    #[inline]
+    fn write_flag<const ACK: bool>(
+        &mut self,
+        e: EdgeId,
+        yes: bool,
+    ) -> Result<WriteOutcome, SimError> {
+        let slot = &mut self.slots[e.0 as usize];
+        if slot.stamp != self.epoch {
+            slot.state.reset();
+            slot.stamp = self.epoch;
+            if ACK {
+                slot.state.ack = flag(yes);
+            } else {
+                slot.state.enable = flag(yes);
+            }
+            self.slot_writes += 2;
+            self.resolved += 1;
+            return Ok(WriteOutcome::NewlyResolved);
+        }
+        let outcome = if ACK {
+            slot.state.write_ack(flag(yes))?
+        } else {
+            slot.state.write_enable(flag(yes))?
+        };
+        self.note(e, outcome);
+        Ok(outcome)
     }
 
     /// Apply a [`WireWrite`] tolerating oscillation (see
@@ -315,13 +305,7 @@ impl SignalStore {
         }
         let outcome = slot.state.write_tolerant(w)?;
         match outcome {
-            WriteOutcome::NewlyResolved => {
-                self.slot_writes += 1;
-                self.resolved += 1;
-                if slot.state.transfers() {
-                    self.transfers.push(e);
-                }
-            }
+            WriteOutcome::NewlyResolved => self.note(e, outcome),
             WriteOutcome::Oscillated => {
                 self.slot_writes += 1;
                 self.osc_dirty = true;
@@ -490,6 +474,84 @@ mod tests {
         );
         assert_eq!(store.data(E0).as_yes().and_then(Value::as_word), Some(3));
         assert!(store.write(E0, WireWrite::Data(Res::No)).is_err());
+    }
+
+    /// One handler-level drive, applied through the scalar entry points
+    /// or as the `WireWrite` values it stands for.
+    #[derive(Clone, Copy, Debug)]
+    enum Drive {
+        Send(u64),
+        SendNothing,
+        Enable(bool),
+        Ack(bool),
+    }
+
+    fn scalar(store: &mut SignalStore, d: Drive) -> Result<(), SimError> {
+        match d {
+            Drive::Send(v) => store.send(E0, Res::Yes(Value::Word(v))).map(|_| ()),
+            Drive::SendNothing => store.send(E0, Res::No).map(|_| ()),
+            Drive::Enable(en) => store.write_enable(E0, en).map(|_| ()),
+            Drive::Ack(a) => store.write_ack(E0, a).map(|_| ()),
+        }
+    }
+
+    fn by_value(store: &mut SignalStore, d: Drive) -> Result<(), SimError> {
+        let pair = |store: &mut SignalStore, data: Res<Value>, en: bool| {
+            store.write(E0, WireWrite::Data(data))?;
+            store.write(E0, WireWrite::Enable(flag(en))).map(|_| ())
+        };
+        match d {
+            Drive::Send(v) => pair(store, Res::Yes(Value::Word(v)), true),
+            Drive::SendNothing => pair(store, Res::No, false),
+            Drive::Enable(en) => store.write(E0, WireWrite::Enable(flag(en))).map(|_| ()),
+            Drive::Ack(a) => store.write(E0, WireWrite::Ack(flag(a))).map(|_| ()),
+        }
+    }
+
+    #[test]
+    fn scalar_entry_points_match_the_value_writes() {
+        // Every sequence of three drives on one edge, second step of a
+        // store (so the first drive meets a stale slot holding last
+        // step's values): same verdicts, same messages, same wires, same
+        // transfer list and the same resolution accounting.
+        let drives = [
+            Drive::Send(1),
+            Drive::Send(2),
+            Drive::SendNothing,
+            Drive::Enable(true),
+            Drive::Enable(false),
+            Drive::Ack(true),
+            Drive::Ack(false),
+        ];
+        for a in drives {
+            for b in drives {
+                for c in drives {
+                    let mut s = SignalStore::new(1);
+                    let mut v = SignalStore::new(1);
+                    complete(&mut s, E0, 9);
+                    complete(&mut v, E0, 9);
+                    s.begin_step();
+                    v.begin_step();
+                    for d in [a, b, c] {
+                        let (rs, rv) = (scalar(&mut s, d), by_value(&mut v, d));
+                        assert_eq!(
+                            rs.as_ref().map_err(|e| e.to_string()),
+                            rv.as_ref().map_err(|e| e.to_string()),
+                            "{a:?} {b:?} {c:?} at {d:?}"
+                        );
+                        assert_eq!(s.data(E0), v.data(E0));
+                        assert_eq!(s.enable(E0), v.enable(E0));
+                        assert_eq!(s.ack(E0), v.ack(E0));
+                        assert_eq!(s.transfers(), v.transfers());
+                        assert_eq!(s.fully_resolved_step(), v.fully_resolved_step());
+                        assert_eq!(s.slot_writes(), v.slot_writes());
+                        if rs.is_err() {
+                            break; // a rejected write fails the step
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

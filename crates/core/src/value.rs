@@ -196,6 +196,14 @@ impl Value {
     }
 }
 
+/// Shared payloads (`Tuple`, `Opaque`) compare equal to *themselves* by
+/// address before their contents are walked: an idempotent re-write of
+/// the same `Arc` is the common case on a wire and must not cost a deep
+/// compare. The short-circuit makes equality reflexive for those
+/// variants even when the contents are not (`Float(NaN) != Float(NaN)`,
+/// yet a tuple holding a NaN equals itself and differs from a rebuilt
+/// copy) — intentional: re-driving the very value a wire already holds
+/// is idempotent whatever is inside it.
 impl PartialEq for Value {
     fn eq(&self, other: &Self) -> bool {
         use Value::*;
@@ -205,7 +213,7 @@ impl PartialEq for Value {
             (Word(a), Word(b)) => a == b,
             (Int(a), Int(b)) => a == b,
             (Float(a), Float(b)) => a == b,
-            (Tuple(a), Tuple(b)) => a == b,
+            (Tuple(a), Tuple(b)) => Arc::ptr_eq(a, b) || a == b,
             (Str(a), Str(b)) => a == b,
             (Opaque(a), Opaque(b)) => Arc::ptr_eq(a, b) || a.eq_dyn(b.as_ref()),
             _ => false,
@@ -275,6 +283,15 @@ mod tests {
     struct Pkt {
         dst: u32,
         len: u16,
+    }
+
+    #[test]
+    fn shared_payloads_equal_themselves_by_address() {
+        let rebuilt = || Value::Tuple(Arc::new(vec![Value::Float(f64::NAN)]));
+        let nan = rebuilt();
+        assert_eq!(nan, nan.clone(), "same Arc: reflexive");
+        assert_ne!(nan, rebuilt());
+        assert_ne!(Value::Float(f64::NAN), Value::Float(f64::NAN));
     }
 
     #[test]

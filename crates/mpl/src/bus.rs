@@ -50,6 +50,9 @@ pub struct SnoopBus {
     snooping: Option<BusMsg>,
     /// Pending responses per requester connection.
     pending: Vec<VecDeque<(u64, MemResp)>>,
+    /// Scratch, rebuilt by every `react` (so not state): which request
+    /// wires carry a request this step.
+    present: Vec<bool>,
 }
 
 impl SnoopBus {
@@ -81,16 +84,16 @@ impl Module for SnoopBus {
             }
         }
         // Round-robin grant: need every request wire resolved.
-        let mut present = Vec::with_capacity(n);
+        self.present.clear();
         for i in 0..n {
-            match ctx.data(P_REQ, i) {
+            self.present.push(match ctx.data(P_REQ, i) {
                 Res::Unknown => return Ok(()),
-                Res::No => present.push(false),
-                Res::Yes(_) => present.push(true),
-            }
+                Res::No => false,
+                Res::Yes(_) => true,
+            });
         }
-        let w = self.winner(&present);
-        for (i, &p) in present.iter().enumerate() {
+        let w = self.winner(&self.present);
+        for (i, &p) in self.present.iter().enumerate() {
             ctx.set_ack(P_REQ, i, Some(i) == w || !p)?;
         }
         Ok(())
@@ -153,6 +156,7 @@ pub fn snoop_bus(params: &Params) -> Result<(ModuleSpec, Box<dyn Module>, Shared
             rr: 0,
             snooping: None,
             pending: Vec::new(),
+            present: Vec::new(),
         }),
         mem,
     ))

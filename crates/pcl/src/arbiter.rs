@@ -40,6 +40,9 @@ struct Arbiter {
     /// a grant moves the winner to lowest priority.
     matrix: Vec<bool>,
     matrix_n: usize,
+    /// Scratch, rebuilt by every `react` and `commit` (so not state):
+    /// which request wires carry a request this step.
+    present: Vec<bool>,
 }
 
 impl Arbiter {
@@ -52,66 +55,46 @@ impl Arbiter {
 }
 
 impl Arbiter {
-    /// Deterministic winner among present requests; used identically in
-    /// react and commit (state is not mutated between them).
-    fn winner(&self, present: &[bool]) -> Option<usize> {
-        let n = present.len();
-        let candidates: Vec<usize> = (0..n).filter(|&i| present[i]).collect();
-        if candidates.is_empty() {
-            return None;
+    /// Deterministic winner among the requests in `present`; used
+    /// identically in react and commit (state is not mutated between
+    /// them).
+    fn winner(&self) -> Option<usize> {
+        let n = self.present.len();
+        let mut candidates = (0..n).filter(|&i| self.present[i]);
+        match self.policy {
+            Policy::Fixed => candidates.next(),
+            Policy::RoundRobin => candidates.min_by_key(|&i| (i + n - self.rr_next % n.max(1)) % n),
+            Policy::Lru => candidates.min_by_key(|&i| {
+                self.lru
+                    .iter()
+                    .position(|&x| x == i)
+                    .map(|p| p + 1)
+                    .unwrap_or(0) // never granted: most deserving
+            }),
+            // The winner beats every other candidate in the matrix.
+            // (The matrix encodes a total order, so one always exists;
+            // before lazy init fall back to fixed priority.)
+            Policy::Matrix if self.matrix_n == n => candidates
+                .clone()
+                .find(|&i| candidates.clone().all(|j| j == i || self.matrix[i * n + j]))
+                .or_else(|| candidates.next()),
+            Policy::Matrix => candidates.next(),
         }
-        Some(match self.policy {
-            Policy::Fixed => candidates[0],
-            Policy::RoundRobin => *candidates
-                .iter()
-                .min_by_key(|&&i| (i + n - self.rr_next % n.max(1)) % n)
-                .expect("nonempty"),
-            Policy::Lru => *candidates
-                .iter()
-                .min_by_key(|&&i| {
-                    self.lru
-                        .iter()
-                        .position(|&x| x == i)
-                        .map(|p| p + 1)
-                        .unwrap_or(0) // never granted: most deserving
-                })
-                .expect("nonempty"),
-            Policy::Matrix => {
-                // The winner beats every other candidate in the matrix.
-                // (The matrix encodes a total order, so one always exists;
-                // before lazy init fall back to fixed priority.)
-                if self.matrix_n != n {
-                    candidates[0]
-                } else {
-                    *candidates
-                        .iter()
-                        .find(|&&i| candidates.iter().all(|&j| j == i || self.matrix[i * n + j]))
-                        .unwrap_or(&candidates[0])
-                }
-            }
-        })
-    }
-
-    fn resolve_present(ctx_width: usize, data: impl Fn(usize) -> Res<Value>) -> Option<Vec<bool>> {
-        let mut present = Vec::with_capacity(ctx_width);
-        for i in 0..ctx_width {
-            match data(i) {
-                Res::Unknown => return None,
-                Res::No => present.push(false),
-                Res::Yes(_) => present.push(true),
-            }
-        }
-        Some(present)
     }
 }
 
 impl Module for Arbiter {
     fn react(&mut self, ctx: &mut ReactCtx<'_>) -> Result<(), SimError> {
         let n = ctx.width(P_IN);
-        let Some(present) = Arbiter::resolve_present(n, |i| ctx.data(P_IN, i)) else {
-            return Ok(()); // wait for every request wire
-        };
-        let winner = self.winner(&present);
+        self.present.clear();
+        for i in 0..n {
+            self.present.push(match ctx.data(P_IN, i) {
+                Res::Unknown => return Ok(()), // wait for every request wire
+                Res::No => false,
+                Res::Yes(_) => true,
+            });
+        }
+        let winner = self.winner();
         match winner {
             Some(w) => {
                 if let Res::Yes(v) = ctx.data(P_IN, w) {
@@ -122,7 +105,7 @@ impl Module for Arbiter {
         }
         // Losers and idle connections resolve immediately; the winner's
         // acceptance mirrors the downstream ack (lossless arbitration).
-        for (i, &p) in present.iter().enumerate() {
+        for (i, &p) in self.present.iter().enumerate() {
             if Some(i) != winner {
                 ctx.set_ack(P_IN, i, !p)?;
             }
@@ -139,18 +122,15 @@ impl Module for Arbiter {
 
     fn commit(&mut self, ctx: &mut CommitCtx<'_>) -> Result<(), SimError> {
         let n = ctx.width(P_IN);
-        let mut requests = 0u64;
-        let mut present = Vec::with_capacity(n);
-        for i in 0..n {
-            let p = matches!(ctx.data(P_IN, i), Res::Yes(_));
-            present.push(p);
-            requests += u64::from(p);
-        }
+        self.present.clear();
+        self.present
+            .extend((0..n).map(|i| matches!(ctx.data(P_IN, i), Res::Yes(_))));
+        let requests = self.present.iter().filter(|&&p| p).count();
         if requests > 0 {
             ctx.sample("requesters", requests as f64);
         }
         if ctx.transferred_out(P_OUT, 0) {
-            let w = self.winner(&present).expect("transfer implies winner");
+            let w = self.winner().expect("transfer implies winner");
             ctx.count("grants", 1);
             match self.policy {
                 Policy::RoundRobin => self.rr_next = (w + 1) % n.max(1),
@@ -247,6 +227,7 @@ pub fn arbiter(params: &Params) -> Result<Instantiated, SimError> {
             lru: Vec::new(),
             matrix: Vec::new(),
             matrix_n: 0,
+            present: Vec::new(),
         }),
     ))
 }

@@ -23,45 +23,28 @@ struct Crossbar {
     round_robin: bool,
     /// Per-output round-robin pointer.
     rr: Vec<usize>,
+    /// Scratch, rebuilt by every `react` and `commit` (so not state):
+    /// each input's requested output (None = no request) ...
+    dsts: Vec<Option<u32>>,
+    /// ... and each output's winning input.
+    winners: Vec<Option<usize>>,
 }
 
 impl Crossbar {
-    /// For each output, the winning input index, given each input's
-    /// requested destination (None = no request).
-    fn assign(&self, dsts: &[Option<u32>], out_w: usize) -> Vec<Option<usize>> {
-        let n = dsts.len();
-        let mut winners = vec![None; out_w];
-        for (j, winner) in winners.iter_mut().enumerate() {
-            let requesters: Vec<usize> = (0..n).filter(|&i| dsts[i] == Some(j as u32)).collect();
-            if requesters.is_empty() {
-                continue;
-            }
-            *winner = Some(if self.round_robin {
+    /// Fill `winners` for `out_w` outputs from the requests in `dsts`.
+    fn assign(&mut self, out_w: usize) {
+        let n = self.dsts.len();
+        self.winners.clear();
+        for j in 0..out_w {
+            let mut requesters = (0..n).filter(|&i| self.dsts[i] == Some(j as u32));
+            let winner = if self.round_robin {
                 let ptr = self.rr.get(j).copied().unwrap_or(0);
-                *requesters
-                    .iter()
-                    .min_by_key(|&&i| (i + n - ptr % n.max(1)) % n)
-                    .expect("nonempty")
+                requesters.min_by_key(|&i| (i + n - ptr % n.max(1)) % n)
             } else {
-                requesters[0]
-            });
+                requesters.next()
+            };
+            self.winners.push(winner);
         }
-        winners
-    }
-
-    fn resolve_dsts(
-        n: usize,
-        data: impl Fn(usize) -> Res<Value>,
-    ) -> Result<Option<Vec<Option<u32>>>, SimError> {
-        let mut dsts = Vec::with_capacity(n);
-        for i in 0..n {
-            match data(i) {
-                Res::Unknown => return Ok(None),
-                Res::No => dsts.push(None),
-                Res::Yes(v) => dsts.push(Some(Routed::from_value(&v)?.dst)),
-            }
-        }
-        Ok(Some(dsts))
     }
 }
 
@@ -69,26 +52,29 @@ impl Module for Crossbar {
     fn react(&mut self, ctx: &mut ReactCtx<'_>) -> Result<(), SimError> {
         let n = ctx.width(P_IN);
         let out_w = ctx.width(P_OUT);
-        let Some(dsts) = Crossbar::resolve_dsts(n, |i| ctx.data(P_IN, i))? else {
-            return Ok(());
-        };
-        // Reject out-of-range destinations outright.
-        for d in dsts.iter().flatten() {
-            if *d as usize >= out_w {
-                return Err(SimError::model(format!(
-                    "{}: Routed dst {} out of range ({} outputs)",
-                    ctx.name(),
-                    d,
-                    out_w
-                )));
-            }
+        self.dsts.clear();
+        for i in 0..n {
+            self.dsts.push(match ctx.data(P_IN, i) {
+                Res::Unknown => return Ok(()), // need every request wire
+                Res::No => None,
+                Res::Yes(v) => Some(Routed::from_value(&v)?.dst),
+            });
         }
-        let winners = self.assign(&dsts, out_w);
+        // Reject out-of-range destinations outright.
+        if let Some(d) = self.dsts.iter().flatten().find(|&&d| d as usize >= out_w) {
+            return Err(SimError::model(format!(
+                "{}: Routed dst {} out of range ({} outputs)",
+                ctx.name(),
+                d,
+                out_w
+            )));
+        }
+        self.assign(out_w);
         // Drive outputs.
-        for (j, winner) in winners.iter().enumerate() {
-            match winner {
+        for j in 0..out_w {
+            match self.winners[j] {
                 Some(i) => {
-                    if let Res::Yes(v) = ctx.data(P_IN, *i) {
+                    if let Res::Yes(v) = ctx.data(P_IN, i) {
                         let fwd = if self.strip {
                             Routed::from_value(&v)?.payload.clone()
                         } else {
@@ -102,12 +88,12 @@ impl Module for Crossbar {
         }
         // Input flow control: losers refuse; idle accept; winners mirror
         // the output ack (lossless).
-        for (i, &dst) in dsts.iter().enumerate() {
-            match dst {
+        for i in 0..n {
+            match self.dsts[i] {
                 None => ctx.set_ack(P_IN, i, true)?,
                 Some(d) => {
                     let j = d as usize;
-                    if winners[j] == Some(i) {
+                    if self.winners[j] == Some(i) {
                         match ctx.ack(P_OUT, j)? {
                             Res::Unknown => {} // re-woken on resolution
                             Res::Yes(()) => ctx.set_ack(P_IN, i, true)?,
@@ -128,22 +114,20 @@ impl Module for Crossbar {
         if self.rr.len() < out_w {
             self.rr.resize(out_w, 0);
         }
-        let mut dsts = vec![None; n];
-        for (i, d) in dsts.iter_mut().enumerate() {
-            if let Res::Yes(v) = ctx.data(P_IN, i) {
+        self.dsts.clear();
+        for i in 0..n {
+            self.dsts.push(match ctx.data(P_IN, i) {
                 // A corrupted destination is rejected by react; never let
                 // it through to the winner-table indexing below.
-                let dst = Routed::from_value(&v)?.dst;
-                if (dst as usize) < out_w {
-                    *d = Some(dst);
-                }
-            }
+                Res::Yes(v) => Some(Routed::from_value(&v)?.dst).filter(|&d| (d as usize) < out_w),
+                _ => None,
+            });
         }
-        let winners = self.assign(&dsts, out_w);
-        for (j, &winner) in winners.iter().enumerate() {
+        self.assign(out_w);
+        for j in 0..out_w {
             if ctx.transferred_out(P_OUT, j) {
                 ctx.count("forwarded", 1);
-                if let Some(w) = winner {
+                if let Some(w) = self.winners[j] {
                     if self.round_robin {
                         self.rr[j] = (w + 1) % n.max(1);
                     }
@@ -152,7 +136,7 @@ impl Module for Crossbar {
         }
         // Conflict census: inputs that requested but lost.
         let contending = (0..n)
-            .filter(|&i| dsts[i].is_some() && winners[dsts[i].unwrap() as usize] != Some(i))
+            .filter(|&i| self.dsts[i].is_some_and(|d| self.winners[d as usize] != Some(i)))
             .count();
         if contending > 0 {
             ctx.count("conflicts", contending as u64);
@@ -209,6 +193,8 @@ pub fn crossbar(params: &Params) -> Result<Instantiated, SimError> {
             strip,
             round_robin,
             rr: Vec::new(),
+            dsts: Vec::new(),
+            winners: Vec::new(),
         }),
     ))
 }

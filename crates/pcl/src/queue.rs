@@ -76,16 +76,14 @@ impl Module for Queue {
         } else {
             // Contended: must see all offers to allocate space by priority
             // (connection index order).
-            let mut budget = free;
-            let mut pending = Vec::with_capacity(in_w);
             for i in 0..in_w {
-                match ctx.data(P_IN, i) {
-                    Res::Unknown => return Ok(()), // resolve later
-                    Res::No => pending.push((i, false)),
-                    Res::Yes(_) => pending.push((i, true)),
+                if matches!(ctx.data(P_IN, i), Res::Unknown) {
+                    return Ok(()); // resolve later
                 }
             }
-            for (i, present) in pending {
+            let mut budget = free;
+            for i in 0..in_w {
+                let present = ctx.data(P_IN, i).is_yes();
                 if present && budget > 0 {
                     ctx.set_ack(P_IN, i, true)?;
                     budget -= 1;
@@ -106,14 +104,16 @@ impl Module for Queue {
 
         let bypassing = self.bypass && self.items.is_empty();
 
-        // Pop accepted offers (indices are positions from the front).
-        let mut popped: Vec<usize> = (0..out_w.min(self.items.len()))
-            .filter(|&j| ctx.transferred_out(P_OUT, j))
-            .collect();
-        for &j in popped.iter().rev() {
-            self.items.remove(j);
+        // Pop accepted offers (indices are positions from the front, so
+        // back to front keeps the remaining ones valid).
+        let mut popped: u64 = 0;
+        for j in (0..out_w.min(self.items.len())).rev() {
+            if ctx.transferred_out(P_OUT, j) {
+                self.items.remove(j);
+                popped += 1;
+            }
         }
-        ctx.count("deq", popped.len() as u64);
+        ctx.count("deq", popped);
 
         // A bypass transfer moves the input straight through: it was
         // offered from the input wire, not from `items`.
@@ -139,7 +139,6 @@ impl Module for Queue {
         }
         ctx.sample("occupancy", self.items.len() as f64);
         ctx.histo("occupancy_dist", self.items.len() as u64);
-        popped.clear();
         Ok(())
     }
 

@@ -60,8 +60,7 @@ impl Decode {
             .is_some_and(|d| self.busy.iter().any(|b| b.dest == d));
         let src_conflict = instr
             .sources()
-            .iter()
-            .any(|s| self.busy.iter().any(|b| b.dest == *s));
+            .any(|s| self.busy.iter().any(|b| b.dest == s));
         dest_conflict || src_conflict
     }
 

@@ -230,25 +230,17 @@ impl Instr {
         (d != 0).then_some(d)
     }
 
-    /// Source registers read by this instruction.
-    pub fn sources(&self) -> Vec<u8> {
-        let mut v = Vec::with_capacity(2);
-        match self {
-            Instr::Alu { rs1, rs2, .. } | Instr::Br { rs1, rs2, .. } => {
-                v.push(*rs1);
-                v.push(*rs2);
-            }
-            Instr::AluI { rs1, .. } | Instr::Ld { rs1, .. } | Instr::Jalr { rs1, .. } => {
-                v.push(*rs1)
-            }
-            Instr::St { rs1, rs2, .. } => {
-                v.push(*rs1);
-                v.push(*rs2);
-            }
-            _ => {}
-        }
-        v.retain(|&r| r != 0);
-        v
+    /// Source registers read by this instruction (`r0` reads are
+    /// constants and report no source).
+    pub fn sources(&self) -> impl Iterator<Item = u8> {
+        let (a, b) = match *self {
+            Instr::Alu { rs1, rs2, .. }
+            | Instr::Br { rs1, rs2, .. }
+            | Instr::St { rs1, rs2, .. } => (rs1, rs2),
+            Instr::AluI { rs1, .. } | Instr::Ld { rs1, .. } | Instr::Jalr { rs1, .. } => (rs1, 0),
+            _ => (0, 0),
+        };
+        [a, b].into_iter().filter(|&r| r != 0)
     }
 
     /// True for control-flow instructions (branches and jumps).
@@ -340,14 +332,14 @@ mod tests {
             rs2: 0,
         };
         assert_eq!(i.dest(), Some(3));
-        assert_eq!(i.sources(), vec![1]); // r0 filtered
+        assert_eq!(i.sources().collect::<Vec<_>>(), vec![1]); // r0 filtered
         let st = Instr::St {
             rs2: 4,
             rs1: 5,
             off: 0,
         };
         assert_eq!(st.dest(), None);
-        assert_eq!(st.sources(), vec![5, 4]);
+        assert_eq!(st.sources().collect::<Vec<_>>(), vec![5, 4]);
         let z = Instr::Li { rd: 0, imm: 1 };
         assert_eq!(z.dest(), None); // r0 writes discarded
     }
