@@ -1243,7 +1243,7 @@ fn e16() -> String {
          Simulated time-steps per host second on three representative netlists (20k\n\
          measured cycles after warm-up). The \"before\" column is the monolithic\n\
          pre-layering engine (seed commit, identical harness, same host, best of 5);\n\
-         \"after\" is the layered topology/store/exec kernel with CSR wake tables,\n\
+         \"after\" is the layered topology/store/exec kernel with its reader table,\n\
          O(1) epoch reset and activity-gated commit, measured at report time — so\n\
          the ratio moves with host load (observed noise up to ~10-20%). The layered\n\
          kernel holds throughput parity while making per-step reset O(1), the\n\
@@ -1424,7 +1424,7 @@ fn e18() -> String {
         "## E18 — schedule compilation: SCC-condensed plans vs dynamic discovery\n\n\
          The compiled schedulers (docs/KERNEL.md §6) hoist fixed-point discovery to\n\
          construction time: acyclic instances react exactly once per step from a\n\
-         precomputed plan — no worklist, no wake-table probing, no queued-flag\n\
+         precomputed plan — no worklist, no reader lookups, no queued-flag\n\
          bookkeeping — and cyclic SCCs run bounded local fixed-point islands. The\n\
          `vs best dynamic` column divides `Compiled` by the better of Dynamic/Static\n\
          (best of 5, 2k cycles; the acyclic microbenchmarks are built in\n\
@@ -1436,8 +1436,10 @@ fn e18() -> String {
          systems (mesh/CMP/core) the plan's straight prefix is small and the gain\n\
          comes from the island drivers instead: a member that has seen its final\n\
          inputs is not invoked again when a neighbour's write re-wakes it\n\
-         (docs/KERNEL.md §8 — 423 → 278 reacts a step on the CMP), which the\n\
-         worklist schedulers do not do. Under probes the compiled schedulers keep\n\
+         (docs/KERNEL.md §8 — 423 → 278 reacts a step on the CMP), and whom a\n\
+         resolved wire re-queues is read from the plan's wake table by the write\n\
+         itself instead of being looked up after every react (§6) — neither of\n\
+         which the worklist schedulers do. Under probes the compiled schedulers keep\n\
          that and add full bookkeeping; under faults or a watchdog they invoke on\n\
          every wake again; either way they remain byte-identical to the dynamic\n\
          ones (`crates/bench/tests/equivalence.rs`).\n\n\

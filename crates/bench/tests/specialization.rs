@@ -112,7 +112,12 @@ fn specializable_systems_actually_specialize() {
     // Dynamic instances carry a reason; specialized ones must not.
     for name in targets() {
         for row in &build_target(&name).plan_summary().expect("plan").instances {
-            assert_eq!(row.reason.is_some(), !row.specialized, "{name}/{}", row.name);
+            assert_eq!(
+                row.reason.is_some(),
+                !row.specialized,
+                "{name}/{}",
+                row.name
+            );
         }
     }
 }
@@ -145,10 +150,12 @@ fn midrun_probe_attach_despecializes_losslessly() {
         let run_split = |specialize: bool| {
             let mut sim = build_target(&name);
             sim.set_specialization(specialize);
-            sim.run(CYCLES / 2).unwrap_or_else(|e| panic!("{name}: {e}"));
+            sim.run(CYCLES / 2)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
             let buf = Buf::default();
             sim.set_probe(Box::new(JsonlProbe::new(buf.clone()).canonical()));
-            sim.run(CYCLES / 2).unwrap_or_else(|e| panic!("{name}: {e}"));
+            sim.run(CYCLES / 2)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
             drop(sim.take_probe()); // flush
             (buf.take(), fingerprint(&mut sim))
         };

@@ -2,8 +2,8 @@
 //! taken to its conclusion).
 //!
 //! The dynamic schedulers discover the reaction-phase fixed point with a
-//! worklist: seed every instance, wake the CSR readers of each newly
-//! resolved wire, repeat until quiescent. Because LSE fixes a single
+//! worklist: seed every instance, wake the reader of each newly resolved
+//! wire, repeat until quiescent. Because LSE fixes a single
 //! reactive model of computation, that discovery can instead happen once,
 //! at construction time. The compiler condenses the instance dependency
 //! graph (data/enable order sender before receiver; ack orders receiver
@@ -17,10 +17,18 @@
 //!   plan node and will see the final wire values when its turn comes);
 //! * an **island node** for every cyclic SCC (including singletons with a
 //!   self-connection) — at run time its members run a bounded local
-//!   fixed-point iteration, reusing the worklist/wake machinery but with
-//!   wakes filtered to island members, and reusing the watchdog /
-//!   oscillation diagnostics when a cyclically inconsistent island fails
-//!   to converge.
+//!   fixed-point iteration on a worklist fed from the plan's **wake
+//!   table**, and reuse the watchdog / oscillation diagnostics when a
+//!   cyclically inconsistent island fails to converge.
+//!
+//! The wake table answers, ahead of the run, the one question an island
+//! iteration used to ask per resolved wire: *who must react again?* For
+//! every (edge, wire) it holds the wire's reader iff that reader sits in
+//! the same island as the wire's writer, else [`NO_WAKE`] — a reader
+//! anywhere else is a strictly later plan node and runs regardless. The
+//! wire-write path pushes that entry straight onto the island worklist
+//! ([`crate::sched::WakeSink`]); no reader lookup or island comparison is
+//! left for run time.
 //!
 //! Nodes are additionally grouped into **levels** (equal topological
 //! rank). No dependency edge connects two nodes of the same level, which
@@ -43,11 +51,17 @@
 //! commit the same instances as the dynamic ones; only handler
 //! re-invocation counts differ.
 
+use crate::netlist::EdgeId;
 use crate::sched;
+use crate::signal::Wire;
 use crate::topology::Topology;
+use std::sync::Arc;
 
 /// Marker in [`CompiledPlan::island_of`] for instances outside any island.
 pub const NO_ISLAND: u32 = u32::MAX;
+
+/// Marker in the wake table for a wire whose resolution re-queues nobody.
+pub const NO_WAKE: u32 = u32::MAX;
 
 /// One entry of the compiled invocation sequence.
 #[derive(Debug)]
@@ -86,6 +100,11 @@ pub struct CompiledPlan {
     levels: Vec<PlanLevel>,
     /// Per instance: ordinal of its island, or [`NO_ISLAND`].
     island_of: Vec<u32>,
+    /// `wake[3 * e + wire.idx()]`: the instance to re-queue when that
+    /// wire newly resolves — its reader, iff reader and writer share an
+    /// island — or [`NO_WAKE`]. Shared (not copied) into every
+    /// simulator's worklist.
+    wake: Arc<[u32]>,
     n_islands: u32,
     /// The straight nodes' instance ids, plan order — the dense form the
     /// fully-acyclic serial fast path iterates (no per-node enum match).
@@ -158,6 +177,22 @@ impl CompiledPlan {
             }
             level.end = nodes.len() as u32;
         }
+        let mut wake = vec![NO_WAKE; 3 * topo.edge_count()];
+        for (e, em) in topo.edge_metas().iter().enumerate() {
+            for wire in [Wire::Data, Wire::Enable, Wire::Ack] {
+                // The sender drives data and enable, the receiver ack.
+                let writer = match wire {
+                    Wire::Data | Wire::Enable => em.src.inst,
+                    Wire::Ack => em.dst.inst,
+                };
+                let island = island_of[writer.0 as usize];
+                if let Some(r) = topo.reader(wire, EdgeId(e as u32)) {
+                    if island != NO_ISLAND && island_of[r as usize] == island {
+                        wake[3 * e + wire.idx()] = r;
+                    }
+                }
+            }
+        }
         let straights = nodes
             .iter()
             .filter_map(|n| match n {
@@ -169,6 +204,7 @@ impl CompiledPlan {
             nodes,
             levels,
             island_of,
+            wake: wake.into(),
             n_islands,
             straights,
         }
@@ -188,6 +224,20 @@ impl CompiledPlan {
     #[inline]
     pub fn island_of(&self, inst: u32) -> u32 {
         self.island_of[inst as usize]
+    }
+
+    /// The instance an island iteration re-queues when `wire` of edge `e`
+    /// newly resolves: the wire's reader, iff it shares an island with the
+    /// wire's writer.
+    pub fn wake_target(&self, wire: Wire, e: EdgeId) -> Option<u32> {
+        let t = self.wake[3 * e.0 as usize + wire.idx()];
+        (t != NO_WAKE).then_some(t)
+    }
+
+    /// The whole wake table, three entries per edge (see
+    /// [`CompiledPlan::wake_target`]), as the worklist shares it.
+    pub(crate) fn wake_table(&self) -> &Arc<[u32]> {
+        &self.wake
     }
 
     /// Number of islands (cyclic SCCs, including self-connected
@@ -271,6 +321,7 @@ mod tests {
         assert_eq!(straight_ids(&plan), vec![0, 1, 2]);
         assert_eq!(plan.levels().len(), 3);
         assert_eq!(plan.island_of(1), NO_ISLAND);
+        assert_eq!(plan.wake_target(Wire::Data, EdgeId(0)), None, "no island");
     }
 
     #[test]
@@ -322,6 +373,12 @@ mod tests {
         assert_eq!(members, &[0, 1, 2]);
         assert_eq!(plan.island_of(0), *island);
         assert_eq!(plan.island_of(3), NO_ISLAND);
+        // Wakes stay inside the island: a -> b re-queues b, c -> d (a
+        // later plan node) and every ack (nobody reads one) nobody.
+        assert_eq!(plan.wake_target(Wire::Data, EdgeId(0)), Some(1));
+        assert_eq!(plan.wake_target(Wire::Enable, EdgeId(2)), Some(0));
+        assert_eq!(plan.wake_target(Wire::Data, EdgeId(3)), None);
+        assert_eq!(plan.wake_target(Wire::Ack, EdgeId(0)), None);
         // The island's level precedes the downstream straight node.
         assert!(matches!(plan.nodes().last(), Some(PlanNode::Straight(3))));
     }
@@ -361,6 +418,9 @@ mod tests {
         let plan = CompiledPlan::compile(&topo);
         assert_eq!(plan.island_count(), 1);
         assert_eq!(plan.island_of(0), plan.island_of(1));
+        // The receiver's ack re-queues the declared sender.
+        assert_eq!(plan.wake_target(Wire::Ack, EdgeId(0)), Some(0));
+        assert_eq!(plan.wake_target(Wire::Data, EdgeId(0)), Some(1));
     }
 
     #[test]

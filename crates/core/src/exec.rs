@@ -23,11 +23,12 @@
 //!
 //! The three dynamic schedulers (naive sweep, dynamic FIFO, static rank
 //! order — paper ref [22]) share one worklist/wake infrastructure: newly
-//! resolved wires are looked up in the topology's CSR reader tables and
-//! the readers are re-queued. The two compiled schedulers instead execute
-//! a pre-analyzed [`CompiledPlan`]: acyclic instances react exactly once,
+//! resolved wires are looked up in the topology's reader table and the
+//! reader is re-queued. The two compiled schedulers instead execute a
+//! pre-analyzed [`CompiledPlan`]: acyclic instances react exactly once,
 //! in topological order, with no worklist at all; cyclic SCCs run bounded
-//! local fixed-point islands; `CompiledParallel` additionally fans
+//! local fixed-point islands whose wire writes push the plan's wake
+//! targets straight onto the worklist; `CompiledParallel` additionally fans
 //! independent same-level plan segments across a small owned thread pool
 //! with buffered writes merged in plan order. All five reach the same
 //! fixed point; they differ only in handler re-invocation counts and
@@ -35,13 +36,13 @@
 
 use crate::compile::{CompiledPlan, PlanNode};
 use crate::error::{CheckpointError, DivergenceInfo, OscillatingWire, PanicInfo, SimError};
-use crate::fault::{apply_fault, wire_idx, ActiveFaults, CompiledFaults, FailurePolicy, FaultPlan};
+use crate::fault::{apply_fault, ActiveFaults, CompiledFaults, FailurePolicy, FaultPlan};
 use crate::kernel::{self, Kernel, Lane, PlanSummary, SpecState};
 use crate::module::{Dir, Module, PortId};
 use crate::netlist::{EdgeId, InstanceId, Netlist};
 use crate::pool::WorkerPool;
 use crate::probe::{Interest, Probe, ResolvedBy};
-use crate::sched::RankQueue;
+use crate::sched::{RankQueue, WakeSink};
 use crate::signal::{flag, Res, Wire, WireWrite, WriteOutcome};
 use crate::snapshot::Snapshot;
 use crate::stats::{Stats, StatsReport};
@@ -53,7 +54,7 @@ use crate::supervisor::{
 use crate::topology::{InstanceInfo, PortMeta, Topology};
 use crate::value::Value;
 use std::cell::Cell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -169,16 +170,12 @@ impl CheckpointState {
 }
 
 /// Reusable worklist storage shared by the reaction and default phases.
-/// Only the variant matching the scheduler is populated.
-#[derive(Default)]
+/// Only the queue matching the scheduler is populated.
 struct WorkState {
-    fifo: VecDeque<u32>,
-    queued: Vec<bool>,
+    /// The FIFO worklist, the settle stamps (see [`drain_island`]) and
+    /// the resolve log, behind the sink the wire-write path reports to.
+    wake: WakeSink,
     ranked: Option<RankQueue>,
-    /// Per instance: the store epoch of the step in which an island
-    /// driver settled it (see [`drain_island`]). Sized only when the
-    /// plan has islands.
-    settled: Vec<u64>,
 }
 
 /// A side effect recorded by one parallel partition during a level burst,
@@ -222,7 +219,6 @@ pub struct Simulator {
     /// `probe`'s [`Probe::interest`], read once in `set_probe`: which
     /// per-invocation events the probed paths produce at all.
     interest: Interest,
-    wake_buf: Vec<(EdgeId, Wire)>,
     /// Scratch per-instance activity flags for the commit phase; cleared
     /// proportionally to the transfer list, never swept.
     active: Vec<bool>,
@@ -270,7 +266,8 @@ impl Simulator {
 
     /// The layered constructor: run `modules` over a (possibly shared)
     /// immutable topology. Sharing one `Arc<Topology>` between simulators
-    /// reuses the CSR wake tables and the cached static-schedule ranks.
+    /// reuses the reader table, the cached static-schedule ranks and the
+    /// compiled plan with its wake table.
     pub fn from_parts(
         topo: Arc<Topology>,
         modules: Vec<Box<dyn Module>>,
@@ -283,27 +280,23 @@ impl Simulator {
         );
         let n = topo.instance_count();
         let n_edges = topo.edge_count();
-        let mut work = match sched {
-            SchedKind::Sweep => WorkState::default(),
-            // The compiled schedulers keep a FIFO too: islands iterate on
-            // it, and the default phase's resume path reuses it.
-            SchedKind::Dynamic | SchedKind::Compiled | SchedKind::CompiledParallel => WorkState {
-                fifo: VecDeque::with_capacity(n),
-                queued: vec![false; n],
-                ..WorkState::default()
-            },
-            SchedKind::Static => WorkState {
-                ranked: Some(RankQueue::new(topo.ranks())),
-                ..WorkState::default()
-            },
-        };
         let plan = match sched {
             SchedKind::Compiled | SchedKind::CompiledParallel => Some(topo.plan().clone()),
             _ => None,
         };
-        if plan.as_ref().is_some_and(|p| p.island_count() > 0) {
-            work.settled = vec![0; n];
-        }
+        // The compiled schedulers keep a FIFO too: islands iterate on it,
+        // and the default phase's resume path reuses it.
+        let fifo_len = match sched {
+            SchedKind::Sweep | SchedKind::Static => 0,
+            SchedKind::Dynamic | SchedKind::Compiled | SchedKind::CompiledParallel => n,
+        };
+        let work = WorkState {
+            wake: match &plan {
+                Some(p) => WakeSink::new(fifo_len, p.wake_table().clone(), p.island_count() > 0),
+                None => WakeSink::new(fifo_len, Arc::new([]), false),
+            },
+            ranked: (sched == SchedKind::Static).then(|| RankQueue::new(topo.ranks())),
+        };
         // Handler specialization is a serial-compiled execution detail:
         // classify once at construction, against the same plan the
         // scheduler runs.
@@ -321,7 +314,6 @@ impl Simulator {
             metrics: EngineMetrics::default(),
             probe: None,
             interest: Interest::ALL,
-            wake_buf: Vec::new(),
             active: vec![false; n],
             transfer_counts: vec![0; n_edges],
             transfer_buf: Vec::new(),
@@ -1323,85 +1315,69 @@ impl Simulator {
         ) {
             return self.reaction_compiled();
         }
-        let n = self.topo.instance_count();
-        let mut work = std::mem::take(&mut self.work);
+        let n = self.topo.instance_count() as u32;
         match self.sched {
             SchedKind::Sweep => {}
             SchedKind::Dynamic => {
-                debug_assert!(work.fifo.is_empty());
-                work.queued[..n].fill(true);
-                work.fifo.extend(0..n as u32);
+                let wake = &mut self.work.wake;
+                debug_assert!(wake.fifo.is_empty());
+                wake.queued.fill(true);
+                wake.fifo.extend(0..n);
             }
             SchedKind::Static => {
-                let q = work.ranked.as_mut().expect("static rank queue");
+                let q = self.work.ranked.as_mut().expect("static rank queue");
                 q.reset();
-                for i in 0..n as u32 {
+                for i in 0..n {
                     q.push(i);
                 }
             }
             SchedKind::Compiled | SchedKind::CompiledParallel => unreachable!("dispatched above"),
         }
-        let r = self.drain(&mut work);
-        self.work = work;
-        r
+        self.drain()
     }
 
-    /// Resume reactions after a default resolution woke `seeds`.
-    fn resume(&mut self, seeds: &[u32]) -> Result<(), SimError> {
-        let mut work = std::mem::take(&mut self.work);
+    /// Resume reactions after a default resolution woke `seed`.
+    fn resume(&mut self, seed: u32) -> Result<(), SimError> {
         match self.sched {
             SchedKind::Sweep => {}
             SchedKind::Dynamic | SchedKind::Compiled | SchedKind::CompiledParallel => {
-                debug_assert!(work.fifo.is_empty());
-                for &s in seeds {
-                    if !work.queued[s as usize] {
-                        work.queued[s as usize] = true;
-                        work.fifo.push_back(s);
-                    }
-                }
+                debug_assert!(self.work.wake.fifo.is_empty());
+                self.work.wake.push(seed);
             }
             SchedKind::Static => {
-                let q = work.ranked.as_mut().expect("static rank queue");
+                let q = self.work.ranked.as_mut().expect("static rank queue");
                 q.reset();
-                for &s in seeds {
-                    q.push(s);
-                }
+                q.push(seed);
             }
         }
-        let r = self.drain(&mut work);
-        self.work = work;
-        r
+        self.drain()
     }
 
-    /// Drain the worklist to quiescence, waking CSR readers of each newly
+    /// Drain the worklist to quiescence, waking the reader of each newly
     /// resolved wire. All three schedulers flow through here. The probe
     /// and resilience checks are hoisted out of the hot loop: the loop
     /// body is monomorphized on both, so the plain (probe-off, fault-off)
     /// path contains no per-invocation probe or fault code at all.
-    fn drain(&mut self, work: &mut WorkState) -> Result<(), SimError> {
+    fn drain(&mut self) -> Result<(), SimError> {
         let r = match (self.probe.is_some(), self.resil.is_some()) {
-            (false, false) => self.drain_impl::<false, false>(work),
-            (true, false) => self.drain_impl::<true, false>(work),
-            (false, true) => self.drain_impl::<false, true>(work),
-            (true, true) => self.drain_impl::<true, true>(work),
+            (false, false) => self.drain_impl::<false, false>(),
+            (true, false) => self.drain_impl::<true, false>(),
+            (false, true) => self.drain_impl::<false, true>(),
+            (true, true) => self.drain_impl::<true, true>(),
         };
         if r.is_err() {
             // Leave the worklist reusable after a structured failure
             // (divergence / abort) so a later step cannot observe stale
             // queue entries.
-            work.fifo.clear();
-            work.queued.fill(false);
-            if let Some(q) = work.ranked.as_mut() {
+            self.work.wake.clear();
+            if let Some(q) = self.work.ranked.as_mut() {
                 q.reset();
             }
         }
         r
     }
 
-    fn drain_impl<const PROBED: bool, const RESIL: bool>(
-        &mut self,
-        work: &mut WorkState,
-    ) -> Result<(), SimError> {
+    fn drain_impl<const PROBED: bool, const RESIL: bool>(&mut self) -> Result<(), SimError> {
         let Simulator {
             topo,
             modules,
@@ -1409,10 +1385,10 @@ impl Simulator {
             stats,
             now,
             sched,
+            work: WorkState { wake, ranked },
             metrics,
             probe,
             interest,
-            wake_buf,
             resil,
             ..
         } = self;
@@ -1423,36 +1399,32 @@ impl Simulator {
             _ => None,
         };
         let probe = &mut probe;
-        let mut newly = std::mem::take(wake_buf);
-        let result = (|| match sched {
+        // The worklist schedulers wake from the resolve log of each react:
+        // any reader anywhere, not the plan's island-filtered targets.
+        wake.worklist();
+        match sched {
             SchedKind::Sweep => loop {
                 let mut progressed = false;
                 for i in 0..topo.instance_count() {
-                    newly.clear();
                     react_one::<PROBED, RESIL>(
-                        topo, modules, store, stats, metrics, *now, i, &mut newly, probe, resil,
+                        topo, modules, store, stats, metrics, *now, i, wake, probe, resil,
                     )?;
-                    if !newly.is_empty() {
-                        progressed = true;
-                    }
+                    progressed |= !wake.log.is_empty();
                 }
                 if !progressed {
                     return Ok(());
                 }
             },
             SchedKind::Dynamic | SchedKind::Compiled | SchedKind::CompiledParallel => {
-                while let Some(i) = work.fifo.pop_front() {
-                    work.queued[i as usize] = false;
-                    newly.clear();
+                while let Some(i) = wake.pop() {
                     react_one::<PROBED, RESIL>(
-                        topo, modules, store, stats, metrics, *now, i as usize, &mut newly, probe,
-                        resil,
+                        topo, modules, store, stats, metrics, *now, i as usize, wake, probe, resil,
                     )?;
-                    for (e, wire) in newly.drain(..) {
-                        for &t in topo.readers(wire, e) {
-                            if !work.queued[t as usize] {
-                                work.queued[t as usize] = true;
-                                work.fifo.push_back(t);
+                    for &(e, wire) in &wake.log {
+                        if let Some(t) = topo.reader(wire, e) {
+                            if !wake.queued[t as usize] {
+                                wake.queued[t as usize] = true;
+                                wake.fifo.push_back(t);
                             }
                         }
                     }
@@ -1460,24 +1432,20 @@ impl Simulator {
                 Ok(())
             }
             SchedKind::Static => {
-                let q = work.ranked.as_mut().expect("static rank queue");
+                let q = ranked.as_mut().expect("static rank queue");
                 while let Some(i) = q.pop() {
-                    newly.clear();
                     react_one::<PROBED, RESIL>(
-                        topo, modules, store, stats, metrics, *now, i as usize, &mut newly, probe,
-                        resil,
+                        topo, modules, store, stats, metrics, *now, i as usize, wake, probe, resil,
                     )?;
-                    for (e, wire) in newly.drain(..) {
-                        for &t in topo.readers(wire, e) {
+                    for &(e, wire) in &wake.log {
+                        if let Some(t) = topo.reader(wire, e) {
                             q.push(t);
                         }
                     }
                 }
                 Ok(())
             }
-        })();
-        self.wake_buf = newly;
-        result
+        }
     }
 
     /// Reaction phase for the compiled schedulers: execute the plan
@@ -1515,18 +1483,15 @@ impl Simulator {
                 return self.reaction_compiled_specialized();
             }
         }
-        let mut work = std::mem::take(&mut self.work);
         let r = match (self.probe.is_some(), self.resil.is_some()) {
-            (false, false) => self.compiled_serial::<false, false>(&mut work),
-            (true, false) => self.compiled_serial::<true, false>(&mut work),
-            (false, true) => self.compiled_serial::<false, true>(&mut work),
-            (true, true) => self.compiled_serial::<true, true>(&mut work),
+            (false, false) => self.compiled_serial::<false, false>(),
+            (true, false) => self.compiled_serial::<true, false>(),
+            (false, true) => self.compiled_serial::<false, true>(),
+            (true, true) => self.compiled_serial::<true, true>(),
         };
         if r.is_err() {
-            work.fifo.clear();
-            work.queued.fill(false);
+            self.work.wake.clear();
         }
-        self.work = work;
         r
     }
 
@@ -1534,27 +1499,22 @@ impl Simulator {
     /// (their producers all sit earlier in the plan, so their inputs are
     /// final — monotonicity plus the unique fixed point make a single
     /// invocation sufficient); islands run a local FIFO fixed point.
-    fn compiled_serial<const PROBED: bool, const RESIL: bool>(
-        &mut self,
-        work: &mut WorkState,
-    ) -> Result<(), SimError> {
-        let plan = self
-            .plan
-            .clone()
-            .expect("compiled scheduler without a plan");
+    fn compiled_serial<const PROBED: bool, const RESIL: bool>(&mut self) -> Result<(), SimError> {
         let Simulator {
             topo,
             modules,
             store,
             stats,
             now,
+            work: WorkState { wake, .. },
             metrics,
             probe,
             interest,
-            wake_buf,
             resil,
+            plan,
             ..
         } = self;
+        let plan: &CompiledPlan = plan.as_ref().expect("compiled scheduler without a plan");
         let topo: &Topology = topo;
         let interest = *interest;
         let mut probe = match probe.as_deref_mut() {
@@ -1562,7 +1522,6 @@ impl Simulator {
             _ => None,
         };
         let probe = &mut probe;
-        let mut newly = std::mem::take(wake_buf);
         if !PROBED && !RESIL {
             // Every straight node reacts exactly once per step; count the
             // whole batch up front instead of once per handler call.
@@ -1570,48 +1529,40 @@ impl Simulator {
             if plan.is_fully_acyclic() {
                 // Fully acyclic netlist: the plan is a bare instance-id
                 // sequence — no enum dispatch, no island machinery.
-                let mut r = Ok(());
                 for &i in plan.straight_ids() {
-                    r = react_straight(topo, modules, store, stats, *now, i as usize);
-                    if r.is_err() {
-                        break;
-                    }
+                    react_straight(topo, modules, store, stats, *now, i as usize)?;
                 }
-                self.wake_buf = newly;
-                return r;
+                return Ok(());
             }
         }
-        let result = (|| {
-            for node in plan.nodes() {
-                match node {
-                    &PlanNode::Straight(i) => {
-                        // Wakes are dropped: every reader of a straight
-                        // node's wires is a strictly later plan node and
-                        // runs regardless (ack wakes would only target a
-                        // declared reactive ack reader, which the compiler
-                        // put in an island with this instance instead).
-                        if !PROBED && !RESIL {
-                            react_straight(topo, modules, store, stats, *now, i as usize)?;
-                        } else {
-                            newly.clear();
-                            react_one::<PROBED, RESIL>(
-                                topo, modules, store, stats, metrics, *now, i as usize, &mut newly,
-                                probe, resil,
-                            )?;
-                        }
-                    }
-                    PlanNode::Island { island, members } => {
-                        drain_island::<PROBED, RESIL>(
-                            topo, modules, store, stats, metrics, *now, &plan, *island, members,
-                            work, &mut newly, probe, resil,
+        // A tolerant write can re-resolve a wire an invocation has read,
+        // so a resilient walk settles nothing and drops no wake.
+        let settle_epoch = (!RESIL).then(|| store.epoch());
+        wake.plan_walk(settle_epoch, PROBED && interest.resolves);
+        for node in plan.nodes() {
+            match node {
+                &PlanNode::Straight(i) => {
+                    // Nothing is woken: the wake table holds no target
+                    // for a straight node's wires — every reader is a
+                    // strictly later plan node and runs regardless (a
+                    // reactive ack reader would share an island with it).
+                    if !PROBED && !RESIL {
+                        react_straight(topo, modules, store, stats, *now, i as usize)?;
+                    } else {
+                        react_one::<PROBED, RESIL>(
+                            topo, modules, store, stats, metrics, *now, i as usize, wake, probe,
+                            resil,
                         )?;
                     }
                 }
+                PlanNode::Island { members, .. } => {
+                    drain_island::<PROBED, RESIL>(
+                        topo, modules, store, stats, metrics, *now, members, wake, probe, resil,
+                    )?;
+                }
             }
-            Ok(())
-        })();
-        self.wake_buf = newly;
-        result
+        }
+        Ok(())
     }
 
     /// Specialized serial compiled reaction: eligible instances run as
@@ -1626,13 +1577,10 @@ impl Simulator {
             .spec
             .take()
             .expect("specialized reaction without kernel state");
-        let mut work = std::mem::take(&mut self.work);
-        let r = self.compiled_serial_spec(&plan, &mut spec, &mut work);
+        let r = self.compiled_serial_spec(&plan, &mut spec);
         if r.is_err() {
-            work.fifo.clear();
-            work.queued.fill(false);
+            self.work.wake.clear();
         }
-        self.work = work;
         self.spec = Some(spec);
         r
     }
@@ -1645,7 +1593,6 @@ impl Simulator {
         &mut self,
         plan: &CompiledPlan,
         spec: &mut SpecState,
-        work: &mut WorkState,
     ) -> Result<(), SimError> {
         let Simulator {
             topo,
@@ -1653,8 +1600,8 @@ impl Simulator {
             store,
             stats,
             now,
+            work: WorkState { wake, .. },
             metrics,
-            wake_buf,
             probe,
             resil,
             ..
@@ -1676,65 +1623,47 @@ impl Simulator {
         metrics.reacts += plan.straight_count() as u64;
         debug_assert!(probe.is_none() && resil.is_none());
         let mut dyn_probe: Option<Tap<'_>> = None;
-        let mut newly = std::mem::take(wake_buf);
-        let result = (|| {
-            for node in plan.nodes() {
-                match node {
-                    &PlanNode::Straight(i) => {
-                        let i = i as usize;
-                        match kernels[i].as_ref() {
-                            Some(k) => {
-                                let mut io = kernel::Io {
-                                    lanes: lanes.as_mut_slice(),
-                                    store,
-                                    newly: None,
-                                    now: *now,
-                                    saw_unknown: false,
-                                };
-                                k.react(&mut io)?;
-                            }
-                            None => react_straight(topo, modules, store, stats, *now, i)?,
+        wake.plan_walk(Some(store.epoch()), false);
+        for node in plan.nodes() {
+            match node {
+                &PlanNode::Straight(i) => {
+                    let i = i as usize;
+                    match kernels[i].as_ref() {
+                        Some(k) => {
+                            let mut io = kernel::Io {
+                                lanes: lanes.as_mut_slice(),
+                                store,
+                                wake: None,
+                                now: *now,
+                                saw_unknown: false,
+                            };
+                            k.react(&mut io)?;
                         }
+                        None => react_straight(topo, modules, store, stats, *now, i)?,
                     }
-                    PlanNode::Island { island, members } => {
-                        if splan.spec_islands[*island as usize] {
-                            drain_island_spec(
-                                topo,
-                                kernels,
-                                lanes.as_mut_slice(),
-                                store,
-                                metrics,
-                                *now,
-                                plan,
-                                *island,
-                                members,
-                                work,
-                                &mut newly,
-                            )?;
-                        } else {
-                            drain_island::<false, false>(
-                                topo,
-                                modules,
-                                store,
-                                stats,
-                                metrics,
-                                *now,
-                                plan,
-                                *island,
-                                members,
-                                work,
-                                &mut newly,
-                                &mut dyn_probe,
-                                resil,
-                            )?;
-                        }
+                }
+                PlanNode::Island { island, members } => {
+                    if splan.spec_islands[*island as usize] {
+                        let lanes = lanes.as_mut_slice();
+                        drain_island_spec(kernels, lanes, store, metrics, *now, members, wake)?;
+                    } else {
+                        drain_island::<false, false>(
+                            topo,
+                            modules,
+                            store,
+                            stats,
+                            metrics,
+                            *now,
+                            members,
+                            wake,
+                            &mut dyn_probe,
+                            resil,
+                        )?;
                     }
                 }
             }
-            Ok(())
-        })();
-        self.wake_buf = newly;
-        result
+        }
+        Ok(())
     }
 
     /// Parallel compiled reaction: independent same-level plan segments
@@ -1756,13 +1685,10 @@ impl Simulator {
             self.par_bufs.resize_with(threads, ReactBuffer::default);
         }
         let mut bufs = std::mem::take(&mut self.par_bufs);
-        let mut work = std::mem::take(&mut self.work);
-        let r = self.par_levels(&plan, &mut pool, &mut work, &mut bufs[..threads]);
+        let r = self.par_levels(&plan, &mut pool, &mut bufs[..threads]);
         if r.is_err() {
-            work.fifo.clear();
-            work.queued.fill(false);
+            self.work.wake.clear();
         }
-        self.work = work;
         self.par_bufs = bufs;
         self.pool = Some(pool);
         r
@@ -1776,7 +1702,6 @@ impl Simulator {
         &mut self,
         plan: &CompiledPlan,
         pool: &mut WorkerPool,
-        work: &mut WorkState,
         bufs: &mut [ReactBuffer],
     ) -> Result<(), SimError> {
         let threads = bufs.len().min(pool.capacity());
@@ -1786,68 +1711,61 @@ impl Simulator {
             store,
             stats,
             now,
+            work: WorkState { wake, .. },
             metrics,
-            wake_buf,
             ..
         } = self;
         let topo: &Topology = topo;
         let mut no_probe: Option<Tap<'_>> = None;
         let mut no_resil: Option<Box<ResilState>> = None;
-        let mut newly = std::mem::take(wake_buf);
-        let result = (|| {
-            for level in plan.levels() {
-                let snodes = &plan.nodes()[level.start as usize..level.straight_end as usize];
-                let n_chunks = (snodes.len() / MIN_STRAIGHTS_PER_CHUNK).clamp(1, threads);
-                if n_chunks >= 2 {
-                    run_level_parallel(
+        wake.plan_walk(Some(store.epoch()), false);
+        for level in plan.levels() {
+            let snodes = &plan.nodes()[level.start as usize..level.straight_end as usize];
+            let n_chunks = (snodes.len() / MIN_STRAIGHTS_PER_CHUNK).clamp(1, threads);
+            if n_chunks >= 2 {
+                run_level_parallel(
+                    topo,
+                    modules,
+                    store,
+                    stats,
+                    metrics,
+                    *now,
+                    snodes,
+                    &mut bufs[..n_chunks],
+                    pool,
+                )?;
+            } else {
+                metrics.reacts += snodes.len() as u64;
+                for node in snodes {
+                    react_straight(
                         topo,
                         modules,
                         store,
                         stats,
-                        metrics,
                         *now,
-                        snodes,
-                        &mut bufs[..n_chunks],
-                        pool,
-                    )?;
-                } else {
-                    metrics.reacts += snodes.len() as u64;
-                    for node in snodes {
-                        react_straight(
-                            topo,
-                            modules,
-                            store,
-                            stats,
-                            *now,
-                            straight_id(node) as usize,
-                        )?;
-                    }
-                }
-                for node in &plan.nodes()[level.straight_end as usize..level.end as usize] {
-                    let PlanNode::Island { island, members } = node else {
-                        unreachable!("island segment holds only islands");
-                    };
-                    drain_island::<false, false>(
-                        topo,
-                        modules,
-                        store,
-                        stats,
-                        metrics,
-                        *now,
-                        plan,
-                        *island,
-                        members,
-                        work,
-                        &mut newly,
-                        &mut no_probe,
-                        &mut no_resil,
+                        straight_id(node) as usize,
                     )?;
                 }
             }
-            Ok(())
-        })();
-        self.wake_buf = newly;
-        result
+            for node in &plan.nodes()[level.straight_end as usize..level.end as usize] {
+                let PlanNode::Island { members, .. } = node else {
+                    unreachable!("island segment holds only islands");
+                };
+                drain_island::<false, false>(
+                    topo,
+                    modules,
+                    store,
+                    stats,
+                    metrics,
+                    *now,
+                    members,
+                    wake,
+                    &mut no_probe,
+                    &mut no_resil,
+                )?;
+            }
+        }
+        Ok(())
     }
 
     /// Lazy default resolution: default the lowest-numbered unresolved
@@ -1877,32 +1795,21 @@ impl Simulator {
                 return Ok(());
             }
             let e = EdgeId(cursor as u32);
-            let wire = if !self.store.data(e).is_resolved() {
-                self.store.write_with(e, |s| s.write_data(Res::No))?;
-                Wire::Data
+            let write = if !self.store.data(e).is_resolved() {
+                WireWrite::Data(Res::No)
             } else if !self.store.enable(e).is_resolved() {
-                let en = if self.store.data(e).is_yes() {
-                    Res::Yes(())
-                } else {
-                    Res::No
-                };
-                self.store.write_with(e, |s| s.write_enable(en))?;
-                Wire::Enable
+                WireWrite::Enable(flag(self.store.data(e).is_yes()))
             } else {
-                self.store.write_with(e, |s| s.write_ack(Res::Yes(())))?;
-                Wire::Ack
+                WireWrite::Ack(Res::Yes(()))
             };
+            let wire = write.wire();
+            self.store.write(e, write)?;
             self.metrics.defaults += 1;
             if let Some(p) = self.probe.as_deref_mut().filter(|_| self.interest.resolves) {
                 emit_resolved(p, &self.store, self.now, e, wire, ResolvedBy::Default);
             }
-            // Reader lists here have length ≤ 1 (data/enable wake the one
-            // receiver; ack wakes at most the one declared sender), so
-            // re-borrowing per index costs nothing and avoids a Vec.
-            let n_readers = self.topo.readers(wire, e).len();
-            for idx in 0..n_readers {
-                let seed = self.topo.readers(wire, e)[idx];
-                self.resume(&[seed])?;
+            if let Some(reader) = self.topo.reader(wire, e) {
+                self.resume(reader)?;
             }
         }
     }
@@ -2240,10 +2147,12 @@ fn straight_id(n: &PlanNode) -> u32 {
 }
 
 /// Run one cyclic SCC ("island") to its local fixed point with a FIFO
-/// worklist. Wakes are filtered to island members: a reader outside the
-/// island sits strictly later in the plan and runs regardless. The
-/// watchdog / oscillation diagnostics flow through `react_one` unchanged,
-/// so a cyclically inconsistent island fails with the same structured
+/// worklist. Wakes come from the plan's wake table, pushed by the write
+/// that resolved the wire ([`WakeSink::resolved`]); the table is already
+/// filtered to island members, since a reader outside the island sits
+/// strictly later in the plan and runs regardless. The watchdog /
+/// oscillation diagnostics flow through `react_one` unchanged, so a
+/// cyclically inconsistent island fails with the same structured
 /// [`SimError::Divergence`] the dynamic schedulers produce.
 ///
 /// **Settling.** `react` is a function of module state (which only
@@ -2251,11 +2160,13 @@ fn straight_id(n: &PlanNode) -> u32 {
 /// monotonically. An invocation that read no `Unknown` wire has therefore
 /// seen its final inputs: invoked again this step it would repeat the
 /// same writes, all idempotent, and wake nobody. Such an instance is
-/// *settled* — stamped with the store epoch — and a later wake is dropped
-/// when it is popped instead of being run. Enqueueing is untouched, so
-/// queue order, wake order and every resolved wire are exactly those of
-/// the unelided drain. A statistic recorded in `react` makes the
-/// re-invocation observable, so it pins the instance (never settled).
+/// *settled* — stamped with the store epoch — and is never run again this
+/// step: a wake that targets it is dropped at the push, and an entry
+/// queued before it settled (a self-loop's) is dropped when it is
+/// popped. The order of everything that does run, every wake and every
+/// resolved wire are exactly those of the unelided drain. A statistic
+/// recorded in `react` makes the re-invocation observable, so it pins the
+/// instance (never settled).
 /// The stamp is scratch: it is compared against an epoch that only ever
 /// grows, so nothing needs clearing at step begin, on an error, or across
 /// a restore, and nothing is serialized.
@@ -2267,38 +2178,39 @@ fn drain_island<const PROBED: bool, const RESIL: bool>(
     stats: &mut Stats,
     metrics: &mut EngineMetrics,
     now: u64,
-    plan: &CompiledPlan,
-    island: u32,
     members: &[u32],
-    work: &mut WorkState,
-    newly: &mut Vec<(EdgeId, Wire)>,
+    wake: &mut WakeSink,
     probe: &mut Option<Tap<'_>>,
     resil: &mut Option<Box<ResilState>>,
 ) -> Result<(), SimError> {
-    debug_assert!(work.fifo.is_empty());
+    let epoch = (!RESIL).then(|| store.epoch());
+    drain_members(members, wake, epoch, |i, wake| {
+        react_one::<PROBED, RESIL>(
+            topo, modules, store, stats, metrics, now, i, wake, probe, resil,
+        )
+    })
+}
+
+/// The island iteration itself, shared by the dynamic and the specialized
+/// driver: seed the members, pop, skip the settled, `invoke`, and stamp
+/// with `epoch` whoever it reports settled (`None`: settle nobody).
+fn drain_members(
+    members: &[u32],
+    wake: &mut WakeSink,
+    epoch: Option<u64>,
+    mut invoke: impl FnMut(usize, &mut WakeSink) -> Result<bool, SimError>,
+) -> Result<(), SimError> {
+    debug_assert!(wake.fifo.is_empty());
     for &m in members {
-        work.queued[m as usize] = true;
-        work.fifo.push_back(m);
+        wake.push(m);
     }
-    let epoch = store.epoch();
-    while let Some(i) = work.fifo.pop_front() {
-        work.queued[i as usize] = false;
-        if work.settled[i as usize] == epoch {
+    while let Some(i) = wake.pop() {
+        let i = i as usize;
+        if epoch == Some(wake.settled[i]) {
             continue;
         }
-        newly.clear();
-        if react_one::<PROBED, RESIL>(
-            topo, modules, store, stats, metrics, now, i as usize, newly, probe, resil,
-        )? {
-            work.settled[i as usize] = epoch;
-        }
-        for (e, wire) in newly.drain(..) {
-            for &t in topo.readers(wire, e) {
-                if plan.island_of(t) == island && !work.queued[t as usize] {
-                    work.queued[t as usize] = true;
-                    work.fifo.push_back(t);
-                }
-            }
+        if invoke(i, wake)? {
+            wake.settled[i] = epoch.expect("only an unresilient invocation settles");
         }
     }
     Ok(())
@@ -2306,62 +2218,37 @@ fn drain_island<const PROBED: bool, const RESIL: bool>(
 
 /// Run one fully specialized island to its local fixed point. All members
 /// are kernels (the classifier's all-or-none rule) and every member edge
-/// is a fast lane, so wake tracking rides on the lane writes: `Io::put`
-/// records newly resolved wires and the CSR wake tables re-queue island
-/// readers, exactly like the dynamic island driver. Specialized islands
-/// are data-acyclic by construction (only ack feedback), so the fixed
-/// point terminates without watchdog support.
-#[allow(clippy::too_many_arguments)]
+/// is a fast lane, so wakes ride on the lane writes: `Io::put` reports
+/// newly resolved wires to the same [`WakeSink`], which re-queues island
+/// readers exactly like the dynamic island driver — same rule, same
+/// invocations. Specialized islands are data-acyclic by construction
+/// (only ack feedback), so the fixed point terminates without watchdog
+/// support.
 fn drain_island_spec(
-    topo: &Topology,
     kernels: &mut [Option<Kernel>],
     lanes: &mut [Lane],
     store: &mut SignalStore,
     metrics: &mut EngineMetrics,
     now: u64,
-    plan: &CompiledPlan,
-    island: u32,
     members: &[u32],
-    work: &mut WorkState,
-    newly: &mut Vec<(EdgeId, Wire)>,
+    wake: &mut WakeSink,
 ) -> Result<(), SimError> {
-    debug_assert!(work.fifo.is_empty());
-    for &m in members {
-        work.queued[m as usize] = true;
-        work.fifo.push_back(m);
-    }
-    let epoch = store.epoch();
-    while let Some(i) = work.fifo.pop_front() {
-        work.queued[i as usize] = false;
-        if work.settled[i as usize] == epoch {
-            continue; // see `drain_island`: same rule, same invocations
-        }
-        newly.clear();
+    let epoch = Some(store.epoch());
+    drain_members(members, wake, epoch, |i, wake| {
         metrics.reacts += 1;
-        let k = kernels[i as usize]
+        let k = kernels[i]
             .as_ref()
             .expect("specialized island member without a kernel");
         let mut io = kernel::Io {
             lanes: &mut *lanes,
             store: &mut *store,
-            newly: Some(&mut *newly),
+            wake: Some(wake),
             now,
             saw_unknown: false,
         };
         k.react(&mut io)?;
-        if !io.saw_unknown {
-            work.settled[i as usize] = epoch;
-        }
-        for (e, wire) in newly.drain(..) {
-            for &t in topo.readers(wire, e) {
-                if plan.island_of(t) == island && !work.queued[t as usize] {
-                    work.queued[t as usize] = true;
-                    work.fifo.push_back(t);
-                }
-            }
-        }
-    }
-    Ok(())
+        Ok(!io.saw_unknown)
+    })
 }
 
 /// Execute one level's straight segment across the pool. The plan's
@@ -2543,6 +2430,8 @@ fn react_straight(
 /// running it again could only repeat its writes (see [`drain_island`],
 /// the one caller that acts on it). Never under `RESIL`: a tolerant write
 /// can re-resolve a wire the invocation has already read.
+/// `wake` takes the invocation's newly resolved wires; its resolve log
+/// restarts here and, when kept, holds exactly them on return.
 #[allow(clippy::too_many_arguments)]
 fn react_one<const PROBED: bool, const RESIL: bool>(
     topo: &Topology,
@@ -2552,13 +2441,14 @@ fn react_one<const PROBED: bool, const RESIL: bool>(
     metrics: &mut EngineMetrics,
     now: u64,
     i: usize,
-    newly: &mut Vec<(EdgeId, Wire)>,
+    wake: &mut WakeSink,
     probe: &mut Option<Tap<'_>>,
     resil: &mut Option<Box<ResilState>>,
 ) -> Result<bool, SimError> {
     let inst = InstanceId(i as u32);
     let mut forced_panic = false;
     let mut settled = false;
+    wake.log.clear();
     if RESIL {
         let rs = resil.as_deref_mut().expect("resilient react state");
         if rs.quarantined[i] {
@@ -2597,7 +2487,7 @@ fn react_one<const PROBED: bool, const RESIL: bool>(
             let sink = CtxSink::Direct {
                 store: &mut *store,
                 stats: &mut *stats,
-                newly: &mut *newly,
+                wake: &mut *wake,
             };
             let mut ctx = ReactCtx::new(topo, inst, sink, now);
             ctx.faults = (!active.signals.is_empty()).then_some((&*active, seed));
@@ -2610,7 +2500,7 @@ fn react_one<const PROBED: bool, const RESIL: bool>(
             let sink = CtxSink::Direct {
                 store: &mut *store,
                 stats: &mut *stats,
-                newly: &mut *newly,
+                wake: &mut *wake,
             };
             let mut ctx = ReactCtx::new(topo, inst, sink, now);
             let r = modules[i].react(&mut ctx);
@@ -2620,7 +2510,7 @@ fn react_one<const PROBED: bool, const RESIL: bool>(
         if PROBED {
             if let Some(t) = probe.as_mut() {
                 if t.interest.resolves {
-                    for &(e, wire) in newly.iter() {
+                    for &(e, wire) in &wake.log {
                         emit_resolved(t.probe, store, now, e, wire, ResolvedBy::Module(inst));
                     }
                 }
@@ -2693,11 +2583,13 @@ fn emit_resolved(
 /// paths) or in a per-partition buffer merged at a level barrier
 /// (parallel bursts, where the store is shared read-only).
 enum CtxSink<'a> {
-    /// Immediate writes with wake bookkeeping.
+    /// Immediate writes, each newly resolved wire reported to the
+    /// worklist's [`WakeSink`] (which queues the plan's wake target,
+    /// keeps the resolve log, or both).
     Direct {
         store: &'a mut SignalStore,
         stats: &'a mut Stats,
-        newly: &'a mut Vec<(EdgeId, Wire)>,
+        wake: &'a mut WakeSink,
     },
     /// Immediate writes with *no* wake bookkeeping: the compiled
     /// scheduler's straight-line nodes (probe off, faults off) never
@@ -2903,22 +2795,22 @@ impl<'a> ReactCtx<'a> {
                 buf.ops.push(BufOp::Write(self.inst.0, e, w));
                 Ok(())
             }
-            CtxSink::Direct { store, newly, .. } => {
+            CtxSink::Direct { store, wake, .. } => {
                 let result = if tolerant {
                     store.write_tolerant(e, w)
                 } else {
                     store.write(e, w)
                 };
                 result.map(|outcome| match outcome {
-                    WriteOutcome::NewlyResolved => newly.push((e, wire)),
+                    WriteOutcome::NewlyResolved => wake.resolved(e, wire),
                     WriteOutcome::Oscillated => {
                         if let Some(osc) = self.osc.as_deref_mut() {
-                            *osc.entry((e.0, wire_idx(wire))).or_insert(0) += 1;
+                            *osc.entry((e.0, wire.idx() as u8)).or_insert(0) += 1;
                         }
                         // Re-woken like a fresh resolution: the re-resolved
                         // value must propagate to readers (and the watchdog
                         // bounds the resulting iteration).
-                        newly.push((e, wire));
+                        wake.resolved(e, wire);
                     }
                     WriteOutcome::Idempotent => {}
                 })
@@ -2929,7 +2821,7 @@ impl<'a> ReactCtx<'a> {
 
     /// One handler-level drive of `N` wires of edge `e`: through the
     /// store's scalar entry point (`scalar`, which reports one outcome
-    /// per wire of `wires` for the wake list) when nothing has to see the
+    /// per wire of `wires` for the wake sink) when nothing has to see the
     /// drive as a value, otherwise as the [`WireWrite`]s `by_value` spells
     /// it out into — fault table, tolerant mode, burst buffer. `payload`
     /// is whatever the drive carries (a `Value`, a polarity, nothing); it
@@ -2949,9 +2841,9 @@ impl<'a> ReactCtx<'a> {
                 .try_for_each(|w| self.write(e, w));
         }
         let inst = self.inst.0;
-        let (store, newly) = match &mut self.sink {
+        let (store, wake) = match &mut self.sink {
             CtxSink::Fast { store, .. } => (store, None),
-            CtxSink::Direct { store, newly, .. } => (store, Some(newly)),
+            CtxSink::Direct { store, wake, .. } => (store, Some(wake)),
             CtxSink::Buffered { buf, .. } => {
                 // As in `write`: recorded now, applied at the barrier.
                 buf.ops
@@ -2961,10 +2853,10 @@ impl<'a> ReactCtx<'a> {
         };
         match scalar(store, e, payload) {
             Ok(outcomes) => {
-                if let Some(newly) = newly {
+                if let Some(wake) = wake {
                     for (wire, o) in wires.into_iter().zip(outcomes) {
                         if o == WriteOutcome::NewlyResolved {
-                            newly.push((e, wire));
+                            wake.resolved(e, wire);
                         }
                     }
                 }
@@ -2987,7 +2879,7 @@ impl<'a> ReactCtx<'a> {
             e,
             v,
             [Wire::Data, Wire::Enable],
-            |store, e, v| store.send(e, Res::Yes(v)),
+            |store, e, v| store.send(e, v),
             |v| {
                 [
                     WireWrite::Data(Res::Yes(v)),
@@ -3010,7 +2902,7 @@ impl<'a> ReactCtx<'a> {
             e,
             (),
             [Wire::Data, Wire::Enable],
-            |store, e, ()| store.send(e, Res::No),
+            |store, e, ()| store.send_nothing(e),
             |()| [WireWrite::Data(Res::No), WireWrite::Enable(Res::No)],
         )
     }
@@ -3428,7 +3320,7 @@ mod tests {
         sim1.run(3).unwrap();
         assert_eq!(sim1.stats().counter(k, "received"), 3);
         // A second simulator over the same Arc<Topology> reuses the cached
-        // ranks and wake tables.
+        // ranks and reader table.
         let modules2: Vec<Box<dyn Module>> = vec![Box::new(Src), Box::new(GatedSink)];
         let mut sim2 = Simulator::from_parts(topo.clone(), modules2, SchedKind::Static);
         sim2.run(5).unwrap();
@@ -3775,6 +3667,67 @@ mod tests {
     }
 
     #[test]
+    fn restore_leaves_no_fresh_slot() {
+        // A slot is fresh when its state word carries the store's epoch.
+        // Restores stacked on one another must each move the epoch on, so
+        // whatever the interrupted step wrote reads as `Unknown`.
+        let (mut sim, ..) = ring(SchedKind::Compiled, DRIVER, FORWARDER);
+        let start = sim.snapshot().unwrap();
+        sim.run(1).unwrap();
+        for _ in 0..3 {
+            sim.restore(&start).unwrap();
+            for e in (0..sim.edge_count() as u32).map(EdgeId) {
+                assert_eq!(sim.store.data(e), Res::Unknown);
+                assert_eq!(sim.store.enable(e), Res::Unknown);
+                assert_eq!(sim.store.ack(e), Res::Unknown);
+                assert!(sim.store.transferred(e).is_none());
+            }
+        }
+        sim.run(1).unwrap();
+        assert_eq!(sim.transfer_counts(), &[1, 1]);
+    }
+
+    #[test]
+    fn write_that_targets_a_settled_reader_queues_nobody() {
+        // One island step by hand. The driver reads nothing, so its first
+        // run settles it; the forwarder's send — whose wake target is the
+        // driver — must then leave the FIFO empty rather than queue an
+        // entry for the pop to discard.
+        let (mut sim, ..) = ring(SchedKind::Compiled, DRIVER, FORWARDER);
+        sim.store.begin_step();
+        let epoch = sim.store.epoch();
+        let Simulator {
+            topo,
+            modules,
+            store,
+            stats,
+            metrics,
+            work: WorkState { wake, .. },
+            resil,
+            ..
+        } = &mut sim;
+        wake.plan_walk(Some(epoch), false);
+        let mut react = |i: usize, wake: &mut WakeSink| {
+            react_one::<false, false>(
+                topo, modules, store, stats, metrics, 0, i, wake, &mut None, resil,
+            )
+            .unwrap()
+        };
+        assert!(react(0, wake), "the driver read no wire: settled");
+        assert_eq!(wake.pop(), Some(1), "its send queued the forwarder");
+        wake.settled[0] = epoch;
+        assert!(react(1, wake), "the forwarder read a resolved input");
+        assert!(
+            wake.fifo.is_empty(),
+            "a settled target is dropped at the push"
+        );
+        // Unsettled, the same write queues it.
+        wake.settled[0] = 0;
+        wake.resolved(EdgeId(1), Wire::Data);
+        assert_eq!(wake.pop(), Some(0));
+    }
+
+    #[test]
     fn worklist_allocation_reaches_steady_state() {
         // Satellite guarantee: after warm-up, steps allocate nothing in
         // the worklists — capacities stop moving no matter how long the
@@ -3783,15 +3736,15 @@ mod tests {
             let mut sim = wide_pairs(sched, 8);
             sim.run(4).unwrap();
             let cap = (
-                sim.work.fifo.capacity(),
+                sim.work.wake.fifo.capacity(),
                 sim.work.ranked.as_ref().map(|q| q.allocated_capacity()),
-                sim.wake_buf.capacity(),
+                sim.work.wake.log.capacity(),
             );
             sim.run(64).unwrap();
             let after = (
-                sim.work.fifo.capacity(),
+                sim.work.wake.fifo.capacity(),
                 sim.work.ranked.as_ref().map(|q| q.allocated_capacity()),
-                sim.wake_buf.capacity(),
+                sim.work.wake.log.capacity(),
             );
             assert_eq!(cap, after, "{sched:?}");
         }

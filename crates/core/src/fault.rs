@@ -274,7 +274,7 @@ impl FaultPlan {
         let mut instances = self.instances.clone();
         instances.sort_by_key(|f| f.inst.0);
         let mut signals = self.signals.clone();
-        signals.sort_by_key(|f| (f.edge.0, wire_idx(f.wire)));
+        signals.sort_by_key(|f| (f.edge.0, f.wire.idx() as u8));
         CompiledFaults {
             seed: self.seed,
             signals,
@@ -294,14 +294,6 @@ fn instances_with_panics(faults: &[InstanceFault], n: usize) -> Vec<bool> {
         }
     }
     v
-}
-
-pub(crate) fn wire_idx(w: Wire) -> u8 {
-    match w {
-        Wire::Data => 0,
-        Wire::Enable => 1,
-        Wire::Ack => 2,
-    }
 }
 
 /// The plan in kernel form: entries pre-sorted so per-step activation
@@ -347,9 +339,9 @@ impl CompiledFaults {
             if f.from <= now && now < f.until {
                 // Later entries on the same (edge, wire) are shadowed by
                 // the first: one active fault per wire.
-                let key = (f.edge.0, wire_idx(f.wire));
+                let key = (f.edge.0, f.wire.idx() as u8);
                 if out.signals.last().map(|s| (s.0, s.1)) != Some(key) {
-                    out.signals.push((f.edge.0, wire_idx(f.wire), f.kind));
+                    out.signals.push((f.edge.0, f.wire.idx() as u8, f.kind));
                 }
             }
         }
@@ -390,7 +382,7 @@ impl ActiveFaults {
 
     /// The active fault on `(edge, wire)`, if any.
     pub(crate) fn signal(&self, edge: u32, wire: Wire) -> Option<FaultKind> {
-        let key = (edge, wire_idx(wire));
+        let key = (edge, wire.idx() as u8);
         self.signals
             .binary_search_by_key(&key, |s| (s.0, s.1))
             .ok()

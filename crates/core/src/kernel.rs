@@ -41,6 +41,7 @@ use crate::compile::{CompiledPlan, PlanNode};
 use crate::error::SimError;
 use crate::module::{Dir, Module, PortId};
 use crate::netlist::{EdgeId, InstanceId};
+use crate::sched::WakeSink;
 use crate::signal::{flag, Res, Wire, WireWrite};
 use crate::snapshot::{StateReader, StateWriter};
 use crate::stats::{Stats, STAT_SLOT_UNRESOLVED};
@@ -263,7 +264,7 @@ const YES_S: u8 = 2;
 /// exact.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Lane {
-    /// The edge this lane shadows (for wake tables and transfer emission).
+    /// The edge this lane shadows (for the wake table and transfer emission).
     pub(crate) edge: EdgeId,
     /// Data wire state.
     pub(crate) data: u8,
@@ -342,9 +343,10 @@ pub(crate) enum OutLane {
 pub(crate) struct Io<'a> {
     pub(crate) lanes: &'a mut [Lane],
     pub(crate) store: &'a mut SignalStore,
-    /// Island driver only: newly resolved wires, for the wake tables.
-    /// `None` on the straight-line path, where nothing is re-woken.
-    pub(crate) newly: Option<&'a mut Vec<(EdgeId, Wire)>>,
+    /// Island driver only: where newly resolved wires are reported (the
+    /// plan's wake target is queued at once). `None` on the straight-line
+    /// path, where nothing is re-woken.
+    pub(crate) wake: Option<&'a mut WakeSink>,
     pub(crate) now: u64,
     /// Set when a wire read returned unresolved: the island driver's
     /// settle rule (`exec::drain_island`), the lane-side twin of
@@ -402,8 +404,8 @@ impl Io<'_> {
                 lane.val = v;
             }
             let edge = lane.edge;
-            if let Some(n) = self.newly.as_deref_mut() {
-                n.push((edge, wire));
+            if let Some(w) = self.wake.as_deref_mut() {
+                w.resolved(edge, wire);
             }
             Ok(())
         } else if *slot == state && v.is_none_or(|v| v == lane.val) {
@@ -422,19 +424,18 @@ impl Io<'_> {
     /// an all-fast netlist). Slow-edge readers are dynamic and never
     /// island-mates of a kernel, so these writes need no wake tracking.
     #[inline(never)]
-    fn slow_send(&mut self, e: EdgeId, data: Res<Value>) -> Result<(), SimError> {
-        self.store
-            .send(e, data)
-            .map(|_| ())
-            .map_err(|err| SimError::contract(format!("specialized kernel: {err}")))
+    fn slow_send(&mut self, e: EdgeId, v: Value) -> Result<(), SimError> {
+        slow_edge(self.store.send(e, v))
+    }
+
+    #[inline(never)]
+    fn slow_send_nothing(&mut self, e: EdgeId) -> Result<(), SimError> {
+        slow_edge(self.store.send_nothing(e))
     }
 
     #[inline(never)]
     fn slow_one(&mut self, e: EdgeId, w: WireWrite) -> Result<(), SimError> {
-        self.store
-            .write(e, w)
-            .map(|_| ())
-            .map_err(|err| SimError::contract(format!("specialized kernel: {err}")))
+        slow_edge(self.store.write(e, w))
     }
 
     #[inline]
@@ -444,7 +445,7 @@ impl Io<'_> {
                 self.put(l, Wire::Data, YES_S, Some(v))?;
                 self.put(l, Wire::Enable, YES_S, None)
             }
-            OutLane::Slow(e) => self.slow_send(e, Res::Yes(v.to_value())),
+            OutLane::Slow(e) => self.slow_send(e, v.to_value()),
             OutLane::Unconnected => Ok(()),
         }
     }
@@ -456,7 +457,7 @@ impl Io<'_> {
                 self.put(l, Wire::Data, NO_S, None)?;
                 self.put(l, Wire::Enable, NO_S, None)
             }
-            OutLane::Slow(e) => self.slow_send(e, Res::No),
+            OutLane::Slow(e) => self.slow_send_nothing(e),
             OutLane::Unconnected => Ok(()),
         }
     }
@@ -487,6 +488,13 @@ impl Io<'_> {
             InLane::Unconnected => Ok(()),
         }
     }
+}
+
+/// The verdict of a slow-edge store write, attributed to the kernel path.
+fn slow_edge<T>(written: Result<T, SimError>) -> Result<(), SimError> {
+    written
+        .map(|_| ())
+        .map_err(|err| SimError::contract(format!("specialized kernel: {err}")))
 }
 
 /// `transferred_out` over a kernel output slot.
@@ -872,7 +880,7 @@ pub(crate) struct SeqK {
 
 impl SeqK {
     fn react(&self, io: &mut Io<'_>) -> Result<(), SimError> {
-        let due = self.remaining > 0 && io.now % self.period == 0;
+        let due = self.remaining > 0 && io.now.is_multiple_of(self.period);
         if due {
             io.send(self.out, KVal::Word(self.next_val))
         } else {
@@ -1576,10 +1584,10 @@ pub(crate) fn classify(
     // Lanes: an edge is fast iff both endpoints are eligible.
     let mut lane_of = vec![NO_LANE; n_edges];
     let mut lane_edges = Vec::new();
-    for e in 0..n_edges {
+    for (e, lane) in lane_of.iter_mut().enumerate() {
         let em = topo.edge_meta(EdgeId(e as u32));
         if eligible[em.src.inst.0 as usize] && eligible[em.dst.inst.0 as usize] {
-            lane_of[e] = lane_edges.len() as u32;
+            *lane = lane_edges.len() as u32;
             lane_edges.push(EdgeId(e as u32));
         }
     }
@@ -1650,17 +1658,17 @@ impl SpecState {
         let n = topo.instance_count();
         self.kernels.clear();
         self.kernels.resize_with(n, || None);
-        for i in 0..n {
+        for (i, module) in modules.iter().enumerate() {
             if !self.plan.eligible[i] {
                 continue;
             }
-            let hint = modules[i].specialize().ok_or_else(|| {
+            let hint = module.specialize().ok_or_else(|| {
                 SimError::internal(format!(
                     "{}: eligible instance stopped offering a kernel hint",
                     topo.name(InstanceId(i as u32))
                 ))
             })?;
-            let blob = modules[i].state_save()?;
+            let blob = module.state_save()?;
             self.kernels[i] = Some(Kernel::materialize(hint, &blob, topo, i, &self.plan)?);
         }
         for l in &mut self.lanes {
@@ -1784,6 +1792,7 @@ impl fmt::Display for PlanSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile::NO_WAKE;
 
     #[test]
     fn kval_roundtrips_through_value() {
@@ -1842,7 +1851,7 @@ mod tests {
         let mut io = Io {
             lanes: &mut lanes,
             store: &mut store,
-            newly: None,
+            wake: None,
             now: 0,
             saw_unknown: false,
         };
@@ -1855,14 +1864,17 @@ mod tests {
     }
 
     #[test]
-    fn island_wake_records_newly_resolved_wires() {
-        let mut lanes = vec![Lane::new(EdgeId(5))];
+    fn island_wake_reports_newly_resolved_wires() {
+        let mut lanes = vec![Lane::new(EdgeId(1))];
         let mut store = SignalStore::new(0);
-        let mut newly = Vec::new();
+        // Edge 1: data and enable wake instance 0, ack wakes instance 1.
+        let targets = [NO_WAKE, NO_WAKE, NO_WAKE, 0, 0, 1];
+        let mut wake = WakeSink::new(2, Arc::new(targets), true);
+        wake.plan_walk(Some(1), true);
         let mut io = Io {
             lanes: &mut lanes,
             store: &mut store,
-            newly: Some(&mut newly),
+            wake: Some(&mut wake),
             now: 0,
             saw_unknown: false,
         };
@@ -1876,14 +1888,17 @@ mod tests {
         assert_eq!(io.in_data(InLane::Fast(0)), YES_S);
         assert_eq!(io.out_ack(OutLane::Fast(0)), NO_S);
         assert!(!io.saw_unknown);
+        // An idempotent re-drive resolves nothing and wakes nobody.
+        io.set_ack(InLane::Fast(0), false).unwrap();
         assert_eq!(
-            newly,
-            vec![
-                (EdgeId(5), Wire::Data),
-                (EdgeId(5), Wire::Enable),
-                (EdgeId(5), Wire::Ack)
+            wake.log,
+            [
+                (EdgeId(1), Wire::Data),
+                (EdgeId(1), Wire::Enable),
+                (EdgeId(1), Wire::Ack)
             ]
         );
+        assert_eq!(wake.fifo, [0, 1], "targets queued at the write, once");
     }
 
     #[test]
@@ -1893,7 +1908,7 @@ mod tests {
         let mut io = Io {
             lanes: &mut lanes,
             store: &mut store,
-            newly: None,
+            wake: None,
             now: 0,
             saw_unknown: false,
         };
@@ -1901,7 +1916,7 @@ mod tests {
         assert_eq!(io.out_ack(OutLane::Unconnected), YES_S);
         io.send(OutLane::Unconnected, KVal::Word(1)).unwrap();
         io.set_ack(InLane::Unconnected, true).unwrap();
-        assert!(out_transferred(&io.lanes, io.store, OutLane::Unconnected));
+        assert!(out_transferred(io.lanes, io.store, OutLane::Unconnected));
         assert_eq!(in_transferred(io.lanes, InLane::Unconnected), None);
     }
 }

@@ -16,9 +16,10 @@
 //!   and port/template specifications;
 //! * [`netlist`] — validated flat netlists built by hand or by the LSS
 //!   elaborator (`liberty-lss`);
-//! * the layered kernel — [`topology`] (immutable structure: CSR wake
-//!   tables, flattened port slabs, cached static ranks), [`store`] (the
-//!   epoch-stamped per-timestep signal arena with O(1) reset), and
+//! * the layered kernel — [`topology`] (immutable structure: the reader
+//!   table, flattened port slabs, cached static ranks), [`store`] (the
+//!   epoch-stamped per-timestep signal arena of packed slots, O(1)
+//!   reset), and
 //!   [`exec`] (the five schedulers, default control semantics for
 //!   partial specifications, and the activity-gated commit phase);
 //! * [`sched`] — the static netlist analysis that accelerates the reaction

@@ -89,7 +89,7 @@ impl Netlist {
     }
 
     /// Split into the layered-kernel constructor inputs: the immutable
-    /// [`Topology`] (CSR wake tables, flattened port slabs) and the module
+    /// [`Topology`] (reader table, flattened port slabs) and the module
     /// behaviours. Wrap the topology in an `Arc` and hand both to
     /// [`crate::exec::Simulator::from_parts`].
     pub fn into_parts(self) -> (Topology, Vec<Box<dyn Module>>) {

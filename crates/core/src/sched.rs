@@ -13,9 +13,12 @@
 //! invoking it wherever the graph allows, cutting handler re-invocations —
 //! the speedup measured in experiment E10.
 
-use crate::netlist::InstanceId;
+use crate::compile::NO_WAKE;
+use crate::netlist::{EdgeId, InstanceId};
+use crate::signal::Wire;
 use crate::topology::Topology;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// The instance-level dependency graph the static analyses share.
 ///
@@ -251,9 +254,156 @@ impl RankQueue {
     }
 }
 
+/// The FIFO worklist, as a wire write sees it: what the serial reaction
+/// contexts ([`crate::exec::ReactCtx`]'s direct sink, the kernel lanes'
+/// `Io`) hand every newly resolved wire to.
+///
+/// During a plan walk the sink **pushes at write**: the plan's wake table
+/// ([`crate::compile::CompiledPlan::wake_target`]) names the one instance
+/// to re-queue, and it goes onto the FIFO the moment the write reports a
+/// new resolution — unless it is already queued, or already *settled*
+/// this epoch. Dropping a settled target here rather than when it is
+/// popped is equivalent: a settled instance never runs again this epoch,
+/// so its queue entry could only ever be discarded. (A member that wakes
+/// itself through a self-loop is pushed while it runs and discarded at
+/// the pop if that run settled it.) Wires are pushed in resolution order,
+/// which is the order a post-react sweep over a resolve list would visit
+/// them in.
+///
+/// The **resolve log** is that list, kept only for who still asks for
+/// it: a probe that wants `resolve` events, the Sweep scheduler's progress
+/// test, and the worklist schedulers' reader lookup.
+pub(crate) struct WakeSink {
+    pub(crate) fifo: VecDeque<u32>,
+    pub(crate) queued: Vec<bool>,
+    /// Per instance: the store epoch of the step in which an island
+    /// driver settled it. Sized only when the plan has islands.
+    pub(crate) settled: Vec<u64>,
+    /// The plan's wake table; empty without a plan.
+    targets: Arc<[u32]>,
+    /// `Some` while a plan walk pushes at write: the epoch whose settle
+    /// stamps drop a target.
+    pushing: Option<u64>,
+    /// Wires newly resolved by the current `react`, in resolution order.
+    pub(crate) log: Vec<(EdgeId, Wire)>,
+    logging: bool,
+}
+
+impl WakeSink {
+    /// A worklist over `n` instances (`0`: none is kept, the Sweep and
+    /// rank-order schedulers only log), pushing from `targets`.
+    pub(crate) fn new(n: usize, targets: Arc<[u32]>, any_island: bool) -> Self {
+        WakeSink {
+            fifo: VecDeque::with_capacity(n),
+            queued: vec![false; n],
+            settled: vec![0; if any_island { n } else { 0 }],
+            targets,
+            pushing: None,
+            log: Vec::new(),
+            logging: true,
+        }
+    }
+
+    /// Serve a plan walk: push at write, dropping targets settled in
+    /// `settle_epoch` (`None`, a resilient walk: nobody settles, nothing
+    /// is dropped), and log resolutions only if `logging`.
+    pub(crate) fn plan_walk(&mut self, settle_epoch: Option<u64>, logging: bool) {
+        // Epochs count steps up from 1: no stamp ever carries the maximum.
+        self.pushing = Some(settle_epoch.unwrap_or(u64::MAX));
+        self.logging = logging;
+    }
+
+    /// Serve a worklist scheduler: log every resolution, push nothing.
+    pub(crate) fn worklist(&mut self) {
+        self.pushing = None;
+        self.logging = true;
+    }
+
+    /// A write newly resolved (or, tolerating oscillation, re-resolved)
+    /// `wire` of edge `e`.
+    #[inline]
+    pub(crate) fn resolved(&mut self, e: EdgeId, wire: Wire) {
+        if self.logging {
+            self.keep(e, wire);
+        }
+        if let Some(epoch) = self.pushing {
+            let t = self.targets[3 * e.0 as usize + wire.idx()];
+            if t != NO_WAKE && !self.queued[t as usize] && self.settled[t as usize] != epoch {
+                self.queued[t as usize] = true;
+                self.fifo.push_back(t);
+            }
+        }
+    }
+
+    /// Out of line: the log's growth path would otherwise cost every
+    /// inlined copy of [`WakeSink::resolved`] its spilled registers.
+    #[inline(never)]
+    fn keep(&mut self, e: EdgeId, wire: Wire) {
+        self.log.push((e, wire));
+    }
+
+    /// Queue an instance (no-op if already queued).
+    #[inline]
+    pub(crate) fn push(&mut self, i: u32) {
+        if !self.queued[i as usize] {
+            self.queued[i as usize] = true;
+            self.fifo.push_back(i);
+        }
+    }
+
+    /// Pop the longest-queued instance.
+    #[inline]
+    pub(crate) fn pop(&mut self) -> Option<u32> {
+        let i = self.fifo.pop_front()?;
+        self.queued[i as usize] = false;
+        Some(i)
+    }
+
+    /// Forget everything queued (after a failed step).
+    pub(crate) fn clear(&mut self) {
+        self.fifo.clear();
+        self.queued.fill(false);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn wake_sink_pushes_unqueued_unsettled_targets_only() {
+        // Edge 0: data wakes 1, enable wakes 2, ack nobody. Edge 1: data
+        // wakes 1 again.
+        let targets: Arc<[u32]> = vec![1, 2, NO_WAKE, 1, NO_WAKE, NO_WAKE].into();
+        let mut w = WakeSink::new(3, targets, true);
+        w.settled[2] = 7;
+        w.plan_walk(Some(7), false);
+        w.resolved(EdgeId(0), Wire::Data);
+        w.resolved(EdgeId(0), Wire::Enable); // settled this epoch: dropped
+        w.resolved(EdgeId(0), Wire::Ack);
+        w.resolved(EdgeId(1), Wire::Data); // already queued
+        assert_eq!(w.fifo, [1]);
+        assert!(w.log.is_empty(), "nobody asked for the resolve log");
+        // A stamp from another epoch does not drop; a popped instance can
+        // be queued again.
+        w.plan_walk(Some(8), true);
+        w.resolved(EdgeId(0), Wire::Enable);
+        assert_eq!(w.pop(), Some(1));
+        w.resolved(EdgeId(1), Wire::Data);
+        assert_eq!(w.fifo, [2, 1]);
+        assert_eq!(
+            w.log,
+            [(EdgeId(0), Wire::Enable), (EdgeId(1), Wire::Data)],
+            "resolution order"
+        );
+        // A worklist scheduler only logs.
+        w.clear();
+        w.log.clear();
+        w.worklist();
+        w.resolved(EdgeId(0), Wire::Data);
+        assert!(w.fifo.is_empty());
+        assert_eq!(w.log, [(EdgeId(0), Wire::Data)]);
+    }
 
     #[test]
     fn tarjan_simple_chain() {

@@ -69,6 +69,16 @@ pub enum Wire {
     Ack,
 }
 
+impl Wire {
+    /// Position of this wire in a three-per-edge table (data, enable,
+    /// ack): the topology's reader table, the plan's wake table, the
+    /// store's packed state word.
+    #[inline]
+    pub(crate) fn idx(self) -> usize {
+        self as usize
+    }
+}
+
 /// State of one connection (all three wires) within the current time-step.
 #[derive(Clone, Debug, Default)]
 pub struct SignalState {
@@ -178,42 +188,6 @@ impl SignalState {
             WireWrite::Enable(v) => Self::write_wire_tolerant(&mut self.enable, v, Wire::Enable),
             WireWrite::Ack(v) => Self::write_wire_tolerant(&mut self.ack, v, Wire::Ack),
         }
-    }
-
-    /// Apply a [`WireWrite`] to a freshly reset state. The caller (the
-    /// store's first-touch fast path) guarantees all three wires are
-    /// `Unknown`, so the monotonicity comparison — and, for `Value`
-    /// payloads, the deep equality walk it implies — is skipped entirely.
-    /// Driving a wire to `Unknown` is still rejected.
-    #[inline]
-    pub(crate) fn resolve_first(&mut self, w: WireWrite) -> Result<(), SimError> {
-        let unknown = matches!(
-            &w,
-            WireWrite::Data(Res::Unknown)
-                | WireWrite::Enable(Res::Unknown)
-                | WireWrite::Ack(Res::Unknown)
-        );
-        if unknown {
-            return Err(SimError::contract(format!(
-                "attempt to drive {:?} back to Unknown",
-                w.wire()
-            )));
-        }
-        match w {
-            WireWrite::Data(v) => {
-                debug_assert!(!self.data.is_resolved(), "first-touch contract");
-                self.data = v;
-            }
-            WireWrite::Enable(v) => {
-                debug_assert!(!self.enable.is_resolved(), "first-touch contract");
-                self.enable = v;
-            }
-            WireWrite::Ack(v) => {
-                debug_assert!(!self.ack.is_resolved(), "first-touch contract");
-                self.ack = v;
-            }
-        }
-        Ok(())
     }
 
     fn write_wire<T: PartialEq + std::fmt::Debug>(

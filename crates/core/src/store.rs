@@ -1,50 +1,106 @@
-//! The per-timestep signal valuation: an epoch-stamped arena.
+//! The per-timestep signal valuation: an epoch-stamped arena of packed
+//! slots.
 //!
 //! The naive kernel reset every connection's three wires at the start of
 //! every time-step — an O(edges) sweep that dominates idle netlists. The
-//! arena instead stamps each slot with the epoch (time-step serial) it was
-//! last written in:
+//! arena instead keeps, per edge, one **state word** — `epoch << 6` over
+//! two bits each for the data, enable and ack wires (`Unknown`, `No`,
+//! `Yes`) — beside the data wire's payload:
 //!
 //! * **begin_step** bumps a single counter — O(1) regardless of netlist
 //!   size;
-//! * a **read** of a slot whose stamp is stale returns `Unknown`, exactly
-//!   what an explicit reset would have produced;
-//! * a **write** lazily freshens the slot (resets its wires, restamps it)
-//!   before applying, so only the edges actually touched in a step cost
-//!   any slot traffic.
+//! * a **read** of a slot whose word carries another epoch returns
+//!   `Unknown`, exactly what an explicit reset would have produced;
+//! * a **write** of a stale slot starts from three `Unknown` wires, so
+//!   only the edges actually touched in a step cost any slot traffic.
 //!
-//! The store also owns the **per-step transfer list**: every write goes
-//! through [`SignalStore::write_with`], which records the edge the moment
-//! a newly-resolved wire completes its three-way handshake. Because wire
-//! resolution is monotonic, that moment occurs exactly once per edge per
-//! step — the list is duplicate-free by construction. The commit phase
-//! reads it to mark active instances, feed the tracer, and maintain
-//! per-edge transfer counts without rescanning every edge.
+//! Freshness, resolution, the transfer test and every enable / ack /
+//! `No` write are integer operations on that one word. The payload is
+//! touched only by a `Yes` data write (which stores it) and a `Yes` data
+//! read (which clones it).
+//!
+//! **Payload lifetime.** Nothing clears a payload when its step ends or
+//! when the data wire next resolves `No`: a stale payload outlives the
+//! step that wrote it. It is unobservable — every read checks the state
+//! word first and hands the payload out only under a `Yes` of the current
+//! epoch — and it is released by the next `Yes` data write on the same
+//! edge, or when the store is dropped. A model that sends one large
+//! shared value and then falls silent therefore keeps that value alive
+//! until the edge carries data again.
+//!
+//! The store also owns the **per-step transfer list**: every write
+//! records the edge the moment a newly-resolved wire completes its
+//! three-way handshake. Because wire resolution is monotonic, that moment
+//! occurs exactly once per edge per step — the list is duplicate-free by
+//! construction. The commit phase reads it to mark active instances, feed
+//! the tracer, and maintain per-edge transfer counts without rescanning
+//! every edge.
 
 use crate::error::SimError;
 use crate::netlist::EdgeId;
-use crate::signal::{flag, Res, SignalState, WireWrite, WriteOutcome};
+use crate::signal::{Res, Wire, WireWrite, WriteOutcome};
 use crate::value::Value;
 
-#[derive(Clone, Debug, Default)]
+/// Two-bit wire states inside a slot's state word.
+const UNKNOWN: u64 = 0;
+const NO: u64 = 1;
+const YES: u64 = 2;
+/// Bits of the state word below the epoch: three wires, two bits each,
+/// at `2 * Wire::idx()`.
+const WIRE_BITS: u32 = 6;
+/// All three wires `Yes`: the handshake completed.
+const ALL_YES: u64 = YES | YES << 2 | YES << 4;
+/// The low bit of every wire field; a wire is resolved when either of its
+/// bits is set.
+const EACH_WIRE: u64 = 0b01_01_01;
+
+/// One connection: the packed state word and the data wire's payload
+/// (meaningful only while the word says data is `Yes` this epoch).
+#[derive(Clone, Debug)]
 struct Slot {
-    state: SignalState,
-    stamp: u64,
+    word: u64,
+    payload: Value,
 }
 
-/// Epoch-stamped arena of [`SignalState`]s, one per edge.
-#[derive(Debug, Default)]
+#[inline]
+fn flag_state(yes: bool) -> u64 {
+    if yes {
+        YES
+    } else {
+        NO
+    }
+}
+
+#[inline]
+fn polarity(state: u64) -> Res<()> {
+    match state {
+        UNKNOWN => Res::Unknown,
+        NO => Res::No,
+        _ => Res::Yes(()),
+    }
+}
+
+/// Epoch-stamped arena of connection states, one packed slot per edge.
+#[derive(Debug)]
 pub struct SignalStore {
     slots: Vec<Slot>,
-    /// Current time-step serial. Starts at 1 so freshly allocated slots
-    /// (stamp 0) are stale, i.e. read as `Unknown`.
-    epoch: u64,
+    /// Current time-step serial, pre-shifted over the wire bits. Starts
+    /// at serial 1 so freshly allocated slots (word 0) are stale, i.e.
+    /// read as `Unknown`.
+    base: u64,
     transfers: Vec<EdgeId>,
-    slot_writes: u64,
-    /// Wires newly resolved this step. Monotonicity bounds it by
-    /// `3 * len()`; hitting that bound means every wire is resolved and
-    /// the default phase has nothing to sweep for.
-    resolved: u64,
+    /// Stale slots opened for writing since construction.
+    freshened: u64,
+    /// Wire resolutions stored since construction — one counter on the
+    /// write path. Over a step free of oscillation each is a *new*
+    /// resolution, and monotonicity bounds those by `3 * len()`: hitting
+    /// that bound means every wire is resolved and the default phase has
+    /// nothing to sweep for.
+    stored: u64,
+    /// `stored` when this step began.
+    stored_at_step: u64,
+    /// Wires the kernel lanes resolved this step, outside the slots.
+    lane_resolved: u64,
     /// Set when an oscillation-tolerant write re-resolved a wire this
     /// step: the transfer list may then hold duplicates or stale entries
     /// and must be repaired by [`SignalStore::finalize_transfers`].
@@ -54,12 +110,18 @@ pub struct SignalStore {
 impl SignalStore {
     /// An arena for `n_edges` connections, all wires `Unknown`.
     pub fn new(n_edges: usize) -> Self {
+        let empty = Slot {
+            word: 0,
+            payload: Value::Unit,
+        };
         SignalStore {
-            slots: vec![Slot::default(); n_edges],
-            epoch: 1,
+            slots: vec![empty; n_edges],
+            base: 1 << WIRE_BITS,
             transfers: Vec::new(),
-            slot_writes: 0,
-            resolved: 0,
+            freshened: 0,
+            stored: 0,
+            stored_at_step: 0,
+            lane_resolved: 0,
             osc_dirty: false,
         }
     }
@@ -77,9 +139,10 @@ impl SignalStore {
     /// Start a new time-step: one counter bump, no slot traffic.
     #[inline]
     pub fn begin_step(&mut self) {
-        self.epoch += 1;
+        self.base += 1 << WIRE_BITS;
         self.transfers.clear();
-        self.resolved = 0;
+        self.stored_at_step = self.stored;
+        self.lane_resolved = 0;
         self.osc_dirty = false;
     }
 
@@ -87,7 +150,7 @@ impl SignalStore {
     /// remembered from one step never equals a later step's.
     #[inline]
     pub(crate) fn epoch(&self) -> u64 {
-        self.epoch
+        self.base >> WIRE_BITS
     }
 
     /// True once every wire of every edge resolved this step — the
@@ -96,229 +159,257 @@ impl SignalStore {
     /// on, so a dirtied step conservatively reports `false`.
     #[inline]
     pub fn fully_resolved_step(&self) -> bool {
-        !self.osc_dirty && self.resolved == 3 * self.slots.len() as u64
+        let resolved = self.stored - self.stored_at_step + self.lane_resolved;
+        !self.osc_dirty && resolved == 3 * self.slots.len() as u64
+    }
+
+    /// This step's wire bits of a slot: zero (three `Unknown`s) when its
+    /// word carries another epoch.
+    #[inline]
+    fn bits(&self, slot: &Slot) -> u64 {
+        let bits = slot.word ^ self.base;
+        if bits >> WIRE_BITS == 0 {
+            bits
+        } else {
+            0
+        }
     }
 
     #[inline]
-    fn fresh(&self, e: EdgeId) -> Option<&SignalState> {
-        let slot = &self.slots[e.0 as usize];
-        (slot.stamp == self.epoch).then_some(&slot.state)
+    fn wire(&self, e: EdgeId, wire: Wire) -> u64 {
+        self.bits(&self.slots[e.0 as usize]) >> (2 * wire.idx()) & 3
     }
 
     /// Current resolution of the data wire (`Unknown` when untouched this
     /// step). Returns a clone; `Value` payloads are reference counted.
     #[inline]
     pub fn data(&self, e: EdgeId) -> Res<Value> {
-        self.fresh(e).map_or(Res::Unknown, |s| s.data.clone())
+        let slot = &self.slots[e.0 as usize];
+        match self.bits(slot) & 3 {
+            UNKNOWN => Res::Unknown,
+            NO => Res::No,
+            _ => Res::Yes(slot.payload.clone()),
+        }
     }
 
     /// Current resolution of the enable wire.
     #[inline]
     pub fn enable(&self, e: EdgeId) -> Res<()> {
-        self.fresh(e).map_or(Res::Unknown, |s| s.enable.clone())
+        polarity(self.wire(e, Wire::Enable))
     }
 
     /// Current resolution of the ack wire.
     #[inline]
     pub fn ack(&self, e: EdgeId) -> Res<()> {
-        self.fresh(e).map_or(Res::Unknown, |s| s.ack.clone())
+        polarity(self.wire(e, Wire::Ack))
     }
 
     /// True once all three wires of the edge resolved this step.
     #[inline]
     pub fn is_fully_resolved(&self, e: EdgeId) -> bool {
-        self.fresh(e)
-            .is_some_and(|s| s.data.is_resolved() && s.enable.is_resolved() && s.ack.is_resolved())
+        let bits = self.bits(&self.slots[e.0 as usize]);
+        (bits | bits >> 1) & EACH_WIRE == EACH_WIRE
     }
 
     /// True iff a transfer completes on the edge this step.
     #[inline]
     pub fn transfers_on(&self, e: EdgeId) -> bool {
-        self.fresh(e).is_some_and(|s| s.transfers())
+        self.slots[e.0 as usize].word == self.base | ALL_YES
     }
 
     /// The transferred value, if the edge's handshake completed this step.
     #[inline]
     pub fn transferred(&self, e: EdgeId) -> Option<&Value> {
-        self.fresh(e).and_then(|s| s.transferred())
+        let slot = &self.slots[e.0 as usize];
+        (slot.word == self.base | ALL_YES).then_some(&slot.payload)
     }
 
-    /// Apply a monotonic wire write. The slot is lazily freshened first;
-    /// when the write completes the edge's three-way handshake, the edge
-    /// is appended to the per-step transfer list.
-    #[inline]
-    pub fn write_with(
+    /// Open a slot for writing: its wire bits this step, counting the
+    /// freshen of a stale one. The first resolution of a stale slot always
+    /// succeeds and stores the word, so the count is never left dangling.
+    #[inline(always)]
+    fn open(&mut self, e: EdgeId) -> u64 {
+        let bits = self.slots[e.0 as usize].word ^ self.base;
+        if bits >> WIRE_BITS == 0 {
+            bits
+        } else {
+            self.freshened += 1;
+            0
+        }
+    }
+
+    /// Store a resolution already decided: `wire` of `e` becomes `state`,
+    /// with the transfer list and the resolution accounting kept.
+    #[inline(always)]
+    fn commit(
         &mut self,
         e: EdgeId,
-        f: impl FnOnce(&mut SignalState) -> Result<WriteOutcome, SimError>,
+        bits: &mut u64,
+        wire: Wire,
+        state: u64,
+        outcome: WriteOutcome,
     ) -> Result<WriteOutcome, SimError> {
-        let slot = &mut self.slots[e.0 as usize];
-        if slot.stamp != self.epoch {
-            slot.state.reset();
-            slot.stamp = self.epoch;
-            self.slot_writes += 1;
+        let shift = 2 * wire.idx();
+        *bits = *bits & !(3 << shift) | state << shift;
+        self.slots[e.0 as usize].word = self.base | *bits;
+        self.stored += 1;
+        if outcome == WriteOutcome::Oscillated {
+            self.osc_dirty = true;
         }
-        let outcome = f(&mut slot.state)?;
-        self.note(e, outcome);
+        // A fresh resolution completes the handshake exactly once; an
+        // oscillated one may have *created* a completed handshake, and a
+        // possible duplicate (or a broken, stale entry) is fixed up in
+        // finalize_transfers().
+        if *bits == ALL_YES {
+            self.transfers.push(e);
+        }
         Ok(outcome)
     }
 
-    /// Apply a [`WireWrite`] under the strict monotonic discipline,
-    /// maintaining the per-step transfer list like
-    /// [`SignalStore::write_with`].
-    ///
-    /// First-touch fast path: when the slot is stale (this is the first
-    /// write on the edge this step), all three wires are by definition
-    /// `Unknown`, so the write can neither conflict (no monotonicity
-    /// comparison — for `Value` payloads that comparison is a deep
-    /// equality walk) nor complete the three-way handshake (no transfer
-    /// probe). The module hot path — one fresh resolution per wire per
-    /// step — therefore runs branch-light and, for scalar values, without
-    /// touching any `Arc` refcount.
+    /// The write path of everything that carries no payload — enable,
+    /// ack, and a data `No`: resolve `wire` of `e` to `state` given the
+    /// slot's current `bits`. Integer work on the state word only.
+    /// Monotonic unless `tolerant`, where a conflicting drive re-resolves
+    /// the wire instead of erroring.
+    #[inline(always)]
+    fn resolve(
+        &mut self,
+        e: EdgeId,
+        bits: &mut u64,
+        wire: Wire,
+        state: u64,
+        tolerant: bool,
+    ) -> Result<WriteOutcome, SimError> {
+        let current = *bits >> (2 * wire.idx()) & 3;
+        if current == UNKNOWN {
+            self.commit(e, bits, wire, state, WriteOutcome::NewlyResolved)
+        } else if current == state {
+            Ok(WriteOutcome::Idempotent)
+        } else if tolerant {
+            self.commit(e, bits, wire, state, WriteOutcome::Oscillated)
+        } else if wire == Wire::Data {
+            // Only `No` arrives here as data, so the wire holds a `Yes`.
+            let held = self.slots[e.0 as usize].payload.clone();
+            Err(non_monotonic(wire, Res::Yes(held), Res::No))
+        } else {
+            Err(non_monotonic(wire, polarity(current), polarity(state)))
+        }
+    }
+
+    /// The write path of a data `Yes`: the only one that stores, compares
+    /// or releases a payload.
+    #[inline(always)]
+    fn resolve_payload(
+        &mut self,
+        e: EdgeId,
+        bits: &mut u64,
+        v: Value,
+        tolerant: bool,
+    ) -> Result<WriteOutcome, SimError> {
+        let slot = &mut self.slots[e.0 as usize];
+        let current = *bits & 3;
+        if current == UNKNOWN {
+            // The one place a payload an earlier step left is released
+            // (moved out first: assigning over it would keep `v` on the
+            // stack across the old value's drop).
+            drop(std::mem::replace(&mut slot.payload, v));
+            return self.commit(e, bits, Wire::Data, YES, WriteOutcome::NewlyResolved);
+        }
+        if current == YES && slot.payload == v {
+            return Ok(WriteOutcome::Idempotent);
+        }
+        if !tolerant {
+            let old = match current {
+                NO => Res::No,
+                _ => Res::Yes(slot.payload.clone()),
+            };
+            return Err(non_monotonic(Wire::Data, old, Res::Yes(v.clone())));
+        }
+        slot.payload = v;
+        self.commit(e, bits, Wire::Data, YES, WriteOutcome::Oscillated)
+    }
+
+    #[inline(always)]
+    fn write_impl(
+        &mut self,
+        e: EdgeId,
+        w: WireWrite,
+        tolerant: bool,
+    ) -> Result<WriteOutcome, SimError> {
+        let wire = w.wire();
+        let state = match w {
+            WireWrite::Data(Res::Yes(v)) => {
+                let mut bits = self.open(e);
+                return self.resolve_payload(e, &mut bits, v, tolerant);
+            }
+            WireWrite::Enable(Res::Yes(())) | WireWrite::Ack(Res::Yes(())) => YES,
+            WireWrite::Data(Res::No) | WireWrite::Enable(Res::No) | WireWrite::Ack(Res::No) => NO,
+            _ => {
+                return Err(SimError::contract(format!(
+                    "attempt to drive {wire:?} back to Unknown"
+                )))
+            }
+        };
+        let mut bits = self.open(e);
+        self.resolve(e, &mut bits, wire, state, tolerant)
+    }
+
+    /// Apply a [`WireWrite`] under the strict monotonic discipline:
+    /// `Unknown -> No|Yes` only, with idempotent re-writes of an equal
+    /// value allowed. When the write completes the edge's three-way
+    /// handshake, the edge is appended to the per-step transfer list.
     #[inline]
     pub fn write(&mut self, e: EdgeId, w: WireWrite) -> Result<WriteOutcome, SimError> {
-        let slot = &mut self.slots[e.0 as usize];
-        if slot.stamp != self.epoch {
-            slot.state.reset();
-            slot.stamp = self.epoch;
-            self.slot_writes += 1;
-            slot.state.resolve_first(w)?;
-            self.slot_writes += 1;
-            self.resolved += 1;
-            return Ok(WriteOutcome::NewlyResolved);
-        }
-        let outcome = slot.state.write(w)?;
-        self.note(e, outcome);
-        Ok(outcome)
+        self.write_impl(e, w, false)
     }
 
-    /// `ctx.send` / `ctx.send_nothing`: drive the data wire and an enable
-    /// wire of the same polarity in one slot access — the hottest write
-    /// in the kernel. On first touch (the overwhelmingly common case: one
-    /// sender resolving its output exactly once per step) this costs a
-    /// single stamp check and no monotonicity comparison; a fresh slot
-    /// falls back to two strict per-wire writes. The ack wire is
-    /// necessarily `Unknown` on the first-touch path, so no transfer can
-    /// complete there and the transfer-list probe is skipped too. Inlined
-    /// into its callers: in `ctx.send` / `ctx.send_nothing` the polarity
-    /// of `data` is a constant, so `send_nothing` has no value to build,
-    /// compare or drop.
-    #[inline(always)]
-    pub fn send(&mut self, e: EdgeId, data: Res<Value>) -> Result<[WriteOutcome; 2], SimError> {
-        let enable = match data {
-            Res::Yes(_) => Res::Yes(()),
-            Res::No => Res::No,
-            Res::Unknown => {
-                return Err(SimError::contract(
-                    "attempt to drive a sender wire back to Unknown".to_owned(),
-                ))
-            }
-        };
-        let slot = &mut self.slots[e.0 as usize];
-        if slot.stamp != self.epoch {
-            slot.stamp = self.epoch;
-            slot.state.data = data;
-            slot.state.enable = enable;
-            slot.state.ack = Res::Unknown;
-            self.slot_writes += 3;
-            self.resolved += 2;
-            return Ok([WriteOutcome::NewlyResolved; 2]);
-        }
-        let o1 = slot.state.write_data(data)?;
-        self.note(e, o1);
-        let o2 = self.slots[e.0 as usize].state.write_enable(enable)?;
-        self.note(e, o2);
-        Ok([o1, o2])
-    }
-
-    /// Account one strict wire write: count a new resolution and record
-    /// the edge when it completed the handshake.
-    #[inline]
-    fn note(&mut self, e: EdgeId, outcome: WriteOutcome) {
-        if outcome == WriteOutcome::NewlyResolved {
-            self.slot_writes += 1;
-            self.resolved += 1;
-            if self.slots[e.0 as usize].state.transfers() {
-                self.transfers.push(e);
-            }
-        }
-    }
-
-    /// `ctx.set_enable`: drive the enable wire from a plain bool.
-    #[inline]
-    pub fn write_enable(&mut self, e: EdgeId, yes: bool) -> Result<WriteOutcome, SimError> {
-        self.write_flag::<false>(e, yes)
-    }
-
-    /// `ctx.set_ack`: drive the ack wire from a plain bool.
-    #[inline]
-    pub fn write_ack(&mut self, e: EdgeId, yes: bool) -> Result<WriteOutcome, SimError> {
-        self.write_flag::<true>(e, yes)
-    }
-
-    /// The scalar write of a payload-free wire (`ACK`: the ack wire,
-    /// otherwise enable): a strict monotonic write with the transfer-list
-    /// upkeep of [`SignalStore::write`], minus the [`WireWrite`] value.
-    /// On first touch the other two wires are `Unknown`: nothing to
-    /// compare against and no transfer to complete.
-    #[inline]
-    fn write_flag<const ACK: bool>(
-        &mut self,
-        e: EdgeId,
-        yes: bool,
-    ) -> Result<WriteOutcome, SimError> {
-        let slot = &mut self.slots[e.0 as usize];
-        if slot.stamp != self.epoch {
-            slot.state.reset();
-            slot.stamp = self.epoch;
-            if ACK {
-                slot.state.ack = flag(yes);
-            } else {
-                slot.state.enable = flag(yes);
-            }
-            self.slot_writes += 2;
-            self.resolved += 1;
-            return Ok(WriteOutcome::NewlyResolved);
-        }
-        let outcome = if ACK {
-            slot.state.write_ack(flag(yes))?
-        } else {
-            slot.state.write_enable(flag(yes))?
-        };
-        self.note(e, outcome);
-        Ok(outcome)
-    }
-
-    /// Apply a [`WireWrite`] tolerating oscillation (see
-    /// [`SignalState::write_tolerant`]). An oscillated wire may complete
-    /// *or break* an already-recorded handshake, so the transfer list is
+    /// Apply a [`WireWrite`] tolerating oscillation: a conflicting write
+    /// re-resolves the wire instead of erroring, reported as
+    /// [`WriteOutcome::Oscillated`]. An oscillated wire may complete *or
+    /// break* an already-recorded handshake, so the transfer list is
     /// marked dirty and repaired lazily by
     /// [`SignalStore::finalize_transfers`] before the commit phase reads
     /// it.
     #[inline]
     pub fn write_tolerant(&mut self, e: EdgeId, w: WireWrite) -> Result<WriteOutcome, SimError> {
-        let slot = &mut self.slots[e.0 as usize];
-        if slot.stamp != self.epoch {
-            slot.state.reset();
-            slot.stamp = self.epoch;
-            self.slot_writes += 1;
-        }
-        let outcome = slot.state.write_tolerant(w)?;
-        match outcome {
-            WriteOutcome::NewlyResolved => self.note(e, outcome),
-            WriteOutcome::Oscillated => {
-                self.slot_writes += 1;
-                self.osc_dirty = true;
-                // The flip may have *created* a completed handshake; a
-                // possible duplicate (or a broken, stale entry) is fixed
-                // up in finalize_transfers().
-                if slot.state.transfers() {
-                    self.transfers.push(e);
-                }
-            }
-            WriteOutcome::Idempotent => {}
-        }
-        Ok(outcome)
+        self.write_impl(e, w, true)
+    }
+
+    /// `ctx.send`: drive the data wire to `Yes(v)` and the enable wire to
+    /// `Yes` in one slot access — with [`SignalStore::send_nothing`] the
+    /// hottest write in the kernel. `v` arrives as a `Value`, not inside a
+    /// `Res`: unwrapping one splits the move around the tag just matched
+    /// on, and the reload behind it stalls (docs/KERNEL.md §8).
+    #[inline(always)]
+    pub fn send(&mut self, e: EdgeId, v: Value) -> Result<[WriteOutcome; 2], SimError> {
+        let mut bits = self.open(e);
+        let data = self.resolve_payload(e, &mut bits, v, false)?;
+        let enable = self.resolve(e, &mut bits, Wire::Enable, YES, false)?;
+        Ok([data, enable])
+    }
+
+    /// `ctx.send_nothing`: drive the data and enable wires to `No` — two
+    /// field updates of one word; the payload is not looked at.
+    #[inline(always)]
+    pub fn send_nothing(&mut self, e: EdgeId) -> Result<[WriteOutcome; 2], SimError> {
+        let mut bits = self.open(e);
+        let data = self.resolve(e, &mut bits, Wire::Data, NO, false)?;
+        let enable = self.resolve(e, &mut bits, Wire::Enable, NO, false)?;
+        Ok([data, enable])
+    }
+
+    /// `ctx.set_enable`: drive the enable wire from a plain bool.
+    #[inline]
+    pub fn write_enable(&mut self, e: EdgeId, yes: bool) -> Result<WriteOutcome, SimError> {
+        let mut bits = self.open(e);
+        self.resolve(e, &mut bits, Wire::Enable, flag_state(yes), false)
+    }
+
+    /// `ctx.set_ack`: drive the ack wire from a plain bool.
+    #[inline]
+    pub fn write_ack(&mut self, e: EdgeId, yes: bool) -> Result<WriteOutcome, SimError> {
+        let mut bits = self.open(e);
+        self.resolve(e, &mut bits, Wire::Ack, flag_state(yes), false)
     }
 
     /// Repair the transfer list after oscillation-tolerant writes: drop
@@ -345,7 +436,7 @@ impl SignalStore {
     /// default phase would sweep every step.
     #[inline]
     pub(crate) fn credit_fast_resolved(&mut self, wires: u64) {
-        self.resolved += wires;
+        self.lane_resolved += wires;
     }
 
     /// Edges whose transfer completed this step, in resolution order.
@@ -359,25 +450,33 @@ impl SignalStore {
     /// construction. Exposed so tests can verify that starting a time-step
     /// costs zero slot traffic.
     pub fn slot_writes(&self) -> u64 {
-        self.slot_writes
+        self.freshened + self.stored
     }
+}
+
+/// The contract violation of a strict write. Off the hot path: the only
+/// place that rebuilds the [`Res`] values a conflicting write stands for.
+#[cold]
+#[inline(never)]
+fn non_monotonic<T: std::fmt::Debug>(wire: Wire, old: Res<T>, new: Res<T>) -> SimError {
+    SimError::contract(format!(
+        "non-monotonic write on {wire:?}: already {old:?}, new {new:?}"
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::signal::flag;
 
     const E0: EdgeId = EdgeId(0);
     const E1: EdgeId = EdgeId(1);
 
     fn complete(store: &mut SignalStore, e: EdgeId, v: u64) {
-        store
-            .write_with(e, |s| s.write_data(Res::Yes(Value::Word(v))))
-            .unwrap();
-        store
-            .write_with(e, |s| s.write_enable(Res::Yes(())))
-            .unwrap();
-        store.write_with(e, |s| s.write_ack(Res::Yes(()))).unwrap();
+        let data = WireWrite::Data(Res::Yes(Value::Word(v)));
+        store.write(e, data).unwrap();
+        store.write(e, WireWrite::Enable(Res::Yes(()))).unwrap();
+        store.write(e, WireWrite::Ack(Res::Yes(()))).unwrap();
     }
 
     #[test]
@@ -431,7 +530,7 @@ mod tests {
         complete(&mut store, E1, 2);
         store.begin_step();
         let before = store.slot_writes();
-        store.write_with(E0, |s| s.write_data(Res::No)).unwrap();
+        store.write(E0, WireWrite::Data(Res::No)).unwrap();
         // One freshen + one resolved write, both on the touched slot only.
         assert_eq!(store.slot_writes(), before + 2);
         assert_eq!(store.data(E0), Res::No);
@@ -443,7 +542,7 @@ mod tests {
         let mut store = SignalStore::new(3);
         complete(&mut store, E1, 5);
         // Idempotent re-writes after completion must not duplicate.
-        store.write_with(E1, |s| s.write_ack(Res::Yes(()))).unwrap();
+        store.write(E1, WireWrite::Ack(Res::Yes(()))).unwrap();
         complete(&mut store, E0, 6);
         assert_eq!(store.transfers(), &[E1, E0], "resolution order, one-shot");
         assert_eq!(store.transferred(E1).and_then(Value::as_word), Some(5));
@@ -452,28 +551,19 @@ mod tests {
     #[test]
     fn incomplete_handshake_not_recorded() {
         let mut store = SignalStore::new(1);
-        store
-            .write_with(E0, |s| s.write_data(Res::Yes(Value::Word(9))))
-            .unwrap();
-        store
-            .write_with(E0, |s| s.write_enable(Res::Yes(())))
-            .unwrap();
-        store.write_with(E0, |s| s.write_ack(Res::No)).unwrap();
+        let data = WireWrite::Data(Res::Yes(Value::Word(9)));
+        store.write(E0, data).unwrap();
+        store.write(E0, WireWrite::Enable(Res::Yes(()))).unwrap();
+        store.write(E0, WireWrite::Ack(Res::No)).unwrap();
         assert!(store.transfers().is_empty());
         assert!(store.transferred(E0).is_none());
     }
 
     #[test]
-    fn value_write_matches_closure_write() {
-        let mut store = SignalStore::new(1);
-        assert_eq!(
-            store
-                .write(E0, WireWrite::Data(Res::Yes(Value::Word(3))))
-                .unwrap(),
-            WriteOutcome::NewlyResolved
-        );
-        assert_eq!(store.data(E0).as_yes().and_then(Value::as_word), Some(3));
-        assert!(store.write(E0, WireWrite::Data(Res::No)).is_err());
+    fn slot_is_one_word_and_one_payload() {
+        // Two slots to a cache line; state word and payload together, so
+        // a send touches one line (a words/payloads split costs two).
+        assert_eq!(std::mem::size_of::<Slot>(), 32);
     }
 
     /// One handler-level drive, applied through the scalar entry points
@@ -488,8 +578,8 @@ mod tests {
 
     fn scalar(store: &mut SignalStore, d: Drive) -> Result<(), SimError> {
         match d {
-            Drive::Send(v) => store.send(E0, Res::Yes(Value::Word(v))).map(|_| ()),
-            Drive::SendNothing => store.send(E0, Res::No).map(|_| ()),
+            Drive::Send(v) => store.send(E0, Value::Word(v)).map(|_| ()),
+            Drive::SendNothing => store.send_nothing(E0).map(|_| ()),
             Drive::Enable(en) => store.write_enable(E0, en).map(|_| ()),
             Drive::Ack(a) => store.write_ack(E0, a).map(|_| ()),
         }
@@ -578,14 +668,5 @@ mod tests {
         complete(&mut store, E1, 9);
         store.finalize_transfers();
         assert_eq!(store.transfers(), &[E1]);
-    }
-
-    #[test]
-    fn monotonicity_violations_surface_through_write_with() {
-        let mut store = SignalStore::new(1);
-        store.write_with(E0, |s| s.write_data(Res::No)).unwrap();
-        assert!(store
-            .write_with(E0, |s| s.write_data(Res::Yes(Value::Word(1))))
-            .is_err());
     }
 }

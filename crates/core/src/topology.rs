@@ -8,13 +8,14 @@
 //!   instance (indexed through a small offsets table) instead of a
 //!   `Vec<Vec<EdgeId>>` of tiny heap allocations;
 //! * connection metadata ([`EdgeMeta`], indexed by [`EdgeId`]);
-//! * **CSR wake tables** — for each of the three wire kinds, a
-//!   `(offsets, readers)` pair mapping `EdgeId → [InstanceId]`: the
-//!   instances whose `react` handler must re-run when that wire of that
-//!   edge newly resolves. Data and enable flow to the receiver; ack flows
-//!   back to the sender only when the sender declared
-//!   `reads_ack_in_react` (otherwise its `commit` sees the final value
-//!   anyway and no reactive wake is needed);
+//! * the **reader table** — one flat array, three entries per edge
+//!   (data, enable, ack): the instance whose `react` handler must re-run
+//!   when that wire of that edge newly resolves, or [`NO_READER`]. An
+//!   edge has one source and one destination, so a wire has at most one
+//!   reader: data and enable flow to the receiver; ack flows back to the
+//!   sender only when the sender declared `reads_ack_in_react` (otherwise
+//!   its `commit` sees the final value anyway and no reactive wake is
+//!   needed);
 //! * the static schedule's instance ranks, computed lazily and cached, so
 //!   one `Arc<Topology>` shared by several simulators analyzes the
 //!   netlist once.
@@ -109,40 +110,8 @@ pub struct PortMeta {
     pub dir: Dir,
 }
 
-/// One compressed-sparse-row adjacency: `readers(e)` is the slice of
-/// instance ids between consecutive offsets.
-#[derive(Debug, Default)]
-struct Csr {
-    offsets: Vec<u32>,
-    readers: Vec<u32>,
-}
-
-impl Csr {
-    /// Build from (edge, reader) pairs; `pairs` may arrive in any order.
-    fn build(n_edges: usize, pairs: &[(u32, u32)]) -> Self {
-        let mut counts = vec![0u32; n_edges + 1];
-        for &(e, _) in pairs {
-            counts[e as usize + 1] += 1;
-        }
-        for i in 1..counts.len() {
-            counts[i] += counts[i - 1];
-        }
-        let offsets = counts.clone();
-        let mut cursors = counts;
-        let mut readers = vec![0u32; pairs.len()];
-        for &(e, r) in pairs {
-            readers[cursors[e as usize] as usize] = r;
-            cursors[e as usize] += 1;
-        }
-        Csr { offsets, readers }
-    }
-
-    #[inline]
-    fn readers(&self, e: EdgeId) -> &[u32] {
-        let i = e.0 as usize;
-        &self.readers[self.offsets[i] as usize..self.offsets[i + 1] as usize]
-    }
-}
+/// Marker in the reader table for a wire nobody reads reactively.
+pub const NO_READER: u32 = u32::MAX;
 
 /// The immutable composition structure shared by all schedulers.
 ///
@@ -154,9 +123,9 @@ impl Csr {
 pub struct Topology {
     insts: Vec<InstanceInfo>,
     edges: Vec<EdgeMeta>,
-    wake_data: Csr,
-    wake_enable: Csr,
-    wake_ack: Csr,
+    /// `readers[3 * e + wire.idx()]`: the one reactive reader of that
+    /// wire, or [`NO_READER`].
+    readers: Vec<u32>,
     /// Per instance: true when the template opted into activity-gated
     /// commit via [`ModuleSpec::commit_only_when_active`].
     commit_gated: Vec<bool>,
@@ -183,18 +152,19 @@ pub struct Topology {
 impl Topology {
     /// Flatten validated netlist parts into kernel form.
     pub fn new(instances: Vec<InstanceMeta>, edges: Vec<EdgeMeta>) -> Self {
-        let n_edges = edges.len();
-        let mut data_pairs = Vec::with_capacity(n_edges);
-        let mut ack_pairs = Vec::new();
-        for (i, em) in edges.iter().enumerate() {
-            data_pairs.push((i as u32, em.dst.inst.0));
+        let mut readers = vec![NO_READER; 3 * edges.len()];
+        let mut set_reader = |e: usize, wire: Wire, inst: InstanceId| {
+            let slot = &mut readers[3 * e + wire.idx()];
+            assert_eq!(*slot, NO_READER, "a wire has one reader");
+            *slot = inst.0;
+        };
+        for (e, em) in edges.iter().enumerate() {
+            set_reader(e, Wire::Data, em.dst.inst);
+            set_reader(e, Wire::Enable, em.dst.inst);
             if instances[em.src.inst.0 as usize].spec.reads_ack_in_react {
-                ack_pairs.push((i as u32, em.src.inst.0));
+                set_reader(e, Wire::Ack, em.src.inst);
             }
         }
-        let wake_data = Csr::build(n_edges, &data_pairs);
-        let wake_enable = Csr::build(n_edges, &data_pairs);
-        let wake_ack = Csr::build(n_edges, &ack_pairs);
         let commit_gated: Vec<bool> = instances
             .iter()
             .map(|m| m.spec.commit_only_when_active)
@@ -222,9 +192,7 @@ impl Topology {
         Topology {
             insts,
             edges,
-            wake_data,
-            wake_enable,
-            wake_ack,
+            readers,
             commit_gated,
             commit_noop,
             any_commit_gated,
@@ -279,15 +247,12 @@ impl Topology {
         &self.edges
     }
 
-    /// The instances whose `react` must re-run when `wire` of edge `e`
-    /// newly resolves (a CSR reader-list lookup; no allocation).
+    /// The instance whose `react` must re-run when `wire` of edge `e`
+    /// newly resolves, if any (one load from the flat reader table).
     #[inline]
-    pub fn readers(&self, wire: Wire, e: EdgeId) -> &[u32] {
-        match wire {
-            Wire::Data => self.wake_data.readers(e),
-            Wire::Enable => self.wake_enable.readers(e),
-            Wire::Ack => self.wake_ack.readers(e),
-        }
+    pub fn reader(&self, wire: Wire, e: EdgeId) -> Option<u32> {
+        let r = self.readers[3 * e.0 as usize + wire.idx()];
+        (r != NO_READER).then_some(r)
     }
 
     /// True when the instance's template opted into activity-gated commit.
@@ -414,15 +379,15 @@ mod tests {
     #[test]
     fn data_and_enable_wake_the_receiver() {
         let topo = two_stage();
-        assert_eq!(topo.readers(Wire::Data, EdgeId(0)), &[1]);
-        assert_eq!(topo.readers(Wire::Enable, EdgeId(1)), &[1]);
+        assert_eq!(topo.reader(Wire::Data, EdgeId(0)), Some(1));
+        assert_eq!(topo.reader(Wire::Enable, EdgeId(1)), Some(1));
     }
 
     #[test]
     fn ack_wakes_nobody_without_declaration() {
         let topo = two_stage();
-        assert!(topo.readers(Wire::Ack, EdgeId(0)).is_empty());
-        assert!(topo.readers(Wire::Ack, EdgeId(1)).is_empty());
+        assert_eq!(topo.reader(Wire::Ack, EdgeId(0)), None);
+        assert_eq!(topo.reader(Wire::Ack, EdgeId(1)), None);
     }
 
     #[test]
@@ -442,7 +407,7 @@ mod tests {
             .unwrap();
         b.connect(s, "out", k, "in").unwrap();
         let (topo, _) = b.build().unwrap().into_parts();
-        assert_eq!(topo.readers(Wire::Ack, EdgeId(0)), &[0]);
+        assert_eq!(topo.reader(Wire::Ack, EdgeId(0)), Some(0));
     }
 
     #[test]

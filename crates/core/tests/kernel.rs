@@ -1,8 +1,12 @@
 //! End-to-end kernel semantics tests: handshakes, backpressure, default
-//! control semantics, partial specification, scheduler equivalence, and
-//! contract-violation detection.
+//! control semantics, partial specification, scheduler equivalence,
+//! contract-violation detection, and what an island iteration and a
+//! `commit` may observe of the engine's data layout (push-at-write wakes,
+//! payloads that outlive their step) — nothing.
 
 use liberty_core::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 const P0: PortId = PortId(0);
 const P1: PortId = PortId(1);
@@ -396,4 +400,181 @@ fn report_contains_named_stats() {
     let rep = sim.report();
     assert!(rep.counters.contains_key("k.received"));
     assert!(rep.counters.contains_key("s0.forwarded"));
+}
+
+// ----- islands: wakes pushed at the write ------------------------------
+
+/// Drives its output unconditionally; `peeks` first reads its input,
+/// which in a self-loop is the wire it is about to drive.
+struct SelfLoop {
+    peeks: bool,
+    calls: Arc<AtomicU64>,
+}
+impl Module for SelfLoop {
+    fn react(&mut self, ctx: &mut ReactCtx<'_>) -> Result<(), SimError> {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        if self.peeks {
+            ctx.data(P0, 0);
+        }
+        ctx.set_ack(P0, 0, true)?;
+        ctx.send(P1, 0, Value::Word(7))
+    }
+    fn commit(&mut self, _: &mut CommitCtx<'_>) -> Result<(), SimError> {
+        Ok(())
+    }
+}
+
+#[test]
+fn self_loop_singleton_wakes_itself_while_running() {
+    let run = |peeks: bool| {
+        let calls = Arc::new(AtomicU64::new(0));
+        let module = Box::new(SelfLoop {
+            peeks,
+            calls: calls.clone(),
+        });
+        let mut b = NetlistBuilder::new();
+        let spec = ModuleSpec::new("selfloop")
+            .input("in", 1, 1)
+            .output("out", 1, 1);
+        let a = b.add("a", spec, module).unwrap();
+        b.connect(a, "out", a, "in").unwrap();
+        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
+        assert_eq!(sim.compiled_plan().unwrap().island_count(), 1);
+        sim.run(5).unwrap();
+        assert_eq!(sim.transfer_counts(), &[5]);
+        calls.load(Ordering::Relaxed)
+    };
+    // It read its own input while that was still `Unknown`: the wake
+    // it pushed onto the FIFO while running is honoured.
+    assert_eq!(run(true), 10);
+    // It read nothing: the same push is discarded at the pop, because
+    // the run that made it also settled the instance.
+    assert_eq!(run(false), 5);
+}
+
+/// Ring member that contradicts itself: answers `Yes` with nothing
+/// and nothing with `Yes`, so under a watchdog its output flips for
+/// as long as somebody keeps feeding the flip back.
+struct Contrary;
+impl Module for Contrary {
+    fn react(&mut self, ctx: &mut ReactCtx<'_>) -> Result<(), SimError> {
+        ctx.set_ack(P0, 0, true)?;
+        match ctx.data(P0, 0) {
+            Res::Yes(_) => ctx.send_nothing(P1, 0),
+            _ => ctx.send(P1, 0, Value::Word(1)),
+        }
+    }
+    fn commit(&mut self, _: &mut CommitCtx<'_>) -> Result<(), SimError> {
+        Ok(())
+    }
+}
+/// Ring member that copies its input's polarity to its output.
+struct Follower;
+impl Module for Follower {
+    fn react(&mut self, ctx: &mut ReactCtx<'_>) -> Result<(), SimError> {
+        ctx.set_ack(P0, 0, true)?;
+        match ctx.data(P0, 0) {
+            Res::Yes(v) => ctx.send(P1, 0, v),
+            Res::No => ctx.send_nothing(P1, 0),
+            Res::Unknown => Ok(()),
+        }
+    }
+    fn commit(&mut self, _: &mut CommitCtx<'_>) -> Result<(), SimError> {
+        Ok(())
+    }
+}
+
+#[test]
+fn oscillated_writes_still_wake_the_island() {
+    // Each flip must re-queue the other member, or the iteration
+    // would stop after the first one and the step would pass for
+    // converged. Woken, the ring spins until the watchdog's budget
+    // runs out and names the flipping wires.
+    let mut b = NetlistBuilder::new();
+    let spec = |t: &str| ModuleSpec::new(t).input("in", 1, 1).output("out", 1, 1);
+    let c = b
+        .add("contrary", spec("contrary"), Box::new(Contrary))
+        .unwrap();
+    let k = b.add("copy", spec("copy"), Box::new(Follower)).unwrap();
+    b.connect(c, "out", k, "in").unwrap();
+    b.connect(k, "out", c, "in").unwrap();
+    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
+    assert_eq!(sim.compiled_plan().unwrap().island_count(), 1);
+    sim.set_watchdog(40);
+    let err = sim.run(1).unwrap_err();
+    let info = err.as_divergence().expect("divergence, not convergence");
+    assert_eq!(info.iters, 41, "every one of the budget's wakes ran");
+    let wires: Vec<_> = info.oscillating.iter().map(|w| (w.edge, w.wire)).collect();
+    assert_eq!(
+        wires,
+        [(0, "data"), (0, "enable"), (1, "data"), (1, "enable")]
+    );
+}
+
+/// Sends on steps 0, 3, 6…, explicitly sends nothing on 1, 4, 7… and
+/// stays silent (so the defaults resolve its wires) on 2, 5, 8….
+struct EveryThird;
+impl Module for EveryThird {
+    fn react(&mut self, ctx: &mut ReactCtx<'_>) -> Result<(), SimError> {
+        match ctx.now() % 3 {
+            0 => ctx.send(P0, 0, Value::Word(100 + ctx.now())),
+            1 => ctx.send_nothing(P0, 0),
+            _ => Ok(()),
+        }
+    }
+    fn commit(&mut self, _: &mut CommitCtx<'_>) -> Result<(), SimError> {
+        Ok(())
+    }
+}
+/// Accepts everything and checks, every step, that commit sees this
+/// step's value or none at all.
+struct FreshOnly;
+impl Module for FreshOnly {
+    fn react(&mut self, ctx: &mut ReactCtx<'_>) -> Result<(), SimError> {
+        ctx.set_ack(P0, 0, true)
+    }
+    fn commit(&mut self, ctx: &mut CommitCtx<'_>) -> Result<(), SimError> {
+        let sent = ctx
+            .now()
+            .is_multiple_of(3)
+            .then(|| Value::Word(100 + ctx.now()));
+        assert_eq!(ctx.transferred_in(P0, 0), sent, "step {}", ctx.now());
+        let data = sent.map_or(Res::No, Res::Yes);
+        assert_eq!(ctx.data(P0, 0), data, "step {}", ctx.now());
+        Ok(())
+    }
+}
+
+#[test]
+fn commit_never_sees_a_payload_from_an_earlier_step() {
+    // The store keeps a payload past its step (only the next payload
+    // write on the edge releases it); a `No` step and a defaulted
+    // step after a `Yes` step must not hand it to `commit`.
+    for sched in [
+        SchedKind::Sweep,
+        SchedKind::Dynamic,
+        SchedKind::Static,
+        SchedKind::Compiled,
+        SchedKind::CompiledParallel,
+    ] {
+        let mut b = NetlistBuilder::new();
+        let s = b
+            .add(
+                "s",
+                ModuleSpec::new("third").output("out", 1, 1),
+                Box::new(EveryThird),
+            )
+            .unwrap();
+        let k = b
+            .add(
+                "k",
+                ModuleSpec::new("fresh").input("in", 1, 1),
+                Box::new(FreshOnly),
+            )
+            .unwrap();
+        b.connect(s, "out", k, "in").unwrap();
+        let mut sim = Simulator::new(b.build().unwrap(), sched);
+        sim.run(9).unwrap();
+        assert_eq!(sim.transfer_counts(), &[3], "{sched:?}");
+    }
 }

@@ -3,9 +3,14 @@
 //! boundary. Over arbitrary interleavings of monotonic wire writes,
 //! reads, and step boundaries, the two must be observationally identical:
 //! same read results, same write errors, same completed-transfer sets.
+//!
+//! Below it, what the packed slot must keep to itself: a payload
+//! outlives its step inside the store, and no read may ever return it.
 
 use liberty_core::prelude::*;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 const N_EDGES: usize = 8;
 
@@ -53,7 +58,7 @@ impl ModelStore {
 
     fn write(&mut self, edge: usize, wire: u8, yes: bool) -> Result<WriteOutcome, SimError> {
         let s = &mut self.slots[edge];
-        let out = apply_write(s, wire, yes)?;
+        let out = s.write(wire_write(wire, yes))?;
         if out == WriteOutcome::NewlyResolved && s.transfers() {
             self.transfers.push(EdgeId(edge as u32));
         }
@@ -61,15 +66,15 @@ impl ModelStore {
     }
 }
 
-fn apply_write(s: &mut SignalState, wire: u8, yes: bool) -> Result<WriteOutcome, SimError> {
+/// The write an op stands for: the model applies it to its
+/// [`SignalState`], the store to its packed slot.
+fn wire_write(wire: u8, yes: bool) -> WireWrite {
+    let flag = if yes { Res::Yes(()) } else { Res::No };
     match wire {
-        0 => s.write_data(if yes {
-            Res::Yes(Value::Word(7))
-        } else {
-            Res::No
-        }),
-        1 => s.write_enable(if yes { Res::Yes(()) } else { Res::No }),
-        _ => s.write_ack(if yes { Res::Yes(()) } else { Res::No }),
+        0 if yes => WireWrite::Data(Res::Yes(Value::Word(7))),
+        0 => WireWrite::Data(Res::No),
+        1 => WireWrite::Enable(flag),
+        _ => WireWrite::Ack(flag),
     }
 }
 
@@ -105,11 +110,11 @@ proptest! {
         for op in &ops {
             match *op {
                 Op::Write { edge, wire, yes } => {
-                    let got = store.write_with(EdgeId(edge as u32), |s| apply_write(s, wire, yes));
+                    let got = store.write(EdgeId(edge as u32), wire_write(wire, yes));
                     let want = model.write(edge, wire, yes);
                     match (got, want) {
                         (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
-                        (Err(_), Err(_)) => {}
+                        (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
                         (a, b) => prop_assert!(false, "outcome mismatch: {:?} vs {:?}", a, b),
                     }
                 }
@@ -131,7 +136,7 @@ proptest! {
         for &(edge, wire, yes) in &writes {
             // Contradictory writes may error; the surviving state is
             // irrelevant here, only that begin_step clears it.
-            let _ = store.write_with(EdgeId(edge as u32), |s| apply_write(s, wire, yes));
+            let _ = store.write(EdgeId(edge as u32), wire_write(wire, yes));
         }
         store.begin_step();
         for e in 0..N_EDGES {
@@ -143,4 +148,113 @@ proptest! {
         }
         prop_assert!(store.transfers().is_empty());
     }
+}
+
+const E0: EdgeId = EdgeId(0);
+const E1: EdgeId = EdgeId(1);
+
+#[test]
+fn earlier_payload_is_never_observable() {
+    let mut store = SignalStore::new(1);
+    store.send(E0, Value::Word(7)).unwrap();
+    store.write_ack(E0, true).unwrap();
+    assert_eq!(store.transferred(E0).and_then(Value::as_word), Some(7));
+    // A `No` step: the slot still holds the 7, no read returns it.
+    store.begin_step();
+    store.send_nothing(E0).unwrap();
+    store.write_ack(E0, true).unwrap();
+    assert_eq!(store.data(E0), Res::No);
+    assert!(store.is_fully_resolved(E0));
+    assert!(!store.transfers_on(E0));
+    assert!(store.transferred(E0).is_none());
+    assert!(store.transfers().is_empty());
+    // An untouched step.
+    store.begin_step();
+    assert_eq!(store.data(E0), Res::Unknown);
+    assert!(!store.transfers_on(E0));
+    assert!(store.transferred(E0).is_none());
+    // Enable and ack alone do not make the old payload a transfer.
+    store.write_enable(E0, true).unwrap();
+    store.write_ack(E0, true).unwrap();
+    assert_eq!(store.data(E0), Res::Unknown);
+    assert!(!store.transfers_on(E0));
+    assert!(store.transferred(E0).is_none());
+    // A fresh `Yes` replaces it.
+    store
+        .write(E0, WireWrite::Data(Res::Yes(Value::Word(8))))
+        .unwrap();
+    assert_eq!(store.transferred(E0).and_then(Value::as_word), Some(8));
+}
+
+/// Opaque payload counting its drops.
+#[derive(Debug)]
+struct Tracked(Arc<AtomicUsize>);
+impl PartialEq for Tracked {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+impl Drop for Tracked {
+    fn drop(&mut self) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+#[test]
+fn payload_is_released_by_the_next_payload_write_or_the_drop() {
+    let drops = Arc::new(AtomicUsize::new(0));
+    let dropped = || drops.load(Ordering::Relaxed);
+    let tracked = || Value::wrap(Tracked(drops.clone()));
+    let mut store = SignalStore::new(2);
+    store.send(E0, tracked()).unwrap();
+    // It outlives its step, a `No` step and an untouched step ...
+    store.begin_step();
+    store.send_nothing(E0).unwrap();
+    store.begin_step();
+    store.begin_step();
+    assert_eq!(dropped(), 0);
+    // ... another edge's traffic ...
+    store.send(E1, Value::Word(1)).unwrap();
+    assert_eq!(dropped(), 0);
+    // ... and goes with the next payload written on its edge.
+    store.send(E0, tracked()).unwrap();
+    assert_eq!(dropped(), 1);
+    // An equal re-send is idempotent: the offered copy is dropped,
+    // the held one stays. (Two `Tracked` are equal iff they count
+    // into the same cell.)
+    store.send(E0, tracked()).unwrap();
+    assert_eq!(dropped(), 2);
+    assert!(store.data(E0).is_yes());
+    // Dropping the store releases what it still holds.
+    drop(store);
+    assert_eq!(dropped(), 3);
+}
+
+#[test]
+fn contract_violations_name_both_values() {
+    let mut store = SignalStore::new(1);
+    store.write(E0, WireWrite::Data(Res::No)).unwrap();
+    let err = store
+        .write(E0, WireWrite::Data(Res::Yes(Value::Word(1))))
+        .unwrap_err();
+    assert!(
+        err.to_string()
+            .contains("non-monotonic write on Data: already No, new Yes(Word(1))"),
+        "{err}"
+    );
+    store.write_ack(E0, true).unwrap();
+    let err = store.write_ack(E0, false).unwrap_err();
+    assert!(
+        err.to_string()
+            .contains("non-monotonic write on Ack: already Yes(()), new No"),
+        "{err}"
+    );
+    let err = store
+        .write(E0, WireWrite::Enable(Res::Unknown))
+        .unwrap_err();
+    assert!(
+        err.to_string()
+            .contains("attempt to drive Enable back to Unknown"),
+        "{err}"
+    );
 }
