@@ -15,13 +15,10 @@
 //! --best-of N              keep the best of N runs per cell (default 3;
 //!                          the experiment tables use 5)
 //! --baseline PATH          compare probe-off steps/sec against a recorded
-//!                          baseline TSV; exit 1 on regression. When the
-//!                          file's `# nproc N` differs from this host's
-//!                          core count, CompiledParallel rows are printed
-//!                          but do not fail the run
+//!                          baseline TSV; exit 1 on regression
 //! --tolerance PCT          allowed regression vs baseline (default 5)
-//! --write-baseline PATH    record this run's probe-off numbers, and this
-//!                          host's core count, as the new baseline TSV
+//! --write-baseline PATH    record this run's probe-off numbers as the new
+//!                          baseline TSV
 //! ```
 //!
 //! Throughput cells keep the best of N runs: the minimum host time is the
@@ -109,14 +106,6 @@ fn throughput_rows(runs: &[KernelRun]) -> Vec<Vec<String>> {
             ]
         })
         .collect()
-}
-
-/// Baseline-file header line recording the core count the floors were
-/// measured on (`--write-baseline` writes it, `--baseline` reads it).
-const NPROC_HEADER: &str = "# nproc ";
-
-fn nproc() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 fn baseline_key(r: &KernelRun) -> String {
@@ -273,7 +262,7 @@ fn main() {
         )
     );
 
-    // --- Handler specialization: serial compiled plan, kernels on/off ---
+    // --- Handler specialization: compiled plan, kernels on/off ---
     let spec_best = |on: bool| {
         (0..best.max(1))
             .map(|_| run_workload_specialized(W_PCL, cycles, on))
@@ -340,7 +329,6 @@ fn main() {
             "# workload\tscheduler\tsteps_per_sec (probe off, {cycles} cycles)"
         )
         .unwrap();
-        writeln!(f, "{NPROC_HEADER}{}", nproc()).unwrap();
         for r in &off_runs {
             writeln!(f, "{}\t{:.0}", baseline_key(r), r.steps_per_sec()).unwrap();
         }
@@ -364,20 +352,6 @@ fn main() {
                 (key.to_string(), v.parse().expect("numeric baseline"))
             })
             .collect();
-        // A parallel floor only binds on a host with the core count it
-        // was recorded on: fewer cores run the same plan serially plus
-        // the merge, more change the burst width.
-        let foreign_cores = text
-            .lines()
-            .find_map(|l| l.strip_prefix(NPROC_HEADER)?.trim().parse::<usize>().ok())
-            .filter(|&recorded| recorded != nproc());
-        if let Some(recorded) = foreign_cores {
-            println!(
-                "baseline: recorded on {recorded} core(s), this host has {}: \
-                 CompiledParallel rows are reported, not enforced",
-                nproc()
-            );
-        }
         let mut failed = false;
         for r in &off_runs {
             let key = baseline_key(r);
@@ -387,14 +361,11 @@ fn main() {
             };
             let now = r.steps_per_sec();
             let delta = 100.0 * (now - base) / base;
-            let enforced = !(foreign_cores.is_some() && r.sched == SchedKind::CompiledParallel);
-            let verdict = if delta >= -tolerance {
-                "ok"
-            } else if enforced {
+            let verdict = if delta < -tolerance {
                 failed = true;
                 "REGRESSED"
             } else {
-                "below floor (not enforced: core count differs)"
+                "ok"
             };
             println!("baseline: {key}  {base:.0} -> {now:.0} steps/s ({delta:+.1}%) {verdict}");
         }

@@ -1348,14 +1348,13 @@ fn e17() -> String {
 // E18 — schedule compilation: compiled plans vs the dynamic schedulers.
 // ----------------------------------------------------------------------
 fn e18() -> String {
-    use liberty_bench::kernel::{build, run_workload, KernelRun, ACYCLIC_WORKLOADS, WORKLOADS};
+    use liberty_bench::kernel::{run_workload, KernelRun, ACYCLIC_WORKLOADS, WORKLOADS};
 
     const ALL_SCHEDS: &[SchedKind] = &[
         SchedKind::Sweep,
         SchedKind::Dynamic,
         SchedKind::Static,
         SchedKind::Compiled,
-        SchedKind::CompiledParallel,
     ];
 
     fn best_of(n: u32, w: &'static str, s: SchedKind, cycles: u64) -> KernelRun {
@@ -1392,37 +1391,9 @@ fn e18() -> String {
         }
     }
 
-    // CMP thread-count sweep for the parallel plan.
-    let cmp = WORKLOADS[1];
-    let serial = best_of(5, cmp, SchedKind::Compiled, cycles);
-    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut scaling = vec![vec![
-        "Compiled (serial)".to_string(),
-        format!("{:.0}", serial.steps_per_sec()),
-        "1.00x".to_string(),
-    ]];
-    for threads in [1usize, 2, 4, 8] {
-        let r = (0..5)
-            .map(|_| {
-                let mut sim = build(cmp, SchedKind::CompiledParallel);
-                sim.set_parallelism(threads);
-                sim.run(cycles / 10).unwrap();
-                let (_, secs) = timed(|| sim.run(cycles).unwrap());
-                secs
-            })
-            .fold(f64::MAX, f64::min);
-        let sps = cycles as f64 / r;
-        scaling.push(vec![
-            format!("CompiledParallel, {threads} threads"),
-            format!("{sps:.0}"),
-            format!("{:.2}x", sps / serial.steps_per_sec()),
-        ]);
-    }
-    let hdr = format!("{cmp} ({host}-core host)");
-
     format!(
         "## E18 — schedule compilation: SCC-condensed plans vs dynamic discovery\n\n\
-         The compiled schedulers (docs/KERNEL.md §6) hoist fixed-point discovery to\n\
+         The compiled scheduler (docs/KERNEL.md §6) hoists fixed-point discovery to\n\
          construction time: acyclic instances react exactly once per step from a\n\
          precomputed plan — no worklist, no reader lookups, no queued-flag\n\
          bookkeeping — and cyclic SCCs run bounded local fixed-point islands. The\n\
@@ -1439,23 +1410,18 @@ fn e18() -> String {
          (docs/KERNEL.md §8 — 423 → 278 reacts a step on the CMP), and whom a\n\
          resolved wire re-queues is read from the plan's wake table by the write\n\
          itself instead of being looked up after every react (§6) — neither of\n\
-         which the worklist schedulers do. Under probes the compiled schedulers keep\n\
-         that and add full bookkeeping; under faults or a watchdog they invoke on\n\
-         every wake again; either way they remain byte-identical to the dynamic\n\
-         ones (`crates/bench/tests/equivalence.rs`).\n\n\
-         The scaling table pins the 8-core CMP and sweeps the parallel plan's\n\
-         thread count. **Host caveat:** this report machine exposes {} core(s);\n\
-         with one core the pool adds pure coordination overhead and\n\
-         `CompiledParallel` cannot beat the serial plan — the table documents that\n\
-         overhead honestly; on a multi-core host the wide CMP levels split across\n\
-         lanes. CI guards the compiled paths' floors via `ci/kernel_baseline.tsv`.\n\n{}\n{}\n",
+         which the worklist schedulers do. Under probes the compiled scheduler keeps\n\
+         that and adds full bookkeeping; under faults or a watchdog it invokes on\n\
+         every wake again; either way it remains byte-identical to the dynamic\n\
+         ones (`crates/bench/tests/equivalence.rs`). A level-parallel variant of\n\
+         the plan walk read 0.31-0.55x of the serial one at 2-8 threads on every\n\
+         host it was measured on and was deleted at PR 19. CI guards the compiled\n\
+         path's floors via `ci/kernel_baseline.tsv`.\n\n{}\n",
         ACYCLIC_WORKLOADS.join("`, `"),
-        host,
         table(
             &["workload", "scheduler", "steps/sec", "vs best dynamic"],
             &rows
-        ),
-        table(&[hdr.as_str(), "steps/sec", "vs Compiled"], &scaling)
+        )
     )
 }
 

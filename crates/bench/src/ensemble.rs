@@ -37,19 +37,16 @@ pub struct LssFactory {
     registry: Registry,
     cache: TopoCache,
     sched: SchedKind,
-    parallelism: Option<usize>,
 }
 
 impl LssFactory {
-    /// Factory for `src` building replicas on `sched` (compiled-parallel
-    /// replicas get 3 worker threads each).
+    /// Factory for `src` building replicas on `sched`.
     pub fn new(src: &str, sched: SchedKind) -> LssFactory {
         LssFactory {
             src: src.to_owned(),
             registry: liberty_systems::full_registry(),
             cache: TopoCache::new(),
             sched,
-            parallelism: (sched == SchedKind::CompiledParallel).then_some(3),
         }
     }
 }
@@ -61,11 +58,11 @@ impl ReplicaFactory for LssFactory {
             liberty_lss::elaborate(&ast, &self.registry, "main", &spec.params(&Params::new()))?;
         let (topo, modules) = net.into_parts();
         let shared = self.cache.unify(&spec.point_label(), topo);
-        let mut sim = Simulator::from_parts(Arc::clone(&shared), modules, self.sched);
-        if let Some(t) = self.parallelism {
-            sim.set_parallelism(t);
-        }
-        Ok(sim)
+        Ok(Simulator::from_parts(
+            Arc::clone(&shared),
+            modules,
+            self.sched,
+        ))
     }
 }
 

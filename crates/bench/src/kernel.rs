@@ -41,7 +41,7 @@ const W_FANOUT: &str = "fanout 16x2 (acyclic)";
 const W_CHAIN: &str = "chain 256 (acyclic)";
 
 /// The module-dominated specialization workload (E19): every instance is
-/// a stock `pcl` template, so under the serial compiled scheduler the
+/// a stock `pcl` template, so under the compiled scheduler the
 /// whole netlist lowers to type-specialized kernels.
 pub const W_PCL: &str = "pcl pipeline 48 (specializable)";
 
@@ -51,15 +51,9 @@ pub const ACYCLIC_WORKLOADS: &[&str] = &[W_SCATTER, W_FANOUT, W_CHAIN];
 
 /// The schedulers the throughput tables and the CI baseline guard
 /// measure (Sweep is excluded: it is the teaching baseline, not a
-/// contender). `CompiledParallel` auto-detects its lane count, so on a
-/// single-core host it reports the serial-fallback cost of the parallel
-/// scheduler rather than a parallel speedup.
-pub const MEASURED_SCHEDS: &[SchedKind] = &[
-    SchedKind::Dynamic,
-    SchedKind::Static,
-    SchedKind::Compiled,
-    SchedKind::CompiledParallel,
-];
+/// contender).
+pub const MEASURED_SCHEDS: &[SchedKind] =
+    &[SchedKind::Dynamic, SchedKind::Static, SchedKind::Compiled];
 
 /// One measured kernel run.
 #[derive(Clone, Debug)]

@@ -6,7 +6,7 @@
 //! The oracle mirrors the checkpoint round-trip suite (`roundtrip.rs`):
 //! canonical probe streams stitched across the cut must be byte-identical
 //! to the control's, and the final stats report / transfer counts /
-//! state hash must match — across all five schedulers and under active
+//! state hash must match — across all four schedulers and under active
 //! fault plans.
 //!
 //! Governance events (`cancel`, `checkpoint`, `restore`, `attach`) are
@@ -20,12 +20,11 @@ use proptest::prelude::*;
 use std::io::Write;
 
 const TOTAL: u64 = 32;
-const ALL_SCHEDS: [SchedKind; 5] = [
+const ALL_SCHEDS: [SchedKind; 4] = [
     SchedKind::Sweep,
     SchedKind::Dynamic,
     SchedKind::Static,
     SchedKind::Compiled,
-    SchedKind::CompiledParallel,
 ];
 
 /// Shared byte buffer implementing `Write` for in-memory JSONL capture.
@@ -110,13 +109,9 @@ fn cr_targets() -> Vec<(&'static str, String)> {
 
 fn build_from(src: &str, sched: SchedKind) -> Simulator {
     let registry = full_registry();
-    let mut sim = build_simulator(src, &registry, "main", &Params::new(), sched)
+    build_simulator(src, &registry, "main", &Params::new(), sched)
         .expect("spec elaborates")
-        .0;
-    if sched == SchedKind::CompiledParallel {
-        sim.set_parallelism(3);
-    }
-    sim
+        .0
 }
 
 fn install_faults(sim: &mut Simulator, seed: u64, rate: f64) {
@@ -250,7 +245,7 @@ proptest! {
     #[test]
     fn any_cancellation_step_resumes_identically(
         tgt in 0usize..2,
-        sched_ix in 0usize..5,
+        sched_ix in 0usize..ALL_SCHEDS.len(),
         n in 1u64..TOTAL,
         seed in any::<u64>(),
         rate in 0.05f64..0.35,

@@ -30,7 +30,6 @@ const SCHEDS: &[SchedKind] = &[
     SchedKind::Dynamic,
     SchedKind::Static,
     SchedKind::Compiled,
-    SchedKind::CompiledParallel,
 ];
 
 /// Shared byte buffer implementing `Write` for in-memory JSONL capture.

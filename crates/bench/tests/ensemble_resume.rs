@@ -21,12 +21,11 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 const TOTAL: u64 = 48;
-const ALL_SCHEDS: [SchedKind; 5] = [
+const ALL_SCHEDS: [SchedKind; 4] = [
     SchedKind::Sweep,
     SchedKind::Dynamic,
     SchedKind::Static,
     SchedKind::Compiled,
-    SchedKind::CompiledParallel,
 ];
 
 /// A fresh per-test sweep directory under the system temp dir.
@@ -390,7 +389,7 @@ proptest! {
     /// identical to its uninterrupted control.
     #[test]
     fn any_budget_cut_resumes_identically(
-        sched_ix in 0usize..5,
+        sched_ix in 0usize..ALL_SCHEDS.len(),
         cut in 5u64..40,
         threads in 1usize..4,
         base_seed in any::<u64>(),

@@ -1,4 +1,4 @@
-//! Scheduler-equivalence suite: the compiled schedulers must be
+//! Scheduler-equivalence suite: the compiled scheduler must be
 //! *observationally indistinguishable* from the dynamic ones on every
 //! system the repo ships.
 //!
@@ -10,10 +10,10 @@
 //! 2. **Canonical probe streams** — `JsonlProbe::canonical()` emits only
 //!    the scheduler-independent events (steps, transfers sorted by edge,
 //!    faults, quarantines); the streams must be *byte-identical* across
-//!    all five schedulers, fault-free and under active fault plans.
+//!    all four schedulers, fault-free and under active fault plans.
 //! 3. **Structured failure** — the `ring_osc.lss` combinational loop must
 //!    diverge with the same oscillating-wire set under the compiled
-//!    schedulers as under the dynamic ones.
+//!    scheduler as under the dynamic ones.
 //!
 //! The property test drives random fault plans (seed, rate, target) at
 //! the cross-scheduler stream comparison; the chaos suite (`chaos.rs`)
@@ -28,12 +28,11 @@ use proptest::prelude::*;
 use std::io::Write;
 
 const CYCLES: u64 = 32;
-const ALL_SCHEDS: [SchedKind; 5] = [
+const ALL_SCHEDS: [SchedKind; 4] = [
     SchedKind::Sweep,
     SchedKind::Dynamic,
     SchedKind::Static,
     SchedKind::Compiled,
-    SchedKind::CompiledParallel,
 ];
 
 /// Shared byte buffer implementing `Write` for in-memory JSONL capture.
@@ -68,7 +67,7 @@ fn targets() -> Vec<&'static str> {
 }
 
 fn build_target(name: &str, sched: SchedKind) -> Simulator {
-    let mut sim = if WORKLOADS.contains(&name) {
+    if WORKLOADS.contains(&name) {
         build(name, sched)
     } else if name == "sensor field" {
         sensor_simulator(&SensorConfig::default(), sched)
@@ -83,13 +82,7 @@ fn build_target(name: &str, sched: SchedKind) -> Simulator {
         build_simulator(&src, &registry, "main", &Params::new(), sched)
             .expect("spec elaborates")
             .0
-    };
-    if sched == SchedKind::CompiledParallel {
-        // Force real lanes even on a single-core host: the parallel merge
-        // path must be exercised, not just the serial fallback.
-        sim.set_parallelism(3);
     }
-    sim
 }
 
 /// One observed run: canonical stream, verdict, final stats, transfers.
@@ -151,9 +144,6 @@ fn cmp_statistics_are_scheduler_independent_except_the_allow_list() {
     use liberty_systems::cmp::{cmp_simulator, CmpConfig};
     let run = |sched: SchedKind| {
         let (mut sim, cmp) = cmp_simulator(&CmpConfig::default(), sched).expect("cmp builds");
-        if sched == SchedKind::CompiledParallel {
-            sim.set_parallelism(3);
-        }
         sim.run_until(100_000, |_| cmp.done()).expect("cmp runs");
         assert!(cmp.done(), "{sched:?}: cores halt");
         cmp.check_results()
@@ -190,29 +180,6 @@ fn cmp_statistics_are_scheduler_independent_except_the_allow_list() {
 }
 
 #[test]
-fn parallel_bursts_match_serial_final_state() {
-    // Without a probe the CompiledParallel scheduler takes the genuinely
-    // parallel path (buffered partitions, barrier merge) — compare its
-    // final state against the serial compiled scheduler's.
-    for name in targets() {
-        let mut serial = build_target(name, SchedKind::Compiled);
-        serial.run(CYCLES).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let mut par = build_target(name, SchedKind::CompiledParallel);
-        par.run(CYCLES).unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert_eq!(serial.report(), par.report(), "{name}: stats");
-        assert_eq!(
-            serial.transfer_counts(),
-            par.transfer_counts(),
-            "{name}: transfers"
-        );
-        let (ms, mp) = (serial.metrics(), par.metrics());
-        assert_eq!(ms.reacts, mp.reacts, "{name}: reacts");
-        assert_eq!(ms.commits, mp.commits, "{name}: commits");
-        assert_eq!(ms.defaults, mp.defaults, "{name}: defaults");
-    }
-}
-
-#[test]
 fn ring_osc_diverges_with_the_same_wires_under_compiled_schedulers() {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../specs/ring_osc.lss");
     let src = std::fs::read_to_string(path).expect("ring_osc.lss readable");
@@ -220,9 +187,6 @@ fn ring_osc_diverges_with_the_same_wires_under_compiled_schedulers() {
     let diverge = |sched: SchedKind| {
         let (mut sim, _) = build_simulator(&src, &registry, "main", &Params::new(), sched)
             .expect("spec elaborates");
-        if sched == SchedKind::CompiledParallel {
-            sim.set_parallelism(3);
-        }
         sim.set_watchdog(512);
         let err = sim.run(4).unwrap_err();
         let d = err
@@ -236,10 +200,7 @@ fn ring_osc_diverges_with_the_same_wires_under_compiled_schedulers() {
         wires.sort();
         (wires, d.cycle.clone(), d.step, d.limit)
     };
-    let reference = diverge(SchedKind::Dynamic);
-    for sched in [SchedKind::Compiled, SchedKind::CompiledParallel] {
-        assert_eq!(diverge(sched), reference, "{sched:?}");
-    }
+    assert_eq!(diverge(SchedKind::Compiled), diverge(SchedKind::Dynamic));
 }
 
 proptest! {
@@ -256,7 +217,7 @@ proptest! {
     ) {
         let name = targets()[tgt];
         let (s0, v0, r0, t0) = observed_run(name, SchedKind::Dynamic, Some((seed, rate)));
-        for sched in [SchedKind::Static, SchedKind::Compiled, SchedKind::CompiledParallel] {
+        for sched in [SchedKind::Static, SchedKind::Compiled] {
             let (s, v, r, t) = observed_run(name, sched, Some((seed, rate)));
             prop_assert_eq!(&v0, &v, "{} {:?}: verdict", name, sched);
             prop_assert_eq!(&s0, &s, "{} {:?}: canonical stream", name, sched);

@@ -12,7 +12,7 @@
 //!    per-edge transfer counts, and snapshot `state_hash` (valid because
 //!    both runs use the same scheduler).
 //!
-//! The property holds across all five schedulers and under active fault
+//! The property holds across all four schedulers and under active fault
 //! plans: plans are deliberately *not* part of a snapshot (they describe
 //! the environment, not the system), so the resumed run reinstalls the
 //! same plan — activation is pure in `now`, so replay is exact.
@@ -30,12 +30,11 @@ use proptest::prelude::*;
 use std::io::Write;
 
 const TOTAL: u64 = 32;
-const ALL_SCHEDS: [SchedKind; 5] = [
+const ALL_SCHEDS: [SchedKind; 4] = [
     SchedKind::Sweep,
     SchedKind::Dynamic,
     SchedKind::Static,
     SchedKind::Compiled,
-    SchedKind::CompiledParallel,
 ];
 
 /// Shared byte buffer implementing `Write` for in-memory JSONL capture.
@@ -105,13 +104,9 @@ fn rt_targets() -> Vec<(&'static str, String)> {
 
 fn build_from(src: &str, sched: SchedKind) -> Simulator {
     let registry = full_registry();
-    let mut sim = build_simulator(src, &registry, "main", &Params::new(), sched)
+    build_simulator(src, &registry, "main", &Params::new(), sched)
         .expect("spec elaborates")
-        .0;
-    if sched == SchedKind::CompiledParallel {
-        sim.set_parallelism(3);
-    }
-    sim
+        .0
 }
 
 fn install_faults(sim: &mut Simulator, seed: u64, rate: f64) {
@@ -277,7 +272,7 @@ proptest! {
     #[test]
     fn any_split_point_roundtrips(
         tgt in 0usize..3,
-        sched_ix in 0usize..5,
+        sched_ix in 0usize..ALL_SCHEDS.len(),
         n in 1u64..TOTAL,
         seed in any::<u64>(),
         rate in 0.05f64..0.35,

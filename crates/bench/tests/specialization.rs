@@ -144,6 +144,113 @@ fn specialization_toggle_is_observationally_invisible() {
     }
 }
 
+/// A dynamic source: sends its step number on even steps.
+struct EvenSteps;
+impl Module for EvenSteps {
+    fn react(&mut self, ctx: &mut ReactCtx<'_>) -> Result<(), SimError> {
+        if ctx.now().is_multiple_of(2) {
+            ctx.send(PortId(0), 0, Value::Word(ctx.now()))
+        } else {
+            ctx.send_nothing(PortId(0), 0)
+        }
+    }
+    fn commit(&mut self, _: &mut CommitCtx<'_>) -> Result<(), SimError> {
+        Ok(())
+    }
+}
+
+/// A dynamic, activity-gated consumer that accepts one step in four.
+struct Picky;
+impl Module for Picky {
+    fn react(&mut self, ctx: &mut ReactCtx<'_>) -> Result<(), SimError> {
+        ctx.set_ack(PortId(0), 0, ctx.now() % 4 == 1)
+    }
+    fn commit(&mut self, ctx: &mut CommitCtx<'_>) -> Result<(), SimError> {
+        ctx.count("commits", 1);
+        Ok(())
+    }
+}
+
+/// Kernels, dynamic handlers and both kinds of island in one plan:
+/// `gen -> tee -> {q -> picky, r -> k0}` lowers up to `picky` (the tee
+/// reads acks, so it shares a specialized island with `q` and `r`), and
+/// `dsrc -> tee2 -> dk` stays dynamic behind its hand-written source
+/// (another island). `gen` emits seven words, one step in three; `picky`
+/// drains `q` one step in four, so `q` sits non-empty (pending) through
+/// transfer-free steps, then everything gated goes idle.
+fn mixed_netlist() -> Simulator {
+    use liberty_pcl::{queue, register, sink, source, tee};
+    let p = Params::new;
+    let mut b = NetlistBuilder::new();
+    let mut add = |name: &str, (spec, module): Instantiated| b.add(name, spec, module).unwrap();
+    let gen_params = p()
+        .with("start", 1i64)
+        .with("count", 7i64)
+        .with("period", 3i64);
+    let gen = add("gen", source::seq(&gen_params).unwrap());
+    let t = add("tee", tee::tee(&p()).unwrap());
+    let q = add("q", queue::queue(&p().with("depth", 2i64)).unwrap());
+    let r = add("r", register::reg(&p()).unwrap());
+    let k0 = add("k0", sink::counting(&p()).unwrap());
+    let picky_spec = ModuleSpec::new("picky")
+        .input("in", 1, 1)
+        .commit_only_when_active();
+    let picky = add("picky", (picky_spec, Box::new(Picky)));
+    let dsrc_spec = ModuleSpec::new("even_steps").output("out", 1, 1);
+    let dsrc = add("dsrc", (dsrc_spec, Box::new(EvenSteps)));
+    let t2 = add("tee2", tee::tee(&p()).unwrap());
+    let dk = add("dk", sink::counting(&p()).unwrap());
+    for (src, dst) in [
+        (gen, t),
+        (t, q),
+        (t, r),
+        (q, picky),
+        (r, k0),
+        (dsrc, t2),
+        (t2, dk),
+    ] {
+        b.connect(src, "out", dst, "in").unwrap();
+    }
+    Simulator::new(b.build().unwrap(), SchedKind::Compiled)
+}
+
+#[test]
+fn mixed_plan_commits_identically_at_every_step() {
+    let mut on = mixed_netlist();
+    let summary = on.plan_summary().expect("compiled plan");
+    assert_eq!((summary.specialized, summary.dynamic), (5, 4), "{summary}");
+    assert_eq!(on.compiled_plan().unwrap().island_count(), 2);
+    let mut off = mixed_netlist();
+    off.set_specialization(false);
+    let mut commits_per_step = Vec::new();
+    for step in 0..40 {
+        let before = on.metrics().commits;
+        on.step().unwrap();
+        off.step().unwrap();
+        commits_per_step.push(on.metrics().commits - before);
+        assert_eq!(on.metrics(), off.metrics(), "step {step}: metrics");
+        assert_eq!(
+            on.transfer_counts(),
+            off.transfer_counts(),
+            "step {step}: transfer counts"
+        );
+        assert_eq!(
+            on.snapshot().unwrap().to_bytes(),
+            off.snapshot().unwrap().to_bytes(),
+            "step {step}: snapshot bytes"
+        );
+    }
+    assert_eq!(on.report(), off.report());
+    // The gating rule had work to do on both tiers: busy steps, steps
+    // where only `q`'s pending state forced a commit, and idle ones.
+    let busiest = *commits_per_step.iter().max().unwrap();
+    let idlest = *commits_per_step.iter().min().unwrap();
+    assert!(idlest < busiest, "{commits_per_step:?}");
+    let picky = on.instance_by_name("picky").unwrap();
+    let picked = on.stats().counter(picky, "commits");
+    assert!(0 < picked && picked < 40, "picky was idle on some steps");
+}
+
 #[test]
 fn midrun_probe_attach_despecializes_losslessly() {
     for name in targets() {

@@ -31,24 +31,24 @@
 //! left for run time.
 //!
 //! Nodes are additionally grouped into **levels** (equal topological
-//! rank). No dependency edge connects two nodes of the same level, which
-//! is the independence argument the parallel scheduler builds on: every
+//! rank). No dependency edge connects two nodes of the same level: every
 //! wire has one writing endpoint per side, and both endpoints of an edge
 //! sit either in the same island or in strictly different levels, so
 //! same-level nodes never write the same slot and never read a slot
 //! another same-level node writes. Within a level, straight nodes come
-//! first (in ascending instance id), then islands — a fixed order that
-//! defines the serial plan and the deterministic commit order of the
-//! parallel scheduler's write shards.
+//! first (in ascending instance id), then islands — the fixed order that
+//! defines the plan. The engine walks `nodes` front to back and does not
+//! read the level table; it stays as a description of the plan's shape
+//! (the benchmark reports it as `core.compile.levels`).
 //!
 //! **Correctness.** Module handlers are monotone and the per-step fixed
 //! point is unique (paper §2.1), so invoking an acyclic instance once —
 //! after all of its producers have fully settled — drives exactly the
 //! wires the dynamic fixed point would. Islands see final external inputs
 //! for the same reason, and their internal iteration is the ordinary
-//! worklist algorithm restricted to the SCC. The compiled schedulers
-//! therefore complete the same transfers, resolve the same defaults, and
-//! commit the same instances as the dynamic ones; only handler
+//! worklist algorithm restricted to the SCC. The compiled scheduler
+//! therefore completes the same transfers, resolves the same defaults,
+//! and commits the same instances as the dynamic ones; only handler
 //! re-invocation counts differ.
 
 use crate::netlist::EdgeId;

@@ -24,14 +24,12 @@
 //! The three dynamic schedulers (naive sweep, dynamic FIFO, static rank
 //! order — paper ref [22]) share one worklist/wake infrastructure: newly
 //! resolved wires are looked up in the topology's reader table and the
-//! reader is re-queued. The two compiled schedulers instead execute a
+//! reader is re-queued. The compiled scheduler instead executes a
 //! pre-analyzed [`CompiledPlan`]: acyclic instances react exactly once,
 //! in topological order, with no worklist at all; cyclic SCCs run bounded
 //! local fixed-point islands whose wire writes push the plan's wake
-//! targets straight onto the worklist; `CompiledParallel` additionally fans
-//! independent same-level plan segments across a small owned thread pool
-//! with buffered writes merged in plan order. All five reach the same
-//! fixed point; they differ only in handler re-invocation counts and
+//! targets straight onto the worklist. All four reach the same fixed
+//! point; they differ only in handler re-invocation counts and
 //! wall-clock.
 
 use crate::compile::{CompiledPlan, PlanNode};
@@ -40,7 +38,6 @@ use crate::fault::{apply_fault, ActiveFaults, CompiledFaults, FailurePolicy, Fau
 use crate::kernel::{self, Kernel, Lane, PlanSummary, SpecState};
 use crate::module::{Dir, Module, PortId};
 use crate::netlist::{EdgeId, InstanceId, Netlist};
-use crate::pool::WorkerPool;
 use crate::probe::{Interest, Probe, ResolvedBy};
 use crate::sched::{RankQueue, WakeSink};
 use crate::signal::{flag, Res, Wire, WireWrite, WriteOutcome};
@@ -74,15 +71,6 @@ pub enum SchedKind {
     /// or wake-table probing; cyclic SCCs run bounded local fixed-point
     /// islands. The logical conclusion of ref [22]'s analysis.
     Compiled,
-    /// [`SchedKind::Compiled`], with independent same-level plan segments
-    /// executed across a small owned thread pool (see
-    /// [`Simulator::set_parallelism`]). Writes are buffered per partition
-    /// and merged in plan order at level barriers, so results — including
-    /// probe streams — are deterministic and identical to the serial
-    /// schedulers. Falls back to the serial compiled path when a probe,
-    /// fault plan or watchdog is installed, or when only one thread is
-    /// available.
-    CompiledParallel,
 }
 
 /// Invocation counters exposed for the scheduler-optimization experiment.
@@ -178,33 +166,6 @@ struct WorkState {
     ranked: Option<RankQueue>,
 }
 
-/// A side effect recorded by one parallel partition during a level burst,
-/// applied serially — in plan order — at the level barrier.
-enum BufOp {
-    /// A wire drive (instance id for error attribution at merge).
-    Write(u32, EdgeId, WireWrite),
-    /// [`ReactCtx::count`].
-    Count(u32, &'static str, u64),
-    /// [`ReactCtx::sample`].
-    Sample(u32, &'static str, f64),
-    /// [`ReactCtx::histo`].
-    Histo(u32, &'static str, u64),
-}
-
-/// One partition's reusable effect buffer for a parallel level burst.
-#[derive(Default)]
-struct ReactBuffer {
-    ops: Vec<BufOp>,
-    reacts: u64,
-}
-
-impl ReactBuffer {
-    fn clear(&mut self) {
-        self.ops.clear();
-        self.reacts = 0;
-    }
-}
-
 /// The executable simulator (paper Fig. 1's "Simulator Executable").
 pub struct Simulator {
     topo: Arc<Topology>,
@@ -229,14 +190,15 @@ pub struct Simulator {
     /// Fault-injection / watchdog / quarantine state; `None` (the
     /// default) keeps the hot path on the fault-free monomorphization.
     resil: Option<Box<ResilState>>,
-    /// Checkpoint / recovery state; `None` (the default) keeps `run` on
-    /// the plain fixed-cycle loop.
+    /// Checkpoint / recovery state. While this and `sup` are both `None`
+    /// (the default) `run` stays on the plain step loop — one branch per
+    /// run call, zero per-step cost; either one routes it through the
+    /// governed loop.
     ckpt: Option<Box<CheckpointState>>,
-    /// Run-governance state (budgets, cancellation, retry policy);
-    /// `None` (the default) keeps `run` off the governed loop entirely —
-    /// one branch per run call, zero per-step cost.
+    /// Run-governance state (budgets, cancellation, retry policy, the
+    /// last run report).
     sup: Option<Box<SupervisorState>>,
-    /// The compiled invocation plan (compiled schedulers only; shared
+    /// The compiled invocation plan ([`SchedKind::Compiled`] only; shared
     /// via the topology's cache).
     plan: Option<Arc<CompiledPlan>>,
     /// Specialized-kernel state for `SchedKind::Compiled`: the
@@ -247,13 +209,6 @@ pub struct Simulator {
     /// Master switch for handler specialization (default on); see
     /// [`Simulator::set_specialization`].
     spec_enabled: bool,
-    /// Requested parallelism for [`SchedKind::CompiledParallel`],
-    /// including the caller's thread; `0` = auto-detect.
-    threads: usize,
-    /// Lazily spawned worker pool for the parallel scheduler.
-    pool: Option<WorkerPool>,
-    /// Per-partition write/stat buffers, reused across levels and steps.
-    par_bufs: Vec<ReactBuffer>,
 }
 
 impl Simulator {
@@ -280,15 +235,12 @@ impl Simulator {
         );
         let n = topo.instance_count();
         let n_edges = topo.edge_count();
-        let plan = match sched {
-            SchedKind::Compiled | SchedKind::CompiledParallel => Some(topo.plan().clone()),
-            _ => None,
-        };
-        // The compiled schedulers keep a FIFO too: islands iterate on it,
+        let plan = (sched == SchedKind::Compiled).then(|| topo.plan().clone());
+        // The compiled scheduler keeps a FIFO too: islands iterate on it,
         // and the default phase's resume path reuses it.
         let fifo_len = match sched {
             SchedKind::Sweep | SchedKind::Static => 0,
-            SchedKind::Dynamic | SchedKind::Compiled | SchedKind::CompiledParallel => n,
+            SchedKind::Dynamic | SchedKind::Compiled => n,
         };
         let work = WorkState {
             wake: match &plan {
@@ -297,13 +249,11 @@ impl Simulator {
             },
             ranked: (sched == SchedKind::Static).then(|| RankQueue::new(topo.ranks())),
         };
-        // Handler specialization is a serial-compiled execution detail:
-        // classify once at construction, against the same plan the
-        // scheduler runs.
-        let spec = match (&plan, sched) {
-            (Some(p), SchedKind::Compiled) => SpecState::build(&topo, p, &modules),
-            _ => None,
-        };
+        // Handler specialization: classify once at construction, against
+        // the same plan the scheduler runs.
+        let spec = plan
+            .as_ref()
+            .and_then(|p| SpecState::build(&topo, p, &modules));
         Simulator {
             store: SignalStore::new(n_edges),
             modules,
@@ -323,9 +273,6 @@ impl Simulator {
             plan,
             spec,
             spec_enabled: true,
-            threads: 0,
-            pool: None,
-            par_bufs: Vec::new(),
             topo,
         }
     }
@@ -348,22 +295,9 @@ impl Simulator {
     /// and any probe/fault installation that suppressed the fast path.
     pub fn plan_summary(&self) -> Option<PlanSummary> {
         let plan = self.plan.as_ref()?;
-        if self.sched != SchedKind::Compiled {
-            return None;
-        }
         let classification = kernel::classify(&self.topo, plan, &self.modules);
         let enabled = self.spec_enabled && self.probe.is_none() && self.resil.is_none();
         Some(classification.summary(&self.topo, enabled))
-    }
-
-    /// True when the next step will run (or keep running) the specialized
-    /// reaction/commit path.
-    fn spec_active(&self) -> bool {
-        self.spec_enabled
-            && self.sched == SchedKind::Compiled
-            && self.probe.is_none()
-            && self.resil.is_none()
-            && self.spec.as_ref().is_some_and(|s| s.live)
     }
 
     /// Write live kernel state back into the modules and drop the
@@ -494,9 +428,8 @@ impl Simulator {
 
     /// Install a [`CancelToken`]. When tripped (from another thread or a
     /// signal handler), the governed loop exits at the next step
-    /// boundary: in-flight level-parallel partitions drain at their
-    /// completion barrier, a final checkpoint is taken, and the run
-    /// returns [`RunOutcome::Cancelled`].
+    /// boundary: a final checkpoint is taken and the run returns
+    /// [`RunOutcome::Cancelled`].
     pub fn set_cancel_token(&mut self, token: CancelToken) {
         self.sup_mut().cancel = Some(token);
     }
@@ -521,12 +454,6 @@ impl Simulator {
     /// The report of the most recent governed run, if any.
     pub fn last_run_report(&self) -> Option<&RunReport> {
         self.sup.as_ref().and_then(|s| s.last_report.as_ref())
-    }
-
-    /// True when any governance (budget, token, policy, gauge) is
-    /// installed and `run` will route through the governed loop.
-    pub fn is_governed(&self) -> bool {
-        self.sup.is_some()
     }
 
     /// Run `cycles` steps under governance and return the structured
@@ -1013,39 +940,6 @@ impl Simulator {
         Ok(true)
     }
 
-    /// The recoverable run loop: auto-checkpoints at period boundaries
-    /// and rewinds on quarantine/divergence when rollback is armed.
-    fn run_recoverable(&mut self, cycles: u64) -> Result<(), SimError> {
-        let target = self.now.saturating_add(cycles);
-        // A rollback needs a target even before the first periodic
-        // checkpoint: seed one at the starting boundary.
-        if self
-            .ckpt
-            .as_ref()
-            .is_some_and(|c| c.rollback && c.last.is_none())
-        {
-            let snap = Arc::new(self.snapshot()?);
-            self.ckpt_mut().last = Some(snap);
-        }
-        while self.now < target {
-            let q_before = self.metrics.quarantines;
-            match self.step() {
-                Ok(()) => {
-                    if self.metrics.quarantines > q_before && self.try_rollback_quarantine()? {
-                        continue;
-                    }
-                    self.maybe_auto_checkpoint()?;
-                }
-                Err(e) => {
-                    if !self.try_rollback_divergence(&e)? {
-                        return Err(e);
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// True when `inst` has been quarantined by
     /// [`FailurePolicy::Quarantine`].
     pub fn is_quarantined(&self, inst: InstanceId) -> bool {
@@ -1111,28 +1005,7 @@ impl Simulator {
         self.sched
     }
 
-    /// Set the lane count for [`SchedKind::CompiledParallel`]: total
-    /// parallelism *including* the calling thread. `0` (the default)
-    /// auto-detects from `std::thread::available_parallelism`. A no-op
-    /// for the serial schedulers; any existing worker pool is dropped and
-    /// respawned lazily at the next step.
-    pub fn set_parallelism(&mut self, threads: usize) {
-        self.threads = threads;
-        self.pool = None;
-    }
-
-    fn effective_threads(&self) -> usize {
-        if self.threads != 0 {
-            self.threads
-        } else {
-            // Cached: `available_parallelism` re-reads cgroup limits on
-            // every call, far too slow for a per-step check.
-            static AUTO: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-            *AUTO.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-        }
-    }
-
-    /// The compiled invocation plan, when running a compiled scheduler.
+    /// The compiled invocation plan, when running [`SchedKind::Compiled`].
     pub fn compiled_plan(&self) -> Option<&Arc<CompiledPlan>> {
         self.plan.as_ref()
     }
@@ -1171,41 +1044,28 @@ impl Simulator {
         &self.transfer_counts
     }
 
-    /// Run `cycles` time-steps. When governance (budget / cancel token /
-    /// retry policy) is installed, the loop routes through
-    /// [`Simulator::run_governed`] — budget and cancellation stops then
-    /// return `Ok` with the details in [`Simulator::last_run_report`];
-    /// only [`RunOutcome::Failed`] surfaces as `Err`. When checkpointing
-    /// or rollback is configured, the loop auto-checkpoints at period
-    /// boundaries and rewinds on recoverable quarantine/divergence;
-    /// otherwise it is the plain step loop with no per-step overhead.
+    /// Run `cycles` time-steps: [`Simulator::run_until`] with no early
+    /// exit.
     pub fn run(&mut self, cycles: u64) -> Result<(), SimError> {
-        if self.sup.is_some() {
-            let report = self.run_governed(cycles);
-            return match report.error {
-                Some(e) => Err(e),
-                None => Ok(()),
-            };
-        }
-        if self.ckpt.is_some() {
-            return self.run_recoverable(cycles);
-        }
-        for _ in 0..cycles {
-            self.step()?;
-        }
-        Ok(())
+        self.run_until(cycles, |_| false).map(|_| ())
     }
 
     /// Run until `pred` returns true (checked after each step) or until
-    /// `max_cycles` elapse. Returns the number of steps executed. Like
-    /// [`Simulator::run`], routes through the governed loop when
-    /// governance is installed.
+    /// `max_cycles` elapse. Returns the number of steps completed. When
+    /// governance (budget / cancel token / retry policy) or checkpointing
+    /// (auto-checkpoint / checkpoint directory / rollback) is installed,
+    /// the loop is [`Simulator::run_governed_until`]: it auto-checkpoints
+    /// at period boundaries and rewinds on recoverable
+    /// quarantine/divergence; budget and cancellation stops return `Ok`
+    /// with the details in [`Simulator::last_run_report`], and only
+    /// [`RunOutcome::Failed`] surfaces as `Err`. Otherwise it is the plain
+    /// step loop with no per-step overhead.
     pub fn run_until(
         &mut self,
         max_cycles: u64,
         mut pred: impl FnMut(&Stats) -> bool,
     ) -> Result<u64, SimError> {
-        if self.sup.is_some() {
+        if self.sup.is_some() || self.ckpt.is_some() {
             let report = self.run_governed_until(max_cycles, pred);
             return match report.error {
                 Some(e) => Err(e),
@@ -1236,8 +1096,6 @@ impl Simulator {
         if resilient {
             self.commit_phase::<true>()?;
             self.flush_quarantine_events();
-        } else if self.spec_active() {
-            self.commit_phase_spec()?;
         } else {
             self.commit_phase::<false>()?;
         }
@@ -1306,17 +1164,12 @@ impl Simulator {
     }
 
     /// Run the reaction phase from a full seed (every instance queued).
-    /// The compiled schedulers take the plan path instead: no seeding, no
+    /// The compiled scheduler takes the plan path instead: no seeding, no
     /// worklist for the acyclic part of the netlist.
     fn reaction_phase(&mut self) -> Result<(), SimError> {
-        if matches!(
-            self.sched,
-            SchedKind::Compiled | SchedKind::CompiledParallel
-        ) {
-            return self.reaction_compiled();
-        }
         let n = self.topo.instance_count() as u32;
         match self.sched {
+            SchedKind::Compiled => return self.reaction_compiled(),
             SchedKind::Sweep => {}
             SchedKind::Dynamic => {
                 let wake = &mut self.work.wake;
@@ -1331,7 +1184,6 @@ impl Simulator {
                     q.push(i);
                 }
             }
-            SchedKind::Compiled | SchedKind::CompiledParallel => unreachable!("dispatched above"),
         }
         self.drain()
     }
@@ -1340,7 +1192,7 @@ impl Simulator {
     fn resume(&mut self, seed: u32) -> Result<(), SimError> {
         match self.sched {
             SchedKind::Sweep => {}
-            SchedKind::Dynamic | SchedKind::Compiled | SchedKind::CompiledParallel => {
+            SchedKind::Dynamic | SchedKind::Compiled => {
                 debug_assert!(self.work.wake.fifo.is_empty());
                 self.work.wake.push(seed);
             }
@@ -1415,7 +1267,7 @@ impl Simulator {
                     return Ok(());
                 }
             },
-            SchedKind::Dynamic | SchedKind::Compiled | SchedKind::CompiledParallel => {
+            SchedKind::Dynamic | SchedKind::Compiled => {
                 while let Some(i) = wake.pop() {
                     react_one::<PROBED, RESIL>(
                         topo, modules, store, stats, metrics, *now, i as usize, wake, probe, resil,
@@ -1448,39 +1300,17 @@ impl Simulator {
         }
     }
 
-    /// Reaction phase for the compiled schedulers: execute the plan
-    /// instead of seeding and draining a worklist.
+    /// Reaction phase for the compiled scheduler: execute the plan instead
+    /// of seeding and draining a worklist.
     fn reaction_compiled(&mut self) -> Result<(), SimError> {
-        // The parallel burst excludes probes and resilience: a probe
-        // observes resolve order (inherently serial), and fault/watchdog
-        // machinery mutates shared state per react. Both fall back to the
-        // serial compiled path, which handles them monomorphized.
-        if self.sched == SchedKind::CompiledParallel
-            && self.probe.is_none()
-            && self.resil.is_none()
-            && self.effective_threads() > 1
-        {
-            return self.reaction_compiled_parallel();
-        }
-        // Serial compiled path with specialization: lazily lower module
-        // state into kernels on the first unobserved step, then run the
-        // two-tier plan. A materialization failure permanently falls back
-        // to the dynamic path — never a wrong answer.
-        if self.sched == SchedKind::Compiled
-            && self.spec_enabled
-            && self.probe.is_none()
-            && self.resil.is_none()
-            && self.spec.is_some()
-        {
-            if !self.spec.as_deref().is_some_and(|s| s.live) {
-                let mut spec = self.spec.take().expect("checked above");
-                match spec.materialize(&self.topo, &self.modules) {
-                    Ok(()) => self.spec = Some(spec),
-                    Err(_) => self.spec = None,
+        // Lazily lower module state into kernels on the first unobserved
+        // step. A materialization failure permanently falls back to the
+        // dynamic handlers — never a wrong answer.
+        if self.spec_enabled && self.probe.is_none() && self.resil.is_none() {
+            if let Some(spec) = self.spec.as_deref_mut().filter(|s| !s.live) {
+                if spec.materialize(&self.topo, &self.modules).is_err() {
+                    self.spec = None;
                 }
-            }
-            if self.spec.as_deref().is_some_and(|s| s.live) {
-                return self.reaction_compiled_specialized();
             }
         }
         let r = match (self.probe.is_some(), self.resil.is_some()) {
@@ -1495,10 +1325,14 @@ impl Simulator {
         r
     }
 
-    /// One serial pass over the plan: straight nodes react exactly once
-    /// (their producers all sit earlier in the plan, so their inputs are
-    /// final — monotonicity plus the unique fixed point make a single
-    /// invocation sufficient); islands run a local FIFO fixed point.
+    /// One pass over the plan: straight nodes react exactly once (their
+    /// producers all sit earlier in the plan, so their inputs are final —
+    /// monotonicity plus the unique fixed point make a single invocation
+    /// sufficient); islands run a local FIFO fixed point. While kernels
+    /// are live the walk is two-tier: a straight node with a kernel runs
+    /// it over the unboxed lanes (no vtable, no `Value` boxing, no store
+    /// round-trip) and an island runs entirely specialized or entirely
+    /// dynamic (the classifier enforces all-or-none membership).
     fn compiled_serial<const PROBED: bool, const RESIL: bool>(&mut self) -> Result<(), SimError> {
         let Simulator {
             topo,
@@ -1512,6 +1346,7 @@ impl Simulator {
             interest,
             resil,
             plan,
+            spec,
             ..
         } = self;
         let plan: &CompiledPlan = plan.as_ref().expect("compiled scheduler without a plan");
@@ -1522,11 +1357,20 @@ impl Simulator {
             _ => None,
         };
         let probe = &mut probe;
+        let (kernels, lanes, spec_islands) = live_kernels(spec);
+        debug_assert!(kernels.is_empty() || !(PROBED || RESIL));
+        for l in lanes.iter_mut() {
+            l.reset();
+        }
+        // Fast lanes bypass the store entirely; credit their wires
+        // wholesale so the store's full-resolution accounting (the default
+        // phase's early-out) stays exact.
+        store.credit_fast_resolved(3 * lanes.len() as u64);
         if !PROBED && !RESIL {
             // Every straight node reacts exactly once per step; count the
             // whole batch up front instead of once per handler call.
             metrics.reacts += plan.straight_count() as u64;
-            if plan.is_fully_acyclic() {
+            if plan.is_fully_acyclic() && kernels.is_empty() {
                 // Fully acyclic netlist: the plan is a bare instance-id
                 // sequence — no enum dispatch, no island machinery.
                 for &i in plan.straight_ids() {
@@ -1546,223 +1390,33 @@ impl Simulator {
                     // for a straight node's wires — every reader is a
                     // strictly later plan node and runs regardless (a
                     // reactive ack reader would share an island with it).
-                    if !PROBED && !RESIL {
-                        react_straight(topo, modules, store, stats, *now, i as usize)?;
-                    } else {
-                        react_one::<PROBED, RESIL>(
-                            topo, modules, store, stats, metrics, *now, i as usize, wake, probe,
-                            resil,
-                        )?;
-                    }
-                }
-                PlanNode::Island { members, .. } => {
-                    drain_island::<PROBED, RESIL>(
-                        topo, modules, store, stats, metrics, *now, members, wake, probe, resil,
-                    )?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Specialized serial compiled reaction: eligible instances run as
-    /// monomorphized kernels over unboxed lanes, the rest through the
-    /// regular dynamic `react` machinery, interleaved in plan order.
-    fn reaction_compiled_specialized(&mut self) -> Result<(), SimError> {
-        let plan = self
-            .plan
-            .clone()
-            .expect("compiled scheduler without a plan");
-        let mut spec = self
-            .spec
-            .take()
-            .expect("specialized reaction without kernel state");
-        let r = self.compiled_serial_spec(&plan, &mut spec);
-        if r.is_err() {
-            self.work.wake.clear();
-        }
-        self.spec = Some(spec);
-        r
-    }
-
-    /// The two-tier plan walk: straight nodes dispatch to a kernel when
-    /// one exists (no vtable, no `Value` boxing, no store round-trip),
-    /// otherwise to `react_straight`; islands run entirely specialized or
-    /// entirely dynamic (the classifier enforces all-or-none membership).
-    fn compiled_serial_spec(
-        &mut self,
-        plan: &CompiledPlan,
-        spec: &mut SpecState,
-    ) -> Result<(), SimError> {
-        let Simulator {
-            topo,
-            modules,
-            store,
-            stats,
-            now,
-            work: WorkState { wake, .. },
-            metrics,
-            probe,
-            resil,
-            ..
-        } = self;
-        let topo: &Topology = topo;
-        let SpecState {
-            plan: splan,
-            kernels,
-            lanes,
-            ..
-        } = spec;
-        for l in lanes.iter_mut() {
-            l.reset();
-        }
-        // Fast lanes bypass the store entirely; credit their wires
-        // wholesale so the store's full-resolution accounting (the default
-        // phase's early-out) stays exact.
-        store.credit_fast_resolved(3 * lanes.len() as u64);
-        metrics.reacts += plan.straight_count() as u64;
-        debug_assert!(probe.is_none() && resil.is_none());
-        let mut dyn_probe: Option<Tap<'_>> = None;
-        wake.plan_walk(Some(store.epoch()), false);
-        for node in plan.nodes() {
-            match node {
-                &PlanNode::Straight(i) => {
                     let i = i as usize;
-                    match kernels[i].as_ref() {
-                        Some(k) => {
-                            let mut io = kernel::Io {
-                                lanes: lanes.as_mut_slice(),
-                                store,
-                                wake: None,
-                                now: *now,
-                                saw_unknown: false,
-                            };
-                            k.react(&mut io)?;
-                        }
-                        None => react_straight(topo, modules, store, stats, *now, i)?,
+                    if PROBED || RESIL {
+                        react_one::<PROBED, RESIL>(
+                            topo, modules, store, stats, metrics, *now, i, wake, probe, resil,
+                        )?;
+                    } else if let Some(k) = kernels.get(i).and_then(Option::as_ref) {
+                        let mut io = kernel::Io {
+                            lanes: &mut *lanes,
+                            store,
+                            wake: None,
+                            now: *now,
+                            saw_unknown: false,
+                        };
+                        k.react(&mut io)?;
+                    } else {
+                        react_straight(topo, modules, store, stats, *now, i)?;
                     }
                 }
                 PlanNode::Island { island, members } => {
-                    if splan.spec_islands[*island as usize] {
-                        let lanes = lanes.as_mut_slice();
+                    if spec_islands.get(*island as usize).is_some_and(|&s| s) {
                         drain_island_spec(kernels, lanes, store, metrics, *now, members, wake)?;
                     } else {
-                        drain_island::<false, false>(
-                            topo,
-                            modules,
-                            store,
-                            stats,
-                            metrics,
-                            *now,
-                            members,
-                            wake,
-                            &mut dyn_probe,
-                            resil,
+                        drain_island::<PROBED, RESIL>(
+                            topo, modules, store, stats, metrics, *now, members, wake, probe, resil,
                         )?;
                     }
                 }
-            }
-        }
-        Ok(())
-    }
-
-    /// Parallel compiled reaction: independent same-level plan segments
-    /// burst across the worker pool against a read-only store; each
-    /// partition's writes are buffered and merged serially in plan order
-    /// at the level barrier, so the store sees the exact mutation
-    /// sequence of the serial compiled scheduler.
-    fn reaction_compiled_parallel(&mut self) -> Result<(), SimError> {
-        let plan = self
-            .plan
-            .clone()
-            .expect("compiled scheduler without a plan");
-        let threads = self.effective_threads();
-        if self.pool.as_ref().is_none_or(|p| p.capacity() != threads) {
-            self.pool = Some(WorkerPool::new(threads - 1));
-        }
-        let mut pool = self.pool.take().expect("pool ensured above");
-        if self.par_bufs.len() < threads {
-            self.par_bufs.resize_with(threads, ReactBuffer::default);
-        }
-        let mut bufs = std::mem::take(&mut self.par_bufs);
-        let r = self.par_levels(&plan, &mut pool, &mut bufs[..threads]);
-        if r.is_err() {
-            self.work.wake.clear();
-        }
-        self.par_bufs = bufs;
-        self.pool = Some(pool);
-        r
-    }
-
-    /// Walk the plan level by level: wide straight segments burst across
-    /// the pool, narrow ones and islands run inline (islands iterate and
-    /// are executed serially at their plan position — they are rare and
-    /// small in well-formed specs).
-    fn par_levels(
-        &mut self,
-        plan: &CompiledPlan,
-        pool: &mut WorkerPool,
-        bufs: &mut [ReactBuffer],
-    ) -> Result<(), SimError> {
-        let threads = bufs.len().min(pool.capacity());
-        let Simulator {
-            topo,
-            modules,
-            store,
-            stats,
-            now,
-            work: WorkState { wake, .. },
-            metrics,
-            ..
-        } = self;
-        let topo: &Topology = topo;
-        let mut no_probe: Option<Tap<'_>> = None;
-        let mut no_resil: Option<Box<ResilState>> = None;
-        wake.plan_walk(Some(store.epoch()), false);
-        for level in plan.levels() {
-            let snodes = &plan.nodes()[level.start as usize..level.straight_end as usize];
-            let n_chunks = (snodes.len() / MIN_STRAIGHTS_PER_CHUNK).clamp(1, threads);
-            if n_chunks >= 2 {
-                run_level_parallel(
-                    topo,
-                    modules,
-                    store,
-                    stats,
-                    metrics,
-                    *now,
-                    snodes,
-                    &mut bufs[..n_chunks],
-                    pool,
-                )?;
-            } else {
-                metrics.reacts += snodes.len() as u64;
-                for node in snodes {
-                    react_straight(
-                        topo,
-                        modules,
-                        store,
-                        stats,
-                        *now,
-                        straight_id(node) as usize,
-                    )?;
-                }
-            }
-            for node in &plan.nodes()[level.straight_end as usize..level.end as usize] {
-                let PlanNode::Island { members, .. } = node else {
-                    unreachable!("island segment holds only islands");
-                };
-                drain_island::<false, false>(
-                    topo,
-                    modules,
-                    store,
-                    stats,
-                    metrics,
-                    *now,
-                    members,
-                    wake,
-                    &mut no_probe,
-                    &mut no_resil,
-                )?;
             }
         }
         Ok(())
@@ -1823,111 +1477,12 @@ impl Simulator {
             .is_some_and(|s| s.live && s.plan.lane_of[e] != kernel::NO_LANE)
     }
 
-    /// Specialized commit phase: completed fast-lane handshakes are folded
-    /// into the same activity marks and per-edge transfer counts the store
-    /// walk produces, then each instance commits through its kernel (or
-    /// its dynamic handler), in the same instance-id order with the same
-    /// gating rules as [`Simulator::commit_phase`].
-    fn commit_phase_spec(&mut self) -> Result<(), SimError> {
-        let mut spec = self
-            .spec
-            .take()
-            .expect("specialized commit without kernel state");
-        let r = self.commit_phase_spec_inner(&mut spec);
-        self.spec = Some(spec);
-        r
-    }
-
-    fn commit_phase_spec_inner(&mut self, spec: &mut SpecState) -> Result<(), SimError> {
-        let Simulator {
-            topo,
-            modules,
-            store,
-            stats,
-            now,
-            metrics,
-            active,
-            transfer_counts,
-            ..
-        } = self;
-        let topo: &Topology = topo;
-        let SpecState { kernels, lanes, .. } = spec;
-        let gated = topo.any_commit_gated();
-        for lane in lanes.iter_mut() {
-            debug_assert!(
-                lane.fully_resolved(),
-                "kernel left a fast lane unresolved (edge {})",
-                lane.edge.0
-            );
-            if lane.completes() {
-                lane.transferred = true;
-                transfer_counts[lane.edge.0 as usize] += 1;
-                if gated {
-                    let em = topo.edge_meta(lane.edge);
-                    active[em.src.inst.0 as usize] = true;
-                    active[em.dst.inst.0 as usize] = true;
-                }
-            }
-        }
-        for &e in store.transfers() {
-            transfer_counts[e.0 as usize] += 1;
-            if gated {
-                let em = topo.edge_meta(e);
-                active[em.src.inst.0 as usize] = true;
-                active[em.dst.inst.0 as usize] = true;
-            }
-        }
-        let result = (|| {
-            if topo.all_commit_noop() {
-                return Ok(());
-            }
-            for i in 0..modules.len() {
-                if topo.commit_noop(i) {
-                    continue;
-                }
-                match kernels[i].as_mut() {
-                    Some(k) => {
-                        if topo.commit_gated(i) && !active[i] && !k.pending() {
-                            continue;
-                        }
-                        metrics.commits += 1;
-                        k.commit(lanes, store, stats, *now);
-                    }
-                    None => {
-                        let module = &mut modules[i];
-                        if topo.commit_gated(i) && !active[i] && !module.pending() {
-                            continue;
-                        }
-                        metrics.commits += 1;
-                        let inst = InstanceId(i as u32);
-                        module.commit(&mut CommitCtx::new(topo, inst, store, stats, *now))?;
-                    }
-                }
-            }
-            Ok(())
-        })();
-        // Clear activity marks by re-walking both transfer sources; runs
-        // even on the error path so a failed step cannot poison the next.
-        if gated {
-            for lane in lanes.iter() {
-                if lane.transferred {
-                    let em = topo.edge_meta(lane.edge);
-                    active[em.src.inst.0 as usize] = false;
-                    active[em.dst.inst.0 as usize] = false;
-                }
-            }
-            for &e in store.transfers() {
-                let em = topo.edge_meta(e);
-                active[em.src.inst.0 as usize] = false;
-                active[em.dst.inst.0 as usize] = false;
-            }
-        }
-        result
-    }
-
     /// Commit with activity tracking: gated instances commit only when
     /// they were an endpoint of a completed transfer or report pending
-    /// internal state; everyone else commits unconditionally. With
+    /// internal state; everyone else commits unconditionally. While
+    /// kernels are live, completed fast-lane handshakes are folded into
+    /// the same activity marks and per-edge transfer counts the store walk
+    /// produces, and an instance with a kernel commits through it. With
     /// `RESIL`, quarantined instances are skipped, handler failures go
     /// through the failure policy, and the transfer list is repaired
     /// first in case oscillation-tolerant writes dirtied it.
@@ -1945,24 +1500,35 @@ impl Simulator {
             transfer_counts,
             transfer_buf,
             resil,
+            spec,
             ..
         } = self;
         let topo: &Topology = topo;
         let brackets = interest.handlers;
+        let (kernels, lanes, _) = live_kernels(spec);
         if RESIL {
             store.finalize_transfers();
         }
-        if topo.any_commit_gated() {
-            for &e in store.transfers() {
-                let em = topo.edge_meta(e);
-                active[em.src.inst.0 as usize] = true;
-                active[em.dst.inst.0 as usize] = true;
-                transfer_counts[e.0 as usize] += 1;
+        // Endpoint marks only when somebody is gated on them.
+        let gated = topo.any_commit_gated();
+        for lane in lanes.iter_mut() {
+            debug_assert!(
+                lane.fully_resolved(),
+                "kernel left a fast lane unresolved (edge {})",
+                lane.edge.0
+            );
+            if lane.completes() {
+                lane.transferred = true;
+                transfer_counts[lane.edge.0 as usize] += 1;
+                if gated {
+                    mark_endpoints(topo, active, lane.edge, true);
+                }
             }
-        } else {
-            // Nobody consumes the endpoint marks: count transfers only.
-            for &e in store.transfers() {
-                transfer_counts[e.0 as usize] += 1;
+        }
+        for &e in store.transfers() {
+            transfer_counts[e.0 as usize] += 1;
+            if gated {
+                mark_endpoints(topo, active, e, true);
             }
         }
         let result = (|| {
@@ -1979,10 +1545,21 @@ impl Simulator {
                         continue;
                     }
                 }
-                if topo.commit_gated(i) && !active[i] && !module.pending() {
-                    continue;
+                let kernel = kernels.get_mut(i).and_then(Option::as_mut);
+                if topo.commit_gated(i) && !active[i] {
+                    let pending = match &kernel {
+                        Some(k) => k.pending(),
+                        None => module.pending(),
+                    };
+                    if !pending {
+                        continue;
+                    }
                 }
                 metrics.commits += 1;
+                if let Some(k) = kernel {
+                    k.commit(lanes, store, stats, *now);
+                    continue;
+                }
                 let inst = InstanceId(i as u32);
                 if let Some(p) = probe.as_deref_mut().filter(|_| brackets) {
                     p.commit_enter(*now, inst);
@@ -2047,17 +1624,44 @@ impl Simulator {
             }
             Ok(())
         })();
-        // Clear flags by walking the same transfer list: cost stays
+        // Clear the marks by re-walking both transfer sources: cost stays
         // proportional to activity, not to instance count. Runs even on
         // the error path so a failed step cannot poison the next one.
-        if topo.any_commit_gated() {
+        if gated {
+            for lane in lanes.iter().filter(|l| l.transferred) {
+                mark_endpoints(topo, active, lane.edge, false);
+            }
             for &e in store.transfers() {
-                let em = topo.edge_meta(e);
-                active[em.src.inst.0 as usize] = false;
-                active[em.dst.inst.0 as usize] = false;
+                mark_endpoints(topo, active, e, false);
             }
         }
         result
+    }
+}
+
+/// Set the commit phase's activity mark of both endpoints of `e`.
+#[inline]
+fn mark_endpoints(topo: &Topology, active: &mut [bool], e: EdgeId, on: bool) {
+    let em = topo.edge_meta(e);
+    active[em.src.inst.0 as usize] = on;
+    active[em.dst.inst.0 as usize] = on;
+}
+
+/// The live kernels, their lanes and the per-island "runs specialized"
+/// flags, as slices: all empty while nothing is materialized, so every
+/// lookup the plan walk and the commit phase make answers "dynamic".
+/// Kernels are only ever live unobserved: attaching a probe, fault plan,
+/// watchdog or failure policy writes them back first.
+fn live_kernels(
+    spec: &mut Option<Box<SpecState>>,
+) -> (&mut [Option<Kernel>], &mut [Lane], &[bool]) {
+    match spec.as_deref_mut() {
+        Some(s) if s.live => (
+            s.kernels.as_mut_slice(),
+            s.lanes.as_mut_slice(),
+            s.plan.spec_islands.as_slice(),
+        ),
+        _ => (&mut [], &mut [], &[]),
     }
 }
 
@@ -2131,19 +1735,6 @@ fn divergence_error(topo: &Topology, rs: &ResilState, now: u64) -> SimError {
         oscillating,
         cycle,
     }))
-}
-
-/// Minimum straight nodes per parallel chunk: below this, dispatch and
-/// merge overhead beats the win, so narrow levels run inline.
-const MIN_STRAIGHTS_PER_CHUNK: usize = 4;
-
-/// Instance id of a straight plan node (the straight segment of a level
-/// holds nothing else).
-fn straight_id(n: &PlanNode) -> u32 {
-    match n {
-        PlanNode::Straight(i) => *i,
-        PlanNode::Island { .. } => unreachable!("straight segment holds only straights"),
-    }
 }
 
 /// Run one cyclic SCC ("island") to its local fixed point with a FIFO
@@ -2225,7 +1816,7 @@ fn drain_members(
 /// (only ack feedback), so the fixed point terminates without watchdog
 /// support.
 fn drain_island_spec(
-    kernels: &mut [Option<Kernel>],
+    kernels: &[Option<Kernel>],
     lanes: &mut [Lane],
     store: &mut SignalStore,
     metrics: &mut EngineMetrics,
@@ -2251,148 +1842,6 @@ fn drain_island_spec(
     })
 }
 
-/// Execute one level's straight segment across the pool. The plan's
-/// invariants make this sound and deterministic:
-///
-/// * straight segments are sorted by instance id, so the module slice
-///   partitions into disjoint `&mut` chunks;
-/// * no dependency edge joins two same-level nodes — each connection's
-///   endpoints are either in one island or on strictly different levels —
-///   so reads against the shared `&SignalStore` only observe wires
-///   settled by earlier levels, which are final;
-/// * writes are buffered per chunk and applied at the barrier in plan
-///   (chunk) order, reproducing the serial scheduler's exact store
-///   mutation sequence.
-///
-/// One observable difference from the serial path: a write the store
-/// rejects (a contract violation) surfaces here at the barrier rather
-/// than inside the module's `react`, so a module that would have
-/// swallowed the error cannot — the step fails either way.
-#[allow(clippy::too_many_arguments)]
-fn run_level_parallel(
-    topo: &Topology,
-    modules: &mut [Box<dyn Module>],
-    store: &mut SignalStore,
-    stats: &mut Stats,
-    metrics: &mut EngineMetrics,
-    now: u64,
-    snodes: &[PlanNode],
-    bufs: &mut [ReactBuffer],
-    pool: &mut WorkerPool,
-) -> Result<(), SimError> {
-    struct Chunk<'a> {
-        nodes: &'a [PlanNode],
-        mods: &'a mut [Box<dyn Module>],
-        base: usize,
-        buf: &'a mut ReactBuffer,
-        err: Option<SimError>,
-    }
-    let n_chunks = bufs.len();
-    let per = snodes.len().div_ceil(n_chunks);
-    let mut chunks: Vec<Chunk<'_>> = Vec::with_capacity(n_chunks);
-    let mut rem = modules;
-    let mut consumed = 0usize;
-    for (c, buf) in bufs.iter_mut().enumerate() {
-        let lo = c * per;
-        let hi = (lo + per).min(snodes.len());
-        if lo >= hi {
-            break;
-        }
-        let nodes = &snodes[lo..hi];
-        let first = straight_id(&nodes[0]) as usize;
-        let last = straight_id(&nodes[nodes.len() - 1]) as usize;
-        let tmp = std::mem::take(&mut rem);
-        let (_, tail) = tmp.split_at_mut(first - consumed);
-        let (mine, tail) = tail.split_at_mut(last - first + 1);
-        rem = tail;
-        consumed = last + 1;
-        buf.clear();
-        chunks.push(Chunk {
-            nodes,
-            mods: mine,
-            base: first,
-            buf,
-            err: None,
-        });
-    }
-    // Burst: every chunk reacts its instances against the read-only
-    // store, recording effects into its own buffer.
-    {
-        let store_ro: &SignalStore = store;
-        let mut tasks: Vec<_> = chunks
-            .iter_mut()
-            .map(|ch| {
-                move || {
-                    for node in ch.nodes {
-                        let i = straight_id(node) as usize;
-                        ch.buf.reacts += 1;
-                        let mut ctx = ReactCtx::new(
-                            topo,
-                            InstanceId(i as u32),
-                            CtxSink::Buffered {
-                                store: store_ro,
-                                buf: &mut *ch.buf,
-                            },
-                            now,
-                        );
-                        if let Err(e) = ch.mods[i - ch.base].react(&mut ctx) {
-                            ch.err = Some(e);
-                            return;
-                        }
-                    }
-                }
-            })
-            .collect();
-        let mut task_refs: Vec<&mut (dyn FnMut() + Send)> = tasks
-            .iter_mut()
-            .map(|t| t as &mut (dyn FnMut() + Send))
-            .collect();
-        let panics = pool.run(&mut task_refs);
-        if let Some(p) = panics.into_iter().flatten().next() {
-            // A raw module panic: drop the partial buffers, then re-raise.
-            // (The resilient catch-and-quarantine policies never reach
-            // this path — installing one forces the serial fallback.)
-            drop(tasks);
-            for ch in &mut chunks {
-                ch.buf.clear();
-            }
-            std::panic::resume_unwind(p);
-        }
-    }
-    // Barrier merge, chunk by chunk in plan order.
-    let mut first_err: Option<SimError> = None;
-    for ch in &mut chunks {
-        metrics.reacts += ch.buf.reacts;
-        ch.buf.reacts = 0;
-        for op in ch.buf.ops.drain(..) {
-            if first_err.is_some() {
-                continue;
-            }
-            match op {
-                BufOp::Write(inst, e, w) => {
-                    if let Err(err) = store.write(e, w) {
-                        let info = topo.instance(InstanceId(inst));
-                        first_err = Some(SimError::contract(format!(
-                            "{} ({}): {err}",
-                            info.name, info.spec.template
-                        )));
-                    }
-                }
-                BufOp::Count(inst, name, by) => stats.count(InstanceId(inst), name, by),
-                BufOp::Sample(inst, name, v) => stats.sample(InstanceId(inst), name, v),
-                BufOp::Histo(inst, name, v) => stats.histo(InstanceId(inst), name, v),
-            }
-        }
-        if first_err.is_none() {
-            first_err = ch.err.take();
-        }
-    }
-    match first_err {
-        None => Ok(()),
-        Some(e) => Err(e),
-    }
-}
-
 /// React one *straight* plan node on the probe-off, fault-off path: no
 /// wake bookkeeping (its readers are all later plan nodes), no newly
 /// list, no catch_unwind — the minimal cost of invoking a handler.
@@ -2410,9 +1859,10 @@ fn react_straight(
     let mut ctx = ReactCtx::new(
         topo,
         InstanceId(i as u32),
-        CtxSink::Fast {
+        CtxSink {
             store: &mut *store,
             stats: &mut *stats,
+            wake: None,
         },
         now,
     );
@@ -2484,10 +1934,10 @@ fn react_one<const PROBED: bool, const RESIL: bool>(
             let seed = rs.plan.as_ref().map_or(0, |p| p.seed);
             let tolerant = rs.max_iters.is_some();
             let ResilState { active, osc, .. } = &mut *rs;
-            let sink = CtxSink::Direct {
+            let sink = CtxSink {
                 store: &mut *store,
                 stats: &mut *stats,
-                wake: &mut *wake,
+                wake: Some(&mut *wake),
             };
             let mut ctx = ReactCtx::new(topo, inst, sink, now);
             ctx.faults = (!active.signals.is_empty()).then_some((&*active, seed));
@@ -2497,10 +1947,10 @@ fn react_one<const PROBED: bool, const RESIL: bool>(
                 Err(payload) => Err(panic_message(payload)),
             }
         } else {
-            let sink = CtxSink::Direct {
+            let sink = CtxSink {
                 store: &mut *store,
                 stats: &mut *stats,
-                wake: &mut *wake,
+                wake: Some(&mut *wake),
             };
             let mut ctx = ReactCtx::new(topo, inst, sink, now);
             let r = modules[i].react(&mut ctx);
@@ -2579,32 +2029,16 @@ fn emit_resolved(
     }
 }
 
-/// Where a [`ReactCtx`]'s effects land: directly in the store (serial
-/// paths) or in a per-partition buffer merged at a level barrier
-/// (parallel bursts, where the store is shared read-only).
-enum CtxSink<'a> {
-    /// Immediate writes, each newly resolved wire reported to the
-    /// worklist's [`WakeSink`] (which queues the plan's wake target,
-    /// keeps the resolve log, or both).
-    Direct {
-        store: &'a mut SignalStore,
-        stats: &'a mut Stats,
-        wake: &'a mut WakeSink,
-    },
-    /// Immediate writes with *no* wake bookkeeping: the compiled
-    /// scheduler's straight-line nodes (probe off, faults off) never
-    /// wake anyone, so recording newly resolved wires would be pure
+/// Where a [`ReactCtx`]'s effects land.
+struct CtxSink<'a> {
+    store: &'a mut SignalStore,
+    stats: &'a mut Stats,
+    /// Told of each newly resolved wire (it queues the plan's wake
+    /// target, keeps the resolve log, or both). `None` for the compiled
+    /// scheduler's straight-line nodes (probe off, faults off): they
+    /// never wake anyone, so recording their resolutions would be pure
     /// overhead on the hottest path in the kernel.
-    Fast {
-        store: &'a mut SignalStore,
-        stats: &'a mut Stats,
-    },
-    /// Deferred effects; no wake bookkeeping (every reader of a burst
-    /// participant's wires sits on a strictly later level).
-    Buffered {
-        store: &'a SignalStore,
-        buf: &'a mut ReactBuffer,
-    },
+    wake: Option<&'a mut WakeSink>,
 }
 
 /// Context handed to [`Module::react`]: resolved-signal reads plus
@@ -2690,18 +2124,6 @@ impl<'a> ReactCtx<'a> {
         }
     }
 
-    /// The store to read resolved signals from (shared by both sinks; the
-    /// buffered sink's deferred writes are invisible here, which is fine —
-    /// a burst participant's readers run on later levels).
-    #[inline]
-    fn st(&self) -> &SignalStore {
-        match &self.sink {
-            CtxSink::Direct { store, .. } => store,
-            CtxSink::Fast { store, .. } => store,
-            CtxSink::Buffered { store, .. } => store,
-        }
-    }
-
     #[inline]
     fn check_dir(&self, port: PortId, want: Dir) -> Result<(), SimError> {
         if self.pmeta[port.0 as usize].dir != want {
@@ -2721,7 +2143,7 @@ impl<'a> ReactCtx<'a> {
     #[inline]
     pub fn data(&self, port: PortId, index: usize) -> Res<Value> {
         match self.edge(port, index) {
-            Some(e) => self.seen(self.st().data(e)),
+            Some(e) => self.seen(self.sink.store.data(e)),
             None => Res::No,
         }
     }
@@ -2730,7 +2152,7 @@ impl<'a> ReactCtx<'a> {
     #[inline]
     pub fn enable(&self, port: PortId, index: usize) -> Res<()> {
         match self.edge(port, index) {
-            Some(e) => self.seen(self.st().enable(e)),
+            Some(e) => self.seen(self.sink.store.enable(e)),
             None => Res::No,
         }
     }
@@ -2751,7 +2173,7 @@ impl<'a> ReactCtx<'a> {
             )));
         }
         Ok(match self.edge(port, index) {
-            Some(e) => self.seen(self.st().ack(e)),
+            Some(e) => self.seen(self.sink.store.ack(e)),
             None => Res::Yes(()),
         })
     }
@@ -2766,11 +2188,10 @@ impl<'a> ReactCtx<'a> {
     }
 
     /// The value-carrying write: a wire drive as a [`WireWrite`], for the
-    /// three paths that must see it as one — an active fault transforms
-    /// (or swallows) it in flight, the oscillation-tolerant mode counts
-    /// its flips, a burst partition can only record it — plus
-    /// [`ReactCtx::set_data`], which has a payload anyway. Every other
-    /// drive goes to the store's scalar entry points through
+    /// two paths that must see it as one — an active fault transforms (or
+    /// swallows) it in flight, the oscillation-tolerant mode counts its
+    /// flips — plus [`ReactCtx::set_data`], which has a payload anyway.
+    /// Every other drive goes to the store's scalar entry points through
     /// [`ReactCtx::drive`]. Kernel default-semantics writes do not pass
     /// through here and are never faulted.
     fn write(&mut self, e: EdgeId, w: WireWrite) -> Result<(), SimError> {
@@ -2786,46 +2207,39 @@ impl<'a> ReactCtx<'a> {
             },
         };
         let tolerant = self.osc.is_some();
-        let result = match &mut self.sink {
-            CtxSink::Fast { store, .. } => store.write(e, w).map(|_| ()),
-            CtxSink::Buffered { buf, .. } => {
-                // Deferred: applied — and contract-checked — at the level
-                // barrier, in plan order. No wake bookkeeping is needed:
-                // every reader of this wire runs on a later level.
-                buf.ops.push(BufOp::Write(self.inst.0, e, w));
+        let CtxSink { store, wake, .. } = &mut self.sink;
+        let result = if tolerant {
+            store.write_tolerant(e, w)
+        } else {
+            store.write(e, w)
+        };
+        match result {
+            Ok(WriteOutcome::Idempotent) => Ok(()),
+            Ok(outcome) => {
+                if outcome == WriteOutcome::Oscillated {
+                    if let Some(osc) = self.osc.as_deref_mut() {
+                        *osc.entry((e.0, wire.idx() as u8)).or_insert(0) += 1;
+                    }
+                }
+                // An oscillation is re-woken like a fresh resolution: the
+                // re-resolved value must propagate to readers (and the
+                // watchdog bounds the resulting iteration).
+                if let Some(wake) = wake {
+                    wake.resolved(e, wire);
+                }
                 Ok(())
             }
-            CtxSink::Direct { store, wake, .. } => {
-                let result = if tolerant {
-                    store.write_tolerant(e, w)
-                } else {
-                    store.write(e, w)
-                };
-                result.map(|outcome| match outcome {
-                    WriteOutcome::NewlyResolved => wake.resolved(e, wire),
-                    WriteOutcome::Oscillated => {
-                        if let Some(osc) = self.osc.as_deref_mut() {
-                            *osc.entry((e.0, wire.idx() as u8)).or_insert(0) += 1;
-                        }
-                        // Re-woken like a fresh resolution: the re-resolved
-                        // value must propagate to readers (and the watchdog
-                        // bounds the resulting iteration).
-                        wake.resolved(e, wire);
-                    }
-                    WriteOutcome::Idempotent => {}
-                })
-            }
-        };
-        result.map_err(|err| self.contract(err))
+            Err(err) => Err(self.contract(err)),
+        }
     }
 
     /// One handler-level drive of `N` wires of edge `e`: through the
     /// store's scalar entry point (`scalar`, which reports one outcome
     /// per wire of `wires` for the wake sink) when nothing has to see the
     /// drive as a value, otherwise as the [`WireWrite`]s `by_value` spells
-    /// it out into — fault table, tolerant mode, burst buffer. `payload`
-    /// is whatever the drive carries (a `Value`, a polarity, nothing); it
-    /// is moved into exactly one of the two.
+    /// it out into — fault table, tolerant mode. `payload` is whatever the
+    /// drive carries (a `Value`, a polarity, nothing); it is moved into
+    /// exactly one of the two.
     #[inline(always)]
     fn drive<P, const N: usize>(
         &mut self,
@@ -2840,17 +2254,7 @@ impl<'a> ReactCtx<'a> {
                 .into_iter()
                 .try_for_each(|w| self.write(e, w));
         }
-        let inst = self.inst.0;
-        let (store, wake) = match &mut self.sink {
-            CtxSink::Fast { store, .. } => (store, None),
-            CtxSink::Direct { store, wake, .. } => (store, Some(wake)),
-            CtxSink::Buffered { buf, .. } => {
-                // As in `write`: recorded now, applied at the barrier.
-                buf.ops
-                    .extend(by_value(payload).map(|w| BufOp::Write(inst, e, w)));
-                return Ok(());
-            }
-        };
+        let CtxSink { store, wake, .. } = &mut self.sink;
         match scalar(store, e, payload) {
             Ok(outcomes) => {
                 if let Some(wake) = wake {
@@ -2974,38 +2378,26 @@ impl<'a> ReactCtx<'a> {
             return Ok(Res::No); // unconnected: partial-spec default
         };
         self.drive_ack(e, accept)?;
-        Ok(self.seen(self.st().data(e)))
+        Ok(self.seen(self.sink.store.data(e)))
     }
 
     /// Add to one of this instance's counters.
     pub fn count(&mut self, name: &'static str, by: u64) {
         self.pinned.set(true);
-        match &mut self.sink {
-            CtxSink::Direct { stats, .. } => stats.count(self.inst, name, by),
-            CtxSink::Fast { stats, .. } => stats.count(self.inst, name, by),
-            CtxSink::Buffered { buf, .. } => buf.ops.push(BufOp::Count(self.inst.0, name, by)),
-        }
+        self.sink.stats.count(self.inst, name, by);
     }
 
     /// Record a sample on one of this instance's sampled stats.
     pub fn sample(&mut self, name: &'static str, v: f64) {
         self.pinned.set(true);
-        match &mut self.sink {
-            CtxSink::Direct { stats, .. } => stats.sample(self.inst, name, v),
-            CtxSink::Fast { stats, .. } => stats.sample(self.inst, name, v),
-            CtxSink::Buffered { buf, .. } => buf.ops.push(BufOp::Sample(self.inst.0, name, v)),
-        }
+        self.sink.stats.sample(self.inst, name, v);
     }
 
     /// Record a value into one of this instance's log2-bucket histograms
     /// (latency/occupancy distributions, not just min/mean/max).
     pub fn histo(&mut self, name: &'static str, v: u64) {
         self.pinned.set(true);
-        match &mut self.sink {
-            CtxSink::Direct { stats, .. } => stats.histo(self.inst, name, v),
-            CtxSink::Fast { stats, .. } => stats.histo(self.inst, name, v),
-            CtxSink::Buffered { buf, .. } => buf.ops.push(BufOp::Histo(self.inst.0, name, v)),
-        }
+        self.sink.stats.histo(self.inst, name, v);
     }
 }
 
@@ -3372,36 +2764,31 @@ mod tests {
         assert_eq!(sim.metrics().defaults, 2 * 3 * 8);
     }
 
-    const ALL_SCHEDS: [SchedKind; 5] = [
+    const ALL_SCHEDS: [SchedKind; 4] = [
         SchedKind::Sweep,
         SchedKind::Dynamic,
         SchedKind::Static,
         SchedKind::Compiled,
-        SchedKind::CompiledParallel,
     ];
 
     #[test]
     fn compiled_schedulers_match_dynamic_on_gated_pair() {
         let mut reference = even_pair(SchedKind::Dynamic);
         reference.run(10).unwrap();
-        for sched in [SchedKind::Compiled, SchedKind::CompiledParallel] {
-            let mut sim = even_pair(sched);
-            assert!(sim.compiled_plan().is_some());
-            sim.run(10).unwrap();
-            let k = sim.instance_by_name("k").unwrap();
-            assert_eq!(sim.stats().counter(k, "received"), 5, "{sched:?}");
-            assert_eq!(sim.metrics().commits, reference.metrics().commits);
-            assert_eq!(sim.metrics().defaults, reference.metrics().defaults);
-            assert_eq!(sim.transfer_counts(), reference.transfer_counts());
-            // One react per instance per step on an acyclic net: the
-            // whole point of the compiled plan.
-            assert_eq!(sim.metrics().reacts, 2 * 10, "{sched:?}");
-        }
+        let mut sim = even_pair(SchedKind::Compiled);
+        assert!(sim.compiled_plan().is_some());
+        sim.run(10).unwrap();
+        let k = sim.instance_by_name("k").unwrap();
+        assert_eq!(sim.stats().counter(k, "received"), 5);
+        assert_eq!(sim.metrics().commits, reference.metrics().commits);
+        assert_eq!(sim.metrics().defaults, reference.metrics().defaults);
+        assert_eq!(sim.transfer_counts(), reference.transfer_counts());
+        // One react per instance per step on an acyclic net: the whole
+        // point of the compiled plan.
+        assert_eq!(sim.metrics().reacts, 2 * 10);
     }
 
-    /// A wide two-level netlist (N independent source->sink pairs) so the
-    /// parallel scheduler actually bursts: each level has 8 straight
-    /// nodes, split across 2-3 chunks at parallelism 3.
+    /// A wide two-level netlist: N independent source->sink pairs.
     fn wide_pairs(sched: SchedKind, n: usize) -> Simulator {
         let mut b = NetlistBuilder::new();
         for p in 0..n {
@@ -3418,30 +2805,6 @@ mod tests {
             b.connect(s, "out", k, "in").unwrap();
         }
         Simulator::new(b.build().unwrap(), sched)
-    }
-
-    #[test]
-    fn parallel_level_bursts_merge_identically() {
-        let mut reference = wide_pairs(SchedKind::Dynamic, 8);
-        reference.run(9).unwrap();
-        let mut sim = wide_pairs(SchedKind::CompiledParallel, 8);
-        sim.set_parallelism(3);
-        sim.run(9).unwrap();
-        assert_eq!(sim.transfer_counts(), reference.transfer_counts());
-        assert_eq!(sim.metrics().commits, reference.metrics().commits);
-        assert_eq!(sim.metrics().defaults, reference.metrics().defaults);
-        for p in 0..8 {
-            let k = sim.instance_by_name(&format!("k{p}")).unwrap();
-            assert_eq!(
-                sim.stats().counter(k, "received"),
-                reference.stats().counter(k, "received")
-            );
-        }
-        // Burst or not, every instance reacts exactly once per step.
-        let mut serial = wide_pairs(SchedKind::Compiled, 8);
-        serial.run(9).unwrap();
-        assert_eq!(sim.metrics().reacts, serial.metrics().reacts);
-        assert_eq!(sim.report(), serial.report());
     }
 
     /// A two-instance data cycle that settles: `a` drives unconditionally
@@ -3490,7 +2853,7 @@ mod tests {
         let mut reports = Vec::new();
         for sched in ALL_SCHEDS {
             let mut sim = build(sched);
-            if matches!(sched, SchedKind::Compiled | SchedKind::CompiledParallel) {
+            if sched == SchedKind::Compiled {
                 let plan = sim.compiled_plan().unwrap();
                 assert_eq!(plan.island_count(), 1, "the 2-cycle is one island");
             }
@@ -3951,6 +3314,51 @@ mod tests {
         let report = sim.run_governed_until(100, |s| s.counter(k, "received") >= 4);
         assert_eq!(report.outcome, RunOutcome::Completed);
         assert!(report.steps_executed >= 4 && report.steps_executed < 50);
+    }
+
+    #[test]
+    fn run_until_checkpoints_like_run() {
+        // Checkpointing alone — no budget, token or retry policy — puts
+        // `run_until` on the governed loop, exactly as it puts `run`.
+        let drivers: [fn(&mut Simulator); 3] = [
+            |sim| sim.run(10).unwrap(),
+            |sim| assert_eq!(sim.run_until(10, |_| false).unwrap(), 10),
+            |sim| {
+                sim.set_budget(RunBudget::new());
+                assert_eq!(sim.run_until(10, |_| false).unwrap(), 10);
+            },
+        ];
+        for drive in drivers {
+            let mut sim = simple_pair(SchedKind::Dynamic);
+            sim.set_auto_checkpoint(4);
+            drive(&mut sim);
+            assert_eq!(sim.last_checkpoint().map(|s| s.now()), Some(8));
+        }
+    }
+
+    #[test]
+    fn run_until_rolls_back_like_run() {
+        // A plan-injected panic quarantines the source; rollback rewinds
+        // to the step-2 checkpoint, masks the plan entry and completes
+        // with nothing quarantined — through either entry point.
+        let drivers: [fn(&mut Simulator); 2] = [
+            |sim| sim.run(8).unwrap(),
+            |sim| assert_eq!(sim.run_until(8, |_| false).unwrap(), 8),
+        ];
+        let mut ends = Vec::new();
+        for drive in drivers {
+            let mut sim = simple_pair(SchedKind::Compiled);
+            sim.set_fault_plan(FaultPlan::new(7).panic_at(InstanceId(0), 3));
+            sim.set_failure_policy(FailurePolicy::Quarantine);
+            sim.set_auto_checkpoint(2);
+            sim.set_rollback(true);
+            drive(&mut sim);
+            assert_eq!(sim.rollbacks(), 1);
+            assert!(sim.quarantined_instances().is_empty());
+            assert_eq!(sim.metrics().steps, 8);
+            ends.push(sim.snapshot().unwrap().to_bytes());
+        }
+        assert_eq!(ends[0], ends[1]);
     }
 
     #[test]

@@ -20,12 +20,12 @@
 //!   table, flattened port slabs, cached static ranks), [`store`] (the
 //!   epoch-stamped per-timestep signal arena of packed slots, O(1)
 //!   reset), and
-//!   [`exec`] (the five schedulers, default control semantics for
+//!   [`exec`] (the four schedulers, default control semantics for
 //!   partial specifications, and the activity-gated commit phase);
 //! * [`sched`] — the static netlist analysis that accelerates the reaction
 //!   phase (paper ref [22]) — and [`compile`], which condenses that
 //!   analysis into a [`compile::CompiledPlan`] executed without any
-//!   per-step worklist (plus a level-parallel variant);
+//!   per-step worklist;
 //! * the observability layer — [`probe`] (the `Probe` event-stream trait
 //!   with zero cost when absent), [`trace`] (text + JSONL sinks),
 //!   [`vcd`] (GTKWave waveforms) and [`profile`] (per-module hot spots);
@@ -76,6 +76,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod compile;
 pub mod error;
@@ -85,7 +86,6 @@ pub mod kernel;
 pub mod module;
 pub mod netlist;
 pub mod params;
-pub mod pool;
 pub mod probe;
 pub mod profile;
 pub mod registry;

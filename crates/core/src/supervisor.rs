@@ -136,10 +136,8 @@ impl BudgetKind {
 
 /// A cheap, cloneable cancellation flag. Trip it from any thread (or a
 /// signal handler, via [`CancelToken::from_static`]) and the governed
-/// run loop notices at the next step boundary, drains in-flight work —
-/// the level-parallel scheduler's completion barrier guarantees no
-/// partition is abandoned mid-burst — takes a final checkpoint and
-/// returns a [`RunReport`] with [`RunOutcome::Cancelled`].
+/// run loop notices at the next step boundary, takes a final checkpoint
+/// and returns a [`RunReport`] with [`RunOutcome::Cancelled`].
 #[derive(Clone)]
 pub struct CancelToken {
     flag: Flag,

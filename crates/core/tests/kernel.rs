@@ -555,7 +555,6 @@ fn commit_never_sees_a_payload_from_an_earlier_step() {
         SchedKind::Dynamic,
         SchedKind::Static,
         SchedKind::Compiled,
-        SchedKind::CompiledParallel,
     ] {
         let mut b = NetlistBuilder::new();
         let s = b
@@ -577,4 +576,72 @@ fn commit_never_sees_a_payload_from_an_earlier_step() {
         sim.run(9).unwrap();
         assert_eq!(sim.transfer_counts(), &[3], "{sched:?}");
     }
+}
+
+/// Offers a kernel hint but cannot serialize its state: the one way
+/// lowering a classified plan into kernels fails at run time.
+struct Unsaveable {
+    next: u64,
+    saves: Arc<AtomicU64>,
+}
+impl Module for Unsaveable {
+    fn react(&mut self, ctx: &mut ReactCtx<'_>) -> Result<(), SimError> {
+        ctx.send(P0, 0, Value::Word(self.next))
+    }
+    fn commit(&mut self, ctx: &mut CommitCtx<'_>) -> Result<(), SimError> {
+        if ctx.transferred_out(P0, 0) {
+            self.next += 3;
+            ctx.count("sent", 1);
+        }
+        Ok(())
+    }
+    fn state_save(&self) -> Result<Vec<u8>, SimError> {
+        self.saves.fetch_add(1, Ordering::Relaxed);
+        Err(SimError::model("state lives outside the module"))
+    }
+    fn specialize(&self) -> Option<KernelHint> {
+        Some(KernelHint::SeqSource {
+            start: 0,
+            count: u64::MAX,
+            step: 3,
+            period: 1,
+        })
+    }
+}
+
+#[test]
+fn failed_materialization_falls_back_to_the_dynamic_handlers_for_good() {
+    let run = |specialize: bool| {
+        let saves = Arc::new(AtomicU64::new(0));
+        let mut b = NetlistBuilder::new();
+        let src = Unsaveable {
+            next: 0,
+            saves: saves.clone(),
+        };
+        let s = b
+            .add(
+                "s",
+                ModuleSpec::new("unsaveable").output("out", 1, 1),
+                Box::new(src),
+            )
+            .unwrap();
+        let k = b.add("k", collector_spec(), Box::new(Collector)).unwrap();
+        b.connect(s, "out", k, "in").unwrap();
+        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
+        let summary = sim.plan_summary().unwrap();
+        assert_eq!((summary.specialized, summary.dynamic), (1, 1));
+        sim.set_specialization(specialize);
+        sim.run(12).unwrap();
+        let out = (sim.report(), sim.transfer_counts().to_vec(), sim.metrics());
+        (out, saves.load(Ordering::Relaxed))
+    };
+    let (dynamic, saves) = run(false);
+    assert_eq!(saves, 0, "nothing to lower with specialization off");
+    assert_eq!(dynamic.1, [12]);
+    let (fallen_back, saves) = run(true);
+    assert_eq!(
+        saves, 1,
+        "lowering is tried on the first step and never again"
+    );
+    assert_eq!(fallen_back, dynamic);
 }

@@ -10,7 +10,7 @@
 //!
 //! - replicas share one `Arc<Topology>` per parameter point (and with
 //!   it the cached `CompiledPlan`) via [`TopoCache`], and run across
-//!   the kernel's [`WorkerPool`](liberty_core::pool::WorkerPool) lanes;
+//!   [`SweepConfig::threads`] scoped-thread lanes;
 //! - each replica is supervised: `catch_unwind` panic isolation, a
 //!   per-invocation [`RunBudget`](liberty_core::prelude::RunBudget)
 //!   straggler guard, an optional

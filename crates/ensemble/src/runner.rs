@@ -33,7 +33,6 @@
 use crate::manifest::{self, ManifestWriter, Record, SweepHeader, MANIFEST_FILE};
 use crate::sweep::{ReplicaSpec, SweepConfig};
 use crate::EnsembleError;
-use liberty_core::pool::WorkerPool;
 use liberty_core::prelude::{
     CancelToken, FaultPlan, JsonlProbe, RunBudget, RunOutcome, RunReport, SimError, Simulator,
     Snapshot, Topology,
@@ -547,18 +546,19 @@ fn execute<F: ReplicaFactory>(
     if lanes <= 1 {
         lane();
     } else {
-        let mut pool = WorkerPool::new(lanes - 1);
-        let mut tasks: Vec<Box<dyn FnMut() + Send + '_>> = (0..lanes)
-            .map(|_| Box::new(&lane) as Box<dyn FnMut() + Send + '_>)
-            .collect();
-        let mut refs: Vec<&mut (dyn FnMut() + Send + '_)> =
-            tasks.iter_mut().map(|b| &mut **b).collect();
-        for payload in pool.run(&mut refs).into_iter().flatten() {
-            errors
-                .lock()
-                .expect("errors lock")
-                .push(format!("sweep lane panicked: {}", panic_message(&*payload)));
-        }
+        // One sweep, one burst: the caller is a lane, the scope joins
+        // the rest before the borrows in `lane` expire.
+        std::thread::scope(|s| {
+            let spawned: Vec<_> = (1..lanes).map(|_| s.spawn(lane)).collect();
+            let mine = catch_unwind(AssertUnwindSafe(lane));
+            let joined = spawned.into_iter().map(|h| h.join());
+            for payload in std::iter::once(mine).chain(joined).filter_map(Result::err) {
+                errors
+                    .lock()
+                    .expect("errors lock")
+                    .push(format!("sweep lane panicked: {}", panic_message(&*payload)));
+            }
+        });
     }
 
     let errors = errors.into_inner().expect("errors lock");

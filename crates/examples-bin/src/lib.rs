@@ -13,8 +13,8 @@
 //! --fault-horizon N           fault activity window for --faults (default 64)
 //! --fault-policy P            abort | quarantine (default: quarantine)
 //! --max-iters N               convergence watchdog bound per time-step
-//! --scheduler S               sweep | dynamic | static | compiled | compiled-par
-//! --threads N                 worker threads for --scheduler compiled-par
+//! --scheduler S               sweep | dynamic | static | compiled
+//! --threads N                 ensemble mode: replicas run concurrently (sweep lanes)
 //! --explain-plan              print which instances specialize (compiled only)
 //! --no-specialize             keep every handler on the dynamic path
 //! --max-steps N               run-governance step budget
@@ -87,7 +87,7 @@ pub struct ObsOpts {
 }
 
 /// One line per flag, for embedding in an example's usage message.
-pub const OBS_USAGE: &str = "  --trace             print transfers (cap with --trace-limit N, default 200)\n  --vcd PATH          dump data/enable/ack waveforms for GTKWave\n  --jsonl PATH        stream structured events as JSON lines\n  --profile           print a per-instance hot-spot table at exit\n  --metrics-out PATH  write engine metrics + statistics as JSON\n  --faults SEED       inject a seeded random fault plan (chaos mode)\n  --fault-horizon N   fault activity window for --faults (default 64)\n  --fault-policy P    abort | quarantine on module failure (default quarantine)\n  --max-iters N       convergence watchdog: bound reactions per time-step\n  --scheduler S       sweep | dynamic | static | compiled | compiled-par\n  --threads N         worker threads for --scheduler compiled-par\n  --explain-plan      print which instances run as specialized kernels and why\n  --no-specialize     disable handler specialization (dynamic handler bodies)\n  --checkpoint-every N  take a checkpoint every N steps\n  --checkpoint-dir DIR  persist checkpoints as DIR/step-NNNNNNNN.ckpt\n  --resume FILE       restore a checkpoint before running\n  --max-steps N       stop (with a run report) after N executed steps\n  --deadline SECS     stop (with a run report) after SECS wall-clock seconds\n  --retries N         retry from checkpoint up to N times on quarantine/divergence\n  --sink-backpressure P[:BYTES]  bound VCD/JSONL buffering: block | drop (default 1 MiB)\n  --report-json PATH  write the run (or sweep) report as machine-readable JSON\n  --sweep KEY=LO..HI  ensemble mode: one replica per value of a root parameter\n  --seeds N           ensemble mode: replicas per parameter point (default 1)\n  --base-seed S       ensemble mode: base seed replica seeds derive from\n  --sweep-dir DIR     ensemble output directory (default sweep_out)\n  --resume-manifest DIR  resume the interrupted sweep recorded in DIR's manifest";
+pub const OBS_USAGE: &str = "  --trace             print transfers (cap with --trace-limit N, default 200)\n  --vcd PATH          dump data/enable/ack waveforms for GTKWave\n  --jsonl PATH        stream structured events as JSON lines\n  --profile           print a per-instance hot-spot table at exit\n  --metrics-out PATH  write engine metrics + statistics as JSON\n  --faults SEED       inject a seeded random fault plan (chaos mode)\n  --fault-horizon N   fault activity window for --faults (default 64)\n  --fault-policy P    abort | quarantine on module failure (default quarantine)\n  --max-iters N       convergence watchdog: bound reactions per time-step\n  --scheduler S       sweep | dynamic | static | compiled\n  --threads N         ensemble mode: replicas run concurrently (sweep lanes, default 1)\n  --explain-plan      print which instances run as specialized kernels and why\n  --no-specialize     disable handler specialization (dynamic handler bodies)\n  --checkpoint-every N  take a checkpoint every N steps\n  --checkpoint-dir DIR  persist checkpoints as DIR/step-NNNNNNNN.ckpt\n  --resume FILE       restore a checkpoint before running\n  --max-steps N       stop (with a run report) after N executed steps\n  --deadline SECS     stop (with a run report) after SECS wall-clock seconds\n  --retries N         retry from checkpoint up to N times on quarantine/divergence\n  --sink-backpressure P[:BYTES]  bound VCD/JSONL buffering: block | drop (default 1 MiB)\n  --report-json PATH  write the run (or sweep) report as machine-readable JSON\n  --sweep KEY=LO..HI  ensemble mode: one replica per value of a root parameter\n  --seeds N           ensemble mode: replicas per parameter point (default 1)\n  --base-seed S       ensemble mode: base seed replica seeds derive from\n  --sweep-dir DIR     ensemble output directory (default sweep_out)\n  --resume-manifest DIR  resume the interrupted sweep recorded in DIR's manifest";
 
 impl ObsOpts {
     /// Parse `std::env::args().skip(1)`.
@@ -153,11 +153,9 @@ impl ObsOpts {
                         Some("dynamic") => SchedKind::Dynamic,
                         Some("static") => SchedKind::Static,
                         Some("compiled") => SchedKind::Compiled,
-                        Some("compiled-par") => SchedKind::CompiledParallel,
                         _ => {
                             return Err(
-                                "--scheduler requires sweep | dynamic | static | compiled | compiled-par"
-                                    .into(),
+                                "--scheduler requires sweep | dynamic | static | compiled".into()
                             )
                         }
                     });
@@ -314,9 +312,6 @@ impl ObsOpts {
         }
         if let Some(n) = self.max_iters {
             sim.set_watchdog(n);
-        }
-        if let Some(t) = self.threads {
-            sim.set_parallelism(t);
         }
         if let Some(path) = &self.resume {
             let snap = Snapshot::read_file(path)
@@ -773,14 +768,17 @@ mod tests {
 
     #[test]
     fn parses_scheduler_flags() {
-        let o = parse(&["--scheduler", "compiled-par", "--threads", "4"]);
-        assert_eq!(o.sched(SchedKind::Static), SchedKind::CompiledParallel);
+        let o = parse(&["--scheduler", "compiled", "--threads", "4"]);
+        assert_eq!(o.sched(SchedKind::Static), SchedKind::Compiled);
         assert_eq!(o.threads, Some(4));
         let o = parse(&["run"]);
         assert_eq!(o.sched(SchedKind::Static), SchedKind::Static);
         assert!(o.threads.is_none());
-        assert!(
-            ObsOpts::parse(["--scheduler".to_string(), "magic".to_string()].into_iter()).is_err()
+        let err = ObsOpts::parse(["--scheduler".to_string(), "magic".to_string()].into_iter())
+            .unwrap_err();
+        assert_eq!(
+            err,
+            "--scheduler requires sweep | dynamic | static | compiled"
         );
         assert!(ObsOpts::parse(["--threads".to_string(), "0".to_string()].into_iter()).is_err());
     }

@@ -1,8 +1,8 @@
 //! The shipped `specs/ring_osc.lss` combinational loop must terminate
 //! with a structured divergence diagnostic — naming the oscillating
-//! wires and the instances on the resolution cycle — under all five
-//! schedulers (the compiled ones run the ring as a fixed-point island
-//! and reuse the same watchdog machinery).
+//! wires and the instances on the resolution cycle — under all four
+//! schedulers (the compiled one runs the ring as a fixed-point island
+//! and reuses the same watchdog machinery).
 
 use liberty_core::prelude::*;
 use liberty_lss::build_simulator;
@@ -27,7 +27,6 @@ fn ring_oscillator_diverges_under_every_scheduler() {
         SchedKind::Dynamic,
         SchedKind::Static,
         SchedKind::Compiled,
-        SchedKind::CompiledParallel,
     ] {
         let (mut sim, report) =
             build_simulator(&src, &reg, "main", &Params::new(), sched).expect("elaborates");
