@@ -46,7 +46,7 @@ fn f1(x: f64) -> String {
 fn e1() -> String {
     let reg = full_registry();
     let mut rows = Vec::new();
-    for n in [8usize, 64, 256, 1024] {
+    for n in [8usize, 64, 256, 1024, 16_384, 40_000] {
         let src = chain_spec(n);
         let (spec, t_parse) = timed(|| parse(&src).unwrap());
         let ((net, rep), t_elab) =

@@ -1,5 +1,6 @@
 //! Allocation discipline of the kernel hot path: a steady-state run
-//! moving *scalar* values must not touch the heap at all.
+//! moving *scalar* values must not touch the heap at all. And of set-up:
+//! LSS text to first step stays within a per-leaf allocation budget.
 //!
 //! `Value`'s hand-written `Clone` copies the scalar variants (`Unit`,
 //! `Bool`, `Word`, `Int`, `Float`) without `Arc` refcount traffic or
@@ -142,4 +143,103 @@ fn a_million_word_transfers_allocate_nothing() {
     assert_eq!(sim.stats().counter(k, "received"), 4 + STEPS);
     let transfers: u64 = sim.transfer_counts().iter().sum();
     assert!(transfers >= 1_000_000, "moved {transfers} values");
+}
+
+/// An LSS text of the repo benchmark's `lss_front` shape: a hierarchical
+/// section (a lane is a queue feeding a register; a row is a source,
+/// `lanes` lanes in series and a sink; a cluster is an array of rows)
+/// and a flat section of `chains` fully written-out
+/// source→queue→register→queue→register→sink chains.
+fn front_spec(clusters: usize, rows: usize, chains: usize) -> String {
+    use std::fmt::Write;
+    let mut s = String::from(
+        "module lane {
+            param depth = 2;
+            port in rx;
+            port out tx;
+            instance q : queue { depth = depth; };
+            instance r : register;
+            connect self.rx -> q.in;
+            connect q.out -> r.in;
+            connect r.out -> self.tx;
+        }
+        module row {
+            param n = 4;
+            param first = 0;
+            instance gen : seq_source { start = first; };
+            instance st[n] : lane { depth = 2; };
+            instance dst : sink;
+            connect gen.out -> st[0].rx;
+            for i in 0..n - 1 { connect st[i].tx -> st[i + 1].rx; }
+            connect st[n - 1].tx -> dst.in;
+        }
+        module cluster {
+            param rows = 1;
+            param base = 0;
+            instance r[rows] : row { n = 4; first = base; };
+        }
+        module main {\n",
+    );
+    for c in 0..clusters {
+        writeln!(
+            s,
+            "instance cluster{c} : cluster {{ rows = {rows}; base = {c}; }};"
+        )
+        .unwrap();
+    }
+    for c in 0..chains {
+        let p = format!("chain{c:04}");
+        writeln!(
+            s,
+            "instance {p}_source : seq_source {{ start = {c}; step = 1; }};"
+        )
+        .unwrap();
+        for st in 0..2 {
+            writeln!(s, "instance {p}_queue{st} : queue {{ depth = 2; }};").unwrap();
+            writeln!(s, "instance {p}_register{st} : register;").unwrap();
+        }
+        writeln!(s, "instance {p}_sink : sink;").unwrap();
+        writeln!(s, "connect {p}_source.out -> {p}_queue0.in;").unwrap();
+        writeln!(s, "connect {p}_queue0.out -> {p}_register0.in;").unwrap();
+        writeln!(s, "connect {p}_register0.out -> {p}_queue1.in;").unwrap();
+        writeln!(s, "connect {p}_queue1.out -> {p}_register1.in;").unwrap();
+        writeln!(s, "connect {p}_register1.out -> {p}_sink.in;").unwrap();
+    }
+    s.push_str("}\n");
+    s
+}
+
+#[test]
+fn set_up_stays_within_24_allocations_a_leaf() {
+    // Three quarters of the leaves flat, one quarter hierarchical, as in
+    // the benchmark's 40 000-leaf input.
+    let text = front_spec(1, 40, 200);
+    let reg = liberty_systems::full_registry();
+    let mut phases = Vec::new();
+    let mut mark = allocs();
+    let mut lap = |name: &'static str| {
+        let now = allocs();
+        phases.push((name, now - mark));
+        mark = now;
+    };
+    let spec = liberty_lss::parse(&text).unwrap();
+    lap("parse");
+    let (net, report) = liberty_lss::elaborate(&spec, &reg, "main", &Params::new()).unwrap();
+    lap("elaborate");
+    let (topo, modules) = net.into_parts();
+    lap("topology");
+    let topo = std::sync::Arc::new(topo);
+    topo.plan();
+    lap("plan");
+    let mut sim = Simulator::from_parts(topo, modules, SchedKind::Compiled);
+    lap("construct");
+    sim.step().unwrap();
+    lap("first step");
+    assert_eq!(report.leaf_instances, 1600);
+    let total: u64 = phases.iter().map(|p| p.1).sum();
+    let per_leaf = total as f64 / report.leaf_instances as f64;
+    assert!(
+        per_leaf <= 24.0,
+        "{per_leaf:.1} allocations a leaf (budget 24): {phases:?}"
+    );
 }

@@ -52,7 +52,7 @@
 //! re-invocation counts differ.
 
 use crate::netlist::EdgeId;
-use crate::sched;
+use crate::sched::{self, Csr};
 use crate::signal::Wire;
 use crate::topology::Topology;
 use std::sync::Arc;
@@ -120,11 +120,11 @@ impl CompiledPlan {
         let n_comp = comp.iter().map(|&c| c as usize + 1).max().unwrap_or(0);
         let cranks = sched::condensation_ranks(&g.adj, &comp, n_comp);
 
-        // Members per component, ascending by construction.
-        let mut members: Vec<Vec<u32>> = vec![Vec::new(); n_comp];
-        for (i, &c) in comp.iter().enumerate() {
-            members[c as usize].push(i as u32);
-        }
+        // Members per component, by counting sort: placed in instance-id
+        // order, so each row is ascending.
+        let members = Csr::from_arcs(n_comp, || {
+            comp.iter().enumerate().map(|(i, &c)| (c, i as u32))
+        });
 
         // Plan order: by (rank, straight-before-island, first member id).
         struct Entry {
@@ -135,7 +135,7 @@ impl CompiledPlan {
         }
         let mut entries: Vec<Entry> = (0..n_comp)
             .map(|c| {
-                let m = &members[c];
+                let m = members.row(c);
                 Entry {
                     rank: cranks[c],
                     cyclic: m.len() > 1 || g.self_loop[m[0] as usize],
@@ -165,11 +165,14 @@ impl CompiledPlan {
             if e.cyclic {
                 let island = n_islands;
                 n_islands += 1;
-                let m = std::mem::take(&mut members[e.comp]);
-                for &i in &m {
+                let m = members.row(e.comp);
+                for &i in m {
                     island_of[i as usize] = island;
                 }
-                nodes.push(PlanNode::Island { island, members: m });
+                nodes.push(PlanNode::Island {
+                    island,
+                    members: m.to_vec(),
+                });
             } else {
                 debug_assert_eq!(level.straight_end, nodes.len() as u32, "straights first");
                 nodes.push(PlanNode::Straight(e.first));

@@ -1031,8 +1031,8 @@ impl Kernel {
         let inst = InstanceId(i as u32);
         let name = topo.name(inst);
         let (ins, outs) = bind_io(topo, inst, plan)?;
-        let one_in = || ins.first().copied().unwrap_or(InLane::Unconnected);
-        let one_out = || outs.first().copied().unwrap_or(OutLane::Unconnected);
+        let one_in = || ins.clone().next().unwrap_or(InLane::Unconnected);
+        let one_out = || outs.clone().next().unwrap_or(OutLane::Unconnected);
         let kind = plan.kind[i];
         let payload_kind = |what: &str| {
             kind.ok_or_else(|| {
@@ -1066,8 +1066,8 @@ impl Kernel {
                 Kernel::Queue(QueueK {
                     depth,
                     items,
-                    ins,
-                    outs,
+                    ins: ins.clone().collect(),
+                    outs: outs.clone().collect(),
                     inst,
                     s_deq: UNSET,
                     s_enq: UNSET,
@@ -1125,7 +1125,7 @@ impl Kernel {
             KernelHint::Tee { require_all } => Kernel::Tee(TeeK {
                 require_all,
                 in_: one_in(),
-                outs,
+                outs: outs.clone().collect(),
                 inst,
                 s_con: UNSET,
                 s_del: UNSET,
@@ -1143,7 +1143,7 @@ impl Kernel {
             }),
             KernelHint::Sink { collect } => Kernel::Sink(SinkK {
                 collect,
-                ins,
+                ins: ins.clone().collect(),
                 inst,
                 s_rcv: UNSET,
                 s_sum: UNSET,
@@ -1178,7 +1178,7 @@ impl Kernel {
                 let kind = payload_kind("repeating source")?;
                 Kernel::Repeat(RepeatK {
                     value: KVal::from_value(&value, kind, name, "out")?,
-                    outs,
+                    outs: outs.clone().collect(),
                     inst,
                     s_emit: UNSET,
                 })
@@ -1211,44 +1211,94 @@ impl Kernel {
     }
 }
 
-/// Resolve the instance's port slots into lane bindings. Every
+/// Resolve the instance's port slots into lane bindings: its input
+/// slots and its output slots, port by port in connection-index order,
+/// read from the topology's port table as they are consumed. Every
 /// specializable template has at most one input port and one output port,
 /// so the per-port slots concatenate without ambiguity.
-fn bind_io(
-    topo: &Topology,
+#[allow(clippy::type_complexity)]
+fn bind_io<'t>(
+    topo: &'t Topology,
     inst: InstanceId,
-    plan: &SpecPlan,
-) -> Result<(Vec<InLane>, Vec<OutLane>), SimError> {
+    plan: &'t SpecPlan,
+) -> Result<
+    (
+        impl Iterator<Item = InLane> + Clone + 't,
+        impl Iterator<Item = OutLane> + Clone + 't,
+    ),
+    SimError,
+> {
     let info = topo.instance(inst);
-    let mut ins = Vec::new();
-    let mut outs = Vec::new();
-    for (p, ps) in info.spec.ports.iter().enumerate() {
-        for &e in info.port_edges(PortId(p as u16)) {
-            let l = plan.lane_of[e.0 as usize];
-            match ps.dir {
-                Dir::In => {
-                    if l == NO_LANE {
-                        return Err(SimError::internal(format!(
-                            "{}: eligible instance fed by a slow edge",
-                            info.name
-                        )));
-                    }
-                    ins.push(InLane::Fast(l));
-                }
-                Dir::Out => outs.push(if l == NO_LANE {
-                    OutLane::Slow(e)
-                } else {
-                    OutLane::Fast(l)
-                }),
-            }
-        }
+    let slots = move |dir: Dir| {
+        info.spec
+            .ports
+            .iter()
+            .enumerate()
+            .filter(move |(_, ps)| ps.dir == dir)
+            .flat_map(move |(p, _)| topo.port_edges(inst, PortId(p as u16)).iter().copied())
+    };
+    let lane = move |e: EdgeId| plan.lane_of[e.0 as usize];
+    if slots(Dir::In).any(|e| lane(e) == NO_LANE) {
+        return Err(SimError::internal(format!(
+            "{}: eligible instance fed by a slow edge",
+            info.name
+        )));
     }
+    let ins = slots(Dir::In).map(move |e| InLane::Fast(lane(e)));
+    let outs = slots(Dir::Out).map(move |e| match lane(e) {
+        NO_LANE => OutLane::Slow(e),
+        l => OutLane::Fast(l),
+    });
     Ok((ins, outs))
 }
 
 // ---------------------------------------------------------------------------
 // Classification
 // ---------------------------------------------------------------------------
+
+/// The edges on instance `i`'s ports of direction `dir`, port by port.
+/// Each port lists its edges in ascending id, but the ports interleave:
+/// a caller that reports one edge takes the lowest id.
+fn inst_edges(topo: &Topology, i: usize, dir: Dir) -> impl Iterator<Item = EdgeId> + '_ {
+    let flat = topo.edges_flat();
+    topo.hot_ports(InstanceId(i as u32))
+        .iter()
+        .filter(move |p| p.dir == dir)
+        .flat_map(move |p| {
+            flat[p.off as usize..(p.off + p.len) as usize]
+                .iter()
+                .copied()
+        })
+}
+
+/// True when the data/enable arcs internal to an island (`members`,
+/// ascending) close a cycle. Kahn's algorithm, reading each member's arcs
+/// from the topology as it is visited (a single member with a self-loop
+/// edge is caught too).
+fn data_cyclic(topo: &Topology, members: &[u32]) -> bool {
+    let arcs = |m: u32| {
+        inst_edges(topo, m as usize, Dir::Out)
+            .filter_map(|e| members.binary_search(&topo.edge_meta(e).dst.inst.0).ok())
+    };
+    let mut indeg = vec![0usize; members.len()];
+    for &m in members {
+        for d in arcs(m) {
+            indeg[d] += 1;
+        }
+    }
+    let mut ready: Vec<usize> = (0..members.len()).filter(|&j| indeg[j] == 0).collect();
+    let mut seen = 0usize;
+    while let Some(j) = ready.pop() {
+        seen += 1;
+        for d in arcs(members[j]) {
+            indeg[d] -= 1;
+            if indeg[d] == 0 {
+                ready.push(d);
+            }
+        }
+    }
+    seen != members.len()
+}
 
 /// Sentinel in [`SpecPlan::lane_of`] for edges that stay on the store.
 pub(crate) const NO_LANE: u32 = u32::MAX;
@@ -1291,14 +1341,12 @@ pub(crate) fn classify(
     let mut reason: Vec<Option<String>> = vec![None; n];
     let mut kind: Vec<Option<ValKind>> = vec![None; n];
 
-    // In/out adjacency, by instance.
-    let mut in_edges: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut out_edges: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for e in 0..n_edges {
-        let em = topo.edge_meta(EdgeId(e as u32));
-        out_edges[em.src.inst.0 as usize].push(e as u32);
-        in_edges[em.dst.inst.0 as usize].push(e as u32);
-    }
+    // An instance's in (out) edges, read from the topology's port table,
+    // and the producer (consumer) at the other end of an edge.
+    let ins = |i: usize| inst_edges(topo, i, Dir::In);
+    let outs = |i: usize| inst_edges(topo, i, Dir::Out);
+    let src_of = |e: EdgeId| topo.edge_meta(e).src.inst.0 as usize;
+    let dst_of = |e: EdgeId| topo.edge_meta(e).dst.inst.0 as usize;
 
     let demote =
         |eligible: &mut Vec<bool>, reason: &mut Vec<Option<String>>, i: usize, why: String| {
@@ -1381,16 +1429,15 @@ pub(crate) fn classify(
             if !joins {
                 continue;
             }
-            if in_edges[i].is_empty() {
+            if ins(i).next().is_none() {
                 kind[i] = Some(ValKind::Word);
                 changed = true;
                 continue;
             }
             let mut k: Option<ValKind> = None;
             let mut ok = true;
-            for &e in &in_edges[i] {
-                let src = topo.edge_meta(EdgeId(e)).src.inst.0 as usize;
-                match (kind[src], k) {
+            for e in ins(i) {
+                match (kind[src_of(e)], k) {
                     (Some(sk), None) => k = Some(sk),
                     (Some(sk), Some(cur)) if sk == cur => {}
                     _ => {
@@ -1412,46 +1459,16 @@ pub(crate) fn classify(
     // Pass 3: island membership + internal data-acyclicity. A member of a
     // data-cyclic island (a combinational ring) relies on fixed-point
     // iteration the straight-line kernels don't do.
-    let n_islands = plan.island_count();
-    let mut island_members: Vec<Vec<u32>> = vec![Vec::new(); n_islands];
+    let mut islands: Vec<&[u32]> = vec![&[]; plan.island_count()];
     for node in plan.nodes() {
         if let PlanNode::Island { island, members } = node {
-            island_members[*island as usize] = members.clone();
+            islands[*island as usize] = members;
         }
-    }
-    let mut island_cyclic = vec![false; n_islands];
-    for (isl, members) in island_members.iter().enumerate() {
-        // Kahn's algorithm over data/enable arcs internal to the island
-        // (single-member islands with a self-loop edge are caught too).
-        let pos = |inst: u32| members.iter().position(|&m| m == inst);
-        let mut indeg = vec![0usize; members.len()];
-        let mut arcs: Vec<Vec<usize>> = vec![Vec::new(); members.len()];
-        for &m in members {
-            for &e in &out_edges[m as usize] {
-                let dst = topo.edge_meta(EdgeId(e)).dst.inst.0;
-                if let (Some(s), Some(d)) = (pos(m), pos(dst)) {
-                    arcs[s].push(d);
-                    indeg[d] += 1;
-                }
-            }
-        }
-        let mut ready: Vec<usize> = (0..members.len()).filter(|&j| indeg[j] == 0).collect();
-        let mut seen = 0usize;
-        while let Some(j) = ready.pop() {
-            seen += 1;
-            for &d in &arcs[j] {
-                indeg[d] -= 1;
-                if indeg[d] == 0 {
-                    ready.push(d);
-                }
-            }
-        }
-        island_cyclic[isl] = seen != members.len();
     }
     let mut in_cyclic_island = vec![false; n];
-    for (isl, members) in island_members.iter().enumerate() {
-        if island_cyclic[isl] {
-            for &m in members {
+    for &members in &islands {
+        if data_cyclic(topo, members) {
+            for &m in members.iter() {
                 in_cyclic_island[m as usize] = true;
             }
         }
@@ -1479,37 +1496,22 @@ pub(crate) fn classify(
         if !eligible[i] {
             continue;
         }
-        match &hints[i] {
-            Some(KernelHint::Alu { .. }) => {
-                for &e in &in_edges[i] {
-                    let src = topo.edge_meta(EdgeId(e)).src.inst.0 as usize;
-                    if kind[src] != Some(ValKind::Tup3) {
-                        demote(
-                            &mut eligible,
-                            &mut reason,
-                            i,
-                            "operand wire does not carry (op, a, b) word tuples".to_owned(),
-                        );
-                        break;
-                    }
-                }
+        let why = match &hints[i] {
+            Some(KernelHint::Alu { .. })
+                if ins(i).any(|e| kind[src_of(e)] != Some(ValKind::Tup3)) =>
+            {
+                "operand wire does not carry (op, a, b) word tuples"
             }
-            Some(KernelHint::Inverter) => {
-                for &e in &in_edges[i] {
-                    let src = topo.edge_meta(EdgeId(e)).src.inst.0 as usize;
-                    if !matches!(kind[src], Some(ValKind::Word) | Some(ValKind::Bool)) {
-                        demote(
-                            &mut eligible,
-                            &mut reason,
-                            i,
-                            "input wire is not word-shaped".to_owned(),
-                        );
-                        break;
-                    }
-                }
+            Some(KernelHint::Inverter)
+                if ins(i).any(|e| {
+                    !matches!(kind[src_of(e)], Some(ValKind::Word) | Some(ValKind::Bool))
+                }) =>
+            {
+                "input wire is not word-shaped"
             }
-            _ => {}
-        }
+            _ => continue,
+        };
+        demote(&mut eligible, &mut reason, i, why.to_owned());
     }
 
     // Pass 4: closure to a fixed point over the structural rules —
@@ -1521,45 +1523,37 @@ pub(crate) fn classify(
             if !eligible[i] {
                 continue;
             }
-            for &e in &in_edges[i] {
-                let src = topo.edge_meta(EdgeId(e)).src.inst.0 as usize;
-                if !eligible[src] {
+            // The reason names the neighbour on the lowest-numbered
+            // offending edge.
+            let fed_by = ins(i).filter(|&e| !eligible[src_of(e)]).min_by_key(|e| e.0);
+            if let Some(e) = fed_by {
+                let src = InstanceId(src_of(e) as u32);
+                demote(
+                    &mut eligible,
+                    &mut reason,
+                    i,
+                    format!("fed by dynamic instance {:?}", topo.name(src)),
+                );
+                changed = true;
+                continue;
+            }
+            if topo.instance(InstanceId(i as u32)).spec.reads_ack_in_react {
+                let acked_by = outs(i)
+                    .filter(|&e| !eligible[dst_of(e)])
+                    .min_by_key(|e| e.0);
+                if let Some(e) = acked_by {
+                    let dst = InstanceId(dst_of(e) as u32);
                     demote(
                         &mut eligible,
                         &mut reason,
                         i,
-                        format!(
-                            "fed by dynamic instance {:?}",
-                            topo.name(InstanceId(src as u32))
-                        ),
+                        format!("reads acks from dynamic consumer {:?}", topo.name(dst)),
                     );
                     changed = true;
-                    break;
-                }
-            }
-            if !eligible[i] {
-                continue;
-            }
-            if topo.instance(InstanceId(i as u32)).spec.reads_ack_in_react {
-                for &e in &out_edges[i] {
-                    let dst = topo.edge_meta(EdgeId(e)).dst.inst.0 as usize;
-                    if !eligible[dst] {
-                        demote(
-                            &mut eligible,
-                            &mut reason,
-                            i,
-                            format!(
-                                "reads acks from dynamic consumer {:?}",
-                                topo.name(InstanceId(dst as u32))
-                            ),
-                        );
-                        changed = true;
-                        break;
-                    }
                 }
             }
         }
-        for members in &island_members {
+        for &members in &islands {
             if members.iter().any(|&m| !eligible[m as usize])
                 && members.iter().any(|&m| eligible[m as usize])
             {
@@ -1591,7 +1585,7 @@ pub(crate) fn classify(
             lane_edges.push(EdgeId(e as u32));
         }
     }
-    let spec_islands = island_members
+    let spec_islands = islands
         .iter()
         .map(|members| !members.is_empty() && members.iter().all(|&m| eligible[m as usize]))
         .collect();

@@ -9,6 +9,7 @@
 use crate::error::SimError;
 use crate::module::{Dir, Module, ModuleSpec, PortId};
 use crate::topology::Topology;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Identifier of an instance within a netlist.
@@ -40,23 +41,15 @@ pub struct EdgeMeta {
     pub dst: Endpoint,
 }
 
-/// Static metadata of one instance: name, spec, and per-port edge lists.
+/// Static metadata of one instance: its name and customized spec. Its
+/// connections are the [`EdgeMeta`] entries naming it; the topology files
+/// them per port ([`Topology::port_edges`]).
 #[derive(Debug)]
 pub struct InstanceMeta {
     /// Hierarchical instance name (dotted path after elaboration).
     pub name: String,
     /// The instance's customized template spec.
     pub spec: ModuleSpec,
-    /// For each port (by [`PortId`] index), the edges attached, in
-    /// connection-index order.
-    pub edges: Vec<Vec<EdgeId>>,
-}
-
-impl InstanceMeta {
-    /// Number of connections attached to a port.
-    pub fn width(&self, port: PortId) -> usize {
-        self.edges[port.0 as usize].len()
-    }
 }
 
 /// A complete, validated netlist ready for simulator construction.
@@ -118,6 +111,11 @@ pub struct NetlistBuilder {
     modules: Vec<Box<dyn Module>>,
     edges: Vec<EdgeMeta>,
     by_name: HashMap<String, InstanceId>,
+    /// Connections made so far on each (instance, port), one flat table:
+    /// instance `i`'s ports are `conns[port_base[i]..]`, in [`PortId`]
+    /// order. The count is the next free slot index.
+    conns: Vec<u32>,
+    port_base: Vec<u32>,
 }
 
 impl NetlistBuilder {
@@ -133,18 +131,30 @@ impl NetlistBuilder {
         spec: ModuleSpec,
         module: Box<dyn Module>,
     ) -> Result<InstanceId, SimError> {
-        let name = name.into();
-        if self.by_name.contains_key(&name) {
-            return Err(SimError::netlist(format!(
-                "duplicate instance name {name:?}"
-            )));
-        }
         let id = InstanceId(self.instances.len() as u32);
-        let edges = vec![Vec::new(); spec.ports.len()];
-        self.by_name.insert(name.clone(), id);
-        self.instances.push(InstanceMeta { name, spec, edges });
+        let name = match self.by_name.entry(name.into()) {
+            Entry::Occupied(e) => {
+                return Err(SimError::netlist(format!(
+                    "duplicate instance name {:?}",
+                    e.key()
+                )))
+            }
+            Entry::Vacant(e) => {
+                let name = e.key().clone();
+                e.insert(id);
+                name
+            }
+        };
+        self.port_base.push(self.conns.len() as u32);
+        self.conns.resize(self.conns.len() + spec.ports.len(), 0);
+        self.instances.push(InstanceMeta { name, spec });
         self.modules.push(module);
         Ok(id)
+    }
+
+    /// The connection counter of an (instance, port) in the flat table.
+    fn conns_slot(&self, inst: InstanceId, port: PortId) -> usize {
+        self.port_base[inst.0 as usize] as usize + port.0 as usize
     }
 
     /// Look up a previously added instance by name.
@@ -226,8 +236,14 @@ impl NetlistBuilder {
             }
         }
         let id = EdgeId(self.edges.len() as u32);
-        let src_index = self.instances[src.0 as usize].edges[src_port.0 as usize].len() as u32;
-        let dst_index = self.instances[dst.0 as usize].edges[dst_port.0 as usize].len() as u32;
+        let (s, d) = (
+            self.conns_slot(src, src_port),
+            self.conns_slot(dst, dst_port),
+        );
+        let src_index = self.conns[s];
+        let dst_index = self.conns[d];
+        self.conns[s] += 1;
+        self.conns[d] += 1;
         self.edges.push(EdgeMeta {
             src: Endpoint {
                 inst: src,
@@ -240,16 +256,14 @@ impl NetlistBuilder {
                 index: dst_index,
             },
         });
-        self.instances[src.0 as usize].edges[src_port.0 as usize].push(id);
-        self.instances[dst.0 as usize].edges[dst_port.0 as usize].push(id);
         Ok(id)
     }
 
     /// Validate connection-count constraints and produce the netlist.
     pub fn build(self) -> Result<Netlist, SimError> {
-        for inst in &self.instances {
-            for (pi, port) in inst.spec.ports.iter().enumerate() {
-                let n = inst.edges[pi].len() as u32;
+        for (inst, &base) in self.instances.iter().zip(&self.port_base) {
+            let counts = &self.conns[base as usize..];
+            for (port, &n) in inst.spec.ports.iter().zip(counts) {
                 if n < port.min_conns {
                     return Err(SimError::netlist(format!(
                         "{}.{}: has {} connection(s), needs at least {}",
@@ -305,7 +319,8 @@ mod tests {
         assert_eq!(net.edges[e0.0 as usize].src.index, 0);
         assert_eq!(net.edges[e1.0 as usize].src.index, 1);
         assert_eq!(net.edges[e1.0 as usize].dst.index, 1);
-        assert_eq!(net.instances[k.0 as usize].width(PortId(0)), 2);
+        let (topo, _) = net.into_parts();
+        assert_eq!(topo.port_edges(k, PortId(0)), &[e0, e1]);
     }
 
     #[test]

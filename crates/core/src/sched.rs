@@ -14,21 +14,89 @@
 //! the speedup measured in experiment E10.
 
 use crate::compile::NO_WAKE;
-use crate::netlist::{EdgeId, InstanceId};
+use crate::netlist::EdgeId;
 use crate::signal::Wire;
 use crate::topology::Topology;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+/// A directed graph over nodes `0..len` in compressed sparse row form:
+/// node `u`'s successors are `targets[offsets[u] .. offsets[u + 1]]`.
+/// The one adjacency form of the static analyses (dependency graph,
+/// condensation, component members).
+pub(crate) struct Csr {
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
+}
+
+impl Csr {
+    /// Place the arcs `(u, v)` by counting sort: `arcs` is called twice
+    /// (count, then place) and must yield the same arcs both times. A row
+    /// keeps its arcs in the order they were yielded.
+    pub(crate) fn from_arcs<I: Iterator<Item = (u32, u32)>>(n: usize, arcs: impl Fn() -> I) -> Csr {
+        let mut offsets = vec![0u32; n + 1];
+        for (u, _) in arcs() {
+            offsets[u as usize + 1] += 1;
+        }
+        for u in 0..n {
+            offsets[u + 1] += offsets[u];
+        }
+        let mut targets = vec![0u32; offsets[n] as usize];
+        // `offsets[u]` is row u's cursor while placing; it ends at row
+        // u's end, which is row u + 1's start: shift back by one.
+        for (u, v) in arcs() {
+            let at = &mut offsets[u as usize];
+            targets[*at as usize] = v;
+            *at += 1;
+        }
+        offsets.copy_within(0..n, 1);
+        offsets[0] = 0;
+        Csr { offsets, targets }
+    }
+
+    /// Sort every row and drop repeated targets, compacting in place.
+    pub(crate) fn sort_dedup_rows(&mut self) {
+        let mut kept = 0usize;
+        let mut start = 0usize;
+        for u in 0..self.len() {
+            let end = self.offsets[u + 1] as usize;
+            self.targets[start..end].sort_unstable();
+            let row = kept;
+            for k in start..end {
+                let t = self.targets[k];
+                if kept == row || self.targets[kept - 1] != t {
+                    self.targets[kept] = t;
+                    kept += 1;
+                }
+            }
+            start = end;
+            self.offsets[u + 1] = kept as u32;
+        }
+        self.targets.truncate(kept);
+    }
+
+    /// Number of nodes.
+    pub(crate) fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Node `u`'s successors.
+    #[inline]
+    pub(crate) fn row(&self, u: usize) -> &[u32] {
+        &self.targets[self.offsets[u] as usize..self.offsets[u + 1] as usize]
+    }
+}
+
 /// The instance-level dependency graph the static analyses share.
 ///
-/// `adj[u]` lists the instances that depend on `u` (must react after it);
-/// self-edges are excluded from `adj` but recorded in `self_loop`, because
-/// an instance connected to itself reacts to its own writes — a singleton
-/// cycle the schedule compiler must treat as an island even though Tarjan
-/// reports a singleton component.
+/// `adj.row(u)` lists the instances that depend on `u` (must react after
+/// it), ascending and without repeats; self-edges are excluded from `adj`
+/// but recorded in `self_loop`, because an instance connected to itself
+/// reacts to its own writes — a singleton cycle the schedule compiler
+/// must treat as an island even though Tarjan reports a singleton
+/// component.
 pub(crate) struct DepGraph {
-    pub(crate) adj: Vec<Vec<u32>>,
+    pub(crate) adj: Csr,
     pub(crate) self_loop: Vec<bool>,
 }
 
@@ -37,51 +105,40 @@ pub(crate) struct DepGraph {
 /// declared it reads acks in `react`.
 pub(crate) fn dep_graph(topo: &Topology) -> DepGraph {
     let n = topo.instance_count();
-    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
     let mut self_loop = vec![false; n];
     for e in topo.edge_metas() {
-        let u = e.src.inst.0 as usize;
-        let v = e.dst.inst.0;
-        // Receiver depends on sender's data/enable.
-        if u as u32 != v {
-            adj[u].push(v);
-        } else {
-            self_loop[u] = true;
-        }
-        // Sender depends on receiver's ack only if it reads acks reactively.
-        if topo.instance(InstanceId(u as u32)).spec.reads_ack_in_react {
-            if v as usize != u {
-                adj[v as usize].push(u as u32);
-            } else {
-                self_loop[u] = true;
-            }
+        if e.src.inst == e.dst.inst {
+            self_loop[e.src.inst.0 as usize] = true;
         }
     }
-    for a in &mut adj {
-        a.sort_unstable();
-        a.dedup();
-    }
+    let arcs = || {
+        topo.edge_metas()
+            .iter()
+            .filter(|e| e.src.inst != e.dst.inst)
+            .flat_map(|e| {
+                let (u, v) = (e.src.inst.0, e.dst.inst.0);
+                // Receiver depends on sender's data/enable; sender depends
+                // on receiver's ack only if it reads acks reactively.
+                let acks = topo.instance(e.src.inst).spec.reads_ack_in_react;
+                std::iter::once((u, v)).chain(acks.then_some((v, u)))
+            })
+    };
+    let mut adj = Csr::from_arcs(n, arcs);
+    adj.sort_dedup_rows();
     DepGraph { adj, self_loop }
 }
 
 /// Longest-path topological rank of each condensation component (Kahn).
-pub(crate) fn condensation_ranks(adj: &[Vec<u32>], comp: &[u32], n_comp: usize) -> Vec<u32> {
-    let mut cadj: Vec<Vec<u32>> = vec![Vec::new(); n_comp];
+pub(crate) fn condensation_ranks(adj: &Csr, comp: &[u32], n_comp: usize) -> Vec<u32> {
+    let mut cadj = Csr::from_arcs(n_comp, || {
+        (0..adj.len())
+            .flat_map(|u| adj.row(u).iter().map(move |&v| (comp[u], comp[v as usize])))
+            .filter(|(cu, cv)| cu != cv)
+    });
+    cadj.sort_dedup_rows();
     let mut indeg = vec![0u32; n_comp];
-    for (u, outs) in adj.iter().enumerate() {
-        for &v in outs {
-            let (cu, cv) = (comp[u], comp[v as usize]);
-            if cu != cv {
-                cadj[cu as usize].push(cv);
-            }
-        }
-    }
-    for a in &mut cadj {
-        a.sort_unstable();
-        a.dedup();
-        for &v in a.iter() {
-            indeg[v as usize] += 1;
-        }
+    for &v in &cadj.targets {
+        indeg[v as usize] += 1;
     }
     let mut rank = vec![0u32; n_comp];
     let mut q: VecDeque<u32> = indeg
@@ -91,7 +148,7 @@ pub(crate) fn condensation_ranks(adj: &[Vec<u32>], comp: &[u32], n_comp: usize) 
         .map(|(i, _)| i as u32)
         .collect();
     while let Some(c) = q.pop_front() {
-        for &v in &cadj[c as usize] {
+        for &v in cadj.row(c as usize) {
             rank[v as usize] = rank[v as usize].max(rank[c as usize] + 1);
             indeg[v as usize] -= 1;
             if indeg[v as usize] == 0 {
@@ -116,7 +173,7 @@ pub fn compute_ranks(topo: &Topology) -> Vec<u32> {
 /// Iterative Tarjan SCC. Returns the component id of each node; component
 /// ids are assigned in reverse topological order of discovery, but callers
 /// only rely on ids being equal within one SCC.
-pub(crate) fn tarjan_scc(adj: &[Vec<u32>]) -> Vec<u32> {
+pub(crate) fn tarjan_scc(adj: &Csr) -> Vec<u32> {
     let n = adj.len();
     const UNSET: u32 = u32::MAX;
     let mut index = vec![UNSET; n];
@@ -141,8 +198,9 @@ pub(crate) fn tarjan_scc(adj: &[Vec<u32>]) -> Vec<u32> {
         on_stack[start as usize] = true;
 
         while let Some(&mut (v, ref mut ci)) = call.last_mut() {
-            if *ci < adj[v as usize].len() {
-                let w = adj[v as usize][*ci];
+            let row = adj.row(v as usize);
+            if *ci < row.len() {
+                let w = row[*ci];
                 *ci += 1;
                 if index[w as usize] == UNSET {
                     index[w as usize] = next_index;
@@ -405,10 +463,47 @@ mod tests {
         assert_eq!(w.log, [(EdgeId(0), Wire::Data)]);
     }
 
+    /// A graph from its adjacency lists.
+    fn csr(rows: &[&[u32]]) -> Csr {
+        Csr::from_arcs(rows.len(), || {
+            rows.iter()
+                .enumerate()
+                .flat_map(|(u, r)| r.iter().map(move |&v| (u as u32, v)))
+        })
+    }
+
+    #[test]
+    fn csr_rows_sort_and_dedup_in_place() {
+        // Arcs arrive interleaved across rows, with repeats.
+        let arcs = [
+            (2, 5),
+            (0, 3),
+            (2, 1),
+            (0, 3),
+            (2, 5),
+            (3, 0),
+            (0, 1),
+            (2, 1),
+        ];
+        let mut g = Csr::from_arcs(4, || arcs.iter().copied());
+        assert_eq!(g.len(), 4);
+        assert_eq!(g.row(0), &[3, 3, 1], "placement keeps arc order");
+        assert_eq!(g.row(1), &[] as &[u32]);
+        assert_eq!(g.row(2), &[5, 1, 5, 1]);
+        g.sort_dedup_rows();
+        assert_eq!(g.row(0), &[1, 3]);
+        assert_eq!(g.row(1), &[] as &[u32]);
+        assert_eq!(g.row(2), &[1, 5]);
+        assert_eq!(g.row(3), &[0]);
+        assert_eq!(g.targets.len(), 5, "repeats compacted away");
+        let empty = Csr::from_arcs(0, std::iter::empty);
+        assert_eq!(empty.len(), 0);
+    }
+
     #[test]
     fn tarjan_simple_chain() {
         // 0 -> 1 -> 2 : three singleton SCCs.
-        let adj = vec![vec![1], vec![2], vec![]];
+        let adj = csr(&[&[1], &[2], &[]]);
         let comp = tarjan_scc(&adj);
         assert_ne!(comp[0], comp[1]);
         assert_ne!(comp[1], comp[2]);
@@ -417,7 +512,7 @@ mod tests {
     #[test]
     fn tarjan_cycle_collapses() {
         // 0 -> 1 -> 2 -> 0 plus 2 -> 3.
-        let adj = vec![vec![1], vec![2], vec![0, 3], vec![]];
+        let adj = csr(&[&[1], &[2], &[0, 3], &[]]);
         let comp = tarjan_scc(&adj);
         assert_eq!(comp[0], comp[1]);
         assert_eq!(comp[1], comp[2]);
@@ -426,7 +521,7 @@ mod tests {
 
     #[test]
     fn tarjan_self_loop_and_isolated() {
-        let adj = vec![vec![0], vec![]];
+        let adj = csr(&[&[0], &[]]);
         let comp = tarjan_scc(&adj);
         assert_ne!(comp[0], comp[1]);
     }

@@ -3,10 +3,12 @@
 //! Everything that never changes after `Netlist::build` lives here, in
 //! forms chosen for the kernel's hot loops:
 //!
-//! * instance metadata (name + customized template spec) with the
-//!   per-instance **port→edge slab** flattened into one `Vec<EdgeId>` per
-//!   instance (indexed through a small offsets table) instead of a
-//!   `Vec<Vec<EdgeId>>` of tiny heap allocations;
+//! * instance metadata (name + customized template spec, nothing else);
+//! * the **port table** — one entry per (instance, port) for the whole
+//!   netlist ([`PortMeta`]: direction, connection count, offset) over one
+//!   flat port→edge slab holding each port's edges in connection-index
+//!   order; [`Topology::new`] fills both straight from the edges' slot
+//!   indices, a counting pass and then a placement pass;
 //! * connection metadata ([`EdgeMeta`], indexed by [`EdgeId`]);
 //! * the **reader table** — one flat array, three entries per edge
 //!   (data, enable, ack): the instance whose `react` handler must re-run
@@ -25,81 +27,21 @@
 //! execution policy in [`crate::exec::Simulator`].
 
 use crate::compile::CompiledPlan;
-use crate::module::{Dir, ModuleSpec, PortId};
-use crate::netlist::{EdgeId, EdgeMeta, InstanceId, InstanceMeta};
+use crate::module::{Dir, PortId};
+use crate::netlist::{EdgeId, EdgeMeta, Endpoint, InstanceId, InstanceMeta};
 use crate::signal::Wire;
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
-/// Immutable per-instance metadata with the flattened port→edge slab.
-#[derive(Debug)]
-pub struct InstanceInfo {
-    /// Hierarchical instance name (dotted path after elaboration).
-    pub name: String,
-    /// The instance's customized template spec.
-    pub spec: ModuleSpec,
-    /// `port_edges[port_offsets[p] .. port_offsets[p+1]]` are port `p`'s
-    /// edges in connection-index order.
-    port_offsets: Vec<u32>,
-    port_edges: Vec<EdgeId>,
-    /// Port directions, flattened out of the spec's `PortSpec` array so
-    /// the per-drive direction check is a single dense load instead of a
-    /// walk through the (string-bearing, ~40-byte stride) spec entries.
-    port_dirs: Vec<Dir>,
-}
+/// Immutable per-instance metadata: the hierarchical name and the
+/// customized template spec, as the netlist built them. The instance's
+/// ports live in the topology's flat port table
+/// ([`Topology::hot_ports`], [`Topology::port_edges`]).
+pub type InstanceInfo = InstanceMeta;
 
-impl InstanceInfo {
-    fn from_meta(meta: InstanceMeta) -> Self {
-        let mut port_offsets = Vec::with_capacity(meta.edges.len() + 1);
-        let mut port_edges = Vec::new();
-        port_offsets.push(0);
-        for port in &meta.edges {
-            port_edges.extend_from_slice(port);
-            port_offsets.push(port_edges.len() as u32);
-        }
-        let port_dirs = meta.spec.ports.iter().map(|p| p.dir).collect();
-        InstanceInfo {
-            name: meta.name,
-            spec: meta.spec,
-            port_offsets,
-            port_edges,
-            port_dirs,
-        }
-    }
-
-    /// The edges attached to a port, in connection-index order.
-    #[inline]
-    pub fn port_edges(&self, port: PortId) -> &[EdgeId] {
-        let p = port.0 as usize;
-        &self.port_edges[self.port_offsets[p] as usize..self.port_offsets[p + 1] as usize]
-    }
-
-    /// Number of connections attached to a port.
-    #[inline]
-    pub fn width(&self, port: PortId) -> usize {
-        self.port_edges(port).len()
-    }
-
-    /// The edge on a connection slot of a port, if connected.
-    #[inline]
-    pub fn edge(&self, port: PortId, index: usize) -> Option<EdgeId> {
-        self.port_edges(port).get(index).copied()
-    }
-
-    /// The direction of a port (dense lookup; panics on a bad id, like
-    /// [`ModuleSpec::port_spec`]).
-    #[inline]
-    pub fn port_dir(&self, port: PortId) -> Dir {
-        self.port_dirs[port.0 as usize]
-    }
-}
-
-/// Hot per-port metadata, packed into one topology-global dense slab
-/// (see [`Topology::hot_ports`]): the fields every `ReactCtx` drive or
-/// read needs, without chasing the per-instance `InstanceInfo` heap
-/// vectors. For a whole netlist this fits in a few KB of contiguous
-/// memory, where the scattered `InstanceInfo` path touches several cache
-/// lines per instance.
+/// One port of one instance in the topology's port table (see
+/// [`Topology::hot_ports`]): the fields every `ReactCtx` drive or read
+/// needs, dense and contiguous for the whole netlist.
 #[derive(Clone, Copy, Debug)]
 pub struct PortMeta {
     /// First edge of this port in [`Topology::edges_flat`].
@@ -127,7 +69,7 @@ pub struct Topology {
     /// wire, or [`NO_READER`].
     readers: Vec<u32>,
     /// Per instance: true when the template opted into activity-gated
-    /// commit via [`ModuleSpec::commit_only_when_active`].
+    /// commit via [`crate::module::ModuleSpec::commit_only_when_active`].
     commit_gated: Vec<bool>,
     /// Per instance: true when the template declared its commit a no-op
     /// via [`crate::module::ModuleSpec::no_commit`].
@@ -139,9 +81,10 @@ pub struct Topology {
     /// True when *every* template declared `no_commit` — the commit
     /// phase then skips its instance sweep outright.
     all_commit_noop: bool,
-    /// Dense hot-path port metadata: instance `i`'s ports are
+    /// The port table: instance `i`'s ports are
     /// `ports_flat[inst_port_base[i] .. inst_port_base[i+1]]`, and each
-    /// entry's `off`/`len` index [`Topology::edges_flat`].
+    /// entry's `off`/`len` index [`Topology::edges_flat`]. The only
+    /// port→edge map there is.
     ports_flat: Vec<PortMeta>,
     inst_port_base: Vec<u32>,
     edges_flat: Vec<EdgeId>,
@@ -172,25 +115,43 @@ impl Topology {
         let commit_noop: Vec<bool> = instances.iter().map(|m| m.spec.commit_is_noop).collect();
         let any_commit_gated = commit_gated.iter().any(|&g| g);
         let all_commit_noop = commit_noop.iter().all(|&g| g);
-        let insts: Vec<InstanceInfo> = instances.into_iter().map(InstanceInfo::from_meta).collect();
-        let mut ports_flat = Vec::new();
-        let mut inst_port_base = Vec::with_capacity(insts.len() + 1);
-        let mut edges_flat = Vec::new();
+
+        // The port table: every instance's ports in id order, then a
+        // counting pass over the edges' two ends and a prefix sum.
+        let n_ports = instances.iter().map(|m| m.spec.ports.len()).sum();
+        let mut ports_flat = Vec::with_capacity(n_ports);
+        let mut inst_port_base = Vec::with_capacity(instances.len() + 1);
         inst_port_base.push(0);
-        for info in &insts {
-            for (p, spec) in info.spec.ports.iter().enumerate() {
-                let es = info.port_edges(PortId(p as u16));
-                ports_flat.push(PortMeta {
-                    off: edges_flat.len() as u32,
-                    len: es.len() as u32,
-                    dir: spec.dir,
-                });
-                edges_flat.extend_from_slice(es);
-            }
+        for m in &instances {
+            ports_flat.extend(m.spec.ports.iter().map(|p| PortMeta {
+                off: 0,
+                len: 0,
+                dir: p.dir,
+            }));
             inst_port_base.push(ports_flat.len() as u32);
         }
+        let port_of =
+            |end: &Endpoint| inst_port_base[end.inst.0 as usize] as usize + end.port.0 as usize;
+        for em in &edges {
+            ports_flat[port_of(&em.src)].len += 1;
+            ports_flat[port_of(&em.dst)].len += 1;
+        }
+        let mut off = 0;
+        for p in &mut ports_flat {
+            p.off = off;
+            off += p.len;
+        }
+        // Placement: an end's slot index is its position within its port.
+        let mut edges_flat = vec![EdgeId(0); off as usize];
+        for (e, em) in edges.iter().enumerate() {
+            for end in [&em.src, &em.dst] {
+                let p = ports_flat[port_of(end)];
+                debug_assert!(end.index < p.len, "slot index past the port's count");
+                edges_flat[(p.off + end.index) as usize] = EdgeId(e as u32);
+            }
+        }
         Topology {
-            insts,
+            insts: instances,
             edges,
             readers,
             commit_gated,
@@ -227,6 +188,14 @@ impl Topology {
     pub fn hot_ports(&self, inst: InstanceId) -> &[PortMeta] {
         let i = inst.0 as usize;
         &self.ports_flat[self.inst_port_base[i] as usize..self.inst_port_base[i + 1] as usize]
+    }
+
+    /// The edges attached to a port of an instance, in connection-index
+    /// order.
+    #[inline]
+    pub fn port_edges(&self, inst: InstanceId, port: PortId) -> &[EdgeId] {
+        let p = self.hot_ports(inst)[port.0 as usize];
+        &self.edges_flat[p.off as usize..(p.off + p.len) as usize]
     }
 
     /// The topology-global flattened port→edge slab that
@@ -330,7 +299,7 @@ mod tests {
     use super::*;
     use crate::error::SimError;
     use crate::exec::{CommitCtx, ReactCtx};
-    use crate::module::Module;
+    use crate::module::{Module, ModuleSpec};
     use crate::netlist::NetlistBuilder;
 
     struct Nop;
@@ -368,12 +337,51 @@ mod tests {
     #[test]
     fn port_slabs_match_connection_order() {
         let topo = two_stage();
-        let s = topo.instance(InstanceId(0));
-        assert_eq!(s.width(PortId(0)), 2);
-        assert_eq!(s.edge(PortId(0), 0), Some(EdgeId(0)));
-        assert_eq!(s.edge(PortId(0), 1), Some(EdgeId(1)));
-        assert_eq!(s.edge(PortId(0), 2), None);
-        assert_eq!(s.port_edges(PortId(0)), &[EdgeId(0), EdgeId(1)]);
+        for inst in [InstanceId(0), InstanceId(1)] {
+            assert_eq!(topo.port_edges(inst, PortId(0)), &[EdgeId(0), EdgeId(1)]);
+            let p = topo.hot_ports(inst)[0];
+            assert_eq!((p.off, p.len), (2 * inst.0, 2));
+        }
+        assert_eq!(topo.hot_ports(InstanceId(0))[0].dir, Dir::Out);
+        assert_eq!(topo.hot_ports(InstanceId(1))[0].dir, Dir::In);
+    }
+
+    #[test]
+    fn port_table_files_every_end_by_its_slot() {
+        // Three instances with an input and an output each, connected in
+        // an interleaved order with a self-loop: every port lists exactly
+        // the edges whose end names it, in slot order.
+        let spec = || {
+            ModuleSpec::new("t")
+                .input("in", 0, u32::MAX)
+                .output("out", 0, u32::MAX)
+        };
+        let mut b = NetlistBuilder::new();
+        let ids: Vec<_> = (0..3)
+            .map(|i| b.add(format!("m{i}"), spec(), Box::new(Nop)).unwrap())
+            .collect();
+        for (s, d) in [(0, 1), (2, 1), (1, 1), (0, 2), (1, 0), (0, 1), (2, 2)] {
+            b.connect(ids[s], "out", ids[d], "in").unwrap();
+        }
+        let (topo, _) = b.build().unwrap().into_parts();
+        for inst in &ids {
+            for (p, meta) in topo.hot_ports(*inst).iter().enumerate() {
+                let port = PortId(p as u16);
+                let mut want: Vec<(u32, EdgeId)> = Vec::new();
+                for (e, em) in topo.edge_metas().iter().enumerate() {
+                    for end in [em.src, em.dst] {
+                        if end.inst == *inst && end.port == port {
+                            want.push((end.index, EdgeId(e as u32)));
+                        }
+                    }
+                }
+                want.sort_by_key(|w| w.0);
+                let want: Vec<EdgeId> = want.into_iter().map(|w| w.1).collect();
+                assert_eq!(topo.port_edges(*inst, port), want.as_slice());
+                assert_eq!(meta.len as usize, want.len());
+            }
+        }
+        assert_eq!(topo.edges_flat().len(), 2 * topo.edge_count());
     }
 
     #[test]

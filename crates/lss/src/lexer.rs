@@ -141,21 +141,38 @@ pub struct Spanned {
     pub pos: Pos,
 }
 
+/// The character starting at byte `i` of `src` (a char boundary).
+fn char_at(src: &str, i: usize) -> char {
+    src[i..]
+        .chars()
+        .next()
+        .expect("lexer stops only at char boundaries")
+}
+
 /// Tokenize LSS source. `//` line comments and `/* */` block comments are
 /// skipped.
+///
+/// The lexer walks the UTF-8 bytes: every token starts with an ASCII
+/// byte, so identifier and number text is sliced straight out of `src`,
+/// and non-ASCII text can only be whitespace or sit inside a comment or a
+/// string. Positions still count characters: a UTF-8 continuation byte
+/// (`0b10xx_xxxx`) does not advance the column.
 pub fn lex(src: &str) -> Result<Vec<Spanned>, SimError> {
-    let mut out = Vec::new();
-    let bytes: Vec<char> = src.chars().collect();
+    let bytes = src.as_bytes();
+    // A token and the space after it average well over four bytes, so
+    // this reservation is rarely outgrown.
+    let mut out = Vec::with_capacity(bytes.len() / 4 + 1);
     let mut i = 0usize;
     let mut line = 1u32;
     let mut col = 1u32;
 
     macro_rules! bump {
         () => {{
-            if bytes[i] == '\n' {
+            let b = bytes[i];
+            if b == b'\n' {
                 line += 1;
                 col = 1;
-            } else {
+            } else if b & 0xC0 != 0x80 {
                 col += 1;
             }
             i += 1;
@@ -166,20 +183,20 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, SimError> {
         let c = bytes[i];
         let pos = Pos { line, col };
         match c {
-            c if c.is_whitespace() => bump!(),
-            '/' if bytes.get(i + 1) == Some(&'/') => {
-                while i < bytes.len() && bytes[i] != '\n' {
+            b' ' | b'\t' | b'\n' | b'\r' => bump!(),
+            b'/' if bytes.get(i + 1) == Some(&b'/') => {
+                while i < bytes.len() && bytes[i] != b'\n' {
                     bump!();
                 }
             }
-            '/' if bytes.get(i + 1) == Some(&'*') => {
+            b'/' if bytes.get(i + 1) == Some(&b'*') => {
                 bump!();
                 bump!();
                 loop {
                     if i + 1 >= bytes.len() {
                         return Err(SimError::elab(format!("{pos}: unterminated block comment")));
                     }
-                    if bytes[i] == '*' && bytes[i + 1] == '/' {
+                    if bytes[i] == b'*' && bytes[i + 1] == b'/' {
                         bump!();
                         bump!();
                         break;
@@ -187,13 +204,13 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, SimError> {
                     bump!();
                 }
             }
-            c if c.is_ascii_alphabetic() || c == '_' => {
+            c if c.is_ascii_alphabetic() || c == b'_' => {
                 let start = i;
-                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == '_') {
+                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
                     bump!();
                 }
-                let word: String = bytes[start..i].iter().collect();
-                let tok = match word.as_str() {
+                let word = &src[start..i];
+                let tok = match word {
                     "module" => Tok::KwModule,
                     "param" => Tok::KwParam,
                     "instance" => Tok::KwInstance,
@@ -206,7 +223,7 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, SimError> {
                     "out" => Tok::KwOut,
                     "true" => Tok::KwTrue,
                     "false" => Tok::KwFalse,
-                    _ => Tok::Ident(word),
+                    _ => Tok::Ident(word.to_owned()),
                 };
                 out.push(Spanned { tok, pos });
             }
@@ -217,13 +234,13 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, SimError> {
                 }
                 // A float has a '.' followed by a digit ('..' is a range).
                 let is_float =
-                    i + 1 < bytes.len() && bytes[i] == '.' && bytes[i + 1].is_ascii_digit();
+                    i + 1 < bytes.len() && bytes[i] == b'.' && bytes[i + 1].is_ascii_digit();
                 if is_float {
                     bump!();
                     while i < bytes.len() && bytes[i].is_ascii_digit() {
                         bump!();
                     }
-                    let text: String = bytes[start..i].iter().collect();
+                    let text = &src[start..i];
                     let v = text
                         .parse::<f64>()
                         .map_err(|e| SimError::elab(format!("{pos}: bad float {text:?}: {e}")))?;
@@ -232,7 +249,7 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, SimError> {
                         pos,
                     });
                 } else {
-                    let text: String = bytes[start..i].iter().collect();
+                    let text = &src[start..i];
                     let v = text
                         .parse::<i64>()
                         .map_err(|e| SimError::elab(format!("{pos}: bad int {text:?}: {e}")))?;
@@ -242,41 +259,44 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, SimError> {
                     });
                 }
             }
-            '"' => {
+            b'"' => {
                 bump!();
                 let mut s = String::new();
+                // Unescaped text is copied a run at a time; a run ends at
+                // an ASCII byte, so it is sliced at char boundaries.
+                let mut run = i;
                 loop {
                     if i >= bytes.len() {
                         return Err(SimError::elab(format!("{pos}: unterminated string")));
                     }
                     match bytes[i] {
-                        '"' => {
+                        b'"' => {
+                            s.push_str(&src[run..i]);
                             bump!();
                             break;
                         }
-                        '\\' => {
+                        b'\\' => {
+                            s.push_str(&src[run..i]);
                             bump!();
                             if i >= bytes.len() {
                                 return Err(SimError::elab(format!("{pos}: unterminated escape")));
                             }
-                            let esc = bytes[i];
-                            s.push(match esc {
-                                'n' => '\n',
-                                't' => '\t',
-                                '\\' => '\\',
-                                '"' => '"',
-                                other => {
+                            s.push(match bytes[i] {
+                                b'n' => '\n',
+                                b't' => '\t',
+                                b'\\' => '\\',
+                                b'"' => '"',
+                                _ => {
+                                    let other = char_at(src, i);
                                     return Err(SimError::elab(format!(
                                         "{pos}: unknown escape \\{other}"
-                                    )))
+                                    )));
                                 }
                             });
                             bump!();
+                            run = i;
                         }
-                        other => {
-                            s.push(other);
-                            bump!();
-                        }
+                        _ => bump!(),
                     }
                 }
                 out.push(Spanned {
@@ -284,70 +304,70 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, SimError> {
                     pos,
                 });
             }
-            '{' => {
+            b'{' => {
                 out.push(Spanned {
                     tok: Tok::LBrace,
                     pos,
                 });
                 bump!();
             }
-            '}' => {
+            b'}' => {
                 out.push(Spanned {
                     tok: Tok::RBrace,
                     pos,
                 });
                 bump!();
             }
-            '[' => {
+            b'[' => {
                 out.push(Spanned {
                     tok: Tok::LBracket,
                     pos,
                 });
                 bump!();
             }
-            ']' => {
+            b']' => {
                 out.push(Spanned {
                     tok: Tok::RBracket,
                     pos,
                 });
                 bump!();
             }
-            '(' => {
+            b'(' => {
                 out.push(Spanned {
                     tok: Tok::LParen,
                     pos,
                 });
                 bump!();
             }
-            ')' => {
+            b')' => {
                 out.push(Spanned {
                     tok: Tok::RParen,
                     pos,
                 });
                 bump!();
             }
-            ';' => {
+            b';' => {
                 out.push(Spanned {
                     tok: Tok::Semi,
                     pos,
                 });
                 bump!();
             }
-            ':' => {
+            b':' => {
                 out.push(Spanned {
                     tok: Tok::Colon,
                     pos,
                 });
                 bump!();
             }
-            ',' => {
+            b',' => {
                 out.push(Spanned {
                     tok: Tok::Comma,
                     pos,
                 });
                 bump!();
             }
-            '.' if bytes.get(i + 1) == Some(&'.') => {
+            b'.' if bytes.get(i + 1) == Some(&b'.') => {
                 out.push(Spanned {
                     tok: Tok::DotDot,
                     pos,
@@ -355,15 +375,15 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, SimError> {
                 bump!();
                 bump!();
             }
-            '.' => {
+            b'.' => {
                 out.push(Spanned { tok: Tok::Dot, pos });
                 bump!();
             }
-            '=' => {
+            b'=' => {
                 out.push(Spanned { tok: Tok::Eq, pos });
                 bump!();
             }
-            '-' if bytes.get(i + 1) == Some(&'>') => {
+            b'-' if bytes.get(i + 1) == Some(&b'>') => {
                 out.push(Spanned {
                     tok: Tok::Arrow,
                     pos,
@@ -371,45 +391,53 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, SimError> {
                 bump!();
                 bump!();
             }
-            '-' => {
+            b'-' => {
                 out.push(Spanned {
                     tok: Tok::Minus,
                     pos,
                 });
                 bump!();
             }
-            '+' => {
+            b'+' => {
                 out.push(Spanned {
                     tok: Tok::Plus,
                     pos,
                 });
                 bump!();
             }
-            '*' => {
+            b'*' => {
                 out.push(Spanned {
                     tok: Tok::Star,
                     pos,
                 });
                 bump!();
             }
-            '/' => {
+            b'/' => {
                 out.push(Spanned {
                     tok: Tok::Slash,
                     pos,
                 });
                 bump!();
             }
-            '%' => {
+            b'%' => {
                 out.push(Spanned {
                     tok: Tok::Percent,
                     pos,
                 });
                 bump!();
             }
-            other => {
-                return Err(SimError::elab(format!(
-                    "{pos}: unexpected character {other:?}"
-                )))
+            _ => {
+                // Any other whitespace (vertical tab, form feed, the
+                // Unicode spaces) is skipped a character at a time.
+                let other = char_at(src, i);
+                if !other.is_whitespace() {
+                    return Err(SimError::elab(format!(
+                        "{pos}: unexpected character {other:?}"
+                    )));
+                }
+                for _ in 0..other.len_utf8() {
+                    bump!();
+                }
             }
         }
     }
@@ -502,5 +530,61 @@ mod tests {
     fn unterminated_constructs_error() {
         assert!(lex("\"abc").is_err());
         assert!(lex("/* abc").is_err());
+    }
+
+    fn lex_err(src: &str) -> String {
+        lex(src).unwrap_err().to_string()
+    }
+
+    #[test]
+    fn columns_count_characters_not_bytes() {
+        // Multi-byte UTF-8 in a block comment, a line comment and a
+        // string, then an error whose column counts each as one.
+        assert_eq!(
+            lex_err("/* é */ @"),
+            "elaboration error: 1:9: unexpected character '@'"
+        );
+        assert_eq!(
+            lex_err("// ünïcode\n  @"),
+            "elaboration error: 2:3: unexpected character '@'"
+        );
+        assert_eq!(
+            lex_err("\"é\" @"),
+            "elaboration error: 1:5: unexpected character '@'"
+        );
+        // Unicode whitespace is skipped like a space, one column each.
+        assert_eq!(
+            lex_err("\u{a0}a\u{2028}b @"),
+            "elaboration error: 1:6: unexpected character '@'"
+        );
+        assert_eq!(
+            lex_err("\"ü\\q\""),
+            "elaboration error: 1:1: unknown escape \\q"
+        );
+        assert_eq!(
+            lex_err("x é"),
+            "elaboration error: 1:3: unexpected character 'é'"
+        );
+        assert_eq!(
+            lex_err("/* ü"),
+            "elaboration error: 1:1: unterminated block comment"
+        );
+        assert_eq!(
+            lex_err("\"ü"),
+            "elaboration error: 1:1: unterminated string"
+        );
+        assert_eq!(
+            lex_err("\"\\"),
+            "elaboration error: 1:1: unterminated escape"
+        );
+        assert_eq!(
+            lex_err("99999999999999999999"),
+            "elaboration error: 1:1: bad int \"99999999999999999999\": number too large to fit in target type"
+        );
+        // Non-ASCII text survives a string intact, escapes included.
+        assert_eq!(
+            toks("\"日本\\n\\\"ß\\\"\""),
+            vec![Tok::Str("日本\n\"ß\"".into())]
+        );
     }
 }

@@ -35,8 +35,15 @@ impl Parser {
         }
     }
 
+    /// Consume the current token, moving its text out of the token
+    /// vector. Nothing reads a consumed token again: the one diagnostic
+    /// that names a token only looked at (`port` without a direction)
+    /// peeks instead of consuming.
     fn bump(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.i).map(|s| s.tok.clone());
+        let t = self
+            .toks
+            .get_mut(self.i)
+            .map(|s| std::mem::replace(&mut s.tok, Tok::Semi));
         self.i += 1;
         t
     }
@@ -100,14 +107,12 @@ impl Parser {
                 }
                 Some(Tok::KwPort) => {
                     self.bump();
-                    let dir = match self.bump() {
+                    let dir = match self.peek() {
                         Some(Tok::KwIn) => Dir::In,
                         Some(Tok::KwOut) => Dir::Out,
-                        _ => {
-                            self.i -= 1;
-                            return Err(self.err("expected `in` or `out` after `port`"));
-                        }
+                        _ => return Err(self.err("expected `in` or `out` after `port`")),
                     };
+                    self.i += 1;
                     let pname = self.ident("port name")?;
                     self.expect(&Tok::Semi)?;
                     ports.push(PortDecl { dir, name: pname });
@@ -404,6 +409,29 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("1:"), "{msg}");
         assert!(msg.contains("instance name"), "{msg}");
+    }
+
+    #[test]
+    fn diagnostics_name_the_token_and_count_characters() {
+        let err = |src: &str| parse(src).unwrap_err().to_string();
+        // The direction check names the token it looked at.
+        assert_eq!(
+            err("module m { port foo; }"),
+            "elaboration error: 1:17: expected `in` or `out` after `port`, found `foo`"
+        );
+        assert_eq!(
+            err("module m { port"),
+            "elaboration error: end of input: expected `in` or `out` after `port`"
+        );
+        // A multi-byte string earlier on the line counts one column a char.
+        assert_eq!(
+            err("module m { param x = \"ü\"; instance ; }"),
+            "elaboration error: 1:36: expected instance name identifier, found `;`"
+        );
+        assert_eq!(
+            err("module m { param x = ; }"),
+            "elaboration error: 1:22: expected expression, found ;"
+        );
     }
 
     #[test]

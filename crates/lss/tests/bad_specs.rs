@@ -58,6 +58,32 @@ fn every_bad_spec_fails_with_a_diagnostic() {
     assert!(seen >= 10, "corpus shrank: only {seen} bad specs");
 }
 
+/// The exact diagnostic of every corpus file: positions count characters,
+/// and each message names the token the front end stopped at.
+#[test]
+fn bad_spec_diagnostics_are_pinned() {
+    let pinned = [
+        ("bad_port_dir.lss", "elaboration error: 3:10: expected `in` or `out` after `port`, found `sideways`"),
+        ("bad_token.lss", "elaboration error: 3:16: unexpected character '@'"),
+        ("dangling_connect.lss", "elaboration error: module main: unknown instance \"ghost\" in connect"),
+        ("deep_nesting.lss", "elaboration error: 2:153: nesting deeper than 128 levels (unbalanced brackets?), found `(`"),
+        ("missing_semi.lss", "elaboration error: 4:5: expected `;`, found `instance`"),
+        ("toplevel_statement.lss", "elaboration error: 2:1: expected `module`, found `instance`"),
+        ("unclosed_module.lss", "elaboration error: end of input: expected `}` to close module"),
+        ("unknown_template.lss", "elaboration error: unknown module template \"no_such_template_exists\"; known: alu, arbiter, crossbar, delay, inverter, mem_array, queue, register, seq_source, sink, tee"),
+        ("unterminated_comment.lss", "elaboration error: 1:1: unterminated block comment"),
+        ("unterminated_string.lss", "elaboration error: 3:39: unterminated string"),
+    ];
+    let reg = registry();
+    for (name, want) in pinned {
+        let src = std::fs::read_to_string(bad_dir().join(name)).expect("readable spec");
+        let err = build_simulator(&src, &reg, "main", &Params::new(), SchedKind::Dynamic)
+            .map(|_| ())
+            .expect_err(name);
+        assert_eq!(err.to_string(), want, "{name}");
+    }
+}
+
 #[test]
 fn good_specs_still_build() {
     // Guard against the robustness work rejecting valid input: the three

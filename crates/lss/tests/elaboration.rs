@@ -326,6 +326,40 @@ fn division_by_zero_diagnosed() {
     expect_err("module main { param x = 1 / 0; }", "division by zero");
 }
 
+/// Elaborate `param a = <expr>;` and an array of `a + i64::MAX + 3`
+/// sinks, returning how many were made: 2 iff `a` is `i64::MIN`.
+fn sinks_after_min_offset(expr: &str) -> usize {
+    let src = format!(
+        "module main {{ param a = {expr}; instance s[a + 9223372036854775807 + 3] : sink; }}"
+    );
+    let spec = parse(&src).unwrap();
+    let (_, rep) = elaborate(&spec, &registry(), "main", &Params::new()).unwrap();
+    rep.template_uses["sink"]
+}
+
+const I64_MIN: &str = "(0 - 9223372036854775807 - 1)";
+
+#[test]
+fn integer_division_overflow_wraps() {
+    assert_eq!(sinks_after_min_offset(&format!("{I64_MIN} / (0 - 1)")), 2);
+}
+
+#[test]
+fn integer_remainder_overflow_wraps() {
+    // `i64::MIN % -1` is 0, so size the array from it directly.
+    let spec = parse(&format!(
+        "module main {{ param a = {I64_MIN} % (0 - 1); instance s[a + 2] : sink; }}"
+    ))
+    .unwrap();
+    let (_, rep) = elaborate(&spec, &registry(), "main", &Params::new()).unwrap();
+    assert_eq!(rep.template_uses["sink"], 2);
+}
+
+#[test]
+fn integer_negation_overflow_wraps() {
+    assert_eq!(sinks_after_min_offset(&format!("-{I64_MIN}")), 2);
+}
+
 #[test]
 fn elaborate_reports_census() {
     let spec = parse(
