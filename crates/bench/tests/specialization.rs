@@ -21,13 +21,20 @@
 //! 5. **Fault plans force fallback, not wrong answers** — random
 //!    (seed, rate) draws yield one canonical stream and one verdict
 //!    whether or not specialization was requested.
+//! 6. **Verdicts and kernels stay put** — the plan verdicts of the paper's
+//!    systems are pinned, and a step after a probe detaches or a restore
+//!    runs on kernels again.
 
-use liberty_bench::kernel::{build, W_PCL};
+use liberty_bench::kernel::{build, WORKLOADS, W_PCL};
 use liberty_core::prelude::*;
 use liberty_lss::build_simulator;
+use liberty_systems::cmp::{cmp_simulator, CmpConfig};
 use liberty_systems::full_registry;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::io::Write;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 const CYCLES: u64 = 32;
 
@@ -374,4 +381,196 @@ fn ring_osc_divergence_is_specialization_independent() {
     // the dynamic engine), so both runs must report the exact same
     // structured divergence.
     assert_eq!(diverge(true), diverge(false));
+}
+
+/// A plan's verdicts: specialized instances, dynamic instances, fast
+/// edges, total edges, and how many instances each demotion reason keeps
+/// dynamic (the reason up to the neighbour it names).
+type Verdicts = (usize, usize, usize, usize, BTreeMap<String, usize>);
+
+fn verdicts(sim: &Simulator) -> (Verdicts, Vec<String>) {
+    let s = sim.plan_summary().expect("compiled plan");
+    let mut reasons = BTreeMap::new();
+    for why in s.instances.iter().filter_map(|r| r.reason.as_deref()) {
+        let key = why.split(" \"").next().unwrap_or(why).to_owned();
+        *reasons.entry(key).or_insert(0) += 1;
+    }
+    let specialized = s.instances.iter().filter(|r| r.specialized);
+    let names = specialized.map(|r| r.name.clone()).collect();
+    let counts = (s.specialized, s.dynamic, s.fast_edges, s.total_edges);
+    ((counts.0, counts.1, counts.2, counts.3, reasons), names)
+}
+
+fn reasons(pairs: &[(&str, usize)]) -> BTreeMap<String, usize> {
+    pairs.iter().map(|&(k, n)| (k.to_owned(), n)).collect()
+}
+
+/// The plan verdicts of the paper's systems, and exactly which instances
+/// specialize: a change to the classifier that demotes (or promotes) an
+/// instance must show up here.
+#[test]
+fn plan_verdicts_of_the_papers_systems_are_pinned() {
+    const CYCLIC: &str = "data-cyclic island (needs fixed-point iteration)";
+    const NO_HINT: &str = "dynamic template (no kernel hint)";
+    const WIRE: &str = "wire type did not resolve to an unboxed shape";
+    let pcl = "gen tee q0 r0 q1 r1 q2 r2 q3 r3 q4 r4 q5 r5 q6 r6 q7 r7 q8 r8 q9 r9 \
+        q10 r10 q11 r11 q12 r12 q13 r13 q14 r14 q15 r15 q16 r16 q17 r17 q18 r18 q19 r19 \
+        k0 inv dly k1 ops alu aq k2";
+    // The router input buffers at the fabric's edge (no producer).
+    let mesh = "n.r0.ibuf0 n.r0.ibuf3 n.r1.ibuf0 n.r2.ibuf0 n.r3.ibuf0 n.r4.ibuf0 \
+        n.r5.ibuf0 n.r6.ibuf0 n.r7.ibuf0 n.r7.ibuf1 n.r8.ibuf3 n.r15.ibuf1 n.r16.ibuf3 \
+        n.r23.ibuf1 n.r24.ibuf3 n.r31.ibuf1 n.r32.ibuf3 n.r39.ibuf1 n.r40.ibuf3 \
+        n.r47.ibuf1 n.r48.ibuf3 n.r55.ibuf1 n.r56.ibuf2 n.r56.ibuf3 n.r57.ibuf2 \
+        n.r58.ibuf2 n.r59.ibuf2 n.r60.ibuf2 n.r61.ibuf2 n.r62.ibuf2 n.r63.ibuf1 n.r63.ibuf2";
+    let cmp4 = "noc.r0.ibuf0 noc.r0.ibuf3 noc.r1.ibuf0 noc.r1.ibuf1 \
+        noc.r2.ibuf2 noc.r2.ibuf3 noc.r3.ibuf1 noc.r3.ibuf2";
+    let cmp8 = "noc.r0.ibuf0 noc.r0.ibuf3 noc.r1.ibuf0 noc.r2.ibuf0 noc.r2.ibuf1 \
+        noc.r3.ibuf3 noc.r5.ibuf1 noc.r6.ibuf2 noc.r6.ibuf3 noc.r7.ibuf2 noc.r8.ibuf1 \
+        noc.r8.ibuf2";
+    let cmp4_cfg = CmpConfig {
+        cores: 4,
+        items: 16,
+        ordering: None,
+        with_noc: true,
+        noc_rate: 0.05,
+    };
+    let cases: [(&str, Simulator, Verdicts, &str); 5] = [
+        (
+            W_PCL,
+            build(W_PCL, SchedKind::Compiled),
+            (50, 0, 48, 48, reasons(&[])),
+            pcl,
+        ),
+        (
+            "mesh",
+            build(WORKLOADS[0], SchedKind::Compiled),
+            (
+                32,
+                1344,
+                0,
+                1536,
+                reasons(&[(CYCLIC, 768), (NO_HINT, 512), (WIRE, 64)]),
+            ),
+            mesh,
+        ),
+        (
+            "4-core CMP",
+            cmp_simulator(&cmp4_cfg, SchedKind::Compiled).unwrap().0,
+            (
+                8,
+                109,
+                0,
+                148,
+                reasons(&[(CYCLIC, 52), (NO_HINT, 53), (WIRE, 4)]),
+            ),
+            cmp4,
+        ),
+        (
+            "8-core CMP",
+            build(WORKLOADS[1], SchedKind::Compiled),
+            (
+                12,
+                247,
+                0,
+                329,
+                reasons(&[(CYCLIC, 125), (NO_HINT, 113), (WIRE, 9)]),
+            ),
+            cmp8,
+        ),
+        (
+            "stage-4 core",
+            build(WORKLOADS[2], SchedKind::Compiled),
+            (0, 11, 0, 18, reasons(&[(CYCLIC, 4), (NO_HINT, 7)])),
+            "",
+        ),
+    ];
+    for (name, sim, want, specialized) in cases {
+        let (got, names) = verdicts(&sim);
+        assert_eq!(got, want, "{name}");
+        assert_eq!(
+            names,
+            specialized.split_whitespace().collect::<Vec<_>>(),
+            "{name}"
+        );
+    }
+}
+
+/// Forwards everything to a wrapped module, counting its `state_restore`
+/// calls: outside a restore, each one writes a live kernel back.
+struct Watched {
+    inner: Box<dyn Module>,
+    restores: Arc<AtomicU64>,
+}
+
+impl Module for Watched {
+    fn react(&mut self, ctx: &mut ReactCtx<'_>) -> Result<(), SimError> {
+        self.inner.react(ctx)
+    }
+    fn commit(&mut self, ctx: &mut CommitCtx<'_>) -> Result<(), SimError> {
+        self.inner.commit(ctx)
+    }
+    fn pending(&self) -> bool {
+        self.inner.pending()
+    }
+    fn state_save(&self) -> Result<Vec<u8>, SimError> {
+        self.inner.state_save()
+    }
+    fn state_restore(&mut self, state: &[u8]) -> Result<(), SimError> {
+        self.restores.fetch_add(1, Ordering::Relaxed);
+        self.inner.state_restore(state)
+    }
+    fn specialize(&self) -> Option<KernelHint> {
+        self.inner.specialize()
+    }
+}
+
+/// A watched script source feeding a collecting sink.
+fn scripted(specialize: bool) -> (Simulator, Arc<AtomicU64>) {
+    let mut b = NetlistBuilder::new();
+    let (spec, inner) = liberty_pcl::source::script((10..20).map(Value::Word).collect());
+    let restores = Arc::new(AtomicU64::new(0));
+    let watched = Watched {
+        inner,
+        restores: restores.clone(),
+    };
+    let src = b.add("src", spec, Box::new(watched)).unwrap();
+    let (spec, sink, _) = liberty_pcl::sink::collecting();
+    let k = b.add("k", spec, sink).unwrap();
+    b.connect(src, "out", k, "in").unwrap();
+    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
+    sim.set_specialization(specialize);
+    (sim, restores)
+}
+
+/// With a source part-way through its script, the step after a probe
+/// detaches and the step after a restore run on kernels again (the
+/// source's cursor, a bare `u64` in its state blob, lowers at any value),
+/// and the run matches one that never specialized.
+#[test]
+fn kernels_come_back_after_probe_detach_and_restore_mid_script() {
+    let (mut sim, restores) = scripted(true);
+    // True when the last step ran on kernels: attaching a probe writes
+    // live kernel state back into the module, and only then.
+    let ran_on_kernels = |sim: &mut Simulator| {
+        let before = restores.load(Ordering::Relaxed);
+        sim.set_probe(Box::new(CountingProbe::new().0));
+        drop(sim.take_probe());
+        restores.load(Ordering::Relaxed) - before == 1
+    };
+    sim.run(3).unwrap();
+    assert!(ran_on_kernels(&mut sim), "kernels from the first step");
+    sim.step().unwrap();
+    assert!(ran_on_kernels(&mut sim), "kernels after the probe detached");
+    let snap = sim.snapshot().unwrap();
+    sim.restore(&snap).unwrap();
+    sim.step().unwrap();
+    assert!(ran_on_kernels(&mut sim), "kernels after a restore");
+    assert!(sim.plan_summary().unwrap().enabled);
+    sim.step().unwrap();
+    let (mut reference, _) = scripted(false);
+    reference.run(sim.now()).unwrap();
+    assert_eq!(sim.transfer_counts(), reference.transfer_counts());
+    assert_eq!(sim.report(), reference.report());
+    let bytes = |s: &Simulator| s.snapshot().unwrap().to_bytes();
+    assert_eq!(bytes(&sim), bytes(&reference));
 }

@@ -291,12 +291,15 @@ impl Simulator {
     /// kernels, and why the rest stay dynamic. `None` for the
     /// non-compiled schedulers (specialization never applies to them).
     /// This re-renders the construction-time classification; the
-    /// `enabled` flag additionally reflects [`Simulator::set_specialization`]
-    /// and any probe/fault installation that suppressed the fast path.
+    /// `enabled` flag additionally reflects [`Simulator::set_specialization`],
+    /// any probe/fault installation that suppressed the fast path, and a
+    /// failed lowering that fell back to the dynamic handlers for good.
     pub fn plan_summary(&self) -> Option<PlanSummary> {
         let plan = self.plan.as_ref()?;
         let classification = kernel::classify(&self.topo, plan, &self.modules);
-        let enabled = self.spec_enabled && self.probe.is_none() && self.resil.is_none();
+        let fell_back = classification.n_eligible > 0 && self.spec.is_none();
+        let enabled =
+            self.spec_enabled && self.probe.is_none() && self.resil.is_none() && !fell_back;
         Some(classification.summary(&self.topo, enabled))
     }
 

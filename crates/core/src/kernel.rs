@@ -1156,15 +1156,18 @@ impl Kernel {
                     .collect::<Result<Vec<_>, _>>()?;
                 let mut next = 0usize;
                 if !blob.is_empty() {
+                    // The cursor is a bare `u64`, not a length prefix:
+                    // `get_len` would bound it by the bytes left after it.
                     let mut r = StateReader::new(blob);
-                    next = r.get_len()?;
+                    let cursor = r.get_u64()?;
                     r.expect_end()?;
-                    if next > script.len() {
+                    if cursor > script.len() as u64 {
                         return Err(SimError::model(format!(
-                            "{name}: restored cursor {next} beyond script length {}",
+                            "{name}: restored cursor {cursor} beyond script length {}",
                             script.len()
                         )));
                     }
+                    next = cursor as usize;
                 }
                 Kernel::Script(ScriptK {
                     script,
@@ -1722,7 +1725,8 @@ pub struct PlanSummary {
     /// Total edges in the topology.
     pub total_edges: usize,
     /// False when specialization is administratively off (disabled via
-    /// `set_specialization(false)`, or suppressed by probes/faults).
+    /// `set_specialization(false)`, or suppressed by probes/faults), or
+    /// when a failed lowering fell back to the dynamic handlers for good.
     pub enabled: bool,
 }
 

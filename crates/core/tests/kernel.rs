@@ -632,6 +632,7 @@ fn failed_materialization_falls_back_to_the_dynamic_handlers_for_good() {
         assert_eq!((summary.specialized, summary.dynamic), (1, 1));
         sim.set_specialization(specialize);
         sim.run(12).unwrap();
+        assert!(!sim.plan_summary().unwrap().enabled, "no live kernels");
         let out = (sim.report(), sim.transfer_counts().to_vec(), sim.metrics());
         (out, saves.load(Ordering::Relaxed))
     };
