@@ -22,7 +22,7 @@ fn bench_construction(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("construct", n), &spec, |b, spec| {
             b.iter_batched(
                 || elaborate(spec, &reg, "main", &Params::new()).unwrap().0,
-                |net| Simulator::new(net, SchedKind::Static),
+                |net| Simulator::new(net, SchedKind::Compiled),
                 criterion::BatchSize::SmallInput,
             )
         });

@@ -1,7 +1,7 @@
 //! Kernel throughput: simulated time-steps per host second on three
 //! representative netlists (8x8 mesh under uniform traffic, the E2 CMP,
-//! the E8 stage-4 core), for the dynamic and static schedulers — followed
-//! by the probe-overhead section: the same workloads with each observer
+//! the E8 stage-4 core), under the compiled scheduler — followed by the
+//! probe-overhead section: the same workloads with each observer
 //! attached, proving the probe-off path pays nothing for observability.
 //!
 //! Prints markdown tables so `regen_experiments.sh` can capture the
@@ -197,11 +197,11 @@ fn main() {
     for &w in WORKLOADS {
         let off = off_runs
             .iter()
-            .find(|r| r.workload == w && r.sched == SchedKind::Static)
+            .find(|r| r.workload == w && r.sched == SchedKind::Compiled)
             .expect("off run measured");
         let mut row = vec![w.to_string(), format!("{:.0}", off.steps_per_sec())];
         for &mode in &ProbeMode::ALL[1..] {
-            let r = best_of(best, w, SchedKind::Static, cycles, mode);
+            let r = best_of(best, w, SchedKind::Compiled, cycles, mode);
             row.push(format!(
                 "{:.0} ({:.2}x)",
                 r.steps_per_sec(),
@@ -214,7 +214,7 @@ fn main() {
         "{}",
         table(
             &[
-                "workload (Static)",
+                "workload (Compiled)",
                 "off steps/s",
                 "counting (slowdown)",
                 "profiler (slowdown)",
@@ -234,10 +234,10 @@ fn main() {
     for &w in WORKLOADS {
         let off = off_runs
             .iter()
-            .find(|r| r.workload == w && r.sched == SchedKind::Static)
+            .find(|r| r.workload == w && r.sched == SchedKind::Compiled)
             .expect("off run measured");
         let g = (0..best.max(1))
-            .map(|_| run_workload_governed(w, SchedKind::Static, cycles))
+            .map(|_| run_workload_governed(w, SchedKind::Compiled, cycles))
             .min_by(|a, b| a.secs.total_cmp(&b.secs))
             .expect("best >= 1");
         rows.push(vec![
@@ -254,7 +254,7 @@ fn main() {
         "{}",
         table(
             &[
-                "workload (Static)",
+                "workload (Compiled)",
                 "supervisor off steps/s",
                 "governed, unbounded (slowdown)",
             ],

@@ -30,7 +30,7 @@ fn bench_core(c: &mut Criterion) {
     let arc = Arc::new(prog.clone());
     g.bench_function("structural", |b| {
         b.iter_batched(
-            || core_simulator(arc.clone(), &CoreConfig::default(), SchedKind::Static).unwrap(),
+            || core_simulator(arc.clone(), &CoreConfig::default(), SchedKind::Compiled).unwrap(),
             |(mut sim, handles)| run_to_halt(&mut sim, &handles, 1_000_000).unwrap(),
             criterion::BatchSize::SmallInput,
         )
@@ -70,7 +70,7 @@ fn bench_net(c: &mut Criterion) {
                     let (fo, fp) = fabric.local_out[id as usize];
                     nb.connect(fo, fp, k, "in").unwrap();
                 }
-                Simulator::new(nb.build().unwrap(), SchedKind::Static)
+                Simulator::new(nb.build().unwrap(), SchedKind::Compiled)
             },
             |mut sim| sim.run(1000).unwrap(),
             criterion::BatchSize::SmallInput,

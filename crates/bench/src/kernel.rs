@@ -19,13 +19,13 @@ use std::sync::Arc;
 /// Names of the kernel throughput workloads, in report order.
 ///
 /// The first three are system-level netlists; all contain cyclic SCCs, so
-/// the compiled schedulers run them as island fixed points. The
+/// the compiled scheduler runs them as island fixed points. The
 /// `(acyclic)` workloads are pure-DAG kernel microbenchmarks with
 /// minimal handler bodies — they isolate per-react scheduler overhead,
 /// which is exactly what schedule compilation removes. All three are
 /// built in anti-topological creation order: real elaborated netlists do
-/// not hand worklist schedulers a topologically sorted instance order,
-/// and the FIFO scheduler would otherwise ride construction-order luck.
+/// not hand the scheduler a topologically sorted instance order, and the
+/// Sweep oracle would otherwise ride construction-order luck.
 pub const WORKLOADS: &[&str] = &[
     "mesh 8x8 uniform 0.1",
     "CMP 8-core + NoC",
@@ -50,10 +50,9 @@ pub const W_PCL: &str = "pcl pipeline 48 (specializable)";
 pub const ACYCLIC_WORKLOADS: &[&str] = &[W_SCATTER, W_FANOUT, W_CHAIN];
 
 /// The schedulers the throughput tables and the CI baseline guard
-/// measure (Sweep is excluded: it is the teaching baseline, not a
-/// contender).
-pub const MEASURED_SCHEDS: &[SchedKind] =
-    &[SchedKind::Dynamic, SchedKind::Static, SchedKind::Compiled];
+/// measure (Sweep is excluded: it is the reference the engine is checked
+/// against, not a contender).
+pub const MEASURED_SCHEDS: &[SchedKind] = &[SchedKind::Compiled];
 
 /// One measured kernel run.
 #[derive(Clone, Debug)]
@@ -282,8 +281,8 @@ fn fanout_tree(branch: u32, depth: u32, sched: SchedKind) -> Simulator {
 }
 
 /// A `stages`-deep forwarding pipeline, built sink-first so the creation
-/// order is anti-topological (the FIFO scheduler reacts every stage
-/// twice per step; rank order and the compiled plan react each once).
+/// order is anti-topological (a Sweep pass in id order resolves one stage;
+/// the compiled plan reacts each stage once).
 fn chain_rev(stages: usize, sched: SchedKind) -> Simulator {
     let mut b = NetlistBuilder::new();
     let fwd_spec = ModuleSpec::new("fwd")

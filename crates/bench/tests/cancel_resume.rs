@@ -6,7 +6,7 @@
 //! The oracle mirrors the checkpoint round-trip suite (`roundtrip.rs`):
 //! canonical probe streams stitched across the cut must be byte-identical
 //! to the control's, and the final stats report / transfer counts /
-//! state hash must match — across all four schedulers and under active
+//! state hash must match — under both schedulers and under active
 //! fault plans.
 //!
 //! Governance events (`cancel`, `checkpoint`, `restore`, `attach`) are
@@ -20,12 +20,7 @@ use proptest::prelude::*;
 use std::io::Write;
 
 const TOTAL: u64 = 32;
-const ALL_SCHEDS: [SchedKind; 4] = [
-    SchedKind::Sweep,
-    SchedKind::Dynamic,
-    SchedKind::Static,
-    SchedKind::Compiled,
-];
+const ALL_SCHEDS: [SchedKind; 2] = [SchedKind::Sweep, SchedKind::Compiled];
 
 /// Shared byte buffer implementing `Write` for in-memory JSONL capture.
 #[derive(Clone, Default)]
@@ -229,9 +224,9 @@ fn cancellation_cut_is_invisible_across_all_schedulers() {
 fn cancellation_cut_is_invisible_under_an_active_fault_plan() {
     for (name, src) in cr_targets() {
         for n in [3, 27] {
-            let control = control_run(&src, SchedKind::Dynamic, Some((0xC0FFEE, 0.25)));
+            let control = control_run(&src, SchedKind::Compiled, Some((0xC0FFEE, 0.25)));
             let resumed =
-                cancelled_resumed_run(&src, SchedKind::Dynamic, n, Some((0xC0FFEE, 0.25)));
+                cancelled_resumed_run(&src, SchedKind::Compiled, n, Some((0xC0FFEE, 0.25)));
             assert_obs_eq(&control, &resumed, &format!("{name} cancel at {n}"));
         }
     }

@@ -6,7 +6,7 @@
 //!    unbounded reaction loop: the watchdog bounds each step).
 //! 2. **Deterministic replay** — the same fault seed produces a
 //!    byte-identical canonical probe stream, on repetition *and* across
-//!    all three schedulers.
+//!    both schedulers.
 //! 3. **Fault-free control** — with no plan installed the same builds
 //!    behave exactly as the tier-1 suites expect (the injection layer is
 //!    compiled out of the hot path and changes nothing).
@@ -25,12 +25,7 @@ use std::io::Write;
 
 const SEEDS: &[u64] = &[1, 42, 0xC0FFEE];
 const CYCLES: u64 = 48;
-const SCHEDS: &[SchedKind] = &[
-    SchedKind::Sweep,
-    SchedKind::Dynamic,
-    SchedKind::Static,
-    SchedKind::Compiled,
-];
+const SCHEDS: &[SchedKind] = &[SchedKind::Sweep, SchedKind::Compiled];
 
 /// Shared byte buffer implementing `Write` for in-memory JSONL capture.
 #[derive(Clone, Default)]
@@ -102,8 +97,8 @@ fn soak_all_targets_no_hang_and_deterministic_replay() {
     for name in targets() {
         for &seed in SEEDS {
             // Reference run + replay on the same scheduler.
-            let (s1, v1, faults, quarantines) = chaos_run(name, SchedKind::Dynamic, seed);
-            let (s2, v2, _, _) = chaos_run(name, SchedKind::Dynamic, seed);
+            let (s1, v1, faults, quarantines) = chaos_run(name, SchedKind::Compiled, seed);
+            let (s2, v2, _, _) = chaos_run(name, SchedKind::Compiled, seed);
             assert_eq!(v1, v2, "{name} seed {seed}: verdict replays");
             assert_eq!(s1, s2, "{name} seed {seed}: probe stream replays");
             assert!(
@@ -136,7 +131,7 @@ fn soak_all_targets_no_hang_and_deterministic_replay() {
 #[test]
 fn fault_free_control_runs_stay_clean() {
     for name in targets() {
-        let mut sim = build_target(name, SchedKind::Dynamic);
+        let mut sim = build_target(name, SchedKind::Compiled);
         sim.run(CYCLES).unwrap_or_else(|e| panic!("{name}: {e}"));
         let m = sim.metrics();
         assert_eq!(m.faults_injected, 0, "{name}");
@@ -178,9 +173,9 @@ fn kill_and_resume_mid_soak_matches_uninterrupted_control() {
     // stateless defaults and are soaked by the tests above instead).
     for name in ["specs/pipeline.lss", "specs/refinement.lss"] {
         for &seed in SEEDS {
-            let (control, cv, _, cq) = chaos_run(name, SchedKind::Dynamic, seed);
+            let (control, cv, _, cq) = chaos_run(name, SchedKind::Compiled, seed);
 
-            let mut sim = build_target(name, SchedKind::Dynamic);
+            let mut sim = build_target(name, SchedKind::Compiled);
             let buf1 = Buf::default();
             sim.set_probe(Box::new(JsonlProbe::new(buf1.clone()).canonical()));
             arm_chaos(&mut sim, seed);
@@ -197,7 +192,7 @@ fn kill_and_resume_mid_soak_matches_uninterrupted_control() {
             drop(sim); // kill
 
             let snap = Snapshot::from_bytes(&bytes).expect("checkpoint decodes");
-            let mut resumed = build_target(name, SchedKind::Dynamic);
+            let mut resumed = build_target(name, SchedKind::Compiled);
             resumed.restore(&snap).expect("restore");
             let buf2 = Buf::default();
             resumed.set_probe(Box::new(JsonlProbe::new(buf2.clone()).canonical()));
@@ -219,7 +214,7 @@ fn kill_and_resume_mid_soak_matches_uninterrupted_control() {
 
 #[test]
 fn different_seeds_draw_different_plans() {
-    let sim = build_target(WORKLOADS[0], SchedKind::Dynamic);
+    let sim = build_target(WORKLOADS[0], SchedKind::Compiled);
     let topo = sim.topology().clone();
     let a = FaultPlan::random(1, &topo, CYCLES, 0.25);
     let b = FaultPlan::random(2, &topo, CYCLES, 0.25);
@@ -290,7 +285,7 @@ fn governed_soak_every_exit_path_yields_a_wellformed_report() {
         for name in soak_targets {
             for &seed in SEEDS {
                 // Tight step budget.
-                let mut sim = build_target(name, SchedKind::Dynamic);
+                let mut sim = build_target(name, SchedKind::Compiled);
                 arm_chaos(&mut sim, seed);
                 sim.set_budget(RunBudget::new().max_steps(seed % 7 + 1));
                 let r = sim.run_governed(CYCLES);
@@ -298,7 +293,7 @@ fn governed_soak_every_exit_path_yields_a_wellformed_report() {
                 assert!(r.stopped_early() || r.error.is_some(), "{name}: {r:?}");
 
                 // Expired deadline: stops before the first step.
-                let mut sim = build_target(name, SchedKind::Dynamic);
+                let mut sim = build_target(name, SchedKind::Compiled);
                 arm_chaos(&mut sim, seed);
                 sim.set_budget(RunBudget::new().deadline(std::time::Duration::ZERO));
                 let r = sim.run_governed(CYCLES);
@@ -309,7 +304,7 @@ fn governed_soak_every_exit_path_yields_a_wellformed_report() {
                 // same path a signal handler takes). Snapshot-incapable
                 // targets make the final checkpoint fail — which must
                 // not mask the cancellation.
-                let mut sim = build_target(name, SchedKind::Dynamic);
+                let mut sim = build_target(name, SchedKind::Compiled);
                 let token = CancelToken::new();
                 sim.set_probe(Box::new(CancelAt {
                     at: seed % (CYCLES - 1),
@@ -326,7 +321,7 @@ fn governed_soak_every_exit_path_yields_a_wellformed_report() {
 
                 // Quarantine ceiling of zero: the first isolation (if the
                 // plan causes any) exhausts the budget.
-                let mut sim = build_target(name, SchedKind::Dynamic);
+                let mut sim = build_target(name, SchedKind::Compiled);
                 arm_chaos(&mut sim, seed);
                 sim.set_budget(RunBudget::new().max_quarantined(0));
                 let r = sim.run_governed(CYCLES);
@@ -337,7 +332,7 @@ fn governed_soak_every_exit_path_yields_a_wellformed_report() {
         // Retry ladder on a snapshot-capable target: rollback + masking
         // retries, bounded by the policy, always terminating in a report.
         for &seed in SEEDS {
-            let mut sim = build_target("specs/pipeline.lss", SchedKind::Dynamic);
+            let mut sim = build_target("specs/pipeline.lss", SchedKind::Compiled);
             arm_chaos(&mut sim, seed);
             sim.set_retry_policy(RetryPolicy::with_max_retries(4));
             sim.set_auto_checkpoint(8);
@@ -371,7 +366,7 @@ fn sink_stalls_are_absorbed_by_backpressure_policies() {
     with_hard_timeout(120, || {
         // Block: the run slows to the sink's pace but loses nothing and
         // finishes. A small cap forces frequent blocking flushes.
-        let mut sim = build_target("specs/pipeline.lss", SchedKind::Dynamic);
+        let mut sim = build_target("specs/pipeline.lss", SchedKind::Compiled);
         let writer = BackpressureWriter::new(
             StallingWriter {
                 stall: std::time::Duration::from_micros(200),
@@ -395,7 +390,7 @@ fn sink_stalls_are_absorbed_by_backpressure_policies() {
 
         // DropOldest: the run never waits on the stalled sink; history
         // is shed, counted, and the run still completes its budget.
-        let mut sim = build_target("specs/pipeline.lss", SchedKind::Dynamic);
+        let mut sim = build_target("specs/pipeline.lss", SchedKind::Compiled);
         let writer = BackpressureWriter::new(
             StallingWriter {
                 stall: std::time::Duration::from_micros(200),

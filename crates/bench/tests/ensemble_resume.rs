@@ -21,12 +21,7 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 const TOTAL: u64 = 48;
-const ALL_SCHEDS: [SchedKind; 4] = [
-    SchedKind::Sweep,
-    SchedKind::Dynamic,
-    SchedKind::Static,
-    SchedKind::Compiled,
-];
+const ALL_SCHEDS: [SchedKind; 2] = [SchedKind::Sweep, SchedKind::Compiled];
 
 /// A fresh per-test sweep directory under the system temp dir.
 fn tdir(tag: &str) -> PathBuf {
@@ -116,7 +111,7 @@ fn budget_cut_sweeps_resume_byte_identically_across_schedulers() {
 #[test]
 fn cancellation_fans_out_to_in_flight_replicas_and_leaves_a_summary() {
     const CYCLES: u64 = 4000;
-    let factory = LssFactory::new(ENSEMBLE_SPEC, SchedKind::Static);
+    let factory = LssFactory::new(ENSEMBLE_SPEC, SchedKind::Compiled);
     let control = tdir("can-ctl");
     let mut ctl_cfg = base_config(CYCLES, 2);
     ctl_cfg.checkpoint_every = 64;

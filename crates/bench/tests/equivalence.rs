@@ -1,19 +1,21 @@
 //! Scheduler-equivalence suite: the compiled scheduler must be
-//! *observationally indistinguishable* from the dynamic ones on every
-//! system the repo ships.
+//! *observationally indistinguishable* from the naive Sweep — the oracle,
+//! with no plan, wake table, settle marks or kernels — on every system
+//! the repo ships.
 //!
-//! The oracle is three-fold, in increasing strictness:
+//! The check is three-fold, in increasing strictness:
 //!
-//! 1. **Final architectural state** — identical [`StatsReport`] and
-//!    per-edge transfer counts after a run (the fixed point is unique, so
-//!    the transfers and stats are scheduler-independent facts).
+//! 1. **Final architectural state** — identical [`StatsReport`] (but for
+//!    the [`invocation_dependent`] allow-list) and per-edge transfer
+//!    counts after a run (the fixed point is unique, so the transfers and
+//!    stats are scheduler-independent facts).
 //! 2. **Canonical probe streams** — `JsonlProbe::canonical()` emits only
 //!    the scheduler-independent events (steps, transfers sorted by edge,
-//!    faults, quarantines); the streams must be *byte-identical* across
-//!    all four schedulers, fault-free and under active fault plans.
+//!    faults, quarantines); the streams must be *byte-identical* under
+//!    both schedulers, fault-free and under active fault plans.
 //! 3. **Structured failure** — the `ring_osc.lss` combinational loop must
 //!    diverge with the same oscillating-wire set under the compiled
-//!    scheduler as under the dynamic ones.
+//!    scheduler as under Sweep.
 //!
 //! The property test drives random fault plans (seed, rate, target) at
 //! the cross-scheduler stream comparison; the chaos suite (`chaos.rs`)
@@ -28,12 +30,6 @@ use proptest::prelude::*;
 use std::io::Write;
 
 const CYCLES: u64 = 32;
-const ALL_SCHEDS: [SchedKind; 4] = [
-    SchedKind::Sweep,
-    SchedKind::Dynamic,
-    SchedKind::Static,
-    SchedKind::Compiled,
-];
 
 /// Shared byte buffer implementing `Write` for in-memory JSONL capture.
 #[derive(Clone, Default)]
@@ -109,34 +105,47 @@ fn observed_run(
 #[test]
 fn canonical_streams_are_byte_identical_across_all_schedulers() {
     for name in targets() {
-        let (s0, v0, r0, t0) = observed_run(name, SchedKind::Dynamic, None);
+        let (s0, v0, r0, t0) = observed_run(name, SchedKind::Sweep, None);
         v0.as_ref().unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(!s0.is_empty(), "{name}: empty canonical stream");
-        for sched in ALL_SCHEDS {
-            let (s, v, r, t) = observed_run(name, sched, None);
-            assert_eq!(v0, v, "{name} {sched:?}: verdict");
-            assert_eq!(s0, s, "{name} {sched:?}: canonical stream");
-            assert_eq!(t0, t, "{name} {sched:?}: transfer counts");
-            // Stats recorded inside `react` scale with invocation count,
-            // and Sweep re-reacts every instance every pass (e.g. the CMP
-            // decode stage's hazard_stalls counter) — so full report
-            // equality is only promised among the wake-driven schedulers.
-            if sched != SchedKind::Sweep {
-                assert_eq!(r0, r, "{name} {sched:?}: final stats report");
-            }
-        }
+        let (s, v, r, t) = observed_run(name, SchedKind::Compiled, None);
+        assert_eq!(v0, v, "{name}: verdict");
+        assert_eq!(s0, s, "{name}: canonical stream");
+        assert_eq!(t0, t, "{name}: transfer counts");
+        assert_reports_agree(&r0, &r, name);
     }
 }
 
 /// Statistics that are *known* to follow how often a handler was
 /// invoked, not what the model did: `upl::decode` counts
 /// `hazard_stalls` inside `react`, so Sweep (which re-reacts every
-/// instance every pass) reads higher than the wake-driven schedulers.
+/// instance every pass) reads higher than the compiled plan.
 /// The counter stays where it is for now — the benchmark's `cmp8` and
 /// `core4` digests pin its `Compiled` value (see docs/KERNEL.md) — and
 /// nothing else may join this list without the same kind of reason.
 fn invocation_dependent(stat: &str) -> bool {
-    stat.ends_with(".decode.hazard_stalls")
+    stat == "decode.hazard_stalls" || stat.ends_with(".decode.hazard_stalls")
+}
+
+/// The Sweep report `sweep` and the compiled report `compiled` agree on
+/// every counter name, every counter outside the allow-list, every
+/// sample and every histogram; an allow-listed counter reads no higher
+/// under the compiled plan than under Sweep.
+fn assert_reports_agree(sweep: &StatsReport, compiled: &StatsReport, ctx: &str) {
+    assert_eq!(
+        compiled.counters.keys().collect::<Vec<_>>(),
+        sweep.counters.keys().collect::<Vec<_>>(),
+        "{ctx}: counter names"
+    );
+    for (name, v) in &compiled.counters {
+        if invocation_dependent(name) {
+            assert!(*v <= sweep.counters[name], "{ctx}: counter {name}");
+        } else {
+            assert_eq!(*v, sweep.counters[name], "{ctx}: counter {name}");
+        }
+    }
+    assert_eq!(compiled.samples, sweep.samples, "{ctx}: samples");
+    assert_eq!(compiled.histograms, sweep.histograms, "{ctx}: histograms");
 }
 
 #[test]
@@ -150,33 +159,16 @@ fn cmp_statistics_are_scheduler_independent_except_the_allow_list() {
             .unwrap_or_else(|e| panic!("{sched:?}: {e}"));
         (sim.now(), sim.report())
     };
-    let (steps0, r0) = run(SchedKind::Dynamic);
+    let (steps0, r0) = run(SchedKind::Sweep);
     let listed: Vec<&String> = r0
         .counters
         .keys()
         .filter(|k| invocation_dependent(k))
         .collect();
     assert_eq!(listed.len(), 4, "one per core: {listed:?}");
-    for sched in ALL_SCHEDS {
-        let (steps, r) = run(sched);
-        assert_eq!(steps, steps0, "{sched:?}: steps to completion");
-        assert_eq!(
-            r.counters.keys().collect::<Vec<_>>(),
-            r0.counters.keys().collect::<Vec<_>>(),
-            "{sched:?}: counter names"
-        );
-        for (name, v) in &r.counters {
-            if !invocation_dependent(name) {
-                assert_eq!(*v, r0.counters[name], "{sched:?}: counter {name}");
-            }
-        }
-        assert_eq!(r.samples, r0.samples, "{sched:?}: samples");
-        assert_eq!(r.histograms, r0.histograms, "{sched:?}: histograms");
-        // Among the wake-driven schedulers even the listed counters agree.
-        if sched != SchedKind::Sweep {
-            assert_eq!(r, r0, "{sched:?}: full report");
-        }
-    }
+    let (steps, r) = run(SchedKind::Compiled);
+    assert_eq!(steps, steps0, "steps to completion");
+    assert_reports_agree(&r0, &r, "4-core CMP");
 }
 
 #[test]
@@ -200,7 +192,7 @@ fn ring_osc_diverges_with_the_same_wires_under_compiled_schedulers() {
         wires.sort();
         (wires, d.cycle.clone(), d.step, d.limit)
     };
-    assert_eq!(diverge(SchedKind::Compiled), diverge(SchedKind::Dynamic));
+    assert_eq!(diverge(SchedKind::Compiled), diverge(SchedKind::Sweep));
 }
 
 proptest! {
@@ -208,7 +200,7 @@ proptest! {
 
     /// Random fault plans cannot split the schedulers: any (seed, rate,
     /// target) draw yields one canonical stream, one verdict, and one
-    /// quarantine outcome across the worklist and compiled engines.
+    /// quarantine outcome under Sweep and the compiled engine.
     #[test]
     fn fault_plans_cannot_split_the_schedulers(
         seed in any::<u64>(),
@@ -216,13 +208,11 @@ proptest! {
         tgt in 0usize..7,
     ) {
         let name = targets()[tgt];
-        let (s0, v0, r0, t0) = observed_run(name, SchedKind::Dynamic, Some((seed, rate)));
-        for sched in [SchedKind::Static, SchedKind::Compiled] {
-            let (s, v, r, t) = observed_run(name, sched, Some((seed, rate)));
-            prop_assert_eq!(&v0, &v, "{} {:?}: verdict", name, sched);
-            prop_assert_eq!(&s0, &s, "{} {:?}: canonical stream", name, sched);
-            prop_assert_eq!(&r0, &r, "{} {:?}: final stats", name, sched);
-            prop_assert_eq!(&t0, &t, "{} {:?}: transfer counts", name, sched);
-        }
+        let (s0, v0, r0, t0) = observed_run(name, SchedKind::Sweep, Some((seed, rate)));
+        let (s, v, r, t) = observed_run(name, SchedKind::Compiled, Some((seed, rate)));
+        prop_assert_eq!(&v0, &v, "{}: verdict", name);
+        prop_assert_eq!(&s0, &s, "{}: canonical stream", name);
+        assert_reports_agree(&r0, &r, name);
+        prop_assert_eq!(&t0, &t, "{}: transfer counts", name);
     }
 }

@@ -28,7 +28,7 @@ use std::path::PathBuf;
 /// Step at which every golden checkpoint is taken.
 const GOLDEN_STEP: u64 = 40;
 /// The fixed scheduler golden state is defined under.
-const GOLDEN_SCHED: SchedKind = SchedKind::Static;
+const GOLDEN_SCHED: SchedKind = SchedKind::Compiled;
 /// The three example systems in the corpus: (golden file stem, system
 /// name). Systems whose queues carry opaque payloads (UPL uops, CCL
 /// packets) refuse to snapshot by design and cannot be pinned here —
@@ -47,9 +47,9 @@ fn golden_dir() -> PathBuf {
     repo_root().join("ci/golden")
 }
 
-/// `pipeline` -> `ci/golden/pipeline.static.ckpt`.
+/// `pipeline` -> `ci/golden/pipeline.compiled.ckpt`.
 fn golden_path(stem: &str) -> PathBuf {
-    golden_dir().join(format!("{stem}.static.ckpt"))
+    golden_dir().join(format!("{stem}.compiled.ckpt"))
 }
 
 fn regen() -> bool {
@@ -195,6 +195,63 @@ fn broken_checkpoint_corpus_yields_structured_diagnostics() {
         };
         expect_diag(name, &err);
     }
+}
+
+/// Offset of the payload in a checkpoint envelope (magic, version,
+/// payload length).
+const PAYLOAD_AT: usize = 16;
+
+#[test]
+fn corrupted_payloads_with_a_valid_checksum_fail_cleanly() {
+    // Past the checksum, the payload decoder and `restore` are all that
+    // stand between a corrupted file and the engine: every byte of every
+    // golden payload, set to each of a few extreme values under a
+    // recomputed CRC, must decode, restore into a fresh build and run
+    // three steps — or stop at a structured `SimError`. Never a panic.
+    if regen() {
+        return; // corpus being rewritten
+    }
+    let (mut decoded, mut refused, mut panics) = (0u64, 0u64, Vec::new());
+    for (stem, spec) in GOLDEN_SPECS {
+        let good = std::fs::read(golden_path(stem)).expect("golden readable");
+        let end = good.len() - 4;
+        for at in PAYLOAD_AT..end {
+            for v in [0x00u8, 0xff, 0x01, 0x80, 0x7f] {
+                if good[at] == v {
+                    continue;
+                }
+                let mut bytes = good.clone();
+                bytes[at] = v;
+                let crc = liberty_core::snapshot::crc32(&bytes[PAYLOAD_AT..end]);
+                bytes[end..].copy_from_slice(&crc.to_le_bytes());
+                let outcome = std::panic::catch_unwind(|| {
+                    let Ok(snap) = Snapshot::from_bytes(&bytes) else {
+                        return (false, false);
+                    };
+                    let mut sim = build_spec(spec, GOLDEN_SCHED);
+                    if sim.restore(&snap).is_err() {
+                        return (true, true);
+                    }
+                    let _ = sim.run(3);
+                    (true, false)
+                });
+                match outcome {
+                    Ok((d, r)) => {
+                        decoded += d as u64;
+                        refused += r as u64;
+                    }
+                    Err(_) => panics.push(format!("{stem}: byte {at} = {v:#04x}")),
+                }
+            }
+        }
+    }
+    assert!(panics.is_empty(), "{} panics: {panics:?}", panics.len());
+    // Both later gates were reached: some mutants decode, and `restore`
+    // refuses some of those.
+    assert!(
+        decoded > 0 && refused > 0,
+        "{decoded} decoded, {refused} refused"
+    );
 }
 
 #[test]

@@ -12,7 +12,7 @@
 //!    per-edge transfer counts, and snapshot `state_hash` (valid because
 //!    both runs use the same scheduler).
 //!
-//! The property holds across all four schedulers and under active fault
+//! The property holds under both schedulers and under active fault
 //! plans: plans are deliberately *not* part of a snapshot (they describe
 //! the environment, not the system), so the resumed run reinstalls the
 //! same plan — activation is pure in `now`, so replay is exact.
@@ -30,12 +30,7 @@ use proptest::prelude::*;
 use std::io::Write;
 
 const TOTAL: u64 = 32;
-const ALL_SCHEDS: [SchedKind; 4] = [
-    SchedKind::Sweep,
-    SchedKind::Dynamic,
-    SchedKind::Static,
-    SchedKind::Compiled,
-];
+const ALL_SCHEDS: [SchedKind; 2] = [SchedKind::Sweep, SchedKind::Compiled];
 
 /// Shared byte buffer implementing `Write` for in-memory JSONL capture.
 #[derive(Clone, Default)]
@@ -231,8 +226,8 @@ fn roundtrip_is_invisible_under_an_active_fault_plan() {
     // prefix and near the end of the horizon.
     for (name, src) in rt_targets() {
         for n in [5, 29] {
-            let control = control_run(&src, SchedKind::Dynamic, Some((0xC0FFEE, 0.25)));
-            let resumed = interrupted_run(&src, SchedKind::Dynamic, n, Some((0xC0FFEE, 0.25)));
+            let control = control_run(&src, SchedKind::Compiled, Some((0xC0FFEE, 0.25)));
+            let resumed = interrupted_run(&src, SchedKind::Compiled, n, Some((0xC0FFEE, 0.25)));
             assert_obs_eq(&control, &resumed, &format!("{name} split at {n}"));
         }
     }
@@ -242,8 +237,8 @@ fn roundtrip_is_invisible_under_an_active_fault_plan() {
 fn double_roundtrip_composes() {
     // snapshot/restore twice in one horizon: run(10);ckpt;run(10);ckpt;run(12).
     let (_, src) = rt_targets().remove(2);
-    let control = control_run(&src, SchedKind::Static, None);
-    let mut sim = build_from(&src, SchedKind::Static);
+    let control = control_run(&src, SchedKind::Compiled, None);
+    let mut sim = build_from(&src, SchedKind::Compiled);
     let buf = Buf::default();
     sim.set_probe(Box::new(JsonlProbe::new(buf.clone()).canonical()));
     let mut stream = String::new();
@@ -254,7 +249,7 @@ fn double_roundtrip_composes() {
         buf.0.lock().unwrap().clear();
         let bytes = sim.snapshot().expect("snapshot").to_bytes();
         let snap = Snapshot::from_bytes(&bytes).expect("decodes");
-        let mut next = build_from(&src, SchedKind::Static);
+        let mut next = build_from(&src, SchedKind::Compiled);
         next.restore(&snap).expect("restore");
         next.set_probe(Box::new(JsonlProbe::new(buf.clone()).canonical()));
         sim = next;

@@ -6,8 +6,8 @@
 //!    wire iff reader and writer share an island, and nothing otherwise.
 //! 2. **Pushing at the write changes no run.** On the same netlists the
 //!    compiled scheduler — specialized and not — reaches the final state
-//!    and the canonical stream of the FIFO worklist scheduler, which
-//!    still wakes from a resolve list after each `react`.
+//!    and the canonical stream of the Sweep oracle, which has no wake
+//!    table at all.
 //! 3. **The resolve log keeps react order.** The *full* JSONL stream
 //!    (resolve events and handler brackets: scheduler-dependent by
 //!    design, so it pins invocation and resolution order) of the 4-core
@@ -164,7 +164,7 @@ proptest! {
 
     #[test]
     fn pushing_wakes_at_the_write_reaches_the_worklist_fixed_point(desc in desc_strategy()) {
-        let reference = observed(build(&desc, SchedKind::Dynamic));
+        let reference = observed(build(&desc, SchedKind::Sweep));
         for specialize in [true, false] {
             let mut sim = build(&desc, SchedKind::Compiled);
             sim.set_specialization(specialize);

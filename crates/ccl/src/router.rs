@@ -96,7 +96,7 @@ mod tests {
             b.connect(*inst, port, k, "in").unwrap();
             sinks.push(h);
         }
-        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
         sim.run(20).unwrap();
         let ids = |h: &sink::Collected| -> Vec<u64> {
             h.values()
@@ -135,7 +135,7 @@ mod tests {
         let (k_spec, k_mod, h) = sink::collecting();
         let k = b.add("k", k_spec, k_mod).unwrap();
         b.connect(r.outputs[1].0, r.outputs[1].1, k, "in").unwrap();
-        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Static);
+        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
         sim.run(40).unwrap();
         let mut ids: Vec<u64> = h
             .values()

@@ -274,7 +274,7 @@ mod tests {
         let (k_spec, k_mod) = traffic_sink(None);
         let k = b.add("k", k_spec, k_mod).unwrap();
         b.connect(g, "out", k, "in").unwrap();
-        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
         sim.run(20).unwrap();
         assert_eq!(sim.stats().counter(g, "injected"), 5);
         assert_eq!(sim.stats().counter(k, "received"), 5);
@@ -355,7 +355,7 @@ mod tests {
         let (k_spec, k_mod) = traffic_sink(Some(0));
         let k = b.add("k", k_spec, k_mod).unwrap();
         b.connect(g, "out", k, "in").unwrap();
-        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
         // Generator at node 0 sends to 1..3, sink expects only dst 0.
         let res = sim.run(50);
         assert!(res.is_err());

@@ -189,7 +189,7 @@ mod tests {
         b.connect(w, "rx", k0, "in").unwrap();
         b.connect(w, "rx", k1, "in").unwrap();
         (
-            Simulator::new(b.build().unwrap(), SchedKind::Dynamic),
+            Simulator::new(b.build().unwrap(), SchedKind::Compiled),
             w,
             h0,
             h1,
@@ -233,7 +233,7 @@ mod tests {
         let k2 = b.add("k2", k2_spec, k2_mod).unwrap();
         b.connect(w, "rx", k, "in").unwrap();
         b.connect(w, "rx", k2, "in").unwrap();
-        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
         sim.run(6).unwrap();
         // loss = 1.0, but the first cycle's pre-drawn decision is "no
         // drop", so packet 1 lands; every later one is lost in the air

@@ -65,7 +65,7 @@ fn totals(sim: &Simulator, gens: &[InstanceId], sinks: &[InstanceId]) -> (u64, u
 #[test]
 fn mesh_delivers_uniform_traffic_without_loss() {
     let (mut sim, gens, sinks) =
-        build_network(4, 4, 0.05, Pattern::Uniform, false, SchedKind::Static);
+        build_network(4, 4, 0.05, Pattern::Uniform, false, SchedKind::Compiled);
     sim.run(600).unwrap();
     let (injected, received, lat) = totals(&sim, &gens, &sinks);
     assert!(injected > 100, "injected {injected}");
@@ -82,7 +82,7 @@ fn latency_rises_with_load() {
     let mut lats = Vec::new();
     for rate in [0.02, 0.10, 0.25] {
         let (mut sim, gens, sinks) =
-            build_network(4, 4, rate, Pattern::Uniform, false, SchedKind::Static);
+            build_network(4, 4, rate, Pattern::Uniform, false, SchedKind::Compiled);
         sim.run(800).unwrap();
         let (_, received, lat) = totals(&sim, &gens, &sinks);
         assert!(received > 0);
@@ -97,7 +97,7 @@ fn latency_rises_with_load() {
 #[test]
 fn transpose_on_mesh_delivers() {
     let (mut sim, gens, sinks) =
-        build_network(4, 4, 0.05, Pattern::Transpose, false, SchedKind::Static);
+        build_network(4, 4, 0.05, Pattern::Transpose, false, SchedKind::Compiled);
     sim.run(500).unwrap();
     let (injected, received, _) = totals(&sim, &gens, &sinks);
     assert!(injected > 50);
@@ -109,8 +109,14 @@ fn torus_wrap_reduces_latency_vs_mesh() {
     // Bit-complement forces corner-to-corner traffic where wraparound
     // shortcuts matter most.
     let run = |wrap| {
-        let (mut sim, gens, sinks) =
-            build_network(4, 4, 0.03, Pattern::BitComplement, wrap, SchedKind::Static);
+        let (mut sim, gens, sinks) = build_network(
+            4,
+            4,
+            0.03,
+            Pattern::BitComplement,
+            wrap,
+            SchedKind::Compiled,
+        );
         sim.run(700).unwrap();
         let (i, r, lat) = totals(&sim, &gens, &sinks);
         assert!(r > 0 && i > 0);
@@ -149,7 +155,7 @@ fn ring_delivers_neighbour_and_far_traffic() {
     let s = b.add("src", s_spec, s_mod).unwrap();
     let (ti, tp) = fabric.local_in[0];
     b.connect(s, "out", ti, tp).unwrap();
-    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
     sim.run(60).unwrap();
     assert_eq!(sim.stats().counter(sinks[1], "received"), 1);
     assert_eq!(sim.stats().counter(sinks[4], "received"), 1);
@@ -163,8 +169,8 @@ fn schedulers_agree_on_network() {
         sim.run(300).unwrap();
         totals(&sim, &gens, &sinks)
     };
-    let d = run(SchedKind::Dynamic);
-    let s = run(SchedKind::Static);
+    let d = run(SchedKind::Sweep);
+    let s = run(SchedKind::Compiled);
     assert_eq!(d.0, s.0);
     assert_eq!(d.1, s.1);
     assert!((d.2 - s.2).abs() < 1e-9);
@@ -204,7 +210,7 @@ fn abstraction_swap_keeps_network_untouched() {
         let (fo, fp) = fabric.local_out[id as usize];
         b.connect(fo, fp, k, "in").unwrap();
     }
-    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Static);
+    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
     sim.run(200).unwrap();
     let received: u64 = (0..9)
         .map(|i| {
@@ -218,7 +224,7 @@ fn abstraction_swap_keeps_network_untouched() {
 #[test]
 fn power_report_from_live_network() {
     let (mut sim, gens, sinks) =
-        build_network(4, 4, 0.1, Pattern::Uniform, false, SchedKind::Static);
+        build_network(4, 4, 0.1, Pattern::Uniform, false, SchedKind::Compiled);
     sim.run(400).unwrap();
     let (injected, _, _) = totals(&sim, &gens, &sinks);
     assert!(injected > 100);
@@ -238,7 +244,7 @@ fn power_report_from_live_network() {
     assert!(report.temp_c > PowerCoeffs::default().t_ambient_c);
 
     // Lower load -> lower dynamic power, higher leakage fraction (E9).
-    let (mut sim2, _, _) = build_network(4, 4, 0.02, Pattern::Uniform, false, SchedKind::Static);
+    let (mut sim2, _, _) = build_network(4, 4, 0.02, Pattern::Uniform, false, SchedKind::Compiled);
     sim2.run(400).unwrap();
     let report2 = analyze(
         &sim2.instance_names().collect::<Vec<_>>(),

@@ -42,19 +42,48 @@ fn mesh_sim(
         sinks.push(k);
     }
     (
-        Simulator::new(b.build().unwrap(), SchedKind::Static),
+        Simulator::new(b.build().unwrap(), SchedKind::Compiled),
         gens,
         sinks,
     )
 }
 
+/// On any mesh, for any moderate load, pattern and seed: nothing is
+/// misrouted (checked inside the sinks), nothing is duplicated or
+/// conjured (received <= injected), and after a drain window the
+/// network delivers the bulk of the offered load.
+fn assert_mesh_conserves_packets(w: u32, h: u32, rate: f64, seed: u64, pat: Pattern) {
+    let (mut sim, gens, sinks) = mesh_sim(w, h, rate, seed, pat);
+    sim.run(400).unwrap();
+    let injected: u64 = gens
+        .iter()
+        .map(|&g| sim.stats().counter(g, "injected"))
+        .sum();
+    let received: u64 = sinks
+        .iter()
+        .map(|&k| sim.stats().counter(k, "received"))
+        .sum();
+    prop_assert!(received <= injected, "conjured packets");
+    prop_assert!(
+        received as f64 >= injected as f64 * 0.7,
+        "lost too much: {received}/{injected}"
+    );
+    // Latency is at least the minimum path cost when anything moved.
+    if let Some(lat) = sim.stats().sample_total("latency") {
+        prop_assert!(lat.min >= 2.0, "impossible latency {}", lat.min);
+    }
+}
+
+/// The case recorded in `props.proptest-regressions` (the vendored
+/// `proptest` does not replay that file).
+#[test]
+fn recorded_small_bit_complement_mesh_conserves_packets() {
+    assert_mesh_conserves_packets(2, 3, 0.01, 2, Pattern::BitComplement);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// On any mesh, for any moderate load, pattern and seed: nothing is
-    /// misrouted (checked inside the sinks), nothing is duplicated or
-    /// conjured (received <= injected), and after a drain window the
-    /// network delivers the bulk of the offered load.
     #[test]
     fn mesh_conserves_packets(
         w in 2u32..5,
@@ -63,19 +92,7 @@ proptest! {
         seed in any::<u64>(),
         pat in prop::sample::select(vec![Pattern::Uniform, Pattern::Transpose, Pattern::BitComplement]),
     ) {
-        let (mut sim, gens, sinks) = mesh_sim(w, h, rate, seed, pat);
-        sim.run(400).unwrap();
-        let injected: u64 = gens.iter().map(|&g| sim.stats().counter(g, "injected")).sum();
-        let received: u64 = sinks.iter().map(|&k| sim.stats().counter(k, "received")).sum();
-        prop_assert!(received <= injected, "conjured packets");
-        prop_assert!(
-            received as f64 >= injected as f64 * 0.7,
-            "lost too much: {received}/{injected}"
-        );
-        // Latency is at least the minimum path cost when anything moved.
-        if let Some(lat) = sim.stats().sample_total("latency") {
-            prop_assert!(lat.min >= 2.0, "impossible latency {}", lat.min);
-        }
+        assert_mesh_conserves_packets(w, h, rate, seed, pat);
     }
 
     /// Mesh XY routing progress: from any router toward any destination,

@@ -38,7 +38,7 @@ fn flit_mesh(w: u32, h: u32, scripts: Vec<Vec<Value>>) -> (Simulator, Vec<sink::
         handles.push(hd);
     }
     (
-        Simulator::new(b.build().unwrap(), SchedKind::Static),
+        Simulator::new(b.build().unwrap(), SchedKind::Compiled),
         handles,
     )
 }
@@ -119,7 +119,7 @@ fn flit_mesh_carries_random_traffic() {
         gens.push(g);
         sinks.push(k);
     }
-    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Static);
+    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
     sim.run(800).unwrap();
     let injected: u64 = gens
         .iter()
@@ -165,5 +165,5 @@ fn schedulers_agree_on_flit_fabric() {
             sim.stats().sample_total("latency").map(|s| s.sum),
         )
     };
-    assert_eq!(run(SchedKind::Dynamic), run(SchedKind::Static));
+    assert_eq!(run(SchedKind::Sweep), run(SchedKind::Compiled));
 }

@@ -1,8 +1,8 @@
 //! The schedule compiler: SCC-condensed execution plans (paper ref [22]
 //! taken to its conclusion).
 //!
-//! The dynamic schedulers discover the reaction-phase fixed point with a
-//! worklist: seed every instance, wake the reader of each newly resolved
+//! A worklist scheduler discovers the reaction-phase fixed point every
+//! step: seed every instance, wake the reader of each newly resolved
 //! wire, repeat until quiescent. Because LSE fixes a single
 //! reactive model of computation, that discovery can instead happen once,
 //! at construction time. The compiler condenses the instance dependency

@@ -21,15 +21,15 @@
 //!    the unique fixed point, so the skip decision is identical under
 //!    every scheduler.
 //!
-//! The three dynamic schedulers (naive sweep, dynamic FIFO, static rank
-//! order — paper ref [22]) share one worklist/wake infrastructure: newly
-//! resolved wires are looked up in the topology's reader table and the
-//! reader is re-queued. The compiled scheduler instead executes a
-//! pre-analyzed [`CompiledPlan`]: acyclic instances react exactly once,
-//! in topological order, with no worklist at all; cyclic SCCs run bounded
+//! Two schedulers reach that fixed point. The compiled scheduler is the
+//! engine: it executes a pre-analyzed [`CompiledPlan`] (paper ref [22]'s
+//! analysis carried through) — acyclic instances react exactly once, in
+//! topological order, with no worklist at all; cyclic SCCs run bounded
 //! local fixed-point islands whose wire writes push the plan's wake
-//! targets straight onto the worklist. All four reach the same fixed
-//! point; they differ only in handler re-invocation counts and
+//! targets straight onto the worklist. The naive sweep is the oracle it
+//! is checked against: it re-invokes every instance in id order until a
+//! full pass resolves nothing — no plan, no wake table, no settle marks,
+//! no kernels. The two differ only in handler re-invocation counts and
 //! wall-clock.
 
 use crate::compile::{CompiledPlan, PlanNode};
@@ -39,7 +39,7 @@ use crate::kernel::{self, Kernel, Lane, PlanSummary, SpecState};
 use crate::module::{Dir, Module, PortId};
 use crate::netlist::{EdgeId, InstanceId, Netlist};
 use crate::probe::{Interest, Probe, ResolvedBy};
-use crate::sched::{RankQueue, WakeSink};
+use crate::sched::WakeSink;
 use crate::signal::{flag, Res, Wire, WireWrite, WriteOutcome};
 use crate::snapshot::Snapshot;
 use crate::stats::{Stats, StatsReport};
@@ -59,13 +59,9 @@ use std::sync::Arc;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SchedKind {
     /// Naive repeated full sweeps until quiescence — the unoptimized
-    /// baseline a simulator constructor starts from (no wake tracking).
+    /// reference the engine is checked against (no plan, no wake
+    /// tracking, no settle marks, no kernels).
     Sweep,
-    /// FIFO worklist; wakes only the readers of newly resolved wires.
-    Dynamic,
-    /// Rank-ordered worklist from a topological analysis of the netlist
-    /// (SCC condensation); the optimization of paper ref [22].
-    Static,
     /// Statically compiled plan ([`CompiledPlan`]): acyclic instances
     /// react exactly once per step in topological order with no worklist
     /// or wake-table probing; cyclic SCCs run bounded local fixed-point
@@ -157,15 +153,6 @@ impl CheckpointState {
     }
 }
 
-/// Reusable worklist storage shared by the reaction and default phases.
-/// Only the queue matching the scheduler is populated.
-struct WorkState {
-    /// The FIFO worklist, the settle stamps (see [`drain_island`]) and
-    /// the resolve log, behind the sink the wire-write path reports to.
-    wake: WakeSink,
-    ranked: Option<RankQueue>,
-}
-
 /// The executable simulator (paper Fig. 1's "Simulator Executable").
 pub struct Simulator {
     topo: Arc<Topology>,
@@ -174,7 +161,10 @@ pub struct Simulator {
     stats: Stats,
     now: u64,
     sched: SchedKind,
-    work: WorkState,
+    /// The FIFO worklist, the settle stamps (see [`drain_island`]) and
+    /// the resolve log, behind the sink the wire-write path reports to;
+    /// shared by the reaction and default phases.
+    wake: WakeSink,
     metrics: EngineMetrics,
     probe: Option<Box<dyn Probe>>,
     /// `probe`'s [`Probe::interest`], read once in `set_probe`: which
@@ -221,8 +211,7 @@ impl Simulator {
 
     /// The layered constructor: run `modules` over a (possibly shared)
     /// immutable topology. Sharing one `Arc<Topology>` between simulators
-    /// reuses the reader table, the cached static-schedule ranks and the
-    /// compiled plan with its wake table.
+    /// reuses the reader table and the compiled plan with its wake table.
     pub fn from_parts(
         topo: Arc<Topology>,
         modules: Vec<Box<dyn Module>>,
@@ -236,18 +225,11 @@ impl Simulator {
         let n = topo.instance_count();
         let n_edges = topo.edge_count();
         let plan = (sched == SchedKind::Compiled).then(|| topo.plan().clone());
-        // The compiled scheduler keeps a FIFO too: islands iterate on it,
-        // and the default phase's resume path reuses it.
-        let fifo_len = match sched {
-            SchedKind::Sweep | SchedKind::Static => 0,
-            SchedKind::Dynamic | SchedKind::Compiled => n,
-        };
-        let work = WorkState {
-            wake: match &plan {
-                Some(p) => WakeSink::new(fifo_len, p.wake_table().clone(), p.island_count() > 0),
-                None => WakeSink::new(fifo_len, Arc::new([]), false),
-            },
-            ranked: (sched == SchedKind::Static).then(|| RankQueue::new(topo.ranks())),
+        // The compiled scheduler keeps a FIFO: islands iterate on it, and
+        // the default phase's resume path reuses it. Sweep keeps none.
+        let wake = match &plan {
+            Some(p) => WakeSink::new(n, p.wake_table().clone(), p.island_count() > 0),
+            None => WakeSink::new(0, Arc::new([]), false),
         };
         // Handler specialization: classify once at construction, against
         // the same plan the scheduler runs.
@@ -260,7 +242,7 @@ impl Simulator {
             stats: Stats::new(),
             now: 0,
             sched,
-            work,
+            wake,
             metrics: EngineMetrics::default(),
             probe: None,
             interest: Interest::ALL,
@@ -1166,53 +1148,30 @@ impl Simulator {
         }
     }
 
-    /// Run the reaction phase from a full seed (every instance queued).
-    /// The compiled scheduler takes the plan path instead: no seeding, no
-    /// worklist for the acyclic part of the netlist.
+    /// Run the reaction phase: the compiled scheduler walks its plan,
+    /// Sweep sweeps to quiescence.
     fn reaction_phase(&mut self) -> Result<(), SimError> {
-        let n = self.topo.instance_count() as u32;
         match self.sched {
-            SchedKind::Compiled => return self.reaction_compiled(),
-            SchedKind::Sweep => {}
-            SchedKind::Dynamic => {
-                let wake = &mut self.work.wake;
-                debug_assert!(wake.fifo.is_empty());
-                wake.queued.fill(true);
-                wake.fifo.extend(0..n);
-            }
-            SchedKind::Static => {
-                let q = self.work.ranked.as_mut().expect("static rank queue");
-                q.reset();
-                for i in 0..n {
-                    q.push(i);
-                }
-            }
+            SchedKind::Compiled => self.reaction_compiled(),
+            SchedKind::Sweep => self.drain(),
         }
-        self.drain()
     }
 
     /// Resume reactions after a default resolution woke `seed`.
     fn resume(&mut self, seed: u32) -> Result<(), SimError> {
-        match self.sched {
-            SchedKind::Sweep => {}
-            SchedKind::Dynamic | SchedKind::Compiled => {
-                debug_assert!(self.work.wake.fifo.is_empty());
-                self.work.wake.push(seed);
-            }
-            SchedKind::Static => {
-                let q = self.work.ranked.as_mut().expect("static rank queue");
-                q.reset();
-                q.push(seed);
-            }
+        if self.sched == SchedKind::Compiled {
+            debug_assert!(self.wake.fifo.is_empty());
+            self.wake.push(seed);
         }
         self.drain()
     }
 
-    /// Drain the worklist to quiescence, waking the reader of each newly
-    /// resolved wire. All three schedulers flow through here. The probe
-    /// and resilience checks are hoisted out of the hot loop: the loop
-    /// body is monomorphized on both, so the plain (probe-off, fault-off)
-    /// path contains no per-invocation probe or fault code at all.
+    /// Drain to quiescence: Sweep sweeps every instance until a pass
+    /// resolves nothing; the compiled scheduler drains its FIFO, waking
+    /// the reader of each newly resolved wire. The probe and resilience
+    /// checks are hoisted out of the hot loop: the loop body is
+    /// monomorphized on both, so the plain (probe-off, fault-off) path
+    /// contains no per-invocation probe or fault code at all.
     fn drain(&mut self) -> Result<(), SimError> {
         let r = match (self.probe.is_some(), self.resil.is_some()) {
             (false, false) => self.drain_impl::<false, false>(),
@@ -1224,10 +1183,7 @@ impl Simulator {
             // Leave the worklist reusable after a structured failure
             // (divergence / abort) so a later step cannot observe stale
             // queue entries.
-            self.work.wake.clear();
-            if let Some(q) = self.work.ranked.as_mut() {
-                q.reset();
-            }
+            self.wake.clear();
         }
         r
     }
@@ -1240,7 +1196,7 @@ impl Simulator {
             stats,
             now,
             sched,
-            work: WorkState { wake, ranked },
+            wake,
             metrics,
             probe,
             interest,
@@ -1254,8 +1210,8 @@ impl Simulator {
             _ => None,
         };
         let probe = &mut probe;
-        // The worklist schedulers wake from the resolve log of each react:
-        // any reader anywhere, not the plan's island-filtered targets.
+        // Draining wakes from the resolve log of each react: any reader
+        // anywhere, not the plan's island-filtered targets.
         wake.worklist();
         match sched {
             SchedKind::Sweep => loop {
@@ -1270,7 +1226,7 @@ impl Simulator {
                     return Ok(());
                 }
             },
-            SchedKind::Dynamic | SchedKind::Compiled => {
+            SchedKind::Compiled => {
                 while let Some(i) = wake.pop() {
                     react_one::<PROBED, RESIL>(
                         topo, modules, store, stats, metrics, *now, i as usize, wake, probe, resil,
@@ -1281,20 +1237,6 @@ impl Simulator {
                                 wake.queued[t as usize] = true;
                                 wake.fifo.push_back(t);
                             }
-                        }
-                    }
-                }
-                Ok(())
-            }
-            SchedKind::Static => {
-                let q = ranked.as_mut().expect("static rank queue");
-                while let Some(i) = q.pop() {
-                    react_one::<PROBED, RESIL>(
-                        topo, modules, store, stats, metrics, *now, i as usize, wake, probe, resil,
-                    )?;
-                    for &(e, wire) in &wake.log {
-                        if let Some(t) = topo.reader(wire, e) {
-                            q.push(t);
                         }
                     }
                 }
@@ -1323,7 +1265,7 @@ impl Simulator {
             (true, true) => self.compiled_serial::<true, true>(),
         };
         if r.is_err() {
-            self.work.wake.clear();
+            self.wake.clear();
         }
         r
     }
@@ -1343,7 +1285,7 @@ impl Simulator {
             store,
             stats,
             now,
-            work: WorkState { wake, .. },
+            wake,
             metrics,
             probe,
             interest,
@@ -1747,7 +1689,7 @@ fn divergence_error(topo: &Topology, rs: &ResilState, now: u64) -> SimError {
 /// strictly later in the plan and runs regardless. The watchdog /
 /// oscillation diagnostics flow through `react_one` unchanged, so a
 /// cyclically inconsistent island fails with the same structured
-/// [`SimError::Divergence`] the dynamic schedulers produce.
+/// [`SimError::Divergence`] a Sweep run produces.
 ///
 /// **Settling.** `react` is a function of module state (which only
 /// `commit` changes) and of the wires it reads, and wires resolve
@@ -2587,7 +2529,7 @@ mod tests {
     fn gated_commit_skips_idle_steps() {
         // 10 steps, transfers on the 5 even ones: the ungated source
         // commits 10 times, the gated sink only 5.
-        let mut sim = even_pair(SchedKind::Dynamic);
+        let mut sim = even_pair(SchedKind::Compiled);
         sim.run(10).unwrap();
         assert_eq!(sim.metrics().steps, 10);
         assert_eq!(sim.metrics().commits, 10 + 5);
@@ -2679,7 +2621,7 @@ mod tests {
             )
             .unwrap();
         b.connect(s, "out", r, "in").unwrap();
-        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
         sim.run(1).unwrap(); // transfer s -> r; r commits (active), holds 42
         sim.run(1).unwrap(); // no transfer; r commits anyway (pending), clears
         let _ = r;
@@ -2692,7 +2634,7 @@ mod tests {
 
     #[test]
     fn transfer_counts_accumulate_per_edge() {
-        let mut sim = even_pair(SchedKind::Static);
+        let mut sim = even_pair(SchedKind::Compiled);
         sim.run(10).unwrap();
         assert_eq!(sim.transfer_counts(), &[5]);
     }
@@ -2711,13 +2653,13 @@ mod tests {
         b.connect(s, "out", k, "in").unwrap();
         let (topo, modules) = b.build().unwrap().into_parts();
         let topo = Arc::new(topo);
-        let mut sim1 = Simulator::from_parts(topo.clone(), modules, SchedKind::Static);
+        let mut sim1 = Simulator::from_parts(topo.clone(), modules, SchedKind::Compiled);
         sim1.run(3).unwrap();
         assert_eq!(sim1.stats().counter(k, "received"), 3);
         // A second simulator over the same Arc<Topology> reuses the cached
-        // ranks and reader table.
+        // plan and reader table.
         let modules2: Vec<Box<dyn Module>> = vec![Box::new(Src), Box::new(GatedSink)];
-        let mut sim2 = Simulator::from_parts(topo.clone(), modules2, SchedKind::Static);
+        let mut sim2 = Simulator::from_parts(topo.clone(), modules2, SchedKind::Compiled);
         sim2.run(5).unwrap();
         assert_eq!(sim2.stats().counter(k, "received"), 5);
         assert_eq!(Arc::strong_count(&topo), 3);
@@ -2757,7 +2699,7 @@ mod tests {
         for _ in 0..8 {
             b.connect(s, "out", k, "in").unwrap();
         }
-        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
         sim.run(1).unwrap();
         let writes_per_idle_step = sim.store.slot_writes();
         sim.run(1).unwrap();
@@ -2767,16 +2709,11 @@ mod tests {
         assert_eq!(sim.metrics().defaults, 2 * 3 * 8);
     }
 
-    const ALL_SCHEDS: [SchedKind; 4] = [
-        SchedKind::Sweep,
-        SchedKind::Dynamic,
-        SchedKind::Static,
-        SchedKind::Compiled,
-    ];
+    const ALL_SCHEDS: [SchedKind; 2] = [SchedKind::Sweep, SchedKind::Compiled];
 
     #[test]
     fn compiled_schedulers_match_dynamic_on_gated_pair() {
-        let mut reference = even_pair(SchedKind::Dynamic);
+        let mut reference = even_pair(SchedKind::Sweep);
         reference.run(10).unwrap();
         let mut sim = even_pair(SchedKind::Compiled);
         assert!(sim.compiled_plan().is_some());
@@ -2946,12 +2883,12 @@ mod tests {
         assert_eq!(forwarder.load(Ordering::Relaxed), 5);
         assert_eq!(sim.metrics().reacts, 10);
         assert_eq!(sim.transfer_counts(), &[5, 5]);
-        // The worklist schedulers do not elide: the driver's second wake
-        // runs (and changes nothing).
-        let (mut dynamic, driver, _) = ring(SchedKind::Dynamic, DRIVER, FORWARDER);
-        dynamic.run(5).unwrap();
-        assert_eq!(driver.load(Ordering::Relaxed), 10);
-        assert_eq!(dynamic.transfer_counts(), sim.transfer_counts());
+        // The Sweep oracle does not elide: it re-runs the driver (which
+        // changes nothing) and reaches the same transfers.
+        let (mut sweep, driver, _) = ring(SchedKind::Sweep, DRIVER, FORWARDER);
+        sweep.run(5).unwrap();
+        assert!(driver.load(Ordering::Relaxed) > 5);
+        assert_eq!(sweep.transfer_counts(), sim.transfer_counts());
     }
 
     #[test]
@@ -2968,17 +2905,13 @@ mod tests {
     #[test]
     fn statistic_in_react_pins_every_invocation() {
         // The same ring as the first test, but the driver counts in
-        // `react`: both of its wakes run — as under the worklist
-        // schedulers, which never elide — and the counter says so.
+        // `react`: both of its wakes run, and the counter says so.
         let (mut sim, driver, forwarder) = ring(SchedKind::Compiled, (false, true), FORWARDER);
         sim.run(5).unwrap();
         assert_eq!(driver.load(Ordering::Relaxed), 10);
         assert_eq!(forwarder.load(Ordering::Relaxed), 5);
         let first = sim.instance_by_name("first").unwrap();
         assert_eq!(sim.stats().counter(first, "invoked"), 10);
-        let (mut dynamic, ..) = ring(SchedKind::Dynamic, (false, true), FORWARDER);
-        dynamic.run(5).unwrap();
-        assert_eq!(dynamic.stats().counter(first, "invoked"), 10);
     }
 
     #[test]
@@ -3068,7 +3001,7 @@ mod tests {
             store,
             stats,
             metrics,
-            work: WorkState { wake, .. },
+            wake,
             resil,
             ..
         } = &mut sim;
@@ -3098,20 +3031,12 @@ mod tests {
         // Satellite guarantee: after warm-up, steps allocate nothing in
         // the worklists — capacities stop moving no matter how long the
         // run continues.
-        for sched in [SchedKind::Dynamic, SchedKind::Static, SchedKind::Compiled] {
+        for sched in ALL_SCHEDS {
             let mut sim = wide_pairs(sched, 8);
             sim.run(4).unwrap();
-            let cap = (
-                sim.work.wake.fifo.capacity(),
-                sim.work.ranked.as_ref().map(|q| q.allocated_capacity()),
-                sim.work.wake.log.capacity(),
-            );
+            let cap = (sim.wake.fifo.capacity(), sim.wake.log.capacity());
             sim.run(64).unwrap();
-            let after = (
-                sim.work.wake.fifo.capacity(),
-                sim.work.ranked.as_ref().map(|q| q.allocated_capacity()),
-                sim.work.wake.log.capacity(),
-            );
+            let after = (sim.wake.fifo.capacity(), sim.wake.log.capacity());
             assert_eq!(cap, after, "{sched:?}");
         }
     }
@@ -3134,7 +3059,7 @@ mod tests {
 
     #[test]
     fn step_budget_stops_the_run_and_reports_it() {
-        let mut sim = simple_pair(SchedKind::Dynamic);
+        let mut sim = simple_pair(SchedKind::Compiled);
         sim.set_budget(RunBudget::default().max_steps(7));
         let report = sim.run_governed(100);
         assert_eq!(
@@ -3151,7 +3076,7 @@ mod tests {
 
     #[test]
     fn run_routes_through_governance_and_keeps_the_report() {
-        let mut sim = simple_pair(SchedKind::Static);
+        let mut sim = simple_pair(SchedKind::Compiled);
         sim.set_budget(RunBudget::default().max_steps(3));
         // A budget stop is not an error: the caller inspects the report.
         sim.run(50).unwrap();
@@ -3169,7 +3094,7 @@ mod tests {
 
     #[test]
     fn zero_deadline_exhausts_immediately() {
-        let mut sim = simple_pair(SchedKind::Dynamic);
+        let mut sim = simple_pair(SchedKind::Compiled);
         sim.set_budget(RunBudget::default().deadline(std::time::Duration::ZERO));
         let report = sim.run_governed(1000);
         assert_eq!(
@@ -3181,7 +3106,7 @@ mod tests {
 
     #[test]
     fn memory_ceiling_uses_the_installed_gauge() {
-        let mut sim = simple_pair(SchedKind::Dynamic);
+        let mut sim = simple_pair(SchedKind::Compiled);
         sim.set_budget(RunBudget::default().max_memory_bytes(1 << 20));
         sim.set_memory_gauge(|| 2 << 20);
         let report = sim.run_governed(100);
@@ -3191,7 +3116,7 @@ mod tests {
         );
         assert_eq!(report.memory_peak, Some(2 << 20));
         // Without a ceiling the gauge still tracks the peak.
-        let mut sim = simple_pair(SchedKind::Dynamic);
+        let mut sim = simple_pair(SchedKind::Compiled);
         sim.set_budget(RunBudget::default().max_steps(4));
         sim.set_memory_gauge(|| 123);
         let report = sim.run_governed(100);
@@ -3235,7 +3160,7 @@ mod tests {
 
     #[test]
     fn quarantine_budget_caps_isolation() {
-        let mut sim = simple_pair(SchedKind::Dynamic);
+        let mut sim = simple_pair(SchedKind::Compiled);
         sim.set_budget(RunBudget::default().max_quarantined(0));
         // No quarantines happen, so the budget never trips.
         let report = sim.run_governed(5);
@@ -3272,7 +3197,7 @@ mod tests {
             .unwrap();
         let k = b.add("k", gated_sink_spec(), Box::new(GatedSink)).unwrap();
         b.connect(p, "out", k, "in").unwrap();
-        Simulator::new(b.build().unwrap(), SchedKind::Dynamic)
+        Simulator::new(b.build().unwrap(), SchedKind::Compiled)
     }
 
     #[test]
@@ -3311,7 +3236,7 @@ mod tests {
 
     #[test]
     fn governed_until_honours_the_predicate() {
-        let mut sim = simple_pair(SchedKind::Dynamic);
+        let mut sim = simple_pair(SchedKind::Compiled);
         sim.set_budget(RunBudget::default().max_steps(50));
         let k = sim.instance_by_name("k").unwrap();
         let report = sim.run_governed_until(100, |s| s.counter(k, "received") >= 4);
@@ -3332,7 +3257,7 @@ mod tests {
             },
         ];
         for drive in drivers {
-            let mut sim = simple_pair(SchedKind::Dynamic);
+            let mut sim = simple_pair(SchedKind::Compiled);
             sim.set_auto_checkpoint(4);
             drive(&mut sim);
             assert_eq!(sim.last_checkpoint().map(|s| s.now()), Some(8));
@@ -3366,7 +3291,7 @@ mod tests {
 
     #[test]
     fn report_renders_every_field_group() {
-        let mut sim = simple_pair(SchedKind::Dynamic);
+        let mut sim = simple_pair(SchedKind::Compiled);
         sim.set_budget(RunBudget::default().max_steps(2));
         let report = sim.run_governed(9);
         let text = report.render();

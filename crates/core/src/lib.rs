@@ -17,15 +17,16 @@
 //! * [`netlist`] — validated flat netlists built by hand or by the LSS
 //!   elaborator (`liberty-lss`);
 //! * the layered kernel — [`topology`] (immutable structure: the reader
-//!   table, flattened port slabs, cached static ranks), [`store`] (the
-//!   epoch-stamped per-timestep signal arena of packed slots, O(1)
+//!   table, flattened port slabs, the cached compiled plan), [`store`]
+//!   (the epoch-stamped per-timestep signal arena of packed slots, O(1)
 //!   reset), and
-//!   [`exec`] (the four schedulers, default control semantics for
-//!   partial specifications, and the activity-gated commit phase);
-//! * [`sched`] — the static netlist analysis that accelerates the reaction
-//!   phase (paper ref [22]) — and [`compile`], which condenses that
-//!   analysis into a [`compile::CompiledPlan`] executed without any
-//!   per-step worklist;
+//!   [`exec`] (the compiled engine and the naive sweep it is checked
+//!   against, default control semantics for partial specifications, and
+//!   the activity-gated commit phase);
+//! * [`sched`] — the static netlist analysis of paper ref [22] (the
+//!   dependency graph and its SCC condensation) — and [`compile`], which
+//!   condenses that analysis into a [`compile::CompiledPlan`] executed
+//!   without any per-step worklist;
 //! * the observability layer — [`probe`] (the `Probe` event-stream trait
 //!   with zero cost when absent), [`trace`] (text + JSONL sinks),
 //!   [`vcd`] (GTKWave waveforms) and [`profile`] (per-module hot spots);
@@ -70,7 +71,7 @@
 //! let src = b.add("src", ModuleSpec::new("src").output("out", 1, 1), Box::new(Src)).unwrap();
 //! let snk = b.add("snk", ModuleSpec::new("sink").input("in", 1, 1), Box::new(Sink { total: 0 })).unwrap();
 //! b.connect(src, "out", snk, "in").unwrap();
-//! let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+//! let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
 //! sim.run(4).unwrap();
 //! assert_eq!(sim.stats().counter(snk, "received"), 4);
 //! ```

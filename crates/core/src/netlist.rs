@@ -88,20 +88,6 @@ impl Netlist {
     pub fn into_parts(self) -> (Topology, Vec<Box<dyn Module>>) {
         (Topology::new(self.instances, self.edges), self.modules)
     }
-
-    /// [`Netlist::into_parts`], but with the static analyses run eagerly:
-    /// the returned topology already carries its scheduling ranks and its
-    /// compiled plan ([`crate::compile::CompiledPlan`]). Use this when
-    /// construction time is the right place to pay for analysis — e.g.
-    /// before cloning the `Arc` into several simulators, or to keep plan
-    /// compilation out of the first time-step's latency.
-    pub fn into_compiled_parts(self) -> (std::sync::Arc<Topology>, Vec<Box<dyn Module>>) {
-        let (topo, modules) = self.into_parts();
-        let topo = std::sync::Arc::new(topo);
-        topo.ranks();
-        topo.plan();
-        (topo, modules)
-    }
 }
 
 /// Incrementally builds a [`Netlist`], validating as it goes.

@@ -5,13 +5,9 @@
 //! and enable wires order sender before receiver; ack wires order receiver
 //! before sender only when the sender declared it reads acks in `react`),
 //! condense strongly connected components with Tarjan's algorithm, and
-//! assign each instance the topological rank of its component.
-//!
-//! The reaction phase then drains its worklist in rank order instead of
-//! FIFO order. Both reach the same unique fixed point (module handlers are
-//! monotone), but rank order resolves each instance's inputs before first
-//! invoking it wherever the graph allows, cutting handler re-invocations —
-//! the speedup measured in experiment E10.
+//! rank the components topologically. [`crate::compile`] turns that
+//! analysis into the plan the engine runs; the [`WakeSink`] here is the
+//! worklist its islands and its default phase iterate on.
 
 use crate::compile::NO_WAKE;
 use crate::netlist::EdgeId;
@@ -159,17 +155,6 @@ pub(crate) fn condensation_ranks(adj: &Csr, comp: &[u32], n_comp: usize) -> Vec<
     rank
 }
 
-/// Compute the scheduling rank of every instance: the topological rank of
-/// its SCC in the dependency-graph condensation. Usually reached through
-/// [`Topology::ranks`], which caches the result.
-pub fn compute_ranks(topo: &Topology) -> Vec<u32> {
-    let g = dep_graph(topo);
-    let comp = tarjan_scc(&g.adj);
-    let n_comp = comp.iter().map(|&c| c as usize + 1).max().unwrap_or(0);
-    let rank = condensation_ranks(&g.adj, &comp, n_comp);
-    comp.iter().map(|&c| rank[c as usize]).collect()
-}
-
 /// Iterative Tarjan SCC. Returns the component id of each node; component
 /// ids are assigned in reverse topological order of discovery, but callers
 /// only rely on ids being equal within one SCC.
@@ -234,84 +219,6 @@ pub(crate) fn tarjan_scc(adj: &Csr) -> Vec<u32> {
     comp
 }
 
-/// A worklist that pops the queued instance with the smallest rank.
-///
-/// Pushing an instance of a lower rank than the current cursor moves the
-/// cursor back, so correctness never depends on the ranks: they are purely
-/// a performance hint.
-pub struct RankQueue {
-    ranks: Vec<u32>,
-    buckets: Vec<VecDeque<u32>>,
-    queued: Vec<bool>,
-    cursor: usize,
-    len: usize,
-}
-
-impl RankQueue {
-    /// Create an empty queue over instances with the given ranks.
-    pub fn new(ranks: &[u32]) -> Self {
-        let max_rank = ranks.iter().copied().max().unwrap_or(0) as usize;
-        RankQueue {
-            ranks: ranks.to_vec(),
-            buckets: vec![VecDeque::new(); max_rank + 1],
-            queued: vec![false; ranks.len()],
-            cursor: 0,
-            len: 0,
-        }
-    }
-
-    /// Queue an instance (no-op if already queued).
-    pub fn push(&mut self, i: u32) {
-        if self.queued[i as usize] {
-            return;
-        }
-        self.queued[i as usize] = true;
-        let r = self.ranks[i as usize] as usize;
-        self.buckets[r].push_back(i);
-        self.cursor = self.cursor.min(r);
-        self.len += 1;
-    }
-
-    /// Pop the queued instance with the smallest rank.
-    pub fn pop(&mut self) -> Option<u32> {
-        if self.len == 0 {
-            return None;
-        }
-        while self.buckets[self.cursor].is_empty() {
-            self.cursor += 1;
-        }
-        let i = self.buckets[self.cursor]
-            .pop_front()
-            .expect("non-empty bucket");
-        self.queued[i as usize] = false;
-        self.len -= 1;
-        Some(i)
-    }
-
-    /// Prepare an (already drained) queue for reuse without reallocating.
-    pub fn reset(&mut self) {
-        debug_assert!(self.len == 0);
-        self.cursor = 0;
-    }
-
-    /// Number of queued instances.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Total heap capacity currently allocated across the rank buckets.
-    /// Steady-state tests assert this stops growing once the queue is
-    /// warm — the worklist must reuse its allocations across time-steps.
-    pub fn allocated_capacity(&self) -> usize {
-        self.buckets.iter().map(|b| b.capacity()).sum()
-    }
-}
-
 /// The FIFO worklist, as a wire write sees it: what the serial reaction
 /// contexts ([`crate::exec::ReactCtx`]'s direct sink, the kernel lanes'
 /// `Io`) hand every newly resolved wire to.
@@ -330,7 +237,7 @@ impl RankQueue {
 ///
 /// The **resolve log** is that list, kept only for who still asks for
 /// it: a probe that wants `resolve` events, the Sweep scheduler's progress
-/// test, and the worklist schedulers' reader lookup.
+/// test, and the reader lookup of a drain ([`WakeSink::worklist`]).
 pub(crate) struct WakeSink {
     pub(crate) fifo: VecDeque<u32>,
     pub(crate) queued: Vec<bool>,
@@ -348,8 +255,8 @@ pub(crate) struct WakeSink {
 }
 
 impl WakeSink {
-    /// A worklist over `n` instances (`0`: none is kept, the Sweep and
-    /// rank-order schedulers only log), pushing from `targets`.
+    /// A worklist over `n` instances (`0`: none is kept, the Sweep
+    /// scheduler only logs), pushing from `targets`.
     pub(crate) fn new(n: usize, targets: Arc<[u32]>, any_island: bool) -> Self {
         WakeSink {
             fifo: VecDeque::with_capacity(n),
@@ -371,7 +278,9 @@ impl WakeSink {
         self.logging = logging;
     }
 
-    /// Serve a worklist scheduler: log every resolution, push nothing.
+    /// Serve a drain outside the plan walk (Sweep, or the compiled
+    /// scheduler's default-phase resume): log every resolution, push
+    /// nothing.
     pub(crate) fn worklist(&mut self) {
         self.pushing = None;
         self.logging = true;
@@ -454,7 +363,7 @@ mod tests {
             [(EdgeId(0), Wire::Enable), (EdgeId(1), Wire::Data)],
             "resolution order"
         );
-        // A worklist scheduler only logs.
+        // A drain only logs.
         w.clear();
         w.log.clear();
         w.worklist();
@@ -524,40 +433,5 @@ mod tests {
         let adj = csr(&[&[0], &[]]);
         let comp = tarjan_scc(&adj);
         assert_ne!(comp[0], comp[1]);
-    }
-
-    #[test]
-    fn rank_queue_orders_by_rank() {
-        let ranks = vec![2, 0, 1];
-        let mut q = RankQueue::new(&ranks);
-        q.push(0);
-        q.push(1);
-        q.push(2);
-        assert_eq!(q.pop(), Some(1)); // rank 0
-        assert_eq!(q.pop(), Some(2)); // rank 1
-        assert_eq!(q.pop(), Some(0)); // rank 2
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn rank_queue_cursor_moves_back() {
-        let ranks = vec![0, 3];
-        let mut q = RankQueue::new(&ranks);
-        q.push(1);
-        assert_eq!(q.pop(), Some(1));
-        q.push(0); // lower rank after cursor advanced
-        assert_eq!(q.pop(), Some(0));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn rank_queue_dedups() {
-        let ranks = vec![0];
-        let mut q = RankQueue::new(&ranks);
-        q.push(0);
-        q.push(0);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(), Some(0));
-        assert_eq!(q.pop(), None);
     }
 }

@@ -18,9 +18,9 @@
 //!   sender only when the sender declared `reads_ack_in_react` (otherwise
 //!   its `commit` sees the final value anyway and no reactive wake is
 //!   needed);
-//! * the static schedule's instance ranks, computed lazily and cached, so
-//!   one `Arc<Topology>` shared by several simulators analyzes the
-//!   netlist once.
+//! * the compiled plan, computed lazily and cached, so one
+//!   `Arc<Topology>` shared by several simulators analyzes the netlist
+//!   once.
 //!
 //! A [`Topology`] is scheduler-agnostic and holds no per-timestep state;
 //! the signal valuation lives in [`crate::store::SignalStore`] and the
@@ -59,8 +59,7 @@ pub const NO_READER: u32 = u32::MAX;
 ///
 /// Built once from a validated [`crate::netlist::Netlist`] (via
 /// [`crate::netlist::Netlist::into_parts`]); wrap it in an `Arc` to share
-/// between simulators — the cached static-schedule ranks are then
-/// computed once.
+/// between simulators — the cached compiled plan is then computed once.
 #[derive(Debug)]
 pub struct Topology {
     insts: Vec<InstanceInfo>,
@@ -88,7 +87,6 @@ pub struct Topology {
     ports_flat: Vec<PortMeta>,
     inst_port_base: Vec<u32>,
     edges_flat: Vec<EdgeId>,
-    ranks: OnceLock<Vec<u32>>,
     plan: OnceLock<Arc<CompiledPlan>>,
 }
 
@@ -161,7 +159,6 @@ impl Topology {
             ports_flat,
             inst_port_base,
             edges_flat,
-            ranks: OnceLock::new(),
             plan: OnceLock::new(),
         }
     }
@@ -276,12 +273,6 @@ impl Topology {
             *census.entry(m.spec.template.clone()).or_insert(0) += 1;
         }
         census
-    }
-
-    /// The static schedule's instance ranks (paper ref [22]); computed on
-    /// first use and cached for the lifetime of the topology.
-    pub fn ranks(&self) -> &[u32] {
-        self.ranks.get_or_init(|| crate::sched::compute_ranks(self))
     }
 
     /// The compiled static schedule (SCC-condensed invocation plan, paper
@@ -431,15 +422,6 @@ mod tests {
         let (topo, _) = b.build().unwrap().into_parts();
         assert!(topo.commit_gated(0));
         assert!(!topo.commit_gated(1));
-    }
-
-    #[test]
-    fn ranks_are_cached_and_topological() {
-        let topo = two_stage();
-        let r1 = topo.ranks().as_ptr();
-        let r2 = topo.ranks().as_ptr();
-        assert_eq!(r1, r2, "ranks computed once");
-        assert!(topo.ranks()[0] < topo.ranks()[1], "sender before receiver");
     }
 
     #[test]

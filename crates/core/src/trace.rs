@@ -524,7 +524,7 @@ mod tests {
             .add("k", ModuleSpec::new("snk").input("in", 1, 1), Box::new(Snk))
             .unwrap();
         b.connect(s, "out", k, "in").unwrap();
-        Simulator::new(b.build().unwrap(), SchedKind::Dynamic)
+        Simulator::new(b.build().unwrap(), SchedKind::Compiled)
     }
 
     /// Shared byte buffer implementing Write, for reading sink output

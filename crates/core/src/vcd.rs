@@ -346,7 +346,7 @@ mod tests {
             )
             .unwrap();
         b.connect(s, "out", k, "in").unwrap();
-        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
         let buf = Shared::default();
         sim.set_probe(Box::new(VcdProbe::new(buf.clone())));
         (sim, buf)

@@ -114,7 +114,7 @@ fn direct_transfer_every_cycle() {
     let c = b.add("c", counter_spec(), Box::new(Counter)).unwrap();
     let k = b.add("k", collector_spec(), Box::new(Collector)).unwrap();
     b.connect(c, "out", k, "in").unwrap();
-    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
     sim.run(10).unwrap();
     assert_eq!(sim.stats().counter(k, "received"), 10);
     // Words 0..=9 sum to 45.
@@ -128,7 +128,7 @@ fn refused_transfer_never_completes() {
     let c = b.add("c", counter_spec(), Box::new(Counter)).unwrap();
     let r = b.add("r", refuser_spec(), Box::new(Refuser)).unwrap();
     b.connect(c, "out", r, "in").unwrap();
-    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
     sim.run(5).unwrap();
     assert_eq!(sim.stats().counter(r, "accepted"), 0);
     assert_eq!(sim.stats().counter(c, "sent"), 0);
@@ -146,7 +146,7 @@ fn pipeline_of_stages_delays_and_throttles() {
     let k = b.add("k", collector_spec(), Box::new(Collector)).unwrap();
     b.connect(c, "out", s, "in").unwrap();
     b.connect(s, "out", k, "in").unwrap();
-    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
     sim.run(9).unwrap();
     // Cycle 0: stage accepts word 0. Cycle 1: forwards 0 (full, rejects).
     // Cycle 2: accepts 2... forwarded on odd cycles: 4 completions in 9.
@@ -162,7 +162,7 @@ fn unconnected_output_is_partial_spec_ok() {
     // A counter with nothing attached: runs fine, sends complete nowhere.
     let mut b = NetlistBuilder::new();
     let c = b.add("c", counter_spec(), Box::new(Counter)).unwrap();
-    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
     sim.run(5).unwrap();
     assert_eq!(sim.stats().counter(c, "sent"), 0);
 }
@@ -171,7 +171,7 @@ fn unconnected_output_is_partial_spec_ok() {
 fn unconnected_input_reads_nothing() {
     let mut b = NetlistBuilder::new();
     let k = b.add("k", collector_spec(), Box::new(Collector)).unwrap();
-    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
     sim.run(5).unwrap();
     assert_eq!(sim.stats().counter(k, "received"), 0);
 }
@@ -194,7 +194,7 @@ fn default_phase_resolves_silent_connections() {
     let s = b.add("s", counter_spec(), Box::new(Silent)).unwrap();
     let k = b.add("k", collector_spec(), Box::new(Collector)).unwrap();
     b.connect(s, "out", k, "in").unwrap();
-    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
     sim.run(3).unwrap();
     assert_eq!(sim.stats().counter(k, "received"), 0);
     // Data and enable were defaulted each cycle (ack driven by collector).
@@ -220,7 +220,7 @@ fn non_monotonic_module_is_caught() {
     let c = b.add("c", counter_spec(), Box::new(Contradictor)).unwrap();
     let k = b.add("k", collector_spec(), Box::new(Collector)).unwrap();
     b.connect(c, "out", k, "in").unwrap();
-    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
     let err = sim.step().unwrap_err();
     assert!(err.to_string().contains("contract violation"));
     assert!(err.to_string().contains('c'));
@@ -243,7 +243,7 @@ fn direction_misuse_is_caught() {
     let c = b.add("c", counter_spec(), Box::new(WrongDir)).unwrap();
     let k = b.add("k", collector_spec(), Box::new(Collector)).unwrap();
     b.connect(c, "out", k, "in").unwrap();
-    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
     assert!(sim.step().is_err());
 }
 
@@ -274,52 +274,51 @@ fn build_chain(n_stages: usize, sched: SchedKind) -> (Simulator, InstanceId) {
 fn all_three_schedulers_agree() {
     for n in [1usize, 3, 8] {
         let (mut w, kw) = build_chain(n, SchedKind::Sweep);
-        let (mut d, kd) = build_chain(n, SchedKind::Dynamic);
-        let (mut s, ks) = build_chain(n, SchedKind::Static);
+        let (mut c, kc) = build_chain(n, SchedKind::Compiled);
         w.run(40).unwrap();
-        d.run(40).unwrap();
-        s.run(40).unwrap();
-        for (name, sim, k) in [("sweep", &w, kw), ("static", &s, ks)] {
-            assert_eq!(
-                d.stats().counter(kd, "received"),
-                sim.stats().counter(k, "received"),
-                "{name} chain of {n}"
-            );
-            assert_eq!(
-                d.stats().counter(kd, "sum"),
-                sim.stats().counter(k, "sum"),
-                "{name} chain of {n}"
-            );
-        }
+        c.run(40).unwrap();
+        assert_eq!(
+            w.stats().counter(kw, "received"),
+            c.stats().counter(kc, "received"),
+            "chain of {n}"
+        );
+        assert_eq!(
+            w.stats().counter(kw, "sum"),
+            c.stats().counter(kc, "sum"),
+            "chain of {n}"
+        );
     }
 }
 
 #[test]
 fn sweep_scheduler_does_the_most_work() {
     let (mut w, _) = build_chain(16, SchedKind::Sweep);
-    let (mut d, _) = build_chain(16, SchedKind::Dynamic);
+    let (mut c, _) = build_chain(16, SchedKind::Compiled);
     w.run(50).unwrap();
-    d.run(50).unwrap();
+    c.run(50).unwrap();
     assert!(
-        w.metrics().reacts > d.metrics().reacts,
-        "sweep {} !> worklist {}",
+        w.metrics().reacts > c.metrics().reacts,
+        "sweep {} !> compiled {}",
         w.metrics().reacts,
-        d.metrics().reacts
+        c.metrics().reacts
     );
 }
 
 #[test]
 fn static_scheduler_uses_no_more_reacts() {
-    let (mut d, _) = build_chain(16, SchedKind::Dynamic);
-    let (mut s, _) = build_chain(16, SchedKind::Static);
-    d.run(50).unwrap();
-    s.run(50).unwrap();
+    let (mut w, _) = build_chain(16, SchedKind::Sweep);
+    let (mut c, _) = build_chain(16, SchedKind::Compiled);
+    w.run(50).unwrap();
+    c.run(50).unwrap();
     assert!(
-        s.metrics().reacts <= d.metrics().reacts,
-        "static {} > dynamic {}",
-        s.metrics().reacts,
-        d.metrics().reacts
+        c.metrics().reacts <= w.metrics().reacts,
+        "compiled {} > sweep {}",
+        c.metrics().reacts,
+        w.metrics().reacts
     );
+    // The chain is acyclic: the plan runs each of its 18 instances once
+    // a step.
+    assert_eq!(c.metrics().reacts, 18 * 50);
 }
 
 struct RecordingTracer(std::sync::Arc<parking_lot_stub::Mutex<Vec<(u64, String, String)>>>);
@@ -344,7 +343,7 @@ fn tracer_sees_transfers() {
     let c = b.add("c", counter_spec(), Box::new(Counter)).unwrap();
     let k = b.add("k", collector_spec(), Box::new(Collector)).unwrap();
     b.connect(c, "out", k, "in").unwrap();
-    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
     let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
     sim.set_probe(Box::new(RecordingTracer(log.clone())));
     sim.run(3).unwrap();
@@ -361,7 +360,7 @@ fn fanout_to_multiple_collectors() {
     let k2 = b.add("k2", collector_spec(), Box::new(Collector)).unwrap();
     b.connect(c, "out", k1, "in").unwrap();
     b.connect(c, "out", k2, "in").unwrap();
-    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Static);
+    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
     sim.run(4).unwrap();
     assert_eq!(sim.stats().counter(k1, "received"), 4);
     assert_eq!(sim.stats().counter(k2, "received"), 4);
@@ -374,7 +373,7 @@ fn run_until_stops_at_predicate() {
     let c = b.add("c", counter_spec(), Box::new(Counter)).unwrap();
     let k = b.add("k", collector_spec(), Box::new(Collector)).unwrap();
     b.connect(c, "out", k, "in").unwrap();
-    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
     let steps = sim
         .run_until(100, |st| st.counter(k, "received") >= 7)
         .unwrap();
@@ -384,7 +383,7 @@ fn run_until_stops_at_predicate() {
 
 #[test]
 fn metrics_track_steps_and_commits() {
-    let (mut sim, _) = build_chain(2, SchedKind::Dynamic);
+    let (mut sim, _) = build_chain(2, SchedKind::Compiled);
     sim.run(5).unwrap();
     let m = sim.metrics();
     assert_eq!(m.steps, 5);
@@ -395,7 +394,7 @@ fn metrics_track_steps_and_commits() {
 
 #[test]
 fn report_contains_named_stats() {
-    let (mut sim, _) = build_chain(1, SchedKind::Dynamic);
+    let (mut sim, _) = build_chain(1, SchedKind::Compiled);
     sim.run(8).unwrap();
     let rep = sim.report();
     assert!(rep.counters.contains_key("k.received"));
@@ -550,12 +549,7 @@ fn commit_never_sees_a_payload_from_an_earlier_step() {
     // The store keeps a payload past its step (only the next payload
     // write on the edge releases it); a `No` step and a defaulted
     // step after a `Yes` step must not hand it to `commit`.
-    for sched in [
-        SchedKind::Sweep,
-        SchedKind::Dynamic,
-        SchedKind::Static,
-        SchedKind::Compiled,
-    ] {
+    for sched in [SchedKind::Sweep, SchedKind::Compiled] {
         let mut b = NetlistBuilder::new();
         let s = b
             .add(

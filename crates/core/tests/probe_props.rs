@@ -5,7 +5,7 @@
 //! stream a probe sees (which wire resolved with which polarity and
 //! payload, who resolved it, which handshakes completed) is a property of
 //! the netlist, not of the evaluation order. These tests run random
-//! layered netlists under all three schedulers and require the recorded
+//! layered netlists under both schedulers and require the recorded
 //! streams to be identical, and check the structural invariant that every
 //! wire of every connection resolves exactly once per time-step.
 
@@ -229,16 +229,13 @@ proptest! {
 
     /// The probe event stream — every resolution with polarity, payload
     /// and attribution, and every completed handshake — is identical
-    /// across Sweep, Dynamic and Static scheduling.
+    /// under Sweep and the compiled engine.
     #[test]
     fn probe_stream_is_scheduler_independent(desc in desc_strategy()) {
         let w = record(&desc, SchedKind::Sweep, 12);
-        let d = record(&desc, SchedKind::Dynamic, 12);
-        let s = record(&desc, SchedKind::Static, 12);
-        prop_assert_eq!(&w.resolves, &d.resolves);
-        prop_assert_eq!(&d.resolves, &s.resolves);
-        prop_assert_eq!(&w.transfers, &d.transfers);
-        prop_assert_eq!(&d.transfers, &s.transfers);
+        let c = record(&desc, SchedKind::Compiled, 12);
+        prop_assert_eq!(&w.resolves, &c.resolves);
+        prop_assert_eq!(&w.transfers, &c.transfers);
     }
 
     /// Structural invariant: every wire of every connection resolves
@@ -246,7 +243,7 @@ proptest! {
     /// regardless of how many resolutions fall to the default semantics.
     #[test]
     fn every_wire_resolves_once_per_step(desc in desc_strategy()) {
-        for sched in [SchedKind::Sweep, SchedKind::Dynamic, SchedKind::Static] {
+        for sched in ALL_SCHEDS {
             let mut sim = build(&desc, sched);
             let (probe, counts) = CountingProbe::new();
             sim.set_probe(Box::new(probe));
@@ -419,7 +416,7 @@ fn drive_all_events(p: &mut dyn Probe, c: &EventCase) -> String {
         )
         .unwrap();
     b.connect(s, "out", k, "in").unwrap();
-    let sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+    let sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
     let shown = ref_escape(&c.value.to_string());
     let mut want = String::new();
 
@@ -568,12 +565,7 @@ impl Probe for Declined {
     }
 }
 
-const ALL_SCHEDS: [SchedKind; 4] = [
-    SchedKind::Sweep,
-    SchedKind::Dynamic,
-    SchedKind::Static,
-    SchedKind::Compiled,
-];
+const ALL_SCHEDS: [SchedKind; 2] = [SchedKind::Sweep, SchedKind::Compiled];
 
 /// The interest mask changes what the kernel produces, never what a
 /// listening probe sees: a canonical JSONL probe alone is spared every

@@ -1,12 +1,10 @@
 //! Property-based tests of the kernel's central guarantees:
 //!
 //! * the reaction fixed point (and therefore every statistic) is
-//!   independent of the scheduler — dynamic and static runs agree on
-//!   arbitrary layered netlists;
+//!   independent of the scheduler — the compiled engine agrees with the
+//!   naive sweep on arbitrary layered netlists;
 //! * monotonic signal writes never corrupt state, and contradictory writes
-//!   are always detected;
-//! * the rank queue always pops in nondecreasing rank order when no pushes
-//!   intervene.
+//!   are always detected.
 
 use liberty_core::prelude::*;
 use proptest::prelude::*;
@@ -211,34 +209,47 @@ fn desc_strategy() -> impl Strategy<Value = NetDesc> {
         })
 }
 
+/// The compiled engine reaches the Sweep oracle's fixed point on `desc`
+/// (with activity-gated modules mixed in), so every observable agrees:
+/// collected statistics, the per-edge transfer counts, and the number of
+/// commit invocations (the gated-commit skip decision is a property of
+/// the fixed point, not the schedule).
+fn assert_schedulers_agree(desc: &NetDesc) {
+    let (mut w, kw) = build(desc, SchedKind::Sweep);
+    let (mut c, kc) = build(desc, SchedKind::Compiled);
+    w.run(20).unwrap();
+    c.run(20).unwrap();
+    prop_assert_eq!(
+        w.stats().counter(kw, "received"),
+        c.stats().counter(kc, "received")
+    );
+    prop_assert_eq!(w.stats().counter(kw, "sum"), c.stats().counter(kc, "sum"));
+    // The same transfers completed on every edge under both schedules.
+    prop_assert_eq!(w.transfer_counts(), c.transfer_counts());
+    // Identical commit sets: gating skipped the same instances.
+    prop_assert_eq!(w.metrics().commits, c.metrics().commits);
+    // The compiled plan is an optimization: never more handler runs.
+    prop_assert!(c.metrics().reacts <= w.metrics().reacts);
+}
+
+/// The case recorded in `props.proptest-regressions` (the vendored
+/// `proptest` does not replay that file).
+#[test]
+fn schedulers_agree_on_the_recorded_single_adder_netlist() {
+    assert_schedulers_agree(&NetDesc {
+        seed: 0,
+        layers: vec![vec![0]],
+        wiring: vec![0, 0, 8, 18056986763698656286, 15391133146151953638],
+    });
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// All three schedulers reach the same fixed point on random layered
-    /// netlists (with activity-gated modules mixed in), so every
-    /// observable agrees: collected statistics, the per-edge transfer
-    /// counts, and the number of commit invocations (the gated-commit
-    /// skip decision is a property of the fixed point, not the schedule).
+    /// Sweep and the compiled engine agree on random layered netlists.
     #[test]
     fn schedulers_agree_on_random_netlists(desc in desc_strategy()) {
-        let (mut w, kw) = build(&desc, SchedKind::Sweep);
-        let (mut d, kd) = build(&desc, SchedKind::Dynamic);
-        let (mut s, ks) = build(&desc, SchedKind::Static);
-        w.run(20).unwrap();
-        d.run(20).unwrap();
-        s.run(20).unwrap();
-        prop_assert_eq!(w.stats().counter(kw, "received"), d.stats().counter(kd, "received"));
-        prop_assert_eq!(d.stats().counter(kd, "received"), s.stats().counter(ks, "received"));
-        prop_assert_eq!(w.stats().counter(kw, "sum"), d.stats().counter(kd, "sum"));
-        prop_assert_eq!(d.stats().counter(kd, "sum"), s.stats().counter(ks, "sum"));
-        // The same transfers completed on every edge under every schedule.
-        prop_assert_eq!(w.transfer_counts(), d.transfer_counts());
-        prop_assert_eq!(d.transfer_counts(), s.transfer_counts());
-        // Identical commit sets: gating skipped the same instances.
-        prop_assert_eq!(w.metrics().commits, d.metrics().commits);
-        prop_assert_eq!(d.metrics().commits, s.metrics().commits);
-        // Static scheduling is an optimization: never more handler runs.
-        prop_assert!(s.metrics().reacts <= d.metrics().reacts);
+        assert_schedulers_agree(&desc);
     }
 
     /// Monotonic wire writes: the first resolution sticks; equal rewrites

@@ -88,7 +88,7 @@ impl Module for SelfInverter {
 }
 
 fn src_sink() -> (Simulator, std::sync::Arc<std::sync::Mutex<Vec<u64>>>) {
-    src_sink_with(SchedKind::Dynamic)
+    src_sink_with(SchedKind::Compiled)
 }
 
 fn src_sink_with(sched: SchedKind) -> (Simulator, std::sync::Arc<std::sync::Mutex<Vec<u64>>>) {
@@ -218,7 +218,7 @@ fn real_panic_is_caught_and_quarantined() {
         )
         .unwrap();
     b.connect(s, "out", k, "in").unwrap();
-    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
     sim.set_failure_policy(FailurePolicy::Quarantine);
     // Silence the default panic hook for the expected unwind.
     let prev = std::panic::take_hook();
@@ -249,7 +249,7 @@ fn real_panic_aborts_with_message() {
         )
         .unwrap();
     b.connect(s, "out", k, "in").unwrap();
-    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
     // Any resilience feature (here: a watchdog) routes reactions through
     // the catch_unwind wrapper, so the panic becomes a structured error.
     sim.set_watchdog(1000);
@@ -282,7 +282,7 @@ fn react_error_quarantines_under_policy() {
         )
         .unwrap();
     b.connect(s, "out", k, "in").unwrap();
-    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
     sim.set_failure_policy(FailurePolicy::Quarantine);
     sim.run(5).unwrap();
     assert_eq!(*got.lock().unwrap(), vec![0, 1]);
@@ -302,7 +302,7 @@ fn latency_fault_only_slows_the_step() {
 
 #[test]
 fn watchdog_reports_divergence_with_oscillating_wires() {
-    for sched in [SchedKind::Sweep, SchedKind::Dynamic, SchedKind::Static] {
+    for sched in [SchedKind::Sweep, SchedKind::Compiled] {
         let mut b = NetlistBuilder::new();
         let inv = b
             .add(
@@ -361,7 +361,7 @@ fn simulator_survives_a_divergence_error() {
         )
         .unwrap();
     b.connect(inv, "out", inv, "in").unwrap();
-    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
     sim.set_watchdog(16);
     assert!(sim.run(1).is_err());
     // The same step keeps failing deterministically, not hanging.
@@ -417,10 +417,8 @@ fn canonical_jsonl_is_identical_across_schedulers() {
 
     for seed in [1u64, 42, 1234] {
         let sweep = stream(SchedKind::Sweep, seed);
-        let dynamic = stream(SchedKind::Dynamic, seed);
-        let fixed = stream(SchedKind::Static, seed);
-        assert_eq!(sweep, dynamic, "seed {seed}: sweep vs dynamic");
-        assert_eq!(sweep, fixed, "seed {seed}: sweep vs static");
+        let compiled = stream(SchedKind::Compiled, seed);
+        assert_eq!(sweep, compiled, "seed {seed}: sweep vs compiled");
         assert!(!sweep.is_empty());
     }
 }
@@ -488,7 +486,7 @@ fn src_torn(sched: SchedKind, panic_at: u64) -> Simulator {
 
 #[test]
 fn quarantine_scrubs_torn_module_state() {
-    let mut sim = src_torn(SchedKind::Dynamic, 2);
+    let mut sim = src_torn(SchedKind::Compiled, 2);
     sim.set_failure_policy(FailurePolicy::Quarantine);
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
@@ -515,7 +513,7 @@ fn snapshots_after_quarantine_are_scheduler_independent() {
     let mut states = Vec::new();
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    for sched in [SchedKind::Sweep, SchedKind::Dynamic, SchedKind::Static] {
+    for sched in [SchedKind::Sweep, SchedKind::Compiled] {
         let mut sim = src_torn(sched, 2);
         sim.set_failure_policy(FailurePolicy::Quarantine);
         sim.run(6).unwrap();
@@ -594,7 +592,7 @@ fn organic_panic_is_retried_once_then_quarantine_stands() {
         )
         .unwrap();
     b.connect(s, "out", k, "in").unwrap();
-    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
     sim.set_failure_policy(FailurePolicy::Quarantine);
     sim.set_auto_checkpoint(2);
     sim.set_rollback(true);
@@ -624,7 +622,7 @@ fn organic_divergence_is_not_rolled_back() {
         )
         .unwrap();
     b.connect(inv, "out", inv, "in").unwrap();
-    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
     sim.set_watchdog(32);
     sim.set_auto_checkpoint(4);
     sim.set_rollback(true);
@@ -649,7 +647,7 @@ fn divergence_with_plan_entry_is_retried_once() {
         )
         .unwrap();
     b.connect(inv, "out", inv, "in").unwrap();
-    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
     let (probe, counts) = CountingProbe::new();
     sim.set_probe(Box::new(probe));
     sim.set_fault_plan(FaultPlan::new(9).drop_wire(EdgeId(0), Wire::Enable, 0, 2));
@@ -703,7 +701,7 @@ fn restore_rejects_census_mismatch() {
         Box::new(Src),
     )
     .unwrap();
-    let mut other = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+    let mut other = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
     let err = other.restore(&snap).unwrap_err();
     assert!(
         matches!(err.as_checkpoint(), Some(CheckpointError::Malformed(_))),

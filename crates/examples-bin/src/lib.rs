@@ -13,9 +13,8 @@
 //! --fault-horizon N           fault activity window for --faults (default 64)
 //! --fault-policy P            abort | quarantine (default: quarantine)
 //! --max-iters N               convergence watchdog bound per time-step
-//! --scheduler S               sweep | dynamic | static | compiled
 //! --threads N                 ensemble mode: replicas run concurrently (sweep lanes)
-//! --explain-plan              print which instances specialize (compiled only)
+//! --explain-plan              print which instances specialize
 //! --no-specialize             keep every handler on the dynamic path
 //! --max-steps N               run-governance step budget
 //! --deadline SECS             run-governance wall-clock deadline
@@ -65,7 +64,6 @@ pub struct ObsOpts {
     fault_horizon: u64,
     fault_policy: FailurePolicy,
     max_iters: Option<u64>,
-    sched: Option<SchedKind>,
     threads: Option<usize>,
     checkpoint_every: Option<u64>,
     checkpoint_dir: Option<PathBuf>,
@@ -87,18 +85,12 @@ pub struct ObsOpts {
 }
 
 /// One line per flag, for embedding in an example's usage message.
-pub const OBS_USAGE: &str = "  --trace             print transfers (cap with --trace-limit N, default 200)\n  --vcd PATH          dump data/enable/ack waveforms for GTKWave\n  --jsonl PATH        stream structured events as JSON lines\n  --profile           print a per-instance hot-spot table at exit\n  --metrics-out PATH  write engine metrics + statistics as JSON\n  --faults SEED       inject a seeded random fault plan (chaos mode)\n  --fault-horizon N   fault activity window for --faults (default 64)\n  --fault-policy P    abort | quarantine on module failure (default quarantine)\n  --max-iters N       convergence watchdog: bound reactions per time-step\n  --scheduler S       sweep | dynamic | static | compiled\n  --threads N         ensemble mode: replicas run concurrently (sweep lanes, default 1)\n  --explain-plan      print which instances run as specialized kernels and why\n  --no-specialize     disable handler specialization (dynamic handler bodies)\n  --checkpoint-every N  take a checkpoint every N steps\n  --checkpoint-dir DIR  persist checkpoints as DIR/step-NNNNNNNN.ckpt\n  --resume FILE       restore a checkpoint before running\n  --max-steps N       stop (with a run report) after N executed steps\n  --deadline SECS     stop (with a run report) after SECS wall-clock seconds\n  --retries N         retry from checkpoint up to N times on quarantine/divergence\n  --sink-backpressure P[:BYTES]  bound VCD/JSONL buffering: block | drop (default 1 MiB)\n  --report-json PATH  write the run (or sweep) report as machine-readable JSON\n  --sweep KEY=LO..HI  ensemble mode: one replica per value of a root parameter\n  --seeds N           ensemble mode: replicas per parameter point (default 1)\n  --base-seed S       ensemble mode: base seed replica seeds derive from\n  --sweep-dir DIR     ensemble output directory (default sweep_out)\n  --resume-manifest DIR  resume the interrupted sweep recorded in DIR's manifest";
+pub const OBS_USAGE: &str = "  --trace             print transfers (cap with --trace-limit N, default 200)\n  --vcd PATH          dump data/enable/ack waveforms for GTKWave\n  --jsonl PATH        stream structured events as JSON lines\n  --profile           print a per-instance hot-spot table at exit\n  --metrics-out PATH  write engine metrics + statistics as JSON\n  --faults SEED       inject a seeded random fault plan (chaos mode)\n  --fault-horizon N   fault activity window for --faults (default 64)\n  --fault-policy P    abort | quarantine on module failure (default quarantine)\n  --max-iters N       convergence watchdog: bound reactions per time-step\n  --threads N         ensemble mode: replicas run concurrently (sweep lanes, default 1)\n  --explain-plan      print which instances run as specialized kernels and why\n  --no-specialize     disable handler specialization (dynamic handler bodies)\n  --checkpoint-every N  take a checkpoint every N steps\n  --checkpoint-dir DIR  persist checkpoints as DIR/step-NNNNNNNN.ckpt\n  --resume FILE       restore a checkpoint before running\n  --max-steps N       stop (with a run report) after N executed steps\n  --deadline SECS     stop (with a run report) after SECS wall-clock seconds\n  --retries N         retry from checkpoint up to N times on quarantine/divergence\n  --sink-backpressure P[:BYTES]  bound VCD/JSONL buffering: block | drop (default 1 MiB)\n  --report-json PATH  write the run (or sweep) report as machine-readable JSON\n  --sweep KEY=LO..HI  ensemble mode: one replica per value of a root parameter\n  --seeds N           ensemble mode: replicas per parameter point (default 1)\n  --base-seed S       ensemble mode: base seed replica seeds derive from\n  --sweep-dir DIR     ensemble output directory (default sweep_out)\n  --resume-manifest DIR  resume the interrupted sweep recorded in DIR's manifest";
 
 impl ObsOpts {
     /// Parse `std::env::args().skip(1)`.
     pub fn parse_env() -> Result<Self, String> {
         Self::parse(std::env::args().skip(1))
-    }
-
-    /// The scheduler to construct the simulator with: the `--scheduler`
-    /// flag when given, otherwise the example's own default.
-    pub fn sched(&self, default: SchedKind) -> SchedKind {
-        self.sched.unwrap_or(default)
     }
 
     /// Parse an argument stream; unrecognized arguments land in `rest`.
@@ -146,19 +138,6 @@ impl ObsOpts {
                             .and_then(|v| v.parse().ok())
                             .ok_or("--max-iters requires a number")?,
                     );
-                }
-                "--scheduler" => {
-                    o.sched = Some(match args.next().as_deref() {
-                        Some("sweep") => SchedKind::Sweep,
-                        Some("dynamic") => SchedKind::Dynamic,
-                        Some("static") => SchedKind::Static,
-                        Some("compiled") => SchedKind::Compiled,
-                        _ => {
-                            return Err(
-                                "--scheduler requires sweep | dynamic | static | compiled".into()
-                            )
-                        }
-                    });
                 }
                 "--threads" => {
                     o.threads = Some(
@@ -354,13 +333,10 @@ impl ObsOpts {
         }
         if self.explain_plan {
             // After every other flag, so the summary's `enabled` state
-            // reflects probes/faults/--no-specialize suppression.
-            match sim.plan_summary() {
-                Some(summary) => eprintln!("{summary}"),
-                None => eprintln!(
-                    "plan: handler specialization applies to the serial \
-                     compiled scheduler only (run with --scheduler compiled)"
-                ),
+            // reflects probes/faults/--no-specialize suppression. A Sweep
+            // simulator has no plan and so nothing to explain.
+            if let Some(summary) = sim.plan_summary() {
+                eprintln!("{summary}");
             }
         }
         Ok(ObsSession {
@@ -455,7 +431,6 @@ impl ObsOpts {
         registry: &Registry,
         root: &str,
         base: &Params,
-        default_sched: SchedKind,
         cycles: u64,
     ) -> Result<SweepReport, Box<dyn std::error::Error>> {
         let dir = self
@@ -502,7 +477,6 @@ impl ObsOpts {
             cfg.watchdog = w;
         }
 
-        let sched = self.sched(default_sched);
         let spec_ast = liberty_lss::parse(src)?;
         let cache = TopoCache::new();
         let factory = |spec: &ReplicaSpec| -> Result<Simulator, SimError> {
@@ -510,7 +484,7 @@ impl ObsOpts {
             let (net, _report) = liberty_lss::elaborate(&spec_ast, registry, root, &params)?;
             let (topo, modules) = net.into_parts();
             let shared = cache.unify(&spec.point_label(), topo);
-            Ok(Simulator::from_parts(shared, modules, sched))
+            Ok(Simulator::from_parts(shared, modules, SchedKind::Compiled))
         };
 
         let cancel = sigint_token();
@@ -767,23 +741,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_scheduler_flags() {
-        let o = parse(&["--scheduler", "compiled", "--threads", "4"]);
-        assert_eq!(o.sched(SchedKind::Static), SchedKind::Compiled);
-        assert_eq!(o.threads, Some(4));
-        let o = parse(&["run"]);
-        assert_eq!(o.sched(SchedKind::Static), SchedKind::Static);
-        assert!(o.threads.is_none());
-        let err = ObsOpts::parse(["--scheduler".to_string(), "magic".to_string()].into_iter())
-            .unwrap_err();
-        assert_eq!(
-            err,
-            "--scheduler requires sweep | dynamic | static | compiled"
-        );
-        assert!(ObsOpts::parse(["--threads".to_string(), "0".to_string()].into_iter()).is_err());
-    }
-
-    #[test]
     fn parses_checkpoint_flags() {
         let o = parse(&[
             "--checkpoint-every",
@@ -831,7 +788,7 @@ mod tests {
                 Box::new(Src),
             )
             .unwrap();
-            Simulator::new(b.build().unwrap(), SchedKind::Dynamic)
+            Simulator::new(b.build().unwrap(), SchedKind::Compiled)
         };
         let dir = std::env::temp_dir().join(format!("lse-obs-ckpt-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -916,7 +873,7 @@ mod tests {
             Box::new(Src),
         )
         .unwrap();
-        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
         let o = parse(&["--max-steps", "5"]);
         let obs = o.install(&mut sim).unwrap();
         let report = o.run(&mut sim, 100).unwrap();
@@ -947,7 +904,7 @@ mod tests {
             Box::new(Src),
         )
         .unwrap();
-        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
         let path = std::env::temp_dir().join(format!("lse-obs-bp-{}.jsonl", std::process::id()));
         let o = parse(&[
             &format!("--jsonl={}", path.display()),
@@ -973,6 +930,8 @@ mod tests {
             "3",
             "--base-seed",
             "99",
+            "--threads",
+            "4",
             "--sweep-dir",
             "out",
             "--report-json=report.json",
@@ -982,6 +941,7 @@ mod tests {
         assert_eq!((s.key.as_str(), s.lo, s.hi), ("depth", 1, 4));
         assert_eq!(o.seeds, Some(3));
         assert_eq!(o.base_seed, Some(99));
+        assert_eq!(o.threads, Some(4));
         assert_eq!(o.sweep_dir.as_deref(), Some(std::path::Path::new("out")));
         assert_eq!(
             o.report_json.as_deref(),
@@ -999,7 +959,9 @@ mod tests {
         assert!(o.resume.is_none());
 
         assert!(!parse(&["--jsonl", "x.jsonl"]).sweep_requested());
+        assert!(parse(&["run"]).threads.is_none());
         for bad in [
+            vec!["--threads", "0"],
             vec!["--sweep", "depth"],
             vec!["--sweep", "depth=4..1"],
             vec!["--seeds", "0"],
@@ -1032,7 +994,7 @@ mod tests {
             Box::new(Src),
         )
         .unwrap();
-        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
         let path = std::env::temp_dir().join(format!("lse-obs-rj-{}.json", std::process::id()));
         let o = parse(&[
             "--max-steps",
@@ -1082,7 +1044,7 @@ mod tests {
         ]);
         sigint_token().reset();
         let r = o
-            .run_lss_sweep(src, &reg, "main", &Params::new(), SchedKind::Compiled, 32)
+            .run_lss_sweep(src, &reg, "main", &Params::new(), 32)
             .unwrap();
         // (Not asserting the exact interrupted count: the SIGINT token is
         // process-global and another test briefly trips it.)
@@ -1092,7 +1054,7 @@ mod tests {
         // Resume with geometry from the manifest alone.
         let o = parse(&[&format!("--resume-manifest={}", dir.display())]);
         let r = o
-            .run_lss_sweep(src, &reg, "main", &Params::new(), SchedKind::Compiled, 32)
+            .run_lss_sweep(src, &reg, "main", &Params::new(), 32)
             .unwrap();
         assert!(r.complete(), "{}", r.render());
         assert_eq!(r.done, 4);
@@ -1136,7 +1098,7 @@ mod tests {
             }
         }
         b.add("n", ModuleSpec::new("nop"), Box::new(Nop)).unwrap();
-        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
         sim.run(3).unwrap();
         let j = metrics_json(&sim);
         assert_eq!(

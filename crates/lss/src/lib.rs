@@ -55,7 +55,7 @@
 //!     }
 //! "#;
 //! let (mut sim, report) = build_simulator(src, &reg, "main", &Params::new(),
-//!                                         SchedKind::Static).unwrap();
+//!                                         SchedKind::Compiled).unwrap();
 //! sim.run(10).unwrap();
 //! let dst = sim.instance_by_name("dst").unwrap();
 //! assert_eq!(sim.stats().counter(dst, "received"), 5);

@@ -31,7 +31,7 @@ fn every_bad_spec_fails_with_a_diagnostic() {
         seen += 1;
         let name = path.file_name().unwrap().to_string_lossy().into_owned();
         let src = std::fs::read_to_string(&path).expect("readable spec");
-        let err = build_simulator(&src, &reg, "main", &Params::new(), SchedKind::Dynamic)
+        let err = build_simulator(&src, &reg, "main", &Params::new(), SchedKind::Compiled)
             .map(|_| ())
             .expect_err(&format!("{name}: must not build"));
         let msg = err.to_string();
@@ -77,7 +77,7 @@ fn bad_spec_diagnostics_are_pinned() {
     let reg = registry();
     for (name, want) in pinned {
         let src = std::fs::read_to_string(bad_dir().join(name)).expect("readable spec");
-        let err = build_simulator(&src, &reg, "main", &Params::new(), SchedKind::Dynamic)
+        let err = build_simulator(&src, &reg, "main", &Params::new(), SchedKind::Compiled)
             .map(|_| ())
             .expect_err(name);
         assert_eq!(err.to_string(), want, "{name}");

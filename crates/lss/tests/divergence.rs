@@ -22,12 +22,7 @@ fn registry() -> Registry {
 fn ring_oscillator_diverges_under_every_scheduler() {
     let src = ring_src();
     let reg = registry();
-    for sched in [
-        SchedKind::Sweep,
-        SchedKind::Dynamic,
-        SchedKind::Static,
-        SchedKind::Compiled,
-    ] {
+    for sched in [SchedKind::Sweep, SchedKind::Compiled] {
         let (mut sim, report) =
             build_simulator(&src, &reg, "main", &Params::new(), sched).expect("elaborates");
         assert_eq!(report.leaf_instances, 3);
@@ -68,7 +63,7 @@ fn without_watchdog_the_monotone_contract_rejects_the_loop() {
         &registry(),
         "main",
         &Params::new(),
-        SchedKind::Dynamic,
+        SchedKind::Compiled,
     )
     .expect("elaborates");
     let err = sim.run(1).unwrap_err();
@@ -86,7 +81,7 @@ fn even_rings_settle_under_the_watchdog() {
         &registry(),
         "main",
         &Params::new(),
-        SchedKind::Dynamic,
+        SchedKind::Compiled,
     )
     .expect("elaborates");
     sim.set_watchdog(512);

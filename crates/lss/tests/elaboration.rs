@@ -12,8 +12,14 @@ fn registry() -> Registry {
 }
 
 fn run(src: &str, cycles: u64) -> (Simulator, ElabReport) {
-    let (mut sim, rep) =
-        build_simulator(src, &registry(), "main", &Params::new(), SchedKind::Dynamic).unwrap();
+    let (mut sim, rep) = build_simulator(
+        src,
+        &registry(),
+        "main",
+        &Params::new(),
+        SchedKind::Compiled,
+    )
+    .unwrap();
     sim.run(cycles).unwrap();
     (sim, rep)
 }
@@ -173,7 +179,7 @@ fn root_parameter_overrides() {
         &registry(),
         "main",
         &Params::new().with("count", 9i64),
-        SchedKind::Dynamic,
+        SchedKind::Compiled,
     )
     .unwrap();
     sim.run(20).unwrap();
@@ -220,7 +226,13 @@ fn partial_specification_executes() {
 // --- diagnostics ---
 
 fn expect_err(src: &str, needle: &str) {
-    let err = match build_simulator(src, &registry(), "main", &Params::new(), SchedKind::Dynamic) {
+    let err = match build_simulator(
+        src,
+        &registry(),
+        "main",
+        &Params::new(),
+        SchedKind::Compiled,
+    ) {
         Err(e) => e,
         Ok(_) => panic!("expected error containing {needle:?}"),
     };
@@ -405,8 +417,14 @@ fn conditional_elaboration_selects_structure() {
         }
     "#;
     // Enabled: the queue exists.
-    let (mut sim, rep) =
-        build_simulator(src, &registry(), "main", &Params::new(), SchedKind::Dynamic).unwrap();
+    let (mut sim, rep) = build_simulator(
+        src,
+        &registry(),
+        "main",
+        &Params::new(),
+        SchedKind::Compiled,
+    )
+    .unwrap();
     assert_eq!(rep.template_uses.get("queue"), Some(&1));
     sim.run(20).unwrap();
     let dst = sim.instance_by_name("dst").unwrap();
@@ -417,7 +435,7 @@ fn conditional_elaboration_selects_structure() {
         &registry(),
         "main",
         &Params::new().with("with_buffer", 0i64),
-        SchedKind::Dynamic,
+        SchedKind::Compiled,
     )
     .unwrap();
     assert_eq!(rep2.template_uses.get("queue"), None);

@@ -54,6 +54,45 @@ fn wrap(e: &Expr) -> Spec {
     }
 }
 
+/// Integer value of an expression built from integer literals, `Neg`
+/// and `Bin`, with the elaborator's wrapping arithmetic.
+fn int_value(e: &Expr) -> i64 {
+    match e {
+        Expr::Int(i) => *i,
+        Expr::Neg(e) => int_value(e).wrapping_neg(),
+        Expr::Bin(op, l, r) => {
+            let (a, b) = (int_value(l), int_value(r));
+            match op {
+                BinOp::Add => a.wrapping_add(b),
+                BinOp::Sub => a.wrapping_sub(b),
+                BinOp::Mul => a.wrapping_mul(b),
+                BinOp::Div => a.wrapping_div(b),
+                BinOp::Rem => a.wrapping_rem(b),
+            }
+        }
+        other => panic!("not an integer expression: {other:?}"),
+    }
+}
+
+/// The case recorded in `props.proptest-regressions` (the vendored
+/// `proptest` does not replay that file). Its negative literal re-parses
+/// as `Neg` of a positive one — why the strategy leaves negative
+/// literals out — so the round trip keeps the value, not the structure.
+#[test]
+fn recorded_negative_literal_roundtrips_to_the_same_value() {
+    let e = Expr::Bin(
+        BinOp::Add,
+        Box::new(Expr::Neg(Box::new(Expr::Int(-1)))),
+        Box::new(Expr::Int(0)),
+    );
+    let printed = wrap(&e).to_string();
+    let reparsed = parse(&printed)
+        .unwrap_or_else(|err| panic!("printed spec failed to parse: {err}\n{printed}"));
+    let x = &reparsed.modules[0].params[0].default;
+    assert_eq!(int_value(x), int_value(&e), "{printed}");
+    assert_eq!(int_value(x), 1);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 

@@ -30,7 +30,7 @@ fn pipeline_lss_vcd_is_structurally_valid() {
     let mut registry = Registry::new();
     liberty_pcl::register_all(&mut registry);
     let (mut sim, rep) =
-        build_simulator(&src, &registry, "main", &Params::new(), SchedKind::Dynamic).unwrap();
+        build_simulator(&src, &registry, "main", &Params::new(), SchedKind::Compiled).unwrap();
 
     let buf = Shared::default();
     sim.set_probe(Box::new(VcdProbe::new(buf.clone())));

@@ -33,7 +33,7 @@ fn run_scripts(
         sinks.push(h);
     }
     let caches = shm.caches.clone();
-    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
     sim.run(cycles).unwrap();
     (sim, sinks, shm.mem, caches)
 }
@@ -131,7 +131,7 @@ fn tso_store_buffer_forwards_and_drains() {
     b.connect(o, "cpu_resp", k, "in").unwrap();
     b.connect(o, "mem_req", m, "req").unwrap();
     b.connect(m, "resp", o, "mem_resp").unwrap();
-    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
     sim.run(80).unwrap();
     let r = resps(&h);
     assert_eq!(r.len(), 3);
@@ -167,7 +167,7 @@ fn tso_is_faster_than_sc_on_store_bursts() {
         b.connect(o, "cpu_resp", k, "in").unwrap();
         b.connect(o, "mem_req", m, "req").unwrap();
         b.connect(m, "resp", o, "mem_resp").unwrap();
-        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
         // Cycles until all 7 responses observed.
         sim.run_until(2000, |_| h.len() >= 7).unwrap()
     };
@@ -197,7 +197,7 @@ fn rc_coalesces_same_address_stores() {
     b.connect(s, "out", o, "cpu_req").unwrap();
     b.connect(o, "mem_req", m, "req").unwrap();
     b.connect(m, "resp", o, "mem_resp").unwrap();
-    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
     sim.run(100).unwrap();
     assert_eq!(mem.lock()[3], 3);
     assert!(sim.stats().counter(o, "stores_coalesced") >= 1);

@@ -50,7 +50,7 @@ fn run_directory(
         sinks.push(h);
         caches.push(c);
     }
-    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Static);
+    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
     sim.run(cycles).unwrap();
     (sim, sinks, mem, caches)
 }
@@ -166,7 +166,7 @@ fn snoop_and_directory_protocols_agree_architecturally() {
             b.connect(shm.caches[i], "resp", k, "in").unwrap();
             hs.push(h);
         }
-        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Static);
+        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
         sim.run(600).unwrap();
         let vals = {
             let m = shm.mem.lock();

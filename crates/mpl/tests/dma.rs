@@ -51,7 +51,7 @@ fn build_cluster(
         dones.push(hdl);
     }
     (
-        Simulator::new(b.build().unwrap(), SchedKind::Static),
+        Simulator::new(b.build().unwrap(), SchedKind::Compiled),
         mems,
         dmas,
         dones,

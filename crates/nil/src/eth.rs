@@ -201,7 +201,7 @@ mod tests {
         b.connect(e, "rx", k0, "in").unwrap();
         b.connect(e, "rx", k1, "in").unwrap();
         (
-            Simulator::new(b.build().unwrap(), SchedKind::Dynamic),
+            Simulator::new(b.build().unwrap(), SchedKind::Compiled),
             e,
             h0,
             h1,

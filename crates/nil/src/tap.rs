@@ -126,7 +126,7 @@ mod tests {
         let k = b.add("k", k_spec, k_mod).unwrap();
         b.connect(s, "out", t, "in").unwrap();
         b.connect(t, "out", k, "in").unwrap();
-        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
         sim.run(10).unwrap();
         // Everything flows through...
         assert_eq!(h.len(), 2);
@@ -173,7 +173,7 @@ mod tests {
         let (k_spec, k_mod, h) = sink::collecting();
         let k = b.add("k", k_spec, k_mod).unwrap();
         b.connect(r, "out", k, "in").unwrap();
-        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
         sim.run(3).unwrap();
         assert_eq!(h.len(), 1, "second frame not yet eligible");
         sim.run(4).unwrap();

@@ -31,7 +31,7 @@ fn pci_burst_write_then_read() {
     b.connect(p, "mresp", k, "in").unwrap();
     b.connect(p, "treq", m, "req").unwrap();
     b.connect(m, "resp", p, "tresp").unwrap();
-    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
     sim.run(60).unwrap();
     let r = pci_resps(&h);
     assert_eq!(r.len(), 2);
@@ -69,7 +69,7 @@ fn pci_routes_by_address_window_and_arbitrates() {
     b.connect(p, "treq", t1, "req").unwrap();
     b.connect(t0, "resp", p, "tresp").unwrap();
     b.connect(t1, "resp", p, "tresp").unwrap();
-    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
     sim.run(60).unwrap();
     assert_eq!(mem0.lock()[5], 11);
     assert_eq!(mem1.lock()[9], 22);
@@ -89,7 +89,7 @@ fn pci_unmapped_address_is_a_model_error() {
     b.connect(s, "out", p, "mreq").unwrap();
     b.connect(p, "treq", t, "req").unwrap();
     b.connect(t, "resp", p, "tresp").unwrap();
-    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
     assert!(sim.run(10).is_err());
 }
 
@@ -119,7 +119,7 @@ fn splitter_routes_lo_and_hi() {
     b.connect(lo, "resp", sp, "lo_resp").unwrap();
     b.connect(sp, "hi_req", hi, "req").unwrap();
     b.connect(hi, "resp", sp, "hi_resp").unwrap();
-    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
     sim.run(60).unwrap();
     let r: Vec<MemResp> = h
         .values()

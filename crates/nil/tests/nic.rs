@@ -63,7 +63,7 @@ fn store_and_forward_firmware_delivers_frames_to_host() {
     b.connect(pci, "treq", hm, "req").unwrap();
     b.connect(hm, "resp", pci, "tresp").unwrap();
 
-    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Static);
+    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
     sim.run(12_000).unwrap();
 
     // Every frame's payload landed in its host ring slot.
@@ -99,7 +99,7 @@ fn echo_firmware_reflects_frames() {
     b.connect(nic.eth_tx.0, nic.eth_tx.1, eth, "tx").unwrap();
     b.connect(eth, "rx", peer_sink, "in").unwrap();
     b.connect(eth, "rx", nic.eth_rx.0, nic.eth_rx.1).unwrap();
-    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Static);
+    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
     sim.run(8_000).unwrap();
     let got = peer_rx.values();
     assert_eq!(got.len(), 1, "echo frame not received");

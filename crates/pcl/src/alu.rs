@@ -152,7 +152,7 @@ mod tests {
         let k = b.add("k", k_spec, k_mod).unwrap();
         b.connect(s, "out", a, "in").unwrap();
         b.connect(a, "out", k, "in").unwrap();
-        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
         sim.run(5).unwrap();
         let got: Vec<u64> = h.values().iter().filter_map(Value::as_word).collect();
         assert_eq!(got, vec![3, 12, 0]);
@@ -167,7 +167,7 @@ mod tests {
         let (a_spec, a_mod) = alu(&Params::new()).unwrap();
         let a = b.add("alu", a_spec, a_mod).unwrap();
         b.connect(s, "out", a, "in").unwrap();
-        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
         assert!(sim.step().is_err());
     }
 }

@@ -264,7 +264,7 @@ mod tests {
         b.connect(c, "out", ar, "in").unwrap();
         b.connect(d, "out", ar, "in").unwrap();
         b.connect(ar, "out", k, "in").unwrap();
-        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
         sim.run(cycles).unwrap();
         h.values().iter().filter_map(|v| v.as_word()).collect()
     }
@@ -312,7 +312,7 @@ mod tests {
         b.connect(a, "out", ar, "in").unwrap();
         b.connect(c, "out", ar, "in").unwrap();
         b.connect(ar, "out", k, "in").unwrap();
-        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
         sim.run(8).unwrap();
         let got: Vec<u64> = h.values().iter().filter_map(|v| v.as_word()).collect();
         // Alternation: after each grant the winner is demoted.
@@ -335,7 +335,7 @@ mod tests {
         let k = b.add("k", k_spec, k_mod).unwrap();
         b.connect(a, "out", ar, "in").unwrap();
         b.connect(ar, "out", k, "in").unwrap();
-        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Static);
+        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
         sim.run(4).unwrap();
         let got: Vec<u64> = h.values().iter().filter_map(|v| v.as_word()).collect();
         assert_eq!(got, vec![7, 8]);
@@ -368,7 +368,7 @@ mod tests {
             .unwrap();
         b.connect(a, "out", ar, "in").unwrap();
         b.connect(ar, "out", r, "in").unwrap();
-        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
         sim.run(5).unwrap();
         assert_eq!(sim.stats().counter(ar, "grants"), 0);
         assert_eq!(sim.stats().counter(ar, "stalled"), 5);

@@ -233,7 +233,7 @@ mod tests {
         b.connect(s, "out", x, "in").unwrap();
         b.connect(x, "out", k0, "in").unwrap();
         b.connect(x, "out", k1, "in").unwrap();
-        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
         sim.run(6).unwrap();
         let g0: Vec<u64> = h0.values().iter().filter_map(Value::as_word).collect();
         let g1: Vec<u64> = h1.values().iter().filter_map(Value::as_word).collect();
@@ -261,7 +261,7 @@ mod tests {
         b.connect(a, "out", x, "in").unwrap();
         b.connect(c, "out", x, "in").unwrap();
         b.connect(x, "out", k, "in").unwrap();
-        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
         sim.run(8).unwrap();
         let mut got: Vec<u64> = h.values().iter().filter_map(Value::as_word).collect();
         // All four values arrive exactly once (losslessness)...
@@ -282,7 +282,7 @@ mod tests {
         let k = b.add("k", k_spec, k_mod).unwrap();
         b.connect(s, "out", x, "in").unwrap();
         b.connect(x, "out", k, "in").unwrap();
-        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
         sim.run(3).unwrap();
         let vals = h.values();
         assert_eq!(vals.len(), 1);
@@ -302,7 +302,7 @@ mod tests {
         let k = b.add("k", k_spec, k_mod).unwrap();
         b.connect(s, "out", x, "in").unwrap();
         b.connect(x, "out", k, "in").unwrap();
-        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
         assert!(sim.step().is_err());
     }
 }

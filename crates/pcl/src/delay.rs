@@ -133,7 +133,7 @@ mod tests {
         let k = b.add("k", k_spec, k_mod).unwrap();
         b.connect(s, "out", d, "in").unwrap();
         b.connect(d, "out", k, "in").unwrap();
-        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
         sim.run(cycles).unwrap();
         (
             h.values().iter().filter_map(Value::as_word).collect(),

@@ -93,7 +93,7 @@ mod tests {
         let k = b.add("k", k_spec, k_mod).unwrap();
         b.connect(s, "out", inv, "in").unwrap();
         b.connect(inv, "out", k, "in").unwrap();
-        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
         sim.run(5).unwrap();
         let got: Vec<u64> = h.values().iter().filter_map(Value::as_word).collect();
         // 0 -> 1, 1 -> 0, 7 (odd) -> 0, then the drained source's "no
@@ -114,7 +114,7 @@ mod tests {
             for i in 0..n {
                 b.connect(ids[i], "out", ids[(i + 1) % n], "in").unwrap();
             }
-            Simulator::new(b.build().unwrap(), SchedKind::Dynamic)
+            Simulator::new(b.build().unwrap(), SchedKind::Compiled)
         };
         let mut odd = build(3);
         odd.set_watchdog(256);

@@ -356,7 +356,7 @@ mod tests {
         let k = b.add("k", k_spec, k_mod).unwrap();
         b.connect(s, "out", m, "req").unwrap();
         b.connect(m, "resp", k, "in").unwrap();
-        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
         sim.run(cycles).unwrap();
         h.values()
             .iter()
@@ -409,7 +409,7 @@ mod tests {
         let (m_spec, m_mod) = mem_array(&Params::new()).unwrap();
         let m = b.add("m", m_spec, m_mod).unwrap();
         b.connect(s, "out", m, "req").unwrap();
-        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
         assert!(sim.step().is_err());
     }
 

@@ -248,7 +248,7 @@ mod tests {
         let k = b.add("k", k_spec, k_mod).unwrap();
         b.connect(src, "out", q, "in").unwrap();
         b.connect(q, "out", k, "in").unwrap();
-        let sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+        let sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
         (sim, q, handle)
     }
 
@@ -331,7 +331,7 @@ mod tests {
             .unwrap();
         b.connect(src, "out", q, "in").unwrap();
         b.connect(q, "out", k, "in").unwrap();
-        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
         sim.run(16).unwrap();
         // Sink opens on cycles 0,4,8,12 but the queue is empty on cycle 0:
         // 3 deliveries in 16 cycles.
@@ -363,7 +363,7 @@ mod tests {
         b.connect(a, "out", q, "in").unwrap();
         b.connect(c, "out", q, "in").unwrap();
         b.connect(q, "out", k, "in").unwrap();
-        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
         sim.run(8).unwrap();
         let got = handle.values();
         assert!(!got.is_empty());
@@ -383,7 +383,7 @@ mod tests {
         b.connect(src, "out", q, "in").unwrap();
         b.connect(q, "out", k, "in").unwrap();
         b.connect(q, "out", k, "in").unwrap();
-        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
         sim.run(20).unwrap();
         let got: Vec<u64> = handle.values().iter().filter_map(Value::as_word).collect();
         assert_eq!(got, vec![0, 1, 2, 3, 4, 5]);
@@ -396,7 +396,7 @@ mod tests {
 
     #[test]
     fn schedulers_agree_on_queue_pipeline() {
-        for sched in [SchedKind::Dynamic, SchedKind::Static] {
+        for sched in [SchedKind::Sweep, SchedKind::Compiled] {
             let mut b = NetlistBuilder::new();
             let (s_spec, s_mod) = source::script(words(10));
             let src = b.add("src", s_spec, s_mod).unwrap();

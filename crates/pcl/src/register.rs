@@ -105,7 +105,7 @@ mod tests {
         let k = b.add("k", k_spec, k_mod).unwrap();
         b.connect(s, "out", r, "in").unwrap();
         b.connect(r, "out", k, "in").unwrap();
-        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
         sim.run(12).unwrap();
         let got: Vec<u64> = h.values().iter().filter_map(Value::as_word).collect();
         assert_eq!(got, vec![0, 1, 2, 3, 4, 5]);
@@ -128,7 +128,7 @@ mod tests {
             let k = b.add("k", k_spec, k_mod).unwrap();
             b.connect(s, "out", m, "in").unwrap();
             b.connect(m, "out", k, "in").unwrap();
-            let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+            let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
             sim.run(15).unwrap();
             h.values().iter().filter_map(Value::as_word).collect()
         };

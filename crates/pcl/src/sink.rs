@@ -117,7 +117,7 @@ mod tests {
         let (k_spec, k_mod) = counting(&Params::new()).unwrap();
         let k = b.add("k", k_spec, k_mod).unwrap();
         b.connect(s, "out", k, "in").unwrap();
-        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
         sim.run(5).unwrap();
         assert_eq!(sim.stats().counter(k, "received"), 2);
         assert_eq!(sim.stats().counter(k, "sum"), 7);
@@ -131,7 +131,7 @@ mod tests {
         let s = b.add("s", s_spec, s_mod).unwrap();
         let k = b.add("k", spec, module).unwrap();
         b.connect(s, "out", k, "in").unwrap();
-        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
         assert!(h.is_empty());
         sim.run(2).unwrap();
         assert_eq!(h.len(), 1);

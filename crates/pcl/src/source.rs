@@ -215,7 +215,7 @@ mod tests {
         let (k_spec, k_mod, h) = sink::collecting();
         let k = b.add("k", k_spec, k_mod).unwrap();
         b.connect(s, "out", k, "in").unwrap();
-        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
         sim.run(cycles).unwrap();
         h.values().iter().filter_map(Value::as_word).collect()
     }

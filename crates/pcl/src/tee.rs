@@ -145,7 +145,7 @@ mod tests {
         b.connect(t, "out", k, "in").unwrap();
         b.connect(t, "out", e, "in").unwrap();
         (
-            Simulator::new(b.build().unwrap(), SchedKind::Dynamic),
+            Simulator::new(b.build().unwrap(), SchedKind::Compiled),
             t,
             e,
             h,

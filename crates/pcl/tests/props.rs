@@ -61,7 +61,7 @@ proptest! {
         ).unwrap();
         b.connect(s, "out", q, "in").unwrap();
         b.connect(q, "out", k, "in").unwrap();
-        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
         sim.run(cycles).unwrap();
         let enq = sim.stats().counter(q, "enq");
         let deq = sim.stats().counter(q, "deq");
@@ -85,7 +85,7 @@ proptest! {
         let k = b.add("k", k_spec, k_mod).unwrap();
         b.connect(s, "out", q, "in").unwrap();
         b.connect(q, "out", k, "in").unwrap();
-        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Static);
+        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
         sim.run(2 * n + 10).unwrap();
         let got: Vec<u64> = h.values().iter().filter_map(Value::as_word).collect();
         prop_assert_eq!(got, (0..n).collect::<Vec<_>>());
@@ -111,7 +111,7 @@ proptest! {
         let (k_spec, k_mod, h) = sink::collecting();
         let snk = b.add("k", k_spec, k_mod).unwrap();
         b.connect(ar, "out", snk, "in").unwrap();
-        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
         sim.run(cycles).unwrap();
         // One grant per cycle, values only from real sources.
         let got = h.values();
@@ -154,7 +154,7 @@ proptest! {
             b.connect(x, "out", k, "in").unwrap();
             handles.push(h);
         }
-        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
         sim.run(64).unwrap();
         for (o, h) in handles.iter().enumerate() {
             let mut got: Vec<u64> = h.values().iter().filter_map(Value::as_word).collect();

@@ -332,7 +332,7 @@ mod tests {
         b.connect(c, "resp", k, "in").unwrap();
         b.connect(c, "mreq", m, "req").unwrap();
         b.connect(m, "resp", c, "mresp").unwrap();
-        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
         sim.run(cycles).unwrap();
         let resps = h
             .values()

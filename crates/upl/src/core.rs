@@ -344,7 +344,7 @@ mod tests {
     /// architectural state — the strongest correctness check we have.
     fn check_equivalence(prog: &Program, cfg: &CoreConfig) -> (u64, u64) {
         let prog = Arc::new(prog.clone());
-        let (mut sim, handles) = core_simulator(prog.clone(), cfg, SchedKind::Dynamic).unwrap();
+        let (mut sim, handles) = core_simulator(prog.clone(), cfg, SchedKind::Compiled).unwrap();
         let cycles = run_to_halt(&mut sim, &handles, 2_000_000).unwrap();
         assert!(handles.arch.is_halted(), "{}: did not halt", prog.name);
 
@@ -438,7 +438,7 @@ mod tests {
     fn schedulers_agree_on_core() {
         let prog = Arc::new(program::fib(12));
         let mut results = Vec::new();
-        for sched in [SchedKind::Dynamic, SchedKind::Static] {
+        for sched in [SchedKind::Sweep, SchedKind::Compiled] {
             let (mut sim, handles) =
                 core_simulator(prog.clone(), &CoreConfig::default(), sched).unwrap();
             run_to_halt(&mut sim, &handles, 1_000_000).unwrap();

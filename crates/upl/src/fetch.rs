@@ -199,7 +199,7 @@ mod tests {
         let (k_spec, k_mod, h) = sink::collecting();
         let k = b.add("k", k_spec, k_mod).unwrap();
         b.connect(f, "instr", k, "in").unwrap();
-        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
         sim.run(10).unwrap();
         let seqs: Vec<u64> = h
             .values()
@@ -220,7 +220,7 @@ mod tests {
         let (k_spec, k_mod, h) = sink::collecting();
         let k = b.add("k", k_spec, k_mod).unwrap();
         b.connect(f, "instr", k, "in").unwrap();
-        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
         sim.run(10).unwrap();
         // Only the branch is fetched; fetch waits forever for a redirect.
         assert_eq!(h.len(), 1);
@@ -238,7 +238,7 @@ mod tests {
         let (k_spec, k_mod, h) = sink::collecting();
         let k = b.add("k", k_spec, k_mod).unwrap();
         b.connect(f, "instr", k, "in").unwrap();
-        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
+        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
         sim.run(10).unwrap();
         let pcs: Vec<u64> = h
             .values()

@@ -1,7 +1,7 @@
 //! Property tests for the processor stack: on *randomly generated* LIR
 //! programs (guaranteed to terminate by construction), the structural
-//! core must retire exactly the emulator's architectural state — across
-//! schedulers and microarchitectural configurations.
+//! core must retire exactly the emulator's architectural state — under
+//! both schedulers and across microarchitectural configurations.
 
 use liberty_core::prelude::*;
 use liberty_upl::core::{core_simulator, run_to_halt, CoreConfig};
@@ -186,32 +186,108 @@ fn check(prog: &Program, cfg: &CoreConfig, sched: SchedKind) {
     );
 }
 
+/// The speculating + cached core (the config with the most machinery
+/// that could corrupt architectural state).
+fn full_config() -> CoreConfig {
+    CoreConfig {
+        fetch_q: 4,
+        iw: 4,
+        rob: 8,
+        predictor: Some(Params::new().with("kind", "gshare")),
+        cache: Some(Params::new().with("sets", 4i64).with("ways", 2i64)),
+        mem_latency: 6,
+        external_mem: false,
+    }
+}
+
+/// The two programs recorded in `props.proptest-regressions` (the
+/// vendored `proptest` does not replay that file), on both cores.
+#[test]
+fn recorded_slot_programs_match_emulator() {
+    let recorded = [
+        vec![
+            Slot::Ld {
+                rd: 222,
+                rs1: 0,
+                off: 0,
+            },
+            Slot::Br {
+                cond: 3,
+                rs1: 7,
+                rs2: 0,
+                skip: 153,
+            },
+            Slot::Br {
+                cond: 1,
+                rs1: 88,
+                rs2: 243,
+                skip: 178,
+            },
+            Slot::Li {
+                rd: 118,
+                imm: 31045,
+            },
+        ],
+        vec![
+            Slot::Li { rd: 51, imm: 5364 },
+            Slot::Ld {
+                rd: 131,
+                rs1: 0,
+                off: 16,
+            },
+            Slot::Br {
+                cond: 83,
+                rs1: 4,
+                rs2: 46,
+                skip: 151,
+            },
+            Slot::Nop,
+            Slot::St {
+                rs2: 145,
+                rs1: 81,
+                off: 141,
+            },
+            Slot::Br {
+                cond: 191,
+                rs1: 218,
+                rs2: 132,
+                skip: 122,
+            },
+            Slot::Ld {
+                rd: 38,
+                rs1: 107,
+                off: 39,
+            },
+            Slot::St {
+                rs2: 54,
+                rs1: 122,
+                off: 228,
+            },
+        ],
+    ];
+    for slots in &recorded {
+        let prog = materialize(slots);
+        check(&prog, &CoreConfig::default(), SchedKind::Compiled);
+        check(&prog, &full_config(), SchedKind::Compiled);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random programs, default core.
+    /// Random programs, default core, under the Sweep oracle.
     #[test]
     fn random_programs_match_emulator(slots in prop::collection::vec(slot_strategy(), 1..40)) {
         let prog = materialize(&slots);
-        check(&prog, &CoreConfig::default(), SchedKind::Static);
+        check(&prog, &CoreConfig::default(), SchedKind::Sweep);
     }
 
-    /// Random programs, speculating + cached core (the config with the
-    /// most machinery that could corrupt architectural state).
+    /// Random programs, full core, under the compiled engine.
     #[test]
     fn random_programs_match_emulator_full_config(
         slots in prop::collection::vec(slot_strategy(), 1..30)
     ) {
         let prog = materialize(&slots);
-        let cfg = CoreConfig {
-            fetch_q: 4,
-            iw: 4,
-            rob: 8,
-            predictor: Some(Params::new().with("kind", "gshare")),
-            cache: Some(Params::new().with("sets", 4i64).with("ways", 2i64)),
-            mem_latency: 6,
-            external_mem: false,
-        };
-        check(&prog, &cfg, SchedKind::Dynamic);
+        check(&prog, &full_config(), SchedKind::Compiled);
     }
 }

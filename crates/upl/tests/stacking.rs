@@ -47,7 +47,7 @@ fn run_hierarchy(
     let (k_spec, k_mod, h) = sink::collecting();
     let k = b.add("resp", k_spec, k_mod).unwrap();
     b.connect(cache_ids[0], "resp", k, "in").unwrap();
-    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Static);
+    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
     sim.run(cycles).unwrap();
     let resps = h
         .values()

@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         with_noc: true,
         noc_rate: 0.05,
     };
-    let (mut sim, cmp) = cmp_simulator(&cfg, opts.sched(SchedKind::Static))?;
+    let (mut sim, cmp) = cmp_simulator(&cfg, SchedKind::Compiled)?;
     println!(
         "CMP: {} cores ({} producer/consumer pairs), coherent snoop bus, on-chip mesh\n",
         cmp.cores.len(),

@@ -37,14 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let registry = full_registry();
 
     if opts.sweep_requested() {
-        let report = opts.run_lss_sweep(
-            &src,
-            &registry,
-            "main",
-            &Params::new(),
-            SchedKind::Static,
-            cycles,
-        )?;
+        let report = opts.run_lss_sweep(&src, &registry, "main", &Params::new(), cycles)?;
         if report.failed > 0 {
             return Err(format!("{} replica(s) failed", report.failed).into());
         }
@@ -55,13 +48,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         return Ok(());
     }
 
-    let (mut sim, report) = build_simulator(
-        &src,
-        &registry,
-        "main",
-        &Params::new(),
-        opts.sched(SchedKind::Static),
-    )?;
+    let (mut sim, report) =
+        build_simulator(&src, &registry, "main", &Params::new(), SchedKind::Compiled)?;
     println!(
         "{path}: constructed {} instances / {} connections from {} template kinds",
         report.leaf_instances,

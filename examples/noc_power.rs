@@ -11,7 +11,7 @@ use liberty_ccl::topology::build_grid;
 use liberty_ccl::traffic::{traffic_gen, traffic_sink, Pattern, TrafficCfg};
 use liberty_core::prelude::*;
 
-fn build(w: u32, h: u32, rate: f64, sched: SchedKind) -> Simulator {
+fn build(w: u32, h: u32, rate: f64) -> Simulator {
     let mut b = NetlistBuilder::new();
     let fabric = build_grid(&mut b, "n.", w, h, 4, 1, false).unwrap();
     for id in 0..fabric.nodes {
@@ -33,7 +33,7 @@ fn build(w: u32, h: u32, rate: f64, sched: SchedKind) -> Simulator {
         let (fo, fp) = fabric.local_out[id as usize];
         b.connect(fo, fp, k, "in").unwrap();
     }
-    Simulator::new(b.build().unwrap(), sched)
+    Simulator::new(b.build().unwrap(), SchedKind::Compiled)
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let rates = [0.01, 0.02, 0.05, 0.10, 0.15, 0.20, 0.30];
     for (ri, rate) in rates.into_iter().enumerate() {
-        let mut sim = build(w, h, rate, opts.sched(SchedKind::Static));
+        let mut sim = build(w, h, rate);
         // Observability flags watch the highest-load sweep point.
         let obs = (ri == rates.len() - 1)
             .then(|| opts.install(&mut sim))

@@ -83,7 +83,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let last = stages.len() - 1;
     for (si, (name, cfg)) in stages.into_iter().enumerate() {
-        let (mut sim, handles) = core_simulator(prog.clone(), &cfg, opts.sched(SchedKind::Static))?;
+        let (mut sim, handles) = core_simulator(prog.clone(), &cfg, SchedKind::Compiled)?;
         // Observability flags watch the most refined configuration.
         let obs = (si == last).then(|| opts.install(&mut sim)).transpose()?;
         let arch = handles.arch.clone();

@@ -69,7 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     b.connect(pci, "treq", hm, "req")?;
     b.connect(hm, "resp", pci, "tresp")?;
 
-    let mut sim = Simulator::new(b.build()?, opts.sched(SchedKind::Static));
+    let mut sim = Simulator::new(b.build()?, SchedKind::Compiled);
     let obs = opts.install(&mut sim)?;
     let n = payloads.len() as u64;
     let dev = nic.dev;

@@ -36,13 +36,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Construct the simulator (parse -> elaborate -> weave).
     let registry = full_registry();
-    let (mut sim, report) = build_simulator(
-        lss,
-        &registry,
-        "main",
-        &Params::new(),
-        opts.sched(SchedKind::Static),
-    )?;
+    let (mut sim, report) =
+        build_simulator(lss, &registry, "main", &Params::new(), SchedKind::Compiled)?;
     println!(
         "constructed: {} instances, {} connections",
         report.leaf_instances, report.edges

@@ -20,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         loss: 0.0,
         external_base: false,
     };
-    let (mut sim, net) = sensor_simulator(&cfg, opts.sched(SchedKind::Static))?;
+    let (mut sim, net) = sensor_simulator(&cfg, SchedKind::Compiled)?;
     let base = net.base.expect("base station");
     println!("{nodes} sensor nodes, one shared wireless channel, base at station 0\n");
     let obs = opts.install(&mut sim)?;

@@ -3,9 +3,9 @@
 //! state on the whole workload catalog. Speed comparison lives in the
 //! bench harness.
 //!
-//! Also cross-checks E10's scheduler claim at system scale: dynamic and
-//! static scheduling produce identical results on a full system, with the
-//! static schedule using no more handler invocations.
+//! Also cross-checks E10's scheduler claim at system scale: the naive
+//! sweep and the compiled plan produce identical results on a full
+//! system, with the compiled plan using no more handler invocations.
 
 use liberty_baseline::mono_core::{MonoConfig, MonoCore};
 use liberty_core::prelude::*;
@@ -38,7 +38,7 @@ fn e11_three_way_architectural_equivalence() {
         // Structural LSE core.
         let arc = Arc::new(prog.clone());
         let (mut sim, handles) =
-            core_simulator(arc, &CoreConfig::default(), SchedKind::Static).unwrap();
+            core_simulator(arc, &CoreConfig::default(), SchedKind::Compiled).unwrap();
         run_to_halt(&mut sim, &handles, 5_000_000).unwrap();
         assert!(
             handles.arch.is_halted(),
@@ -90,12 +90,12 @@ fn e10_schedulers_agree_on_a_full_system() {
             .sum();
         (done, retired, sim.metrics().reacts)
     };
-    let (d_done, d_ret, d_reacts) = run(SchedKind::Dynamic);
-    let (s_done, s_ret, s_reacts) = run(SchedKind::Static);
-    assert_eq!(d_done, s_done);
-    assert_eq!(d_ret, s_ret);
+    let (w_done, w_ret, w_reacts) = run(SchedKind::Sweep);
+    let (c_done, c_ret, c_reacts) = run(SchedKind::Compiled);
+    assert_eq!(w_done, c_done);
+    assert_eq!(w_ret, c_ret);
     assert!(
-        s_reacts <= d_reacts,
-        "static used more reacts: {s_reacts} > {d_reacts}"
+        c_reacts <= w_reacts,
+        "compiled used more reacts: {c_reacts} > {w_reacts}"
     );
 }

@@ -18,7 +18,7 @@ fn e2_cmp_runs_and_computes() {
         with_noc: true,
         noc_rate: 0.05,
     };
-    let (mut sim, cmp) = cmp_simulator(&cfg, SchedKind::Static).unwrap();
+    let (mut sim, cmp) = cmp_simulator(&cfg, SchedKind::Compiled).unwrap();
     let cycles = sim.run_until(60_000, |_| cmp.done()).unwrap();
     assert!(cmp.done(), "CMP did not finish in {cycles} cycles");
     sim.run(32).unwrap(); // drain
@@ -54,7 +54,7 @@ fn e2_cmp_with_tso_ordering_still_correct() {
         with_noc: false,
         noc_rate: 0.0,
     };
-    let (mut sim, cmp) = cmp_simulator(&cfg, SchedKind::Static).unwrap();
+    let (mut sim, cmp) = cmp_simulator(&cfg, SchedKind::Compiled).unwrap();
     sim.run_until(80_000, |_| cmp.done()).unwrap();
     assert!(cmp.done());
     sim.run(64).unwrap();
@@ -70,7 +70,7 @@ fn e3_sensor_network_delivers_all_samples() {
         loss: 0.0,
         external_base: false,
     };
-    let (mut sim, net) = sensor_simulator(&cfg, SchedKind::Static).unwrap();
+    let (mut sim, net) = sensor_simulator(&cfg, SchedKind::Compiled).unwrap();
     let base = net.base.expect("internal base");
     sim.run_until(60_000, |st| st.counter(base, "received") >= 3)
         .unwrap();
@@ -97,7 +97,7 @@ fn e4_grid_halo_exchange_completes() {
         halo: 16,
         compute: 24,
     };
-    let (mut sim, grid) = grid_simulator(&cfg, SchedKind::Static).unwrap();
+    let (mut sim, grid) = grid_simulator(&cfg, SchedKind::Compiled).unwrap();
     sim.run_until(20_000, |st| {
         grid.dmas
             .iter()
@@ -120,7 +120,7 @@ fn e5_system_of_systems_end_to_end() {
         mesh_w: 2,
         mesh_h: 2,
     };
-    let (mut sim, sos) = sos_simulator(&cfg, SchedKind::Static).unwrap();
+    let (mut sim, sos) = sos_simulator(&cfg, SchedKind::Compiled).unwrap();
     sim.run_until(80_000, |st| {
         st.counter(sos.camp_dma, "packets_received") >= 3
     })

@@ -61,7 +61,7 @@ fn e8_every_refinement_stage_is_a_working_simulator() {
 
     let mut cycle_counts = Vec::new();
     for (name, cfg) in stages() {
-        let (mut sim, handles) = core_simulator(prog.clone(), &cfg, SchedKind::Static).unwrap();
+        let (mut sim, handles) = core_simulator(prog.clone(), &cfg, SchedKind::Compiled).unwrap();
         let cycles = run_to_halt(&mut sim, &handles, 2_000_000).unwrap();
         assert!(handles.arch.is_halted(), "{name} did not halt");
         // Architectural equivalence at every stage.
@@ -109,13 +109,13 @@ fn e8_partial_lss_specification_grows_into_full_system() {
         }
     "#;
     let (mut sim_a, _) =
-        build_simulator(a, &reg, "main", &Params::new(), SchedKind::Dynamic).unwrap();
+        build_simulator(a, &reg, "main", &Params::new(), SchedKind::Compiled).unwrap();
     sim_a.run(20).unwrap();
     let q = sim_a.instance_by_name("q").unwrap();
     assert!(sim_a.stats().counter(q, "enq") > 0);
 
     let (mut sim_b, _) =
-        build_simulator(b_src, &reg, "main", &Params::new(), SchedKind::Dynamic).unwrap();
+        build_simulator(b_src, &reg, "main", &Params::new(), SchedKind::Compiled).unwrap();
     sim_b.run(30).unwrap();
     let dst = sim_b.instance_by_name("dst").unwrap();
     assert_eq!(sim_b.stats().counter(dst, "received"), 10);
@@ -158,7 +158,7 @@ fn e12_datapath_only_specification_works_by_default_semantics() {
         }
     "#;
     let (mut sim, _) =
-        build_simulator(src, &reg, "main", &Params::new(), SchedKind::Dynamic).unwrap();
+        build_simulator(src, &reg, "main", &Params::new(), SchedKind::Compiled).unwrap();
     sim.run(30).unwrap();
     let dst = sim.instance_by_name("dst").unwrap();
     assert_eq!(sim.stats().counter(dst, "received"), 5);
@@ -182,7 +182,7 @@ fn e1_lss_text_to_running_cmp_like_system() {
         }
     "#;
     let (mut sim, report) =
-        build_simulator(src, &reg, "main", &Params::new(), SchedKind::Static).unwrap();
+        build_simulator(src, &reg, "main", &Params::new(), SchedKind::Compiled).unwrap();
     sim.run(3000).unwrap();
     // Both cores retired instructions; the queue template is reused in
     // cores *and* routers within one netlist (E6's claim, visible here).
@@ -220,8 +220,9 @@ fn shipped_spec_files_elaborate_and_run() {
             400,
         ),
     ] {
-        let (mut sim, rep) = build_simulator(src, &reg, "main", &Params::new(), SchedKind::Static)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let (mut sim, rep) =
+            build_simulator(src, &reg, "main", &Params::new(), SchedKind::Compiled)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(rep.leaf_instances > 0, "{name}");
         sim.run(cycles).unwrap();
     }
@@ -231,7 +232,7 @@ fn shipped_spec_files_elaborate_and_run() {
         &reg,
         "main",
         &Params::new(),
-        SchedKind::Static,
+        SchedKind::Compiled,
     )
     .unwrap();
     sim.run(120).unwrap();
@@ -257,7 +258,7 @@ fn refinement_spec_variants_all_work() {
             &Params::new()
                 .with("buffered", buffered)
                 .with("fanout", fanout),
-            SchedKind::Static,
+            SchedKind::Compiled,
         )
         .unwrap();
         assert_eq!(rep.template_uses.contains_key("queue"), want_queue);
