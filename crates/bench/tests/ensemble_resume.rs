@@ -13,8 +13,8 @@
 use liberty_bench::ensemble::{child_config, LssFactory, ENSEMBLE_SPEC};
 use liberty_core::prelude::*;
 use liberty_ensemble::{
-    manifest, resume_sweep, run_sweep, Record, ReplicaFactory, ReplicaSpec, SweepConfig,
-    SweepReport, MANIFEST_FILE,
+    manifest, resume_config, resume_sweep, run_sweep, EnsembleError, ParamSweep, Record,
+    ReplicaFactory, ReplicaSpec, SweepConfig, SweepReport, MANIFEST_FILE,
 };
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -374,6 +374,179 @@ fn forced_build_panic_is_isolated_by_the_supervisor() {
     assert_one_failure_survivors_intact(&control, &chaos_dir, &r, 1, "injected build panic");
     std::fs::remove_dir_all(&control).ok();
     std::fs::remove_dir_all(&chaos_dir).ok();
+}
+
+// ---------------------------------------------------------------------
+// Untrusted manifests: damaged lines under a valid CRC, oversized grids.
+// ---------------------------------------------------------------------
+
+/// `payload` as a manifest line with its CRC recomputed.
+fn crc_line(payload: &[u8]) -> Vec<u8> {
+    let mut line = format!("{:08x}\t", liberty_core::snapshot::crc32(payload)).into_bytes();
+    line.extend_from_slice(payload);
+    line
+}
+
+#[test]
+fn damaged_manifest_lines_under_a_valid_crc_never_panic_the_loader() {
+    // A real manifest with every record type: a param sweep cut by a
+    // step budget (start, interrupted with a checkpoint path, summary),
+    // resumed until replica 1 panics (failed, with a reason) and the
+    // rest finish (done).
+    let dir = tdir("mutants");
+    let mut cfg = base_config(TOTAL, 1);
+    cfg.max_steps = Some(17);
+    let factory = HandlerPanicFactory {
+        victim: Some(1),
+        at: 24,
+    };
+    run_sweep(&dir, &cfg, &CancelToken::new(), &factory).expect("cut sweep");
+    resume_until_complete(&dir, &cfg, &factory, 6);
+    let path = dir.join(MANIFEST_FILE);
+    let text = std::fs::read(&path).expect("manifest");
+    let payloads: Vec<Vec<u8>> = text
+        .split(|&c| c == b'\n')
+        .filter(|l| !l.is_empty())
+        .map(|l| {
+            l.splitn(2, |&c| c == b'\t')
+                .nth(1)
+                .expect("crc field")
+                .to_vec()
+        })
+        .collect();
+    for kind in ["sweep", "start", "interrupted", "done", "failed", "summary"] {
+        let tag = format!("t={kind} ");
+        assert!(
+            payloads.iter().any(|p| p.starts_with(tag.as_bytes())),
+            "the fixture manifest lacks a `{kind}` record"
+        );
+    }
+
+    // Every line, truncated at each byte, with each bit flipped, and
+    // spliced onto the tail of every other line at a stride. The last
+    // line is written without its newline, as a torn append leaves it.
+    let (mut cases, mut refused, mut torn, mut panics) = (0u64, 0u64, 0u64, Vec::new());
+    for (i, p) in payloads.iter().enumerate() {
+        let mut mutants: Vec<Vec<u8>> = (0..p.len()).map(|k| p[..k].to_vec()).collect();
+        for at in 0..p.len() {
+            for bit in 0..8 {
+                let mut m = p.clone();
+                m[at] ^= 1 << bit;
+                mutants.push(m);
+            }
+        }
+        for (j, q) in payloads.iter().enumerate() {
+            if j != i {
+                for at in (0..p.len()).step_by(3) {
+                    let mut m = p[..at].to_vec();
+                    m.extend_from_slice(&q[at.min(q.len())..]);
+                    mutants.push(m);
+                }
+            }
+        }
+        let last = i + 1 == payloads.len();
+        for m in mutants {
+            let mut bytes = Vec::new();
+            for (k, other) in payloads.iter().enumerate() {
+                bytes.extend_from_slice(&crc_line(if k == i { &m } else { other }));
+                if !(last && k == i) {
+                    bytes.push(b'\n');
+                }
+            }
+            std::fs::write(&path, &bytes).expect("write mutant");
+            cases += 1;
+            let verdict = std::panic::catch_unwind(|| {
+                let loaded = manifest::load(&path).map(|l| l.torn_tail);
+                let config = resume_config(&dir).map(|c| c.checked_total());
+                (loaded, config)
+            });
+            let Ok((loaded, config)) = verdict else {
+                panics.push(format!("line {i}: {}", String::from_utf8_lossy(&m)));
+                continue;
+            };
+            // A line that does not parse is a torn tail when last and
+            // corruption anywhere else. (A flipped bit that makes a
+            // newline splits the line; only no-panic holds for those.)
+            let parses = Record::parse(&String::from_utf8_lossy(&m)).is_ok();
+            if !parses && !m.contains(&b'\n') {
+                let what = String::from_utf8_lossy(&m);
+                if last {
+                    assert!(matches!(loaded, Ok(true)), "line {i} `{what}`: {loaded:?}");
+                } else {
+                    assert!(loaded.is_err(), "line {i} `{what}` was accepted");
+                }
+            }
+            torn += u64::from(matches!(loaded, Ok(true)));
+            refused += u64::from(config.is_err());
+            if let Ok(total) = config {
+                assert!(total.is_ok(), "resume_config returned an unusable grid");
+            }
+        }
+    }
+    assert!(
+        panics.is_empty(),
+        "{} panics: {:?}",
+        panics.len(),
+        &panics[..panics.len().min(5)]
+    );
+    assert!(
+        cases > 10_000 && refused > 0 && torn > 0,
+        "{cases} cases, {refused} refused, {torn} torn"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn oversized_grids_are_refused_by_every_entry_point() {
+    let factory = HandlerPanicFactory {
+        victim: None,
+        at: 0,
+    };
+    let geometry = |e: EnsembleError| match e {
+        EnsembleError::Geometry(m) => m,
+        other => panic!("not a geometry error: {other}"),
+    };
+    // The CLI shape: both ranges overflowed `hi - lo` before.
+    for range in [
+        "n=-9223372036854775808..9223372036854775807",
+        "n=-1..9223372036854775807",
+    ] {
+        assert!(ParamSweep::parse(range).is_err(), "{range}");
+    }
+    // A config built in code.
+    let dir = tdir("oversized");
+    let mut cfg = SweepConfig::new(4);
+    cfg.seeds = u64::MAX;
+    let err = run_sweep(&dir, &cfg, &CancelToken::new(), &factory).unwrap_err();
+    assert!(geometry(err).contains("replica list"));
+    assert!(
+        !dir.join(MANIFEST_FILE).exists(),
+        "nothing written for a refused grid"
+    );
+    let err = resume_sweep(&dir, &cfg, &CancelToken::new(), &factory).unwrap_err();
+    geometry(err);
+
+    // A manifest header with a valid CRC and an impossible seed count.
+    std::fs::create_dir_all(&dir).unwrap();
+    let header = b"t=sweep v=1 total=1 seeds=18446744073709551615 base_seed=1 cycles=4 \
+                   param=- fault_rate=-";
+    let mut bytes = crc_line(header);
+    bytes.push(b'\n');
+    std::fs::write(dir.join(MANIFEST_FILE), bytes).unwrap();
+    assert!(
+        manifest::load(&dir.join(MANIFEST_FILE)).is_ok(),
+        "the header itself parses"
+    );
+    geometry(resume_config(&dir).unwrap_err());
+
+    // A header whose `total` disagrees with its own geometry.
+    let mut bytes =
+        crc_line(b"t=sweep v=1 total=5 seeds=2 base_seed=1 cycles=4 param=- fault_rate=-");
+    bytes.push(b'\n');
+    std::fs::write(dir.join(MANIFEST_FILE), bytes).unwrap();
+    let err = resume_config(&dir).unwrap_err();
+    assert!(err.to_string().contains("5 replicas"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 proptest! {

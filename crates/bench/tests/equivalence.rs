@@ -26,10 +26,25 @@ use liberty_core::prelude::*;
 use liberty_lss::build_simulator;
 use liberty_systems::full_registry;
 use liberty_systems::sensor::{sensor_simulator, SensorConfig};
+use liberty_systems::sos::{sos_simulator, SosConfig};
 use proptest::prelude::*;
 use std::io::Write;
 
 const CYCLES: u64 = 32;
+
+/// The Fig. 2(d) system of systems. It runs longer than the rest: only
+/// after ~300 steps do its streams carry nested payloads (packets
+/// holding `Words` or DMA chunks, routed packets).
+const SOS: &str = "system of systems";
+
+/// Steps each target runs (and fault plans span).
+fn cycles(name: &str) -> u64 {
+    if name == SOS {
+        300
+    } else {
+        CYCLES
+    }
+}
 
 /// Shared byte buffer implementing `Write` for in-memory JSONL capture.
 #[derive(Clone, Default)]
@@ -50,7 +65,7 @@ impl Buf {
 }
 
 /// Every shipped system: the three kernel workloads, the three runnable
-/// LSS specs, and the sensor field.
+/// LSS specs, the sensor field and the system of systems.
 fn targets() -> Vec<&'static str> {
     let mut t = WORKLOADS.to_vec();
     t.extend([
@@ -58,6 +73,7 @@ fn targets() -> Vec<&'static str> {
         "specs/dual_core_noc.lss",
         "specs/refinement.lss",
         "sensor field",
+        SOS,
     ]);
     t
 }
@@ -68,6 +84,10 @@ fn build_target(name: &str, sched: SchedKind) -> Simulator {
     } else if name == "sensor field" {
         sensor_simulator(&SensorConfig::default(), sched)
             .expect("sensor build")
+            .0
+    } else if name == SOS {
+        sos_simulator(&SosConfig::default(), sched)
+            .expect("sos build")
             .0
     } else {
         let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -92,11 +112,11 @@ fn observed_run(
     sim.set_probe(Box::new(JsonlProbe::new(buf.clone()).canonical()));
     if let Some((seed, rate)) = faults {
         let topo = sim.topology().clone();
-        sim.set_fault_plan(FaultPlan::random(seed, &topo, CYCLES, rate));
+        sim.set_fault_plan(FaultPlan::random(seed, &topo, cycles(name), rate));
         sim.set_failure_policy(FailurePolicy::Quarantine);
         sim.set_watchdog(1_000_000);
     }
-    let verdict = sim.run(CYCLES).map_err(|e| e.to_string());
+    let verdict = sim.run(cycles(name)).map_err(|e| e.to_string());
     drop(sim.take_probe()); // flush
     let transfers = sim.transfer_counts().to_vec();
     (buf.take(), verdict, sim.report(), transfers)
@@ -113,6 +133,18 @@ fn canonical_streams_are_byte_identical_across_all_schedulers() {
         assert_eq!(s0, s, "{name}: canonical stream");
         assert_eq!(t0, t, "{name}: transfer counts");
         assert_reports_agree(&r0, &r, name);
+        if name == SOS {
+            // The streams compared above do show nested payloads:
+            // packets carrying words and DMA chunks, routed packets.
+            for nested in [",1,nil.Words[", ",1,mpl.DmaChunk["] {
+                assert!(s0.contains(nested), "{name}: no `{nested}` in the stream");
+            }
+            let routed_packet = s0.split("pcl.Routed[").skip(1).any(|rest| {
+                rest.trim_start_matches(|c: char| c.is_ascii_digit())
+                    .starts_with(",ccl.Packet[")
+            });
+            assert!(routed_packet, "{name}: no routed packet in the stream");
+        }
     }
 }
 

@@ -255,6 +255,85 @@ fn corrupted_payloads_with_a_valid_checksum_fail_cleanly() {
 }
 
 #[test]
+fn truncated_and_spliced_payloads_in_a_valid_envelope_fail_cleanly() {
+    // The envelope is rebuilt around each damaged payload — length field
+    // and CRC recomputed — so the damage gets past the envelope checks
+    // to the payload decoder and `restore`: every golden payload cut at
+    // each byte, with a stretch cut out of its middle, and spliced onto
+    // the tail of another golden payload, at strides. Each must decode,
+    // restore and run three steps, or stop at a structured `SimError`.
+    if regen() {
+        return; // corpus being rewritten
+    }
+    let goldens: Vec<(&str, Vec<u8>)> = GOLDEN_SPECS
+        .iter()
+        .map(|&(stem, spec)| {
+            let good = std::fs::read(golden_path(stem)).expect("golden readable");
+            (spec, good[PAYLOAD_AT..good.len() - 4].to_vec())
+        })
+        .collect();
+    let envelope = |payload: &[u8]| {
+        let mut bytes = good_header(payload.len());
+        bytes.extend_from_slice(payload);
+        bytes.extend_from_slice(&liberty_core::snapshot::crc32(payload).to_le_bytes());
+        bytes
+    };
+    let (mut cases, mut decoded, mut panics) = (0u64, 0u64, Vec::new());
+    for (g, (spec, p)) in goldens.iter().enumerate() {
+        let stride = (p.len() / 48).max(1);
+        let mut mutants: Vec<(String, Vec<u8>)> = (0..p.len())
+            .map(|k| (format!("cut at {k}"), p[..k].to_vec()))
+            .collect();
+        for a in (0..p.len()).step_by(stride) {
+            for b in (a + 1..=p.len()).step_by(stride) {
+                let mut m = p[..a].to_vec();
+                m.extend_from_slice(&p[b..]);
+                mutants.push((format!("{a}..{b} cut out"), m));
+            }
+            for (h, (_, q)) in goldens.iter().enumerate().filter(|&(h, _)| h != g) {
+                for b in (0..q.len()).step_by(stride) {
+                    let mut m = p[..a].to_vec();
+                    m.extend_from_slice(&q[b..]);
+                    mutants.push((format!("..{a} + golden {h} {b}.."), m));
+                }
+            }
+        }
+        for (what, m) in mutants {
+            cases += 1;
+            let bytes = envelope(&m);
+            let outcome = std::panic::catch_unwind(|| {
+                let Ok(snap) = Snapshot::from_bytes(&bytes) else {
+                    return false;
+                };
+                let mut sim = build_spec(spec, GOLDEN_SCHED);
+                if sim.restore(&snap).is_ok() {
+                    let _ = sim.run(3);
+                }
+                true
+            });
+            match outcome {
+                Ok(d) => decoded += u64::from(d),
+                Err(_) => panics.push(format!("{spec}: {what}")),
+            }
+        }
+    }
+    assert!(panics.is_empty(), "{} panics: {panics:?}", panics.len());
+    assert!(cases > 10_000, "{cases} cases");
+    // A splice at offset 0 hands over another golden whole, so the
+    // decoder is reached with payloads it accepts too.
+    assert!(decoded > 0, "{decoded} of {cases} decoded");
+}
+
+/// Magic, version and payload length: a valid envelope header.
+fn good_header(payload_len: usize) -> Vec<u8> {
+    let mut h = liberty_core::snapshot::MAGIC.to_vec();
+    h.extend_from_slice(&liberty_core::snapshot::FORMAT_VERSION.to_le_bytes());
+    h.extend_from_slice(&(payload_len as u64).to_le_bytes());
+    assert_eq!(h.len(), PAYLOAD_AT);
+    h
+}
+
+#[test]
 fn missing_checkpoint_reports_the_offending_path() {
     // The Io diagnostic names the file it failed on — both structurally
     // and in the rendered message, so an operator can tell *which* of a

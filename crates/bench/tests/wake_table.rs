@@ -241,6 +241,10 @@ fn full_streams_keep_react_and_resolve_order() {
     assert_eq!(full_stream(pipeline, 300), PIPELINE_STREAM, "pipeline.lss");
 }
 
-/// (bytes, CRC32) of the streams above at the parent commit.
-const CMP4_STREAM: (usize, u32) = (12_519_701, 925_403_420);
+/// (bytes, CRC32) of the streams above. The CMP's was re-pinned when
+/// payloads began to render as `KIND[words]` instead of `Debug` text:
+/// outside the `value` fields the stream is byte-identical to the one it
+/// replaces (12 519 701 bytes, CRC 925 403 420), and its 1 415 distinct
+/// values map one-to-one onto the old renderings.
+const CMP4_STREAM: (usize, u32) = (12_023_656, 3_000_864_054);
 const PIPELINE_STREAM: (usize, u32) = (400_581, 1_139_174_709);

@@ -20,6 +20,20 @@ pub struct Packet {
     pub payload: Option<Value>,
 }
 
+/// Layout: `[id, src, dst, flits, created, payload?]`, `payload?` as
+/// [`WordSink::opt_value`].
+impl Payload for Packet {
+    const KIND: &'static str = "ccl.Packet";
+    fn encode(&self, out: &mut dyn WordSink) {
+        out.word(self.id);
+        out.word(u64::from(self.src));
+        out.word(u64::from(self.dst));
+        out.word(u64::from(self.flits));
+        out.word(self.created);
+        out.opt_value(self.payload.as_ref());
+    }
+}
+
 impl Packet {
     /// Wrap into a connection value.
     pub fn into_value(self) -> Value {

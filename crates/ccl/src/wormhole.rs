@@ -49,6 +49,27 @@ pub struct Flit {
     pub packet: Option<Packet>,
 }
 
+/// Layout: `[src, dst, pkt_id, kind, index, packet?]`. `kind` counts
+/// `Head` 0, `Body` 1, `Tail` 2, `HeadTail` 3; `packet?` is `0`, or `1`
+/// then the packet's own words inline ([`Packet`]'s layout).
+impl Payload for Flit {
+    const KIND: &'static str = "ccl.Flit";
+    fn encode(&self, out: &mut dyn WordSink) {
+        out.word(u64::from(self.src));
+        out.word(u64::from(self.dst));
+        out.word(self.pkt_id);
+        out.word(self.kind as u64);
+        out.word(u64::from(self.index));
+        match &self.packet {
+            None => out.word(0),
+            Some(p) => {
+                out.word(1);
+                p.encode(out);
+            }
+        }
+    }
+}
+
 impl Flit {
     fn from_value(v: &Value) -> Result<&Flit, SimError> {
         v.downcast_ref::<Flit>()

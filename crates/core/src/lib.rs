@@ -9,7 +9,8 @@
 //! This crate provides everything below the component libraries:
 //!
 //! * [`value::Value`] — the dynamic payload type that makes modules from
-//!   different domains connectable without prior planning;
+//!   different domains connectable without prior planning, with
+//!   [`Payload`] for the library-defined types it carries;
 //! * [`signal`] — the three-signal (data/enable/ack) connection contract
 //!   with monotonic within-time-step resolution;
 //! * [`module`] — the two-phase (`react`/`commit`) concurrent module trait
@@ -101,6 +102,8 @@ pub mod trace;
 pub mod value;
 pub mod vcd;
 
+pub use value::{Payload, WordSink};
+
 /// Convenience re-exports for module and system authors.
 pub mod prelude {
     pub use crate::compile::{CompiledPlan, PlanLevel, PlanNode};
@@ -128,6 +131,6 @@ pub mod prelude {
     };
     pub use crate::topology::{InstanceInfo, Topology};
     pub use crate::trace::{JsonlProbe, RecordingTracer, TextTracer, TraceEvent, TraceHandle};
-    pub use crate::value::Value;
+    pub use crate::value::{Payload, Value, WordSink};
     pub use crate::vcd::VcdProbe;
 }

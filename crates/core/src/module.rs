@@ -194,8 +194,9 @@ pub trait Module: Send {
     /// stateless modules, which is why partial specifications checkpoint
     /// out of the box. Stateful templates encode their fields with a
     /// [`crate::snapshot::StateWriter`]; state that cannot be serialized
-    /// (e.g. [`crate::value::Value::Opaque`] payloads with no custom
-    /// encoding) should return an error rather than save a lie.
+    /// (e.g. [`crate::value::Value::Opaque`] payloads, which encode to
+    /// words but have no decoder) should return an error rather than save
+    /// a lie.
     fn state_save(&self) -> Result<Vec<u8>, SimError> {
         Ok(Vec::new())
     }

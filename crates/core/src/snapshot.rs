@@ -125,7 +125,7 @@ fn malformed(msg: impl Into<String>) -> SimError {
 /// implementations of [`crate::module::Module::state_save`] use for
 /// their state blobs, and the snapshot envelope uses for everything
 /// else. Writing is infallible; only [`StateWriter::put_value`] can fail
-/// (opaque payloads have no generic encoding).
+/// (opaque payloads encode to words but have no decoder to restore them).
 #[derive(Default)]
 pub struct StateWriter {
     buf: Vec<u8>,
@@ -190,8 +190,9 @@ impl StateWriter {
 
     /// Append a [`Value`]. All shapes the kernel defines round-trip
     /// (`Unit`/`Bool`/`Word`/`Int`/`Float`/`Str`/`Tuple`, tuples
-    /// recursively); [`Value::Opaque`] payloads are library-defined and
-    /// have no generic encoding — a module holding opaque state must
+    /// recursively). [`Value::Opaque`] payloads encode to words
+    /// ([`crate::value::Payload`]) but have no decoder to restore them
+    /// from, so this refuses them: a module holding opaque state must
     /// encode it itself in its `state_save` (the way `pcl`'s `memarray`
     /// flattens its in-flight responses to words) or return this error.
     pub fn put_value(&mut self, v: &Value) -> Result<(), SimError> {
@@ -226,9 +227,9 @@ impl StateWriter {
             }
             Value::Opaque(o) => {
                 return Err(SimError::model(format!(
-                    "cannot checkpoint opaque value of type {} — the owning module \
+                    "cannot checkpoint opaque value of kind {} — the owning module \
                      must encode it explicitly in state_save",
-                    o.type_name()
+                    o.kind()
                 )));
             }
         }
@@ -852,9 +853,15 @@ mod tests {
     fn opaque_values_are_rejected_with_type_name() {
         #[derive(Debug, PartialEq)]
         struct Pkt(u32);
+        impl crate::value::Payload for Pkt {
+            const KIND: &'static str = "test.Pkt";
+            fn encode(&self, out: &mut dyn crate::value::WordSink) {
+                out.word(u64::from(self.0));
+            }
+        }
         let mut w = StateWriter::new();
         let err = w.put_value(&Value::wrap(Pkt(1))).unwrap_err();
-        assert!(err.to_string().contains("Pkt"), "{err}");
+        assert!(err.to_string().contains("test.Pkt"), "{err}");
     }
 
     #[test]

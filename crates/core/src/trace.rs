@@ -11,7 +11,7 @@ use crate::netlist::{EdgeId, InstanceId};
 use crate::probe::{escape_into, Interest, Probe, ResolvedBy};
 use crate::signal::Wire;
 use crate::topology::Topology;
-use crate::value::Value;
+use crate::value::{Value, WordSink};
 use parking_lot_free::Mutex;
 use std::fmt::Write as _;
 use std::io::Write;
@@ -265,7 +265,11 @@ impl Line {
                 break;
             }
         }
-        self.0.extend_from_slice(&digits[at..]);
+        // Byte by byte: most words are a digit or two, too short to pay
+        // for a `memcpy` call.
+        for &d in &digits[at..] {
+            self.0.push(d);
+        }
         self
     }
 
@@ -276,15 +280,50 @@ impl Line {
     }
 
     /// The `Display` rendering of `v` as the inside of a JSON string
-    /// literal, escaped as it is formatted.
+    /// literal. Words and payloads are written straight into the line:
+    /// a payload's kind is JSON-safe and its words are decimal, so only
+    /// the other shapes go through `fmt`, escaped as they are formatted.
     fn value(&mut self, v: &Value) -> &mut Line {
         match v {
             Value::Word(w) => self.num(*w),
+            Value::Opaque(o) => {
+                self.raw(o.kind()).raw("[");
+                o.encode_dyn(&mut Fields {
+                    line: self,
+                    first: true,
+                });
+                self.raw("]")
+            }
             other => {
                 write!(self, "{other}").expect("formatting into a buffer cannot fail");
                 self
             }
         }
+    }
+}
+
+/// A payload's fields going into a [`Line`], comma-separated.
+struct Fields<'a> {
+    line: &'a mut Line,
+    first: bool,
+}
+
+impl Fields<'_> {
+    fn sep(&mut self) -> &mut Line {
+        if !std::mem::take(&mut self.first) {
+            self.line.raw(",");
+        }
+        self.line
+    }
+}
+
+impl WordSink for Fields<'_> {
+    fn word(&mut self, w: u64) {
+        self.sep().num(w);
+    }
+
+    fn value(&mut self, v: &Value) {
+        self.sep().value(v);
     }
 }
 

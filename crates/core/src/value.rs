@@ -6,31 +6,93 @@
 //! rules out a statically typed channel payload at the kernel level, so the
 //! kernel moves [`Value`]s: a small dynamic type with the common scalar
 //! shapes plus an [`Value::Opaque`] escape hatch for library-defined payload
-//! structs (instructions, packets, coherence messages, ...).
+//! structs (instructions, packets, coherence messages, ...), each of which
+//! implements [`Payload`].
 
 use std::any::Any;
 use std::fmt;
 use std::sync::Arc;
 
-/// Payload trait for library-defined values carried through [`Value::Opaque`].
+/// Where a [`Payload`]'s encoding goes: its fields as `u64` words, in the
+/// order the payload's layout documents, with any nested [`Value`] in
+/// place.
+pub trait WordSink {
+    /// The next field, as one word.
+    fn word(&mut self, w: u64);
+
+    /// A nested value (a routed payload, a packet's cargo).
+    fn value(&mut self, v: &Value);
+
+    /// A variable-length run: its length, then each word.
+    fn words(&mut self, ws: &[u64]) {
+        self.word(ws.len() as u64);
+        for &w in ws {
+            self.word(w);
+        }
+    }
+
+    /// An optional word: `0`, or `1` then the word.
+    fn opt(&mut self, w: Option<u64>) {
+        match w {
+            None => self.word(0),
+            Some(w) => {
+                self.word(1);
+                self.word(w);
+            }
+        }
+    }
+
+    /// An optional nested value: `0`, or `1` then the value.
+    fn opt_value(&mut self, v: Option<&Value>) {
+        match v {
+            None => self.word(0),
+            Some(v) => {
+                self.word(1);
+                self.value(v);
+            }
+        }
+    }
+}
+
+/// A library-defined type carried on a wire as [`Value::Opaque`] — the
+/// only way into that variant ([`Value::wrap`], [`Value::wrap_arc`]).
 ///
-/// Implemented automatically for any `'static + Send + Sync + Debug +
-/// PartialEq` type via the blanket impl, so libraries never implement it by
-/// hand; they just call [`Value::wrap`].
-pub trait OpaqueValue: Any + Send + Sync + fmt::Debug {
+/// A payload names itself with a dotted [`Payload::KIND`] and encodes
+/// itself as words, and that is all a sink sees of it: `Display` and the
+/// JSONL stream render `KIND[w0,w1,…]` (nested values recursively), VCD
+/// fingerprints the kind and the words. The encoding must be exact — two
+/// payloads of one kind encode alike if and only if they are `==` — or
+/// the equivalence suites, which byte-compare rendered streams, go blind
+/// to a difference. Each impl documents its word layout.
+pub trait Payload: Any + Send + Sync + PartialEq {
+    /// Dotted, JSON-safe name (`[A-Za-z0-9_.]+`), unique across
+    /// libraries: `upl.Uop`, `ccl.Packet`, ...
+    const KIND: &'static str;
+
+    /// Emit the fields into `out`, in the documented layout.
+    fn encode(&self, out: &mut dyn WordSink);
+}
+
+mod sealed {
+    pub trait Sealed {}
+    impl<T: super::Payload> Sealed for T {}
+}
+
+/// The object-safe face of a [`Payload`] behind [`Value::Opaque`].
+/// Implemented for every `Payload` and nothing else.
+pub trait OpaqueValue: Any + Send + Sync + sealed::Sealed {
     /// Upcast to [`Any`] for downcasting back to the concrete type.
     fn as_any(&self) -> &dyn Any;
     /// Dynamic equality: true iff `other` is the same concrete type and
     /// compares equal.
     fn eq_dyn(&self, other: &dyn OpaqueValue) -> bool;
-    /// Name of the concrete Rust type, for diagnostics.
-    fn type_name(&self) -> &'static str;
+    /// The payload's [`Payload::KIND`].
+    fn kind(&self) -> &'static str;
+    /// The payload's [`Payload::encode`].
+    fn encode_dyn(&self, out: &mut dyn WordSink);
 }
 
-impl<T> OpaqueValue for T
-where
-    T: Any + Send + Sync + fmt::Debug + PartialEq,
-{
+impl<T: Payload> OpaqueValue for T {
     fn as_any(&self) -> &dyn Any {
         self
     }
@@ -42,9 +104,59 @@ where
             .is_some_and(|o| o == self)
     }
 
-    fn type_name(&self) -> &'static str {
-        std::any::type_name::<T>()
+    fn kind(&self) -> &'static str {
+        T::KIND
     }
+
+    fn encode_dyn(&self, out: &mut dyn WordSink) {
+        self.encode(out);
+    }
+}
+
+/// Same text as `Display`: the kind and the words.
+impl fmt::Debug for dyn OpaqueValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        render_opaque(self, f)
+    }
+}
+
+/// `KIND[w0,w1,…]`, nested values rendered by their `Display`.
+fn render_opaque(o: &dyn OpaqueValue, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    struct Fields<'a, 'b> {
+        f: &'a mut fmt::Formatter<'b>,
+        first: bool,
+        res: fmt::Result,
+    }
+    impl Fields<'_, '_> {
+        fn field(&mut self, args: fmt::Arguments<'_>) {
+            let sep = if std::mem::take(&mut self.first) {
+                ""
+            } else {
+                ","
+            };
+            if self.res.is_ok() {
+                self.res = self.f.write_str(sep).and_then(|()| self.f.write_fmt(args));
+            }
+        }
+    }
+    impl WordSink for Fields<'_, '_> {
+        fn word(&mut self, w: u64) {
+            self.field(format_args!("{w}"));
+        }
+        fn value(&mut self, v: &Value) {
+            self.field(format_args!("{v}"));
+        }
+    }
+    f.write_str(o.kind())?;
+    f.write_str("[")?;
+    let mut fields = Fields {
+        f,
+        first: true,
+        res: Ok(()),
+    };
+    o.encode_dyn(&mut fields);
+    fields.res?;
+    fields.f.write_str("]")
 }
 
 /// A dynamically typed value carried on a connection's data signal.
@@ -105,19 +217,13 @@ impl Value {
         )
     }
 
-    /// Wrap a library-defined payload type into a `Value`.
-    pub fn wrap<T>(v: T) -> Self
-    where
-        T: Any + Send + Sync + fmt::Debug + PartialEq,
-    {
+    /// Wrap a library-defined payload into a `Value`.
+    pub fn wrap<T: Payload>(v: T) -> Self {
         Value::Opaque(Arc::new(v))
     }
 
     /// Wrap an already shared payload without another allocation.
-    pub fn wrap_arc<T>(v: Arc<T>) -> Self
-    where
-        T: Any + Send + Sync + fmt::Debug + PartialEq,
-    {
+    pub fn wrap_arc<T: Payload>(v: Arc<T>) -> Self {
         Value::Opaque(v)
     }
 
@@ -191,7 +297,7 @@ impl Value {
             Value::Float(_) => "float",
             Value::Tuple(_) => "tuple",
             Value::Str(_) => "str",
-            Value::Opaque(o) => o.type_name(),
+            Value::Opaque(o) => o.kind(),
         }
     }
 }
@@ -270,7 +376,7 @@ impl fmt::Display for Value {
                 write!(f, ")")
             }
             Value::Str(s) => write!(f, "{s:?}"),
-            Value::Opaque(o) => write!(f, "{o:?}"),
+            Value::Opaque(o) => render_opaque(o.as_ref(), f),
         }
     }
 }
@@ -283,6 +389,30 @@ mod tests {
     struct Pkt {
         dst: u32,
         len: u16,
+    }
+
+    /// Layout: `[dst, len]`.
+    impl Payload for Pkt {
+        const KIND: &'static str = "test.Pkt";
+        fn encode(&self, out: &mut dyn WordSink) {
+            out.word(u64::from(self.dst));
+            out.word(u64::from(self.len));
+        }
+    }
+
+    /// A payload nesting a value: `[tag, cargo?]`.
+    #[derive(Debug, PartialEq)]
+    struct Env {
+        tag: u64,
+        cargo: Option<Value>,
+    }
+
+    impl Payload for Env {
+        const KIND: &'static str = "test.Env";
+        fn encode(&self, out: &mut dyn WordSink) {
+            out.word(self.tag);
+            out.opt_value(self.cargo.as_ref());
+        }
     }
 
     #[test]
@@ -316,6 +446,12 @@ mod tests {
     fn opaque_equality_across_types_is_false() {
         #[derive(Debug, PartialEq)]
         struct Other(u32);
+        impl Payload for Other {
+            const KIND: &'static str = "test.Other";
+            fn encode(&self, out: &mut dyn WordSink) {
+                out.word(u64::from(self.0));
+            }
+        }
         let a = Value::wrap(Pkt { dst: 1, len: 2 });
         let b = Value::wrap(Other(1));
         assert_ne!(a, b);
@@ -340,6 +476,22 @@ mod tests {
     }
 
     #[test]
+    fn opaque_display_is_kind_and_words_with_nested_values_inline() {
+        let pkt = Value::wrap(Pkt { dst: 3, len: 64 });
+        assert_eq!(pkt.to_string(), "test.Pkt[3,64]");
+        assert_eq!(format!("{pkt:?}"), "Opaque(test.Pkt[3,64])");
+        let env = |cargo| Value::wrap(Env { tag: 7, cargo });
+        assert_eq!(env(None).to_string(), "test.Env[7,0]");
+        let nested = env(Some(Value::Tuple(Arc::new(vec![pkt, Value::from("a,b")]))));
+        assert_eq!(
+            nested.to_string(),
+            "test.Env[7,1,(test.Pkt[3,64], \"a,b\")]"
+        );
+        let twice = env(Some(env(Some(Value::Word(5)))));
+        assert_eq!(twice.to_string(), "test.Env[7,1,test.Env[7,1,5]]");
+    }
+
+    #[test]
     fn from_impls() {
         assert_eq!(Value::from(3u64), Value::Word(3));
         assert_eq!(Value::from(-3i64), Value::Int(-3));
@@ -351,6 +503,6 @@ mod tests {
     fn kind_names() {
         assert_eq!(Value::Word(0).kind(), "word");
         let v = Value::wrap(Pkt { dst: 0, len: 0 });
-        assert!(v.kind().contains("Pkt"));
+        assert_eq!(v.kind(), "test.Pkt");
     }
 }

@@ -13,7 +13,8 @@
 //!   always fully resolve by the end of a step, so `x` only appears
 //!   before the first step);
 //! * `data`: the word payload when `Yes` (non-word payloads are
-//!   fingerprinted to 64 bits so distinct values stay distinguishable),
+//!   fingerprinted to 64 bits — a library payload by its kind and words —
+//!   so distinct values stay distinguishable),
 //!   all-`z` when resolved `No` — "not driven" is exactly the default
 //!   control semantics of an absent sender (paper §2.2).
 //!
@@ -32,7 +33,7 @@ use crate::netlist::EdgeId;
 use crate::probe::{Interest, Probe, ResolvedBy};
 use crate::signal::Wire;
 use crate::topology::Topology;
-use crate::value::Value;
+use crate::value::{Value, WordSink};
 use std::collections::BTreeMap;
 use std::io::Write;
 
@@ -73,15 +74,40 @@ fn data_bits(v: &Value) -> u64 {
     if let Some(w) = v.as_word() {
         return w;
     }
-    // Fingerprint non-word payloads (tuples, packets, instructions...)
-    // so distinct values render as distinct vectors: FNV-1a over the
-    // display rendering.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in v.to_string().bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    // Fingerprint non-word payloads so distinct values render as distinct
+    // vectors: FNV-1a over a payload's kind and words (nested values by
+    // their own fingerprint), over the display rendering of the rest.
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    match v {
+        Value::Opaque(o) => {
+            h.bytes(o.kind().as_bytes());
+            o.encode_dyn(&mut h);
+        }
+        other => h.bytes(other.to_string().as_bytes()),
     }
-    h
+    h.0
+}
+
+/// An FNV-1a hash under construction.
+struct Fnv(u64);
+
+impl Fnv {
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+impl WordSink for Fnv {
+    fn word(&mut self, w: u64) {
+        self.bytes(&w.to_le_bytes());
+    }
+
+    fn value(&mut self, v: &Value) {
+        self.word(data_bits(v));
+    }
 }
 
 /// Compact printable VCD identifier for var number `n` (base-94 over

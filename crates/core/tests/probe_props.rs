@@ -305,11 +305,20 @@ fn ref_escape(s: &str) -> String {
     out
 }
 
-/// An opaque payload whose `Debug` text carries arbitrary characters.
+/// An opaque payload nesting a string of arbitrary characters.
 #[derive(Debug, PartialEq)]
 struct Pkt {
     tag: String,
     len: u32,
+}
+
+/// Layout: `[tag as a nested string, len]`.
+impl Payload for Pkt {
+    const KIND: &'static str = "test.Pkt";
+    fn encode(&self, out: &mut dyn WordSink) {
+        out.value(&Value::from(self.tag.as_str()));
+        out.word(u64::from(self.len));
+    }
 }
 
 /// Names and payload text: quotes, backslashes, control characters,

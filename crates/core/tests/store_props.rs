@@ -194,6 +194,13 @@ impl PartialEq for Tracked {
         Arc::ptr_eq(&self.0, &other.0)
     }
 }
+/// Layout: `[address of the counter]`, the identity `==` compares.
+impl Payload for Tracked {
+    const KIND: &'static str = "test.Tracked";
+    fn encode(&self, out: &mut dyn WordSink) {
+        out.word(Arc::as_ptr(&self.0) as u64);
+    }
+}
 impl Drop for Tracked {
     fn drop(&mut self) {
         self.0.fetch_add(1, Ordering::Relaxed);

@@ -51,6 +51,8 @@ pub enum EnsembleError {
     /// The manifest is unusable (corrupt mid-file line, version or
     /// geometry mismatch) or the harness itself misbehaved.
     Manifest(String),
+    /// The grid is larger than the replica list can hold.
+    Geometry(String),
 }
 
 impl std::fmt::Display for EnsembleError {
@@ -58,6 +60,7 @@ impl std::fmt::Display for EnsembleError {
         match self {
             EnsembleError::Io(e) => write!(f, "sweep i/o error: {e}"),
             EnsembleError::Manifest(m) => write!(f, "sweep manifest error: {m}"),
+            EnsembleError::Geometry(m) => write!(f, "sweep geometry error: {m}"),
         }
     }
 }

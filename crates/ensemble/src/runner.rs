@@ -416,6 +416,7 @@ pub fn run_sweep<F: ReplicaFactory>(
     cancel: &CancelToken,
     factory: &F,
 ) -> Result<SweepReport, EnsembleError> {
+    config.checked_total()?;
     std::fs::create_dir_all(dir)?;
     let header = SweepHeader::of(config);
     let writer = ManifestWriter::create(&dir.join(MANIFEST_FILE), &header)?;
@@ -440,6 +441,7 @@ pub fn resume_sweep<F: ReplicaFactory>(
     cancel: &CancelToken,
     factory: &F,
 ) -> Result<SweepReport, EnsembleError> {
+    config.checked_total()?;
     let path = dir.join(MANIFEST_FILE);
     let loaded = manifest::load(&path)?;
     loaded.header.matches(config)?;
@@ -461,7 +463,9 @@ pub fn resume_sweep<F: ReplicaFactory>(
 
 /// Load the manifest header from a sweep directory and rebuild a
 /// geometry-matching [`SweepConfig`] (execution knobs at their
-/// defaults — set threads/budgets on the result freely).
+/// defaults — set threads/budgets on the result freely). A header whose
+/// grid the replica list cannot hold, or whose `total` disagrees with
+/// its own parameter range and seeds, is an error.
 pub fn resume_config(dir: &Path) -> Result<SweepConfig, EnsembleError> {
     let loaded = manifest::load(&dir.join(MANIFEST_FILE))?;
     let h = loaded.header;
@@ -470,6 +474,13 @@ pub fn resume_config(dir: &Path) -> Result<SweepConfig, EnsembleError> {
     config.seeds = h.seeds;
     config.base_seed = h.base_seed;
     config.fault_rate = h.fault_rate;
+    let total = config.checked_total()?;
+    if total != h.total {
+        return Err(EnsembleError::Manifest(format!(
+            "manifest header says {} replicas, its geometry makes {total}",
+            h.total
+        )));
+    }
     Ok(config)
 }
 

@@ -7,8 +7,14 @@
 //! records the config's geometry, and a resuming invocation regenerates
 //! the identical grid before deciding which replicas still need work.
 
+use crate::EnsembleError;
 use liberty_core::prelude::{FailurePolicy, Params, RetryPolicy};
 use std::time::Duration;
+
+/// The most replicas a grid may have: as many as a `Vec<ReplicaSpec>`
+/// can hold. A larger geometry is refused with an error, never counted
+/// with overflowing arithmetic.
+pub const MAX_REPLICAS: usize = isize::MAX as usize / std::mem::size_of::<ReplicaSpec>();
 
 /// Deterministic per-replica seed derivation: the splitmix64 output
 /// function over `base + (index + 1) * golden-ratio`. Replica seeds are
@@ -55,11 +61,18 @@ impl ParamSweep {
         if lo > hi {
             return Err(format!("sweep range {lo}..{hi} is empty (lo > hi)"));
         }
-        Ok(ParamSweep {
+        let sweep = ParamSweep {
             key: key.to_owned(),
             lo,
             hi,
-        })
+        };
+        if sweep.len() > MAX_REPLICAS {
+            return Err(format!(
+                "sweep range {lo}..{hi} has more points than a replica list can hold \
+                 ({MAX_REPLICAS})"
+            ));
+        }
+        Ok(sweep)
     }
 
     /// The swept values, low to high.
@@ -67,9 +80,11 @@ impl ParamSweep {
         self.lo..=self.hi
     }
 
-    /// Number of parameter points.
+    /// Number of parameter points, saturating at `usize::MAX` (a parsed
+    /// sweep has at most [`MAX_REPLICAS`]).
     pub fn len(&self) -> usize {
-        (self.hi - self.lo) as usize + 1
+        let points = (i128::from(self.hi) - i128::from(self.lo) + 1).max(0);
+        usize::try_from(points).unwrap_or(usize::MAX)
     }
 
     /// Never true — a parsed sweep has at least one point.
@@ -180,21 +195,44 @@ impl SweepConfig {
         }
     }
 
-    /// Total replicas in the grid.
-    pub fn total(&self) -> usize {
+    /// Total replicas in the grid, or why the replica list cannot hold
+    /// it (more than [`MAX_REPLICAS`]). [`crate::run_sweep`] and
+    /// [`crate::resume_sweep`] check this before they build the grid.
+    pub fn checked_total(&self) -> Result<usize, EnsembleError> {
         let points = self.sweep.as_ref().map_or(1, |s| s.len());
-        points * self.seeds.max(1) as usize
+        usize::try_from(self.seeds.max(1))
+            .ok()
+            .and_then(|seeds| points.checked_mul(seeds))
+            .filter(|&total| total <= MAX_REPLICAS)
+            .ok_or_else(|| {
+                EnsembleError::Geometry(format!(
+                    "{} points x {} seeds is more replicas than a replica list can hold \
+                     ({MAX_REPLICAS})",
+                    points,
+                    self.seeds.max(1)
+                ))
+            })
+    }
+
+    /// Total replicas in the grid, saturating at `usize::MAX` for a grid
+    /// [`SweepConfig::checked_total`] refuses.
+    pub fn total(&self) -> usize {
+        self.checked_total().unwrap_or(usize::MAX)
     }
 
     /// The full replica grid, parameter-major then seed, with derived
     /// per-replica seeds.
+    ///
+    /// # Panics
+    /// On a grid [`SweepConfig::checked_total`] refuses.
     pub fn replicas(&self) -> Vec<ReplicaSpec> {
+        let total = self.checked_total().unwrap_or_else(|e| panic!("{e}"));
         let seeds = self.seeds.max(1);
         let points: Vec<Option<(String, i64)>> = match &self.sweep {
             Some(s) => s.values().map(|v| Some((s.key.clone(), v))).collect(),
             None => vec![None],
         };
-        let mut out = Vec::with_capacity(points.len() * seeds as usize);
+        let mut out = Vec::with_capacity(total);
         for param in points {
             for _ in 0..seeds {
                 let index = out.len();
@@ -243,6 +281,42 @@ mod tests {
         assert_eq!(grid, again);
         let seeds: std::collections::BTreeSet<u64> = grid.iter().map(|r| r.seed).collect();
         assert_eq!(seeds.len(), 4, "derived seeds collide");
+    }
+
+    #[test]
+    fn oversized_geometry_is_an_error_not_an_overflow() {
+        for range in [
+            "n=-9223372036854775808..9223372036854775807",
+            "n=-1..9223372036854775807",
+        ] {
+            let err = ParamSweep::parse(range).unwrap_err();
+            assert!(err.contains("more points than a replica list"), "{err}");
+        }
+        let wide = ParamSweep {
+            key: "n".into(),
+            lo: i64::MIN,
+            hi: i64::MAX,
+        };
+        assert_eq!(wide.len(), usize::MAX);
+        let mut cfg = SweepConfig::new(1);
+        cfg.sweep = Some(wide);
+        assert!(matches!(
+            cfg.checked_total(),
+            Err(EnsembleError::Geometry(_))
+        ));
+        assert_eq!(cfg.total(), usize::MAX);
+
+        let mut cfg = SweepConfig::new(1);
+        cfg.seeds = u64::MAX;
+        assert!(matches!(
+            cfg.checked_total(),
+            Err(EnsembleError::Geometry(_))
+        ));
+        cfg.sweep = Some(ParamSweep::parse("n=1..2").unwrap());
+        cfg.seeds = u64::MAX / 2 + 1;
+        assert!(cfg.checked_total().is_err(), "2 x 2^63 overflows");
+        cfg.seeds = 3;
+        assert_eq!(cfg.checked_total().unwrap(), 6);
     }
 
     #[test]

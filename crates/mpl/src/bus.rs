@@ -38,6 +38,18 @@ pub struct BusMsg {
     pub tag: u64,
 }
 
+/// Layout: `[write, addr, data, src, tag]`.
+impl Payload for BusMsg {
+    const KIND: &'static str = "mpl.BusMsg";
+    fn encode(&self, out: &mut dyn WordSink) {
+        out.word(u64::from(self.write));
+        out.word(self.addr);
+        out.word(self.data);
+        out.word(u64::from(self.src));
+        out.word(self.tag);
+    }
+}
+
 /// Shared, observable backing memory.
 pub type SharedMem = Arc<Mutex<Vec<u64>>>;
 

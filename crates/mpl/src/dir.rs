@@ -79,6 +79,28 @@ pub enum CoherenceMsg {
     },
 }
 
+/// Layout: the variant, then its fields in declaration order — `GetS`
+/// `[0, addr, tag]`, `Data` `[1, addr, value, tag]`, `Write`
+/// `[2, addr, data, tag]`, `WriteAck` `[3, tag]`, `Inv` `[4, addr]`,
+/// `InvAck` `[5, addr]`.
+impl Payload for CoherenceMsg {
+    const KIND: &'static str = "mpl.CoherenceMsg";
+    fn encode(&self, out: &mut dyn WordSink) {
+        let (variant, fields): (u64, &[u64]) = match *self {
+            CoherenceMsg::GetS { addr, tag } => (0, &[addr, tag]),
+            CoherenceMsg::Data { addr, value, tag } => (1, &[addr, value, tag]),
+            CoherenceMsg::Write { addr, data, tag } => (2, &[addr, data, tag]),
+            CoherenceMsg::WriteAck { tag } => (3, &[tag]),
+            CoherenceMsg::Inv { addr } => (4, &[addr]),
+            CoherenceMsg::InvAck { addr } => (5, &[addr]),
+        };
+        out.word(variant);
+        for &w in fields {
+            out.word(w);
+        }
+    }
+}
+
 fn coherence_packet(src: u32, dst: u32, msg: CoherenceMsg, id: u64) -> Value {
     Packet {
         id,

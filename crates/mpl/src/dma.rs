@@ -53,6 +53,18 @@ impl DmaCmd {
     }
 }
 
+/// Layout: `[src_addr, len, dst_node, dst_addr, tag]`.
+impl Payload for DmaCmd {
+    const KIND: &'static str = "mpl.DmaCmd";
+    fn encode(&self, out: &mut dyn WordSink) {
+        out.word(self.src_addr);
+        out.word(self.len);
+        out.word(u64::from(self.dst_node));
+        out.word(self.dst_addr);
+        out.word(self.tag);
+    }
+}
+
 /// The payload of one DMA packet.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DmaChunk {
@@ -60,6 +72,15 @@ pub struct DmaChunk {
     pub dst_addr: u64,
     /// The moved words.
     pub words: Vec<u64>,
+}
+
+/// Layout: `[dst_addr, n, words…]`, the words as [`WordSink::words`].
+impl Payload for DmaChunk {
+    const KIND: &'static str = "mpl.DmaChunk";
+    fn encode(&self, out: &mut dyn WordSink) {
+        out.word(self.dst_addr);
+        out.words(&self.words);
+    }
 }
 
 enum SendState {

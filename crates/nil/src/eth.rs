@@ -35,6 +35,20 @@ pub struct EthFrame {
     pub payload: Option<Value>,
 }
 
+/// Layout: `[src, dst, len_bytes, id, created, payload?]`, `payload?`
+/// as [`WordSink::opt_value`].
+impl Payload for EthFrame {
+    const KIND: &'static str = "nil.EthFrame";
+    fn encode(&self, out: &mut dyn WordSink) {
+        out.word(self.src);
+        out.word(self.dst);
+        out.word(u64::from(self.len_bytes));
+        out.word(self.id);
+        out.word(self.created);
+        out.opt_value(self.payload.as_ref());
+    }
+}
+
 impl EthFrame {
     /// Wrap into a connection value.
     pub fn into_value(self) -> Value {

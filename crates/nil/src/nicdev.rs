@@ -48,6 +48,14 @@ const P_PCI_RESP: PortId = PortId(7);
 #[derive(Clone, Debug, PartialEq)]
 pub struct Words(pub Vec<u64>);
 
+/// Layout: `[n, words…]`, as [`WordSink::words`].
+impl Payload for Words {
+    const KIND: &'static str = "nil.Words";
+    fn encode(&self, out: &mut dyn WordSink) {
+        out.words(&self.0);
+    }
+}
+
 #[derive(Clone, Copy, Debug)]
 struct RxDesc {
     addr: u64,

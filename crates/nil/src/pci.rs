@@ -36,6 +36,19 @@ pub struct PciTxn {
     pub tag: u64,
 }
 
+/// Layout: `[write, addr, read_len, tag, n, data…]`, the data as
+/// [`WordSink::words`].
+impl Payload for PciTxn {
+    const KIND: &'static str = "nil.PciTxn";
+    fn encode(&self, out: &mut dyn WordSink) {
+        out.word(u64::from(self.write));
+        out.word(self.addr);
+        out.word(u64::from(self.read_len));
+        out.word(self.tag);
+        out.words(&self.data);
+    }
+}
+
 impl PciTxn {
     /// A burst read transaction value.
     pub fn read(addr: u64, len: u32, tag: u64) -> Value {
@@ -76,6 +89,15 @@ pub struct PciResp {
     pub tag: u64,
     /// Read data (empty for writes).
     pub data: Vec<u64>,
+}
+
+/// Layout: `[tag, n, data…]`, the data as [`WordSink::words`].
+impl Payload for PciResp {
+    const KIND: &'static str = "nil.PciResp";
+    fn encode(&self, out: &mut dyn WordSink) {
+        out.word(self.tag);
+        out.words(&self.data);
+    }
 }
 
 struct InFlight {

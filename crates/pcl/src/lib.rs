@@ -57,6 +57,15 @@ impl Routed {
     }
 }
 
+/// Layout: `[dst, payload]`, the payload a nested value.
+impl Payload for Routed {
+    const KIND: &'static str = "pcl.Routed";
+    fn encode(&self, out: &mut dyn WordSink) {
+        out.word(u64::from(self.dst));
+        out.value(&self.payload);
+    }
+}
+
 /// Register every PCL template with a registry under the "pcl" library tag.
 pub fn register_all(reg: &mut Registry) {
     queue::register(reg);

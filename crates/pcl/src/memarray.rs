@@ -57,6 +57,17 @@ impl MemReq {
     }
 }
 
+/// Layout: `[write, addr, data, tag]`.
+impl Payload for MemReq {
+    const KIND: &'static str = "pcl.MemReq";
+    fn encode(&self, out: &mut dyn WordSink) {
+        out.word(u64::from(self.write));
+        out.word(self.addr);
+        out.word(self.data);
+        out.word(self.tag);
+    }
+}
+
 /// A memory response.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MemResp {
@@ -66,13 +77,22 @@ pub struct MemResp {
     pub data: u64,
 }
 
+/// Layout: `[tag, data]`.
+impl Payload for MemResp {
+    const KIND: &'static str = "pcl.MemResp";
+    fn encode(&self, out: &mut dyn WordSink) {
+        out.word(self.tag);
+        out.word(self.data);
+    }
+}
+
 /// Shared observable storage for [`mem_array_shared`].
 pub type SharedMem = std::sync::Arc<parking_lot::Mutex<Vec<u64>>>;
 
-// `MemResp` rides the wires as `Value::Opaque`, which has no generic
-// encoding — so the array's checkpoint codec flattens each pending
-// response to `(ready_at, tag, data)` words by hand. Both array flavours
-// share the one codec.
+// `MemResp` rides the wires as `Value::Opaque`, whose payloads encode to
+// words but have no decoder — so the array's checkpoint codec flattens
+// each pending response to `(ready_at, tag, data)` words by hand. Both
+// array flavours share the one codec.
 fn save_mem_state(
     words: &[u64],
     pending: &[VecDeque<(u64, MemResp)>],

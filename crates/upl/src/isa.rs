@@ -255,6 +255,36 @@ impl Instr {
     pub fn is_mem(&self) -> bool {
         matches!(self, Instr::Ld { .. } | Instr::St { .. })
     }
+
+    /// The instruction as two words, the layout payloads embed it with.
+    /// Word 0 packs a byte each, low to high: the variant (`Alu` 0,
+    /// `AluI` 1, `Li` 2, `Ld` 3, `St` 4, `Br` 5, `Jal` 6, `Jalr` 7,
+    /// `Halt` 8, `Nop` 9), the [`AluOp::code`] or branch condition
+    /// (`beq` 0, `bne` 1, `blt` 2, `bge` 3), `rd`, `rs1`, `rs2`. Word 1 is
+    /// the immediate, offset (two's complement) or target. Absent fields
+    /// are 0, so equal instructions and equal words coincide.
+    pub fn words(&self) -> [u64; 2] {
+        let pack = |tag: u64, op: u64, rd: u8, rs1: u8, rs2: u8| {
+            tag | op << 8 | u64::from(rd) << 16 | u64::from(rs1) << 24 | u64::from(rs2) << 32
+        };
+        match *self {
+            Instr::Alu { op, rd, rs1, rs2 } => [pack(0, op.code(), rd, rs1, rs2), 0],
+            Instr::AluI { op, rd, rs1, imm } => [pack(1, op.code(), rd, rs1, 0), imm as u64],
+            Instr::Li { rd, imm } => [pack(2, 0, rd, 0, 0), imm as u64],
+            Instr::Ld { rd, rs1, off } => [pack(3, 0, rd, rs1, 0), off as u64],
+            Instr::St { rs2, rs1, off } => [pack(4, 0, 0, rs1, rs2), off as u64],
+            Instr::Br {
+                cond,
+                rs1,
+                rs2,
+                target,
+            } => [pack(5, cond as u64, 0, rs1, rs2), target],
+            Instr::Jal { rd, target } => [pack(6, 0, rd, 0, 0), target],
+            Instr::Jalr { rd, rs1, off } => [pack(7, 0, rd, rs1, 0), off as u64],
+            Instr::Halt => [pack(8, 0, 0, 0, 0), 0],
+            Instr::Nop => [pack(9, 0, 0, 0, 0), 0],
+        }
+    }
 }
 
 /// An assembled program: instruction memory plus data-memory size.

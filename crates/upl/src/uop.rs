@@ -3,8 +3,10 @@
 //! Everything is carried as [`liberty_core::value::Value`] opaques, so the
 //! PCL queues buffering these payloads stay completely payload-agnostic —
 //! the composability property the paper's component contract provides.
+//! Each type is a [`Payload`] whose word layout its impl documents.
 
 use crate::isa::Instr;
+use liberty_core::{Payload, WordSink};
 
 /// Sentinel `pred_next` meaning "no prediction: fetch has stalled and the
 /// execute stage must send a redirect with the actual next pc".
@@ -107,4 +109,93 @@ pub struct Prediction {
     pub taken: bool,
     /// Predicted target when taken (from the BTB).
     pub target: Option<u64>,
+}
+
+/// Layout: `[seq, epoch, pc, instr.0, instr.1, pred_next]`, the
+/// instruction as [`Instr::words`].
+impl Payload for Fetched {
+    const KIND: &'static str = "upl.Fetched";
+    fn encode(&self, out: &mut dyn WordSink) {
+        let [i0, i1] = self.instr.words();
+        for w in [self.seq, self.epoch, self.pc, i0, i1, self.pred_next] {
+            out.word(w);
+        }
+    }
+}
+
+/// Layout: `[seq, epoch, pc, instr.0, instr.1, a, b, pred_next]`, the
+/// instruction as [`Instr::words`].
+impl Payload for Uop {
+    const KIND: &'static str = "upl.Uop";
+    fn encode(&self, out: &mut dyn WordSink) {
+        let [i0, i1] = self.instr.words();
+        for w in [
+            self.seq,
+            self.epoch,
+            self.pc,
+            i0,
+            i1,
+            self.a,
+            self.b,
+            self.pred_next,
+        ] {
+            out.word(w);
+        }
+    }
+}
+
+/// Layout: `[seq, epoch, dest?, value, halt]`, `dest?` as
+/// [`WordSink::opt`].
+impl Payload for ExecResult {
+    const KIND: &'static str = "upl.ExecResult";
+    fn encode(&self, out: &mut dyn WordSink) {
+        out.word(self.seq);
+        out.word(self.epoch);
+        out.opt(self.dest.map(u64::from));
+        out.word(self.value);
+        out.word(u64::from(self.halt));
+    }
+}
+
+/// Layout: `[seq, epoch, write, addr, data, dest?]`, `dest?` as
+/// [`WordSink::opt`].
+impl Payload for MemUop {
+    const KIND: &'static str = "upl.MemUop";
+    fn encode(&self, out: &mut dyn WordSink) {
+        out.word(self.seq);
+        out.word(self.epoch);
+        out.word(u64::from(self.write));
+        out.word(self.addr);
+        out.word(self.data);
+        out.opt(self.dest.map(u64::from));
+    }
+}
+
+/// Layout: `[epoch, next_pc, from_seq]`.
+impl Payload for Redirect {
+    const KIND: &'static str = "upl.Redirect";
+    fn encode(&self, out: &mut dyn WordSink) {
+        out.word(self.epoch);
+        out.word(self.next_pc);
+        out.word(self.from_seq);
+    }
+}
+
+/// Layout: `[pc, taken, target]`.
+impl Payload for BrUpdate {
+    const KIND: &'static str = "upl.BrUpdate";
+    fn encode(&self, out: &mut dyn WordSink) {
+        out.word(self.pc);
+        out.word(u64::from(self.taken));
+        out.word(self.target);
+    }
+}
+
+/// Layout: `[taken, target?]`, `target?` as [`WordSink::opt`].
+impl Payload for Prediction {
+    const KIND: &'static str = "upl.Prediction";
+    fn encode(&self, out: &mut dyn WordSink) {
+        out.word(u64::from(self.taken));
+        out.opt(self.target);
+    }
 }
