@@ -1,6 +1,7 @@
 //! Allocation discipline of the kernel hot path: a steady-state run
 //! moving *scalar* values must not touch the heap at all. And of set-up:
-//! LSS text to first step stays within a per-leaf allocation budget.
+//! LSS text to first step stays within a per-leaf allocation budget,
+//! phase by phase.
 //!
 //! `Value`'s hand-written `Clone` copies the scalar variants (`Unit`,
 //! `Bool`, `Word`, `Int`, `Float`) without `Arc` refcount traffic or
@@ -209,8 +210,18 @@ fn front_spec(clusters: usize, rows: usize, chains: usize) -> String {
     s
 }
 
+/// Per-leaf allocation budgets of set-up: parsing, elaborating, and the
+/// whole way from LSS text to the first step. Parsing interns each
+/// identifier into one buffer; elaborating allocates a leaf its flat name,
+/// its module and what the module's constructor keeps (a queue's buffer),
+/// and an `instance` statement its parameters; the first step's share is
+/// the kernels' materialization.
+const PARSE_BUDGET: f64 = 1.0;
+const ELABORATE_BUDGET: f64 = 4.0;
+const TOTAL_BUDGET: f64 = 8.0;
+
 #[test]
-fn set_up_stays_within_24_allocations_a_leaf() {
+fn set_up_stays_within_its_per_phase_allocation_budget() {
     // Three quarters of the leaves flat, one quarter hierarchical, as in
     // the benchmark's 40 000-leaf input.
     let text = front_spec(1, 40, 200);
@@ -236,10 +247,13 @@ fn set_up_stays_within_24_allocations_a_leaf() {
     sim.step().unwrap();
     lap("first step");
     assert_eq!(report.leaf_instances, 1600);
-    let total: u64 = phases.iter().map(|p| p.1).sum();
-    let per_leaf = total as f64 / report.leaf_instances as f64;
+    let per_leaf = |n: u64| n as f64 / report.leaf_instances as f64;
+    let total = per_leaf(phases.iter().map(|p| p.1).sum());
+    let (parse, elaborate) = (per_leaf(phases[0].1), per_leaf(phases[1].1));
     assert!(
-        per_leaf <= 24.0,
-        "{per_leaf:.1} allocations a leaf (budget 24): {phases:?}"
+        parse <= PARSE_BUDGET && elaborate <= ELABORATE_BUDGET && total <= TOTAL_BUDGET,
+        "allocations a leaf: parse {parse:.2} (budget {PARSE_BUDGET}), elaborate \
+         {elaborate:.2} (budget {ELABORATE_BUDGET}), total {total:.2} (budget \
+         {TOTAL_BUDGET}): {phases:?}"
     );
 }

@@ -159,15 +159,15 @@ impl Module for RouteCompute {
     }
 }
 
+const ROUTE_COMPUTE_SPEC: ModuleSpec = ModuleSpec::fixed(
+    "route_compute",
+    &[PortSpec::input("in", 0, 1), PortSpec::output("out", 1, 1)],
+)
+.with_ack_in_react();
+
 /// Construct a route-compute stage for a routing kind.
 pub fn route_compute(kind: RouteKind) -> Instantiated {
-    (
-        ModuleSpec::new("route_compute")
-            .input("in", 0, 1)
-            .output("out", 1, 1)
-            .with_ack_in_react(),
-        Box::new(RouteCompute { kind }),
-    )
+    (ROUTE_COMPUTE_SPEC, Box::new(RouteCompute { kind }))
 }
 
 #[cfg(test)]

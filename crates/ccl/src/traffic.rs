@@ -189,11 +189,14 @@ impl Module for TrafficGen {
     }
 }
 
+const TRAFFIC_GEN_SPEC: ModuleSpec =
+    ModuleSpec::fixed("traffic_gen", &[PortSpec::output("out", 0, 1)]);
+
 /// Construct a traffic generator.
 pub fn traffic_gen(cfg: TrafficCfg) -> Instantiated {
     let rng = StdRng::seed_from_u64(cfg.seed ^ (u64::from(cfg.my) << 32) ^ 0x9E37_79B9);
     (
-        ModuleSpec::new("traffic_gen").output("out", 0, 1),
+        TRAFFIC_GEN_SPEC,
         Box::new(TrafficGen {
             cfg,
             rng,
@@ -241,13 +244,13 @@ impl Module for TrafficSink {
     }
 }
 
+const TRAFFIC_SINK_SPEC: ModuleSpec =
+    ModuleSpec::fixed("traffic_sink", &[PortSpec::input("in", 0, u32::MAX)]);
+
 /// Construct a traffic sink; when `expect_dst` is set, a misrouted packet
 /// is a model error (used to prove routing correctness in every run).
 pub fn traffic_sink(expect_dst: Option<u32>) -> Instantiated {
-    (
-        ModuleSpec::new("traffic_sink").input("in", 0, u32::MAX),
-        Box::new(TrafficSink { expect_dst }),
-    )
+    (TRAFFIC_SINK_SPEC, Box::new(TrafficSink { expect_dst }))
 }
 
 #[cfg(test)]

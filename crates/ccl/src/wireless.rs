@@ -124,16 +124,22 @@ impl Module for Wireless {
     }
 }
 
+const WIRELESS_SPEC: ModuleSpec = ModuleSpec::fixed(
+    "wireless",
+    &[
+        PortSpec::input("tx", 0, u32::MAX),
+        PortSpec::output("rx", 0, u32::MAX),
+    ],
+)
+.with_ack_in_react();
+
 /// Construct a wireless channel. Parameters: `loss` (probability a lone
 /// transmission is lost, default 0), `seed`.
 pub fn wireless(params: &Params) -> Result<Instantiated, SimError> {
     let loss = params.float_or("loss", 0.0)?.clamp(0.0, 1.0);
     let seed = params.int_or("seed", 11)? as u64;
     Ok((
-        ModuleSpec::new("wireless")
-            .input("tx", 0, u32::MAX)
-            .output("rx", 0, u32::MAX)
-            .with_ack_in_react(),
+        WIRELESS_SPEC,
         Box::new(Wireless {
             loss,
             rng: StdRng::seed_from_u64(seed),

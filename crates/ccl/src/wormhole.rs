@@ -140,14 +140,14 @@ impl Module for Packetizer {
     }
 }
 
+const PACKETIZER_SPEC: ModuleSpec = ModuleSpec::fixed(
+    "packetizer",
+    &[PortSpec::input("in", 1, 1), PortSpec::output("out", 1, 1)],
+);
+
 /// Segment packets into flit streams.
 pub fn packetizer() -> Instantiated {
-    (
-        ModuleSpec::new("packetizer")
-            .input("in", 1, 1)
-            .output("out", 1, 1),
-        Box::new(Packetizer { current: None }),
-    )
+    (PACKETIZER_SPEC, Box::new(Packetizer { current: None }))
 }
 
 struct Depacketizer {
@@ -227,12 +227,15 @@ impl Module for Depacketizer {
     }
 }
 
+const DEPACKETIZER_SPEC: ModuleSpec = ModuleSpec::fixed(
+    "depacketizer",
+    &[PortSpec::input("in", 1, 1), PortSpec::output("out", 1, 1)],
+);
+
 /// Reassemble flit streams into packets (verifying flit accounting).
 pub fn depacketizer() -> Instantiated {
     (
-        ModuleSpec::new("depacketizer")
-            .input("in", 1, 1)
-            .output("out", 1, 1),
+        DEPACKETIZER_SPEC,
         Box::new(Depacketizer {
             in_progress: 0,
             expected: None,
@@ -394,15 +397,21 @@ impl Module for WormholeSwitch {
     }
 }
 
+const WORMHOLE_SWITCH_SPEC: ModuleSpec = ModuleSpec::fixed(
+    "wormhole_switch",
+    &[
+        PortSpec::input("in", 0, u32::MAX),
+        PortSpec::output("out", 0, u32::MAX),
+    ],
+)
+.with_ack_in_react();
+
 /// Construct a wormhole switch for a routing kind (ports sized to the
 /// topology's port count).
 pub fn wormhole_switch(kind: RouteKind) -> Instantiated {
     let ports = kind.ports();
     (
-        ModuleSpec::new("wormhole_switch")
-            .input("in", 0, u32::MAX)
-            .output("out", 0, u32::MAX)
-            .with_ack_in_react(),
+        WORMHOLE_SWITCH_SPEC,
         Box::new(WormholeSwitch {
             kind,
             in_route: vec![None; ports],

@@ -2783,7 +2783,7 @@ mod tests {
     fn island_fixed_point_matches_under_every_scheduler() {
         let build = |sched| {
             let mut b = NetlistBuilder::new();
-            let spec = |t: &str| ModuleSpec::new(t).input("in", 1, 1).output("out", 1, 1);
+            let spec = |t: &'static str| ModuleSpec::new(t).input("in", 1, 1).output("out", 1, 1);
             let a = b.add("a", spec("cyca"), Box::new(CycleDriver)).unwrap();
             let c = b.add("c", spec("cycb"), Box::new(CycleForward)).unwrap();
             b.connect(a, "out", c, "in").unwrap();
@@ -2847,7 +2847,7 @@ mod tests {
         first: (bool, bool),
         second: (bool, bool),
     ) -> (Simulator, Arc<AtomicU64>, Arc<AtomicU64>) {
-        let spec = |t: &str| ModuleSpec::new(t).input("in", 1, 1).output("out", 1, 1);
+        let spec = |t: &'static str| ModuleSpec::new(t).input("in", 1, 1).output("out", 1, 1);
         let member = |(forward, counts): (bool, bool)| {
             let calls = Arc::new(AtomicU64::new(0));
             let m = RingMember {

@@ -1738,7 +1738,7 @@ impl SpecPlan {
                 let info = topo.instance(InstanceId(i as u32));
                 InstanceSummary {
                     name: info.name.clone(),
-                    template: info.spec.template.clone(),
+                    template: info.spec.template.to_owned(),
                     specialized: self.eligible[i],
                     reason: self.reason[i].clone(),
                 }

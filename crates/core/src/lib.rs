@@ -86,6 +86,7 @@ pub mod exec;
 pub mod fault;
 pub mod kernel;
 pub mod module;
+pub mod names;
 pub mod netlist;
 pub mod params;
 pub mod probe;

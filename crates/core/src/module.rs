@@ -18,6 +18,7 @@
 
 use crate::error::SimError;
 use crate::exec::{CommitCtx, ReactCtx};
+use std::borrow::Cow;
 
 /// Direction of a port, from the owning module's perspective.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -36,10 +37,10 @@ pub enum Dir {
 pub struct PortId(pub u16);
 
 /// Static description of one port of a module template.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct PortSpec {
     /// Port name, used by specifications and diagnostics.
-    pub name: String,
+    pub name: &'static str,
     /// Port direction.
     pub dir: Dir,
     /// Minimum number of connections required for a valid netlist.
@@ -49,15 +50,43 @@ pub struct PortSpec {
     pub max_conns: u32,
 }
 
+impl PortSpec {
+    /// An input port.
+    pub const fn input(name: &'static str, min_conns: u32, max_conns: u32) -> Self {
+        PortSpec {
+            name,
+            dir: Dir::In,
+            min_conns,
+            max_conns,
+        }
+    }
+
+    /// An output port.
+    pub const fn output(name: &'static str, min_conns: u32, max_conns: u32) -> Self {
+        PortSpec {
+            name,
+            dir: Dir::Out,
+            min_conns,
+            max_conns,
+        }
+    }
+}
+
 /// Static description of a module template instance: its ports plus the
 /// scheduling declarations used by the optimizing static scheduler
 /// (paper ref [22]).
+///
+/// A template whose ports do not depend on its parameters declares its
+/// spec once, as a `const` built with [`ModuleSpec::fixed`]; every
+/// instance then shares the template's name and port table, and building
+/// one allocates nothing. The chained [`ModuleSpec::input`] /
+/// [`ModuleSpec::output`] form builds an owned port table instead.
 #[derive(Clone, Debug)]
 pub struct ModuleSpec {
     /// Template name this instance was created from.
-    pub template: String,
+    pub template: &'static str,
     /// All ports, in declaration order ([`PortId`] indexes this).
-    pub ports: Vec<PortSpec>,
+    pub ports: Cow<'static, [PortSpec]>,
     /// True if the module's `react` handler reads ack wires on its output
     /// ports (rare). When false, ack dependencies are excluded from the
     /// static schedule's dependency graph, breaking most cycles.
@@ -73,11 +102,17 @@ pub struct ModuleSpec {
 }
 
 impl ModuleSpec {
-    /// Start a spec for the named template.
-    pub fn new(template: impl Into<String>) -> Self {
+    /// Start a spec for the named template, with no ports yet.
+    pub const fn new(template: &'static str) -> Self {
+        Self::fixed(template, &[])
+    }
+
+    /// A spec over a static port table: usable in a `const`, so a
+    /// template states its ports once and every instance shares them.
+    pub const fn fixed(template: &'static str, ports: &'static [PortSpec]) -> Self {
         ModuleSpec {
-            template: template.into(),
-            ports: Vec::new(),
+            template,
+            ports: Cow::Borrowed(ports),
             reads_ack_in_react: false,
             commit_only_when_active: false,
             commit_is_noop: false,
@@ -86,30 +121,24 @@ impl ModuleSpec {
 
     /// Add an input port; returns `self` for chaining. Ports get sequential
     /// [`PortId`]s in declaration order.
-    pub fn input(mut self, name: &str, min_conns: u32, max_conns: u32) -> Self {
-        self.ports.push(PortSpec {
-            name: name.to_owned(),
-            dir: Dir::In,
-            min_conns,
-            max_conns,
-        });
+    pub fn input(mut self, name: &'static str, min_conns: u32, max_conns: u32) -> Self {
+        self.ports
+            .to_mut()
+            .push(PortSpec::input(name, min_conns, max_conns));
         self
     }
 
     /// Add an output port; returns `self` for chaining.
-    pub fn output(mut self, name: &str, min_conns: u32, max_conns: u32) -> Self {
-        self.ports.push(PortSpec {
-            name: name.to_owned(),
-            dir: Dir::Out,
-            min_conns,
-            max_conns,
-        });
+    pub fn output(mut self, name: &'static str, min_conns: u32, max_conns: u32) -> Self {
+        self.ports
+            .to_mut()
+            .push(PortSpec::output(name, min_conns, max_conns));
         self
     }
 
     /// Declare that `react` reads ack wires (forces conservative ack
     /// dependencies in the static schedule).
-    pub fn with_ack_in_react(mut self) -> Self {
+    pub const fn with_ack_in_react(mut self) -> Self {
         self.reads_ack_in_react = true;
         self
     }
@@ -121,7 +150,7 @@ impl ModuleSpec {
     /// call on such steps. The commit *set* is derived from the completed
     /// transfers of the time-step's unique fixed point, so it is identical
     /// under every scheduler.
-    pub fn commit_only_when_active(mut self) -> Self {
+    pub const fn commit_only_when_active(mut self) -> Self {
         self.commit_only_when_active = true;
         self
     }
@@ -133,7 +162,7 @@ impl ModuleSpec {
     /// instance per step from the hot loop. Stronger than
     /// [`ModuleSpec::commit_only_when_active`]: the promise is
     /// unconditional, so [`Module::pending`] is never consulted either.
-    pub fn no_commit(mut self) -> Self {
+    pub const fn no_commit(mut self) -> Self {
         self.commit_is_noop = true;
         self
     }
@@ -151,7 +180,7 @@ impl ModuleSpec {
                     name,
                     self.ports
                         .iter()
-                        .map(|p| p.name.as_str())
+                        .map(|p| p.name)
                         .collect::<Vec<_>>()
                         .join(", ")
                 ))

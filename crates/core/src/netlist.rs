@@ -8,9 +8,9 @@
 
 use crate::error::SimError;
 use crate::module::{Dir, Module, ModuleSpec, PortId};
+use crate::names::NameIndex;
 use crate::topology::Topology;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Identifier of an instance within a netlist.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -81,6 +81,11 @@ impl Netlist {
         self.instances.is_empty()
     }
 
+    /// How many instances of each template the netlist contains.
+    pub fn template_census(&self) -> BTreeMap<String, usize> {
+        template_census(&self.instances)
+    }
+
     /// Split into the layered-kernel constructor inputs: the immutable
     /// [`Topology`] (reader table, flattened port slabs) and the module
     /// behaviours. Wrap the topology in an `Arc` and hand both to
@@ -90,13 +95,29 @@ impl Netlist {
     }
 }
 
+/// How many of `insts` instantiate each template. A netlist holds few
+/// distinct templates, so they are counted in a short list and sorted
+/// once, without a string per instance.
+pub(crate) fn template_census(insts: &[InstanceMeta]) -> BTreeMap<String, usize> {
+    let mut counts: Vec<(&'static str, usize)> = Vec::new();
+    for m in insts {
+        match counts.iter_mut().find(|(t, _)| *t == m.spec.template) {
+            Some((_, n)) => *n += 1,
+            None => counts.push((m.spec.template, 1)),
+        }
+    }
+    counts.into_iter().map(|(t, n)| (t.to_owned(), n)).collect()
+}
+
 /// Incrementally builds a [`Netlist`], validating as it goes.
 #[derive(Default)]
 pub struct NetlistBuilder {
     instances: Vec<InstanceMeta>,
     modules: Vec<Box<dyn Module>>,
     edges: Vec<EdgeMeta>,
-    by_name: HashMap<String, InstanceId>,
+    /// Instance names to ids. Each name is stored once, in its
+    /// [`InstanceMeta`].
+    names: NameIndex,
     /// Connections made so far on each (instance, port), one flat table:
     /// instance `i`'s ports are `conns[port_base[i]..]`, in [`PortId`]
     /// order. The count is the next free slot index.
@@ -118,19 +139,17 @@ impl NetlistBuilder {
         module: Box<dyn Module>,
     ) -> Result<InstanceId, SimError> {
         let id = InstanceId(self.instances.len() as u32);
-        let name = match self.by_name.entry(name.into()) {
-            Entry::Occupied(e) => {
-                return Err(SimError::netlist(format!(
-                    "duplicate instance name {:?}",
-                    e.key()
-                )))
-            }
-            Entry::Vacant(e) => {
-                let name = e.key().clone();
-                e.insert(id);
-                name
-            }
-        };
+        let name = name.into();
+        let instances = &self.instances;
+        if self
+            .names
+            .insert(&name, |i| instances[i as usize].name.as_str())
+            .is_err()
+        {
+            return Err(SimError::netlist(format!(
+                "duplicate instance name {name:?}"
+            )));
+        }
         self.port_base.push(self.conns.len() as u32);
         self.conns.resize(self.conns.len() + spec.ports.len(), 0);
         self.instances.push(InstanceMeta { name, spec });
@@ -145,7 +164,10 @@ impl NetlistBuilder {
 
     /// Look up a previously added instance by name.
     pub fn lookup(&self, name: &str) -> Option<InstanceId> {
-        self.by_name.get(name).copied()
+        let instances = &self.instances;
+        self.names
+            .get(name, |i| instances[i as usize].name.as_str())
+            .map(InstanceId)
     }
 
     /// Borrow an instance's spec (e.g. to resolve port names).

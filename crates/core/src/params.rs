@@ -6,8 +6,9 @@
 //! behaviour and adapts the specifics per instance through its [`Params`].
 
 use crate::error::SimError;
-use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+use std::sync::Arc;
 
 /// One parameter value. `List` supports per-connection parameters; `Str`
 /// supports policy selectors ("round_robin", "lru", ...).
@@ -83,9 +84,59 @@ impl From<String> for ParamValue {
 /// (template-provided default if absent). Absent-with-default is the normal
 /// case — the paper's templates ship usable defaults so a minimal
 /// specification works out of the box.
-#[derive(Clone, Debug, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+///
+/// Every lookup marks the parameter as read, so after a template's
+/// constructor has run, [`Params::unread`] names the values it never
+/// looked at: a misspelt or meaningless override.
+#[derive(Default, serde::Serialize, serde::Deserialize)]
 pub struct Params {
-    values: BTreeMap<String, ParamValue>,
+    /// Sorted by name.
+    entries: Vec<Entry>,
+}
+
+#[derive(serde::Serialize, serde::Deserialize)]
+struct Entry {
+    key: Arc<str>,
+    value: ParamValue,
+    /// Set by every lookup of `key`. Atomic so a shared `Params` stays
+    /// `Sync`; a relaxed store is all it needs.
+    read: AtomicBool,
+}
+
+impl Clone for Params {
+    fn clone(&self) -> Self {
+        let entries = self
+            .entries
+            .iter()
+            .map(|e| Entry {
+                key: e.key.clone(),
+                value: e.value.clone(),
+                read: AtomicBool::new(e.read.load(Relaxed)),
+            })
+            .collect();
+        Params { entries }
+    }
+}
+
+/// Equal names and values; what has been read does not matter.
+impl PartialEq for Params {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter_quiet().eq(other.iter_quiet())
+    }
+}
+
+impl fmt::Debug for Params {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Values<'a>(&'a Params);
+        impl fmt::Debug for Values<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_map().entries(self.0.iter_quiet()).finish()
+            }
+        }
+        f.debug_struct("Params")
+            .field("values", &Values(self))
+            .finish()
+    }
 }
 
 impl Params {
@@ -96,43 +147,82 @@ impl Params {
 
     /// Builder-style insertion.
     pub fn with(mut self, key: &str, value: impl Into<ParamValue>) -> Self {
-        self.values.insert(key.to_owned(), value.into());
+        self.set(key, value);
         self
     }
 
-    /// Insert or replace a parameter.
-    pub fn set(&mut self, key: &str, value: impl Into<ParamValue>) {
-        self.values.insert(key.to_owned(), value.into());
+    /// Insert or replace a parameter. A caller setting the same names
+    /// over and over can pass them as shared `Arc<str>`s.
+    pub fn set(&mut self, key: impl AsRef<str> + Into<Arc<str>>, value: impl Into<ParamValue>) {
+        let value = value.into();
+        match self.find(key.as_ref()) {
+            Ok(i) => {
+                let e = &mut self.entries[i];
+                e.value = value;
+                *e.read.get_mut() = false;
+            }
+            Err(i) => self.entries.insert(
+                i,
+                Entry {
+                    key: key.into(),
+                    value,
+                    read: AtomicBool::new(false),
+                },
+            ),
+        }
     }
 
-    /// Raw access to a parameter value.
+    fn find(&self, key: &str) -> Result<usize, usize> {
+        self.entries.binary_search_by(|e| (*e.key).cmp(key))
+    }
+
+    /// Raw access to a parameter value, marking it read.
     pub fn get(&self, key: &str) -> Option<&ParamValue> {
-        self.values.get(key)
+        let e = &self.entries[self.find(key).ok()?];
+        e.read.store(true, Relaxed);
+        Some(&e.value)
     }
 
     /// True if the parameter is present.
     pub fn contains(&self, key: &str) -> bool {
-        self.values.contains_key(key)
+        self.get(key).is_some()
     }
 
-    /// Iterate over all `(name, value)` pairs in name order.
+    /// Iterate over all `(name, value)` pairs in name order, marking
+    /// every one read.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &ParamValue)> {
-        self.values.iter().map(|(k, v)| (k.as_str(), v))
+        self.entries.iter().map(|e| {
+            e.read.store(true, Relaxed);
+            (&*e.key, &e.value)
+        })
+    }
+
+    fn iter_quiet(&self) -> impl Iterator<Item = (&str, &ParamValue)> {
+        self.entries.iter().map(|e| (&*e.key, &e.value))
+    }
+
+    /// The parameters no lookup has touched since they were set, in name
+    /// order.
+    pub fn unread(&self) -> impl Iterator<Item = &str> {
+        self.entries
+            .iter()
+            .filter(|e| !e.read.load(Relaxed))
+            .map(|e| &*e.key)
     }
 
     /// Number of explicitly set parameters.
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.entries.len()
     }
 
     /// True if no parameters are explicitly set.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.entries.is_empty()
     }
 
     /// An integer parameter, with a default.
     pub fn int_or(&self, key: &str, default: i64) -> Result<i64, SimError> {
-        match self.values.get(key) {
+        match self.get(key) {
             None => Ok(default),
             Some(ParamValue::Int(i)) => Ok(*i),
             Some(other) => Err(SimError::param(format!(
@@ -151,7 +241,7 @@ impl Params {
 
     /// A float parameter, with a default. Integer values are widened.
     pub fn float_or(&self, key: &str, default: f64) -> Result<f64, SimError> {
-        match self.values.get(key) {
+        match self.get(key) {
             None => Ok(default),
             Some(ParamValue::Float(f)) => Ok(*f),
             Some(ParamValue::Int(i)) => Ok(*i as f64),
@@ -163,7 +253,7 @@ impl Params {
 
     /// A boolean parameter, with a default.
     pub fn bool_or(&self, key: &str, default: bool) -> Result<bool, SimError> {
-        match self.values.get(key) {
+        match self.get(key) {
             None => Ok(default),
             Some(ParamValue::Bool(b)) => Ok(*b),
             Some(other) => Err(SimError::param(format!(
@@ -174,7 +264,7 @@ impl Params {
 
     /// A string parameter, with a default.
     pub fn str_or(&self, key: &str, default: &str) -> Result<String, SimError> {
-        match self.values.get(key) {
+        match self.get(key) {
             None => Ok(default.to_owned()),
             Some(ParamValue::Str(s)) => Ok(s.clone()),
             Some(other) => Err(SimError::param(format!(
@@ -185,7 +275,7 @@ impl Params {
 
     /// A list parameter; absent means empty.
     pub fn list_or_empty(&self, key: &str) -> Result<&[ParamValue], SimError> {
-        match self.values.get(key) {
+        match self.get(key) {
             None => Ok(&[]),
             Some(ParamValue::List(l)) => Ok(l),
             Some(other) => Err(SimError::param(format!(
@@ -196,7 +286,7 @@ impl Params {
 
     /// A required integer parameter.
     pub fn require_int(&self, key: &str) -> Result<i64, SimError> {
-        match self.values.get(key) {
+        match self.get(key) {
             Some(ParamValue::Int(i)) => Ok(*i),
             Some(other) => Err(SimError::param(format!(
                 "parameter {key:?}: expected int, got {other}"
@@ -209,7 +299,7 @@ impl Params {
 
     /// A required string parameter.
     pub fn require_str(&self, key: &str) -> Result<String, SimError> {
-        match self.values.get(key) {
+        match self.get(key) {
             Some(ParamValue::Str(s)) => Ok(s.clone()),
             Some(other) => Err(SimError::param(format!(
                 "parameter {key:?}: expected string, got {other}"
@@ -284,6 +374,36 @@ mod tests {
             ParamValue::List(vec![ParamValue::Int(1), ParamValue::Int(2)]),
         );
         assert_eq!(p.list_or_empty("weights").unwrap().len(), 2);
+    }
+
+    #[test]
+    fn lookups_mark_parameters_read() {
+        let p = Params::new()
+            .with("depth", 4i64)
+            .with("dpeth", 2i64)
+            .with("rate", 0.5);
+        assert_eq!(p.unread().collect::<Vec<_>>(), ["depth", "dpeth", "rate"]);
+        assert_eq!(p.usize_or("depth", 8).unwrap(), 4);
+        assert!(p.contains("rate"));
+        assert!(!p.contains("absent"));
+        assert_eq!(p.unread().collect::<Vec<_>>(), ["dpeth"]);
+        // A clone keeps the marks; equality ignores them.
+        assert_eq!(p.clone().unread().count(), 1);
+        assert_eq!(
+            p,
+            Params::new()
+                .with("rate", 0.5)
+                .with("dpeth", 2i64)
+                .with("depth", 4i64)
+        );
+        // Replacing a value clears its mark.
+        let mut p = p;
+        p.set("depth", 5i64);
+        assert_eq!(p.unread().collect::<Vec<_>>(), ["depth", "dpeth"]);
+        assert_eq!(
+            format!("{p:?}"),
+            "Params { values: {\"depth\": Int(5), \"dpeth\": Int(2), \"rate\": Float(0.5)} }"
+        );
     }
 
     #[test]

@@ -268,11 +268,7 @@ impl Topology {
     /// How many instances of each template the netlist contains — the
     /// ground truth for the reuse census (experiment E6).
     pub fn template_census(&self) -> BTreeMap<String, usize> {
-        let mut census = BTreeMap::new();
-        for m in &self.insts {
-            *census.entry(m.spec.template.clone()).or_insert(0) += 1;
-        }
-        census
+        crate::netlist::template_census(&self.insts)
     }
 
     /// The compiled static schedule (SCC-condensed invocation plan, paper

@@ -215,7 +215,7 @@ impl<W: Write + Send> Probe for VcdProbe<W> {
         self.edges.clear();
         for (ei, em) in topo.edge_metas().iter().enumerate() {
             let src = topo.instance(em.src.inst);
-            let port = sanitize(&src.spec.port_spec(em.src.port).name);
+            let port = sanitize(src.spec.port_spec(em.src.port).name);
             let mut node = &mut root;
             for part in src.name.split('.') {
                 node = node.children.entry(sanitize(part)).or_default();

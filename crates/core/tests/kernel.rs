@@ -490,7 +490,7 @@ fn oscillated_writes_still_wake_the_island() {
     // converged. Woken, the ring spins until the watchdog's budget
     // runs out and names the flipping wires.
     let mut b = NetlistBuilder::new();
-    let spec = |t: &str| ModuleSpec::new(t).input("in", 1, 1).output("out", 1, 1);
+    let spec = |t: &'static str| ModuleSpec::new(t).input("in", 1, 1).output("out", 1, 1);
     let c = b
         .add("contrary", spec("contrary"), Box::new(Contrary))
         .unwrap();

@@ -131,7 +131,7 @@ impl ReplicaSpec {
     pub fn params(&self, base: &Params) -> Params {
         let mut p = base.clone();
         if let Some((k, v)) = &self.param {
-            p.set(k, *v);
+            p.set(k.as_str(), *v);
         }
         p
     }

@@ -1,7 +1,7 @@
 //! Recursive-descent parser for LSS.
 
 use crate::ast::*;
-use crate::lexer::{lex, Pos, Spanned, Tok};
+use crate::lexer::{Lexer, Pos, Spanned, Tok};
 use liberty_core::prelude::{Dir, SimError};
 
 /// Maximum statement/expression nesting. Recursive descent uses the host
@@ -10,79 +10,89 @@ use liberty_core::prelude::{Dir, SimError};
 /// a handful of levels; 128 is far beyond anything structural.
 const MAX_NESTING: u32 = 128;
 
-struct Parser {
-    toks: Vec<Spanned>,
-    i: usize,
+/// A one-token-lookahead parser pulling tokens from the lexer as it goes.
+struct Parser<'src> {
+    lex: Lexer<'src>,
+    /// The current (next unconsumed) token; `None` at the end of input.
+    cur: Option<Spanned>,
+    /// Position of the last token read, for diagnostics at end of input.
+    last: Pos,
+    /// Set when the lexer failed: its diagnostic is the one reported.
+    lex_failed: bool,
     depth: u32,
 }
 
-impl Parser {
+impl<'src> Parser<'src> {
+    /// Read the next token into `cur`.
+    fn advance(&mut self) -> Result<(), SimError> {
+        match self.lex.next() {
+            Ok(t) => {
+                if let Some(s) = &t {
+                    self.last = s.pos;
+                }
+                self.cur = t;
+                Ok(())
+            }
+            Err(e) => {
+                self.lex_failed = true;
+                Err(e)
+            }
+        }
+    }
+
     fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.i).map(|s| &s.tok)
+        self.cur.as_ref().map(|s| &s.tok)
     }
 
     fn pos(&self) -> Pos {
-        self.toks
-            .get(self.i.min(self.toks.len().saturating_sub(1)))
-            .map(|s| s.pos)
-            .unwrap_or(Pos { line: 0, col: 0 })
+        self.cur.as_ref().map_or(self.last, |s| s.pos)
     }
 
     fn err(&self, msg: &str) -> SimError {
-        match self.toks.get(self.i) {
-            Some(s) => SimError::elab(format!("{}: {msg}, found `{}`", s.pos, s.tok)),
+        match &self.cur {
+            Some(s) => SimError::elab(format!(
+                "{}: {msg}, found `{}`",
+                s.pos,
+                s.tok.display(self.lex.names())
+            )),
             None => SimError::elab(format!("end of input: {msg}")),
         }
     }
 
-    /// Consume the current token, moving its text out of the token
-    /// vector. Nothing reads a consumed token again: the one diagnostic
-    /// that names a token only looked at (`port` without a direction)
-    /// peeks instead of consuming.
-    fn bump(&mut self) -> Option<Tok> {
-        let t = self
-            .toks
-            .get_mut(self.i)
-            .map(|s| std::mem::replace(&mut s.tok, Tok::Semi));
-        self.i += 1;
-        t
+    /// Consume the current token.
+    fn bump(&mut self) -> Result<Option<Tok>, SimError> {
+        let t = self.cur.take().map(|s| s.tok);
+        self.advance()?;
+        Ok(t)
     }
 
     fn expect(&mut self, want: &Tok) -> Result<(), SimError> {
         if self.peek() == Some(want) {
-            self.i += 1;
-            Ok(())
+            self.advance()
         } else {
-            Err(self.err(&format!("expected `{want}`")))
+            Err(self.err(&format!("expected `{}`", want.display(self.lex.names()))))
         }
     }
 
-    fn ident(&mut self, what: &str) -> Result<String, SimError> {
+    fn ident(&mut self, what: &str) -> Result<Sym, SimError> {
         // `in` and `out` are soft keywords: they name ports throughout the
         // component libraries, so they stay valid identifiers here.
-        match self.peek() {
-            Some(Tok::Ident(_)) => match self.bump() {
-                Some(Tok::Ident(s)) => Ok(s),
-                _ => unreachable!(),
-            },
-            Some(Tok::KwIn) => {
-                self.bump();
-                Ok("in".to_owned())
-            }
-            Some(Tok::KwOut) => {
-                self.bump();
-                Ok("out".to_owned())
-            }
-            _ => Err(self.err(&format!("expected {what} identifier"))),
-        }
+        let sym = match self.peek() {
+            Some(Tok::Ident(s)) => *s,
+            Some(Tok::KwIn) => Sym::IN,
+            Some(Tok::KwOut) => Sym::OUT,
+            _ => return Err(self.err(&format!("expected {what} identifier"))),
+        };
+        self.advance()?;
+        Ok(sym)
     }
 
-    fn spec(&mut self) -> Result<Spec, SimError> {
+    fn modules(&mut self) -> Result<Vec<ModuleDef>, SimError> {
         let mut modules = Vec::new();
         while self.peek().is_some() {
             modules.push(self.module()?);
         }
-        Ok(Spec { modules })
+        Ok(modules)
     }
 
     fn module(&mut self) -> Result<ModuleDef, SimError> {
@@ -95,7 +105,7 @@ impl Parser {
         while self.peek() != Some(&Tok::RBrace) {
             match self.peek() {
                 Some(Tok::KwParam) => {
-                    self.bump();
+                    self.advance()?;
                     let pname = self.ident("parameter name")?;
                     self.expect(&Tok::Eq)?;
                     let default = self.expr()?;
@@ -106,13 +116,13 @@ impl Parser {
                     });
                 }
                 Some(Tok::KwPort) => {
-                    self.bump();
+                    self.advance()?;
                     let dir = match self.peek() {
                         Some(Tok::KwIn) => Dir::In,
                         Some(Tok::KwOut) => Dir::Out,
                         _ => return Err(self.err("expected `in` or `out` after `port`")),
                     };
-                    self.i += 1;
+                    self.advance()?;
                     let pname = self.ident("port name")?;
                     self.expect(&Tok::Semi)?;
                     ports.push(PortDecl { dir, name: pname });
@@ -150,10 +160,10 @@ impl Parser {
     fn stmt_inner(&mut self) -> Result<Stmt, SimError> {
         match self.peek() {
             Some(Tok::KwInstance) => {
-                self.bump();
+                self.advance()?;
                 let name = self.ident("instance name")?;
                 let count = if self.peek() == Some(&Tok::LBracket) {
-                    self.bump();
+                    self.advance()?;
                     let e = self.expr()?;
                     self.expect(&Tok::RBracket)?;
                     Some(e)
@@ -164,7 +174,7 @@ impl Parser {
                 let template = self.ident("template name")?;
                 let mut overrides = Vec::new();
                 if self.peek() == Some(&Tok::LBrace) {
-                    self.bump();
+                    self.advance()?;
                     while self.peek() != Some(&Tok::RBrace) {
                         let k = self.ident("parameter name")?;
                         self.expect(&Tok::Eq)?;
@@ -183,7 +193,7 @@ impl Parser {
                 })
             }
             Some(Tok::KwConnect) => {
-                self.bump();
+                self.advance()?;
                 let from = self.port_ref()?;
                 self.expect(&Tok::Arrow)?;
                 let to = self.port_ref()?;
@@ -191,7 +201,7 @@ impl Parser {
                 Ok(Stmt::Connect { from, to })
             }
             Some(Tok::KwFor) => {
-                self.bump();
+                self.advance()?;
                 let var = self.ident("loop variable")?;
                 self.expect(&Tok::KwIn)?;
                 let lo = self.expr()?;
@@ -206,7 +216,7 @@ impl Parser {
                 Ok(Stmt::For { var, lo, hi, body })
             }
             Some(Tok::KwIf) => {
-                self.bump();
+                self.advance()?;
                 let cond = self.expr()?;
                 self.expect(&Tok::LBrace)?;
                 let mut then_body = Vec::new();
@@ -216,7 +226,7 @@ impl Parser {
                 self.expect(&Tok::RBrace)?;
                 let mut else_body = Vec::new();
                 if self.peek() == Some(&Tok::KwElse) {
-                    self.bump();
+                    self.advance()?;
                     self.expect(&Tok::LBrace)?;
                     while self.peek() != Some(&Tok::RBrace) {
                         else_body.push(self.stmt()?);
@@ -237,7 +247,7 @@ impl Parser {
         // `self` is an ordinary identifier here.
         let inst = self.ident("instance name")?;
         let index = if self.peek() == Some(&Tok::LBracket) {
-            self.bump();
+            self.advance()?;
             let e = self.expr()?;
             self.expect(&Tok::RBracket)?;
             Some(e)
@@ -261,7 +271,7 @@ impl Parser {
                 Some(Tok::Minus) => BinOp::Sub,
                 _ => break,
             };
-            self.bump();
+            self.advance()?;
             let rhs = self.mul_expr()?;
             lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
         }
@@ -277,7 +287,7 @@ impl Parser {
                 Some(Tok::Percent) => BinOp::Rem,
                 _ => break,
             };
-            self.bump();
+            self.advance()?;
             let rhs = self.atom()?;
             lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
         }
@@ -293,7 +303,7 @@ impl Parser {
 
     fn atom_inner(&mut self) -> Result<Expr, SimError> {
         let pos = self.pos();
-        match self.bump() {
+        match self.bump()? {
             Some(Tok::Int(i)) => Ok(Expr::Int(i)),
             Some(Tok::Float(x)) => Ok(Expr::Float(x)),
             Some(Tok::Str(s)) => Ok(Expr::Str(s)),
@@ -301,8 +311,8 @@ impl Parser {
             Some(Tok::KwFalse) => Ok(Expr::Bool(false)),
             Some(Tok::Ident(v)) => Ok(Expr::Var(v)),
             // Soft keywords stay usable as parameter/variable names.
-            Some(Tok::KwIn) => Ok(Expr::Var("in".to_owned())),
-            Some(Tok::KwOut) => Ok(Expr::Var("out".to_owned())),
+            Some(Tok::KwIn) => Ok(Expr::Var(Sym::IN)),
+            Some(Tok::KwOut) => Ok(Expr::Var(Sym::OUT)),
             Some(Tok::Minus) => Ok(Expr::Neg(Box::new(self.atom()?))),
             Some(Tok::LParen) => {
                 let e = self.expr()?;
@@ -312,7 +322,7 @@ impl Parser {
             other => Err(SimError::elab(format!(
                 "{pos}: expected expression, found {}",
                 other
-                    .map(|t| t.to_string())
+                    .map(|t| t.display(self.lex.names()).to_string())
                     .unwrap_or_else(|| "end of input".into())
             ))),
         }
@@ -320,14 +330,31 @@ impl Parser {
 }
 
 /// Parse LSS source into a [`Spec`].
+///
+/// The text is read in one pass, the parser pulling tokens as it needs
+/// them. A lexical error anywhere in the text takes precedence over a
+/// syntax error before it: after a syntax error the rest of the text is
+/// still lexed, and the first lexical error found there is reported.
 pub fn parse(src: &str) -> Result<Spec, SimError> {
-    let toks = lex(src)?;
     let mut p = Parser {
-        toks,
-        i: 0,
+        lex: Lexer::new(src),
+        cur: None,
+        last: Pos { line: 0, col: 0 },
+        lex_failed: false,
         depth: 0,
     };
-    p.spec()
+    let modules = p.advance().and_then(|()| p.modules());
+    match modules {
+        Ok(modules) => Ok(Spec {
+            modules,
+            names: p.lex.into_names(),
+        }),
+        Err(e) if p.lex_failed => Err(e),
+        Err(e) => {
+            while p.lex.next()?.is_some() {}
+            Err(e)
+        }
+    }
 }
 
 #[cfg(test)]
@@ -338,7 +365,7 @@ mod tests {
     fn minimal_module() {
         let spec = parse("module main { }").unwrap();
         assert_eq!(spec.modules.len(), 1);
-        assert_eq!(spec.modules[0].name, "main");
+        assert_eq!(spec.names.get(spec.modules[0].name), "main");
     }
 
     #[test]
@@ -374,16 +401,16 @@ mod tests {
                 template,
                 overrides,
             } => {
-                assert_eq!(name, "n");
+                assert_eq!(spec.names.get(*name), "n");
                 assert!(count.is_some());
-                assert_eq!(template, "node");
+                assert_eq!(spec.names.get(*template), "node");
                 assert_eq!(overrides.len(), 1);
             }
             other => panic!("unexpected {other:?}"),
         }
         match &main.body[1] {
             Stmt::For { var, body, .. } => {
-                assert_eq!(var, "i");
+                assert_eq!(spec.names.get(*var), "i");
                 assert_eq!(body.len(), 1);
             }
             other => panic!("unexpected {other:?}"),
@@ -394,13 +421,14 @@ mod tests {
     fn expression_precedence() {
         let spec = parse("module m { param x = 1 + 2 * 3; }").unwrap();
         let e = &spec.modules[0].params[0].default;
-        assert_eq!(e.to_string(), "(1 + (2 * 3))");
+        assert_eq!(e.display(&spec.names).to_string(), "(1 + (2 * 3))");
     }
 
     #[test]
     fn negative_numbers() {
         let spec = parse("module m { param x = -4 + 1; }").unwrap();
-        assert_eq!(spec.modules[0].params[0].default.to_string(), "((-4) + 1)");
+        let e = &spec.modules[0].params[0].default;
+        assert_eq!(e.display(&spec.names).to_string(), "((-4) + 1)");
     }
 
     #[test]
@@ -431,6 +459,19 @@ mod tests {
         assert_eq!(
             err("module m { param x = ; }"),
             "elaboration error: 1:22: expected expression, found ;"
+        );
+    }
+
+    #[test]
+    fn a_lexical_error_outranks_an_earlier_syntax_error() {
+        let err = |src: &str| parse(src).unwrap_err().to_string();
+        assert_eq!(
+            err("module m { instance ; }\nmodule n { param s = \"open; }"),
+            "elaboration error: 2:22: unterminated string"
+        );
+        assert_eq!(
+            err("module m { instance ; } module n { }"),
+            "elaboration error: 1:21: expected instance name identifier, found `;`"
         );
     }
 

@@ -67,6 +67,10 @@ fn bad_spec_diagnostics_are_pinned() {
         ("bad_token.lss", "elaboration error: 3:16: unexpected character '@'"),
         ("dangling_connect.lss", "elaboration error: module main: unknown instance \"ghost\" in connect"),
         ("deep_nesting.lss", "elaboration error: 2:153: nesting deeper than 128 levels (unbalanced brackets?), found `(`"),
+        ("duplicate_module_override.lss", "elaboration error: module main: instance \"s\": duplicate parameter override \"n\""),
+        ("duplicate_override.lss", "elaboration error: module main: instance \"q\": duplicate parameter override \"depth\""),
+        ("duplicate_param.lss", "elaboration error: module stage: duplicate parameter \"n\""),
+        ("misspelt_override.lss", "elaboration error: module main: instance \"q\": unknown parameter override \"dpeth\" (template \"queue\" never reads it)"),
         ("missing_semi.lss", "elaboration error: 4:5: expected `;`, found `instance`"),
         ("toplevel_statement.lss", "elaboration error: 2:1: expected `module`, found `instance`"),
         ("unclosed_module.lss", "elaboration error: end of input: expected `}` to close module"),
@@ -86,11 +90,23 @@ fn bad_spec_diagnostics_are_pinned() {
 
 #[test]
 fn good_specs_still_build() {
-    // Guard against the robustness work rejecting valid input: the three
-    // shipped example specifications must still parse.
-    let specs = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../specs");
-    for name in ["pipeline.lss", "dual_core_noc.lss", "refinement.lss"] {
-        let src = std::fs::read_to_string(specs.join(name)).expect("readable");
-        liberty_lss::parse(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
+    // Guard against the robustness work rejecting valid input: every
+    // shipped specification must elaborate and build against the full
+    // template library.
+    let reg = liberty_systems::full_registry();
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../specs");
+    let mut built = 0;
+    for entry in std::fs::read_dir(&dir).expect("specs directory") {
+        let path = entry.expect("readable entry").path();
+        if path.extension().is_none_or(|x| x != "lss") {
+            continue;
+        }
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        let src = std::fs::read_to_string(&path).expect("readable");
+        let (_, report) = build_simulator(&src, &reg, "main", &Params::new(), SchedKind::Compiled)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert!(report.leaf_instances > 0, "{name}");
+        built += 1;
     }
+    assert!(built >= 4, "only {built} shipped specs");
 }

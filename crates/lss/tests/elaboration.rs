@@ -451,3 +451,89 @@ fn conditional_condition_type_checked() {
         "bool or int",
     );
 }
+
+#[test]
+fn names_are_scoped_to_their_module_instance() {
+    // A loop variable shadows a parameter inside the loop only.
+    let (sim, rep) = run(
+        r#"
+        module main {
+            param i = 3;
+            instance g[4] : seq_source { count = 2; };
+            instance k[4] : sink;
+            for i in 0..3 { connect g[i].out -> k[i].in; }
+            connect g[i].out -> k[i].in;
+        }
+        "#,
+        10,
+    );
+    assert_eq!(rep.edges, 4);
+    assert_eq!(sim.stats().counter_total("received"), 8);
+    // Two instances of one module each bind their own `q`, and the
+    // module's names are not the parent's: sibling instances, the parent
+    // after them, and each element of an array see only their own.
+    let (sim, rep) = run(
+        r#"
+        module stage {
+            param depth = 1;
+            port in rx;
+            port out tx;
+            instance q : queue { depth = depth; };
+            connect self.rx -> q.in;
+            connect q.out -> self.tx;
+        }
+        module main {
+            instance q : seq_source { count = 3; };
+            instance a : stage { depth = 2; };
+            instance b[2] : stage;
+            instance k : sink;
+            connect q.out -> a.rx;
+            connect a.tx -> b[0].rx;
+            connect b[0].tx -> b[1].rx;
+            connect b[1].tx -> k.in;
+        }
+        "#,
+        20,
+    );
+    assert_eq!(rep.leaf_instances, 5);
+    let k = sim.instance_by_name("k").unwrap();
+    assert_eq!(sim.stats().counter(k, "received"), 3);
+    for name in ["a.q", "b[0].q", "b[1].q"] {
+        assert!(sim.instance_by_name(name).is_some(), "{name}");
+    }
+    // A module sees neither its parent's instances nor its parameters.
+    expect_err(
+        r#"
+        module inner { instance s : sink; connect q.out -> s.in; }
+        module main { instance q : seq_source; instance x : inner; }
+        "#,
+        "unknown instance \"q\"",
+    );
+    expect_err(
+        r#"
+        module inner { instance s : queue { depth = n; }; }
+        module main { param n = 2; instance x : inner; }
+        "#,
+        "unknown parameter or variable \"n\"",
+    );
+}
+
+#[test]
+fn a_huge_array_of_modules_is_not_sized_up_front() {
+    // 2^62 elements of a four-port module: their export slots would
+    // overflow a `usize` if reserved at once. The first element binds a
+    // port and then fails, so elaboration must stop there with that
+    // element's diagnostic.
+    expect_err(
+        r#"
+        module stage {
+            port in a; port in b; port in c; port in d;
+            instance s : sink;
+            connect self.a -> s.in;
+            instance z : no_such_template;
+        }
+        module main { instance x[4611686018427387904] : stage; }
+        "#,
+        "no_such_template",
+    );
+}

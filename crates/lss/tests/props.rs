@@ -2,9 +2,19 @@
 //! identity (so specifications can be round-tripped by tools), and
 //! evaluation of printed expressions matches direct evaluation.
 
-use liberty_lss::ast::{BinOp, Expr, ModuleDef, ParamDecl, Spec};
+use liberty_lss::ast::{BinOp, Expr, ModuleDef, Names, ParamDecl, Spec, Sym};
 use liberty_lss::parse;
 use proptest::prelude::*;
+use std::cell::RefCell;
+
+std::thread_local! {
+    /// The names the generated expressions' variables are interned in.
+    static POOL: RefCell<Names> = RefCell::new(Names::new());
+}
+
+fn var(name: &str) -> Expr {
+    Expr::Var(POOL.with(|p| p.borrow_mut().intern(name)))
+}
 
 fn leaf() -> impl Strategy<Value = Expr> {
     // Non-negative literals only: `-1` prints as `-1`, which re-parses as
@@ -14,7 +24,7 @@ fn leaf() -> impl Strategy<Value = Expr> {
         (0i64..1000).prop_map(Expr::Int),
         (0u32..500).prop_map(|x| Expr::Float(f64::from(x) + 0.5)),
         any::<bool>().prop_map(Expr::Bool),
-        "[a-z][a-z0-9_]{0,6}".prop_map(Expr::Var),
+        "[a-z][a-z0-9_]{0,6}".prop_map(|s| var(&s)),
     ]
 }
 
@@ -38,19 +48,36 @@ fn expr() -> impl Strategy<Value = Expr> {
     })
 }
 
+/// `e` with its variables re-interned from the pool into `names`, in the
+/// order they are printed — the order the lexer meets them.
+fn reintern(e: &Expr, names: &mut Names) -> Expr {
+    match e {
+        Expr::Var(v) => {
+            Expr::Var(names.intern(POOL.with(|p| p.borrow().get(*v).to_owned()).as_str()))
+        }
+        Expr::Bin(op, l, r) => {
+            let l = reintern(l, names);
+            Expr::Bin(*op, Box::new(l), Box::new(reintern(r, names)))
+        }
+        Expr::Neg(inner) => Expr::Neg(Box::new(reintern(inner, names))),
+        other => other.clone(),
+    }
+}
+
 /// Embed an expression into a minimal module as a parameter default, so
 /// the whole round trip goes through the real parser.
 fn wrap(e: &Expr) -> Spec {
+    let mut names = Names::new();
+    let (main, x) = (names.intern("main"), names.intern("x"));
+    let default = reintern(e, &mut names);
     Spec {
         modules: vec![ModuleDef {
-            name: "main".to_owned(),
-            params: vec![ParamDecl {
-                name: "x".to_owned(),
-                default: e.clone(),
-            }],
+            name: main,
+            params: vec![ParamDecl { name: x, default }],
             ports: vec![],
             body: vec![],
         }],
+        names,
     }
 }
 
@@ -111,8 +138,7 @@ proptest! {
     /// identifiers that collide with soft keywords still round-trip.
     #[test]
     fn soft_keyword_variables_roundtrip(n in 0usize..2) {
-        let name = ["in", "out"][n];
-        let e = Expr::Var(name.to_owned());
+        let e = Expr::Var([Sym::IN, Sym::OUT][n]);
         let spec = wrap(&e);
         let reparsed = parse(&spec.to_string()).unwrap();
         prop_assert_eq!(spec, reparsed);

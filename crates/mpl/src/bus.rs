@@ -148,6 +148,15 @@ impl Module for SnoopBus {
     }
 }
 
+const SNOOP_BUS_SPEC: ModuleSpec = ModuleSpec::fixed(
+    "snoop_bus",
+    &[
+        PortSpec::input("req", 0, u32::MAX),
+        PortSpec::output("resp", 0, u32::MAX),
+        PortSpec::output("snoop", 0, u32::MAX),
+    ],
+);
+
 /// Construct a snoop bus. Parameters: `words` (memory size, default
 /// 4096), `latency` (default 4). Returns the shared memory handle.
 pub fn snoop_bus(params: &Params) -> Result<(ModuleSpec, Box<dyn Module>, SharedMem), SimError> {
@@ -158,10 +167,7 @@ pub fn snoop_bus(params: &Params) -> Result<(ModuleSpec, Box<dyn Module>, Shared
     let latency = params.usize_or("latency", 4)? as u64;
     let mem: SharedMem = Arc::new(Mutex::new(vec![0; words]));
     Ok((
-        ModuleSpec::new("snoop_bus")
-            .input("req", 0, u32::MAX)
-            .output("resp", 0, u32::MAX)
-            .output("snoop", 0, u32::MAX),
+        SNOOP_BUS_SPEC,
         Box::new(SnoopBus {
             mem: mem.clone(),
             latency,

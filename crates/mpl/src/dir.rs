@@ -242,14 +242,20 @@ impl Module for Directory {
     }
 }
 
+const DIRECTORY_SPEC: ModuleSpec = ModuleSpec::fixed(
+    "directory",
+    &[
+        PortSpec::input("net_rx", 1, 1),
+        PortSpec::output("net_tx", 1, 1),
+    ],
+);
+
 /// Construct a home directory at fabric node `my_node`. Returns the
 /// observable backing memory.
 pub fn directory(my_node: u32, words: usize) -> (ModuleSpec, Box<dyn Module>, SharedMem) {
     let mem: SharedMem = Arc::new(Mutex::new(vec![0; words.max(1)]));
     (
-        ModuleSpec::new("directory")
-            .input("net_rx", 1, 1)
-            .output("net_tx", 1, 1),
+        DIRECTORY_SPEC,
         Box::new(Directory {
             my_node,
             mem: mem.clone(),
@@ -477,15 +483,21 @@ impl Module for DirCache {
     }
 }
 
+const DIR_CACHE_SPEC: ModuleSpec = ModuleSpec::fixed(
+    "dir_cache",
+    &[
+        PortSpec::input("req", 0, 1),
+        PortSpec::output("resp", 0, 1),
+        PortSpec::input("net_rx", 1, 1),
+        PortSpec::output("net_tx", 1, 1),
+    ],
+);
+
 /// Construct a directory-protocol cache for fabric node `my_node`, with
 /// its home directory at fabric node `home`.
 pub fn dir_cache(my_node: u32, home: u32, capacity: usize) -> Instantiated {
     (
-        ModuleSpec::new("dir_cache")
-            .input("req", 0, 1)
-            .output("resp", 0, 1)
-            .input("net_rx", 1, 1)
-            .output("net_tx", 1, 1),
+        DIR_CACHE_SPEC,
         Box::new(DirCache {
             my_node,
             home,

@@ -296,16 +296,22 @@ impl Module for Dma {
     }
 }
 
+const DMA_SPEC: ModuleSpec = ModuleSpec::fixed(
+    "dma",
+    &[
+        PortSpec::input("cmd", 0, 1),
+        PortSpec::output("mem_req", 1, 1),
+        PortSpec::input("mem_resp", 1, 1),
+        PortSpec::output("net_tx", 0, 1),
+        PortSpec::input("net_rx", 0, 1),
+        PortSpec::output("done", 0, 1),
+    ],
+);
+
 /// Construct a DMA engine for fabric node `my_node`.
 pub fn dma(my_node: u32) -> Instantiated {
     (
-        ModuleSpec::new("dma")
-            .input("cmd", 0, 1)
-            .output("mem_req", 1, 1)
-            .input("mem_resp", 1, 1)
-            .output("net_tx", 0, 1)
-            .input("net_rx", 0, 1)
-            .output("done", 0, 1),
+        DMA_SPEC,
         Box::new(Dma {
             my_node,
             send: SendState::Idle,

@@ -194,6 +194,16 @@ impl Module for OrderCtl {
     }
 }
 
+const ORDER_CTL_SPEC: ModuleSpec = ModuleSpec::fixed(
+    "order_ctl",
+    &[
+        PortSpec::input("cpu_req", 0, 1),
+        PortSpec::output("cpu_resp", 0, 1),
+        PortSpec::output("mem_req", 1, 1),
+        PortSpec::input("mem_resp", 1, 1),
+    ],
+);
+
 /// Construct an ordering controller. Parameters: `policy`
 /// (= sc | tso | rc, default sc), `depth` (store-buffer entries,
 /// default 8).
@@ -209,11 +219,7 @@ pub fn order_ctl(params: &Params) -> Result<Instantiated, SimError> {
         }
     };
     Ok((
-        ModuleSpec::new("order_ctl")
-            .input("cpu_req", 0, 1)
-            .output("cpu_resp", 0, 1)
-            .output("mem_req", 1, 1)
-            .input("mem_resp", 1, 1),
+        ORDER_CTL_SPEC,
         Box::new(OrderCtl {
             policy,
             depth: params.usize_or("depth", 8)?.max(1),

@@ -185,18 +185,24 @@ impl Module for SnoopCache {
     }
 }
 
+const SNOOP_CACHE_SPEC: ModuleSpec = ModuleSpec::fixed(
+    "snoop_cache",
+    &[
+        PortSpec::input("req", 0, 1),
+        PortSpec::output("resp", 0, 1),
+        PortSpec::output("breq", 1, 1),
+        PortSpec::input("bresp", 1, 1),
+        PortSpec::input("snoop", 1, 1),
+    ],
+);
+
 /// Construct a snooping cache. Parameters: `id` (required: this cache's
 /// `req` connection index on the bus), `capacity` (lines, default 64).
 pub fn snoop_cache(params: &Params) -> Result<Instantiated, SimError> {
     let my_id = params.require_int("id")? as u32;
     let capacity = params.usize_or("capacity", 64)?.max(1);
     Ok((
-        ModuleSpec::new("snoop_cache")
-            .input("req", 0, 1)
-            .output("resp", 0, 1)
-            .output("breq", 1, 1)
-            .input("bresp", 1, 1)
-            .input("snoop", 1, 1),
+        SNOOP_CACHE_SPEC,
         Box::new(SnoopCache {
             my_id,
             capacity,

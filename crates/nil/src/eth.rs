@@ -162,14 +162,20 @@ impl Module for Ether {
     }
 }
 
+const ETHER_SPEC: ModuleSpec = ModuleSpec::fixed(
+    "ether",
+    &[
+        PortSpec::input("tx", 0, u32::MAX),
+        PortSpec::output("rx", 0, u32::MAX),
+    ],
+);
+
 /// Construct an Ethernet segment. Parameters: `bytes_per_cycle`
 /// (default 8 — a GbE-ish wire against a ~1 GHz core clock).
 pub fn ether(params: &Params) -> Result<Instantiated, SimError> {
     let bpc = params.usize_or("bytes_per_cycle", 8)?.max(1) as u32;
     Ok((
-        ModuleSpec::new("ether")
-            .input("tx", 0, u32::MAX)
-            .output("rx", 0, u32::MAX),
+        ETHER_SPEC,
         Box::new(Ether {
             bytes_per_cycle: bpc,
             busy_until: 0,

@@ -405,20 +405,26 @@ impl Module for NicDev {
     }
 }
 
+const NIC_DEV_SPEC: ModuleSpec = ModuleSpec::fixed(
+    "nic_dev",
+    &[
+        PortSpec::input("mmio_req", 0, 1),
+        PortSpec::output("mmio_resp", 0, 1),
+        PortSpec::output("sram_req", 1, 1),
+        PortSpec::input("sram_resp", 1, 1),
+        PortSpec::output("eth_tx", 0, 1),
+        PortSpec::input("eth_rx", 0, 1),
+        PortSpec::output("pci_req", 0, 1),
+        PortSpec::input("pci_resp", 0, 1),
+    ],
+);
+
 /// Construct a NIC device. Parameters: `mac` (station index, required),
 /// `rx_base` (SRAM ring base, default 1024), `rx_size` (ring words,
 /// default 2048).
 pub fn nic_dev(params: &Params) -> Result<Instantiated, SimError> {
     Ok((
-        ModuleSpec::new("nic_dev")
-            .input("mmio_req", 0, 1)
-            .output("mmio_resp", 0, 1)
-            .output("sram_req", 1, 1)
-            .input("sram_resp", 1, 1)
-            .output("eth_tx", 0, 1)
-            .input("eth_rx", 0, 1)
-            .output("pci_req", 0, 1)
-            .input("pci_resp", 0, 1),
+        NIC_DEV_SPEC,
         Box::new(NicDev {
             mac: params.require_int("mac")? as u64,
             rx_base: params.int_or("rx_base", 1024)? as u64,

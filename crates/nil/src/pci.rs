@@ -233,6 +233,16 @@ impl Module for PciBus {
     }
 }
 
+const PCI_BUS_SPEC: ModuleSpec = ModuleSpec::fixed(
+    "pci_bus",
+    &[
+        PortSpec::input("mreq", 0, u32::MAX),
+        PortSpec::output("mresp", 0, u32::MAX),
+        PortSpec::output("treq", 0, u32::MAX),
+        PortSpec::input("tresp", 0, u32::MAX),
+    ],
+);
+
 /// Construct a PCI bus. Parameters: `window` (words per target window,
 /// default 1 &lt;&lt; 20).
 pub fn pci_bus(params: &Params) -> Result<Instantiated, SimError> {
@@ -241,11 +251,7 @@ pub fn pci_bus(params: &Params) -> Result<Instantiated, SimError> {
         return Err(SimError::param("pci_bus: window must be >= 1"));
     }
     Ok((
-        ModuleSpec::new("pci_bus")
-            .input("mreq", 0, u32::MAX)
-            .output("mresp", 0, u32::MAX)
-            .output("treq", 0, u32::MAX)
-            .input("tresp", 0, u32::MAX),
+        PCI_BUS_SPEC,
         Box::new(PciBus {
             window,
             rr: 0,
@@ -309,6 +315,11 @@ impl Module for PciMem {
     }
 }
 
+const PCI_MEM_SPEC: ModuleSpec = ModuleSpec::fixed(
+    "pci_mem",
+    &[PortSpec::input("req", 1, 1), PortSpec::output("resp", 1, 1)],
+);
+
 /// Construct a PCI memory target. Parameters: `words` (default 1 &lt;&lt; 16),
 /// `latency` (default 3). Returns the observable storage handle.
 pub fn pci_mem(params: &Params) -> Result<(ModuleSpec, Box<dyn Module>, crate::HostMem), SimError> {
@@ -319,9 +330,7 @@ pub fn pci_mem(params: &Params) -> Result<(ModuleSpec, Box<dyn Module>, crate::H
     let latency = params.usize_or("latency", 3)? as u64;
     let handle: crate::HostMem = std::sync::Arc::new(parking_lot::Mutex::new(vec![0; words]));
     Ok((
-        ModuleSpec::new("pci_mem")
-            .input("req", 1, 1)
-            .output("resp", 1, 1),
+        PCI_MEM_SPEC,
         Box::new(PciMem {
             words: handle.clone(),
             latency,

@@ -100,17 +100,23 @@ impl Module for Splitter {
     }
 }
 
+const SPLITTER_SPEC: ModuleSpec = ModuleSpec::fixed(
+    "splitter",
+    &[
+        PortSpec::input("req", 0, 1),
+        PortSpec::output("resp", 0, 1),
+        PortSpec::output("lo_req", 1, 1),
+        PortSpec::input("lo_resp", 1, 1),
+        PortSpec::output("hi_req", 1, 1),
+        PortSpec::input("hi_resp", 1, 1),
+    ],
+);
+
 /// Construct a splitter. Parameter: `split` (first hi-side address,
 /// default 65536).
 pub fn splitter(params: &Params) -> Result<Instantiated, SimError> {
     Ok((
-        ModuleSpec::new("splitter")
-            .input("req", 0, 1)
-            .output("resp", 0, 1)
-            .output("lo_req", 1, 1)
-            .input("lo_resp", 1, 1)
-            .output("hi_req", 1, 1)
-            .input("hi_resp", 1, 1),
+        SPLITTER_SPEC,
         Box::new(Splitter {
             split: params.int_or("split", 65536)? as u64,
             pending: None,

@@ -48,14 +48,17 @@ impl Module for Tap {
     }
 }
 
+const FRAME_TAP_SPEC: ModuleSpec = ModuleSpec::fixed(
+    "frame_tap",
+    &[PortSpec::input("in", 1, 1), PortSpec::output("out", 1, 1)],
+);
+
 /// A transparent recording stage for frame streams (one-entry store and
 /// forward; adds one cycle, like any register). Returns the trace handle.
 pub fn frame_tap() -> (ModuleSpec, Box<dyn Module>, FrameTrace) {
     let trace: FrameTrace = Arc::default();
     (
-        ModuleSpec::new("frame_tap")
-            .input("in", 1, 1)
-            .output("out", 1, 1),
+        FRAME_TAP_SPEC,
         Box::new(Tap {
             trace: trace.clone(),
             held: None,
@@ -86,11 +89,14 @@ impl Module for Replay {
     }
 }
 
+const REPLAY_SOURCE_SPEC: ModuleSpec =
+    ModuleSpec::fixed("replay_source", &[PortSpec::output("out", 0, 1)]);
+
 /// Replays a captured trace with its original timing (frames become
 /// eligible at their capture times; backpressure may delay them further).
 pub fn replay_source(trace: &FrameTrace) -> Instantiated {
     (
-        ModuleSpec::new("replay_source").output("out", 0, 1),
+        REPLAY_SOURCE_SPEC,
         Box::new(Replay {
             script: trace.lock().clone(),
             next: 0,

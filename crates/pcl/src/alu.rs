@@ -100,15 +100,15 @@ impl Module for Alu {
     }
 }
 
+const ALU_SPEC: ModuleSpec = ModuleSpec::fixed(
+    "alu",
+    &[PortSpec::input("in", 0, 1), PortSpec::output("out", 0, 1)],
+)
+.with_ack_in_react();
+
 /// Construct an ALU.
 pub fn alu(_params: &Params) -> Result<Instantiated, SimError> {
-    Ok((
-        ModuleSpec::new("alu")
-            .input("in", 0, 1)
-            .output("out", 0, 1)
-            .with_ack_in_react(),
-        Box::new(Alu),
-    ))
+    Ok((ALU_SPEC, Box::new(Alu)))
 }
 
 /// Register the `alu` template.

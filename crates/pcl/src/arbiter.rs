@@ -203,6 +203,15 @@ impl Module for Arbiter {
     }
 }
 
+const ARBITER_SPEC: ModuleSpec = ModuleSpec::fixed(
+    "arbiter",
+    &[
+        PortSpec::input("in", 0, u32::MAX),
+        PortSpec::output("out", 0, 1),
+    ],
+)
+.with_ack_in_react();
+
 /// Construct an arbiter instance (see module docs).
 pub fn arbiter(params: &Params) -> Result<Instantiated, SimError> {
     let policy = match params.str_or("policy", "fixed")?.as_str() {
@@ -217,10 +226,7 @@ pub fn arbiter(params: &Params) -> Result<Instantiated, SimError> {
         }
     };
     Ok((
-        ModuleSpec::new("arbiter")
-            .input("in", 0, u32::MAX)
-            .output("out", 0, 1)
-            .with_ack_in_react(),
+        ARBITER_SPEC,
         Box::new(Arbiter {
             policy,
             rr_next: 0,

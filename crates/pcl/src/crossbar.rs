@@ -172,6 +172,15 @@ impl Module for Crossbar {
     }
 }
 
+const CROSSBAR_SPEC: ModuleSpec = ModuleSpec::fixed(
+    "crossbar",
+    &[
+        PortSpec::input("in", 0, u32::MAX),
+        PortSpec::output("out", 0, u32::MAX),
+    ],
+)
+.with_ack_in_react();
+
 /// Construct a crossbar (see module docs).
 pub fn crossbar(params: &Params) -> Result<Instantiated, SimError> {
     let strip = params.bool_or("strip", true)?;
@@ -185,10 +194,7 @@ pub fn crossbar(params: &Params) -> Result<Instantiated, SimError> {
         }
     };
     Ok((
-        ModuleSpec::new("crossbar")
-            .input("in", 0, u32::MAX)
-            .output("out", 0, u32::MAX)
-            .with_ack_in_react(),
+        CROSSBAR_SPEC,
         Box::new(Crossbar {
             strip,
             round_robin,

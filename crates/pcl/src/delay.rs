@@ -88,18 +88,21 @@ impl Module for Delay {
     }
 }
 
+// Commit only reacts to completed transfers; idle steps are skipped.
+const DELAY_SPEC: ModuleSpec = ModuleSpec::fixed(
+    "delay",
+    &[PortSpec::input("in", 0, 1), PortSpec::output("out", 0, 1)],
+)
+.commit_only_when_active();
+
 /// Construct a delay line (see module docs).
 pub fn delay(params: &Params) -> Result<Instantiated, SimError> {
     let latency = params.usize_or("latency", 1)? as u64;
     if latency == 0 {
         return Err(SimError::param("delay: latency must be >= 1 (use a wire)"));
     }
-    // Commit only reacts to completed transfers; idle steps are skipped.
     Ok((
-        ModuleSpec::new("delay")
-            .input("in", 0, 1)
-            .output("out", 0, 1)
-            .commit_only_when_active(),
+        DELAY_SPEC,
         Box::new(Delay {
             latency,
             inflight: VecDeque::new(),

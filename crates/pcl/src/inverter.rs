@@ -55,15 +55,15 @@ impl Module for Inverter {
     }
 }
 
+const INVERTER_SPEC: ModuleSpec = ModuleSpec::fixed(
+    "inverter",
+    &[PortSpec::input("in", 0, 1), PortSpec::output("out", 0, 1)],
+)
+.commit_only_when_active();
+
 /// Construct an inverter (see module docs).
 pub fn inverter(_params: &Params) -> Result<Instantiated, SimError> {
-    Ok((
-        ModuleSpec::new("inverter")
-            .input("in", 0, 1)
-            .output("out", 0, 1)
-            .commit_only_when_active(),
-        Box::new(Inverter),
-    ))
+    Ok((INVERTER_SPEC, Box::new(Inverter)))
 }
 
 /// Register the `inverter` template.

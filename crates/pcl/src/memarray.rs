@@ -227,6 +227,14 @@ impl Module for SharedArray {
     }
 }
 
+const MEM_ARRAY_SPEC: ModuleSpec = ModuleSpec::fixed(
+    "mem_array",
+    &[
+        PortSpec::input("req", 0, u32::MAX),
+        PortSpec::output("resp", 0, u32::MAX),
+    ],
+);
+
 /// Like [`mem_array`] but the storage is externally observable through the
 /// returned handle — used by processor models whose final memory state is
 /// checked against the functional emulator.
@@ -241,9 +249,7 @@ pub fn mem_array_shared(
     let inflight = params.usize_or("inflight", 4)?.max(1);
     let handle: SharedMem = std::sync::Arc::new(parking_lot::Mutex::new(vec![0; words]));
     Ok((
-        ModuleSpec::new("mem_array")
-            .input("req", 0, u32::MAX)
-            .output("resp", 0, u32::MAX),
+        MEM_ARRAY_SPEC,
         Box::new(SharedArray {
             words: handle.clone(),
             latency,
@@ -337,9 +343,7 @@ pub fn mem_array(params: &Params) -> Result<Instantiated, SimError> {
     let latency = params.usize_or("latency", 1)? as u64;
     let inflight = params.usize_or("inflight", 4)?.max(1);
     Ok((
-        ModuleSpec::new("mem_array")
-            .input("req", 0, u32::MAX)
-            .output("resp", 0, u32::MAX),
+        MEM_ARRAY_SPEC,
         Box::new(MemArray {
             words: vec![0; words],
             latency,

@@ -189,6 +189,25 @@ impl Module for Queue {
     }
 }
 
+// Commit is a no-op when no transfer touched the queue and it holds
+// nothing (occupancy/full_cycles stats only matter while occupied), so
+// the kernel may skip it on idle-and-empty steps.
+const QUEUE_SPEC: ModuleSpec = ModuleSpec::fixed(
+    "queue",
+    &[
+        PortSpec::input("in", 0, u32::MAX),
+        PortSpec::output("out", 0, u32::MAX),
+    ],
+)
+.commit_only_when_active();
+
+/// A bypass queue: one connection a side.
+const BYPASS_QUEUE_SPEC: ModuleSpec = ModuleSpec::fixed(
+    "queue",
+    &[PortSpec::input("in", 0, 1), PortSpec::output("out", 0, 1)],
+)
+.commit_only_when_active();
+
 /// Construct a queue instance from parameters (see module docs).
 pub fn queue(params: &Params) -> Result<Instantiated, SimError> {
     let depth = params.usize_or("depth", 8)?;
@@ -196,13 +215,11 @@ pub fn queue(params: &Params) -> Result<Instantiated, SimError> {
         return Err(SimError::param("queue: depth must be >= 1"));
     }
     let bypass = params.bool_or("bypass", false)?;
-    // Commit is a no-op when no transfer touched the queue and it holds
-    // nothing (occupancy/full_cycles stats only matter while occupied),
-    // so the kernel may skip it on idle-and-empty steps.
-    let spec = ModuleSpec::new("queue")
-        .input("in", 0, if bypass { 1 } else { u32::MAX })
-        .output("out", 0, if bypass { 1 } else { u32::MAX })
-        .commit_only_when_active();
+    let spec = if bypass {
+        BYPASS_QUEUE_SPEC
+    } else {
+        QUEUE_SPEC
+    };
     Ok((
         spec,
         Box::new(Queue {

@@ -69,17 +69,17 @@ impl Module for Reg {
     }
 }
 
+// Commit only reacts to completed transfers, so the kernel may skip it
+// on steps where none touched this register.
+const REGISTER_SPEC: ModuleSpec = ModuleSpec::fixed(
+    "register",
+    &[PortSpec::input("in", 0, 1), PortSpec::output("out", 0, 1)],
+)
+.commit_only_when_active();
+
 /// Construct a pipeline register.
 pub fn reg(_params: &Params) -> Result<Instantiated, SimError> {
-    // Commit only reacts to completed transfers, so the kernel may skip
-    // it on steps where none touched this register.
-    Ok((
-        ModuleSpec::new("register")
-            .input("in", 0, 1)
-            .output("out", 0, 1)
-            .commit_only_when_active(),
-        Box::new(Reg { held: None }),
-    ))
+    Ok((REGISTER_SPEC, Box::new(Reg { held: None })))
 }
 
 /// Register the `register` template.

@@ -74,16 +74,13 @@ impl Module for Sink {
     }
 }
 
-fn sink_spec() -> ModuleSpec {
-    // Commit only counts received transfers; idle steps are skipped.
-    ModuleSpec::new("sink")
-        .input("in", 0, u32::MAX)
-        .commit_only_when_active()
-}
+// Commit only counts received transfers; idle steps are skipped.
+const SINK_SPEC: ModuleSpec =
+    ModuleSpec::fixed("sink", &[PortSpec::input("in", 0, u32::MAX)]).commit_only_when_active();
 
 /// An always-accepting sink that counts (and checksums) what it receives.
 pub fn counting(_params: &Params) -> Result<Instantiated, SimError> {
-    Ok((sink_spec(), Box::new(Sink { collected: None })))
+    Ok((SINK_SPEC, Box::new(Sink { collected: None })))
 }
 
 /// An always-accepting sink that additionally stores every received value,
@@ -91,7 +88,7 @@ pub fn counting(_params: &Params) -> Result<Instantiated, SimError> {
 pub fn collecting() -> (ModuleSpec, Box<dyn Module>, Collected) {
     let handle = Collected::default();
     (
-        sink_spec(),
+        SINK_SPEC,
         Box::new(Sink {
             collected: Some(handle.clone()),
         }),

@@ -65,11 +65,14 @@ impl Module for ScriptSource {
     }
 }
 
+const SCRIPT_SOURCE_SPEC: ModuleSpec =
+    ModuleSpec::fixed("script_source", &[PortSpec::output("out", 0, 1)]);
+
 /// A source that sends the given script of values, in order, retrying each
 /// until accepted.
 pub fn script(values: Vec<Value>) -> Instantiated {
     (
-        ModuleSpec::new("script_source").output("out", 0, 1),
+        SCRIPT_SOURCE_SPEC,
         Box::new(ScriptSource {
             script: values,
             next: 0,
@@ -105,12 +108,12 @@ impl Module for RepeatingSource {
     }
 }
 
+const REPEATING_SOURCE_SPEC: ModuleSpec =
+    ModuleSpec::fixed("repeating_source", &[PortSpec::output("out", 0, u32::MAX)]);
+
 /// A source that offers `value` on every connection every cycle.
 pub fn repeating(value: Value) -> Instantiated {
-    (
-        ModuleSpec::new("repeating_source").output("out", 0, u32::MAX),
-        Box::new(RepeatingSource { value }),
-    )
+    (REPEATING_SOURCE_SPEC, Box::new(RepeatingSource { value }))
 }
 
 /// Arithmetic word sequence source (the registry template).
@@ -172,6 +175,9 @@ impl Module for SeqSource {
     }
 }
 
+const SEQ_SOURCE_SPEC: ModuleSpec =
+    ModuleSpec::fixed("seq_source", &[PortSpec::output("out", 0, 1)]);
+
 /// Construct a sequence source.
 ///
 /// Parameters: `start` (default 0), `step` (default 1), `count`
@@ -181,7 +187,7 @@ pub fn seq(params: &Params) -> Result<Instantiated, SimError> {
     let start = params.int_or("start", 0)? as u64;
     let count = params.int_or("count", i64::MAX)? as u64;
     Ok((
-        ModuleSpec::new("seq_source").output("out", 0, 1),
+        SEQ_SOURCE_SPEC,
         Box::new(SeqSource {
             start,
             count,

@@ -76,6 +76,15 @@ impl Module for Tee {
     }
 }
 
+const TEE_SPEC: ModuleSpec = ModuleSpec::fixed(
+    "tee",
+    &[
+        PortSpec::input("in", 0, 1),
+        PortSpec::output("out", 0, u32::MAX),
+    ],
+)
+.with_ack_in_react();
+
 /// Construct a tee (see module docs).
 pub fn tee(params: &Params) -> Result<Instantiated, SimError> {
     let require_all = match params.str_or("policy", "all")?.as_str() {
@@ -87,13 +96,7 @@ pub fn tee(params: &Params) -> Result<Instantiated, SimError> {
             )))
         }
     };
-    Ok((
-        ModuleSpec::new("tee")
-            .input("in", 0, 1)
-            .output("out", 0, u32::MAX)
-            .with_ack_in_react(),
-        Box::new(Tee { require_all }),
-    ))
+    Ok((TEE_SPEC, Box::new(Tee { require_all })))
 }
 
 /// Register the `tee` template.

@@ -147,14 +147,20 @@ impl Module for RadioNi {
     }
 }
 
+const RADIO_NI_SPEC: ModuleSpec = ModuleSpec::fixed(
+    "radio_ni",
+    &[
+        PortSpec::output("mem_req", 1, 1),
+        PortSpec::input("mem_resp", 1, 1),
+        PortSpec::output("tx", 1, 1),
+    ],
+);
+
 /// Construct a radio NI. Parameters: `my` (wireless station index),
 /// `base` (destination station), `flag`, `data`, `len` (memory layout).
 pub fn radio_ni(params: &Params) -> Result<Instantiated, SimError> {
     Ok((
-        ModuleSpec::new("radio_ni")
-            .output("mem_req", 1, 1)
-            .input("mem_resp", 1, 1)
-            .output("tx", 1, 1),
+        RADIO_NI_SPEC,
         Box::new(RadioNi {
             my: params.require_int("my")? as u32,
             base: params.require_int("base")? as u32,
@@ -206,12 +212,15 @@ impl Module for Bridge {
     }
 }
 
+const BRIDGE_SPEC: ModuleSpec = ModuleSpec::fixed(
+    "bridge",
+    &[PortSpec::input("in", 1, 1), PortSpec::output("out", 1, 1)],
+);
+
 /// Construct a bridge rewriting packet destinations to `dst`.
 pub fn bridge(params: &Params) -> Result<Instantiated, SimError> {
     Ok((
-        ModuleSpec::new("bridge")
-            .input("in", 1, 1)
-            .output("out", 1, 1),
+        BRIDGE_SPEC,
         Box::new(Bridge {
             new_dst: params.require_int("dst")? as u32,
             held: None,

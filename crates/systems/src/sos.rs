@@ -111,6 +111,11 @@ pub struct Sos {
     pub camp_base: u64,
 }
 
+const CHUNKIFY_SPEC: ModuleSpec = ModuleSpec::fixed(
+    "chunkify",
+    &[PortSpec::input("in", 1, 1), PortSpec::output("out", 1, 1)],
+);
+
 /// Build the complete system-of-systems.
 pub fn build_sos(b: &mut NetlistBuilder, cfg: &SosConfig) -> Result<Sos, SimError> {
     // 1. The sensor field, built with an external base: wireless rx
@@ -142,9 +147,7 @@ pub fn build_sos(b: &mut NetlistBuilder, cfg: &SosConfig) -> Result<Sos, SimErro
     let camp_base = 512u64;
     let ck = b.add(
         "downlink",
-        ModuleSpec::new("chunkify")
-            .input("in", 1, 1)
-            .output("out", 1, 1),
+        CHUNKIFY_SPEC,
         Box::new(Chunkify {
             base: camp_base,
             slot: 8,

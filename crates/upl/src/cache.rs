@@ -268,17 +268,23 @@ impl Module for Cache {
     }
 }
 
+const CACHE_SPEC: ModuleSpec = ModuleSpec::fixed(
+    "cache",
+    &[
+        PortSpec::input("req", 0, 1),
+        PortSpec::output("resp", 0, 1),
+        PortSpec::output("mreq", 1, 1),
+        PortSpec::input("mresp", 1, 1),
+    ],
+);
+
 /// Construct a cache (see module docs).
 pub fn cache(params: &Params) -> Result<Instantiated, SimError> {
     let sets = params.usize_or("sets", 16)?.max(1);
     let ways = params.usize_or("ways", 2)?.max(1);
     let line_words = params.usize_or("line_words", 4)?.max(1);
     Ok((
-        ModuleSpec::new("cache")
-            .input("req", 0, 1)
-            .output("resp", 0, 1)
-            .output("mreq", 1, 1)
-            .input("mresp", 1, 1),
+        CACHE_SPEC,
         Box::new(Cache {
             sets,
             line_words,

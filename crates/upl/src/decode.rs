@@ -182,17 +182,23 @@ impl Module for Decode {
     }
 }
 
+const DECODE_SPEC: ModuleSpec = ModuleSpec::fixed(
+    "decode",
+    &[
+        PortSpec::input("instr", 0, 1),
+        PortSpec::output("uop", 0, 1),
+        PortSpec::input("wb", 0, u32::MAX),
+        PortSpec::input("redirect", 0, 1),
+    ],
+)
+.with_ack_in_react();
+
 /// Construct a decode stage; the returned handles expose the register file
 /// and halt flag for architectural-state checks.
 pub fn decode() -> (ModuleSpec, Box<dyn Module>, DecodeHandles) {
     let handles = DecodeHandles::default();
     (
-        ModuleSpec::new("decode")
-            .input("instr", 0, 1)
-            .output("uop", 0, 1)
-            .input("wb", 0, u32::MAX)
-            .input("redirect", 0, 1)
-            .with_ack_in_react(),
+        DECODE_SPEC,
         Box::new(Decode {
             handles: handles.clone(),
             busy: Vec::new(),

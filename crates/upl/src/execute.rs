@@ -220,16 +220,19 @@ impl Module for Execute {
     }
 }
 
+const EXECUTE_SPEC: ModuleSpec = ModuleSpec::fixed(
+    "execute",
+    &[
+        PortSpec::input("uop", 0, 1),
+        PortSpec::output("wb", 1, 1),
+        PortSpec::output("mem", 0, 1),
+        PortSpec::output("redirect", 0, u32::MAX),
+        PortSpec::output("bru", 0, 1),
+    ],
+)
+.with_ack_in_react();
+
 /// Construct an execute stage.
 pub fn execute() -> Instantiated {
-    (
-        ModuleSpec::new("execute")
-            .input("uop", 0, 1)
-            .output("wb", 1, 1)
-            .output("mem", 0, 1)
-            .output("redirect", 0, u32::MAX)
-            .output("bru", 0, 1)
-            .with_ack_in_react(),
-        Box::new(Execute { epoch: 0 }),
-    )
+    (EXECUTE_SPEC, Box::new(Execute { epoch: 0 }))
 }

@@ -165,14 +165,20 @@ impl Module for Fetch {
     }
 }
 
+const FETCH_SPEC: ModuleSpec = ModuleSpec::fixed(
+    "fetch",
+    &[
+        PortSpec::output("instr", 1, 1),
+        PortSpec::input("redirect", 0, 1),
+        PortSpec::output("pred_q", 0, 1),
+        PortSpec::input("pred_a", 0, 1),
+    ],
+);
+
 /// Construct a fetch stage for a program.
 pub fn fetch(prog: Arc<Program>) -> Instantiated {
     (
-        ModuleSpec::new("fetch")
-            .output("instr", 1, 1)
-            .input("redirect", 0, 1)
-            .output("pred_q", 0, 1)
-            .input("pred_a", 0, 1),
+        FETCH_SPEC,
         Box::new(Fetch {
             prog,
             pc: 0,

@@ -117,15 +117,18 @@ impl Module for MemStage {
     }
 }
 
+const MEMSTAGE_SPEC: ModuleSpec = ModuleSpec::fixed(
+    "memstage",
+    &[
+        PortSpec::input("uop", 0, 1),
+        PortSpec::output("req", 1, 1),
+        PortSpec::input("resp", 1, 1),
+        PortSpec::output("wb", 1, 1),
+    ],
+)
+.with_ack_in_react();
+
 /// Construct a memory stage.
 pub fn memstage() -> Instantiated {
-    (
-        ModuleSpec::new("memstage")
-            .input("uop", 0, 1)
-            .output("req", 1, 1)
-            .input("resp", 1, 1)
-            .output("wb", 1, 1)
-            .with_ack_in_react(),
-        Box::new(MemStage { pending: None }),
-    )
+    (MEMSTAGE_SPEC, Box::new(MemStage { pending: None }))
 }

@@ -148,15 +148,18 @@ impl Predictor {
     }
 }
 
+const PREDICTOR_SPEC: ModuleSpec = ModuleSpec::fixed(
+    "predictor",
+    &[
+        PortSpec::input("q", 0, 1),
+        PortSpec::output("a", 0, 1),
+        PortSpec::input("update", 0, 1),
+    ],
+);
+
 /// Construct a predictor (see module docs).
 pub fn predictor(params: &Params) -> Result<Instantiated, SimError> {
-    Ok((
-        ModuleSpec::new("predictor")
-            .input("q", 0, 1)
-            .output("a", 0, 1)
-            .input("update", 0, 1),
-        Box::new(Predictor::from_params(params)?),
-    ))
+    Ok((PREDICTOR_SPEC, Box::new(Predictor::from_params(params)?)))
 }
 
 /// Register the `predictor` template.
