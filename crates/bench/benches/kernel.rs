@@ -224,12 +224,10 @@ fn main() {
         )
     );
 
-    // --- Supervisor parity: governed (never-binding budget) vs off ---
-    // The baseline guard below compares the supervisor-OFF runs, which
-    // is the default path: with no governance installed, `run()` pays a
-    // single `Option` check per call and nothing per step. This table
-    // documents what arming the supervisor costs when its budgets never
-    // bind (one boundary check per step).
+    // --- Supervisor parity: a never-binding budget vs nothing installed ---
+    // Both sides run the supervisor's one loop; this table documents
+    // what a live budget axis costs at each step boundary when it never
+    // binds.
     let mut rows = Vec::new();
     for &w in WORKLOADS {
         let off = off_runs

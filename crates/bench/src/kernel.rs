@@ -461,12 +461,11 @@ pub fn run_workload(workload: &'static str, sched: SchedKind, cycles: u64) -> Ke
     run_workload_probed(workload, sched, cycles, ProbeMode::Off)
 }
 
-/// Run one workload with the run supervisor armed but never binding: a
-/// step budget far above the horizon. Measures the cost of routing
-/// through the governed loop (one boundary check per step) against the
-/// supervisor-off path — the supervisor-parity experiment. The default
-/// (no governance installed) pays a single `Option` check per *run
-/// call*, which is what the baseline guard measures.
+/// Run one workload with a step budget far above the horizon, so the
+/// budget is checked at every step boundary but never binds — the
+/// supervisor-parity experiment. Every run goes through the same
+/// supervisor loop; against [`run_workload`] (nothing installed) this
+/// measures what a boxed supervisor with a live budget axis adds.
 pub fn run_workload_governed(workload: &'static str, sched: SchedKind, cycles: u64) -> KernelRun {
     let mut sim = build(workload, sched);
     sim.set_budget(RunBudget::new().max_steps(u64::MAX));

@@ -128,22 +128,36 @@ fn chain(stages: usize, sched: SchedKind) -> Simulator {
 fn a_million_word_transfers_allocate_nothing() {
     const STAGES: usize = 64;
     const STEPS: u64 = 16_384; // 64 transfers/step * 16384 = 2^20 > 1e6
-    let mut sim = chain(STAGES, SchedKind::Compiled);
-    // Warm-up: let every lazily grown structure (transfer list, wake
-    // buffer, stats entries, plan-order scratch) reach steady capacity.
-    sim.run(4).unwrap();
-    let before = allocs();
-    sim.run(STEPS).unwrap();
-    let after = allocs();
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state scalar transfers must not allocate"
-    );
-    let k = sim.instance_by_name("sink").unwrap();
-    assert_eq!(sim.stats().counter(k, "received"), 4 + STEPS);
-    let transfers: u64 = sim.transfer_counts().iter().sum();
-    assert!(transfers >= 1_000_000, "moved {transfers} values");
+
+    // One run call, and the same steps as the repo benchmark's timed
+    // windows: `run_until(16, pred)` calls, each a separate pass through
+    // the run loop — so the loop itself builds nothing per call.
+    let drivers: [fn(&mut Simulator); 2] = [
+        |sim| sim.run(STEPS).unwrap(),
+        |sim| {
+            for _ in 0..STEPS / 16 {
+                assert_eq!(sim.run_until(16, |_| false).unwrap(), 16);
+            }
+        },
+    ];
+    for drive in drivers {
+        let mut sim = chain(STAGES, SchedKind::Compiled);
+        // Warm-up: let every lazily grown structure (transfer list, wake
+        // buffer, stats entries, plan-order scratch) reach steady capacity.
+        sim.run(4).unwrap();
+        let before = allocs();
+        drive(&mut sim);
+        let after = allocs();
+        assert_eq!(
+            after - before,
+            0,
+            "steady-state scalar transfers must not allocate"
+        );
+        let k = sim.instance_by_name("sink").unwrap();
+        assert_eq!(sim.stats().counter(k, "received"), 4 + STEPS);
+        let transfers: u64 = sim.transfer_counts().iter().sum();
+        assert!(transfers >= 1_000_000, "moved {transfers} values");
+    }
 }
 
 /// An LSS text of the repo benchmark's `lss_front` shape: a hierarchical

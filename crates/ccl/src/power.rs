@@ -16,7 +16,7 @@ use liberty_core::prelude::StatsReport;
 use std::collections::BTreeMap;
 
 /// Energy and leakage coefficients.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PowerCoeffs {
     /// Energy per flit written into a buffer (pJ).
     pub e_buf_write_pj: f64,
@@ -61,7 +61,7 @@ impl Default for PowerCoeffs {
 }
 
 /// A power breakdown for one network.
-#[derive(Clone, Debug, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct PowerReport {
     /// Dynamic power by component class (mW).
     pub dynamic_mw: BTreeMap<String, f64>,

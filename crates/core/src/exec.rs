@@ -44,10 +44,7 @@ use crate::signal::{flag, Res, Wire, WireWrite, WriteOutcome};
 use crate::snapshot::Snapshot;
 use crate::stats::{Stats, StatsReport};
 use crate::store::SignalStore;
-use crate::supervisor::{
-    BudgetKind, CancelToken, MemoryGauge, RetryCause, RetryPolicy, RunBudget, RunOutcome,
-    RunReport, SupervisorState,
-};
+use crate::supervisor::{RetryCause, Supervisor};
 use crate::topology::{InstanceInfo, PortMeta, Topology};
 use crate::value::Value;
 use std::cell::Cell;
@@ -70,7 +67,7 @@ pub enum SchedKind {
 }
 
 /// Invocation counters exposed for the scheduler-optimization experiment.
-#[derive(Clone, Copy, Debug, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct EngineMetrics {
     /// Time-steps executed.
     pub steps: u64,
@@ -111,48 +108,6 @@ struct ResilState {
     pending_q: Vec<(u32, String)>,
 }
 
-/// Checkpoint / recovery configuration plus the in-memory rollback
-/// target. Boxed behind an `Option` exactly like [`ResilState`]: a
-/// simulator that never checkpoints carries a single `None`, `run`
-/// checks it once per step at the step *boundary*, and nothing changes
-/// inside the monomorphized reaction loops — the checkpoint-off hot
-/// path stays on the kernel baseline.
-struct CheckpointState {
-    /// Auto-checkpoint period in steps (0 = explicit snapshots only).
-    every: u64,
-    /// When set, every auto checkpoint is also written (atomically) to
-    /// `<dir>/step-<now>.ckpt`.
-    dir: Option<std::path::PathBuf>,
-    /// The most recent checkpoint — the roll-back-and-retry target.
-    last: Option<Arc<Snapshot>>,
-    /// Retry failures by restoring `last` and masking the offending
-    /// fault-plan entries, instead of staying quarantined / aborting.
-    rollback: bool,
-    /// Instances a rollback was already attempted for. A second failure
-    /// of the same instance keeps the quarantine: an organic failure
-    /// (not plan-injected) replays identically, so retrying again would
-    /// loop forever.
-    attempted_insts: Vec<u32>,
-    /// Edges whose faults were already masked for divergence recovery.
-    attempted_edges: Vec<u32>,
-    /// Rollbacks performed so far (diagnostics).
-    rollbacks: u64,
-}
-
-impl CheckpointState {
-    fn new() -> Self {
-        CheckpointState {
-            every: 0,
-            dir: None,
-            last: None,
-            rollback: false,
-            attempted_insts: Vec::new(),
-            attempted_edges: Vec::new(),
-            rollbacks: 0,
-        }
-    }
-}
-
 /// The executable simulator (paper Fig. 1's "Simulator Executable").
 pub struct Simulator {
     topo: Arc<Topology>,
@@ -180,14 +135,9 @@ pub struct Simulator {
     /// Fault-injection / watchdog / quarantine state; `None` (the
     /// default) keeps the hot path on the fault-free monomorphization.
     resil: Option<Box<ResilState>>,
-    /// Checkpoint / recovery state. While this and `sup` are both `None`
-    /// (the default) `run` stays on the plain step loop — one branch per
-    /// run call, zero per-step cost; either one routes it through the
-    /// governed loop.
-    ckpt: Option<Box<CheckpointState>>,
-    /// Run-governance state (budgets, cancellation, retry policy, the
-    /// last run report).
-    sup: Option<Box<SupervisorState>>,
+    /// Run governance, with the methods that set it, in `supervisor.rs`;
+    /// `None` until one of them runs.
+    pub(crate) sup: Option<Box<Supervisor>>,
     /// The compiled invocation plan ([`SchedKind::Compiled`] only; shared
     /// via the topology's cache).
     plan: Option<Arc<CompiledPlan>>,
@@ -250,7 +200,6 @@ impl Simulator {
             transfer_counts: vec![0; n_edges],
             transfer_buf: Vec::new(),
             resil: None,
-            ckpt: None,
             sup: None,
             plan,
             spec,
@@ -345,315 +294,24 @@ impl Simulator {
         self.resil_mut().max_iters = Some(max_iters.max(1));
     }
 
-    fn ckpt_mut(&mut self) -> &mut CheckpointState {
-        self.ckpt
-            .get_or_insert_with(|| Box::new(CheckpointState::new()))
+    /// Drop the fault-plan entries behind a failure about to be retried:
+    /// the instance faults of instances `ids`, or the wire faults on edges
+    /// `ids`. Returns how many entries went.
+    pub(crate) fn mask_faults(&mut self, cause: RetryCause, ids: &[u32]) -> usize {
+        let Some(plan) = self.resil.as_deref_mut().and_then(|r| r.plan.as_mut()) else {
+            return 0;
+        };
+        ids.iter()
+            .map(|&id| match cause {
+                RetryCause::Quarantine => plan.mask_instance(id),
+                RetryCause::Divergence => plan.mask_edge(id),
+            })
+            .sum()
     }
 
-    /// Take a checkpoint automatically every `every` steps during
-    /// [`Simulator::run`] (0 disables). Checkpoints are kept in memory
-    /// as the rollback target; pair with
-    /// [`Simulator::set_checkpoint_dir`] to also persist each one.
-    /// Checkpointing happens strictly at step boundaries, so enabling it
-    /// never perturbs the reaction/commit hot loops.
-    pub fn set_auto_checkpoint(&mut self, every: u64) {
-        self.ckpt_mut().every = every;
-    }
-
-    /// Persist every auto checkpoint to `<dir>/step-<now>.ckpt`
-    /// (written atomically: temp file + rename).
-    pub fn set_checkpoint_dir(&mut self, dir: impl Into<std::path::PathBuf>) {
-        self.ckpt_mut().dir = Some(dir.into());
-    }
-
-    /// Enable roll-back-and-retry recovery: when a step quarantines an
-    /// instance (under [`FailurePolicy::Quarantine`]) or dies with
-    /// [`SimError::Divergence`], `run` restores the last checkpoint,
-    /// masks the offending instance/edge in the installed fault plan and
-    /// resumes — emitting `rollback` and `restore` probe events. Each
-    /// instance/edge is retried at most once: a failure that is not
-    /// explained by the fault plan replays identically, so the second
-    /// occurrence falls through to the plain quarantine/abort behaviour.
-    pub fn set_rollback(&mut self, enabled: bool) {
-        self.ckpt_mut().rollback = enabled;
-    }
-
-    /// The most recent checkpoint taken by the auto-checkpoint machinery
-    /// or [`Simulator::checkpoint_now`].
-    pub fn last_checkpoint(&self) -> Option<Arc<Snapshot>> {
-        self.ckpt.as_ref().and_then(|c| c.last.clone())
-    }
-
-    /// How many times the recovery path rolled the run back.
-    pub fn rollbacks(&self) -> u64 {
-        self.ckpt.as_ref().map_or(0, |c| c.rollbacks)
-    }
-
-    fn sup_mut(&mut self) -> &mut SupervisorState {
-        self.sup
-            .get_or_insert_with(|| Box::new(SupervisorState::new()))
-    }
-
-    /// Retry attempts allowed per individual cause (instance/edge): 1 —
-    /// the original retry-once behaviour — unless a retry policy raises
-    /// it.
-    fn per_cause_cap(&self) -> usize {
-        self.sup
-            .as_ref()
-            .map_or(1, |s| s.retry.per_cause.max(1) as usize)
-    }
-
-    /// Install a cooperative [`RunBudget`]. Budgets are enforced at step
-    /// boundaries by the governed run loop ([`Simulator::run`] routes
-    /// through it once any governance is installed); an unset simulator
-    /// pays a single `Option` check per *run call*, nothing per step.
-    pub fn set_budget(&mut self, budget: RunBudget) {
-        self.sup_mut().budget = budget;
-    }
-
-    /// Install a [`CancelToken`]. When tripped (from another thread or a
-    /// signal handler), the governed loop exits at the next step
-    /// boundary: a final checkpoint is taken and the run returns
-    /// [`RunOutcome::Cancelled`].
-    pub fn set_cancel_token(&mut self, token: CancelToken) {
-        self.sup_mut().cancel = Some(token);
-    }
-
-    /// Install a [`RetryPolicy`], generalizing the rollback-retry-once
-    /// behaviour into a bounded escalation ladder: retry from checkpoint
-    /// (with backoff) → mask the offending fault/edge → leave the
-    /// instance quarantined → degrade to partial results. Also arms
-    /// rollback — retries restore the last checkpoint.
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.sup_mut().retry = policy;
-        self.ckpt_mut().rollback = true;
-    }
-
-    /// Install a memory gauge (typically wired to a counting global
-    /// allocator) for [`RunBudget::max_memory_bytes`]. Polled once per
-    /// step boundary during governed runs; never on the hot path.
-    pub fn set_memory_gauge(&mut self, gauge: impl Fn() -> u64 + Send + Sync + 'static) {
-        self.sup_mut().gauge = Some(Arc::new(gauge) as MemoryGauge);
-    }
-
-    /// The report of the most recent governed run, if any.
-    pub fn last_run_report(&self) -> Option<&RunReport> {
-        self.sup.as_ref().and_then(|s| s.last_report.as_ref())
-    }
-
-    /// Run `cycles` steps under governance and return the structured
-    /// [`RunReport`] — from **every** exit path: completion, budget
-    /// exhaustion, cancellation, degradation and failure alike. Callable
-    /// on an ungoverned simulator too (the report then just describes a
-    /// plain run).
-    pub fn run_governed(&mut self, cycles: u64) -> RunReport {
-        self.run_governed_until(cycles, |_| false)
-    }
-
-    /// [`Simulator::run_governed`] with an early-exit predicate, checked
-    /// after each completed step (the governed analogue of
-    /// [`Simulator::run_until`]). Reaching the predicate counts as
-    /// completion.
-    pub fn run_governed_until(
-        &mut self,
-        max_cycles: u64,
-        mut pred: impl FnMut(&Stats) -> bool,
-    ) -> RunReport {
-        let started = std::time::Instant::now();
-        let start_now = self.now;
-        // Counted locally rather than via `metrics.steps`: a rollback
-        // restores the metrics from the snapshot, but replayed steps are
-        // real work and must count against the step budget.
-        let mut executed: u64 = 0;
-        let target = self.now.saturating_add(max_cycles);
-        {
-            let s = self.sup_mut();
-            s.retries.clear();
-            s.total_retries = 0;
-            s.mem_peak = 0;
-        }
-        let mut outcome = RunOutcome::Completed;
-        let mut error: Option<SimError> = None;
-        // A rollback needs a target even before the first periodic
-        // checkpoint: seed one at the starting boundary.
-        if self
-            .ckpt
-            .as_ref()
-            .is_some_and(|c| c.rollback && c.last.is_none())
-        {
-            match self.snapshot() {
-                Ok(s) => self.ckpt_mut().last = Some(Arc::new(s)),
-                Err(e) => {
-                    error = Some(e);
-                    outcome = RunOutcome::Failed;
-                }
-            }
-        }
-        while error.is_none() && self.now < target {
-            if let Some(stop) = self.governed_stop(started, executed) {
-                outcome = stop;
-                break;
-            }
-            let q_before = self.metrics.quarantines;
-            match self.step() {
-                Ok(()) => {
-                    executed += 1;
-                    if self.metrics.quarantines > q_before && self.retry_budget_left() {
-                        match self.try_rollback_quarantine() {
-                            Ok(true) => {
-                                self.note_retry(RetryCause::Quarantine);
-                                continue;
-                            }
-                            Ok(false) => {} // quarantine stands (ladder step 3)
-                            Err(e) => {
-                                error = Some(e);
-                                break;
-                            }
-                        }
-                    }
-                    if let Err(e) = self.maybe_auto_checkpoint() {
-                        error = Some(e);
-                        break;
-                    }
-                    if pred(&self.stats) {
-                        break;
-                    }
-                }
-                Err(e) => {
-                    let retried = if self.retry_budget_left() {
-                        self.try_rollback_divergence(&e)
-                    } else {
-                        Ok(false)
-                    };
-                    match retried {
-                        Ok(true) => self.note_retry(RetryCause::Divergence),
-                        Ok(false) => {
-                            error = Some(e);
-                            break;
-                        }
-                        Err(e2) => {
-                            error = Some(e2);
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        if error.is_some() {
-            outcome = RunOutcome::Failed;
-        } else if matches!(outcome, RunOutcome::Completed)
-            && !self.quarantined_instances().is_empty()
-        {
-            // Reached the target, but only by isolating instances: the
-            // results are partial (ladder step 4).
-            outcome = RunOutcome::Degraded;
-        }
-        // A budget stop on a checkpointing simulator preserves progress
-        // too (cancellation already checkpointed inside governed_stop).
-        if matches!(outcome, RunOutcome::BudgetExhausted(_)) && self.ckpt.is_some() {
-            let _ = self.checkpoint_now();
-        }
-        let report = self.build_report(outcome, max_cycles, start_now, executed, started, error);
-        self.sup_mut().last_report = Some(report.clone());
-        report
-    }
-
-    /// The step-boundary governance check: cancellation first (it also
-    /// takes the final checkpoint), then each budget axis in a fixed
-    /// order. Returns the outcome to stop with, if any.
-    fn governed_stop(&mut self, started: std::time::Instant, executed: u64) -> Option<RunOutcome> {
-        let s = self.sup.as_deref_mut()?;
-        if s.cancel.as_ref().is_some_and(|t| t.is_cancelled()) {
-            let now = self.now;
-            if let Some(p) = self.probe.as_deref_mut() {
-                p.run_cancelled(now);
-            }
-            // Preserve the work done so far: the in-memory snapshot is
-            // always taken; it also lands on disk when a checkpoint
-            // directory is configured. A snapshot failure must not mask
-            // the cancellation.
-            let _ = self.checkpoint_now();
-            return Some(RunOutcome::Cancelled);
-        }
-        if let Some(max) = s.budget.max_steps {
-            if executed >= max {
-                return Some(RunOutcome::BudgetExhausted(BudgetKind::Steps));
-            }
-        }
-        if let Some(deadline) = s.budget.deadline {
-            if started.elapsed() >= deadline {
-                return Some(RunOutcome::BudgetExhausted(BudgetKind::Deadline));
-            }
-        }
-        if let Some(gauge) = &s.gauge {
-            let used = gauge();
-            s.mem_peak = s.mem_peak.max(used);
-            if s.budget.max_memory_bytes.is_some_and(|ceil| used > ceil) {
-                return Some(RunOutcome::BudgetExhausted(BudgetKind::Memory));
-            }
-        }
-        if let Some(max_q) = s.budget.max_quarantined {
-            if self.metrics.quarantines > max_q {
-                return Some(RunOutcome::BudgetExhausted(BudgetKind::Quarantine));
-            }
-        }
-        None
-    }
-
-    /// True while the retry policy's total budget has attempts left.
-    fn retry_budget_left(&self) -> bool {
-        self.sup
-            .as_ref()
-            .is_none_or(|s| s.total_retries < s.retry.max_retries)
-    }
-
-    /// Account a performed retry and apply the policy's backoff (a pure
-    /// host-side delay: the simulated clock and the probe stream are
-    /// unaffected, so retried runs stay byte-identical).
-    fn note_retry(&mut self, cause: RetryCause) {
-        let s = self.sup_mut();
-        s.total_retries += 1;
-        *s.retries.entry(cause.label()).or_insert(0) += 1;
-        let delay = s.retry.backoff_for(s.total_retries);
-        if !delay.is_zero() {
-            std::thread::sleep(delay);
-        }
-    }
-
-    fn build_report(
-        &mut self,
-        outcome: RunOutcome,
-        steps_requested: u64,
-        start_now: u64,
-        executed: u64,
-        started: std::time::Instant,
-        error: Option<SimError>,
-    ) -> RunReport {
-        let quarantined: Vec<String> = self
-            .quarantined_instances()
-            .into_iter()
-            .map(|i| self.topo.name(i).to_string())
-            .collect();
-        let last_checkpoint = self.ckpt.as_ref().and_then(|c| {
-            let dir = c.dir.as_ref()?;
-            let snap = c.last.as_ref()?;
-            let path = dir.join(format!("step-{:08}.ckpt", snap.now()));
-            path.exists().then_some(path)
-        });
-        let s = self.sup.as_deref();
-        RunReport {
-            outcome,
-            steps_requested,
-            steps_completed: self.now.saturating_sub(start_now),
-            steps_executed: executed,
-            elapsed: started.elapsed(),
-            retries: s.map(|s| s.retries.clone()).unwrap_or_default(),
-            rollbacks: self.rollbacks(),
-            memory_peak: s.and_then(|s| s.gauge.is_some().then_some(s.mem_peak)),
-            quarantined,
-            last_checkpoint,
-            error,
-        }
+    /// The attached probe, for the supervisor's run-level events.
+    pub(crate) fn probe_mut(&mut self) -> Option<&mut (dyn Probe + 'static)> {
+        self.probe.as_deref_mut()
     }
 
     /// Capture the full durable simulator state at the current step
@@ -770,161 +428,6 @@ impl Simulator {
         Ok(())
     }
 
-    /// Take a checkpoint right now: remember it in memory as the
-    /// rollback target, write it to the checkpoint directory when one is
-    /// set, and emit the `checkpoint` probe event. The auto-checkpoint
-    /// path calls this every N steps; hosts can also call it directly at
-    /// any step boundary.
-    pub fn checkpoint_now(&mut self) -> Result<(), SimError> {
-        let snap = Arc::new(self.snapshot()?);
-        let now = self.now;
-        let c = self.ckpt_mut();
-        c.last = Some(Arc::clone(&snap));
-        if let Some(dir) = c.dir.clone() {
-            // Group commit: everything the probe saw before this boundary
-            // reaches its writer before the checkpoint that covers it
-            // exists on disk, so a resume never finds a checkpoint ahead
-            // of the stream it would have to refill.
-            if let Some(p) = self.probe.as_deref_mut() {
-                p.sync().map_err(|e| {
-                    SimError::checkpoint(CheckpointError::Io {
-                        path: dir.clone(),
-                        msg: format!("probe sink behind the checkpoint: {e}"),
-                    })
-                })?;
-            }
-            std::fs::create_dir_all(&dir).map_err(|e| {
-                SimError::checkpoint(CheckpointError::Io {
-                    path: dir.clone(),
-                    msg: e.to_string(),
-                })
-            })?;
-            snap.write_file(&dir.join(format!("step-{now:08}.ckpt")))?;
-        }
-        if let Some(p) = self.probe.as_deref_mut() {
-            p.checkpointed(now);
-        }
-        Ok(())
-    }
-
-    fn maybe_auto_checkpoint(&mut self) -> Result<(), SimError> {
-        let every = self.ckpt.as_ref().map_or(0, |c| c.every);
-        if every == 0 || !self.now.is_multiple_of(every) {
-            return Ok(());
-        }
-        self.checkpoint_now()
-    }
-
-    /// Recovery for a step that quarantined at least one instance: if
-    /// rollback is armed and any of the new quarantines has not been
-    /// retried yet, mask those instances' fault-plan entries, rewind to
-    /// the last checkpoint and report `true` (the caller re-runs the
-    /// steps). Otherwise leave the quarantine standing.
-    fn try_rollback_quarantine(&mut self) -> Result<bool, SimError> {
-        let Some(c) = self.ckpt.as_ref() else {
-            return Ok(false);
-        };
-        if !c.rollback {
-            return Ok(false);
-        }
-        let Some(snap) = c.last.clone() else {
-            return Ok(false);
-        };
-        // Attempts per individual instance: 1 unless a retry policy
-        // raises it (the supervisor's per-cause cap).
-        let cap = self.per_cause_cap();
-        let fresh: Vec<u32> = self
-            .quarantined_instances()
-            .into_iter()
-            .map(|i| i.0)
-            .filter(|i| !snap.quarantined.contains(i))
-            .filter(|i| c.attempted_insts.iter().filter(|&&a| a == *i).count() < cap)
-            .collect();
-        if fresh.is_empty() {
-            return Ok(false);
-        }
-        if let Some(rs) = self.resil.as_deref_mut() {
-            if let Some(plan) = rs.plan.as_mut() {
-                for &i in &fresh {
-                    plan.mask_instance(i);
-                }
-            }
-        }
-        let names: Vec<&str> = fresh
-            .iter()
-            .map(|&i| self.topo.name(InstanceId(i)))
-            .collect();
-        let reason = format!("quarantine of {}", names.join(", "));
-        let now = self.now;
-        let c = self.ckpt_mut();
-        c.attempted_insts.extend(fresh.iter().copied());
-        c.rollbacks += 1;
-        if let Some(p) = self.probe.as_deref_mut() {
-            p.rolled_back(now, snap.now, &reason);
-        }
-        self.restore(&snap)?;
-        Ok(true)
-    }
-
-    /// Recovery for a step that died with [`SimError::Divergence`]: if
-    /// rollback is armed and masking the oscillating edges actually
-    /// removed fault-plan entries (an organic oscillation replays
-    /// identically, so retrying it would loop), rewind and report
-    /// `true`.
-    fn try_rollback_divergence(&mut self, e: &SimError) -> Result<bool, SimError> {
-        let Some(info) = e.as_divergence() else {
-            return Ok(false);
-        };
-        let Some(c) = self.ckpt.as_ref() else {
-            return Ok(false);
-        };
-        if !c.rollback {
-            return Ok(false);
-        }
-        let Some(snap) = c.last.clone() else {
-            return Ok(false);
-        };
-        let cap = self.per_cause_cap();
-        let fresh: Vec<u32> = info
-            .oscillating
-            .iter()
-            .map(|w| w.edge)
-            .filter(|e| c.attempted_edges.iter().filter(|&&a| a == *e).count() < cap)
-            .collect();
-        if fresh.is_empty() {
-            return Ok(false);
-        }
-        let mut masked = 0;
-        if let Some(rs) = self.resil.as_deref_mut() {
-            if let Some(plan) = rs.plan.as_mut() {
-                for &e in &fresh {
-                    masked += plan.mask_edge(e);
-                }
-            }
-        }
-        let c = self.ckpt_mut();
-        c.attempted_edges.extend(fresh.iter().copied());
-        if masked == 0 {
-            return Ok(false);
-        }
-        c.rollbacks += 1;
-        let now = self.now;
-        let reason = format!(
-            "divergence on edge{} {}",
-            if fresh.len() == 1 { "" } else { "s" },
-            fresh
-                .iter()
-                .map(|e| e.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-        if let Some(p) = self.probe.as_deref_mut() {
-            p.rolled_back(now, snap.now, &reason);
-        }
-        self.restore(&snap)?;
-        Ok(true)
-    }
-
     /// True when `inst` has been quarantined by
     /// [`FailurePolicy::Quarantine`].
     pub fn is_quarantined(&self, inst: InstanceId) -> bool {
@@ -1036,34 +539,19 @@ impl Simulator {
     }
 
     /// Run until `pred` returns true (checked after each step) or until
-    /// `max_cycles` elapse. Returns the number of steps completed. When
-    /// governance (budget / cancel token / retry policy) or checkpointing
-    /// (auto-checkpoint / checkpoint directory / rollback) is installed,
-    /// the loop is [`Simulator::run_governed_until`]: it auto-checkpoints
-    /// at period boundaries and rewinds on recoverable
-    /// quarantine/divergence; budget and cancellation stops return `Ok`
-    /// with the details in [`Simulator::last_run_report`], and only
-    /// [`RunOutcome::Failed`] surfaces as `Err`. Otherwise it is the plain
-    /// step loop with no per-step overhead.
+    /// `max_cycles` elapse; returns the number of steps completed. Budget
+    /// and cancellation stops return `Ok` (the details are in
+    /// [`Simulator::last_run_report`]); only a failed run is an `Err`.
     pub fn run_until(
         &mut self,
         max_cycles: u64,
-        mut pred: impl FnMut(&Stats) -> bool,
+        pred: impl FnMut(&Stats) -> bool,
     ) -> Result<u64, SimError> {
-        if self.sup.is_some() || self.ckpt.is_some() {
-            let report = self.run_governed_until(max_cycles, pred);
-            return match report.error {
-                Some(e) => Err(e),
-                None => Ok(report.steps_completed),
-            };
+        let report = self.supervised(max_cycles, pred);
+        match report.error {
+            Some(e) => Err(e),
+            None => Ok(report.steps_completed),
         }
-        for c in 0..max_cycles {
-            self.step()?;
-            if pred(&self.stats) {
-                return Ok(c + 1);
-            }
-        }
-        Ok(max_cycles)
     }
 
     /// Execute one complete time-step.
@@ -2462,6 +1950,7 @@ mod tests {
     use super::*;
     use crate::module::ModuleSpec;
     use crate::netlist::NetlistBuilder;
+    use crate::supervisor::{BudgetKind, CancelToken, RetryPolicy, RunBudget, RunOutcome};
 
     /// Sends its cycle number every step.
     struct Src;
@@ -3105,25 +2594,6 @@ mod tests {
     }
 
     #[test]
-    fn memory_ceiling_uses_the_installed_gauge() {
-        let mut sim = simple_pair(SchedKind::Compiled);
-        sim.set_budget(RunBudget::default().max_memory_bytes(1 << 20));
-        sim.set_memory_gauge(|| 2 << 20);
-        let report = sim.run_governed(100);
-        assert_eq!(
-            report.outcome,
-            RunOutcome::BudgetExhausted(BudgetKind::Memory)
-        );
-        assert_eq!(report.memory_peak, Some(2 << 20));
-        // Without a ceiling the gauge still tracks the peak.
-        let mut sim = simple_pair(SchedKind::Compiled);
-        sim.set_budget(RunBudget::default().max_steps(4));
-        sim.set_memory_gauge(|| 123);
-        let report = sim.run_governed(100);
-        assert_eq!(report.memory_peak, Some(123));
-    }
-
-    #[test]
     fn cancellation_stops_at_a_step_boundary_and_checkpoints() {
         /// Trips the shared token at the end of step `at`.
         struct CancelAt {
@@ -3246,8 +2716,8 @@ mod tests {
 
     #[test]
     fn run_until_checkpoints_like_run() {
-        // Checkpointing alone — no budget, token or retry policy — puts
-        // `run_until` on the governed loop, exactly as it puts `run`.
+        // Checkpointing alone — no budget, token or retry policy —
+        // checkpoints `run_until` exactly as it checkpoints `run`.
         let drivers: [fn(&mut Simulator); 3] = [
             |sim| sim.run(10).unwrap(),
             |sim| assert_eq!(sim.run_until(10, |_| false).unwrap(), 10),
@@ -3279,7 +2749,7 @@ mod tests {
             sim.set_fault_plan(FaultPlan::new(7).panic_at(InstanceId(0), 3));
             sim.set_failure_policy(FailurePolicy::Quarantine);
             sim.set_auto_checkpoint(2);
-            sim.set_rollback(true);
+            sim.set_retry_policy(RetryPolicy::default());
             drive(&mut sim);
             assert_eq!(sim.rollbacks(), 1);
             assert!(sim.quarantined_instances().is_empty());

@@ -34,10 +34,10 @@
 //! * [`snapshot`] — versioned, checksummed checkpoints of the full
 //!   simulator state, the substrate of the roll-back recovery path and
 //!   the golden-state regression corpus;
-//! * [`supervisor`] — run governance: cooperative budgets and deadlines,
-//!   external cancellation, the retry/backoff escalation ladder over the
-//!   checkpoint machinery, structured run reports, and bounded
-//!   backpressure for probe sinks;
+//! * [`supervisor`] — the run loop and run governance: cooperative
+//!   budgets and deadlines, external cancellation, checkpoint cadence,
+//!   the retry/backoff escalation ladder over the checkpoint machinery,
+//!   structured run reports, and bounded backpressure for probe sinks;
 //! * [`params`] / [`registry`] — algorithmic parameters and the template
 //!   registry the component libraries populate.
 //!
@@ -127,8 +127,8 @@ pub mod prelude {
     pub use crate::stats::{Histogram, Sample, Stats, StatsReport};
     pub use crate::store::SignalStore;
     pub use crate::supervisor::{
-        BackpressureWriter, BudgetKind, CancelToken, MemoryGauge, RetryCause, RetryPolicy,
-        RunBudget, RunOutcome, RunReport, SinkPolicy, SinkStats,
+        BackpressureWriter, BudgetKind, CancelToken, RetryCause, RetryPolicy, RunBudget,
+        RunOutcome, RunReport, SinkPolicy, SinkStats,
     };
     pub use crate::topology::{InstanceInfo, Topology};
     pub use crate::trace::{JsonlProbe, RecordingTracer, TextTracer, TraceEvent, TraceHandle};

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 /// One parameter value. `List` supports per-connection parameters; `Str`
 /// supports policy selectors ("round_robin", "lru", ...).
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum ParamValue {
     /// An integer parameter (sizes, latencies, widths).
     Int(i64),
@@ -88,13 +88,12 @@ impl From<String> for ParamValue {
 /// Every lookup marks the parameter as read, so after a template's
 /// constructor has run, [`Params::unread`] names the values it never
 /// looked at: a misspelt or meaningless override.
-#[derive(Default, serde::Serialize, serde::Deserialize)]
+#[derive(Default)]
 pub struct Params {
     /// Sorted by name.
     entries: Vec<Entry>,
 }
 
-#[derive(serde::Serialize, serde::Deserialize)]
 struct Entry {
     key: Arc<str>,
     value: ParamValue,

@@ -24,7 +24,7 @@ use std::collections::BTreeMap;
 use std::collections::HashMap;
 
 /// Running aggregate of a sampled quantity.
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Sample {
     /// Sum of all samples.
     pub sum: f64,
@@ -65,7 +65,7 @@ impl Sample {
 /// bit-width `i` (so bucket 0 is exactly the zeros, bucket `i ≥ 1` covers
 /// `[2^(i-1), 2^i - 1]`). Recording is O(1) and allocation-free once the
 /// bucket vector has grown to the largest bit-width seen.
-#[derive(Clone, Debug, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Histogram {
     buckets: Vec<u64>,
     count: u64,
@@ -592,7 +592,7 @@ fn intern_stat_name(name: &str) -> &'static str {
 
 /// Flattened, serializable statistics report. `PartialEq` so equivalence
 /// tests can compare final architectural state across schedulers.
-#[derive(Clone, Debug, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct StatsReport {
     /// `instance.stat -> count`.
     pub counters: BTreeMap<String, u64>,

@@ -1,5 +1,5 @@
-//! Run governance: budgets, deadlines, cancellation, retry/backoff and
-//! bounded sink backpressure.
+//! Run governance: the run loop, budgets, deadlines, cancellation,
+//! checkpoint cadence, retry/rollback and bounded sink backpressure.
 //!
 //! The paper's position (§1, §5) is that a fixed, analyzable MoC lets
 //! the *engine* own execution policy so models stay composable. The
@@ -9,12 +9,15 @@
 //! ([`CancelToken`]), how failure recovery escalates ([`RetryPolicy`])
 //! and what every exit path reports ([`RunReport`]).
 //!
-//! Everything here is enforced **cooperatively at step boundaries** by
-//! [`crate::exec::Simulator::run_governed`]. A simulator with no
-//! governance installed carries a single `None` and `run` checks it once
-//! per call — the monomorphized reaction/commit hot loops never see any
-//! of this, exactly like the checkpoint machinery (see
-//! `docs/ROBUSTNESS.md` §9).
+//! Every run call — `Simulator::{run, run_until, run_governed,
+//! run_governed_until}` — executes the one loop here,
+//! `Supervisor::run`. It drives the simulator only through
+//! `step` / `snapshot` / `restore` and two engine hooks (masking
+//! fault-plan entries, the probe), and enforces everything
+//! **cooperatively at step boundaries**: the reaction and commit loops
+//! never see any of it. A simulator with no governance installed runs
+//! on a stack-local default supervisor, so its run calls neither box nor
+//! allocate (`docs/ROBUSTNESS.md` §9).
 //!
 //! The escalation ladder on failure, most specific remedy first:
 //!
@@ -30,23 +33,21 @@
 //!    non-empty quarantine set and reports [`RunOutcome::Degraded`]
 //!    instead of failing.
 
-use crate::error::SimError;
+use crate::error::{CheckpointError, SimError};
+use crate::exec::Simulator;
+use crate::netlist::InstanceId;
+use crate::snapshot::Snapshot;
+use crate::stats::Stats;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------
 // Budgets
 // ---------------------------------------------------------------------
-
-/// A user-supplied memory gauge: returns the bytes currently in use.
-/// Typically wired to a counting global allocator (the pattern in
-/// `crates/bench/tests/alloc.rs`); the supervisor polls it once per step
-/// boundary and records the peak.
-pub type MemoryGauge = Arc<dyn Fn() -> u64 + Send + Sync>;
 
 /// Cooperative resource budget for a governed run. Every axis is
 /// optional; an unset axis costs nothing. Enforced at step boundaries
@@ -58,9 +59,6 @@ pub struct RunBudget {
     pub max_steps: Option<u64>,
     /// Wall-clock deadline, measured from the start of the run call.
     pub deadline: Option<Duration>,
-    /// Memory ceiling in bytes, polled through the installed
-    /// [`MemoryGauge`] (no gauge ⇒ the axis is never checked).
-    pub max_memory_bytes: Option<u64>,
     /// Maximum instances the run may quarantine before stopping.
     pub max_quarantined: Option<u64>,
 }
@@ -83,13 +81,6 @@ impl RunBudget {
         self
     }
 
-    /// Set the memory ceiling (requires a gauge, see
-    /// [`crate::exec::Simulator::set_memory_gauge`]).
-    pub fn max_memory_bytes(mut self, bytes: u64) -> Self {
-        self.max_memory_bytes = Some(bytes);
-        self
-    }
-
     /// Cap the quarantine set size.
     pub fn max_quarantined(mut self, n: u64) -> Self {
         self.max_quarantined = Some(n);
@@ -98,10 +89,7 @@ impl RunBudget {
 
     /// True when no axis is set (the budget can never trip).
     pub fn is_unlimited(&self) -> bool {
-        self.max_steps.is_none()
-            && self.deadline.is_none()
-            && self.max_memory_bytes.is_none()
-            && self.max_quarantined.is_none()
+        self.max_steps.is_none() && self.deadline.is_none() && self.max_quarantined.is_none()
     }
 }
 
@@ -112,8 +100,6 @@ pub enum BudgetKind {
     Steps,
     /// The wall-clock `deadline` passed.
     Deadline,
-    /// The memory gauge read past `max_memory_bytes`.
-    Memory,
     /// More than `max_quarantined` instances are isolated.
     Quarantine,
 }
@@ -124,7 +110,6 @@ impl BudgetKind {
         match self {
             BudgetKind::Steps => "steps",
             BudgetKind::Deadline => "deadline",
-            BudgetKind::Memory => "memory",
             BudgetKind::Quarantine => "quarantine",
         }
     }
@@ -226,20 +211,19 @@ impl RetryCause {
     }
 }
 
-/// How failure recovery escalates, generalizing the checkpoint pass's
-/// hardcoded rollback-retry-once: a bounded number of retries, a
-/// per-cause cap, and exponential backoff with seeded jitter between
-/// attempts. Install with [`crate::exec::Simulator::set_retry_policy`]
-/// (which also requires rollback to be armed — retries restore the last
-/// checkpoint).
+/// How failure recovery escalates: a bounded number of retries from the
+/// last checkpoint, a per-cause cap, and exponential backoff with seeded
+/// jitter between attempts. Installing one with
+/// [`crate::exec::Simulator::set_retry_policy`] is what arms rollback;
+/// without a policy a quarantine stands and a divergence surfaces.
 #[derive(Clone, Debug)]
 pub struct RetryPolicy {
     /// Total retries across the whole run call; exhausting this budget
     /// escalates the next failure down the ladder (quarantine stands /
     /// error surfaces).
     pub max_retries: u64,
-    /// Retries per individual cause (one instance, one edge). The
-    /// default 1 reproduces the original retry-once behaviour: a second
+    /// Retries per individual cause (one instance, one edge), over the
+    /// simulator's lifetime. The default 1 is retry-once: a second
     /// failure of the same instance is organic — it replays identically,
     /// so retrying again would loop forever.
     pub per_cause: u32,
@@ -352,11 +336,9 @@ pub struct RunReport {
     pub elapsed: Duration,
     /// Retries performed, keyed by [`RetryCause::label`].
     pub retries: BTreeMap<&'static str, u64>,
-    /// Rollbacks performed during this run call.
+    /// Rollbacks performed during this run call (the simulator's
+    /// lifetime count is `Simulator::rollbacks`).
     pub rollbacks: u64,
-    /// Peak memory-gauge reading observed at step boundaries (`None`
-    /// when no gauge is installed).
-    pub memory_peak: Option<u64>,
     /// Names of the instances quarantined at exit, in id order.
     pub quarantined: Vec<String>,
     /// Path of the last checkpoint written to disk (when a checkpoint
@@ -402,9 +384,6 @@ impl RunReport {
                 self.rollbacks
             ));
         }
-        if let Some(peak) = self.memory_peak {
-            s.push_str(&format!("  memory peak: {peak} bytes\n"));
-        }
         if !self.quarantined.is_empty() {
             s.push_str(&format!("  quarantined: {}\n", self.quarantined.join(", ")));
         }
@@ -444,10 +423,6 @@ impl RunReport {
             s.push_str(&format!("\"{}\":{v}", json_escape(k)));
         }
         s.push_str(&format!("}},\"rollbacks\":{}", self.rollbacks));
-        match self.memory_peak {
-            Some(peak) => s.push_str(&format!(",\"memory_peak\":{peak}")),
-            None => s.push_str(",\"memory_peak\":null"),
-        }
         s.push_str(",\"quarantined\":[");
         for (i, q) in self.quarantined.iter().enumerate() {
             if i > 0 {
@@ -472,35 +447,395 @@ impl RunReport {
     }
 }
 
-/// Per-simulator governance state, `Option<Box<_>>`-gated on the
-/// simulator exactly like the resilience and checkpoint state.
-pub(crate) struct SupervisorState {
-    pub(crate) budget: RunBudget,
-    pub(crate) cancel: Option<CancelToken>,
-    pub(crate) retry: RetryPolicy,
-    pub(crate) gauge: Option<MemoryGauge>,
-    /// Retries this run call, per cause.
-    pub(crate) retries: BTreeMap<&'static str, u64>,
-    /// Total retries this run call (checked against `retry.max_retries`).
-    pub(crate) total_retries: u64,
-    /// Peak gauge reading this run call.
-    pub(crate) mem_peak: u64,
-    /// The report of the most recent governed run.
-    pub(crate) last_report: Option<RunReport>,
+// ---------------------------------------------------------------------
+// The supervisor: governance state and the run loop
+// ---------------------------------------------------------------------
+
+/// Per-simulator run governance, boxed behind one `Option` on the
+/// simulator and created by the first governance setter: the budget,
+/// the cancellation token, the retry policy, the checkpoint cadence and
+/// directory, the rollback target and its bookkeeping, and the last run
+/// report.
+#[derive(Default)]
+pub(crate) struct Supervisor {
+    budget: RunBudget,
+    cancel: Option<CancelToken>,
+    /// Arms roll-back-and-retry; `None` leaves a quarantine standing and
+    /// a divergence surfacing.
+    retry: Option<RetryPolicy>,
+    /// Auto-checkpoint period in steps (0 = explicit checkpoints only).
+    every: u64,
+    /// When set, every checkpoint is also written (atomically) to
+    /// `<dir>/step-<now>.ckpt`.
+    dir: Option<PathBuf>,
+    /// The most recent checkpoint — the roll-back-and-retry target.
+    last: Option<Arc<Snapshot>>,
+    /// One entry per retry attempted, naming its instance (quarantine)
+    /// or edge (divergence), for [`RetryPolicy::per_cause`].
+    attempted: Vec<(RetryCause, u32)>,
+    /// Rollbacks performed over the simulator's lifetime.
+    rollbacks: u64,
+    /// The report of the most recent run call.
+    last_report: Option<RunReport>,
 }
 
-impl SupervisorState {
-    pub(crate) fn new() -> Self {
-        SupervisorState {
-            budget: RunBudget::default(),
-            cancel: None,
-            retry: RetryPolicy::default(),
-            gauge: None,
-            retries: BTreeMap::new(),
-            total_retries: 0,
-            mem_peak: 0,
-            last_report: None,
+/// `<dir>/step-<now>.ckpt`, the on-disk name of the checkpoint at `now`.
+fn checkpoint_path(dir: &Path, now: u64) -> PathBuf {
+    dir.join(format!("step-{now:08}.ckpt"))
+}
+
+impl Supervisor {
+    /// The run loop: up to `max_cycles` steps of `sim`, stopping early
+    /// when `pred` holds after a step. Each step boundary checks
+    /// cancellation and the budget, a step that quarantines or diverges
+    /// may be retried from the last checkpoint, and checkpoints are taken
+    /// at the configured cadence. Returns the report of the call.
+    fn run(
+        &mut self,
+        sim: &mut Simulator,
+        max_cycles: u64,
+        mut pred: impl FnMut(&Stats) -> bool,
+    ) -> RunReport {
+        let started = Instant::now();
+        let start_now = sim.now();
+        let start_rollbacks = self.rollbacks;
+        let target = start_now.saturating_add(max_cycles);
+        // Counted here rather than via `metrics.steps`: a rollback
+        // restores the metrics from the snapshot, but replayed steps are
+        // real work and count against the step budget.
+        let mut executed: u64 = 0;
+        let mut retries = BTreeMap::new();
+        let mut outcome = RunOutcome::Completed;
+        let mut error: Option<SimError> = None;
+        // A rollback needs a target even before the first periodic
+        // checkpoint: seed one at the starting boundary.
+        if self.retry.is_some() && self.last.is_none() {
+            match sim.snapshot() {
+                Ok(s) => self.last = Some(Arc::new(s)),
+                Err(e) => error = Some(e),
+            }
         }
+        while error.is_none() && sim.now() < target {
+            if let Some(stop) = self.stop(sim, started, executed) {
+                outcome = stop;
+                break;
+            }
+            let q_before = sim.metrics().quarantines;
+            match sim.step() {
+                Ok(()) => executed += 1,
+                Err(e) => {
+                    match self.retry(sim, RetryCause::Divergence, Some(&e), &mut retries) {
+                        Ok(true) => continue,
+                        Ok(false) => error = Some(e),
+                        Err(e2) => error = Some(e2),
+                    }
+                    break;
+                }
+            }
+            if sim.metrics().quarantines > q_before {
+                match self.retry(sim, RetryCause::Quarantine, None, &mut retries) {
+                    Ok(true) => continue,
+                    Ok(false) => {} // the quarantine stands (ladder step 3)
+                    Err(e) => {
+                        error = Some(e);
+                        break;
+                    }
+                }
+            }
+            if let Err(e) = self.auto_checkpoint(sim) {
+                error = Some(e);
+                break;
+            }
+            if pred(sim.stats()) {
+                break;
+            }
+        }
+        if error.is_some() {
+            outcome = RunOutcome::Failed;
+        } else if outcome == RunOutcome::Completed && !sim.quarantined_instances().is_empty() {
+            // Reached the target, but only by isolating instances: the
+            // results are partial (ladder step 4).
+            outcome = RunOutcome::Degraded;
+        }
+        // A budget stop on a checkpointing simulator preserves progress
+        // too (cancellation already checkpointed in `stop`).
+        if matches!(outcome, RunOutcome::BudgetExhausted(_))
+            && (self.every > 0 || self.dir.is_some() || self.last.is_some())
+        {
+            let _ = self.checkpoint(sim);
+        }
+        let last_checkpoint = self.dir.as_deref().and_then(|dir| {
+            let path = checkpoint_path(dir, self.last.as_ref()?.now());
+            path.exists().then_some(path)
+        });
+        RunReport {
+            outcome,
+            steps_requested: max_cycles,
+            steps_completed: sim.now().saturating_sub(start_now),
+            steps_executed: executed,
+            elapsed: started.elapsed(),
+            retries,
+            rollbacks: self.rollbacks - start_rollbacks,
+            quarantined: sim
+                .quarantined_instances()
+                .into_iter()
+                .map(|i| sim.topology().name(i).to_string())
+                .collect(),
+            last_checkpoint,
+            error,
+        }
+    }
+
+    /// The step-boundary check: cancellation first (it also takes the
+    /// final checkpoint), then each budget axis in a fixed order.
+    /// Returns the outcome to stop with, if any.
+    fn stop(&mut self, sim: &mut Simulator, started: Instant, executed: u64) -> Option<RunOutcome> {
+        if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+            let now = sim.now();
+            if let Some(p) = sim.probe_mut() {
+                p.run_cancelled(now);
+            }
+            // Preserve the work done so far: the in-memory snapshot is
+            // always taken; it also lands on disk when a checkpoint
+            // directory is configured. A snapshot failure must not mask
+            // the cancellation.
+            let _ = self.checkpoint(sim);
+            return Some(RunOutcome::Cancelled);
+        }
+        let b = &self.budget;
+        let kind = if b.max_steps.is_some_and(|max| executed >= max) {
+            BudgetKind::Steps
+        } else if b.deadline.is_some_and(|d| started.elapsed() >= d) {
+            BudgetKind::Deadline
+        } else if b
+            .max_quarantined
+            .is_some_and(|max| sim.metrics().quarantines > max)
+        {
+            BudgetKind::Quarantine
+        } else {
+            return None;
+        };
+        Some(RunOutcome::BudgetExhausted(kind))
+    }
+
+    fn auto_checkpoint(&mut self, sim: &mut Simulator) -> Result<(), SimError> {
+        if self.every == 0 || !sim.now().is_multiple_of(self.every) {
+            return Ok(());
+        }
+        self.checkpoint(sim)
+    }
+
+    /// Take a checkpoint now: keep it in memory as the rollback target,
+    /// write it to the checkpoint directory when one is set, and emit
+    /// the `checkpoint` probe event.
+    fn checkpoint(&mut self, sim: &mut Simulator) -> Result<(), SimError> {
+        let snap = Arc::new(sim.snapshot()?);
+        let now = sim.now();
+        self.last = Some(Arc::clone(&snap));
+        if let Some(dir) = &self.dir {
+            let io_error = |msg: String| {
+                SimError::checkpoint(CheckpointError::Io {
+                    path: dir.clone(),
+                    msg,
+                })
+            };
+            // Group commit: everything the probe saw before this boundary
+            // reaches its writer before the checkpoint that covers it
+            // exists on disk, so a resume never finds a checkpoint ahead
+            // of the stream it would have to refill.
+            if let Some(p) = sim.probe_mut() {
+                p.sync()
+                    .map_err(|e| io_error(format!("probe sink behind the checkpoint: {e}")))?;
+            }
+            std::fs::create_dir_all(dir).map_err(|e| io_error(e.to_string()))?;
+            snap.write_file(&checkpoint_path(dir, now))?;
+        }
+        if let Some(p) = sim.probe_mut() {
+            p.checkpointed(now);
+        }
+        Ok(())
+    }
+
+    /// Roll back and retry a failed step, if the policy allows: rewind
+    /// to the last checkpoint with the failure's fault-plan entries
+    /// masked. The failure's sites are the instances the step newly
+    /// quarantined, or the oscillating edges of a divergence (`err`);
+    /// each site is retried at most [`RetryPolicy::per_cause`] times. An
+    /// organic divergence — nothing in the plan to mask — replays
+    /// identically and so is not retried; an organic quarantine is,
+    /// once per cap, and then stands. Returns whether it rolled back.
+    fn retry(
+        &mut self,
+        sim: &mut Simulator,
+        cause: RetryCause,
+        err: Option<&SimError>,
+        retries: &mut BTreeMap<&'static str, u64>,
+    ) -> Result<bool, SimError> {
+        let (Some(policy), Some(snap)) = (&self.retry, self.last.clone()) else {
+            return Ok(false);
+        };
+        if retries.values().sum::<u64>() >= policy.max_retries {
+            return Ok(false);
+        }
+        let cap = policy.per_cause.max(1) as usize;
+        let sites: Vec<u32> = match (cause, err.and_then(SimError::as_divergence)) {
+            (RetryCause::Quarantine, _) => sim
+                .quarantined_instances()
+                .into_iter()
+                .map(|i| i.0)
+                .filter(|i| !snap.quarantined.contains(i))
+                .collect(),
+            (RetryCause::Divergence, Some(info)) => {
+                info.oscillating.iter().map(|w| w.edge).collect()
+            }
+            (RetryCause::Divergence, None) => return Ok(false),
+        };
+        let fresh: Vec<u32> = sites
+            .into_iter()
+            .filter(|&id| self.attempted.iter().filter(|&&a| a == (cause, id)).count() < cap)
+            .collect();
+        if fresh.is_empty() {
+            return Ok(false);
+        }
+        let masked = sim.mask_faults(cause, &fresh);
+        self.attempted.extend(fresh.iter().map(|&id| (cause, id)));
+        if cause == RetryCause::Divergence && masked == 0 {
+            return Ok(false);
+        }
+        self.rollbacks += 1;
+        let reason = match cause {
+            RetryCause::Quarantine => {
+                let names: Vec<&str> = fresh
+                    .iter()
+                    .map(|&i| sim.topology().name(InstanceId(i)))
+                    .collect();
+                format!("quarantine of {}", names.join(", "))
+            }
+            RetryCause::Divergence => {
+                let edges: Vec<String> = fresh.iter().map(u32::to_string).collect();
+                let s = if fresh.len() == 1 { "" } else { "s" };
+                format!("divergence on edge{s} {}", edges.join(", "))
+            }
+        };
+        let now = sim.now();
+        if let Some(p) = sim.probe_mut() {
+            p.rolled_back(now, snap.now(), &reason);
+        }
+        sim.restore(&snap)?;
+        // Backoff is a pure host-side delay: the simulated clock and the
+        // probe stream are unaffected, so retried runs stay
+        // byte-identical.
+        *retries.entry(cause.label()).or_insert(0) += 1;
+        let delay = policy.backoff_for(retries.values().sum());
+        if !delay.is_zero() {
+            std::thread::sleep(delay);
+        }
+        Ok(true)
+    }
+}
+
+/// The governance half of the simulator's API. `Simulator::run` and
+/// `Simulator::run_until` (in `exec.rs`) and the run calls here all
+/// execute `Supervisor::run`.
+impl Simulator {
+    /// Run `cycles` steps and return the structured [`RunReport`] — from
+    /// **every** exit path: completion, budget exhaustion, cancellation,
+    /// degradation and failure alike. The report is also kept as
+    /// [`Simulator::last_run_report`].
+    pub fn run_governed(&mut self, cycles: u64) -> RunReport {
+        self.run_governed_until(cycles, |_| false)
+    }
+
+    /// [`Simulator::run_governed`] with an early-exit predicate, checked
+    /// after each completed step. Reaching the predicate counts as
+    /// completion.
+    pub fn run_governed_until(
+        &mut self,
+        max_cycles: u64,
+        pred: impl FnMut(&Stats) -> bool,
+    ) -> RunReport {
+        self.sup_mut(); // a governed call always keeps its report
+        self.supervised(max_cycles, pred)
+    }
+
+    /// One run call on the supervisor's loop. With no governance
+    /// installed the supervisor is a default one on the stack, and no
+    /// report is kept.
+    pub(crate) fn supervised(
+        &mut self,
+        max_cycles: u64,
+        pred: impl FnMut(&Stats) -> bool,
+    ) -> RunReport {
+        let Some(mut sup) = self.sup.take() else {
+            return Supervisor::default().run(self, max_cycles, pred);
+        };
+        let report = sup.run(self, max_cycles, pred);
+        sup.last_report = Some(report.clone());
+        self.sup = Some(sup);
+        report
+    }
+
+    /// Take a checkpoint now, at a step boundary: kept in memory as the
+    /// rollback target, written to the checkpoint directory when one is
+    /// set, and reported to the probe as a `checkpoint` event.
+    pub fn checkpoint_now(&mut self) -> Result<(), SimError> {
+        let mut sup = self.sup.take().unwrap_or_default();
+        let r = sup.checkpoint(self);
+        self.sup = Some(sup);
+        r
+    }
+
+    fn sup_mut(&mut self) -> &mut Supervisor {
+        self.sup.get_or_insert_with(Box::default)
+    }
+
+    /// Install a cooperative [`RunBudget`], enforced at step boundaries.
+    pub fn set_budget(&mut self, budget: RunBudget) {
+        self.sup_mut().budget = budget;
+    }
+
+    /// Install a [`CancelToken`]. When tripped (from another thread or a
+    /// signal handler), the run exits at the next step boundary with a
+    /// final checkpoint and [`RunOutcome::Cancelled`].
+    pub fn set_cancel_token(&mut self, token: CancelToken) {
+        self.sup_mut().cancel = Some(token);
+    }
+
+    /// Install a [`RetryPolicy`], which arms roll-back-and-retry: a step
+    /// that quarantines an instance or dies with
+    /// [`SimError::Divergence`] rewinds to the last checkpoint with the
+    /// offending fault-plan entries masked, within the policy's caps.
+    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
+        self.sup_mut().retry = Some(policy);
+    }
+
+    /// Take a checkpoint automatically every `every` steps of a run call
+    /// (0 disables), at step boundaries only.
+    pub fn set_auto_checkpoint(&mut self, every: u64) {
+        self.sup_mut().every = every;
+    }
+
+    /// Also persist every checkpoint to `<dir>/step-<now>.ckpt` (written
+    /// atomically: temp file + rename).
+    pub fn set_checkpoint_dir(&mut self, dir: impl Into<PathBuf>) {
+        self.sup_mut().dir = Some(dir.into());
+    }
+
+    /// The report of the most recent run call on a governed simulator.
+    pub fn last_run_report(&self) -> Option<&RunReport> {
+        self.sup.as_ref()?.last_report.as_ref()
+    }
+
+    /// The most recent checkpoint taken by a run call or
+    /// [`Simulator::checkpoint_now`].
+    pub fn last_checkpoint(&self) -> Option<Arc<Snapshot>> {
+        self.sup.as_ref()?.last.clone()
+    }
+
+    /// How many times the recovery path rolled the run back, over the
+    /// simulator's lifetime.
+    pub fn rollbacks(&self) -> u64 {
+        self.sup.as_ref().map_or(0, |s| s.rollbacks)
     }
 }
 
@@ -690,7 +1025,6 @@ mod tests {
         let b = RunBudget::new()
             .max_steps(10)
             .deadline(Duration::from_secs(1))
-            .max_memory_bytes(1 << 20)
             .max_quarantined(2);
         assert!(!b.is_unlimited());
         assert_eq!(b.max_steps, Some(10));

@@ -12,16 +12,9 @@ use crate::probe::{escape_into, Interest, Probe, ResolvedBy};
 use crate::signal::Wire;
 use crate::topology::Topology;
 use crate::value::{Value, WordSink};
-use parking_lot_free::Mutex;
 use std::fmt::Write as _;
 use std::io::Write;
-use std::sync::Arc;
-
-// The core crate avoids external deps beyond serde; std::sync::Mutex is
-// fine at tracing rates.
-mod parking_lot_free {
-    pub use std::sync::Mutex;
-}
+use std::sync::{Arc, Mutex};
 
 /// Writes one line per transfer: `@cycle src -> dst: value`.
 pub struct TextTracer<W: Write + Send> {

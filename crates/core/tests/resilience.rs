@@ -544,7 +544,7 @@ fn rollback_recovers_an_injected_panic_and_completes() {
     sim.set_fault_plan(FaultPlan::new(7).panic_at(InstanceId(0), 3));
     sim.set_failure_policy(FailurePolicy::Quarantine);
     sim.set_auto_checkpoint(2);
-    sim.set_rollback(true);
+    sim.set_retry_policy(RetryPolicy::default());
     sim.run(8).unwrap();
     assert!(
         sim.quarantined_instances().is_empty(),
@@ -595,7 +595,7 @@ fn organic_panic_is_retried_once_then_quarantine_stands() {
     let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
     sim.set_failure_policy(FailurePolicy::Quarantine);
     sim.set_auto_checkpoint(2);
-    sim.set_rollback(true);
+    sim.set_retry_policy(RetryPolicy::default());
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     let r = sim.run(8);
@@ -625,7 +625,7 @@ fn organic_divergence_is_not_rolled_back() {
     let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
     sim.set_watchdog(32);
     sim.set_auto_checkpoint(4);
-    sim.set_rollback(true);
+    sim.set_retry_policy(RetryPolicy::default());
     let err = sim.run(4).unwrap_err();
     assert!(err.as_divergence().is_some(), "{err}");
     assert_eq!(sim.rollbacks(), 0);
@@ -653,13 +653,34 @@ fn divergence_with_plan_entry_is_retried_once() {
     sim.set_fault_plan(FaultPlan::new(9).drop_wire(EdgeId(0), Wire::Enable, 0, 2));
     sim.set_watchdog(32);
     sim.set_auto_checkpoint(4);
-    sim.set_rollback(true);
+    sim.set_retry_policy(RetryPolicy::default());
     let err = sim.run(4).unwrap_err();
     assert!(err.as_divergence().is_some(), "{err}");
     assert_eq!(sim.rollbacks(), 1, "one masked retry, then give up");
     let c = counts.get();
     assert_eq!(c.rollbacks, 1);
     assert_eq!(c.restores, 1);
+}
+
+#[test]
+fn run_report_counts_the_rollbacks_of_its_own_call() {
+    // The first call retries the injected panic once; the second call
+    // starts past it and retries nothing, so its report says 0 while the
+    // simulator's lifetime count stays at 1.
+    let (mut sim, _got) = src_sink();
+    sim.set_fault_plan(FaultPlan::new(7).panic_at(InstanceId(0), 3));
+    sim.set_failure_policy(FailurePolicy::Quarantine);
+    sim.set_auto_checkpoint(2);
+    sim.set_retry_policy(RetryPolicy::default());
+    let first = sim.run_governed(8);
+    assert_eq!(first.outcome, RunOutcome::Completed);
+    assert_eq!(first.rollbacks, 1);
+    assert_eq!(first.retries.get("quarantine"), Some(&1));
+    let second = sim.run_governed(8);
+    assert_eq!(second.outcome, RunOutcome::Completed);
+    assert_eq!(second.rollbacks, 0, "{second:?}");
+    assert!(second.retries.is_empty(), "{second:?}");
+    assert_eq!(sim.rollbacks(), 1);
 }
 
 #[test]
