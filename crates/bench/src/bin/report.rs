@@ -1221,7 +1221,7 @@ fn e16() -> String {
          the ratio moves with host load (observed noise up to ~10-20%). The layered\n\
          kernel holds throughput parity while making per-step reset O(1), the\n\
          topology shareable across simulators, and idle commits skippable.\n\
-         `benches/kernel.rs` runs the same workloads under criterion.\n\n{}\n",
+         `benches/kernel.rs` times the same workloads with its own best-of-N harness.\n\n{}\n",
         table(
             &[
                 "workload",
@@ -1280,9 +1280,10 @@ fn e17() -> String {
 
     format!(
         "## E17 — observability: probe-off parity and per-sink cost\n\n\
-         The kernel's reaction loop is monomorphized on probe presence\n\
-         (`drain_impl::<const PROBED: bool>`), so a simulator with no probe attached\n\
-         compiles to a hot path with no probe code at all. The parity table holds the\n\
+         The probe reaches the kernel's reaction loop as an `Option`: with none\n\
+         attached, straight nodes and kernels run no probe code, and island members\n\
+         test the `Option` once per invocation (a probe with `Interest::NONE` costs\n\
+         ~1.00x on `cmp8`, docs/OBSERVABILITY.md §5). The parity table holds the\n\
          probe-off compiled kernel against the better of the two worklist schedulers'\n\
          pre-observability numbers recorded in E16 (20k measured cycles, best of 5,\n\
          same host — same ~10-20% host-load noise band). The cost table attaches each\n\

@@ -389,7 +389,8 @@ pub fn run_workload_specialized(workload: &'static str, cycles: u64, on: bool) -
 /// probe-overhead experiment.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ProbeMode {
-    /// No probe attached: the const-generic probe-off fast path.
+    /// No probe attached: the unobserved plan walk, whose straight nodes
+    /// and kernels run no probe code.
     Off,
     /// The cheapest real probe (event counters behind a mutex).
     Counting,

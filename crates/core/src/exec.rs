@@ -86,7 +86,8 @@ pub struct EngineMetrics {
 
 /// Per-run resilience state: only allocated once a fault plan, watchdog
 /// or failure policy is installed — a plain simulator carries a single
-/// `None` and the monomorphized hot path never looks at it.
+/// `None`, which each phase tests once; the straight-node hot path never
+/// looks at it.
 struct ResilState {
     plan: Option<CompiledFaults>,
     policy: FailurePolicy,
@@ -133,7 +134,7 @@ pub struct Simulator {
     /// Scratch for the probed commit's edge-id-sorted transfer report.
     transfer_buf: Vec<EdgeId>,
     /// Fault-injection / watchdog / quarantine state; `None` (the
-    /// default) keeps the hot path on the fault-free monomorphization.
+    /// default) keeps the plan walk on its unobserved straight-node path.
     resil: Option<Box<ResilState>>,
     /// Run governance, with the methods that set it, in `supervisor.rs`;
     /// `None` until one of them runs.
@@ -560,18 +561,11 @@ impl Simulator {
             p.step_begin(self.now);
         }
         self.store.begin_step(); // O(1): epoch bump, no per-edge sweep
-        let resilient = self.resil.is_some();
-        if resilient {
-            self.begin_resilient_step();
-        }
+        self.begin_resilient_step();
         self.reaction_phase()?;
         self.default_phase()?;
-        if resilient {
-            self.commit_phase::<true>()?;
-            self.flush_quarantine_events();
-        } else {
-            self.commit_phase::<false>()?;
-        }
+        self.commit_phase()?;
+        self.flush_quarantine_events();
         if let Some(p) = self.probe.as_deref_mut() {
             p.step_end(self.now);
         }
@@ -583,6 +577,7 @@ impl Simulator {
     /// Reset the watchdog clock, build this step's active-fault table and
     /// report the injections to the probe — in sorted `(edge, wire)` /
     /// instance order, so the event stream is scheduler-independent.
+    /// Nothing to do without resilience state.
     fn begin_resilient_step(&mut self) {
         let now = self.now;
         let Simulator {
@@ -591,7 +586,9 @@ impl Simulator {
             metrics,
             ..
         } = self;
-        let rs = resil.as_deref_mut().expect("resilient step without state");
+        let Some(rs) = resil.as_deref_mut() else {
+            return;
+        };
         rs.iters = 0;
         rs.osc.clear();
         let ResilState { plan, active, .. } = &mut *rs;
@@ -622,10 +619,9 @@ impl Simulator {
     fn flush_quarantine_events(&mut self) {
         let now = self.now;
         let Simulator { probe, resil, .. } = self;
-        let rs = resil.as_deref_mut().expect("resilient step without state");
-        if rs.pending_q.is_empty() {
+        let Some(rs) = resil.as_deref_mut().filter(|rs| !rs.pending_q.is_empty()) else {
             return;
-        }
+        };
         rs.pending_q.sort_by_key(|q| q.0);
         if let Some(p) = probe.as_deref_mut() {
             for (i, reason) in rs.pending_q.drain(..) {
@@ -656,17 +652,12 @@ impl Simulator {
 
     /// Drain to quiescence: Sweep sweeps every instance until a pass
     /// resolves nothing; the compiled scheduler drains its FIFO, waking
-    /// the reader of each newly resolved wire. The probe and resilience
-    /// checks are hoisted out of the hot loop: the loop body is
-    /// monomorphized on both, so the plain (probe-off, fault-off) path
-    /// contains no per-invocation probe or fault code at all.
+    /// the reader of each newly resolved wire. Every invocation goes
+    /// through [`react_one`], which tests the probe and the resilience
+    /// state at run time: neither scheduler's drain is on the engine's
+    /// hot path (that is the plan walk's straight nodes and kernels).
     fn drain(&mut self) -> Result<(), SimError> {
-        let r = match (self.probe.is_some(), self.resil.is_some()) {
-            (false, false) => self.drain_impl::<false, false>(),
-            (true, false) => self.drain_impl::<true, false>(),
-            (false, true) => self.drain_impl::<false, true>(),
-            (true, true) => self.drain_impl::<true, true>(),
-        };
+        let r = self.drain_impl();
         if r.is_err() {
             // Leave the worklist reusable after a structured failure
             // (divergence / abort) so a later step cannot observe stale
@@ -676,7 +667,7 @@ impl Simulator {
         r
     }
 
-    fn drain_impl<const PROBED: bool, const RESIL: bool>(&mut self) -> Result<(), SimError> {
+    fn drain_impl(&mut self) -> Result<(), SimError> {
         let Simulator {
             topo,
             modules,
@@ -692,12 +683,8 @@ impl Simulator {
             ..
         } = self;
         let topo: &Topology = topo;
-        let interest = *interest;
-        let mut probe = match probe.as_deref_mut() {
-            Some(probe) if PROBED => Some(Tap { probe, interest }),
-            _ => None,
-        };
-        let probe = &mut probe;
+        let probe = &mut tap(probe, *interest);
+        let mut resil = resil.as_deref_mut();
         // Draining wakes from the resolve log of each react: any reader
         // anywhere, not the plan's island-filtered targets.
         wake.worklist();
@@ -705,8 +692,9 @@ impl Simulator {
             SchedKind::Sweep => loop {
                 let mut progressed = false;
                 for i in 0..topo.instance_count() {
-                    react_one::<PROBED, RESIL>(
-                        topo, modules, store, stats, metrics, *now, i, wake, probe, resil,
+                    let rs = resil.as_deref_mut();
+                    react_one(
+                        topo, modules, store, stats, metrics, *now, i, wake, probe, rs,
                     )?;
                     progressed |= !wake.log.is_empty();
                 }
@@ -716,8 +704,9 @@ impl Simulator {
             },
             SchedKind::Compiled => {
                 while let Some(i) = wake.pop() {
-                    react_one::<PROBED, RESIL>(
-                        topo, modules, store, stats, metrics, *now, i as usize, wake, probe, resil,
+                    let rs = resil.as_deref_mut();
+                    react_one(
+                        topo, modules, store, stats, metrics, *now, i as usize, wake, probe, rs,
                     )?;
                     for &(e, wire) in &wake.log {
                         if let Some(t) = topo.reader(wire, e) {
@@ -746,12 +735,7 @@ impl Simulator {
                 }
             }
         }
-        let r = match (self.probe.is_some(), self.resil.is_some()) {
-            (false, false) => self.compiled_serial::<false, false>(),
-            (true, false) => self.compiled_serial::<true, false>(),
-            (false, true) => self.compiled_serial::<false, true>(),
-            (true, true) => self.compiled_serial::<true, true>(),
-        };
+        let r = self.compiled_serial();
         if r.is_err() {
             self.wake.clear();
         }
@@ -766,7 +750,12 @@ impl Simulator {
     /// it over the unboxed lanes (no vtable, no `Value` boxing, no store
     /// round-trip) and an island runs entirely specialized or entirely
     /// dynamic (the classifier enforces all-or-none membership).
-    fn compiled_serial<const PROBED: bool, const RESIL: bool>(&mut self) -> Result<(), SimError> {
+    ///
+    /// Observation is data: one test of the probe and the resilience
+    /// state per step picks the walk. Unobserved, straight nodes run
+    /// [`react_straight`] or their kernel (no probe or fault code at
+    /// all); observed, every node goes through [`react_one`].
+    fn compiled_serial(&mut self) -> Result<(), SimError> {
         let Simulator {
             topo,
             modules,
@@ -784,14 +773,11 @@ impl Simulator {
         } = self;
         let plan: &CompiledPlan = plan.as_ref().expect("compiled scheduler without a plan");
         let topo: &Topology = topo;
-        let interest = *interest;
-        let mut probe = match probe.as_deref_mut() {
-            Some(probe) if PROBED => Some(Tap { probe, interest }),
-            _ => None,
-        };
-        let probe = &mut probe;
+        let probe = &mut tap(probe, *interest);
+        let mut resil = resil.as_deref_mut();
+        let observed = probe.is_some() || resil.is_some();
         let (kernels, lanes, spec_islands) = live_kernels(spec);
-        debug_assert!(kernels.is_empty() || !(PROBED || RESIL));
+        debug_assert!(kernels.is_empty() || !observed);
         for l in lanes.iter_mut() {
             l.reset();
         }
@@ -799,7 +785,7 @@ impl Simulator {
         // wholesale so the store's full-resolution accounting (the default
         // phase's early-out) stays exact.
         store.credit_fast_resolved(3 * lanes.len() as u64);
-        if !PROBED && !RESIL {
+        if !observed {
             // Every straight node reacts exactly once per step; count the
             // whole batch up front instead of once per handler call.
             metrics.reacts += plan.straight_count() as u64;
@@ -814,8 +800,11 @@ impl Simulator {
         }
         // A tolerant write can re-resolve a wire an invocation has read,
         // so a resilient walk settles nothing and drops no wake.
-        let settle_epoch = (!RESIL).then(|| store.epoch());
-        wake.plan_walk(settle_epoch, PROBED && interest.resolves);
+        let settle_epoch = resil.is_none().then(|| store.epoch());
+        wake.plan_walk(
+            settle_epoch,
+            probe.as_ref().is_some_and(|t| t.interest.resolves),
+        );
         for node in plan.nodes() {
             match node {
                 &PlanNode::Straight(i) => {
@@ -824,9 +813,10 @@ impl Simulator {
                     // strictly later plan node and runs regardless (a
                     // reactive ack reader would share an island with it).
                     let i = i as usize;
-                    if PROBED || RESIL {
-                        react_one::<PROBED, RESIL>(
-                            topo, modules, store, stats, metrics, *now, i, wake, probe, resil,
+                    if observed {
+                        let rs = resil.as_deref_mut();
+                        react_one(
+                            topo, modules, store, stats, metrics, *now, i, wake, probe, rs,
                         )?;
                     } else if let Some(k) = kernels.get(i).and_then(Option::as_ref) {
                         let mut io = kernel::Io {
@@ -845,8 +835,9 @@ impl Simulator {
                     if spec_islands.get(*island as usize).is_some_and(|&s| s) {
                         drain_island_spec(kernels, lanes, store, metrics, *now, members, wake)?;
                     } else {
-                        drain_island::<PROBED, RESIL>(
-                            topo, modules, store, stats, metrics, *now, members, wake, probe, resil,
+                        let rs = resil.as_deref_mut();
+                        drain_island(
+                            topo, modules, store, stats, metrics, *now, members, wake, probe, rs,
                         )?;
                     }
                 }
@@ -916,10 +907,11 @@ impl Simulator {
     /// kernels are live, completed fast-lane handshakes are folded into
     /// the same activity marks and per-edge transfer counts the store walk
     /// produces, and an instance with a kernel commits through it. With
-    /// `RESIL`, quarantined instances are skipped, handler failures go
-    /// through the failure policy, and the transfer list is repaired
-    /// first in case oscillation-tolerant writes dirtied it.
-    fn commit_phase<const RESIL: bool>(&mut self) -> Result<(), SimError> {
+    /// resilience state, quarantined instances are skipped, handlers run
+    /// under `catch_unwind` with their failures going through
+    /// [`on_failure`], and the transfer list is repaired first in case
+    /// oscillation-tolerant writes dirtied it.
+    fn commit_phase(&mut self) -> Result<(), SimError> {
         let Simulator {
             topo,
             modules,
@@ -939,7 +931,8 @@ impl Simulator {
         let topo: &Topology = topo;
         let brackets = interest.handlers;
         let (kernels, lanes, _) = live_kernels(spec);
-        if RESIL {
+        let mut resil = resil.as_deref_mut();
+        if resil.is_some() {
             store.finalize_transfers();
         }
         // Endpoint marks only when somebody is gated on them.
@@ -965,18 +958,12 @@ impl Simulator {
             }
         }
         let result = (|| {
-            if topo.all_commit_noop() && !RESIL {
+            if topo.all_commit_noop() && resil.is_none() {
                 return Ok(());
             }
             for (i, module) in modules.iter_mut().enumerate() {
-                if topo.commit_noop(i) {
+                if topo.commit_noop(i) || resil.as_ref().is_some_and(|rs| rs.quarantined[i]) {
                     continue;
-                }
-                if RESIL {
-                    let rs = resil.as_deref_mut().expect("resilient commit state");
-                    if rs.quarantined[i] {
-                        continue;
-                    }
                 }
                 let kernel = kernels.get_mut(i).and_then(Option::as_mut);
                 if topo.commit_gated(i) && !active[i] {
@@ -998,40 +985,15 @@ impl Simulator {
                     p.commit_enter(*now, inst);
                 }
                 let mut ctx = CommitCtx::new(topo, inst, store, stats, *now);
-                let r: Result<Result<(), SimError>, String> = if RESIL {
-                    match catch_unwind(AssertUnwindSafe(|| module.commit(&mut ctx))) {
-                        Ok(r) => Ok(r),
-                        Err(payload) => Err(panic_message(payload)),
-                    }
+                let outcome = if resil.is_some() {
+                    caught(|| module.commit(&mut ctx))
                 } else {
-                    Ok(module.commit(&mut ctx))
+                    module.commit(&mut ctx).map_err(Failure::Error)
                 };
-                match r {
-                    Ok(Ok(())) => {}
-                    Ok(Err(e)) => {
-                        if RESIL {
-                            let rs = resil.as_deref_mut().expect("resilient commit state");
-                            if rs.policy == FailurePolicy::Quarantine {
-                                quarantine(rs, metrics, i, format!("commit error: {e}"));
-                                scrub_module_state(module.as_mut());
-                                continue;
-                            }
-                        }
-                        return Err(e);
-                    }
-                    Err(msg) => {
-                        let rs = resil.as_deref_mut().expect("resilient commit state");
-                        if rs.policy == FailurePolicy::Quarantine {
-                            quarantine(rs, metrics, i, format!("commit panic: {msg}"));
-                            scrub_module_state(module.as_mut());
-                            continue;
-                        }
-                        return Err(SimError::Panic(Box::new(PanicInfo {
-                            instance: topo.name(inst).to_owned(),
-                            step: *now,
-                            message: msg,
-                        })));
-                    }
+                if let Err(f) = outcome {
+                    let rs = resil.as_deref_mut();
+                    on_failure("commit", f, rs, metrics, topo, module.as_mut(), i, *now)?;
+                    continue;
                 }
                 if let Some(p) = probe.as_deref_mut().filter(|_| brackets) {
                     p.commit_exit(*now, inst);
@@ -1137,9 +1099,62 @@ fn scrub_module_state(m: &mut dyn Module) {
     let _ = catch_unwind(AssertUnwindSafe(|| m.state_restore(&[])));
 }
 
+/// How a handler invocation failed: it returned an error, or it panicked
+/// with this message (caught only with resilience state).
+enum Failure {
+    Error(SimError),
+    Panic(String),
+}
+
+/// Run `handler` under `catch_unwind`, folding a panic into a [`Failure`].
+fn caught(handler: impl FnOnce() -> Result<(), SimError>) -> Result<(), Failure> {
+    match catch_unwind(AssertUnwindSafe(handler)) {
+        Ok(r) => r.map_err(Failure::Error),
+        Err(payload) => Err(Failure::Panic(panic_message(payload))),
+    }
+}
+
+/// Apply the failure policy to instance `i`'s failed `phase` handler
+/// ("react" or "commit") — the one place either phase decides what a
+/// failure means. `Ok`: under [`FailurePolicy::Quarantine`] the instance
+/// is now quarantined with its state scrubbed, and the phase goes on
+/// without it. `Err`: the step fails, with the handler's error or a
+/// [`SimError::Panic`] naming the instance.
+#[cold]
+#[allow(clippy::too_many_arguments)]
+fn on_failure(
+    phase: &str,
+    failure: Failure,
+    resil: Option<&mut ResilState>,
+    metrics: &mut EngineMetrics,
+    topo: &Topology,
+    module: &mut dyn Module,
+    i: usize,
+    now: u64,
+) -> Result<(), SimError> {
+    let Some(rs) = resil.filter(|rs| rs.policy == FailurePolicy::Quarantine) else {
+        return Err(match failure {
+            Failure::Error(e) => e,
+            Failure::Panic(message) => SimError::Panic(Box::new(PanicInfo {
+                instance: topo.name(InstanceId(i as u32)).to_owned(),
+                step: now,
+                message,
+            })),
+        });
+    };
+    let reason = match failure {
+        Failure::Error(e) => format!("{phase} error: {e}"),
+        Failure::Panic(msg) => format!("{phase} panic: {msg}"),
+    };
+    quarantine(rs, metrics, i, reason);
+    scrub_module_state(module);
+    Ok(())
+}
+
 /// Build the structured divergence report from the watchdog state: every
 /// oscillating wire with its endpoints and flip count, plus the instance
 /// cycle, in deterministic order.
+#[cold]
 fn divergence_error(topo: &Topology, rs: &ResilState, now: u64) -> SimError {
     let mut oscillating = Vec::new();
     let mut insts: Vec<u32> = Vec::new();
@@ -1194,8 +1209,11 @@ fn divergence_error(topo: &Topology, rs: &ResilState, now: u64) -> SimError {
 /// The stamp is scratch: it is compared against an epoch that only ever
 /// grows, so nothing needs clearing at step begin, on an error, or across
 /// a restore, and nothing is serialized.
+///
+/// With resilience state installed nothing settles: a tolerant write can
+/// re-resolve a wire an invocation has read.
 #[allow(clippy::too_many_arguments)]
-fn drain_island<const PROBED: bool, const RESIL: bool>(
+fn drain_island(
     topo: &Topology,
     modules: &mut [Box<dyn Module>],
     store: &mut SignalStore,
@@ -1205,12 +1223,13 @@ fn drain_island<const PROBED: bool, const RESIL: bool>(
     members: &[u32],
     wake: &mut WakeSink,
     probe: &mut Option<Tap<'_>>,
-    resil: &mut Option<Box<ResilState>>,
+    mut resil: Option<&mut ResilState>,
 ) -> Result<(), SimError> {
-    let epoch = (!RESIL).then(|| store.epoch());
+    let epoch = resil.is_none().then(|| store.epoch());
     drain_members(members, wake, epoch, |i, wake| {
-        react_one::<PROBED, RESIL>(
-            topo, modules, store, stats, metrics, now, i, wake, probe, resil,
+        let rs = resil.as_deref_mut();
+        react_one(
+            topo, modules, store, stats, metrics, now, i, wake, probe, rs,
         )
     })
 }
@@ -1304,19 +1323,19 @@ fn react_straight(
 
 /// Invoke one instance's `react` handler with a context over the shared
 /// store (free function so callers can borrow disjoint simulator fields).
-/// Monomorphized on probe presence and resilience: with
-/// `PROBED = RESIL = false` neither the probe branches nor the fault /
-/// watchdog / quarantine machinery exist in the generated code.
+/// The probe and the resilience state arrive as data: with both `None`
+/// the invocation is a plain handler call with wake bookkeeping, and each
+/// skipped branch costs one test of an `Option`.
 ///
 /// Returns whether the invocation *settled* the instance for the rest of
 /// the step — it read no `Unknown` wire and recorded no statistic, so
 /// running it again could only repeat its writes (see [`drain_island`],
-/// the one caller that acts on it). Never under `RESIL`: a tolerant write
-/// can re-resolve a wire the invocation has already read.
+/// the one caller that acts on it). Never with resilience state: a
+/// tolerant write can re-resolve a wire the invocation has already read.
 /// `wake` takes the invocation's newly resolved wires; its resolve log
 /// restarts here and, when kept, holds exactly them on return.
 #[allow(clippy::too_many_arguments)]
-fn react_one<const PROBED: bool, const RESIL: bool>(
+fn react_one(
     topo: &Topology,
     modules: &mut [Box<dyn Module>],
     store: &mut SignalStore,
@@ -1326,112 +1345,81 @@ fn react_one<const PROBED: bool, const RESIL: bool>(
     i: usize,
     wake: &mut WakeSink,
     probe: &mut Option<Tap<'_>>,
-    resil: &mut Option<Box<ResilState>>,
+    mut resil: Option<&mut ResilState>,
 ) -> Result<bool, SimError> {
     let inst = InstanceId(i as u32);
-    let mut forced_panic = false;
-    let mut settled = false;
     wake.log.clear();
-    if RESIL {
-        let rs = resil.as_deref_mut().expect("resilient react state");
+    if let Some(rs) = resil.as_deref_mut() {
         if rs.quarantined[i] {
             return Ok(false); // isolated: its ports live on the defaults
         }
         rs.iters += 1;
-        if let Some(max) = rs.max_iters {
-            if rs.iters > max {
-                return Err(divergence_error(topo, rs, now));
-            }
+        if rs.max_iters.is_some_and(|max| rs.iters > max) {
+            return Err(divergence_error(topo, rs, now));
         }
-        forced_panic = rs.active.panics(i as u32);
-        if !forced_panic {
-            if let Some(us) = rs.active.latency_us(i as u32) {
-                std::thread::sleep(std::time::Duration::from_micros(us));
-            }
+        // A plan-injected panic fires at entry of the instance's first
+        // react of the step, before any partial writes — scheduler-
+        // independent.
+        if rs.active.panics(i as u32) {
+            let f = Failure::Panic("injected panic (fault plan)".to_owned());
+            let module = modules[i].as_mut();
+            on_failure("react", f, Some(rs), metrics, topo, module, i, now)?;
+            return Ok(false);
+        }
+        if let Some(us) = rs.active.latency_us(i as u32) {
+            std::thread::sleep(std::time::Duration::from_micros(us));
         }
     }
-    // The handler's verdict: Ok(handler result) or Err(panic message).
-    // A plan-injected panic fires at entry of the instance's first react
-    // of the step, before any partial writes — scheduler-independent.
-    let caught: Result<Result<(), SimError>, String> = if RESIL && forced_panic {
-        Err("injected panic (fault plan)".to_owned())
-    } else {
-        metrics.reacts += 1;
-        if PROBED {
-            if let Some(t) = probe.as_mut().filter(|t| t.interest.handlers) {
-                t.probe.react_enter(now, inst);
-            }
-        }
-        let r: Result<Result<(), SimError>, String> = if RESIL {
-            let rs = resil.as_deref_mut().expect("resilient react state");
-            let seed = rs.plan.as_ref().map_or(0, |p| p.seed);
-            let tolerant = rs.max_iters.is_some();
-            let ResilState { active, osc, .. } = &mut *rs;
-            let sink = CtxSink {
-                store: &mut *store,
-                stats: &mut *stats,
-                wake: Some(&mut *wake),
-            };
-            let mut ctx = ReactCtx::new(topo, inst, sink, now);
-            ctx.faults = (!active.signals.is_empty()).then_some((&*active, seed));
-            ctx.osc = tolerant.then_some(osc);
-            match catch_unwind(AssertUnwindSafe(|| modules[i].react(&mut ctx))) {
-                Ok(r) => Ok(r),
-                Err(payload) => Err(panic_message(payload)),
-            }
-        } else {
-            let sink = CtxSink {
-                store: &mut *store,
-                stats: &mut *stats,
-                wake: Some(&mut *wake),
-            };
-            let mut ctx = ReactCtx::new(topo, inst, sink, now);
+    metrics.reacts += 1;
+    if let Some(t) = probe.as_mut().filter(|t| t.interest.handlers) {
+        t.probe.react_enter(now, inst);
+    }
+    let sink = CtxSink {
+        store: &mut *store,
+        stats: &mut *stats,
+        wake: Some(&mut *wake),
+    };
+    let mut ctx = ReactCtx::new(topo, inst, sink, now);
+    let mut settled = false;
+    let outcome = match resil.as_deref_mut() {
+        None => {
             let r = modules[i].react(&mut ctx);
             settled = !ctx.pinned.get();
-            Ok(r)
-        };
-        if PROBED {
-            if let Some(t) = probe.as_mut() {
-                if t.interest.resolves {
-                    for &(e, wire) in &wake.log {
-                        emit_resolved(t.probe, store, now, e, wire, ResolvedBy::Module(inst));
-                    }
-                }
-                if t.interest.handlers {
-                    t.probe.react_exit(now, inst);
-                }
-            }
+            r.map_err(Failure::Error)
         }
-        r
+        Some(rs) => {
+            let seed = rs.plan.as_ref().map_or(0, |p| p.seed);
+            let tolerant = rs.max_iters.is_some();
+            let ResilState { active, osc, .. } = rs;
+            ctx.faults = (!active.signals.is_empty()).then_some((&*active, seed));
+            ctx.osc = tolerant.then_some(osc);
+            caught(|| modules[i].react(&mut ctx))
+        }
     };
-    match caught {
-        Ok(Ok(())) => Ok(settled),
-        Ok(Err(e)) => {
-            if RESIL {
-                let rs = resil.as_deref_mut().expect("resilient react state");
-                if rs.policy == FailurePolicy::Quarantine {
-                    quarantine(rs, metrics, i, format!("react error: {e}"));
-                    scrub_module_state(modules[i].as_mut());
-                    return Ok(false);
-                }
+    if let Some(t) = probe.as_mut() {
+        if t.interest.resolves {
+            for &(e, wire) in &wake.log {
+                emit_resolved(t.probe, store, now, e, wire, ResolvedBy::Module(inst));
             }
-            Err(e)
         }
-        Err(msg) => {
-            let rs = resil.as_deref_mut().expect("resilient react state");
-            if rs.policy == FailurePolicy::Quarantine {
-                quarantine(rs, metrics, i, format!("react panic: {msg}"));
-                scrub_module_state(modules[i].as_mut());
-                Ok(false)
-            } else {
-                Err(SimError::Panic(Box::new(PanicInfo {
-                    instance: topo.name(inst).to_owned(),
-                    step: now,
-                    message: msg,
-                })))
-            }
+        if t.interest.handlers {
+            t.probe.react_exit(now, inst);
         }
     }
+    if let Err(f) = outcome {
+        on_failure(
+            "react",
+            f,
+            resil,
+            metrics,
+            topo,
+            modules[i].as_mut(),
+            i,
+            now,
+        )?;
+        return Ok(false);
+    }
+    Ok(settled)
 }
 
 /// The attached probe as the reaction loops see it: the sink plus the
@@ -1440,6 +1428,11 @@ fn react_one<const PROBED: bool, const RESIL: bool>(
 struct Tap<'a> {
     probe: &'a mut (dyn Probe + 'static),
     interest: Interest,
+}
+
+/// The simulator's probe, if one is attached, as a [`Tap`].
+fn tap(probe: &mut Option<Box<dyn Probe>>, interest: Interest) -> Option<Tap<'_>> {
+    probe.as_deref_mut().map(|probe| Tap { probe, interest })
 }
 
 /// Report one newly resolved wire to a probe, reading its final value
@@ -2435,6 +2428,23 @@ mod tests {
     }
 
     #[test]
+    fn probed_resilient_islands_bracket_every_invocation_and_never_settle() {
+        // Probe and resilience state together: the island runs every
+        // wake, and the probe sees a bracket for each invocation made.
+        use crate::probe::CountingProbe;
+        let (mut sim, driver, forwarder) = ring(SchedKind::Compiled, DRIVER, FORWARDER);
+        let (probe, counts) = CountingProbe::new();
+        sim.set_probe(Box::new(probe));
+        sim.set_failure_policy(FailurePolicy::Quarantine);
+        sim.run(5).unwrap();
+        assert_eq!(driver.load(Ordering::Relaxed), 10);
+        assert_eq!(forwarder.load(Ordering::Relaxed), 5);
+        assert_eq!(counts.get().reacts, 15);
+        assert_eq!(sim.metrics().reacts, 15);
+        assert_eq!(sim.transfer_counts(), &[5, 5]);
+    }
+
+    #[test]
     fn restore_leaves_no_settle_mark_behind() {
         // Settle stamps are compared against the store epoch. A restore
         // must not rewind that epoch onto a stamp left by an earlier step
@@ -2491,13 +2501,12 @@ mod tests {
             stats,
             metrics,
             wake,
-            resil,
             ..
         } = &mut sim;
         wake.plan_walk(Some(epoch), false);
         let mut react = |i: usize, wake: &mut WakeSink| {
-            react_one::<false, false>(
-                topo, modules, store, stats, metrics, 0, i, wake, &mut None, resil,
+            react_one(
+                topo, modules, store, stats, metrics, 0, i, wake, &mut None, None,
             )
             .unwrap()
         };

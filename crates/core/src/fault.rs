@@ -20,9 +20,10 @@
 //! monotonically and the per-step fixed point stays unique, which is what
 //! keeps probe streams byte-identical across schedulers.
 //!
-//! The fault-off hot path pays nothing: a simulator without a plan runs
-//! the same monomorphized reaction loop as before (see
-//! `drain_impl::<PROBED, RESIL>` in `crate::exec`).
+//! The fault-off hot path pays nothing: without resilience state the
+//! plan walk runs its straight nodes and kernels with no fault code, and
+//! an island member tests one `Option` per invocation (`react_one` in
+//! `crate::exec`).
 
 use crate::netlist::{EdgeId, InstanceId};
 use crate::signal::{Res, Wire, WireWrite};
@@ -446,10 +447,9 @@ fn corruption_mask(edge: u32, now: u64, seed: u64) -> u64 {
     m | 1
 }
 
-/// Finalizer of the SplitMix64 generator — shared with the supervisor's
-/// retry-backoff jitter so the core crate keeps a single deterministic
-/// mixing function.
-pub(crate) fn splitmix(mut z: u64) -> u64 {
+/// Finalizer of the SplitMix64 generator: the one mixing function behind
+/// corruption masks and [`FaultPlan::random`].
+fn splitmix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

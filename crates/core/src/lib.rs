@@ -36,7 +36,7 @@
 //!   the golden-state regression corpus;
 //! * [`supervisor`] — the run loop and run governance: cooperative
 //!   budgets and deadlines, external cancellation, checkpoint cadence,
-//!   the retry/backoff escalation ladder over the checkpoint machinery,
+//!   the retry escalation ladder over the checkpoint machinery,
 //!   structured run reports, and bounded backpressure for probe sinks;
 //! * [`params`] / [`registry`] — algorithmic parameters and the template
 //!   registry the component libraries populate.

@@ -21,8 +21,8 @@
 //!
 //! The escalation ladder on failure, most specific remedy first:
 //!
-//! 1. **retry from checkpoint** — restore the last snapshot and replay,
-//!    with exponential backoff between attempts;
+//! 1. **retry from checkpoint** — restore the last snapshot and replay
+//!    at once (the replay is deterministic, so waiting buys nothing);
 //! 2. **mask the offending fault/edge** — rollback masks the fault-plan
 //!    entries that explain the failure, so the replay does not re-inject
 //!    it;
@@ -212,8 +212,7 @@ impl RetryCause {
 }
 
 /// How failure recovery escalates: a bounded number of retries from the
-/// last checkpoint, a per-cause cap, and exponential backoff with seeded
-/// jitter between attempts. Installing one with
+/// last checkpoint and a per-cause cap. Installing one with
 /// [`crate::exec::Simulator::set_retry_policy`] is what arms rollback;
 /// without a policy a quarantine stands and a divergence surfaces.
 #[derive(Clone, Debug)]
@@ -227,17 +226,6 @@ pub struct RetryPolicy {
     /// failure of the same instance is organic — it replays identically,
     /// so retrying again would loop forever.
     pub per_cause: u32,
-    /// Base of the exponential backoff between retries: attempt *k*
-    /// sleeps `base * 2^(k-1)` (capped at `max_backoff`), plus jitter.
-    /// The default `0` disables sleeping entirely, which keeps
-    /// single-threaded deterministic tests fast — backoff only delays
-    /// the host, never the simulated clock.
-    pub base_backoff: Duration,
-    /// Upper bound on one backoff sleep.
-    pub max_backoff: Duration,
-    /// Seed for the jitter term (deterministic: same seed, same delays).
-    /// Jitter is drawn uniformly from `[0, backoff/2]`.
-    pub jitter_seed: u64,
 }
 
 impl Default for RetryPolicy {
@@ -245,9 +233,6 @@ impl Default for RetryPolicy {
         RetryPolicy {
             max_retries: 16,
             per_cause: 1,
-            base_backoff: Duration::ZERO,
-            max_backoff: Duration::from_secs(1),
-            jitter_seed: 0,
         }
     }
 }
@@ -260,27 +245,6 @@ impl RetryPolicy {
             max_retries: n,
             ..RetryPolicy::default()
         }
-    }
-
-    /// The host-side delay before retry number `attempt` (1-based):
-    /// exponential in the attempt, capped, with seeded jitter.
-    pub fn backoff_for(&self, attempt: u64) -> Duration {
-        if self.base_backoff.is_zero() {
-            return Duration::ZERO;
-        }
-        let shift = attempt.saturating_sub(1).min(16) as u32;
-        let exp = self
-            .base_backoff
-            .saturating_mul(1u32 << shift)
-            .min(self.max_backoff);
-        // Deterministic jitter in [0, exp/2]: splitmix over (seed, attempt).
-        let half = exp.as_nanos() as u64 / 2;
-        let jitter = if half == 0 {
-            0
-        } else {
-            crate::fault::splitmix(self.jitter_seed.wrapping_add(attempt)) % (half + 1)
-        };
-        (exp + Duration::from_nanos(jitter)).min(self.max_backoff)
     }
 }
 
@@ -722,14 +686,7 @@ impl Supervisor {
             p.rolled_back(now, snap.now(), &reason);
         }
         sim.restore(&snap)?;
-        // Backoff is a pure host-side delay: the simulated clock and the
-        // probe stream are unaffected, so retried runs stay
-        // byte-identical.
         *retries.entry(cause.label()).or_insert(0) += 1;
-        let delay = policy.backoff_for(retries.values().sum());
-        if !delay.is_zero() {
-            std::thread::sleep(delay);
-        }
         Ok(true)
     }
 }
@@ -1046,25 +1003,6 @@ mod tests {
         FLAG.store(true, Ordering::SeqCst);
         assert!(s.is_cancelled());
         s.reset();
-    }
-
-    #[test]
-    fn backoff_is_exponential_capped_and_deterministic() {
-        let p = RetryPolicy {
-            base_backoff: Duration::from_millis(10),
-            max_backoff: Duration::from_millis(100),
-            jitter_seed: 7,
-            ..RetryPolicy::default()
-        };
-        let b1 = p.backoff_for(1);
-        let b2 = p.backoff_for(2);
-        let b9 = p.backoff_for(9);
-        assert!(b1 >= Duration::from_millis(10));
-        assert!(b2 >= Duration::from_millis(20), "{b2:?}");
-        assert!(b9 <= Duration::from_millis(100), "capped: {b9:?}");
-        assert_eq!(b1, p.backoff_for(1), "same seed, same jitter");
-        let zero = RetryPolicy::default();
-        assert_eq!(zero.backoff_for(5), Duration::ZERO, "no base, no sleep");
     }
 
     #[test]

@@ -503,6 +503,95 @@ fn quarantine_scrubs_torn_module_state() {
     assert_eq!(r.get_u64().unwrap(), 0, "torn state was scrubbed");
 }
 
+/// Accepts everything; returns a structured error from `commit` at a
+/// chosen cycle.
+struct CommitErrsAt(u64);
+impl Module for CommitErrsAt {
+    fn react(&mut self, ctx: &mut ReactCtx<'_>) -> Result<(), SimError> {
+        ctx.set_ack(PortId(0), 0, true)
+    }
+    fn commit(&mut self, ctx: &mut CommitCtx<'_>) -> Result<(), SimError> {
+        if ctx.now() == self.0 {
+            return Err(SimError::model("deliberate commit failure"));
+        }
+        Ok(())
+    }
+}
+
+/// Records the reason of every quarantine it is told of.
+struct QuarantineReasons(std::sync::Arc<std::sync::Mutex<Vec<String>>>);
+impl Probe for QuarantineReasons {
+    fn quarantined(&mut self, _now: u64, _inst: InstanceId, reason: &str) {
+        self.0.lock().unwrap().push(reason.to_owned());
+    }
+}
+
+/// `src` feeding `dst`, one edge, under the compiled scheduler.
+fn pair(src: Box<dyn Module>, dst: Box<dyn Module>) -> Simulator {
+    let mut b = NetlistBuilder::new();
+    let s = b
+        .add("s", ModuleSpec::new("src").output("out", 1, 1), src)
+        .unwrap();
+    let k = b
+        .add("k", ModuleSpec::new("sink").input("in", 1, 1), dst)
+        .unwrap();
+    b.connect(s, "out", k, "in").unwrap();
+    Simulator::new(b.build().unwrap(), SchedKind::Compiled)
+}
+
+#[test]
+fn react_and_commit_failures_go_through_one_policy() {
+    // Quarantine: the reason names the phase and what went wrong.
+    let reasons = |mut sim: Simulator| {
+        let got = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        sim.set_probe(Box::new(QuarantineReasons(got.clone())));
+        sim.set_failure_policy(FailurePolicy::Quarantine);
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let r = sim.run(5);
+        std::panic::set_hook(prev);
+        r.unwrap();
+        assert_eq!(sim.metrics().quarantines, 1);
+        let got = got.lock().unwrap().clone();
+        got
+    };
+    let cases = [
+        (
+            pair(Box::new(ErrsAt(2)), Box::new(Sink::default())),
+            "react error: ",
+        ),
+        (
+            pair(Box::new(PanicsAt(2)), Box::new(Sink::default())),
+            "react panic: boom at 2",
+        ),
+        (
+            src_torn(SchedKind::Compiled, 2),
+            "commit panic: torn mid-commit at 2",
+        ),
+        (
+            pair(Box::new(Src), Box::new(CommitErrsAt(2))),
+            "commit error: ",
+        ),
+    ];
+    for (sim, prefix) in cases {
+        let got = reasons(sim);
+        assert_eq!(got.len(), 1, "{prefix}: {got:?}");
+        assert!(got[0].starts_with(prefix), "{prefix}: {got:?}");
+    }
+
+    // Abort (the default policy, armed here by a watchdog): a commit
+    // panic fails the step with the instance and the step named.
+    let mut sim = src_torn(SchedKind::Compiled, 2);
+    sim.set_watchdog(1000);
+    let prev = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let err = sim.run(5).unwrap_err();
+    std::panic::set_hook(prev);
+    let p = err.as_panic().expect("panic error");
+    assert_eq!((p.instance.as_str(), p.step), ("torn", 2));
+    assert!(p.message.contains("torn mid-commit at 2"), "{}", p.message);
+}
+
 #[test]
 fn snapshots_after_quarantine_are_scheduler_independent() {
     // Torn state is scheduler-dependent in general (how far the mutation

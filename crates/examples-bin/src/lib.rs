@@ -18,7 +18,7 @@
 //! --no-specialize             keep every handler on the dynamic path
 //! --max-steps N               run-governance step budget
 //! --deadline SECS             run-governance wall-clock deadline
-//! --retries N                 retry/backoff supervisor (arms rollback)
+//! --retries N                 retry supervisor (arms rollback)
 //! --sink-backpressure P[:B]   block | drop, bounded at B bytes (default 1 MiB)
 //! --report-json PATH          write the run (or sweep) report as JSON
 //! --sweep KEY=LO..HI          ensemble mode: sweep a root parameter range
