@@ -392,7 +392,8 @@ pub enum ProbeMode {
     /// No probe attached: the unobserved plan walk, whose straight nodes
     /// and kernels run no probe code.
     Off,
-    /// The cheapest real probe (event counters behind a mutex).
+    /// The cheapest real probe (counters behind a mutex, locked once a
+    /// step).
     Counting,
     /// The per-instance wall-clock profiler.
     Profile,

@@ -66,8 +66,8 @@ struct CancelAt {
     token: CancelToken,
 }
 impl Probe for CancelAt {
-    fn step_end(&mut self, now: u64) {
-        if now == self.at {
+    fn step(&mut self, log: &StepLog<'_>) {
+        if log.now == self.at && log.records.contains(&Record::StepEnd) {
             self.token.cancel();
         }
     }

@@ -342,12 +342,56 @@ impl Write for Buf {
     }
 }
 
+/// Does nothing; stands at either end of [`s_to_d`]'s one edge.
+struct Idle;
+impl Module for Idle {
+    fn react(&mut self, _: &mut ReactCtx<'_>) -> Result<(), SimError> {
+        Ok(())
+    }
+    fn commit(&mut self, _: &mut CommitCtx<'_>) -> Result<(), SimError> {
+        Ok(())
+    }
+}
+
+/// A topology whose edge 0 runs from `s` to `d`.
+fn s_to_d() -> &'static Topology {
+    static TOPO: std::sync::OnceLock<Topology> = std::sync::OnceLock::new();
+    TOPO.get_or_init(|| {
+        let mut b = NetlistBuilder::new();
+        let s = b.add(
+            "s",
+            ModuleSpec::new("idle").output("out", 1, 1),
+            Box::new(Idle),
+        );
+        let d = b.add(
+            "d",
+            ModuleSpec::new("idle").input("in", 1, 1),
+            Box::new(Idle),
+        );
+        b.connect(s.unwrap(), "out", d.unwrap(), "in").unwrap();
+        b.build().unwrap().into_parts().0
+    })
+}
+
 /// The `value` field of the JSONL `transfer` line carrying `v`, as
 /// written (still escaped).
 fn jsonl_value(v: &Value) -> String {
     let buf = Buf::default();
     let mut probe = JsonlProbe::new(buf.clone()).canonical();
-    probe.transfer(0, EdgeId(0), "s", "d", v);
+    let topo = s_to_d();
+    let transfer = Record::Transfer {
+        edge: EdgeId(0),
+        src: InstanceId(0),
+        dst: InstanceId(1),
+        value: v.clone(),
+    };
+    probe.step(&StepLog {
+        now: 0,
+        topo,
+        reacts: 0,
+        commits: 0,
+        records: &[transfer],
+    });
     probe.sync().unwrap();
     let line = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
     let (_, rest) = line.split_once(",\"value\":\"").expect("value field");

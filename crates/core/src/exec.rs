@@ -38,7 +38,7 @@ use crate::fault::{apply_fault, ActiveFaults, CompiledFaults, FailurePolicy, Fau
 use crate::kernel::{self, Kernel, Lane, PlanSummary, SpecState};
 use crate::module::{Dir, Module, PortId};
 use crate::netlist::{EdgeId, InstanceId, Netlist};
-use crate::probe::{Interest, Probe, ResolvedBy};
+use crate::probe::{Handler, Interest, Outcome, Probe, Record, ResolvedBy, StepLog};
 use crate::sched::WakeSink;
 use crate::signal::{flag, Res, Wire, WireWrite, WriteOutcome};
 use crate::snapshot::Snapshot;
@@ -47,10 +47,12 @@ use crate::store::SignalStore;
 use crate::supervisor::{RetryCause, Supervisor};
 use crate::topology::{InstanceInfo, PortMeta, Topology};
 use crate::value::Value;
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Which reaction-phase scheduler to use.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -103,9 +105,8 @@ struct ResilState {
     iters: u64,
     /// Per-(edge, wire) conflicting re-resolutions this step.
     osc: BTreeMap<(u32, u8), u64>,
-    /// Quarantines performed this step, flushed to the probe in
-    /// instance-id order at step end (keeps probe streams byte-identical
-    /// across schedulers).
+    /// Quarantines performed this step, logged in instance-id order at
+    /// step end (keeps probe streams byte-identical across schedulers).
     pending_q: Vec<(u32, String)>,
 }
 
@@ -123,16 +124,14 @@ pub struct Simulator {
     wake: WakeSink,
     metrics: EngineMetrics,
     probe: Option<Box<dyn Probe>>,
-    /// `probe`'s [`Probe::interest`], read once in `set_probe`: which
-    /// per-invocation events the probed paths produce at all.
-    interest: Interest,
+    /// The step log under construction, handed to `probe` when the step
+    /// ends or fails; empty between steps.
+    log: LogBuf,
     /// Scratch per-instance activity flags for the commit phase; cleared
     /// proportionally to the transfer list, never swept.
     active: Vec<bool>,
     /// Cumulative per-edge completed-transfer counts.
     transfer_counts: Vec<u64>,
-    /// Scratch for the probed commit's edge-id-sorted transfer report.
-    transfer_buf: Vec<EdgeId>,
     /// Fault-injection / watchdog / quarantine state; `None` (the
     /// default) keeps the plan walk on its unobserved straight-node path.
     resil: Option<Box<ResilState>>,
@@ -196,10 +195,9 @@ impl Simulator {
             wake,
             metrics: EngineMetrics::default(),
             probe: None,
-            interest: Interest::ALL,
+            log: LogBuf::default(),
             active: vec![false; n],
             transfer_counts: vec![0; n_edges],
-            transfer_buf: Vec::new(),
             resil: None,
             sup: None,
             plan,
@@ -310,9 +308,34 @@ impl Simulator {
             .sum()
     }
 
-    /// The attached probe, for the supervisor's run-level events.
+    /// The attached probe, for the supervisor's group commit.
     pub(crate) fn probe_mut(&mut self) -> Option<&mut (dyn Probe + 'static)> {
         self.probe.as_deref_mut()
+    }
+
+    /// Deliver a run-level record (checkpoint, restore, rollback, cancel)
+    /// as it occurs, as a log of its own.
+    pub(crate) fn log_now(&mut self, record: Record) {
+        if self.probe.is_some() {
+            self.log.records.push(record);
+            self.deliver(0, 0);
+        }
+    }
+
+    /// Hand the log to the probe, with the step's engine counts, and
+    /// empty it.
+    #[inline(never)]
+    fn deliver(&mut self, reacts: u64, commits: u64) {
+        if let Some(p) = self.probe.as_deref_mut() {
+            p.step(&StepLog {
+                now: self.now,
+                topo: &self.topo,
+                reacts,
+                commits,
+                records: &self.log.records,
+            });
+        }
+        self.log.records.clear();
     }
 
     /// Capture the full durable simulator state at the current step
@@ -423,9 +446,7 @@ impl Simulator {
                 rs.quarantined[q as usize] = true;
             }
         }
-        if let Some(p) = self.probe.as_deref_mut() {
-            p.restored(self.now);
-        }
+        self.log_now(Record::Restore);
         Ok(())
     }
 
@@ -460,17 +481,19 @@ impl Simulator {
     /// [`Probe::attach`] hook runs immediately (VCD sinks emit their
     /// header there); any previously attached probe is replaced.
     pub fn set_probe(&mut self, mut p: Box<dyn Probe>) {
-        // Probes observe per-instance react/commit events the specialized
-        // path does not emit: fall back to the dynamic handlers.
+        // Probes observe per-instance react/commit records the specialized
+        // path does not write: fall back to the dynamic handlers.
         self.despecialize();
         p.attach(&self.topo);
-        self.interest = p.interest();
+        self.log.interest = p.interest();
         self.probe = Some(p);
     }
 
     /// Detach and return the current probe, if any (sinks that buffer —
-    /// e.g. the VCD writer — flush on drop).
+    /// e.g. the VCD writer — flush on drop; call [`Probe::sync`] first to
+    /// see a write error).
     pub fn take_probe(&mut self) -> Option<Box<dyn Probe>> {
+        self.log.interest = Interest::NONE;
         self.probe.take()
     }
 
@@ -555,33 +578,49 @@ impl Simulator {
         }
     }
 
-    /// Execute one complete time-step.
+    /// Execute one complete time-step. With a probe attached, the step's
+    /// log is delivered on the way out, whether the step completed or
+    /// failed.
     pub fn step(&mut self) -> Result<(), SimError> {
-        if let Some(p) = self.probe.as_deref_mut() {
-            p.step_begin(self.now);
+        let (reacts, commits) = (self.metrics.reacts, self.metrics.commits);
+        let logged = self.probe.is_some();
+        if logged {
+            self.log.records.push(Record::StepBegin);
         }
         self.store.begin_step(); // O(1): epoch bump, no per-edge sweep
         self.begin_resilient_step();
-        self.reaction_phase()?;
-        self.default_phase()?;
-        self.commit_phase()?;
-        self.flush_quarantine_events();
-        if let Some(p) = self.probe.as_deref_mut() {
-            p.step_end(self.now);
+        let r = self.phases();
+        if logged {
+            if r.is_ok() {
+                self.log.records.push(Record::StepEnd);
+            }
+            let m = self.metrics;
+            self.deliver(m.reacts - reacts, m.commits - commits);
         }
+        r?;
         self.metrics.steps += 1;
         self.now += 1;
         Ok(())
     }
 
+    /// The three phases, then the step's quarantines into the log.
+    fn phases(&mut self) -> Result<(), SimError> {
+        self.reaction_phase()?;
+        self.default_phase()?;
+        self.commit_phase()?;
+        self.log_quarantines();
+        Ok(())
+    }
+
     /// Reset the watchdog clock, build this step's active-fault table and
-    /// report the injections to the probe — in sorted `(edge, wire)` /
-    /// instance order, so the event stream is scheduler-independent.
-    /// Nothing to do without resilience state.
+    /// log the injections — in sorted `(edge, wire)` / instance order, so
+    /// the event stream is scheduler-independent. Nothing to do without
+    /// resilience state.
     fn begin_resilient_step(&mut self) {
         let now = self.now;
         let Simulator {
             probe,
+            log,
             resil,
             metrics,
             ..
@@ -601,34 +640,43 @@ impl Simulator {
         }
         metrics.faults_injected +=
             (active.signals.len() + active.panics.len() + active.latency.len()) as u64;
-        if let Some(p) = probe.as_deref_mut() {
+        if probe.is_some() {
+            let records = &mut log.records;
             for &(edge, widx, kind) in &active.signals {
-                p.fault_injected(now, EdgeId(edge), wire_from_idx(widx), kind);
+                let (edge, wire) = (EdgeId(edge), wire_from_idx(widx));
+                records.push(Record::Fault { edge, wire, kind });
             }
+            let inst_fault = |i, kind| Record::InstanceFault {
+                inst: InstanceId(i),
+                kind: Cow::Borrowed(kind),
+            };
             for &i in &active.panics {
-                p.instance_fault(now, InstanceId(i), "panic");
+                records.push(inst_fault(i, "panic"));
             }
             for &(i, _) in &active.latency {
-                p.instance_fault(now, InstanceId(i), "latency");
+                records.push(inst_fault(i, "latency"));
             }
         }
     }
 
-    /// Report this step's quarantines in instance-id order (they are
+    /// Log this step's quarantines in instance-id order (they are
     /// discovered in scheduler-dependent order during the phases).
-    fn flush_quarantine_events(&mut self) {
-        let now = self.now;
-        let Simulator { probe, resil, .. } = self;
+    fn log_quarantines(&mut self) {
+        let Simulator {
+            probe, log, resil, ..
+        } = self;
         let Some(rs) = resil.as_deref_mut().filter(|rs| !rs.pending_q.is_empty()) else {
             return;
         };
         rs.pending_q.sort_by_key(|q| q.0);
-        if let Some(p) = probe.as_deref_mut() {
-            for (i, reason) in rs.pending_q.drain(..) {
-                p.quarantined(now, InstanceId(i), &reason);
-            }
-        } else {
-            rs.pending_q.clear();
+        // Dropped unread, the drain still empties the queue.
+        let quarantines = rs.pending_q.drain(..);
+        if probe.is_some() {
+            log.records
+                .extend(quarantines.map(|(i, reason)| Record::Quarantine {
+                    inst: InstanceId(i),
+                    reason,
+                }));
         }
     }
 
@@ -653,7 +701,7 @@ impl Simulator {
     /// Drain to quiescence: Sweep sweeps every instance until a pass
     /// resolves nothing; the compiled scheduler drains its FIFO, waking
     /// the reader of each newly resolved wire. Every invocation goes
-    /// through [`react_one`], which tests the probe and the resilience
+    /// through [`react_one`], which tests the log and the resilience
     /// state at run time: neither scheduler's drain is on the engine's
     /// hot path (that is the plan walk's straight nodes and kernels).
     fn drain(&mut self) -> Result<(), SimError> {
@@ -677,13 +725,12 @@ impl Simulator {
             sched,
             wake,
             metrics,
-            probe,
-            interest,
+            log,
             resil,
             ..
         } = self;
         let topo: &Topology = topo;
-        let probe = &mut tap(probe, *interest);
+        let mut log = log.for_loops();
         let mut resil = resil.as_deref_mut();
         // Draining wakes from the resolve log of each react: any reader
         // anywhere, not the plan's island-filtered targets.
@@ -692,10 +739,8 @@ impl Simulator {
             SchedKind::Sweep => loop {
                 let mut progressed = false;
                 for i in 0..topo.instance_count() {
-                    let rs = resil.as_deref_mut();
-                    react_one(
-                        topo, modules, store, stats, metrics, *now, i, wake, probe, rs,
-                    )?;
+                    let (log, rs) = (log.as_deref_mut(), resil.as_deref_mut());
+                    react_one(topo, modules, store, stats, metrics, *now, i, wake, log, rs)?;
                     progressed |= !wake.log.is_empty();
                 }
                 if !progressed {
@@ -704,10 +749,9 @@ impl Simulator {
             },
             SchedKind::Compiled => {
                 while let Some(i) = wake.pop() {
-                    let rs = resil.as_deref_mut();
-                    react_one(
-                        topo, modules, store, stats, metrics, *now, i as usize, wake, probe, rs,
-                    )?;
+                    let (log, rs) = (log.as_deref_mut(), resil.as_deref_mut());
+                    let i = i as usize;
+                    react_one(topo, modules, store, stats, metrics, *now, i, wake, log, rs)?;
                     for &(e, wire) in &wake.log {
                         if let Some(t) = topo.reader(wire, e) {
                             if !wake.queued[t as usize] {
@@ -751,10 +795,11 @@ impl Simulator {
     /// round-trip) and an island runs entirely specialized or entirely
     /// dynamic (the classifier enforces all-or-none membership).
     ///
-    /// Observation is data: one test of the probe and the resilience
-    /// state per step picks the walk. Unobserved, straight nodes run
-    /// [`react_straight`] or their kernel (no probe or fault code at
-    /// all); observed, every node goes through [`react_one`].
+    /// Observation is data: one test of the log and the resilience state
+    /// per step picks the walk. Unobserved — no resilience state, and no
+    /// probe asking for handler or resolve records — straight nodes run
+    /// [`react_straight`] or their kernel (no log or fault code at all);
+    /// observed, every node goes through [`react_one`].
     fn compiled_serial(&mut self) -> Result<(), SimError> {
         let Simulator {
             topo,
@@ -764,8 +809,7 @@ impl Simulator {
             now,
             wake,
             metrics,
-            probe,
-            interest,
+            log,
             resil,
             plan,
             spec,
@@ -773,9 +817,9 @@ impl Simulator {
         } = self;
         let plan: &CompiledPlan = plan.as_ref().expect("compiled scheduler without a plan");
         let topo: &Topology = topo;
-        let probe = &mut tap(probe, *interest);
+        let mut log = log.for_loops();
         let mut resil = resil.as_deref_mut();
-        let observed = probe.is_some() || resil.is_some();
+        let observed = log.is_some() || resil.is_some();
         let (kernels, lanes, spec_islands) = live_kernels(spec);
         debug_assert!(kernels.is_empty() || !observed);
         for l in lanes.iter_mut() {
@@ -803,7 +847,7 @@ impl Simulator {
         let settle_epoch = resil.is_none().then(|| store.epoch());
         wake.plan_walk(
             settle_epoch,
-            probe.as_ref().is_some_and(|t| t.interest.resolves),
+            log.as_ref().is_some_and(|l| l.interest.resolves),
         );
         for node in plan.nodes() {
             match node {
@@ -814,10 +858,8 @@ impl Simulator {
                     // reactive ack reader would share an island with it).
                     let i = i as usize;
                     if observed {
-                        let rs = resil.as_deref_mut();
-                        react_one(
-                            topo, modules, store, stats, metrics, *now, i, wake, probe, rs,
-                        )?;
+                        let (log, rs) = (log.as_deref_mut(), resil.as_deref_mut());
+                        react_one(topo, modules, store, stats, metrics, *now, i, wake, log, rs)?;
                     } else if let Some(k) = kernels.get(i).and_then(Option::as_ref) {
                         let mut io = kernel::Io {
                             lanes: &mut *lanes,
@@ -835,9 +877,9 @@ impl Simulator {
                     if spec_islands.get(*island as usize).is_some_and(|&s| s) {
                         drain_island_spec(kernels, lanes, store, metrics, *now, members, wake)?;
                     } else {
-                        let rs = resil.as_deref_mut();
+                        let (log, rs) = (log.as_deref_mut(), resil.as_deref_mut());
                         drain_island(
-                            topo, modules, store, stats, metrics, *now, members, wake, probe, rs,
+                            topo, modules, store, stats, metrics, *now, members, wake, log, rs,
                         )?;
                     }
                 }
@@ -883,8 +925,8 @@ impl Simulator {
             let wire = write.wire();
             self.store.write(e, write)?;
             self.metrics.defaults += 1;
-            if let Some(p) = self.probe.as_deref_mut().filter(|_| self.interest.resolves) {
-                emit_resolved(p, &self.store, self.now, e, wire, ResolvedBy::Default);
+            if self.log.interest.resolves {
+                self.log.resolved(&self.store, e, wire, ResolvedBy::Default);
             }
             if let Some(reader) = self.topo.reader(wire, e) {
                 self.resume(reader)?;
@@ -920,16 +962,14 @@ impl Simulator {
             now,
             metrics,
             probe,
-            interest,
+            log,
             active,
             transfer_counts,
-            transfer_buf,
             resil,
             spec,
             ..
         } = self;
         let topo: &Topology = topo;
-        let brackets = interest.handlers;
         let (kernels, lanes, _) = live_kernels(spec);
         let mut resil = resil.as_deref_mut();
         if resil.is_some() {
@@ -961,6 +1001,7 @@ impl Simulator {
             if topo.all_commit_noop() && resil.is_none() {
                 return Ok(());
             }
+            let mut loop_log = log.for_loops();
             for (i, module) in modules.iter_mut().enumerate() {
                 if topo.commit_noop(i) || resil.as_ref().is_some_and(|rs| rs.quarantined[i]) {
                     continue;
@@ -981,8 +1022,8 @@ impl Simulator {
                     continue;
                 }
                 let inst = InstanceId(i as u32);
-                if let Some(p) = probe.as_deref_mut().filter(|_| brackets) {
-                    p.commit_enter(*now, inst);
+                if let Some(l) = loop_log.as_deref_mut() {
+                    l.open(Record::Commit, inst);
                 }
                 let mut ctx = CommitCtx::new(topo, inst, store, stats, *now);
                 let outcome = if resil.is_some() {
@@ -990,32 +1031,16 @@ impl Simulator {
                 } else {
                     module.commit(&mut ctx).map_err(Failure::Error)
                 };
+                if let Some(l) = loop_log.as_deref_mut() {
+                    l.close(outcome.is_ok());
+                }
                 if let Err(f) = outcome {
                     let rs = resil.as_deref_mut();
                     on_failure("commit", f, rs, metrics, topo, module.as_mut(), i, *now)?;
-                    continue;
-                }
-                if let Some(p) = probe.as_deref_mut().filter(|_| brackets) {
-                    p.commit_exit(*now, inst);
                 }
             }
-            if let Some(p) = probe.as_deref_mut() {
-                // Sort a copy by edge id so trace output is deterministic
-                // across schedulers (the set is; the resolution order is
-                // not).
-                transfer_buf.clear();
-                transfer_buf.extend_from_slice(store.transfers());
-                transfer_buf.sort_unstable_by_key(|e| e.0);
-                for &e in transfer_buf.iter() {
-                    let em = topo.edge_meta(e);
-                    let Some(v) = store.transferred(e) else {
-                        return Err(SimError::internal(format!(
-                            "transfer list entry for edge {} has an incomplete handshake",
-                            e.0
-                        )));
-                    };
-                    p.transfer(*now, e, topo.name(em.src.inst), topo.name(em.dst.inst), v);
-                }
+            if probe.is_some() {
+                log.transfers(topo, store)?;
             }
             Ok(())
         })();
@@ -1222,15 +1247,13 @@ fn drain_island(
     now: u64,
     members: &[u32],
     wake: &mut WakeSink,
-    probe: &mut Option<Tap<'_>>,
+    mut log: Option<&mut LogBuf>,
     mut resil: Option<&mut ResilState>,
 ) -> Result<(), SimError> {
     let epoch = resil.is_none().then(|| store.epoch());
     drain_members(members, wake, epoch, |i, wake| {
-        let rs = resil.as_deref_mut();
-        react_one(
-            topo, modules, store, stats, metrics, now, i, wake, probe, rs,
-        )
+        let (log, rs) = (log.as_deref_mut(), resil.as_deref_mut());
+        react_one(topo, modules, store, stats, metrics, now, i, wake, log, rs)
     })
 }
 
@@ -1294,7 +1317,7 @@ fn drain_island_spec(
     })
 }
 
-/// React one *straight* plan node on the probe-off, fault-off path: no
+/// React one *straight* plan node on the log-off, fault-off path: no
 /// wake bookkeeping (its readers are all later plan nodes), no newly
 /// list, no catch_unwind — the minimal cost of invoking a handler.
 #[inline]
@@ -1323,8 +1346,8 @@ fn react_straight(
 
 /// Invoke one instance's `react` handler with a context over the shared
 /// store (free function so callers can borrow disjoint simulator fields).
-/// The probe and the resilience state arrive as data: with both `None`
-/// the invocation is a plain handler call with wake bookkeeping, and each
+/// The log and the resilience state arrive as data: with both `None` the
+/// invocation is a plain handler call with wake bookkeeping, and each
 /// skipped branch costs one test of an `Option`.
 ///
 /// Returns whether the invocation *settled* the instance for the rest of
@@ -1344,7 +1367,7 @@ fn react_one(
     now: u64,
     i: usize,
     wake: &mut WakeSink,
-    probe: &mut Option<Tap<'_>>,
+    mut log: Option<&mut LogBuf>,
     mut resil: Option<&mut ResilState>,
 ) -> Result<bool, SimError> {
     let inst = InstanceId(i as u32);
@@ -1371,8 +1394,8 @@ fn react_one(
         }
     }
     metrics.reacts += 1;
-    if let Some(t) = probe.as_mut().filter(|t| t.interest.handlers) {
-        t.probe.react_enter(now, inst);
+    if let Some(l) = log.as_deref_mut() {
+        l.open(Record::React, inst);
     }
     let sink = CtxSink {
         store: &mut *store,
@@ -1396,14 +1419,12 @@ fn react_one(
             caught(|| modules[i].react(&mut ctx))
         }
     };
-    if let Some(t) = probe.as_mut() {
-        if t.interest.resolves {
+    if let Some(l) = log {
+        l.close(outcome.is_ok());
+        if l.interest.resolves {
             for &(e, wire) in &wake.log {
-                emit_resolved(t.probe, store, now, e, wire, ResolvedBy::Module(inst));
+                l.resolved(store, e, wire, ResolvedBy::Module(inst));
             }
-        }
-        if t.interest.handlers {
-            t.probe.react_exit(now, inst);
         }
     }
     if let Err(f) = outcome {
@@ -1422,36 +1443,101 @@ fn react_one(
     Ok(settled)
 }
 
-/// The attached probe as the reaction loops see it: the sink plus the
-/// interest mask `set_probe` cached, so a loop asks a plain bool before
-/// it produces a per-invocation event.
-struct Tap<'a> {
-    probe: &'a mut (dyn Probe + 'static),
+/// The step log under construction: the reused record buffer and the
+/// interest `set_probe` read (`NONE` without a probe). Writing records is
+/// kept out of line, so none of it is compiled into the loops' unlogged
+/// path.
+#[derive(Default)]
+struct LogBuf {
+    records: Vec<Record>,
     interest: Interest,
+    /// The handler record [`LogBuf::open`] placed, and its start time:
+    /// handlers never nest, so one slot suffices.
+    open: Option<(usize, Instant)>,
+    /// Scratch for the edge-id-sorted transfer report.
+    sorted: Vec<EdgeId>,
 }
 
-/// The simulator's probe, if one is attached, as a [`Tap`].
-fn tap(probe: &mut Option<Box<dyn Probe>>, interest: Interest) -> Option<Tap<'_>> {
-    probe.as_deref_mut().map(|probe| Tap { probe, interest })
-}
+impl LogBuf {
+    /// The log as the reaction, default and commit loops take it: `Some`
+    /// only while the probe asked for handler or resolve records.
+    fn for_loops(&mut self) -> Option<&mut LogBuf> {
+        (self.interest.handlers || self.interest.resolves).then_some(self)
+    }
 
-/// Report one newly resolved wire to a probe, reading its final value
-/// from the store (data carries the payload; enable/ack just polarity).
-fn emit_resolved(
-    p: &mut dyn Probe,
-    store: &SignalStore,
-    now: u64,
-    e: EdgeId,
-    wire: Wire,
-    by: ResolvedBy,
-) {
-    match wire {
-        Wire::Data => {
-            let d = store.data(e);
-            p.signal_resolved(now, e, wire, d.is_yes(), d.as_yes(), by);
+    /// Place `inst`'s handler record where the handler starts, if handler
+    /// records were asked for. [`LogBuf::close`] completes it.
+    #[inline(never)]
+    fn open(&mut self, record: fn(Handler) -> Record, inst: InstanceId) {
+        if self.interest.handlers {
+            let outcome = Outcome::Open;
+            self.records.push(record(Handler {
+                inst,
+                outcome,
+                ns: 0,
+            }));
+            self.open = Some((self.records.len() - 1, Instant::now()));
         }
-        Wire::Enable => p.signal_resolved(now, e, wire, store.enable(e).is_yes(), None, by),
-        Wire::Ack => p.signal_resolved(now, e, wire, store.ack(e).is_yes(), None, by),
+    }
+
+    /// Complete the open handler record with how the handler ended.
+    #[inline(never)]
+    fn close(&mut self, ok: bool) {
+        let Some((at, t0)) = self.open.take() else {
+            return;
+        };
+        if let Record::React(h) | Record::Commit(h) = &mut self.records[at] {
+            h.outcome = if ok { Outcome::Ok } else { Outcome::Failed };
+            h.ns = t0.elapsed().as_nanos() as u64;
+        }
+    }
+
+    /// Log one newly resolved wire, reading its final value from the
+    /// store (data carries the payload; enable/ack just polarity).
+    #[inline(never)]
+    fn resolved(&mut self, store: &SignalStore, edge: EdgeId, wire: Wire, by: ResolvedBy) {
+        let (yes, value) = match wire {
+            Wire::Data => {
+                let d = store.data(edge);
+                (d.is_yes(), d.as_yes().cloned())
+            }
+            Wire::Enable => (store.enable(edge).is_yes(), None),
+            Wire::Ack => (store.ack(edge).is_yes(), None),
+        };
+        let record = Record::Resolve {
+            edge,
+            wire,
+            yes,
+            value,
+            by,
+        };
+        self.records.push(record);
+    }
+
+    /// Log this step's transfers in edge-id order, so the stream is
+    /// scheduler-independent (the set is; the order they completed in is
+    /// not).
+    #[inline(never)]
+    fn transfers(&mut self, topo: &Topology, store: &SignalStore) -> Result<(), SimError> {
+        self.sorted.clear();
+        self.sorted.extend_from_slice(store.transfers());
+        self.sorted.sort_unstable_by_key(|e| e.0);
+        for &edge in &self.sorted {
+            let em = topo.edge_meta(edge);
+            let Some(v) = store.transferred(edge) else {
+                return Err(SimError::internal(format!(
+                    "transfer list entry for edge {} has an incomplete handshake",
+                    edge.0
+                )));
+            };
+            self.records.push(Record::Transfer {
+                edge,
+                src: em.src.inst,
+                dst: em.dst.inst,
+                value: v.clone(),
+            });
+        }
+        Ok(())
     }
 }
 
@@ -2505,10 +2591,7 @@ mod tests {
         } = &mut sim;
         wake.plan_walk(Some(epoch), false);
         let mut react = |i: usize, wake: &mut WakeSink| {
-            react_one(
-                topo, modules, store, stats, metrics, 0, i, wake, &mut None, None,
-            )
-            .unwrap()
+            react_one(topo, modules, store, stats, metrics, 0, i, wake, None, None).unwrap()
         };
         assert!(react(0, wake), "the driver read no wire: settled");
         assert_eq!(wake.pop(), Some(1), "its send queued the forwarder");
@@ -2610,8 +2693,8 @@ mod tests {
             token: CancelToken,
         }
         impl Probe for CancelAt {
-            fn step_end(&mut self, now: u64) {
-                if now == self.at {
+            fn step(&mut self, log: &StepLog<'_>) {
+                if log.now == self.at && log.records.contains(&Record::StepEnd) {
                     self.token.cancel();
                 }
             }

@@ -28,8 +28,9 @@
 //!   dependency graph and its SCC condensation) — and [`compile`], which
 //!   condenses that analysis into a [`compile::CompiledPlan`] executed
 //!   without any per-step worklist;
-//! * the observability layer — [`probe`] (the `Probe` event-stream trait
-//!   with zero cost when absent), [`trace`] (text + JSONL sinks),
+//! * the observability layer — [`probe`] (the per-step `StepLog` of
+//!   records and the four-method `Probe` that consumes it, with zero
+//!   cost when absent), [`trace`] (text + JSONL sinks),
 //!   [`vcd`] (GTKWave waveforms) and [`profile`] (per-module hot spots);
 //! * [`snapshot`] — versioned, checksummed checkpoints of the full
 //!   simulator state, the substrate of the roll-back recovery path and
@@ -118,7 +119,8 @@ pub mod prelude {
     pub use crate::netlist::{EdgeId, Endpoint, InstanceId, Netlist, NetlistBuilder};
     pub use crate::params::{ParamValue, Params};
     pub use crate::probe::{
-        CountingProbe, Interest, MultiProbe, Probe, ProbeCounts, ProbeCountsHandle, ResolvedBy,
+        CountingProbe, Handler, Interest, MultiProbe, Outcome, Probe, ProbeCounts,
+        ProbeCountsHandle, Record, ResolvedBy, StepLog,
     };
     pub use crate::profile::{ProfileHandle, ProfileProbe, ProfileReport, Profiler};
     pub use crate::registry::{Instantiated, Registry, Template};

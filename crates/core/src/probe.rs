@@ -1,42 +1,45 @@
-//! The observability surface of the kernel: the [`Probe`] trait.
+//! The observability surface of the kernel: the [`Probe`] trait and the
+//! [`StepLog`] it consumes.
 //!
 //! The paper positions LSE as "an effective educational tool when
 //! integrated with an interactive system visualizer", and the fixed
 //! reactive MoC is what makes the netlist *analyzable*: every wire of
-//! every connection resolves exactly once per time-step, so the complete
-//! behaviour of a simulation is a well-defined event stream. A [`Probe`]
-//! taps that stream:
+//! every connection resolves exactly once per time-step, so each step is
+//! a well-defined event stream. The engine writes that stream as
+//! fixed-size [`Record`]s into one reused log and hands it to the probe
+//! once a step:
 //!
-//! * **step_begin / step_end** bracket each time-step;
-//! * **react_enter / react_exit** and **commit_enter / commit_exit**
-//!   bracket every handler invocation (the hooks a profiler needs);
-//! * **signal_resolved** fires once per wire per step, the moment the
-//!   data/enable/ack wire of a connection resolves — with the source
-//!   distinguishing a module's own write from the kernel's default
-//!   control semantics (paper §2.1);
-//! * **transfer** fires once per completed three-way handshake.
+//! * **step begin / end** bracket the time-step;
+//! * one **react** or **commit** record per handler invocation, placed
+//!   where the handler starts and completed with its [`Outcome`] and wall
+//!   time when it returns — on failure too, so a bracket cannot tear;
+//! * one **resolve** per wire per step, the moment the data/enable/ack
+//!   wire of a connection resolves, distinguishing a module's own write
+//!   from the kernel's default control semantics (paper §2.1);
+//! * one **transfer** per completed three-way handshake;
+//! * **fault**, **quarantine**, and the run-level **checkpoint**,
+//!   **restore**, **rollback** and **cancel** records.
 //!
-//! All methods default to no-ops, so a probe implements only what it
-//! needs, and [`Probe::interest`] tells the kernel which of the two
-//! per-invocation event families (handler brackets, wire resolutions) it
-//! consumes, so the reaction loop does not produce events nobody reads.
-//! Ready-made sinks live in [`crate::trace`] (text + JSONL),
-//! [`crate::vcd`] (GTKWave waveforms) and [`crate::profile`] (per-module
-//! hot-spot attribution).
+//! [`Probe::interest`] tells the kernel which of the two per-invocation
+//! families (handler records, resolve records) to write at all, so the
+//! reaction loop does not produce records nobody reads. Ready-made sinks
+//! live in [`crate::trace`] (text + JSONL), [`crate::vcd`] (GTKWave
+//! waveforms) and [`crate::profile`] (per-module hot-spot attribution);
+//! each is one loop over [`StepLog::records`].
 //!
-//! **Cost when absent.** The probe reaches the reaction loops as an
-//! `Option`, tested at run time. Without one, the plan walk runs its
-//! straight nodes and kernels with no probe code at all, and an island
-//! member tests the `Option` once per invocation. Even the bookkept loop
-//! a probe takes costs nothing measurable: on `cmp8` a probe with
-//! `Interest::NONE` reads 57.1k / 54.2k steps/s against 55.1k / 53.2k
-//! bare — §5 of `docs/OBSERVABILITY.md`.
+//! **Cost when absent.** The log reaches the reaction loops as an
+//! `Option`, `Some` only while the probe asked for handler or resolve
+//! records. Otherwise — no probe, or one with [`Interest::NONE`] such as
+//! canonical JSONL — the plan walk runs its straight nodes with no log
+//! code at all, and an island member tests the `Option` once per
+//! invocation (§5 of `docs/OBSERVABILITY.md`).
 
 use crate::fault::FaultKind;
 use crate::netlist::{EdgeId, InstanceId};
 use crate::signal::Wire;
 use crate::topology::Topology;
 use crate::value::Value;
+use std::borrow::Cow;
 
 /// Who resolved a wire.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -48,25 +51,26 @@ pub enum ResolvedBy {
     Default,
 }
 
-/// Which of the per-handler-invocation event families a probe consumes.
-/// These are the events the reaction and commit loops produce once per
+/// Which of the per-handler-invocation record families a probe consumes.
+/// These are the records the reaction and commit loops write once per
 /// handler call or per wire; everything else (step brackets, transfers,
-/// faults, recovery events) is per step or rarer and always delivered.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// faults, recovery records) is per step or rarer and always written.
+/// The default is [`Interest::NONE`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Interest {
-    /// `react_enter`/`react_exit` and `commit_enter`/`commit_exit`.
+    /// [`Record::React`] and [`Record::Commit`], with handler wall time.
     pub handlers: bool,
-    /// `signal_resolved`.
+    /// [`Record::Resolve`].
     pub resolves: bool,
 }
 
 impl Interest {
-    /// Every event (the default).
+    /// Every record (the default).
     pub const ALL: Interest = Interest {
         handlers: true,
         resolves: true,
     };
-    /// Neither family: step-level events only.
+    /// Neither family: step-level records only.
     pub const NONE: Interest = Interest {
         handlers: false,
         resolves: false,
@@ -81,8 +85,136 @@ impl Interest {
     }
 }
 
-/// Observer of the kernel's full event stream. Every method is a no-op by
-/// default; implement only the events you need.
+/// How a handler invocation ended.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Outcome {
+    /// The handler has not returned. The engine completes every record
+    /// before it delivers the log, so a probe never sees this.
+    Open,
+    /// It returned `Ok`.
+    Ok,
+    /// It returned an error or panicked; the failure policy decided what
+    /// followed.
+    Failed,
+}
+
+/// One handler invocation.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Handler {
+    /// The instance whose handler ran.
+    pub inst: InstanceId,
+    /// How the handler ended.
+    pub outcome: Outcome,
+    /// Wall-clock nanoseconds the handler ran.
+    pub ns: u64,
+}
+
+/// One event of a time-step, in the order the engine produced it.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Record {
+    /// The time-step is starting.
+    StepBegin,
+    /// The time-step completed (all wires resolved, commits done). A
+    /// failed step has none.
+    StepEnd,
+    /// A `react` invocation (only under [`Interest::handlers`]).
+    React(Handler),
+    /// A `commit` invocation (only under [`Interest::handlers`]).
+    Commit(Handler),
+    /// One wire of one connection resolved (only under
+    /// [`Interest::resolves`]). `value` is the payload of a data wire
+    /// resolving `Yes`.
+    Resolve {
+        /// The connection.
+        edge: EdgeId,
+        /// Which of its three wires.
+        wire: Wire,
+        /// The resolution polarity.
+        yes: bool,
+        /// The data payload, for a data wire resolving `Yes`.
+        value: Option<Value>,
+        /// Who resolved it.
+        by: ResolvedBy,
+    },
+    /// A three-way handshake completed on `edge` (in edge-id order at the
+    /// end of the commit phase).
+    Transfer {
+        /// The connection.
+        edge: EdgeId,
+        /// Its sender.
+        src: InstanceId,
+        /// Its receiver.
+        dst: InstanceId,
+        /// The payload moved.
+        value: Value,
+    },
+    /// A wire-level fault of the installed fault plan is active on
+    /// `(edge, wire)` this step (at step begin, in `(edge, wire)` order).
+    Fault {
+        /// The connection.
+        edge: EdgeId,
+        /// The faulted wire.
+        wire: Wire,
+        /// What the fault does.
+        kind: FaultKind,
+    },
+    /// An instance-level fault (`"panic"` or `"latency"`) is active on
+    /// `inst` this step (at step begin, in instance-id order).
+    InstanceFault {
+        /// The faulted instance.
+        inst: InstanceId,
+        /// The fault's label.
+        kind: Cow<'static, str>,
+    },
+    /// `inst` was isolated by the quarantine policy: its handlers will not
+    /// run again and its ports fall back to the default control semantics
+    /// (at step end, in instance-id order).
+    Quarantine {
+        /// The isolated instance.
+        inst: InstanceId,
+        /// What failed.
+        reason: String,
+    },
+    /// A checkpoint of the full simulator state was taken after step
+    /// `now - 1` completed (the snapshot resumes at step `now`).
+    Checkpoint,
+    /// The simulator state was replaced from a checkpoint; the next step
+    /// executed will be `now`.
+    Restore,
+    /// The recovery path rewound the run: a failure at step `now` caused a
+    /// restore back to step `to` (always ≤ `now`), after masking the
+    /// offending fault-plan entries.
+    Rollback {
+        /// The step the run resumes at.
+        to: u64,
+        /// What triggered it.
+        reason: String,
+    },
+    /// A governed run observed its [`crate::supervisor::CancelToken`]
+    /// tripped and is exiting at the step boundary before step `now`.
+    Cancel,
+}
+
+/// What the engine hands a probe: the records of one time-step, or of one
+/// run-level event (checkpoint, restore, rollback, cancel) as it occurs.
+/// A step's log is delivered when the step ends or fails, so every
+/// record a probe is owed has reached it by the time
+/// [`Probe::sync`] runs.
+#[derive(Clone, Copy)]
+pub struct StepLog<'a> {
+    /// The time-step the records belong to.
+    pub now: u64,
+    /// The structure, for names.
+    pub topo: &'a Topology,
+    /// `react` invocations this step (whatever the interest).
+    pub reacts: u64,
+    /// `commit` invocations this step (whatever the interest).
+    pub commits: u64,
+    /// The records, in the order the engine produced them.
+    pub records: &'a [Record],
+}
+
+/// Observer of the kernel's event stream, one [`StepLog`] at a time.
 ///
 /// Probes are attached with [`crate::exec::Simulator::set_probe`]; the
 /// kernel calls [`Probe::attach`] once so sinks can precompute per-edge
@@ -92,11 +224,11 @@ pub trait Probe: Send {
     /// Called once when the probe is installed on a simulator.
     fn attach(&mut self, topo: &Topology) {}
 
-    /// The per-invocation events this probe consumes. Read once, right
-    /// after [`Probe::attach`]; the kernel skips producing the families
-    /// that are off. A probe may still be *called* for a family it
-    /// declined (a [`MultiProbe`] sibling asked for it), so declining is
-    /// a cost hint, not a filter.
+    /// The per-invocation records this probe consumes. Read once, right
+    /// after [`Probe::attach`]; the kernel skips writing the families
+    /// that are off. A log may still *hold* a family this probe declined
+    /// (a [`MultiProbe`] sibling asked for it), so declining is a cost
+    /// hint, not a filter.
     fn interest(&self) -> Interest {
         Interest::ALL
     }
@@ -110,77 +242,12 @@ pub trait Probe: Send {
         Ok(())
     }
 
-    /// A time-step is starting.
-    fn step_begin(&mut self, now: u64) {}
-
-    /// A time-step completed (all wires resolved, commits done).
-    fn step_end(&mut self, now: u64) {}
-
-    /// A `react` handler is about to run.
-    fn react_enter(&mut self, now: u64, inst: InstanceId) {}
-
-    /// A `react` handler returned.
-    fn react_exit(&mut self, now: u64, inst: InstanceId) {}
-
-    /// A `commit` handler is about to run.
-    fn commit_enter(&mut self, now: u64, inst: InstanceId) {}
-
-    /// A `commit` handler returned.
-    fn commit_exit(&mut self, now: u64, inst: InstanceId) {}
-
-    /// One wire of one connection resolved this step. `yes` is the
-    /// resolution polarity; `value` carries the payload for a data wire
-    /// resolving `Yes` (enable/ack and `No` resolutions pass `None`).
-    fn signal_resolved(
-        &mut self,
-        now: u64,
-        edge: EdgeId,
-        wire: Wire,
-        yes: bool,
-        value: Option<&Value>,
-        by: ResolvedBy,
-    ) {
-    }
-
-    /// A three-way handshake completed on `edge` this step (reported in
-    /// edge-id order at the end of the commit phase).
-    fn transfer(&mut self, now: u64, edge: EdgeId, src: &str, dst: &str, value: &Value) {}
-
-    /// A wire-level fault from the installed fault plan is active on
-    /// `(edge, wire)` this step (reported at step begin, in `(edge,
-    /// wire)` order).
-    fn fault_injected(&mut self, now: u64, edge: EdgeId, wire: Wire, kind: FaultKind) {}
-
-    /// An instance-level fault (`"panic"` or `"latency"`) is active on
-    /// `inst` this step (reported at step begin, in instance-id order).
-    fn instance_fault(&mut self, now: u64, inst: InstanceId, kind: &str) {}
-
-    /// `inst` was isolated by the quarantine policy; its handlers will
-    /// not run again and its ports fall back to the default control
-    /// semantics (reported at step end, in instance-id order).
-    fn quarantined(&mut self, now: u64, inst: InstanceId, reason: &str) {}
-
-    /// A checkpoint of the full simulator state was taken after step
-    /// `now - 1` completed (i.e. the snapshot resumes at step `now`).
-    fn checkpointed(&mut self, now: u64) {}
-
-    /// The simulator state was replaced from a checkpoint; the next step
-    /// executed will be `now`.
-    fn restored(&mut self, now: u64) {}
-
-    /// The recovery path rewound the run: a failure at step `now` caused
-    /// a restore back to step `to` (always ≤ `now`), after masking the
-    /// offending fault-plan entries. `reason` describes the trigger.
-    fn rolled_back(&mut self, now: u64, to: u64, reason: &str) {}
-
-    /// A governed run observed its [`crate::supervisor::CancelToken`]
-    /// tripped and is exiting at the step boundary before step `now`
-    /// (after draining in-flight work and taking a final checkpoint).
-    fn run_cancelled(&mut self, now: u64) {}
+    /// Consume one log.
+    fn step(&mut self, log: &StepLog<'_>);
 }
 
-/// Fan-out probe: forwards every event to each attached probe in order,
-/// so `--trace --vcd --profile` can all observe one run.
+/// Fan-out probe: hands every log to each attached probe in order, so
+/// `--trace --vcd --profile` can all observe one run.
 #[derive(Default)]
 pub struct MultiProbe {
     probes: Vec<Box<dyn Probe>>,
@@ -197,24 +264,9 @@ impl MultiProbe {
         self.probes.push(p);
     }
 
-    /// Number of attached probes.
-    pub fn len(&self) -> usize {
-        self.probes.len()
-    }
-
     /// True when no probes are attached.
     pub fn is_empty(&self) -> bool {
         self.probes.is_empty()
-    }
-
-    /// The sole probe, unwrapped, when exactly one is attached — lets
-    /// front ends skip the fan-out indirection for a single sink.
-    pub fn into_single(mut self) -> Result<Box<dyn Probe>, Self> {
-        if self.probes.len() == 1 {
-            Ok(self.probes.pop().expect("len checked"))
-        } else {
-            Err(self)
-        }
     }
 }
 
@@ -240,87 +292,9 @@ impl Probe for MultiProbe {
         }
         first
     }
-    fn step_begin(&mut self, now: u64) {
+    fn step(&mut self, log: &StepLog<'_>) {
         for p in &mut self.probes {
-            p.step_begin(now);
-        }
-    }
-    fn step_end(&mut self, now: u64) {
-        for p in &mut self.probes {
-            p.step_end(now);
-        }
-    }
-    fn react_enter(&mut self, now: u64, inst: InstanceId) {
-        for p in &mut self.probes {
-            p.react_enter(now, inst);
-        }
-    }
-    fn react_exit(&mut self, now: u64, inst: InstanceId) {
-        for p in &mut self.probes {
-            p.react_exit(now, inst);
-        }
-    }
-    fn commit_enter(&mut self, now: u64, inst: InstanceId) {
-        for p in &mut self.probes {
-            p.commit_enter(now, inst);
-        }
-    }
-    fn commit_exit(&mut self, now: u64, inst: InstanceId) {
-        for p in &mut self.probes {
-            p.commit_exit(now, inst);
-        }
-    }
-    fn signal_resolved(
-        &mut self,
-        now: u64,
-        edge: EdgeId,
-        wire: Wire,
-        yes: bool,
-        value: Option<&Value>,
-        by: ResolvedBy,
-    ) {
-        for p in &mut self.probes {
-            p.signal_resolved(now, edge, wire, yes, value, by);
-        }
-    }
-    fn transfer(&mut self, now: u64, edge: EdgeId, src: &str, dst: &str, value: &Value) {
-        for p in &mut self.probes {
-            p.transfer(now, edge, src, dst, value);
-        }
-    }
-    fn fault_injected(&mut self, now: u64, edge: EdgeId, wire: Wire, kind: FaultKind) {
-        for p in &mut self.probes {
-            p.fault_injected(now, edge, wire, kind);
-        }
-    }
-    fn instance_fault(&mut self, now: u64, inst: InstanceId, kind: &str) {
-        for p in &mut self.probes {
-            p.instance_fault(now, inst, kind);
-        }
-    }
-    fn quarantined(&mut self, now: u64, inst: InstanceId, reason: &str) {
-        for p in &mut self.probes {
-            p.quarantined(now, inst, reason);
-        }
-    }
-    fn checkpointed(&mut self, now: u64) {
-        for p in &mut self.probes {
-            p.checkpointed(now);
-        }
-    }
-    fn restored(&mut self, now: u64) {
-        for p in &mut self.probes {
-            p.restored(now);
-        }
-    }
-    fn rolled_back(&mut self, now: u64, to: u64, reason: &str) {
-        for p in &mut self.probes {
-            p.rolled_back(now, to, reason);
-        }
-    }
-    fn run_cancelled(&mut self, now: u64) {
-        for p in &mut self.probes {
-            p.run_cancelled(now);
+            p.step(log);
         }
     }
 }
@@ -331,29 +305,29 @@ impl Probe for MultiProbe {
 /// invariant check in tests (e.g. resolutions = 3 × edges × steps).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ProbeCounts {
-    /// `step_begin` events seen.
+    /// Steps begun.
     pub steps: u64,
-    /// `react_enter` events seen.
+    /// `react` invocations (the engine's count).
     pub reacts: u64,
-    /// `commit_enter` events seen.
+    /// `commit` invocations (the engine's count).
     pub commits: u64,
-    /// `signal_resolved` events seen.
+    /// Wire resolutions.
     pub resolutions: u64,
-    /// `signal_resolved` events attributed to the default semantics.
+    /// Wire resolutions by the default semantics.
     pub defaults: u64,
-    /// `transfer` events seen.
+    /// Completed handshakes.
     pub transfers: u64,
-    /// `fault_injected` + `instance_fault` events seen.
+    /// Wire and instance faults.
     pub faults: u64,
-    /// `quarantined` events seen.
+    /// Quarantines.
     pub quarantines: u64,
-    /// `checkpointed` events seen.
+    /// Checkpoints.
     pub checkpoints: u64,
-    /// `restored` events seen.
+    /// Restores.
     pub restores: u64,
-    /// `rolled_back` events seen.
+    /// Rollbacks.
     pub rollbacks: u64,
-    /// `run_cancelled` events seen.
+    /// Cancellations.
     pub cancels: u64,
 }
 
@@ -389,53 +363,36 @@ impl CountingProbe {
 }
 
 impl Probe for CountingProbe {
-    fn step_begin(&mut self, _now: u64) {
-        self.counts.lock().expect("probe counts lock").steps += 1;
-    }
-    fn react_enter(&mut self, _now: u64, _inst: InstanceId) {
-        self.counts.lock().expect("probe counts lock").reacts += 1;
-    }
-    fn commit_enter(&mut self, _now: u64, _inst: InstanceId) {
-        self.counts.lock().expect("probe counts lock").commits += 1;
-    }
-    fn signal_resolved(
-        &mut self,
-        _now: u64,
-        _edge: EdgeId,
-        _wire: Wire,
-        _yes: bool,
-        _value: Option<&Value>,
-        by: ResolvedBy,
-    ) {
-        let mut c = self.counts.lock().expect("probe counts lock");
-        c.resolutions += 1;
-        if by == ResolvedBy::Default {
-            c.defaults += 1;
+    /// Reacts and commits come from the log's engine counts, so no
+    /// handler record is needed.
+    fn interest(&self) -> Interest {
+        Interest {
+            handlers: false,
+            resolves: true,
         }
     }
-    fn transfer(&mut self, _now: u64, _edge: EdgeId, _src: &str, _dst: &str, _value: &Value) {
-        self.counts.lock().expect("probe counts lock").transfers += 1;
-    }
-    fn fault_injected(&mut self, _now: u64, _edge: EdgeId, _wire: Wire, _kind: FaultKind) {
-        self.counts.lock().expect("probe counts lock").faults += 1;
-    }
-    fn instance_fault(&mut self, _now: u64, _inst: InstanceId, _kind: &str) {
-        self.counts.lock().expect("probe counts lock").faults += 1;
-    }
-    fn quarantined(&mut self, _now: u64, _inst: InstanceId, _reason: &str) {
-        self.counts.lock().expect("probe counts lock").quarantines += 1;
-    }
-    fn checkpointed(&mut self, _now: u64) {
-        self.counts.lock().expect("probe counts lock").checkpoints += 1;
-    }
-    fn restored(&mut self, _now: u64) {
-        self.counts.lock().expect("probe counts lock").restores += 1;
-    }
-    fn rolled_back(&mut self, _now: u64, _to: u64, _reason: &str) {
-        self.counts.lock().expect("probe counts lock").rollbacks += 1;
-    }
-    fn run_cancelled(&mut self, _now: u64) {
-        self.counts.lock().expect("probe counts lock").cancels += 1;
+
+    fn step(&mut self, log: &StepLog<'_>) {
+        let mut c = self.counts.lock().expect("probe counts lock");
+        c.reacts += log.reacts;
+        c.commits += log.commits;
+        for r in log.records {
+            match r {
+                Record::StepBegin => c.steps += 1,
+                Record::Resolve { by, .. } => {
+                    c.resolutions += 1;
+                    c.defaults += u64::from(*by == ResolvedBy::Default);
+                }
+                Record::Transfer { .. } => c.transfers += 1,
+                Record::Fault { .. } | Record::InstanceFault { .. } => c.faults += 1,
+                Record::Quarantine { .. } => c.quarantines += 1,
+                Record::Checkpoint => c.checkpoints += 1,
+                Record::Restore => c.restores += 1,
+                Record::Rollback { .. } => c.rollbacks += 1,
+                Record::Cancel => c.cancels += 1,
+                Record::StepEnd | Record::React(_) | Record::Commit(_) => {}
+            }
+        }
     }
 }
 
@@ -487,21 +444,5 @@ mod tests {
         assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(json_escape("\u{1}"), "\\u0001");
         assert_eq!(json_escape("plain.name[0]"), "plain.name[0]");
-    }
-
-    #[test]
-    fn multi_probe_single_unwraps() {
-        let mut m = MultiProbe::new();
-        assert!(m.is_empty());
-        let (c, _h) = CountingProbe::new();
-        m.push(Box::new(c));
-        assert_eq!(m.len(), 1);
-        assert!(m.into_single().is_ok());
-        let mut m2 = MultiProbe::new();
-        let (c1, _h1) = CountingProbe::new();
-        let (c2, _h2) = CountingProbe::new();
-        m2.push(Box::new(c1));
-        m2.push(Box::new(c2));
-        assert!(m2.into_single().is_err());
     }
 }

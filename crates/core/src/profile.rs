@@ -1,9 +1,9 @@
-//! Per-module wall-clock profiler built on the [`Probe`] event stream.
+//! Per-module wall-clock profiler built on the [`Probe`] step log.
 //!
-//! The react/commit enter/exit hooks bracket every handler invocation, so
-//! attributing time to instances needs no support from the modules
-//! themselves — attach [`Profiler::new`]'s probe, run, and ask the handle
-//! for a hot-spot table:
+//! Every handler invocation is one react or commit record carrying its
+//! wall time, so attributing time to instances needs no support from the
+//! modules themselves — attach [`Profiler::new`]'s probe, run, and ask
+//! the handle for a hot-spot table:
 //!
 //! ```text
 //! instance              react ms  (calls)   commit ms  (calls)   total ms     %
@@ -11,45 +11,27 @@
 //! ...
 //! ```
 //!
-//! Timing uses `std::time::Instant` around each handler; the enter
-//! timestamp is kept locally in the probe (no lock), and the shared
-//! accumulator lock is taken once per exit event. That cost is paid only
-//! when the profiler is attached — see `docs/OBSERVABILITY.md` for
-//! measured overhead.
+//! The engine times each handler with `std::time::Instant` only while a
+//! probe asks for handler records; the shared accumulator lock is taken
+//! once a step. That cost is paid only when the profiler is attached —
+//! see `docs/OBSERVABILITY.md` for measured overhead.
 
-use crate::netlist::InstanceId;
-use crate::probe::{Interest, Probe};
+use crate::probe::{Interest, Probe, Record, StepLog};
 use crate::topology::Topology;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
-#[derive(Clone, Default)]
-struct InstProfile {
-    name: String,
-    react_ns: u64,
-    reacts: u64,
-    commit_ns: u64,
-    commits: u64,
-}
-
-#[derive(Default)]
-struct ProfileData {
-    insts: Vec<InstProfile>,
-}
+/// One row per instance, in id order.
+type ProfileData = Arc<Mutex<Vec<ProfileRow>>>;
 
 /// Probe half of the profiler; see [`Profiler::new`].
 pub struct ProfileProbe {
-    data: Arc<Mutex<ProfileData>>,
-    /// In-flight enter timestamps, indexed by instance (handlers never
-    /// nest for one instance within a phase, so one slot each suffices).
-    react_t0: Vec<Option<Instant>>,
-    commit_t0: Vec<Option<Instant>>,
+    data: ProfileData,
 }
 
 /// Read handle; ask for a [`ProfileReport`] after (or during) a run.
 #[derive(Clone)]
 pub struct ProfileHandle {
-    data: Arc<Mutex<ProfileData>>,
+    data: ProfileData,
 }
 
 /// Namespace for constructing the probe/handle pair.
@@ -59,15 +41,8 @@ impl Profiler {
     /// Create a profiling probe and the handle that reads its report.
     #[allow(clippy::new_ret_no_self)] // `Profiler` is a factory namespace, not a type
     pub fn new() -> (ProfileProbe, ProfileHandle) {
-        let data = Arc::new(Mutex::new(ProfileData::default()));
-        (
-            ProfileProbe {
-                data: data.clone(),
-                react_t0: Vec::new(),
-                commit_t0: Vec::new(),
-            },
-            ProfileHandle { data },
-        )
+        let data = ProfileData::default();
+        (ProfileProbe { data: data.clone() }, ProfileHandle { data })
     }
 }
 
@@ -144,16 +119,9 @@ impl ProfileHandle {
     pub fn report(&self) -> ProfileReport {
         let data = self.data.lock().expect("profile lock");
         let mut rows: Vec<ProfileRow> = data
-            .insts
             .iter()
             .filter(|p| p.reacts + p.commits > 0)
-            .map(|p| ProfileRow {
-                name: p.name.clone(),
-                react_ns: p.react_ns,
-                reacts: p.reacts,
-                commit_ns: p.commit_ns,
-                commits: p.commits,
-            })
+            .cloned()
             .collect();
         rows.sort_by(|a, b| b.total_ns().cmp(&a.total_ns()).then(a.name.cmp(&b.name)));
         ProfileReport { rows }
@@ -162,14 +130,15 @@ impl ProfileHandle {
 
 impl Probe for ProfileProbe {
     fn attach(&mut self, topo: &Topology) {
-        let n = topo.instance_count();
-        self.react_t0 = vec![None; n];
-        self.commit_t0 = vec![None; n];
         let mut data = self.data.lock().expect("profile lock");
-        data.insts = (0..n)
-            .map(|i| InstProfile {
-                name: topo.name(InstanceId(i as u32)).to_string(),
-                ..InstProfile::default()
+        *data = topo
+            .instance_names()
+            .map(|name| ProfileRow {
+                name: name.to_owned(),
+                react_ns: 0,
+                reacts: 0,
+                commit_ns: 0,
+                commits: 0,
             })
             .collect();
     }
@@ -181,31 +150,22 @@ impl Probe for ProfileProbe {
         }
     }
 
-    fn react_enter(&mut self, _now: u64, inst: InstanceId) {
-        self.react_t0[inst.0 as usize] = Some(Instant::now());
-    }
-
-    fn react_exit(&mut self, _now: u64, inst: InstanceId) {
-        if let Some(t0) = self.react_t0[inst.0 as usize].take() {
-            let ns = t0.elapsed().as_nanos() as u64;
-            let mut data = self.data.lock().expect("profile lock");
-            let p = &mut data.insts[inst.0 as usize];
-            p.react_ns += ns;
-            p.reacts += 1;
-        }
-    }
-
-    fn commit_enter(&mut self, _now: u64, inst: InstanceId) {
-        self.commit_t0[inst.0 as usize] = Some(Instant::now());
-    }
-
-    fn commit_exit(&mut self, _now: u64, inst: InstanceId) {
-        if let Some(t0) = self.commit_t0[inst.0 as usize].take() {
-            let ns = t0.elapsed().as_nanos() as u64;
-            let mut data = self.data.lock().expect("profile lock");
-            let p = &mut data.insts[inst.0 as usize];
-            p.commit_ns += ns;
-            p.commits += 1;
+    fn step(&mut self, log: &StepLog<'_>) {
+        let mut data = self.data.lock().expect("profile lock");
+        for r in log.records {
+            match r {
+                Record::React(h) => {
+                    let p = &mut data[h.inst.0 as usize];
+                    p.react_ns += h.ns;
+                    p.reacts += 1;
+                }
+                Record::Commit(h) => {
+                    let p = &mut data[h.inst.0 as usize];
+                    p.commit_ns += h.ns;
+                    p.commits += 1;
+                }
+                _ => {}
+            }
         }
     }
 }

@@ -36,6 +36,7 @@
 use crate::error::{CheckpointError, SimError};
 use crate::exec::Simulator;
 use crate::netlist::InstanceId;
+use crate::probe::Record;
 use crate::snapshot::Snapshot;
 use crate::stats::Stats;
 use std::collections::{BTreeMap, VecDeque};
@@ -555,10 +556,7 @@ impl Supervisor {
     /// Returns the outcome to stop with, if any.
     fn stop(&mut self, sim: &mut Simulator, started: Instant, executed: u64) -> Option<RunOutcome> {
         if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-            let now = sim.now();
-            if let Some(p) = sim.probe_mut() {
-                p.run_cancelled(now);
-            }
+            sim.log_now(Record::Cancel);
             // Preserve the work done so far: the in-memory snapshot is
             // always taken; it also lands on disk when a checkpoint
             // directory is configured. A snapshot failure must not mask
@@ -590,8 +588,8 @@ impl Supervisor {
     }
 
     /// Take a checkpoint now: keep it in memory as the rollback target,
-    /// write it to the checkpoint directory when one is set, and emit
-    /// the `checkpoint` probe event.
+    /// write it to the checkpoint directory when one is set, and deliver
+    /// a `checkpoint` record to the probe.
     fn checkpoint(&mut self, sim: &mut Simulator) -> Result<(), SimError> {
         let snap = Arc::new(sim.snapshot()?);
         let now = sim.now();
@@ -614,9 +612,7 @@ impl Supervisor {
             std::fs::create_dir_all(dir).map_err(|e| io_error(e.to_string()))?;
             snap.write_file(&checkpoint_path(dir, now))?;
         }
-        if let Some(p) = sim.probe_mut() {
-            p.checkpointed(now);
-        }
+        sim.log_now(Record::Checkpoint);
         Ok(())
     }
 
@@ -681,10 +677,10 @@ impl Supervisor {
                 format!("divergence on edge{s} {}", edges.join(", "))
             }
         };
-        let now = sim.now();
-        if let Some(p) = sim.probe_mut() {
-            p.rolled_back(now, snap.now(), &reason);
-        }
+        sim.log_now(Record::Rollback {
+            to: snap.now(),
+            reason,
+        });
         sim.restore(&snap)?;
         *retries.entry(cause.label()).or_insert(0) += 1;
         Ok(true)
@@ -734,7 +730,7 @@ impl Simulator {
 
     /// Take a checkpoint now, at a step boundary: kept in memory as the
     /// rollback target, written to the checkpoint directory when one is
-    /// set, and reported to the probe as a `checkpoint` event.
+    /// set, and reported to the probe as a `checkpoint` record.
     pub fn checkpoint_now(&mut self) -> Result<(), SimError> {
         let mut sup = self.sup.take().unwrap_or_default();
         let r = sup.checkpoint(self);

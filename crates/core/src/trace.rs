@@ -7,14 +7,42 @@
 //! cover the common needs; waveforms live in [`crate::vcd`] and hot-spot
 //! attribution in [`crate::profile`].
 
-use crate::netlist::{EdgeId, InstanceId};
-use crate::probe::{escape_into, Interest, Probe, ResolvedBy};
+use crate::probe::{escape_into, Interest, Probe, Record, ResolvedBy, StepLog};
 use crate::signal::Wire;
 use crate::topology::Topology;
 use crate::value::{Value, WordSink};
 use std::fmt::Write as _;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
+
+/// The first write error a sink met. Once one is kept the sink writes
+/// nothing more, and [`Probe::sync`] keeps reporting it.
+#[derive(Default)]
+pub(crate) struct WriteError(Option<std::io::Error>);
+
+impl WriteError {
+    /// Run `write` on `out` unless an earlier write failed; keep its
+    /// error.
+    pub(crate) fn write<W>(
+        &mut self,
+        out: &mut W,
+        write: impl FnOnce(&mut W) -> std::io::Result<()>,
+    ) {
+        if self.0.is_none() {
+            self.0 = write(out).err();
+        }
+    }
+
+    /// Flush `out` and report the first error met.
+    pub(crate) fn sync(&mut self, out: &mut impl Write) -> std::io::Result<()> {
+        self.write(out, |out| out.flush());
+        match &self.0 {
+            // `io::Error` is not `Clone`; the kind and message are.
+            Some(e) => Err(std::io::Error::new(e.kind(), e.to_string())),
+            None => Ok(()),
+        }
+    }
+}
 
 /// Writes one line per transfer: `@cycle src -> dst: value`.
 pub struct TextTracer<W: Write + Send> {
@@ -24,6 +52,7 @@ pub struct TextTracer<W: Write + Send> {
     limit: u64,
     written: u64,
     truncated: bool,
+    failed: WriteError,
 }
 
 impl<W: Write + Send> TextTracer<W> {
@@ -35,6 +64,7 @@ impl<W: Write + Send> TextTracer<W> {
             limit,
             written: 0,
             truncated: false,
+            failed: WriteError::default(),
         }
     }
 }
@@ -44,18 +74,35 @@ impl<W: Write + Send> Probe for TextTracer<W> {
         Interest::NONE
     }
 
-    fn transfer(&mut self, now: u64, _edge: EdgeId, src: &str, dst: &str, value: &Value) {
-        if self.limit > 0 && self.written >= self.limit {
-            // Say so once instead of silently dropping the tail.
-            if !self.truncated {
-                self.truncated = true;
-                let _ = writeln!(self.out, "... trace truncated at {} events", self.limit);
-                let _ = self.out.flush();
+    fn sync(&mut self) -> std::io::Result<()> {
+        self.failed.sync(&mut self.out)
+    }
+
+    fn step(&mut self, log: &StepLog<'_>) {
+        for r in log.records {
+            let Record::Transfer {
+                src, dst, value, ..
+            } = r
+            else {
+                continue;
+            };
+            let limit = self.limit;
+            if limit > 0 && self.written >= limit {
+                // Say so once instead of silently dropping the tail.
+                if !std::mem::replace(&mut self.truncated, true) {
+                    self.failed.write(&mut self.out, |out| {
+                        writeln!(out, "... trace truncated at {limit} events")?;
+                        out.flush()
+                    });
+                }
+                return;
             }
-            return;
+            self.written += 1;
+            let (now, src, dst) = (log.now, log.topo.name(*src), log.topo.name(*dst));
+            self.failed.write(&mut self.out, |out| {
+                writeln!(out, "@{now} {src} -> {dst}: {value}")
+            });
         }
-        self.written += 1;
-        let _ = writeln!(self.out, "@{now} {src} -> {dst}: {value}");
     }
 }
 
@@ -140,13 +187,21 @@ impl Probe for RecordingTracer {
         Interest::NONE
     }
 
-    fn transfer(&mut self, now: u64, _edge: EdgeId, src: &str, dst: &str, value: &Value) {
-        self.events.lock().expect("trace lock").push(TraceEvent {
-            now,
-            src: src.to_owned(),
-            dst: dst.to_owned(),
-            value: value.to_string(),
-        });
+    fn step(&mut self, log: &StepLog<'_>) {
+        let mut events = self.events.lock().expect("trace lock");
+        for r in log.records {
+            if let Record::Transfer {
+                src, dst, value, ..
+            } = r
+            {
+                events.push(TraceEvent {
+                    now: log.now,
+                    src: log.topo.name(*src).to_owned(),
+                    dst: log.topo.name(*dst).to_owned(),
+                    value: value.to_string(),
+                });
+            }
+        }
     }
 }
 
@@ -161,7 +216,8 @@ impl Probe for RecordingTracer {
 /// `restore` / `rollback` (the recovery machinery of `crate::snapshot`),
 /// `cancel` (a governed run observed its cancellation token, see
 /// `crate::supervisor`), and — when enabled with
-/// [`JsonlProbe::with_handlers`] — `react` / `commit` handler brackets.
+/// [`JsonlProbe::with_handlers`] — `react` / `commit` handler records.
+/// One line per [`Record`], in log order.
 ///
 /// When the consumer may be slower than the producer, wrap the writer in
 /// a [`crate::supervisor::BackpressureWriter`]: the stream is
@@ -170,7 +226,7 @@ impl Probe for RecordingTracer {
 ///
 /// [`JsonlProbe::canonical`] restricts the stream to the
 /// scheduler-independent subset (everything except `resolve` and the
-/// handler brackets, whose ordering depends on the reaction schedule):
+/// handler records, whose ordering depends on the reaction schedule):
 /// two runs of the same netlist under the same fault plan produce
 /// byte-identical canonical streams regardless of scheduler — the
 /// deterministic-replay oracle the chaos harness asserts on.
@@ -181,9 +237,7 @@ pub struct JsonlProbe<W: Write + Send> {
     /// The one line under construction, reused for every event: an event
     /// is encoded here whole and handed to `out` as a single `write_all`.
     line: Line,
-    /// The first write or flush error; once set, nothing more is written
-    /// and [`Probe::sync`] keeps reporting it.
-    failed: Option<std::io::Error>,
+    failed: WriteError,
 }
 
 impl<W: Write + Send> JsonlProbe<W> {
@@ -194,19 +248,19 @@ impl<W: Write + Send> JsonlProbe<W> {
             handlers: false,
             canonical: false,
             line: Line::default(),
-            failed: None,
+            failed: WriteError::default(),
         }
     }
 
-    /// Also emit per-handler `react` / `commit` enter events (verbose:
-    /// one line per handler invocation).
+    /// Also emit a `react` / `commit` line per handler invocation
+    /// (verbose).
     pub fn with_handlers(mut self) -> Self {
         self.handlers = true;
         self
     }
 
     /// Emit only the scheduler-independent event subset (drops `resolve`
-    /// and handler brackets), so equal seeds yield byte-identical
+    /// and handler records), so equal seeds yield byte-identical
     /// streams across schedulers.
     pub fn canonical(mut self) -> Self {
         self.canonical = true;
@@ -227,9 +281,8 @@ impl<W: Write + Send> JsonlProbe<W> {
     /// Close the line under construction and hand it to the writer.
     fn emit(&mut self) {
         self.line.raw("}\n");
-        if self.failed.is_none() {
-            self.failed = self.out.write_all(&self.line.0).err();
-        }
+        let line = &self.line.0;
+        self.failed.write(&mut self.out, |out| out.write_all(line));
     }
 }
 
@@ -264,6 +317,16 @@ impl Line {
             self.0.push(d);
         }
         self
+    }
+
+    /// `key` (its punctuation included), then `n`.
+    fn int(&mut self, key: &str, n: u64) -> &mut Line {
+        self.raw(key).num(n)
+    }
+
+    /// `key` (its punctuation included), then `s` escaped, then a quote.
+    fn text(&mut self, key: &str, s: &str) -> &mut Line {
+        self.raw(key).escaped(s).raw("\"")
     }
 
     /// `s` as the inside of a JSON string literal.
@@ -360,151 +423,83 @@ impl<W: Write + Send> Probe for JsonlProbe<W> {
     }
 
     fn sync(&mut self) -> std::io::Result<()> {
-        if self.failed.is_none() {
-            self.failed = self.out.flush().err();
-        }
-        match &self.failed {
-            // `io::Error` is not `Clone`; the kind and message are.
-            Some(e) => Err(std::io::Error::new(e.kind(), e.to_string())),
-            None => Ok(()),
-        }
+        self.failed.sync(&mut self.out)
     }
 
-    fn step_begin(&mut self, now: u64) {
-        self.event("step", now);
-        self.emit();
-    }
-
-    fn step_end(&mut self, now: u64) {
-        self.event("step_end", now);
-        self.emit();
-    }
-
-    fn react_enter(&mut self, now: u64, inst: InstanceId) {
-        if self.handlers {
-            self.event("react", now)
-                .raw(",\"inst\":")
-                .num(u64::from(inst.0));
+    fn step(&mut self, log: &StepLog<'_>) {
+        let now = log.now;
+        for r in log.records {
+            match r {
+                Record::StepBegin => self.event("step", now),
+                Record::StepEnd => self.event("step_end", now),
+                Record::React(h) if self.handlers => {
+                    self.event("react", now).int(",\"inst\":", h.inst.0.into())
+                }
+                Record::Commit(h) if self.handlers => {
+                    self.event("commit", now).int(",\"inst\":", h.inst.0.into())
+                }
+                Record::React(_) | Record::Commit(_) => continue,
+                Record::Resolve { .. } if self.canonical => continue,
+                Record::Resolve {
+                    edge,
+                    wire,
+                    yes,
+                    value,
+                    by,
+                } => {
+                    let line = self
+                        .event("resolve", now)
+                        .int(",\"edge\":", edge.0.into())
+                        .text(",\"wire\":\"", wire_name(*wire))
+                        .raw(if *yes {
+                            ",\"yes\":true"
+                        } else {
+                            ",\"yes\":false"
+                        });
+                    if let Some(v) = value {
+                        line.raw(",\"value\":\"").value(v).raw("\"");
+                    }
+                    match by {
+                        ResolvedBy::Module(i) => line.int(",\"by\":", i.0.into()),
+                        ResolvedBy::Default => line.raw(",\"by\":\"default\""),
+                    }
+                }
+                Record::Transfer {
+                    edge,
+                    src,
+                    dst,
+                    value,
+                } => self
+                    .event("transfer", now)
+                    .int(",\"edge\":", edge.0.into())
+                    .text(",\"src\":\"", log.topo.name(*src))
+                    .text(",\"dst\":\"", log.topo.name(*dst))
+                    .raw(",\"value\":\"")
+                    .value(value)
+                    .raw("\""),
+                Record::Fault { edge, wire, kind } => self
+                    .event("fault", now)
+                    .int(",\"edge\":", edge.0.into())
+                    .text(",\"wire\":\"", wire_name(*wire))
+                    .text(",\"kind\":\"", kind.label()),
+                Record::InstanceFault { inst, kind } => self
+                    .event("inst_fault", now)
+                    .int(",\"inst\":", inst.0.into())
+                    .text(",\"kind\":\"", kind),
+                Record::Quarantine { inst, reason } => self
+                    .event("quarantine", now)
+                    .int(",\"inst\":", inst.0.into())
+                    .text(",\"reason\":\"", reason),
+                Record::Checkpoint => self.event("checkpoint", now),
+                Record::Restore => self.event("restore", now),
+                Record::Rollback { to, reason } => self
+                    .event("rollback", now)
+                    .int(",\"to\":", *to)
+                    .text(",\"reason\":\"", reason),
+                Record::Cancel => self.event("cancel", now),
+            };
             self.emit();
         }
-    }
-
-    fn commit_enter(&mut self, now: u64, inst: InstanceId) {
-        if self.handlers {
-            self.event("commit", now)
-                .raw(",\"inst\":")
-                .num(u64::from(inst.0));
-            self.emit();
-        }
-    }
-
-    fn signal_resolved(
-        &mut self,
-        now: u64,
-        edge: EdgeId,
-        wire: Wire,
-        yes: bool,
-        value: Option<&Value>,
-        by: ResolvedBy,
-    ) {
-        if self.canonical {
-            return;
-        }
-        let line = self.event("resolve", now);
-        line.raw(",\"edge\":")
-            .num(u64::from(edge.0))
-            .raw(",\"wire\":\"")
-            .raw(wire_name(wire))
-            .raw(if yes {
-                "\",\"yes\":true"
-            } else {
-                "\",\"yes\":false"
-            });
-        if let Some(v) = value {
-            line.raw(",\"value\":\"").value(v).raw("\"");
-        }
-        match by {
-            ResolvedBy::Module(i) => line.raw(",\"by\":").num(u64::from(i.0)),
-            ResolvedBy::Default => line.raw(",\"by\":\"default\""),
-        };
-        self.emit();
-    }
-
-    fn transfer(&mut self, now: u64, edge: EdgeId, src: &str, dst: &str, value: &Value) {
-        self.event("transfer", now)
-            .raw(",\"edge\":")
-            .num(u64::from(edge.0))
-            .raw(",\"src\":\"")
-            .escaped(src)
-            .raw("\",\"dst\":\"")
-            .escaped(dst)
-            .raw("\",\"value\":\"")
-            .value(value)
-            .raw("\"");
-        self.emit();
-    }
-
-    fn fault_injected(
-        &mut self,
-        now: u64,
-        edge: EdgeId,
-        wire: Wire,
-        kind: crate::fault::FaultKind,
-    ) {
-        self.event("fault", now)
-            .raw(",\"edge\":")
-            .num(u64::from(edge.0))
-            .raw(",\"wire\":\"")
-            .raw(wire_name(wire))
-            .raw("\",\"kind\":\"")
-            .raw(kind.label())
-            .raw("\"");
-        self.emit();
-    }
-
-    fn instance_fault(&mut self, now: u64, inst: InstanceId, kind: &str) {
-        self.event("inst_fault", now)
-            .raw(",\"inst\":")
-            .num(u64::from(inst.0))
-            .raw(",\"kind\":\"")
-            .escaped(kind)
-            .raw("\"");
-        self.emit();
-    }
-
-    fn quarantined(&mut self, now: u64, inst: InstanceId, reason: &str) {
-        self.event("quarantine", now)
-            .raw(",\"inst\":")
-            .num(u64::from(inst.0))
-            .raw(",\"reason\":\"")
-            .escaped(reason)
-            .raw("\"");
-        self.emit();
-    }
-
-    fn checkpointed(&mut self, now: u64) {
-        self.event("checkpoint", now);
-        self.emit();
-    }
-
-    fn restored(&mut self, now: u64) {
-        self.event("restore", now);
-        self.emit();
-    }
-
-    fn rolled_back(&mut self, now: u64, to: u64, reason: &str) {
-        self.event("rollback", now)
-            .raw(",\"to\":")
-            .num(to)
-            .raw(",\"reason\":\"")
-            .escaped(reason)
-            .raw("\"");
-        self.emit();
-    }
-
-    fn run_cancelled(&mut self, now: u64) {
-        self.event("cancel", now);
-        self.emit();
     }
 }
 
@@ -685,6 +680,26 @@ mod tests {
         fn flush(&mut self) -> std::io::Result<()> {
             Ok(())
         }
+    }
+
+    #[test]
+    fn text_tracer_sync_reports_the_first_write_error() {
+        let taken = Shared::default();
+        let out = FailAfter {
+            room: 20,
+            taken: taken.clone(),
+        };
+        let mut sim = tiny_sim();
+        sim.set_probe(Box::new(TextTracer::new(out, 0)));
+        sim.run(5).unwrap();
+        let err = sim.take_probe().unwrap().sync().expect_err("cut short");
+        assert!(err.to_string().contains("no space left"), "{err}");
+        // A prefix of the full trace: nothing was written after the error.
+        let text = taken.text();
+        assert!(
+            "@0 s -> k: 0\n@1 s -> k: 1\n".starts_with(&text),
+            "{text:?}"
+        );
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!   all-`z` when resolved `No` — "not driven" is exactly the default
 //!   control semantics of an absent sender (paper §2.2).
 //!
-//! One timestamp is emitted per time-step (`#<now>` at `step_end`), so
+//! One timestamp is emitted per time-step (`#<now>` at step end), so
 //! timestamps increase strictly monotonically; only changed signals are
 //! dumped, keeping files compact on quiet netlists.
 //!
@@ -29,10 +29,9 @@
 //! `DropOldest` sheds whole *lines*, which for VCD means lost value
 //! changes — acceptable for live monitoring, not for golden files.
 
-use crate::netlist::EdgeId;
-use crate::probe::{Interest, Probe, ResolvedBy};
-use crate::signal::Wire;
+use crate::probe::{Interest, Probe, Record, StepLog};
 use crate::topology::Topology;
+use crate::trace::WriteError;
 use crate::value::{Value, WordSink};
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -60,13 +59,15 @@ struct EdgeVars {
 /// The VCD-writing probe. Construct with [`VcdProbe::new`] over any
 /// writer (buffer it for files), attach with
 /// [`crate::exec::Simulator::set_probe`]; the header is emitted at attach
-/// time and the output is flushed when the probe is dropped.
+/// time, [`Probe::sync`] flushes and reports the first write error, and
+/// the output is flushed when the probe is dropped.
 pub struct VcdProbe<W: Write + Send> {
     out: W,
     edges: Vec<EdgeVars>,
     /// Edge ids touched this step (kept sorted at dump time so output is
     /// scheduler-independent).
     touched: Vec<u32>,
+    failed: WriteError,
 }
 
 /// Map a payload to the 64 bits shown on the waveform.
@@ -169,19 +170,12 @@ impl<W: Write + Send> VcdProbe<W> {
             out,
             edges: Vec::new(),
             touched: Vec::new(),
+            failed: WriteError::default(),
         }
     }
 
-    fn wire_index(wire: Wire) -> usize {
-        match wire {
-            Wire::Data => 0,
-            Wire::Enable => 1,
-            Wire::Ack => 2,
-        }
-    }
-
-    fn emit(out: &mut W, val: WireVal, code: &str, is_data: bool) {
-        let _ = if is_data {
+    fn emit(out: &mut W, val: WireVal, code: &str, is_data: bool) -> std::io::Result<()> {
+        if is_data {
             match val {
                 WireVal::X => writeln!(out, "bx {code}"),
                 WireVal::No => writeln!(out, "bz {code}"),
@@ -193,7 +187,34 @@ impl<W: Write + Send> VcdProbe<W> {
                 WireVal::No => writeln!(out, "0{code}"),
                 WireVal::Yes(_) => writeln!(out, "1{code}"),
             }
-        };
+        }
+    }
+
+    /// The step's timestamp and every wire whose value changed.
+    fn dump(&mut self, now: u64) {
+        let VcdProbe {
+            out,
+            edges,
+            touched,
+            failed,
+        } = self;
+        touched.sort_unstable();
+        failed.write(out, |out| {
+            writeln!(out, "#{now}")?;
+            for &ei in touched.iter() {
+                let ev = &mut edges[ei as usize];
+                for wi in 0..3 {
+                    if let Some(val) = ev.cur[wi].take() {
+                        if val != ev.last[wi] {
+                            Self::emit(out, val, &ev.codes[wi], wi == 0)?;
+                            ev.last[wi] = val;
+                        }
+                    }
+                }
+            }
+            Ok(())
+        });
+        touched.clear();
     }
 }
 
@@ -238,25 +259,27 @@ impl<W: Write + Send> Probe for VcdProbe<W> {
                 cur: [None; 3],
             });
         }
-        let out = &mut self.out;
-        let _ = writeln!(out, "$version liberty-rs kernel probe $end");
-        let _ = writeln!(
-            out,
-            "$comment {} instances, {} connections; one timestep = 1ns $end",
-            topo.instance_count(),
-            topo.edge_count()
-        );
-        let _ = writeln!(out, "$timescale 1 ns $end");
-        let _ = root.write(out, 0);
-        let _ = writeln!(out, "$enddefinitions $end");
-        // Initial dump: everything unknown until the first step resolves.
-        let _ = writeln!(out, "$dumpvars");
-        for ev in &self.edges {
-            Self::emit(out, WireVal::X, &ev.codes[0], true);
-            Self::emit(out, WireVal::X, &ev.codes[1], false);
-            Self::emit(out, WireVal::X, &ev.codes[2], false);
-        }
-        let _ = writeln!(out, "$end");
+        let edges = &self.edges;
+        self.failed.write(&mut self.out, |out| {
+            writeln!(out, "$version liberty-rs kernel probe $end")?;
+            writeln!(
+                out,
+                "$comment {} instances, {} connections; one timestep = 1ns $end",
+                topo.instance_count(),
+                topo.edge_count()
+            )?;
+            writeln!(out, "$timescale 1 ns $end")?;
+            root.write(out, 0)?;
+            writeln!(out, "$enddefinitions $end")?;
+            // Initial dump: everything unknown until the first step resolves.
+            writeln!(out, "$dumpvars")?;
+            for ev in edges {
+                Self::emit(out, WireVal::X, &ev.codes[0], true)?;
+                Self::emit(out, WireVal::X, &ev.codes[1], false)?;
+                Self::emit(out, WireVal::X, &ev.codes[2], false)?;
+            }
+            writeln!(out, "$end")
+        });
     }
 
     fn interest(&self) -> Interest {
@@ -266,42 +289,35 @@ impl<W: Write + Send> Probe for VcdProbe<W> {
         }
     }
 
-    fn signal_resolved(
-        &mut self,
-        _now: u64,
-        edge: EdgeId,
-        wire: Wire,
-        yes: bool,
-        value: Option<&Value>,
-        _by: ResolvedBy,
-    ) {
-        let ev = &mut self.edges[edge.0 as usize];
-        let val = if yes {
-            WireVal::Yes(value.map(data_bits).unwrap_or(1))
-        } else {
-            WireVal::No
-        };
-        if ev.cur.iter().all(Option::is_none) {
-            self.touched.push(edge.0);
-        }
-        ev.cur[Self::wire_index(wire)] = Some(val);
+    fn sync(&mut self) -> std::io::Result<()> {
+        self.failed.sync(&mut self.out)
     }
 
-    fn step_end(&mut self, now: u64) {
-        let _ = writeln!(self.out, "#{now}");
-        self.touched.sort_unstable();
-        for &ei in &self.touched {
-            let ev = &mut self.edges[ei as usize];
-            for wi in 0..3 {
-                if let Some(val) = ev.cur[wi].take() {
-                    if val != ev.last[wi] {
-                        Self::emit(&mut self.out, val, &ev.codes[wi], wi == 0);
-                        ev.last[wi] = val;
+    fn step(&mut self, log: &StepLog<'_>) {
+        for r in log.records {
+            match r {
+                Record::Resolve {
+                    edge,
+                    wire,
+                    yes,
+                    value,
+                    ..
+                } => {
+                    let ev = &mut self.edges[edge.0 as usize];
+                    let val = if *yes {
+                        WireVal::Yes(value.as_ref().map(data_bits).unwrap_or(1))
+                    } else {
+                        WireVal::No
+                    };
+                    if ev.cur.iter().all(Option::is_none) {
+                        self.touched.push(edge.0);
                     }
+                    ev.cur[wire.idx()] = Some(val);
                 }
+                Record::StepEnd => self.dump(log.now),
+                _ => {}
             }
         }
-        self.touched.clear();
     }
 }
 
@@ -416,6 +432,17 @@ mod tests {
         // (change-only output): '1' then silence.
         let ack_changes = text.lines().filter(|l| *l == "1#").count();
         assert_eq!(ack_changes, 1, "{text}");
+    }
+
+    #[test]
+    fn sync_reports_the_first_write_error() {
+        let (mut sim, _) = sim_with_vcd();
+        // No room at all: every write fails, as on a full disk.
+        let full = std::io::Cursor::new([0u8; 0]);
+        sim.set_probe(Box::new(VcdProbe::new(full)));
+        sim.run(3).unwrap();
+        let err = sim.take_probe().unwrap().sync().expect_err("cut short");
+        assert_eq!(err.kind(), std::io::ErrorKind::WriteZero, "{err}");
     }
 
     #[test]

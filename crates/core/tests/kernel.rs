@@ -329,11 +329,16 @@ mod parking_lot_stub {
 }
 
 impl Probe for RecordingTracer {
-    fn transfer(&mut self, now: u64, _edge: EdgeId, src: &str, dst: &str, _v: &Value) {
-        self.0
-            .lock()
-            .unwrap()
-            .push((now, src.to_owned(), dst.to_owned()));
+    fn step(&mut self, log: &StepLog<'_>) {
+        for r in log.records {
+            if let Record::Transfer { src, dst, .. } = r {
+                let (src, dst) = (log.topo.name(*src), log.topo.name(*dst));
+                self.0
+                    .lock()
+                    .unwrap()
+                    .push((log.now, src.to_owned(), dst.to_owned()));
+            }
+        }
     }
 }
 

@@ -87,9 +87,9 @@ impl Module for Collect {
     }
 }
 
-/// One recorded `signal_resolved` event, in comparable form.
+/// One recorded resolve record, in comparable form.
 type ResolveEv = (u64, u32, u8, bool, Option<String>, Option<u32>);
-/// One recorded `transfer` event.
+/// One recorded transfer record.
 type TransferEv = (u64, u32, String, String, String);
 
 #[derive(Default)]
@@ -103,41 +103,44 @@ struct Recorded {
 struct Recorder(Arc<Mutex<Recorded>>);
 
 impl Probe for Recorder {
-    fn signal_resolved(
-        &mut self,
-        now: u64,
-        edge: EdgeId,
-        wire: Wire,
-        yes: bool,
-        value: Option<&Value>,
-        by: ResolvedBy,
-    ) {
-        let wi = match wire {
-            Wire::Data => 0,
-            Wire::Enable => 1,
-            Wire::Ack => 2,
-        };
-        let by = match by {
-            ResolvedBy::Module(i) => Some(i.0),
-            ResolvedBy::Default => None,
-        };
-        self.0.lock().unwrap().resolves.push((
-            now,
-            edge.0,
-            wi,
-            yes,
-            value.map(|v| v.to_string()),
-            by,
-        ));
-    }
-    fn transfer(&mut self, now: u64, edge: EdgeId, src: &str, dst: &str, value: &Value) {
-        self.0.lock().unwrap().transfers.push((
-            now,
-            edge.0,
-            src.to_string(),
-            dst.to_string(),
-            value.to_string(),
-        ));
+    fn step(&mut self, log: &StepLog<'_>) {
+        let mut rec = self.0.lock().unwrap();
+        for r in log.records {
+            match r {
+                Record::Resolve {
+                    edge,
+                    wire,
+                    yes,
+                    value,
+                    by,
+                } => {
+                    let wi = match wire {
+                        Wire::Data => 0,
+                        Wire::Enable => 1,
+                        Wire::Ack => 2,
+                    };
+                    let by = match by {
+                        ResolvedBy::Module(i) => Some(i.0),
+                        ResolvedBy::Default => None,
+                    };
+                    let value = value.as_ref().map(|v| v.to_string());
+                    rec.resolves.push((log.now, edge.0, wi, *yes, value, by));
+                }
+                Record::Transfer {
+                    edge,
+                    src,
+                    dst,
+                    value,
+                } => rec.transfers.push((
+                    log.now,
+                    edge.0,
+                    log.topo.name(*src).to_string(),
+                    log.topo.name(*dst).to_string(),
+                    value.to_string(),
+                )),
+                _ => {}
+            }
+        }
     }
 }
 
@@ -397,8 +400,9 @@ const FAULTS: [(FaultKind, &str); 3] = [
     (FaultKind::Corrupt, "corrupt"),
 ];
 
-/// Drive every event kind once (every wire, fault kind, polarity and
-/// attribution) and return the expected text, built with `format!`.
+/// Drive every record kind once (every wire, fault kind, polarity and
+/// attribution) through one step log and one run-level log, and return
+/// the expected text, built with `format!`.
 fn drive_all_events(p: &mut dyn Probe, c: &EventCase) -> String {
     let EventCase {
         now,
@@ -428,6 +432,13 @@ fn drive_all_events(p: &mut dyn Probe, c: &EventCase) -> String {
     let sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
     let shown = ref_escape(&c.value.to_string());
     let mut want = String::new();
+    let mut records = Vec::new();
+    let inst_id = InstanceId(inst);
+    let done = |inst| Handler {
+        inst,
+        outcome: Outcome::Ok,
+        ns: 0,
+    };
 
     p.attach(sim.topology());
     want += &format!(
@@ -435,22 +446,27 @@ fn drive_all_events(p: &mut dyn Probe, c: &EventCase) -> String {
         ref_escape(&n0),
         ref_escape(&n1)
     );
-    p.step_begin(now);
+    records.push(Record::StepBegin);
     want += &format!("{{\"t\":\"step\",\"now\":{now}}}\n");
-    p.react_enter(now, InstanceId(inst));
+    records.push(Record::React(done(inst_id)));
     want += &format!("{{\"t\":\"react\",\"now\":{now},\"inst\":{inst}}}\n");
-    p.react_exit(now, InstanceId(inst));
     for (wire, wname) in WIRES {
         for (yes, payload, by, by_text) in [
             (
                 true,
                 Some(&c.value),
-                ResolvedBy::Module(InstanceId(inst)),
+                ResolvedBy::Module(inst_id),
                 inst.to_string(),
             ),
             (false, None, ResolvedBy::Default, "\"default\"".to_owned()),
         ] {
-            p.signal_resolved(now, EdgeId(edge), wire, yes, payload, by);
+            records.push(Record::Resolve {
+                edge: EdgeId(edge),
+                wire,
+                yes,
+                value: payload.cloned(),
+                by,
+            });
             let val = payload.map_or(String::new(), |_| format!(",\"value\":\"{shown}\""));
             want += &format!(
                 "{{\"t\":\"resolve\",\"now\":{now},\"edge\":{edge},\"wire\":\"{wname}\",\
@@ -458,45 +474,75 @@ fn drive_all_events(p: &mut dyn Probe, c: &EventCase) -> String {
             );
         }
         for (kind, kname) in FAULTS {
-            p.fault_injected(now, EdgeId(edge), wire, kind);
+            records.push(Record::Fault {
+                edge: EdgeId(edge),
+                wire,
+                kind,
+            });
             want += &format!(
                 "{{\"t\":\"fault\",\"now\":{now},\"edge\":{edge},\"wire\":\"{wname}\",\
                  \"kind\":\"{kname}\"}}\n"
             );
         }
     }
-    p.commit_enter(now, InstanceId(inst));
+    records.push(Record::Commit(done(inst_id)));
     want += &format!("{{\"t\":\"commit\",\"now\":{now},\"inst\":{inst}}}\n");
-    p.commit_exit(now, InstanceId(inst));
-    p.transfer(now, EdgeId(edge), &n0, &n1, &c.value);
+    records.push(Record::Transfer {
+        edge: EdgeId(edge),
+        src: s,
+        dst: k,
+        value: c.value.clone(),
+    });
     want += &format!(
         "{{\"t\":\"transfer\",\"now\":{now},\"edge\":{edge},\"src\":\"{}\",\"dst\":\"{}\",\
          \"value\":\"{shown}\"}}\n",
         ref_escape(&n0),
         ref_escape(&n1)
     );
-    p.instance_fault(now, InstanceId(inst), &c.reason);
+    records.push(Record::InstanceFault {
+        inst: inst_id,
+        kind: c.reason.clone().into(),
+    });
     want += &format!(
         "{{\"t\":\"inst_fault\",\"now\":{now},\"inst\":{inst},\"kind\":\"{}\"}}\n",
         ref_escape(&c.reason)
     );
-    p.quarantined(now, InstanceId(inst), &c.reason);
+    records.push(Record::Quarantine {
+        inst: inst_id,
+        reason: c.reason.clone(),
+    });
     want += &format!(
         "{{\"t\":\"quarantine\",\"now\":{now},\"inst\":{inst},\"reason\":\"{}\"}}\n",
         ref_escape(&c.reason)
     );
-    p.step_end(now);
+    records.push(Record::StepEnd);
     want += &format!("{{\"t\":\"step_end\",\"now\":{now}}}\n");
-    p.checkpointed(now);
+    let mut log = StepLog {
+        now,
+        topo: sim.topology(),
+        reacts: 1,
+        commits: 1,
+        records: &records,
+    };
+    p.step(&log);
+    let run_level = [
+        Record::Checkpoint,
+        Record::Restore,
+        Record::Rollback {
+            to,
+            reason: c.reason.clone(),
+        },
+        Record::Cancel,
+    ];
+    log.records = &run_level;
+    (log.reacts, log.commits) = (0, 0);
+    p.step(&log);
     want += &format!("{{\"t\":\"checkpoint\",\"now\":{now}}}\n");
-    p.restored(now);
     want += &format!("{{\"t\":\"restore\",\"now\":{now}}}\n");
-    p.rolled_back(now, to, &c.reason);
     want += &format!(
         "{{\"t\":\"rollback\",\"now\":{now},\"to\":{to},\"reason\":\"{}\"}}\n",
         ref_escape(&c.reason)
     );
-    p.run_cancelled(now);
     want += &format!("{{\"t\":\"cancel\",\"now\":{now}}}\n");
     want
 }
@@ -537,8 +583,8 @@ proptest! {
     }
 }
 
-/// Declines both per-invocation families and counts what it is called
-/// with regardless.
+/// Declines both per-invocation families and counts the steps and the
+/// handler and resolve records its logs hold regardless.
 #[derive(Clone, Default)]
 struct Declined(Arc<Mutex<(u64, u64)>>);
 
@@ -546,31 +592,15 @@ impl Probe for Declined {
     fn interest(&self) -> Interest {
         Interest::NONE
     }
-    fn step_begin(&mut self, _now: u64) {
-        self.0.lock().unwrap().0 += 1;
-    }
-    fn react_enter(&mut self, _: u64, _: InstanceId) {
-        self.0.lock().unwrap().1 += 1;
-    }
-    fn react_exit(&mut self, _: u64, _: InstanceId) {
-        self.0.lock().unwrap().1 += 1;
-    }
-    fn commit_enter(&mut self, _: u64, _: InstanceId) {
-        self.0.lock().unwrap().1 += 1;
-    }
-    fn commit_exit(&mut self, _: u64, _: InstanceId) {
-        self.0.lock().unwrap().1 += 1;
-    }
-    fn signal_resolved(
-        &mut self,
-        _: u64,
-        _: EdgeId,
-        _: Wire,
-        _: bool,
-        _: Option<&Value>,
-        _: ResolvedBy,
-    ) {
-        self.0.lock().unwrap().1 += 1;
+    fn step(&mut self, log: &StepLog<'_>) {
+        let mut seen = self.0.lock().unwrap();
+        for r in log.records {
+            match r {
+                Record::StepBegin => seen.0 += 1,
+                Record::React(_) | Record::Commit(_) | Record::Resolve { .. } => seen.1 += 1,
+                _ => {}
+            }
+        }
     }
 }
 
@@ -653,7 +683,13 @@ fn interest_mask_spares_only_probes_that_declined() {
         let mut multi = MultiProbe::new();
         multi.push(Box::new(JsonlProbe::new(beside.clone()).canonical()));
         multi.push(Box::new(counting));
-        assert_eq!(multi.interest(), Interest::ALL);
+        assert_eq!(
+            multi.interest(),
+            Interest {
+                handlers: false,
+                resolves: true
+            }
+        );
         sim.set_probe(Box::new(multi));
         sim.run(STEPS).unwrap();
         let c = counts.get();

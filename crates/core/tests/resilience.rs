@@ -521,8 +521,12 @@ impl Module for CommitErrsAt {
 /// Records the reason of every quarantine it is told of.
 struct QuarantineReasons(std::sync::Arc<std::sync::Mutex<Vec<String>>>);
 impl Probe for QuarantineReasons {
-    fn quarantined(&mut self, _now: u64, _inst: InstanceId, reason: &str) {
-        self.0.lock().unwrap().push(reason.to_owned());
+    fn step(&mut self, log: &StepLog<'_>) {
+        for r in log.records {
+            if let Record::Quarantine { reason, .. } = r {
+                self.0.lock().unwrap().push(reason.clone());
+            }
+        }
     }
 }
 
@@ -590,6 +594,53 @@ fn react_and_commit_failures_go_through_one_policy() {
     let p = err.as_panic().expect("panic error");
     assert_eq!((p.instance.as_str(), p.step), ("torn", 2));
     assert!(p.message.contains("torn mid-commit at 2"), "{}", p.message);
+}
+
+/// Keeps every commit record it is handed.
+struct CommitRecords(std::sync::Arc<std::sync::Mutex<Vec<Handler>>>);
+impl Probe for CommitRecords {
+    fn step(&mut self, log: &StepLog<'_>) {
+        let mut kept = self.0.lock().unwrap();
+        for r in log.records {
+            if let Record::Commit(h) = r {
+                kept.push(*h);
+            }
+        }
+    }
+}
+
+#[test]
+fn a_commit_that_fails_under_quarantine_closes_its_record() {
+    let mut sim = pair(Box::new(Src), Box::new(CommitErrsAt(2)));
+    let (profiler, profile) = Profiler::new();
+    let (counting, counts) = CountingProbe::new();
+    let kept = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+    let mut multi = MultiProbe::new();
+    multi.push(Box::new(profiler));
+    multi.push(Box::new(counting));
+    multi.push(Box::new(CommitRecords(kept.clone())));
+    sim.set_probe(Box::new(multi));
+    sim.set_failure_policy(FailurePolicy::Quarantine);
+    sim.run(5).unwrap();
+    assert_eq!(sim.metrics().quarantines, 1);
+
+    // Every commit record was completed; the one that failed says so.
+    let commits = kept.lock().unwrap().clone();
+    assert!(
+        commits.iter().all(|h| h.outcome != Outcome::Open),
+        "{commits:?}"
+    );
+    let failed: Vec<&Handler> = commits
+        .iter()
+        .filter(|h| h.outcome == Outcome::Failed)
+        .collect();
+    assert_eq!(failed.len(), 1, "{commits:?}");
+    assert_eq!(Some(failed[0].inst), sim.instance_by_name("k"));
+    // The profiler saw the failed commit end too, so every count agrees.
+    let profiled: u64 = profile.report().rows.iter().map(|r| r.commits).sum();
+    assert_eq!(profiled, commits.len() as u64);
+    assert_eq!(profiled, counts.get().commits);
+    assert_eq!(profiled, sim.metrics().commits);
 }
 
 #[test]

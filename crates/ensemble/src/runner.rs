@@ -820,8 +820,9 @@ mod tests {
     use super::*;
     use liberty_core::prelude::{
         CommitCtx, Module, ModuleSpec, MultiProbe, NetlistBuilder, PortId, Probe, ReactCtx,
-        SchedKind, Value,
+        SchedKind, StepLog, Value,
     };
+    use liberty_core::probe::Record as Event;
 
     /// Sends one word per step.
     struct Ticker;
@@ -879,23 +880,19 @@ mod tests {
     }
 
     impl Probe for StreamAudit {
-        fn step_begin(&mut self, _: u64) {
-            self.lines += 1;
+        fn step(&mut self, log: &StepLog<'_>) {
+            for r in log.records {
+                match r {
+                    Event::StepBegin | Event::StepEnd | Event::Transfer { .. } => self.lines += 1,
+                    Event::Checkpoint => self.audit(log.now),
+                    _ => {}
+                }
+            }
         }
-        fn step_end(&mut self, _: u64) {
-            self.lines += 1;
-        }
-        fn transfer(
-            &mut self,
-            _: u64,
-            _: liberty_core::prelude::EdgeId,
-            _: &str,
-            _: &str,
-            _: &Value,
-        ) {
-            self.lines += 1;
-        }
-        fn checkpointed(&mut self, now: u64) {
+    }
+
+    impl StreamAudit {
+        fn audit(&mut self, now: u64) {
             let ckpt = self.ckpt_dir.join(format!("step-{now:08}.ckpt"));
             assert!(
                 ckpt.exists(),

@@ -35,7 +35,7 @@
 //! // ... opts.rest holds the example's own positional args ...
 //! let obs = opts.install(&mut sim)?;
 //! let report = opts.run(&mut sim, cycles)?;
-//! obs.finish(&sim)?;
+//! obs.finish(&mut sim)?;
 //! ```
 //!
 //! [`ObsOpts::run`] / [`ObsOpts::run_until`] route through the kernel's
@@ -272,10 +272,7 @@ impl ObsOpts {
             profile = Some(handle);
         }
         if !multi.is_empty() {
-            match multi.into_single() {
-                Ok(single) => sim.set_probe(single),
-                Err(multi) => sim.set_probe(Box::new(multi)),
-            }
+            sim.set_probe(Box::new(multi));
         }
         if let Some(seed) = self.faults {
             let topo = sim.topology().clone();
@@ -578,11 +575,13 @@ pub struct ObsSession {
 }
 
 impl ObsSession {
-    /// Print the profiler's hot-spot table (when `--profile`) and write
-    /// the metrics JSON (when `--metrics-out`). Drop the simulator's probe
-    /// first if you need the VCD/JSONL files flushed before reading them;
-    /// they are flushed at simulator drop in any case.
-    pub fn finish(self, sim: &Simulator) -> Result<(), std::io::Error> {
+    /// Detach the simulator's probe and flush its sinks, print the
+    /// profiler's hot-spot table (when `--profile`) and write the metrics
+    /// JSON (when `--metrics-out`). A sink that failed to write its
+    /// `--vcd` / `--jsonl` file makes this an `Err`, after the rest is
+    /// done.
+    pub fn finish(self, sim: &mut Simulator) -> Result<(), std::io::Error> {
+        let synced = sim.take_probe().map_or(Ok(()), |mut p| p.sync());
         if let Some(handle) = &self.profile {
             let report = handle.report();
             println!("\nhot spots (handler wall-clock time):");
@@ -601,7 +600,7 @@ impl ObsSession {
                 stats.blocking_flushes()
             );
         }
-        Ok(())
+        synced
     }
 }
 
@@ -681,6 +680,28 @@ mod tests {
 
     fn parse(args: &[&str]) -> ObsOpts {
         ObsOpts::parse(args.iter().map(|s| s.to_string())).unwrap()
+    }
+
+    /// Sends its step number every step and counts what was taken.
+    struct Src;
+    impl Module for Src {
+        fn react(&mut self, ctx: &mut ReactCtx<'_>) -> Result<(), SimError> {
+            ctx.send(PortId(0), 0, Value::Word(ctx.now()))
+        }
+        fn commit(&mut self, ctx: &mut CommitCtx<'_>) -> Result<(), SimError> {
+            if ctx.transferred_out(PortId(0), 0) {
+                ctx.count("emitted", 1);
+            }
+            Ok(())
+        }
+    }
+
+    /// `s`, alone, under the compiled scheduler.
+    fn src_sim() -> Simulator {
+        let mut b = NetlistBuilder::new();
+        let spec = ModuleSpec::new("src").output("out", 0, 1);
+        b.add("s", spec, Box::new(Src)).unwrap();
+        Simulator::new(b.build().unwrap(), SchedKind::Compiled)
     }
 
     #[test]
@@ -768,28 +789,6 @@ mod tests {
 
     #[test]
     fn install_resumes_from_checkpoint_file() {
-        struct Src;
-        impl Module for Src {
-            fn react(&mut self, ctx: &mut ReactCtx<'_>) -> Result<(), SimError> {
-                ctx.send(PortId(0), 0, Value::Word(ctx.now()))
-            }
-            fn commit(&mut self, ctx: &mut CommitCtx<'_>) -> Result<(), SimError> {
-                if ctx.transferred_out(PortId(0), 0) {
-                    ctx.count("emitted", 1);
-                }
-                Ok(())
-            }
-        }
-        let build = || {
-            let mut b = NetlistBuilder::new();
-            b.add(
-                "s",
-                ModuleSpec::new("src").output("out", 0, 1),
-                Box::new(Src),
-            )
-            .unwrap();
-            Simulator::new(b.build().unwrap(), SchedKind::Compiled)
-        };
         let dir = std::env::temp_dir().join(format!("lse-obs-ckpt-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
 
@@ -799,20 +798,20 @@ mod tests {
             "2",
             &format!("--checkpoint-dir={}", dir.display()),
         ]);
-        let mut sim = build();
+        let mut sim = src_sim();
         let obs = o.install(&mut sim).unwrap();
         sim.run(4).unwrap();
-        obs.finish(&sim).unwrap();
+        obs.finish(&mut sim).unwrap();
         let file = dir.join("step-00000004.ckpt");
         assert!(file.exists(), "checkpoint file written");
 
         // ...and a second process-equivalent resumes from one.
         let o = parse(&[&format!("--resume={}", file.display())]);
-        let mut sim2 = build();
+        let mut sim2 = src_sim();
         let obs = o.install(&mut sim2).unwrap();
         assert_eq!(sim2.now(), 4);
         sim2.run(2).unwrap();
-        obs.finish(&sim2).unwrap();
+        obs.finish(&mut sim2).unwrap();
         assert_eq!(sim2.metrics().steps, 6);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -857,23 +856,7 @@ mod tests {
 
     #[test]
     fn governed_run_stops_at_the_step_budget_and_reports() {
-        struct Src;
-        impl Module for Src {
-            fn react(&mut self, ctx: &mut ReactCtx<'_>) -> Result<(), SimError> {
-                ctx.send(PortId(0), 0, Value::Word(ctx.now()))
-            }
-            fn commit(&mut self, _: &mut CommitCtx<'_>) -> Result<(), SimError> {
-                Ok(())
-            }
-        }
-        let mut b = NetlistBuilder::new();
-        b.add(
-            "s",
-            ModuleSpec::new("src").output("out", 0, 1),
-            Box::new(Src),
-        )
-        .unwrap();
-        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
+        let mut sim = src_sim();
         let o = parse(&["--max-steps", "5"]);
         let obs = o.install(&mut sim).unwrap();
         let report = o.run(&mut sim, 100).unwrap();
@@ -883,28 +866,12 @@ mod tests {
         );
         assert_eq!(report.steps_executed, 5);
         assert_eq!(sim.metrics().steps, 5);
-        obs.finish(&sim).unwrap();
+        obs.finish(&mut sim).unwrap();
     }
 
     #[test]
     fn sink_backpressure_wraps_the_jsonl_sink() {
-        struct Src;
-        impl Module for Src {
-            fn react(&mut self, ctx: &mut ReactCtx<'_>) -> Result<(), SimError> {
-                ctx.send(PortId(0), 0, Value::Word(ctx.now()))
-            }
-            fn commit(&mut self, _: &mut CommitCtx<'_>) -> Result<(), SimError> {
-                Ok(())
-            }
-        }
-        let mut b = NetlistBuilder::new();
-        b.add(
-            "s",
-            ModuleSpec::new("src").output("out", 0, 1),
-            Box::new(Src),
-        )
-        .unwrap();
-        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
+        let mut sim = src_sim();
         let path = std::env::temp_dir().join(format!("lse-obs-bp-{}.jsonl", std::process::id()));
         let o = parse(&[
             &format!("--jsonl={}", path.display()),
@@ -913,11 +880,25 @@ mod tests {
         ]);
         let obs = o.install(&mut sim).unwrap();
         sim.run(32).unwrap();
-        drop(sim.take_probe()); // flush through the bounded buffer
-        obs.finish(&sim).unwrap();
+        obs.finish(&mut sim).unwrap(); // flushes through the bounded buffer
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.lines().count() > 32, "events written through: {text}");
         std::fs::remove_file(&path).ok();
+    }
+
+    /// `/dev/full` opens fine and fails every write: `finish` must say
+    /// so instead of leaving a truncated file behind an exit code of 0.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn finish_reports_a_sink_that_could_not_write() {
+        for flag in ["--vcd=/dev/full", "--jsonl=/dev/full"] {
+            let mut sim = src_sim();
+            let obs = parse(&[flag]).install(&mut sim).unwrap();
+            sim.run(4).unwrap();
+            let err = obs.finish(&mut sim).expect_err(flag);
+            assert_eq!(err.kind(), std::io::ErrorKind::StorageFull, "{flag}: {err}");
+            assert!(sim.take_probe().is_none(), "finish detached the probe");
+        }
     }
 
     #[test]
@@ -978,23 +959,7 @@ mod tests {
 
     #[test]
     fn report_json_is_written_by_governed_runs() {
-        struct Src;
-        impl Module for Src {
-            fn react(&mut self, ctx: &mut ReactCtx<'_>) -> Result<(), SimError> {
-                ctx.send(PortId(0), 0, Value::Word(ctx.now()))
-            }
-            fn commit(&mut self, _: &mut CommitCtx<'_>) -> Result<(), SimError> {
-                Ok(())
-            }
-        }
-        let mut b = NetlistBuilder::new();
-        b.add(
-            "s",
-            ModuleSpec::new("src").output("out", 0, 1),
-            Box::new(Src),
-        )
-        .unwrap();
-        let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
+        let mut sim = src_sim();
         let path = std::env::temp_dir().join(format!("lse-obs-rj-{}.json", std::process::id()));
         let o = parse(&[
             "--max-steps",
@@ -1003,7 +968,7 @@ mod tests {
         ]);
         let obs = o.install(&mut sim).unwrap();
         o.run(&mut sim, 100).unwrap();
-        obs.finish(&sim).unwrap();
+        obs.finish(&mut sim).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(
             text.contains("\"outcome\":\"budget-exhausted\"") || text.contains("\"budget_axis\""),

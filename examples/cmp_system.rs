@@ -33,13 +33,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if !run.stopped_early() {
         opts.run(&mut sim, 64)?;
     }
-    drop(sim.take_probe()); // flush --vcd / --jsonl files
     if run.stopped_early() {
         println!(
             "run stopped early ({}); skipping checks",
             run.outcome.label()
         );
-        obs.finish(&sim)?;
+        obs.finish(&mut sim)?;
         return Ok(());
     }
     match cmp.check_results() {
@@ -75,6 +74,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|s| s.mean())
         .unwrap_or(0.0);
     println!("on-chip network: {noc_rx} packets delivered, mean latency {noc_lat:.1} cycles");
-    obs.finish(&sim)?;
+    obs.finish(&mut sim)?;
     Ok(())
 }

@@ -62,7 +62,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let obs = opts.install(&mut sim)?;
     let run = opts.run(&mut sim, cycles)?;
-    drop(sim.take_probe()); // flush --vcd / --jsonl files
     println!("\nran {} cycles; statistics:", run.steps_completed);
     let rep = sim.report();
     for (key, v) in &rep.counters {
@@ -81,6 +80,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  {key}: histogram, n {} mean {:.2}", h.count(), h.mean());
         print!("{}", h.render());
     }
-    obs.finish(&sim)?;
+    obs.finish(&mut sim)?;
     Ok(())
 }

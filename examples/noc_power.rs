@@ -56,8 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         if run.stopped_early() {
             println!("sweep stopped early ({})", run.outcome.label());
             if let Some(obs) = obs {
-                drop(sim.take_probe());
-                obs.finish(&sim)?;
+                obs.finish(&mut sim)?;
             }
             return Ok(());
         }
@@ -85,8 +84,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             p.temp_c
         );
         if let Some(obs) = obs {
-            drop(sim.take_probe()); // flush --vcd / --jsonl files
-            obs.finish(&sim)?;
+            obs.finish(&mut sim)?;
         }
     }
     println!("\nshapes to notice: latency grows with load; leakage share shrinks as");

@@ -94,8 +94,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 run.outcome.label()
             );
             if let Some(obs) = obs {
-                drop(sim.take_probe());
-                obs.finish(&sim)?;
+                obs.finish(&mut sim)?;
             }
             return Ok(());
         }
@@ -130,8 +129,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             hitrate
         );
         if let Some(obs) = obs {
-            drop(sim.take_probe()); // flush --vcd / --jsonl files
-            obs.finish(&sim)?;
+            obs.finish(&mut sim)?;
         }
     }
     println!("\nall stages retired identical architectural state");

@@ -76,13 +76,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let run = opts.run_until(&mut sim, 60_000, |st| {
         st.counter(dev, "dmas_completed") >= n
     })?;
-    drop(sim.take_probe()); // flush --vcd / --jsonl files
     if run.stopped_early() {
         println!(
             "run stopped early ({}); skipping checks",
             run.outcome.label()
         );
-        obs.finish(&sim)?;
+        obs.finish(&mut sim)?;
         return Ok(());
     }
     let cycles = run.steps_completed;
@@ -103,6 +102,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         assert_eq!(got, &p[..], "payload mismatch");
     }
     println!("\nall payloads delivered to host memory; trace captured for replay");
-    obs.finish(&sim)?;
+    obs.finish(&mut sim)?;
     Ok(())
 }

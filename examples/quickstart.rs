@@ -76,7 +76,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         assert_eq!(sim.stats().counter(b, "received"), 12);
         println!("ok: both consumers saw the full stream");
     }
-    drop(sim.take_probe()); // flush --vcd / --jsonl files
-    obs.finish(&sim)?;
+    obs.finish(&mut sim)?;
     Ok(())
 }

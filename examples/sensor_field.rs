@@ -28,7 +28,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         st.counter(base, "received") >= u64::from(nodes)
     })?;
     let cycles = run.steps_completed;
-    drop(sim.take_probe()); // flush --vcd / --jsonl files
     if run.stopped_early() {
         println!(
             "run stopped early ({}); partial statistics follow",
@@ -63,6 +62,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\neach sample is the DSP core's reduction: sum(2i+5, i<8) = {}",
         programs::expected_sum(8)
     );
-    obs.finish(&sim)?;
+    obs.finish(&mut sim)?;
     Ok(())
 }
