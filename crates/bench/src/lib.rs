@@ -6,7 +6,31 @@ pub mod ensemble;
 pub mod handler;
 pub mod kernel;
 
+use std::io::Write;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
+
+/// A byte buffer shared between a sink that owns its writer and the code
+/// that reads the output back (tests capturing JSONL or VCD in memory).
+#[derive(Clone, Default)]
+pub struct SharedBuf(pub Arc<Mutex<Vec<u8>>>);
+
+impl SharedBuf {
+    /// Everything written so far, as UTF-8 text.
+    pub fn text(&self) -> String {
+        String::from_utf8(self.0.lock().expect("buffer lock").clone()).expect("UTF-8 output")
+    }
+}
+
+impl Write for SharedBuf {
+    fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().expect("buffer lock").extend_from_slice(b);
+        Ok(b.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
 
 /// Time a closure, returning its result and elapsed seconds.
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {

@@ -9,54 +9,19 @@
 //! state hash must match — under both schedulers and under active
 //! fault plans.
 //!
-//! Governance events (`cancel`, `checkpoint`, `restore`, `attach`) are
-//! filtered from the streams before comparison: they mark *harness*
-//! activity at the cut, which the control run by construction lacks.
+//! The streams are compared unfiltered: canonical JSONL writes no
+//! `attach` header and none of the governance records (`cancel`,
+//! `checkpoint`, `restore`) the cut produces, so the legs concatenate to
+//! the control as written.
 
+use liberty_bench::SharedBuf;
 use liberty_core::prelude::*;
 use liberty_lss::build_simulator;
 use liberty_systems::full_registry;
 use proptest::prelude::*;
-use std::io::Write;
 
 const TOTAL: u64 = 32;
 const ALL_SCHEDS: [SchedKind; 2] = [SchedKind::Sweep, SchedKind::Compiled];
-
-/// Shared byte buffer implementing `Write` for in-memory JSONL capture.
-#[derive(Clone, Default)]
-struct Buf(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
-impl Write for Buf {
-    fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().unwrap().extend_from_slice(b);
-        Ok(b.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-impl Buf {
-    fn take(&self) -> String {
-        String::from_utf8(self.0.lock().unwrap().clone()).unwrap()
-    }
-}
-
-/// Drop harness events: probe (re)attachment and the governance markers
-/// the cancelled leg necessarily emits at the cut.
-fn sans_governance(s: &str) -> String {
-    const HARNESS: [&str; 4] = [
-        "{\"t\":\"attach\"",
-        "{\"t\":\"cancel\"",
-        "{\"t\":\"checkpoint\"",
-        "{\"t\":\"restore\"",
-    ];
-    s.lines()
-        .filter(|l| !HARNESS.iter().any(|p| l.starts_with(p)))
-        .fold(String::new(), |mut acc, l| {
-            acc.push_str(l);
-            acc.push('\n');
-            acc
-        })
-}
 
 /// Trips the run's [`CancelToken`] at the end of step `at`; the governed
 /// loop observes it at the next step boundary — exactly the path a
@@ -142,7 +107,7 @@ fn assert_obs_eq(control: &Obs, resumed: &Obs, ctx: &str) {
 /// The control: one uninterrupted, ungoverned `run(TOTAL)`.
 fn control_run(src: &str, sched: SchedKind, faults: Option<(u64, f64)>) -> Obs {
     let mut sim = build_from(src, sched);
-    let buf = Buf::default();
+    let buf = SharedBuf::default();
     sim.set_probe(Box::new(JsonlProbe::new(buf.clone()).canonical()));
     if let Some((seed, rate)) = faults {
         install_faults(&mut sim, seed, rate);
@@ -150,7 +115,7 @@ fn control_run(src: &str, sched: SchedKind, faults: Option<(u64, f64)>) -> Obs {
     sim.run(TOTAL).expect("control run");
     drop(sim.take_probe());
     Obs {
-        stream: sans_governance(&buf.take()),
+        stream: buf.text(),
         report: sim.report(),
         transfers: sim.transfer_counts().to_vec(),
         state_hash: hash_of(&sim),
@@ -161,7 +126,7 @@ fn control_run(src: &str, sched: SchedKind, faults: Option<(u64, f64)>) -> Obs {
 /// freshly built simulator, finish the horizon.
 fn cancelled_resumed_run(src: &str, sched: SchedKind, n: u64, faults: Option<(u64, f64)>) -> Obs {
     let mut sim = build_from(src, sched);
-    let buf1 = Buf::default();
+    let buf1 = SharedBuf::default();
     let token = CancelToken::new();
     let mut multi = MultiProbe::new();
     multi.push(Box::new(JsonlProbe::new(buf1.clone()).canonical()));
@@ -180,7 +145,7 @@ fn cancelled_resumed_run(src: &str, sched: SchedKind, n: u64, faults: Option<(u6
     assert_eq!(report.outcome, RunOutcome::Cancelled, "{report:?}");
     assert_eq!(report.steps_completed, n, "cancelled at the asked step");
     drop(sim.take_probe());
-    let first_leg = sans_governance(&buf1.take());
+    let first_leg = buf1.text();
 
     // The cancellation path's final checkpoint, through the binary codec.
     let bytes = sim
@@ -193,7 +158,7 @@ fn cancelled_resumed_run(src: &str, sched: SchedKind, n: u64, faults: Option<(u6
 
     let mut resumed = build_from(src, sched);
     resumed.restore(&snap).expect("restore");
-    let buf2 = Buf::default();
+    let buf2 = SharedBuf::default();
     resumed.set_probe(Box::new(JsonlProbe::new(buf2.clone()).canonical()));
     if let Some((seed, rate)) = faults {
         install_faults(&mut resumed, seed, rate);
@@ -201,7 +166,7 @@ fn cancelled_resumed_run(src: &str, sched: SchedKind, n: u64, faults: Option<(u6
     resumed.run(TOTAL - n).expect("resumed leg");
     drop(resumed.take_probe());
     Obs {
-        stream: first_leg + &sans_governance(&buf2.take()),
+        stream: first_leg + &buf2.text(),
         report: resumed.report(),
         transfers: resumed.transfer_counts().to_vec(),
         state_hash: hash_of(&resumed),

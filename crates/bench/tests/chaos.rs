@@ -17,6 +17,7 @@
 //! repo ships.
 
 use liberty_bench::kernel::{build, WORKLOADS};
+use liberty_bench::SharedBuf;
 use liberty_core::prelude::*;
 use liberty_lss::build_simulator;
 use liberty_systems::full_registry;
@@ -26,24 +27,6 @@ use std::io::Write;
 const SEEDS: &[u64] = &[1, 42, 0xC0FFEE];
 const CYCLES: u64 = 48;
 const SCHEDS: &[SchedKind] = &[SchedKind::Sweep, SchedKind::Compiled];
-
-/// Shared byte buffer implementing `Write` for in-memory JSONL capture.
-#[derive(Clone, Default)]
-struct Buf(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
-impl Write for Buf {
-    fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().unwrap().extend_from_slice(b);
-        Ok(b.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-impl Buf {
-    fn take(&self) -> String {
-        String::from_utf8(self.0.lock().unwrap().clone()).unwrap()
-    }
-}
 
 /// Every system the harness soaks, by name.
 fn targets() -> Vec<&'static str> {
@@ -80,7 +63,7 @@ fn build_target(name: &str, sched: SchedKind) -> Simulator {
 /// canonical probe stream. Returns the stream and the run verdict.
 fn chaos_run(name: &str, sched: SchedKind, seed: u64) -> (String, Result<(), String>, u64, u64) {
     let mut sim = build_target(name, sched);
-    let buf = Buf::default();
+    let buf = SharedBuf::default();
     sim.set_probe(Box::new(JsonlProbe::new(buf.clone()).canonical()));
     let topo = sim.topology().clone();
     sim.set_fault_plan(FaultPlan::random(seed, &topo, CYCLES, 0.25));
@@ -89,7 +72,7 @@ fn chaos_run(name: &str, sched: SchedKind, seed: u64) -> (String, Result<(), Str
     let verdict = sim.run(CYCLES).map_err(|e| e.to_string());
     let m = sim.metrics();
     drop(sim.take_probe()); // flush
-    (buf.take(), verdict, m.faults_injected, m.quarantines)
+    (buf.text(), verdict, m.faults_injected, m.quarantines)
 }
 
 #[test]
@@ -140,18 +123,6 @@ fn fault_free_control_runs_stay_clean() {
     }
 }
 
-/// Drop `attach` banners (probe re-attachment is a harness event, not a
-/// simulation event) so interrupted and uninterrupted streams compare.
-fn sans_attach(s: &str) -> String {
-    s.lines()
-        .filter(|l| !l.starts_with("{\"t\":\"attach\""))
-        .fold(String::new(), |mut acc, l| {
-            acc.push_str(l);
-            acc.push('\n');
-            acc
-        })
-}
-
 /// Install the same chaos environment `chaos_run` uses: a run-length
 /// seeded plan, quarantine policy, and the watchdog.
 fn arm_chaos(sim: &mut Simulator, seed: u64) {
@@ -176,7 +147,7 @@ fn kill_and_resume_mid_soak_matches_uninterrupted_control() {
             let (control, cv, _, cq) = chaos_run(name, SchedKind::Compiled, seed);
 
             let mut sim = build_target(name, SchedKind::Compiled);
-            let buf1 = Buf::default();
+            let buf1 = SharedBuf::default();
             sim.set_probe(Box::new(JsonlProbe::new(buf1.clone()).canonical()));
             arm_chaos(&mut sim, seed);
             let half = CYCLES / 2;
@@ -187,14 +158,14 @@ fn kill_and_resume_mid_soak_matches_uninterrupted_control() {
                 continue;
             }
             drop(sim.take_probe());
-            let first_leg = sans_attach(&buf1.take());
+            let first_leg = buf1.text();
             let bytes = sim.snapshot().expect("snapshot").to_bytes();
             drop(sim); // kill
 
             let snap = Snapshot::from_bytes(&bytes).expect("checkpoint decodes");
             let mut resumed = build_target(name, SchedKind::Compiled);
             resumed.restore(&snap).expect("restore");
-            let buf2 = Buf::default();
+            let buf2 = SharedBuf::default();
             resumed.set_probe(Box::new(JsonlProbe::new(buf2.clone()).canonical()));
             arm_chaos(&mut resumed, seed);
             let verdict = resumed.run(CYCLES - half).map_err(|e| e.to_string());
@@ -203,8 +174,8 @@ fn kill_and_resume_mid_soak_matches_uninterrupted_control() {
 
             assert_eq!(cv, verdict, "{name} seed {seed}: verdict");
             assert_eq!(
-                sans_attach(&control),
-                first_leg + &sans_attach(&buf2.take()),
+                control,
+                first_leg + &buf2.text(),
                 "{name} seed {seed}: stitched stream matches control"
             );
             assert_eq!(cq, q, "{name} seed {seed}: quarantine census");

@@ -10,9 +10,11 @@
 //!    counts after a run (the fixed point is unique, so the transfers and
 //!    stats are scheduler-independent facts).
 //! 2. **Canonical probe streams** — `JsonlProbe::canonical()` emits only
-//!    the scheduler-independent events (steps, transfers sorted by edge,
-//!    faults, quarantines); the streams must be *byte-identical* under
-//!    both schedulers, fault-free and under active fault plans.
+//!    the simulation records (steps, transfers sorted by edge, faults,
+//!    quarantines): no `attach` header, no resolve or handler records,
+//!    whose order depends on the schedule, and no run-level records. The
+//!    streams must be *byte-identical* under both schedulers, fault-free
+//!    and under active fault plans.
 //! 3. **Structured failure** — the `ring_osc.lss` combinational loop must
 //!    diverge with the same oscillating-wire set under the compiled
 //!    scheduler as under Sweep.
@@ -22,13 +24,13 @@
 //! covers fixed seeds at greater depth.
 
 use liberty_bench::kernel::{build, WORKLOADS};
+use liberty_bench::SharedBuf;
 use liberty_core::prelude::*;
 use liberty_lss::build_simulator;
 use liberty_systems::full_registry;
 use liberty_systems::sensor::{sensor_simulator, SensorConfig};
 use liberty_systems::sos::{sos_simulator, SosConfig};
 use proptest::prelude::*;
-use std::io::Write;
 
 const CYCLES: u64 = 32;
 
@@ -43,24 +45,6 @@ fn cycles(name: &str) -> u64 {
         300
     } else {
         CYCLES
-    }
-}
-
-/// Shared byte buffer implementing `Write` for in-memory JSONL capture.
-#[derive(Clone, Default)]
-struct Buf(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
-impl Write for Buf {
-    fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().unwrap().extend_from_slice(b);
-        Ok(b.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-impl Buf {
-    fn take(&self) -> String {
-        String::from_utf8(self.0.lock().unwrap().clone()).unwrap()
     }
 }
 
@@ -108,7 +92,7 @@ fn observed_run(
     faults: Option<(u64, f64)>,
 ) -> (String, Result<(), String>, StatsReport, Vec<u64>) {
     let mut sim = build_target(name, sched);
-    let buf = Buf::default();
+    let buf = SharedBuf::default();
     sim.set_probe(Box::new(JsonlProbe::new(buf.clone()).canonical()));
     if let Some((seed, rate)) = faults {
         let topo = sim.topology().clone();
@@ -119,7 +103,7 @@ fn observed_run(
     let verdict = sim.run(cycles(name)).map_err(|e| e.to_string());
     drop(sim.take_probe()); // flush
     let transfers = sim.transfer_counts().to_vec();
-    (buf.take(), verdict, sim.report(), transfers)
+    (buf.text(), verdict, sim.report(), transfers)
 }
 
 #[test]

@@ -14,6 +14,7 @@
 //! Alongside: each kind's JSONL `value` is its escaped `Display`, and
 //! every `KIND` is unique and JSON-safe.
 
+use liberty_bench::SharedBuf;
 use liberty_ccl::packet::Packet;
 use liberty_ccl::wormhole::{Flit, FlitKind};
 use liberty_core::prelude::*;
@@ -29,8 +30,6 @@ use liberty_pcl::Routed;
 use liberty_upl::isa::{AluOp, BrCond, Instr};
 use liberty_upl::uop::{BrUpdate, ExecResult, Fetched, MemUop, Prediction, Redirect, Uop};
 use proptest::test_runner::TestRng;
-use std::io::Write;
-use std::sync::{Arc, Mutex};
 
 /// Every library payload kind.
 const KINDS: [&str; 20] = [
@@ -330,18 +329,6 @@ fn flat(v: &Value) -> Vec<Tok> {
     f.0
 }
 
-#[derive(Clone, Default)]
-struct Buf(Arc<Mutex<Vec<u8>>>);
-impl Write for Buf {
-    fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().unwrap().extend_from_slice(b);
-        Ok(b.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
 /// Does nothing; stands at either end of [`s_to_d`]'s one edge.
 struct Idle;
 impl Module for Idle {
@@ -376,7 +363,7 @@ fn s_to_d() -> &'static Topology {
 /// The `value` field of the JSONL `transfer` line carrying `v`, as
 /// written (still escaped).
 fn jsonl_value(v: &Value) -> String {
-    let buf = Buf::default();
+    let buf = SharedBuf::default();
     let mut probe = JsonlProbe::new(buf.clone()).canonical();
     let topo = s_to_d();
     let transfer = Record::Transfer {
@@ -388,12 +375,13 @@ fn jsonl_value(v: &Value) -> String {
     probe.step(&StepLog {
         now: 0,
         topo,
+        store: &SignalStore::new(topo.edge_count()),
         reacts: 0,
         commits: 0,
         records: &[transfer],
     });
     probe.sync().unwrap();
-    let line = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+    let line = buf.text();
     let (_, rest) = line.split_once(",\"value\":\"").expect("value field");
     rest.strip_suffix("\"}\n").expect("line end").to_owned()
 }

@@ -6,8 +6,8 @@
 //!
 //! 1. **Canonical probe streams** — the control run's stream must equal
 //!    the first leg's stream concatenated with the resumed leg's stream,
-//!    byte for byte (the resumed simulator's probe is attached *after*
-//!    `restore`, so no `restore` event pollutes the comparison).
+//!    byte for byte, unfiltered: canonical JSONL writes neither the
+//!    `attach` header each leg's probe would add nor run-level records.
 //! 2. **Final architectural state** — identical [`StatsReport`],
 //!    per-edge transfer counts, and snapshot `state_hash` (valid because
 //!    both runs use the same scheduler).
@@ -23,45 +23,14 @@
 //! UPL/CCL composites keep the default (stateless) hooks and reset to
 //! initial state on restore — see docs/ROBUSTNESS.md for the limits.
 
+use liberty_bench::SharedBuf;
 use liberty_core::prelude::*;
 use liberty_lss::build_simulator;
 use liberty_systems::full_registry;
 use proptest::prelude::*;
-use std::io::Write;
 
 const TOTAL: u64 = 32;
 const ALL_SCHEDS: [SchedKind; 2] = [SchedKind::Sweep, SchedKind::Compiled];
-
-/// Shared byte buffer implementing `Write` for in-memory JSONL capture.
-#[derive(Clone, Default)]
-struct Buf(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
-impl Write for Buf {
-    fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().unwrap().extend_from_slice(b);
-        Ok(b.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-impl Buf {
-    fn take(&self) -> String {
-        String::from_utf8(self.0.lock().unwrap().clone()).unwrap()
-    }
-}
-
-/// Drop `attach` banners: they mark probe (re)attachment — a harness
-/// event, not a simulation event — and the resumed leg necessarily
-/// re-attaches its probe.
-fn sans_attach(s: &str) -> String {
-    s.lines()
-        .filter(|l| !l.starts_with("{\"t\":\"attach\""))
-        .fold(String::new(), |mut acc, l| {
-            acc.push_str(l);
-            acc.push('\n');
-            acc
-        })
-}
 
 /// An inline spec exercising every stateful PCL template category that
 /// the shipped specs don't already cover: arbitration (round-robin
@@ -142,7 +111,7 @@ fn assert_obs_eq(control: &Obs, resumed: &Obs, ctx: &str) {
 /// The control: one uninterrupted `run(TOTAL)`.
 fn control_run(src: &str, sched: SchedKind, faults: Option<(u64, f64)>) -> Obs {
     let mut sim = build_from(src, sched);
-    let buf = Buf::default();
+    let buf = SharedBuf::default();
     sim.set_probe(Box::new(JsonlProbe::new(buf.clone()).canonical()));
     if let Some((seed, rate)) = faults {
         install_faults(&mut sim, seed, rate);
@@ -150,7 +119,7 @@ fn control_run(src: &str, sched: SchedKind, faults: Option<(u64, f64)>) -> Obs {
     let verdict = sim.run(TOTAL).map_err(|e| e.to_string());
     drop(sim.take_probe());
     Obs {
-        stream: sans_attach(&buf.take()),
+        stream: buf.text(),
         verdict,
         report: sim.report(),
         transfers: sim.transfer_counts().to_vec(),
@@ -162,7 +131,7 @@ fn control_run(src: &str, sched: SchedKind, faults: Option<(u64, f64)>) -> Obs {
 /// drop the simulator, rebuild from scratch, restore, `run(TOTAL - n)`.
 fn interrupted_run(src: &str, sched: SchedKind, n: u64, faults: Option<(u64, f64)>) -> Obs {
     let mut sim = build_from(src, sched);
-    let buf1 = Buf::default();
+    let buf1 = SharedBuf::default();
     sim.set_probe(Box::new(JsonlProbe::new(buf1.clone()).canonical()));
     if let Some((seed, rate)) = faults {
         install_faults(&mut sim, seed, rate);
@@ -172,7 +141,7 @@ fn interrupted_run(src: &str, sched: SchedKind, n: u64, faults: Option<(u64, f64
         // the failed state directly.
         drop(sim.take_probe());
         return Obs {
-            stream: sans_attach(&buf1.take()),
+            stream: buf1.text(),
             verdict: Err(e.to_string()),
             report: sim.report(),
             transfers: sim.transfer_counts().to_vec(),
@@ -180,7 +149,7 @@ fn interrupted_run(src: &str, sched: SchedKind, n: u64, faults: Option<(u64, f64
         };
     }
     drop(sim.take_probe());
-    let first_leg = sans_attach(&buf1.take());
+    let first_leg = buf1.text();
     let bytes = sim.snapshot().expect("snapshot").to_bytes();
     drop(sim);
 
@@ -188,7 +157,7 @@ fn interrupted_run(src: &str, sched: SchedKind, n: u64, faults: Option<(u64, f64
     assert_eq!(snap.now(), n, "snapshot records the interruption step");
     let mut resumed = build_from(src, sched);
     resumed.restore(&snap).expect("restore");
-    let buf2 = Buf::default();
+    let buf2 = SharedBuf::default();
     resumed.set_probe(Box::new(JsonlProbe::new(buf2.clone()).canonical()));
     if let Some((seed, rate)) = faults {
         install_faults(&mut resumed, seed, rate);
@@ -196,7 +165,7 @@ fn interrupted_run(src: &str, sched: SchedKind, n: u64, faults: Option<(u64, f64
     let verdict = resumed.run(TOTAL - n).map_err(|e| e.to_string());
     drop(resumed.take_probe());
     Obs {
-        stream: first_leg + &sans_attach(&buf2.take()),
+        stream: first_leg + &buf2.text(),
         verdict,
         report: resumed.report(),
         transfers: resumed.transfer_counts().to_vec(),
@@ -239,13 +208,13 @@ fn double_roundtrip_composes() {
     let (_, src) = rt_targets().remove(2);
     let control = control_run(&src, SchedKind::Compiled, None);
     let mut sim = build_from(&src, SchedKind::Compiled);
-    let buf = Buf::default();
+    let buf = SharedBuf::default();
     sim.set_probe(Box::new(JsonlProbe::new(buf.clone()).canonical()));
     let mut stream = String::new();
     for leg in [10u64, 10, 12] {
         sim.run(leg).expect("leg runs");
         drop(sim.take_probe());
-        stream += &sans_attach(&buf.take());
+        stream += &buf.text();
         buf.0.lock().unwrap().clear();
         let bytes = sim.snapshot().expect("snapshot").to_bytes();
         let snap = Snapshot::from_bytes(&bytes).expect("decodes");

@@ -26,35 +26,17 @@
 //!    runs on kernels again.
 
 use liberty_bench::kernel::{build, WORKLOADS, W_PCL};
+use liberty_bench::SharedBuf;
 use liberty_core::prelude::*;
 use liberty_lss::build_simulator;
 use liberty_systems::cmp::{cmp_simulator, CmpConfig};
 use liberty_systems::full_registry;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 const CYCLES: u64 = 32;
-
-/// Shared byte buffer implementing `Write` for in-memory JSONL capture.
-#[derive(Clone, Default)]
-struct Buf(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
-impl Write for Buf {
-    fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().unwrap().extend_from_slice(b);
-        Ok(b.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-impl Buf {
-    fn take(&self) -> String {
-        String::from_utf8(self.0.lock().unwrap().clone()).unwrap()
-    }
-}
 
 /// Every runnable spec in `specs/` (ring_osc diverges by design and is
 /// exercised separately), plus the module-dominated E19 workload.
@@ -266,12 +248,12 @@ fn midrun_probe_attach_despecializes_losslessly() {
             sim.set_specialization(specialize);
             sim.run(CYCLES / 2)
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
-            let buf = Buf::default();
+            let buf = SharedBuf::default();
             sim.set_probe(Box::new(JsonlProbe::new(buf.clone()).canonical()));
             sim.run(CYCLES / 2)
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
             drop(sim.take_probe()); // flush
-            (buf.take(), fingerprint(&mut sim))
+            (buf.text(), fingerprint(&mut sim))
         };
         let (stream_on, fp_on) = run_split(true);
         let (stream_off, fp_off) = run_split(false);
@@ -328,7 +310,7 @@ fn observed_run(
 ) -> (String, Result<(), String>, StatsReport, Vec<u64>) {
     let mut sim = build_target(name);
     sim.set_specialization(requested);
-    let buf = Buf::default();
+    let buf = SharedBuf::default();
     sim.set_probe(Box::new(JsonlProbe::new(buf.clone()).canonical()));
     let (seed, rate) = faults;
     let topo = sim.topology().clone();
@@ -338,7 +320,7 @@ fn observed_run(
     let verdict = sim.run(CYCLES).map_err(|e| e.to_string());
     drop(sim.take_probe());
     let transfers = sim.transfer_counts().to_vec();
-    (buf.take(), verdict, sim.report(), transfers)
+    (buf.text(), verdict, sim.report(), transfers)
 }
 
 proptest! {

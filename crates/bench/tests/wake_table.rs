@@ -15,6 +15,7 @@
 //!    wrote before wakes moved into the write path — pinned by length and
 //!    CRC, recorded at the parent commit of that change.
 
+use liberty_bench::SharedBuf;
 use liberty_core::compile::NO_ISLAND;
 use liberty_core::prelude::*;
 use liberty_core::snapshot::crc32;
@@ -23,21 +24,6 @@ use liberty_pcl::{arbiter, delay, queue, register, sink, source, tee};
 use liberty_systems::cmp::{build_cmp, CmpConfig};
 use liberty_systems::full_registry;
 use proptest::prelude::*;
-use std::io::Write;
-use std::sync::{Arc, Mutex};
-
-/// Shared byte buffer implementing `Write` for in-memory JSONL capture.
-#[derive(Clone, Default)]
-struct Buf(Arc<Mutex<Vec<u8>>>);
-impl Write for Buf {
-    fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().unwrap().extend_from_slice(b);
-        Ok(b.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
 
 /// A random `pcl` netlist with feedback: `kinds[i]` picks node `i`'s
 /// template, `links` are candidate connections (reduced modulo the node
@@ -132,11 +118,11 @@ fn desc_strategy() -> impl Strategy<Value = NetDesc> {
 
 /// Final state and canonical stream of a 40-step run.
 fn observed(mut sim: Simulator) -> (String, StatsReport, Vec<u64>) {
-    let buf = Buf::default();
+    let buf = SharedBuf::default();
     sim.set_probe(Box::new(JsonlProbe::new(buf.clone()).canonical()));
     sim.run(40).unwrap();
     drop(sim.take_probe()); // flush
-    let stream = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+    let stream = buf.text();
     (stream, sim.report(), sim.transfer_counts().to_vec())
 }
 
@@ -202,7 +188,7 @@ fn the_generator_draws_islands() {
 /// Length and CRC of the full (resolve events, handler brackets) JSONL
 /// stream of a `Compiled` run.
 fn full_stream(mut sim: Simulator, steps: u64) -> (usize, u32) {
-    let buf = Buf::default();
+    let buf = SharedBuf::default();
     sim.set_probe(Box::new(JsonlProbe::new(buf.clone()).with_handlers()));
     sim.run(steps).unwrap();
     drop(sim.take_probe());

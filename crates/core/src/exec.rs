@@ -267,8 +267,7 @@ impl Simulator {
     /// failures and with [`Simulator::set_watchdog`] to bound divergence.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.despecialize();
-        let n = self.topo.instance_count();
-        self.resil_mut().plan = Some(plan.compile(n));
+        self.resil_mut().plan = Some(plan.compile());
     }
 
     /// What happens when a module handler panics or errors during a
@@ -330,6 +329,7 @@ impl Simulator {
             p.step(&StepLog {
                 now: self.now,
                 topo: &self.topo,
+                store: &self.store,
                 reacts,
                 commits,
                 records: &self.log.records,

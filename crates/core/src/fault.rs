@@ -271,7 +271,7 @@ impl FaultPlan {
     }
 
     /// Compile into the per-step lookup form the kernel uses.
-    pub(crate) fn compile(&self, n_instances: usize) -> CompiledFaults {
+    pub(crate) fn compile(&self) -> CompiledFaults {
         let mut instances = self.instances.clone();
         instances.sort_by_key(|f| f.inst.0);
         let mut signals = self.signals.clone();
@@ -280,21 +280,8 @@ impl FaultPlan {
             seed: self.seed,
             signals,
             instances,
-            quarantine_on_panic: instances_with_panics(&self.instances, n_instances),
         }
     }
-}
-
-fn instances_with_panics(faults: &[InstanceFault], n: usize) -> Vec<bool> {
-    let mut v = vec![false; n];
-    for f in faults {
-        if matches!(f.kind, InstFaultKind::Panic { .. }) {
-            if let Some(slot) = v.get_mut(f.inst.0 as usize) {
-                *slot = true;
-            }
-        }
-    }
-    v
 }
 
 /// The plan in kernel form: entries pre-sorted so per-step activation
@@ -305,10 +292,6 @@ pub(crate) struct CompiledFaults {
     pub(crate) seed: u64,
     signals: Vec<SignalFault>,
     instances: Vec<InstanceFault>,
-    /// Instances the plan will eventually panic (unused today, kept for
-    /// schedule introspection in tests).
-    #[allow(dead_code)]
-    quarantine_on_panic: Vec<bool>,
 }
 
 impl CompiledFaults {
@@ -525,7 +508,7 @@ mod tests {
     #[test]
     fn activation_window_is_half_open() {
         let plan = FaultPlan::new(1).drop_wire(EdgeId(0), Wire::Data, 5, 7);
-        let compiled = plan.compile(2);
+        let compiled = plan.compile();
         let mut active = ActiveFaults::default();
         compiled.activate(4, &mut active);
         assert!(active.signal(0, Wire::Data).is_none());
@@ -546,7 +529,7 @@ mod tests {
         let plan = FaultPlan::new(1)
             .panic_at(InstanceId(1), 3)
             .latency(InstanceId(0), 2, 4, 50);
-        let compiled = plan.compile(2);
+        let compiled = plan.compile();
         let mut active = ActiveFaults::default();
         compiled.activate(3, &mut active);
         assert!(active.panics(1));
@@ -589,7 +572,7 @@ mod tests {
             .stall_wire(EdgeId(1), Wire::Ack, 0, 10)
             .panic_at(InstanceId(0), 3)
             .panic_at(InstanceId(1), 4);
-        let mut compiled = plan.compile(2);
+        let mut compiled = plan.compile();
         assert_eq!(compiled.mask_instance(0), 1);
         assert_eq!(compiled.mask_instance(0), 0, "idempotent");
         assert_eq!(compiled.mask_edge(0), 1);
@@ -607,7 +590,7 @@ mod tests {
         let plan = FaultPlan::new(1)
             .drop_wire(EdgeId(0), Wire::Data, 0, 10)
             .stall_wire(EdgeId(0), Wire::Data, 0, 10);
-        let compiled = plan.compile(1);
+        let compiled = plan.compile();
         let mut active = ActiveFaults::default();
         compiled.activate(5, &mut active);
         assert_eq!(active.signals.len(), 1, "second entry shadowed");

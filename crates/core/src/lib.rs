@@ -133,7 +133,7 @@ pub mod prelude {
         RunOutcome, RunReport, SinkPolicy, SinkStats,
     };
     pub use crate::topology::{InstanceInfo, Topology};
-    pub use crate::trace::{JsonlProbe, RecordingTracer, TextTracer, TraceEvent, TraceHandle};
+    pub use crate::trace::{JsonlProbe, TextTracer};
     pub use crate::value::{Payload, Value, WordSink};
     pub use crate::vcd::VcdProbe;
 }

@@ -20,23 +20,28 @@
 //! * **fault**, **quarantine**, and the run-level **checkpoint**,
 //!   **restore**, **rollback** and **cancel** records.
 //!
+//! The log also lends the step's [`SignalStore`]: at step end it holds
+//! every wire's final value, so a sink that wants state rather than
+//! events reads it there.
+//!
 //! [`Probe::interest`] tells the kernel which of the two per-invocation
 //! families (handler records, resolve records) to write at all, so the
 //! reaction loop does not produce records nobody reads. Ready-made sinks
 //! live in [`crate::trace`] (text + JSONL), [`crate::vcd`] (GTKWave
-//! waveforms) and [`crate::profile`] (per-module hot-spot attribution);
-//! each is one loop over [`StepLog::records`].
+//! waveforms, sampled from the store) and [`crate::profile`] (per-module
+//! hot-spot attribution); each is one loop over [`StepLog::records`].
 //!
 //! **Cost when absent.** The log reaches the reaction loops as an
 //! `Option`, `Some` only while the probe asked for handler or resolve
 //! records. Otherwise — no probe, or one with [`Interest::NONE`] such as
-//! canonical JSONL — the plan walk runs its straight nodes with no log
-//! code at all, and an island member tests the `Option` once per
+//! canonical JSONL or VCD — the plan walk runs its straight nodes with no
+//! log code at all, and an island member tests the `Option` once per
 //! invocation (§5 of `docs/OBSERVABILITY.md`).
 
 use crate::fault::FaultKind;
 use crate::netlist::{EdgeId, InstanceId};
 use crate::signal::Wire;
+use crate::store::SignalStore;
 use crate::topology::Topology;
 use crate::value::Value;
 use std::borrow::Cow;
@@ -206,6 +211,9 @@ pub struct StepLog<'a> {
     pub now: u64,
     /// The structure, for names.
     pub topo: &'a Topology,
+    /// The wires. With a probe attached no kernel lane runs, so at
+    /// [`Record::StepEnd`] every wire holds its final value for the step.
+    pub store: &'a SignalStore,
     /// `react` invocations this step (whatever the interest).
     pub reacts: u64,
     /// `commit` invocations this step (whatever the interest).

@@ -1,5 +1,5 @@
-//! Ready-made trace sinks: a human-readable event log, an in-memory
-//! recording, and a JSONL structured-event stream.
+//! Ready-made trace sinks: a human-readable transfer log and a JSONL
+//! structured-event stream.
 //!
 //! The paper positions LSE as "an effective educational tool when
 //! integrated with an interactive system visualizer" — the kernel's
@@ -13,7 +13,6 @@ use crate::topology::Topology;
 use crate::value::{Value, WordSink};
 use std::fmt::Write as _;
 use std::io::Write;
-use std::sync::{Arc, Mutex};
 
 /// The first write error a sink met. Once one is kept the sink writes
 /// nothing more, and [`Probe::sync`] keeps reporting it.
@@ -112,99 +111,6 @@ impl<W: Write + Send> Drop for TextTracer<W> {
     }
 }
 
-/// One recorded transfer event.
-#[derive(Clone, Debug, PartialEq)]
-pub struct TraceEvent {
-    /// Time-step of the transfer.
-    pub now: u64,
-    /// Sender instance name.
-    pub src: String,
-    /// Receiver instance name.
-    pub dst: String,
-    /// A rendering of the value (values themselves are not kept to avoid
-    /// retaining payload memory).
-    pub value: String,
-}
-
-/// Records transfers into a shared buffer for programmatic inspection
-/// (tests, visualizer front ends).
-#[derive(Default)]
-pub struct RecordingTracer {
-    events: Arc<Mutex<Vec<TraceEvent>>>,
-}
-
-impl RecordingTracer {
-    /// Create a tracer and the handle its events can be read through.
-    pub fn new() -> (Self, TraceHandle) {
-        let events: Arc<Mutex<Vec<TraceEvent>>> = Arc::default();
-        (
-            RecordingTracer {
-                events: events.clone(),
-            },
-            TraceHandle { events },
-        )
-    }
-}
-
-/// Shared read handle for a [`RecordingTracer`].
-#[derive(Clone)]
-pub struct TraceHandle {
-    events: Arc<Mutex<Vec<TraceEvent>>>,
-}
-
-impl TraceHandle {
-    /// Snapshot of all recorded events (clones the buffer; prefer
-    /// [`TraceHandle::take`] when draining a long run).
-    pub fn events(&self) -> Vec<TraceEvent> {
-        self.events.lock().expect("trace lock").clone()
-    }
-
-    /// Drain the recording buffer: returns everything recorded since the
-    /// last drain and leaves the buffer empty, so a long run can be
-    /// consumed incrementally without cloning an ever-growing `Vec`.
-    pub fn take(&self) -> Vec<TraceEvent> {
-        std::mem::take(&mut *self.events.lock().expect("trace lock"))
-    }
-
-    /// Discard everything recorded so far.
-    pub fn clear(&self) {
-        self.events.lock().expect("trace lock").clear();
-    }
-
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.events.lock().expect("trace lock").len()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl Probe for RecordingTracer {
-    fn interest(&self) -> Interest {
-        Interest::NONE
-    }
-
-    fn step(&mut self, log: &StepLog<'_>) {
-        let mut events = self.events.lock().expect("trace lock");
-        for r in log.records {
-            if let Record::Transfer {
-                src, dst, value, ..
-            } = r
-            {
-                events.push(TraceEvent {
-                    now: log.now,
-                    src: log.topo.name(*src).to_owned(),
-                    dst: log.topo.name(*dst).to_owned(),
-                    value: value.to_string(),
-                });
-            }
-        }
-    }
-}
-
 /// Structured-event sink: one JSON object per line, for programmatic
 /// analysis (`jq`, notebooks, visualizer front ends).
 ///
@@ -224,12 +130,17 @@ impl Probe for RecordingTracer {
 /// line-oriented, so its bounded buffer sheds or stalls on whole-record
 /// boundaries and the surviving output stays parseable.
 ///
-/// [`JsonlProbe::canonical`] restricts the stream to the
-/// scheduler-independent subset (everything except `resolve` and the
-/// handler records, whose ordering depends on the reaction schedule):
-/// two runs of the same netlist under the same fault plan produce
-/// byte-identical canonical streams regardless of scheduler — the
-/// deterministic-replay oracle the chaos harness asserts on.
+/// [`JsonlProbe::canonical`] restricts the stream to the simulation
+/// itself: `step` / `step_end`, `transfer`, `fault` / `inst_fault` and
+/// `quarantine`. It drops `resolve` and the handler records, whose order
+/// depends on the reaction schedule, and the `attach` header and the
+/// run-level `checkpoint` / `restore` / `rollback` / `cancel` records,
+/// which depend on how the run was driven and cut. Two runs of the same
+/// netlist under the same fault plan produce byte-identical canonical
+/// streams regardless of scheduler, and the streams of a run cut and
+/// resumed from a checkpoint concatenate to the uninterrupted run's —
+/// the deterministic-replay oracle the chaos and resume harnesses assert
+/// on.
 pub struct JsonlProbe<W: Write + Send> {
     out: W,
     handlers: bool,
@@ -259,9 +170,9 @@ impl<W: Write + Send> JsonlProbe<W> {
         self
     }
 
-    /// Emit only the scheduler-independent event subset (drops `resolve`
-    /// and handler records), so equal seeds yield byte-identical
-    /// streams across schedulers.
+    /// Emit only the simulation records (drops the `attach` header,
+    /// `resolve`, handler and run-level records), so equal seeds yield
+    /// byte-identical streams across schedulers and across cuts.
     pub fn canonical(mut self) -> Self {
         self.canonical = true;
         self.handlers = false;
@@ -400,6 +311,9 @@ fn wire_name(w: Wire) -> &'static str {
 
 impl<W: Write + Send> Probe for JsonlProbe<W> {
     fn attach(&mut self, topo: &Topology) {
+        if self.canonical {
+            return;
+        }
         self.line.0.clear();
         self.line
             .raw("{\"t\":\"attach\",\"instances\":")
@@ -439,7 +353,15 @@ impl<W: Write + Send> Probe for JsonlProbe<W> {
                     self.event("commit", now).int(",\"inst\":", h.inst.0.into())
                 }
                 Record::React(_) | Record::Commit(_) => continue,
-                Record::Resolve { .. } if self.canonical => continue,
+                Record::Resolve { .. }
+                | Record::Checkpoint
+                | Record::Restore
+                | Record::Rollback { .. }
+                | Record::Cancel
+                    if self.canonical =>
+                {
+                    continue
+                }
                 Record::Resolve {
                     edge,
                     wire,
@@ -517,6 +439,7 @@ mod tests {
     use crate::module::{Module, ModuleSpec, PortId};
     use crate::netlist::NetlistBuilder;
     use crate::signal::Res;
+    use std::sync::{Arc, Mutex};
 
     struct Src;
     impl Module for Src {
@@ -597,39 +520,6 @@ mod tests {
         let text = store.text();
         assert_eq!(text.lines().count(), 4);
         assert!(!text.contains("truncated"));
-    }
-
-    #[test]
-    fn recording_tracer_captures_events() {
-        let mut sim = tiny_sim();
-        let (tracer, handle) = RecordingTracer::new();
-        sim.set_probe(Box::new(tracer));
-        assert!(handle.is_empty());
-        sim.run(3).unwrap();
-        let ev = handle.events();
-        assert_eq!(ev.len(), 3);
-        assert_eq!(ev[2].now, 2);
-        assert_eq!(ev[2].src, "s");
-        assert_eq!(ev[2].dst, "k");
-        assert_eq!(ev[2].value, "2");
-    }
-
-    #[test]
-    fn trace_handle_take_drains_and_clear_discards() {
-        let mut sim = tiny_sim();
-        let (tracer, handle) = RecordingTracer::new();
-        sim.set_probe(Box::new(tracer));
-        sim.run(3).unwrap();
-        let first = handle.take();
-        assert_eq!(first.len(), 3);
-        assert!(handle.is_empty(), "take drains the buffer");
-        sim.run(2).unwrap();
-        let second = handle.take();
-        assert_eq!(second.len(), 2);
-        assert_eq!(second[0].now, 3, "drained runs resume where they left");
-        sim.run(1).unwrap();
-        handle.clear();
-        assert!(handle.is_empty());
     }
 
     #[test]

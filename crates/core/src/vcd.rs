@@ -22,6 +22,14 @@
 //! timestamps increase strictly monotonically; only changed signals are
 //! dumped, keeping files compact on quiet netlists.
 //!
+//! The sink reads state, not events: at step end it walks the edges in
+//! id order and compares each wire's final value in the step's
+//! [`SignalStore`] with the value it last dumped. Every wire resolves
+//! exactly once per completed step, so that final value is the step's
+//! waveform, and the probe asks the kernel for no per-wire records
+//! ([`Interest::NONE`]). A failed step has no step end and dumps
+//! nothing.
+//!
 //! Writes are line-oriented, so a slow or stalled consumer can be
 //! decoupled with bounded buffering by constructing the probe over a
 //! [`crate::supervisor::BackpressureWriter`]: `VcdProbe::new(
@@ -29,17 +37,20 @@
 //! `DropOldest` sheds whole *lines*, which for VCD means lost value
 //! changes — acceptable for live monitoring, not for golden files.
 
+use crate::netlist::EdgeId;
 use crate::probe::{Interest, Probe, Record, StepLog};
+use crate::signal::Res;
+use crate::store::SignalStore;
 use crate::topology::Topology;
 use crate::trace::WriteError;
 use crate::value::{Value, WordSink};
 use std::collections::BTreeMap;
 use std::io::Write;
 
-/// Per-wire last-emitted / pending state.
+/// A wire's value as the waveform shows it.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum WireVal {
-    /// Never driven (before the first resolution) — VCD `x`.
+    /// Not resolved (before the first step) — VCD `x`.
     X,
     /// Resolved `No`.
     No,
@@ -47,13 +58,22 @@ enum WireVal {
     Yes(u64),
 }
 
+impl WireVal {
+    /// The waveform value of a resolution; `bits` renders a payload.
+    fn of<T>(res: &Res<T>, bits: impl FnOnce(&T) -> u64) -> WireVal {
+        match res {
+            Res::Unknown => WireVal::X,
+            Res::No => WireVal::No,
+            Res::Yes(v) => WireVal::Yes(bits(v)),
+        }
+    }
+}
+
 struct EdgeVars {
     /// VCD identifier codes for (data, enable, ack).
     codes: [String; 3],
     /// Last emitted value per wire.
     last: [WireVal; 3],
-    /// Value resolved in the current step, if any.
-    cur: [Option<WireVal>; 3],
 }
 
 /// The VCD-writing probe. Construct with [`VcdProbe::new`] over any
@@ -64,9 +84,6 @@ struct EdgeVars {
 pub struct VcdProbe<W: Write + Send> {
     out: W,
     edges: Vec<EdgeVars>,
-    /// Edge ids touched this step (kept sorted at dump time so output is
-    /// scheduler-independent).
-    touched: Vec<u32>,
     failed: WriteError,
 }
 
@@ -169,7 +186,6 @@ impl<W: Write + Send> VcdProbe<W> {
         VcdProbe {
             out,
             edges: Vec::new(),
-            touched: Vec::new(),
             failed: WriteError::default(),
         }
     }
@@ -190,31 +206,28 @@ impl<W: Write + Send> VcdProbe<W> {
         }
     }
 
-    /// The step's timestamp and every wire whose value changed.
-    fn dump(&mut self, now: u64) {
-        let VcdProbe {
-            out,
-            edges,
-            touched,
-            failed,
-        } = self;
-        touched.sort_unstable();
+    /// The step's timestamp and every wire whose final value in `store`
+    /// differs from the last one dumped, in edge-id order.
+    fn dump(&mut self, now: u64, store: &SignalStore) {
+        let VcdProbe { out, edges, failed } = self;
         failed.write(out, |out| {
             writeln!(out, "#{now}")?;
-            for &ei in touched.iter() {
-                let ev = &mut edges[ei as usize];
-                for wi in 0..3 {
-                    if let Some(val) = ev.cur[wi].take() {
-                        if val != ev.last[wi] {
-                            Self::emit(out, val, &ev.codes[wi], wi == 0)?;
-                            ev.last[wi] = val;
-                        }
+            for (ei, ev) in edges.iter_mut().enumerate() {
+                let e = EdgeId(ei as u32);
+                let vals = [
+                    WireVal::of(&store.data(e), data_bits),
+                    WireVal::of(&store.enable(e), |_| 1),
+                    WireVal::of(&store.ack(e), |_| 1),
+                ];
+                for (wi, val) in vals.into_iter().enumerate() {
+                    if val != ev.last[wi] {
+                        Self::emit(out, val, &ev.codes[wi], wi == 0)?;
+                        ev.last[wi] = val;
                     }
                 }
             }
             Ok(())
         });
-        touched.clear();
     }
 }
 
@@ -256,7 +269,6 @@ impl<W: Write + Send> Probe for VcdProbe<W> {
             self.edges.push(EdgeVars {
                 codes,
                 last: [WireVal::X; 3],
-                cur: [None; 3],
             });
         }
         let edges = &self.edges;
@@ -283,10 +295,7 @@ impl<W: Write + Send> Probe for VcdProbe<W> {
     }
 
     fn interest(&self) -> Interest {
-        Interest {
-            handlers: false,
-            resolves: true,
-        }
+        Interest::NONE
     }
 
     fn sync(&mut self) -> std::io::Result<()> {
@@ -295,27 +304,8 @@ impl<W: Write + Send> Probe for VcdProbe<W> {
 
     fn step(&mut self, log: &StepLog<'_>) {
         for r in log.records {
-            match r {
-                Record::Resolve {
-                    edge,
-                    wire,
-                    yes,
-                    value,
-                    ..
-                } => {
-                    let ev = &mut self.edges[edge.0 as usize];
-                    let val = if *yes {
-                        WireVal::Yes(value.as_ref().map(data_bits).unwrap_or(1))
-                    } else {
-                        WireVal::No
-                    };
-                    if ev.cur.iter().all(Option::is_none) {
-                        self.touched.push(edge.0);
-                    }
-                    ev.cur[wire.idx()] = Some(val);
-                }
-                Record::StepEnd => self.dump(log.now),
-                _ => {}
+            if let Record::StepEnd = r {
+                self.dump(log.now, log.store);
             }
         }
     }

@@ -520,6 +520,7 @@ fn drive_all_events(p: &mut dyn Probe, c: &EventCase) -> String {
     let mut log = StepLog {
         now,
         topo: sim.topology(),
+        store: &SignalStore::new(1),
         reacts: 1,
         commits: 1,
         records: &records,
@@ -569,14 +570,16 @@ proptest! {
             prop_assert!(!line.chars().any(|c| (c as u32) < 0x20), "raw control character");
         }
 
-        // The canonical subset is the same text minus `resolve` and the
-        // handler brackets.
+        // The canonical subset is the same text minus the `attach`
+        // header, `resolve`, the handler brackets and the run-level
+        // records.
         let out = Chunks::default();
         let mut probe = JsonlProbe::new(out.clone()).canonical();
         drive_all_events(&mut probe, &c);
+        let dropped = ["attach", "resolve", "react", "commit", "checkpoint", "restore", "rollback", "cancel"];
         let kept: String = want
             .lines()
-            .filter(|l| !["resolve", "react", "commit"].iter().any(|k| l.starts_with(&format!("{{\"t\":\"{k}\""))))
+            .filter(|l| !dropped.iter().any(|k| l.starts_with(&format!("{{\"t\":\"{k}\""))))
             .map(|l| format!("{l}\n"))
             .collect();
         prop_assert_eq!(out.text(), kept);
@@ -633,23 +636,12 @@ fn interest_mask_spares_only_probes_that_declined() {
     );
 
     for sched in ALL_SCHEDS {
-        // The canonical stream as the old encoder defined it, from a
-        // probe that listens to everything.
+        // The canonical stream, from a probe that listens to everything.
         let mut sim = build(&desc, sched);
         let rec = Recorder(Arc::new(Mutex::new(Recorded::default())));
         sim.set_probe(Box::new(rec.clone()));
         sim.run(STEPS).unwrap();
-        let names: Vec<String> = sim
-            .topology()
-            .instance_names()
-            .map(|n| format!("\"{n}\""))
-            .collect();
-        let mut want = format!(
-            "{{\"t\":\"attach\",\"instances\":{},\"edges\":{},\"names\":[{}]}}\n",
-            sim.topology().instance_count(),
-            sim.topology().edge_count(),
-            names.join(",")
-        );
+        let mut want = String::new();
         let transfers = std::mem::take(&mut rec.0.lock().unwrap().transfers);
         for now in 0..STEPS {
             want += &format!("{{\"t\":\"step\",\"now\":{now}}}\n");

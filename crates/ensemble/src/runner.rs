@@ -10,11 +10,11 @@
 //!
 //! Byte-identity across interruption rests on three invariants:
 //!
-//! 1. replica streams contain **only simulation events** — harness
-//!    events (`attach`/`cancel`/`checkpoint`/`restore`/`rollback`) are
-//!    filtered before they reach the file, so an interrupted replica's
-//!    stream is a strict prefix of the uninterrupted one *modulo* a
-//!    possibly torn tail;
+//! 1. replica streams contain **only simulation events** — they are
+//!    canonical JSONL, which writes no `attach` header and no run-level
+//!    `cancel`/`checkpoint`/`restore`/`rollback` record, so an
+//!    interrupted replica's stream is a strict prefix of the
+//!    uninterrupted one *modulo* a possibly torn tail;
 //! 2. on resume the stream is trimmed to events strictly before the
 //!    checkpoint's step (atomically: temp file + rename) and the
 //!    restored simulator re-emits the rest deterministically — sound
@@ -39,7 +39,7 @@ use liberty_core::prelude::{
 };
 use liberty_core::snapshot::{crc32, crc32_extend};
 use std::collections::BTreeMap;
-use std::io::{BufRead, Write};
+use std::io::{BufWriter, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
@@ -101,109 +101,43 @@ impl TopoCache {
     }
 }
 
-/// Harness probe events that must never reach a replica's durable
-/// stream: they mark supervision activity (probe attachment, cuts,
-/// checkpoints, restores, replays) that an uninterrupted control run
-/// would lack.
-const HARNESS_KINDS: [&[u8]; 5] = [b"attach", b"cancel", b"checkpoint", b"restore", b"rollback"];
-
-/// True for a stream line (every one opens `{"t":"<kind>"`) of a harness
-/// kind.
-fn is_harness(line: &[u8]) -> bool {
-    let rest = line.strip_prefix(b"{\"t\":\"").unwrap_or_default();
-    let end = rest.iter().position(|&c| c == b'"').unwrap_or(rest.len());
-    HARNESS_KINDS.contains(&&rest[..end])
-}
-
-/// Most bytes of filtered stream held back before one `write` hands
-/// them to the OS.
+/// Most bytes of stream held back before one `write` hands them to the
+/// OS.
 const BLOCK: usize = 64 * 1024;
 
-/// The replica-stream writer: drops harness events and group-commits the
-/// simulation events. Lines are received straight into `block`, a
-/// harness line is cut back out once it is whole, and what is left goes
-/// to `inner` when the block fills, on [`Write::flush`] (reached through
-/// `Probe::sync` at every checkpoint and when the replica settles) and
-/// on `Drop`.
-struct FilterWrite<W: Write> {
+/// The replica stream's file: keeps the CRC32 of every byte the file
+/// accepts, continuing from the stream's kept prefix; `replica_body`
+/// reads it once the probe is gone.
+struct CrcWrite<W: Write> {
     inner: W,
-    /// Kept whole lines, then the line still being received.
-    block: Vec<u8>,
-    /// Where that line starts: `block[..open]` is ready for `inner`.
-    open: usize,
-    /// CRC32 of every byte handed to `inner`, continuing from the
-    /// stream's kept prefix; `replica_body` reads it once the writer is
-    /// gone.
     crc: Arc<AtomicU32>,
 }
 
-impl<W: Write> FilterWrite<W> {
-    fn new(inner: W, crc: Arc<AtomicU32>) -> Self {
-        FilterWrite {
-            inner,
-            block: Vec::with_capacity(BLOCK),
-            open: 0,
-            crc,
-        }
-    }
-
-    /// Hand the whole lines collected so far to `inner`. They leave the
-    /// block even on failure: the replica is lost either way, and a
-    /// retry must not append a second copy of whatever part got through.
-    fn commit(&mut self) -> std::io::Result<()> {
-        let whole = &self.block[..self.open];
-        let r = self.inner.write_all(whole);
-        if r.is_ok() {
-            let crc = crc32_extend(self.crc.load(Ordering::SeqCst), whole);
-            self.crc.store(crc, Ordering::SeqCst);
-        }
-        self.block.drain(..self.open);
-        self.open = 0;
-        r
-    }
-}
-
-impl<W: Write> Write for FilterWrite<W> {
+impl<W: Write> Write for CrcWrite<W> {
     fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-        // The block stays within BLOCK (short of one write longer than
-        // that): what is whole leaves before what arrives would overflow.
-        if self.block.len() + b.len() > BLOCK {
-            self.commit()?;
-        }
-        let mut rest = b;
-        while !rest.is_empty() {
-            rest.read_until(b'\n', &mut self.block)?;
-            if self.block.last() != Some(&b'\n') {
-                break; // the line continues in the next write
-            }
-            if is_harness(&self.block[self.open..]) {
-                self.block.truncate(self.open);
-            }
-            self.open = self.block.len();
-        }
-        Ok(b.len())
+        let n = self.inner.write(b)?;
+        let crc = crc32_extend(self.crc.load(Ordering::SeqCst), &b[..n]);
+        self.crc.store(crc, Ordering::SeqCst);
+        Ok(n)
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
-        self.commit()?;
         self.inner.flush()
     }
 }
 
-impl<W: Write> Drop for FilterWrite<W> {
-    fn drop(&mut self) {
-        let _ = self.commit();
-    }
-}
-
-/// The probe a replica runs under: canonical JSONL through the filtering,
-/// group-committing writer into `file`. `crc` must hold the CRC32 of what
-/// `file` already contains.
+/// The probe a replica runs under: canonical JSONL, group-committed into
+/// `file`. The canonical stream is the simulation alone, so nothing needs
+/// filtering; its lines collect in a block of at most [`BLOCK`] bytes
+/// that goes to the file when it fills and on every `Probe::sync` — at
+/// each checkpoint and when the replica settles. `crc` must hold the
+/// CRC32 of what `file` already contains.
 fn stream_probe(
     file: std::fs::File,
     crc: Arc<AtomicU32>,
-) -> JsonlProbe<FilterWrite<std::fs::File>> {
-    JsonlProbe::new(FilterWrite::new(file, crc)).canonical()
+) -> JsonlProbe<BufWriter<CrcWrite<std::fs::File>>> {
+    let out = BufWriter::with_capacity(BLOCK, CrcWrite { inner: file, crc });
+    JsonlProbe::new(out).canonical()
 }
 
 /// Extract the `"now":N` field every canonical simulation event
@@ -978,29 +912,6 @@ mod tests {
             }
             std::fs::remove_dir_all(&dir).ok();
         }
-    }
-
-    #[test]
-    fn filter_drops_harness_lines_across_split_writes() {
-        let mut out = Vec::new();
-        let crc = Arc::new(AtomicU32::new(0));
-        {
-            let mut f = FilterWrite::new(&mut out, crc.clone());
-            // Event lines arrive in arbitrary chunks.
-            f.write_all(b"{\"t\":\"step\",\"now\":0}\n{\"t\":\"chec")
-                .unwrap();
-            f.write_all(b"kpoint\",\"now\":0}\n{\"t\":\"transfer\",\"now\":1}\n")
-                .unwrap();
-            f.write_all(b"{\"t\":\"restore\",\"now\":1}\n").unwrap();
-            // Nothing reaches the inner writer until the block commits.
-            assert!(f.inner.is_empty());
-            f.flush().unwrap();
-        }
-        assert_eq!(crc.load(Ordering::SeqCst), crc32(&out));
-        assert_eq!(
-            String::from_utf8(out).unwrap(),
-            "{\"t\":\"step\",\"now\":0}\n{\"t\":\"transfer\",\"now\":1}\n"
-        );
     }
 
     #[test]

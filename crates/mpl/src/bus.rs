@@ -14,7 +14,7 @@
 //! * `snoop` (out, N): broadcast of every granted transaction.
 
 use liberty_core::prelude::*;
-use liberty_pcl::memarray::MemResp;
+use liberty_pcl::memarray::{MemResp, SharedMem};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -49,9 +49,6 @@ impl Payload for BusMsg {
         out.word(self.tag);
     }
 }
-
-/// Shared, observable backing memory.
-pub type SharedMem = Arc<Mutex<Vec<u64>>>;
 
 /// The snoop bus module. Construct with [`snoop_bus`].
 pub struct SnoopBus {

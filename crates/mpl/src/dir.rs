@@ -24,10 +24,9 @@
 //! same single-writer/data-value invariants as the bus — but with unicast
 //! traffic that scales with sharers, not nodes.
 
-use crate::bus::SharedMem;
 use liberty_ccl::packet::Packet;
 use liberty_core::prelude::*;
-use liberty_pcl::memarray::{MemReq, MemResp};
+use liberty_pcl::memarray::{MemReq, MemResp, SharedMem};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;

@@ -27,7 +27,7 @@ use liberty_core::prelude::*;
 /// Handles to a built coherent shared-memory system.
 pub struct SharedMemory {
     /// The backing store (always current under write-through).
-    pub mem: bus::SharedMem,
+    pub mem: liberty_pcl::memarray::SharedMem,
     /// Per CPU: the snoop-cache instance to connect `req`/`resp` to.
     pub caches: Vec<InstanceId>,
     /// The bus instance.

@@ -16,7 +16,7 @@ fn run_scripts(
 ) -> (
     Simulator,
     Vec<sink::Collected>,
-    liberty_mpl::bus::SharedMem,
+    liberty_pcl::memarray::SharedMem,
     Vec<InstanceId>,
 ) {
     let mut b = NetlistBuilder::new();

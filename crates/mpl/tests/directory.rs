@@ -17,7 +17,7 @@ fn run_directory(
 ) -> (
     Simulator,
     Vec<sink::Collected>,
-    liberty_mpl::bus::SharedMem,
+    liberty_pcl::memarray::SharedMem,
     Vec<InstanceId>,
 ) {
     let n = scripts.len() as u32;

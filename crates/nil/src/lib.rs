@@ -28,9 +28,6 @@ pub mod tap;
 
 use liberty_core::prelude::*;
 
-/// Observable host memory (PCI target storage).
-pub type HostMem = std::sync::Arc<parking_lot::Mutex<Vec<u64>>>;
-
 /// Register NIL leaf templates.
 pub fn register_all(reg: &mut Registry) {
     reg.register(

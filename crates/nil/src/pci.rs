@@ -12,6 +12,7 @@
 //!   [`PciTxn`]s and answer [`PciResp`]s.
 
 use liberty_core::prelude::*;
+use liberty_pcl::memarray::SharedMem;
 use std::collections::VecDeque;
 
 const P_MREQ: PortId = PortId(0);
@@ -265,7 +266,7 @@ pub fn pci_bus(params: &Params) -> Result<Instantiated, SimError> {
 
 /// A burst-capable memory exposed as a PCI target.
 pub struct PciMem {
-    words: crate::HostMem,
+    words: SharedMem,
     latency: u64,
     pending: Option<(u64, PciResp)>,
 }
@@ -322,13 +323,13 @@ const PCI_MEM_SPEC: ModuleSpec = ModuleSpec::fixed(
 
 /// Construct a PCI memory target. Parameters: `words` (default 1 &lt;&lt; 16),
 /// `latency` (default 3). Returns the observable storage handle.
-pub fn pci_mem(params: &Params) -> Result<(ModuleSpec, Box<dyn Module>, crate::HostMem), SimError> {
+pub fn pci_mem(params: &Params) -> Result<(ModuleSpec, Box<dyn Module>, SharedMem), SimError> {
     let words = params.usize_or("words", 1 << 16)?;
     if words == 0 {
         return Err(SimError::param("pci_mem: words must be >= 1"));
     }
     let latency = params.usize_or("latency", 3)? as u64;
-    let handle: crate::HostMem = std::sync::Arc::new(parking_lot::Mutex::new(vec![0; words]));
+    let handle: SharedMem = std::sync::Arc::new(parking_lot::Mutex::new(vec![0; words]));
     Ok((
         PCI_MEM_SPEC,
         Box::new(PciMem {

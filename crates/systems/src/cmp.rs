@@ -49,7 +49,7 @@ pub struct Cmp {
     /// Per-core handles (even = producer, odd = consumer).
     pub cores: Vec<CoreHandles>,
     /// The coherent shared memory.
-    pub mem: liberty_mpl::bus::SharedMem,
+    pub mem: liberty_pcl::memarray::SharedMem,
     /// Coherent cache instances (bus slot order).
     pub caches: Vec<InstanceId>,
     /// The bus instance.
